@@ -10,18 +10,22 @@ concrete classes are provided:
   L*||x_i - x_j|| and |y_i| <= L*R, because any feasible y extends to an
   L-Lipschitz function (McShane extension) and truncation at +-L*R
   preserves both constraints.  This is a linear program; a dense simplex
-  handles every ambient dimension k, and for k = 1 an exact path solver
-  scales to larger point counts.
+  handles every ambient dimension k up to 64 points, and for k = 1 an exact
+  slope-trick dynamic program solves it at any point count.  The line
+  solver costs one sort plus O(1) amortized deque work per point for +-1
+  coefficients, and at most O(n^2) for arbitrary real coefficients.
 * Gaussian-kernel RKHS balls of radius rho: Riesz representation gives the
   closed form rho * sqrt(c' G c) with G the kernel Gram matrix.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _parse_number
 from .errors import BudgetExceededError, InvalidInputError
 from .simplex import simplex_maximize
 
@@ -215,41 +219,87 @@ def _lipschitz_sup_simplex(pts: np.ndarray, c: np.ndarray, L: float, B: float) -
 
 
 def _lipschitz_sup_line(x: np.ndarray, c: np.ndarray, L: float, B: float) -> float:
-    """Exact 1-d path solver via dynamic programming over concave
+    """Exact 1-d path solver: a slope-trick dynamic program over concave
     piecewise-linear value functions.
 
     Processing points in sorted order, V_i(y) is the best objective over the
-    first i points given y_i = y.  Each step is a sliding-window maximum
-    (halfwidth L * gap), a clip to [-B, B] and the addition of a linear term,
-    all of which preserve concave piecewise linearity.  On the line the
-    adjacent constraints imply all pairwise ones, so this matches the
-    all-pairs LP exactly.
+    first i points given y_i = y, on [-B, B].  Each step is a sliding-window
+    maximum (halfwidth a = L * gap), a clip back to [-B, B] and the addition
+    of c_i * y.  On the line the adjacent constraints imply all pairwise
+    ones, so this matches the all-pairs LP exactly.
+
+    V is stored as its value at -B plus a run of segments (key, width) in
+    increasing key order, where key is the running coefficient sum S at the
+    step that created the segment, so its slope is S - key.  Adding c_i * y
+    only advances S; segments whose slope changes sign move between the
+    positive-slope deque `left` and the negative-slope deque `right`, and
+    those whose key equals S form the flat `plateau` at the maximum.  The
+    window maximum widens the plateau by 2a and the clip trims a from both
+    outer ends.  Capping a at 2B is exact, since |y_i - y_j| <= 2B always,
+    and keeps every width of order B even for astronomically wide gaps.
+    Every step adds at most one segment, so the cost is O(n) after the sort
+    when no step moves more than a bounded number of segments, as with
+    +-1 coefficients.
     """
     order = np.argsort(x, kind="stable")
-    xs = [-B, B]
-    vs = [c[order[0]] * -B, c[order[0]] * B]
-    prev = x[order[0]]
-    for idx in order[1:]:
-        gap = float(x[idx] - prev)
-        prev = x[idx]
-        a = L * gap
-        if a > 0:
-            vmax = max(vs)
-            pl = vs.index(vmax)
-            pr = len(vs) - 1 - vs[::-1].index(vmax)
-            xs = [p - a for p in xs[:pl]] + [xs[pl] - a, xs[pr] + a] + \
-                 [p + a for p in xs[pr + 1:]]
-            vs = vs[:pl] + [vmax, vmax] + vs[pr + 1:]
-            # clip the domain back to the box
-            lo_v = float(np.interp(-B, xs, vs))
-            hi_v = float(np.interp(B, xs, vs))
-            inner = [(p, v) for p, v in zip(xs, vs) if -B < p < B]
-            xs = [-B] + [p for p, _ in inner] + [B]
-            vs = [lo_v] + [v for _, v in inner] + [hi_v]
-        ci = c[idx]
-        if ci != 0.0:
-            vs = [v + ci * p for p, v in zip(xs, vs)]
-    return float(max(vs))
+    xs = x[order].tolist()
+    cs = c[order].tolist()
+    left = deque()   # [key, width] with key < S, outer end first
+    right = deque()  # [key, width] with key > S, inner end first
+    plateau = 2.0 * B
+    total = 0.0      # S
+    value = 0.0      # V(-B)
+    prev = xs[0]
+    for xi, ci in zip(xs, cs):
+        a = min(L * (xi - prev), 2.0 * B)
+        prev = xi
+        if a > 0.0:
+            plateau += 2.0 * a
+            rest = a
+            while left and left[0][1] <= rest:
+                key, width = left.popleft()
+                value += (total - key) * width
+                rest -= width
+            if rest > 0.0:
+                if left:
+                    left[0][1] -= rest
+                    value += (total - left[0][0]) * rest
+                else:
+                    plateau -= rest
+            rest = a
+            while right and right[-1][1] <= rest:
+                rest -= right.pop()[1]
+            if rest > 0.0:
+                if right:
+                    right[-1][1] -= rest
+                else:
+                    plateau -= rest
+        if ci == 0.0:
+            continue
+        value -= B * ci
+        new_total = total + ci
+        if ci > 0.0:
+            if plateau > 0.0:
+                left.append([total, plateau])
+            plateau = 0.0
+            while right and right[0][0] <= new_total:
+                seg = right.popleft()
+                if seg[0] < new_total:
+                    left.append(seg)
+                else:
+                    plateau += seg[1]
+        else:
+            if plateau > 0.0:
+                right.appendleft([total, plateau])
+            plateau = 0.0
+            while left and left[-1][0] >= new_total:
+                seg = left.pop()
+                if seg[0] > new_total:
+                    right.appendleft(seg)
+                else:
+                    plateau += seg[1]
+        total = new_total
+    return float(value + sum((total - key) * width for key, width in left))
 
 
 def lipschitz_ball_sup(points, c, L: float, R: float, method: str = "auto") -> float:
@@ -478,12 +528,13 @@ def finite_class_from_csv(values_path, meta_path) -> FiniteFunctionClass:
 
     meta = {}
     with open(meta_path) as fh:
-        for raw in fh:
+        for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             key, _, value = line.partition("=")
-            meta[key.strip()] = float(value.strip())
+            key = key.strip()
+            meta[key] = _parse_number(value.strip(), f"{meta_path}, line {lineno}, key {key}")
     for key in ("L", "B"):
         if key not in meta:
             raise InvalidInputError(f"sidecar is missing {key}")
@@ -496,7 +547,14 @@ def finite_class_from_csv(values_path, meta_path) -> FiniteFunctionClass:
         for row in reader:
             if not row:
                 continue
-            cells[(int(row[0]), int(row[1]))] = float(row[2])
+            line = f"{values_path}, line {reader.line_num}"
+            if len(row) != 3:
+                raise InvalidInputError(f"{line}: expected 3 fields, got {len(row)}")
+            j, i, value = (_parse_number(text, f"{line}, column {name}", convert)
+                           for text, name, convert in zip(row, header, (int, int, float)))
+            if j < 0 or i < 0:
+                raise InvalidInputError(f"{line}: func_id and point_id must be >= 0")
+            cells[(j, i)] = value
     if not cells:
         raise InvalidInputError("function-class CSV has no values")
     r = max(j for j, _ in cells) + 1

@@ -248,6 +248,14 @@ def estimates_to_csv(rows, path) -> None:
             writer.writerow(est.csv_row(quantity))
 
 
+def _parse_number(text: str, where: str, convert=float):
+    """convert(text), or InvalidInputError naming `where` (file, line, column)."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise InvalidInputError(f"{where}: expected a number, got {text!r}") from None
+
+
 def pointset_to_csv(T: PointSet, path) -> None:
     """One row per element: elem_id followed by the row-major vectorization."""
     kn = T.k * T.n
@@ -262,14 +270,15 @@ def pointset_to_csv(T: PointSet, path) -> None:
 def pointset_from_csv(path, k: int = 1) -> PointSet:
     """Load a point set written by pointset_to_csv.
 
-    The flat coordinate count must be divisible by k; n is inferred.
+    The flat coordinate count must be divisible by k; n is inferred.  A cell
+    that is not a number raises InvalidInputError naming its line and column.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if not header or header[0] != "elem_id":
             raise InvalidInputError("expected header starting with elem_id")
-        rows = [row for row in reader if row]
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise InvalidInputError("point set file has no elements")
     kn = len(header) - 1
@@ -277,8 +286,10 @@ def pointset_from_csv(path, k: int = 1) -> PointSet:
         raise InvalidInputError(f"{kn} coordinates not divisible by k={k}")
     n = kn // k
     mats = []
-    for row in rows:
+    for line, row in rows:
         if len(row) != kn + 1:
             raise InvalidInputError(f"row {row[0]!r} has {len(row) - 1} coords, expected {kn}")
-        mats.append(np.array([float(v) for v in row[1:]], dtype=float).reshape(k, n))
+        coords = [_parse_number(v, f"{path}, line {line}, column {name}")
+                  for name, v in zip(header[1:], row[1:])]
+        mats.append(np.array(coords, dtype=float).reshape(k, n))
     return PointSet.from_elements(mats)

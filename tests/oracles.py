@@ -88,6 +88,47 @@ def grid_lipschitz_sup(pts, c, L, R, divisor=200):
     raise ValueError("grid oracle supports n <= 4")
 
 
+def reference_line_dp(x: np.ndarray, c: np.ndarray, L: float, B: float) -> float:
+    """Exact 1-d path solver via dynamic programming over concave
+    piecewise-linear value functions.
+
+    Reference for the library's slope-trick line solver: it rebuilds explicit
+    breakpoint lists at every point (O(n^2)), sharing no code with it.
+
+    Processing points in sorted order, V_i(y) is the best objective over the
+    first i points given y_i = y.  Each step is a sliding-window maximum
+    (halfwidth L * gap), a clip to [-B, B] and the addition of a linear term,
+    all of which preserve concave piecewise linearity.  On the line the
+    adjacent constraints imply all pairwise ones, so this matches the
+    all-pairs LP exactly.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = [-B, B]
+    vs = [c[order[0]] * -B, c[order[0]] * B]
+    prev = x[order[0]]
+    for idx in order[1:]:
+        gap = float(x[idx] - prev)
+        prev = x[idx]
+        a = L * gap
+        if a > 0:
+            vmax = max(vs)
+            pl = vs.index(vmax)
+            pr = len(vs) - 1 - vs[::-1].index(vmax)
+            xs = [p - a for p in xs[:pl]] + [xs[pl] - a, xs[pr] + a] + \
+                 [p + a for p in xs[pr + 1:]]
+            vs = vs[:pl] + [vmax, vmax] + vs[pr + 1:]
+            # clip the domain back to the box
+            lo_v = float(np.interp(-B, xs, vs))
+            hi_v = float(np.interp(B, xs, vs))
+            inner = [(p, v) for p, v in zip(xs, vs) if -B < p < B]
+            xs = [-B] + [p for p, _ in inner] + [B]
+            vs = [lo_v] + [v for _, v in inner] + [hi_v]
+        ci = c[idx]
+        if ci != 0.0:
+            vs = [v + ci * p for p, v in zip(xs, vs)]
+    return float(max(vs))
+
+
 def rkhs_ball_mc_lower(pts, c, sigma, rho, n_samples, seed):
     """Best value of sum c_i f(x_i) over randomly sampled RKHS-ball members
     f = sum_j a_j K(x_j, .) normalized to norm rho.  Never exceeds the

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berncomp import (
     BudgetExceededError,
@@ -18,7 +20,7 @@ from berncomp import (
     sample_piecewise_linear_class,
     simplex_maximize,
 )
-from oracles import grid_lipschitz_sup, rkhs_ball_mc_lower
+from oracles import grid_lipschitz_sup, reference_line_dp, rkhs_ball_mc_lower
 
 
 class TestSimplex:
@@ -100,6 +102,27 @@ class TestFiniteClassSup:
         assert back.lipschitz_L == cls.lipschitz_L
         assert back.uniform_bound_B == cls.uniform_bound_B
 
+    def test_csv_bad_row_names_line(self, tmp_path):
+        meta = tmp_path / "meta.txt"
+        meta.write_text("L = 1.0\nB = 1.0\n")
+        for bad_row, message in (("0,x,0.5", "line 3, column point_id"),
+                                 ("1.5,1,0.5", "line 3, column func_id"),
+                                 ("0,1,abc", "line 3, column value"),
+                                 ("0,1", "line 3: expected 3 fields"),
+                                 ("-1,0,0.5", "line 3: func_id and point_id must be >= 0")):
+            vals = tmp_path / "class.csv"
+            vals.write_text(f"func_id,point_id,value\n0,0,0.5\n{bad_row}\n")
+            with pytest.raises(InvalidInputError, match=message):
+                finite_class_from_csv(vals, meta)
+
+    def test_sidecar_non_numeric_value_names_line(self, tmp_path):
+        vals = tmp_path / "class.csv"
+        vals.write_text("func_id,point_id,value\n0,0,0.5\n")
+        meta = tmp_path / "meta.txt"
+        meta.write_text("L = 1.0\nB = one\n")
+        with pytest.raises(InvalidInputError, match="line 2, key B"):
+            finite_class_from_csv(vals, meta)
+
 
 class TestLipschitzBallSup:
     def test_single_point_box_only(self):
@@ -156,11 +179,89 @@ class TestLipschitzBallSup:
         with pytest.raises(BudgetExceededError):
             lipschitz_ball_sup(pts, np.ones(65), 1.0, 1.0, method="simplex")
 
+    @pytest.mark.parametrize("n", [1, 2, 16, 64, 256])
+    def test_line_solver_matches_reference_dp(self, n):
+        # above n = SIMPLEX_MAX_POINTS this is the only two-route check of the line solver
+        rng = np.random.default_rng(24 + n)
+        weights = {
+            "signs": lambda: rng.choice([-1.0, 1.0], size=n),
+            "small ints": lambda: rng.integers(-3, 4, size=n).astype(float),
+            "gaussian": lambda: rng.normal(size=n),
+        }
+        for kind, draw in weights.items():
+            for layout in ("spread", "coincident", "wide gaps"):
+                L = float(rng.uniform(0.5, 2.0))
+                R = float(rng.uniform(0.5, 2.0))
+                x = rng.uniform(-1, 1, size=n)
+                if layout == "coincident":
+                    x = np.round(x * 2) / 2  # at most 5 distinct points
+                elif layout == "wide gaps":
+                    x = x * 2 * n * R  # typical gaps exceed 2B / L = 2R
+                c = draw()
+                ref = reference_line_dp(x, c, L, L * R)
+                val = lipschitz_ball_sup(x[:, None], c, L, R, method="line")
+                scale = L * R * np.abs(c).sum()
+                assert val == pytest.approx(ref, rel=1e-12, abs=1e-12 * scale), (kind, layout)
+
+    def test_huge_gaps_stay_exact(self):
+        # widths stay of order B however far apart the points are
+        val = lipschitz_ball_sup([[-1e308], [0.0], [1e308]], [1.0, -1.0, 1.0], L=1.0, R=1.0)
+        assert val == 3.0
+        val = lipschitz_ball_sup([[-1e200], [1e200]], [1.0, 1.0], L=1.0, R=1.0)
+        assert val == 2.0
+
     def test_zero_distance_pair_in_higher_dim(self):
         pts = np.array([[0.5, 0.5], [0.5, 0.5], [-0.5, 0.0]])
         val = lipschitz_ball_sup(pts, [1.0, -1.0, 1.0], L=1.0, R=1.0)
         # first two y's forced equal; optimum is achieved by y3 alone
         assert val == pytest.approx(1.0)
+
+
+_line_problems = st.integers(1, 12).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(-32, 32).map(lambda v: v / 8), min_size=n, max_size=n),
+    st.lists(st.floats(-3, 3, allow_subnormal=False), min_size=n, max_size=n),
+    st.floats(0.25, 4.0),
+    st.floats(0.25, 4.0),
+))
+
+
+def _line_sup(x, c, L, R):
+    return lipschitz_ball_sup(np.asarray(x)[:, None], c, L, R, method="line")
+
+
+def _close(a, b, c, L, R):
+    # relative to the problem scale B * ||c||_1, which bounds every value
+    return a == pytest.approx(b, rel=1e-12, abs=1e-12 * L * R * np.abs(c).sum())
+
+
+class TestLineSolverProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(_line_problems, st.integers(-64, 64).map(lambda v: v / 8))
+    def test_translation_invariance(self, problem, shift):
+        x, c, L, R = problem
+        # dyadic points and shift keep every gap exact
+        assert _close(_line_sup([v + shift for v in x], c, L, R), _line_sup(x, c, L, R),
+                      c, L, R)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_line_problems)
+    def test_reflection_invariance(self, problem):
+        x, c, L, R = problem
+        assert _close(_line_sup([-v for v in x], c, L, R), _line_sup(x, c, L, R), c, L, R)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_line_problems)
+    def test_sign_symmetry(self, problem):
+        # the ball is symmetric under f -> -f
+        x, c, L, R = problem
+        assert _close(_line_sup(x, [-v for v in c], L, R), _line_sup(x, c, L, R), c, L, R)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_line_problems)
+    def test_homogeneous_in_l(self, problem):
+        # y is feasible for (L, R) iff y / L is feasible for (1, R)
+        x, c, L, R = problem
+        assert _close(_line_sup(x, c, L, R), L * _line_sup(x, c, 1.0, R), c, L, R)
 
 
 class TestRkhsBallSup:

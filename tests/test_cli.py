@@ -127,6 +127,12 @@ class TestEstimateCommand:
         expected = bernoulli_complexity(T, EstimatorConfig(mode="exact")).value
         assert float(rows[1][1]) == pytest.approx(expected)
 
+    def test_non_numeric_cell_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("elem_id,coord_0,coord_1\n0,1.0,2.0\n1,abc,3.0\n")
+        assert main(["estimate", "--input", str(path), "--quantity", "b"]) == 2
+        assert "line 3, column coord_0" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["estimate", "--input", "/nonexistent.csv", "--quantity", "b"]) == 2
 

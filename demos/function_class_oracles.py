@@ -51,12 +51,11 @@ print(f"  closed form = {closed:.4f}, best of 2000 sampled members = {vals.max()
 
 print("\nEvery oracle is convex in the coefficients:")
 pl = sample_piecewise_linear_class(20, L=1.0, R=1.0, seed=4)
-for name, oracle in [("finite", cls.as_oracle()), ("rkhs", ball.as_oracle()),
-                     ("piecewise-linear", pl.as_oracle())]:
+for name, fclass in [("finite", cls), ("rkhs", ball), ("piecewise-linear", pl)]:
     pts_n = rng.uniform(-1, 1, size=(cls.n_points if name == "finite" else 4, 1))
     n = pts_n.shape[0]
     ok = all(
-        oracle_convexity_check(oracle, pts_n, rng.normal(size=n),
+        oracle_convexity_check(fclass, pts_n, rng.normal(size=n),
                                rng.normal(size=n), float(rng.uniform()))
         for _ in range(200)
     )

@@ -29,17 +29,14 @@ from .chaining import (
 )
 from .classes import (
     FiniteFunctionClass,
-    FunctionClassOracle,
     GaussianRkhsBall,
     LipschitzBall,
     PiecewiseLinearClass,
     finite_class_from_csv,
-    finite_class_sup,
     finite_class_to_csv,
     gaussian_gram,
     lipschitz_ball_sup,
     oracle_convexity_check,
-    rkhs_ball_sup,
     sample_piecewise_linear_class,
 )
 from .complexity import (

@@ -1,8 +1,11 @@
-"""Function-class abstractions with exact supremum oracles.
+"""Function classes with exact supremum oracles.
 
 Every complexity computation reduces to evaluating, for coefficient vectors
-c, the supremum of sum_i c_i f(x_i) over a class of functions.  Three
-concrete classes are provided:
+c, the supremum of sum_i c_i f(x_i) over a class of functions.  A class is
+anything with a method sup_batch(points, C) returning that supremum for
+every row of C at the (n, k) points; the estimators call it directly.  The
+oracle is convex in c but not assumed positively homogeneous (a class need
+not be a cone).  Four concrete classes are provided:
 
 * FiniteFunctionClass: tabulated values, supremum by row-wise maximization.
 * Lipschitz balls {f : L-Lipschitz, |f| <= L*R}: the supremum equals the
@@ -16,6 +19,8 @@ concrete classes are provided:
   coefficients, and at most O(n^2) for arbitrary real coefficients.
 * Gaussian-kernel RKHS balls of radius rho: Riesz representation gives the
   closed form rho * sqrt(c' G c) with G the kernel Gram matrix.
+* PiecewiseLinearClass: finitely many piecewise-linear functions on the
+  line, evaluable at any point.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _parse_number
+from .core import _parse_number, sq_distances
 from .errors import BudgetExceededError, InvalidInputError
 from .simplex import simplex_maximize
 
@@ -58,39 +63,15 @@ def _as_coeffs(c, n: int) -> np.ndarray:
     return c
 
 
-class FunctionClassOracle:
-    """Capability bundle for a function class.
-
-    Carries a uniform Lipschitz constant, a uniform bound, an exact supremum
-    oracle for linear functionals c -> sup_f sum_i c_i f(x_i) and an optional
-    pointwise evaluator for finite classes.  The oracle is convex in c but is
-    not assumed positively homogeneous (the class need not be a cone).
-    """
-
-    def __init__(self, lipschitz_L: float, uniform_bound_B: float, sup_fn,
-                 sup_batch_fn=None, eval_fn=None):
-        if lipschitz_L <= 0 or uniform_bound_B <= 0:
-            raise InvalidInputError("lipschitz_L and uniform_bound_B must be positive")
-        self.lipschitz_L = float(lipschitz_L)
-        self.uniform_bound_B = float(uniform_bound_B)
-        self._sup = sup_fn
-        self._sup_batch = sup_batch_fn
-        self._eval = eval_fn
-
-    def sup(self, points, c) -> float:
-        return float(self._sup(points, c))
-
-    def sup_batch(self, points, C) -> np.ndarray:
-        """Oracle values for every row of C; falls back to a loop."""
-        C = np.atleast_2d(np.asarray(C, dtype=float))
-        if self._sup_batch is not None:
-            return np.asarray(self._sup_batch(points, C), dtype=float)
-        return np.array([self._sup(points, row) for row in C], dtype=float)
-
-    def eval(self, fid, x) -> float:
-        if self._eval is None:
-            raise InvalidInputError("this oracle has no pointwise evaluator")
-        return float(self._eval(fid, x))
+def _as_coeff_rows(C, n: int) -> np.ndarray:
+    """Normalize a coefficient batch to a finite (rows, n) array; accepts
+    (n,) for one row."""
+    C = np.atleast_2d(np.asarray(C, dtype=float))
+    if C.ndim != 2 or C.shape[1] != n:
+        raise InvalidInputError(f"expected rows of {n} coefficients, got shape {C.shape}")
+    if not np.all(np.isfinite(C)):
+        raise InvalidInputError("coefficients must be finite")
+    return C
 
 
 @dataclass(frozen=True)
@@ -99,7 +80,8 @@ class FiniteFunctionClass:
 
     table[j, i] = f_j(x_i).  When the points are supplied the tabulated
     Lipschitz certificate |f_j(x_i) - f_j(x_i')| <= L ||x_i - x_i'|| is
-    verified at construction, as is the uniform bound.
+    verified at construction, as is the uniform bound.  The class is tied
+    to its sample, so sup_batch takes points=None or exactly n_points rows.
     """
 
     table: np.ndarray
@@ -124,8 +106,7 @@ class FiniteFunctionClass:
             pts = _as_points(self.points)
             if pts.shape[0] != table.shape[1]:
                 raise InvalidInputError("points and table column counts differ")
-            diff = pts[:, None, :] - pts[None, :, :]
-            d = np.sqrt((diff * diff).sum(axis=2))
+            d = np.sqrt(sq_distances(pts))
             gaps = np.abs(table[:, :, None] - table[:, None, :])
             slack = gaps - self.lipschitz_L * d[None, :, :]
             if slack.max() > 1e-9:
@@ -148,40 +129,16 @@ class FiniteFunctionClass:
         c = _as_coeffs(c, self.n_points)
         return float((self.table @ c).max())
 
-    def sup_batch(self, C) -> np.ndarray:
-        C = np.atleast_2d(np.asarray(C, dtype=float))
-        if C.shape[1] != self.n_points:
-            raise InvalidInputError("coefficient batch has the wrong width")
+    def sup_batch(self, points, C) -> np.ndarray:
+        if points is not None and _as_points(points).shape[0] != self.n_points:
+            raise InvalidInputError("finite class is tabulated on a fixed sample")
+        C = _as_coeff_rows(C, self.n_points)
         return (C @ self.table.T).max(axis=1)
-
-    def as_oracle(self) -> FunctionClassOracle:
-        def sup_fn(points, c):
-            if points is not None and _as_points(points).shape[0] != self.n_points:
-                raise InvalidInputError("finite class is tabulated on a fixed sample")
-            return self.sup(c)
-
-        def sup_batch_fn(points, C):
-            return self.sup_batch(C)
-
-        return FunctionClassOracle(
-            self.lipschitz_L, self.uniform_bound_B, sup_fn, sup_batch_fn,
-            eval_fn=lambda fid, i: float(self.table[int(fid), int(i)]),
-        )
-
-
-def finite_class_sup(cls: FiniteFunctionClass, c) -> float:
-    """max over tabulated functions of sum_i c_i f(x_i)."""
-    return cls.sup(c)
 
 
 # ---------------------------------------------------------------------------
 # Lipschitz balls
 # ---------------------------------------------------------------------------
-
-
-def _pairwise_distances(pts: np.ndarray) -> np.ndarray:
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt((diff * diff).sum(axis=2))
 
 
 def _lipschitz_sup_simplex(pts: np.ndarray, c: np.ndarray, L: float, B: float) -> float:
@@ -196,7 +153,7 @@ def _lipschitz_sup_simplex(pts: np.ndarray, c: np.ndarray, L: float, B: float) -
             f"dense simplex oracle capped at n = {SIMPLEX_MAX_POINTS} points, got {n}; "
             "use sampled finite subclasses for larger problems"
         )
-    d = _pairwise_distances(pts)
+    d = np.sqrt(sq_distances(pts))
     rows = []
     rhs = []
     for i in range(n):
@@ -340,12 +297,15 @@ class LipschitzBall:
     def sup(self, points, c, method: str = "auto") -> float:
         return lipschitz_ball_sup(points, c, self.lipschitz_L, self.radius_R, method)
 
-    def as_oracle(self) -> FunctionClassOracle:
-        return FunctionClassOracle(
-            self.lipschitz_L,
-            self.lipschitz_L * self.radius_R,
-            lambda points, c: self.sup(points, c),
-        )
+    def sup_batch(self, points, C) -> np.ndarray:
+        pts = _as_points(points)
+        C = _as_coeff_rows(C, pts.shape[0])
+        return np.array([lipschitz_ball_sup(pts, c, self.lipschitz_L, self.radius_R)
+                         for c in C], dtype=float)
+
+    def as_oracle(self) -> "LipschitzBall":
+        # Kept only because perfbench's lipschitz-k2 workload calls it.
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +318,7 @@ def gaussian_gram(points, sigma: float) -> np.ndarray:
     if sigma <= 0:
         raise InvalidInputError("sigma must be positive")
     pts = _as_points(points)
-    diff = pts[:, None, :] - pts[None, :, :]
-    sq = (diff * diff).sum(axis=2)
-    return np.exp(-sq / (2.0 * sigma * sigma))
+    return np.exp(-sq_distances(pts) / (2.0 * sigma * sigma))
 
 
 def _clamp_quadform(q):
@@ -397,24 +355,10 @@ class GaussianRkhsBall:
 
     def sup_batch(self, points, C) -> np.ndarray:
         pts = _as_points(points)
-        C = np.atleast_2d(np.asarray(C, dtype=float))
-        if C.shape[1] != pts.shape[0]:
-            raise InvalidInputError("coefficient batch has the wrong width")
+        C = _as_coeff_rows(C, pts.shape[0])
         G = gaussian_gram(pts, self.sigma)
         quad = _clamp_quadform(np.einsum("bi,ij,bj->b", C, G, C))
         return self.rho * np.sqrt(quad)
-
-    def as_oracle(self) -> FunctionClassOracle:
-        return FunctionClassOracle(
-            self.lipschitz_L, self.rho,
-            lambda points, c: self.sup(points, c),
-            lambda points, C: self.sup_batch(points, C),
-        )
-
-
-def rkhs_ball_sup(points, c, ball: GaussianRkhsBall) -> float:
-    """sup over the RKHS ball of sum_i c_i f(x_i) = rho * sqrt(c' G c)."""
-    return ball.sup(points, c)
 
 
 # ---------------------------------------------------------------------------
@@ -422,16 +366,16 @@ def rkhs_ball_sup(points, c, ball: GaussianRkhsBall) -> float:
 # ---------------------------------------------------------------------------
 
 
-def oracle_convexity_check(oracle: FunctionClassOracle, points, c1, c2,
-                           lam: float, tol: float = 1e-9) -> bool:
-    """True iff the oracle is convex along the segment [c1, c2] at lam."""
+def oracle_convexity_check(fclass, points, c1, c2, lam: float, tol: float = 1e-9) -> bool:
+    """True iff the class's supremum oracle is convex along the segment
+    [c1, c2] at lam."""
     if not 0.0 <= lam <= 1.0:
         raise InvalidInputError("lam must lie in [0, 1]")
     pts = _as_points(points)
     c1 = _as_coeffs(c1, pts.shape[0])
     c2 = _as_coeffs(c2, pts.shape[0])
-    mixed = oracle.sup(pts, lam * c1 + (1.0 - lam) * c2)
-    return mixed <= lam * oracle.sup(pts, c1) + (1.0 - lam) * oracle.sup(pts, c2) + tol
+    v1, v2, mixed = fclass.sup_batch(pts, np.stack([c1, c2, lam * c1 + (1.0 - lam) * c2]))
+    return mixed <= lam * v1 + (1.0 - lam) * v2 + tol
 
 
 @dataclass(frozen=True)
@@ -462,22 +406,12 @@ class PiecewiseLinearClass:
             points=x[:, None],
         )
 
-    def as_oracle(self) -> FunctionClassOracle:
-        def sup_fn(points, c):
-            pts = _as_points(points)
-            if pts.shape[1] != 1:
-                raise InvalidInputError("piecewise-linear classes live on the line")
-            vals = self.eval_batch(pts[:, 0])
-            return float((vals @ _as_coeffs(c, pts.shape[0])).max())
-
-        def sup_batch_fn(points, C):
-            pts = _as_points(points)
-            vals = self.eval_batch(pts[:, 0])
-            return (np.atleast_2d(C) @ vals.T).max(axis=1)
-
-        return FunctionClassOracle(
-            self.lipschitz_L, self.lipschitz_L * self.radius_R, sup_fn, sup_batch_fn,
-        )
+    def sup_batch(self, points, C) -> np.ndarray:
+        pts = _as_points(points)
+        if pts.shape[1] != 1:
+            raise InvalidInputError("piecewise-linear classes live on the line")
+        C = _as_coeff_rows(C, pts.shape[0])
+        return (C @ self.eval_batch(pts[:, 0]).T).max(axis=1)
 
 
 def sample_piecewise_linear_class(n_functions: int, L: float, R: float, seed: int,

@@ -8,9 +8,12 @@ Two sign conventions coexist and are never mixed:
 * composite form: a class applied to the n columns of an element is weighted
   with n independent signs, one per column.
 
-Each operation documents which convention it uses.  All randomized
-operations are pure functions of (inputs, seed): the same seed gives a
-bit-identical result.
+Each operation documents which convention it uses.  Sign weights come from
+one place, _sign_weights: all 2^n patterns when the config picks exact
+enumeration, otherwise mc_samples draws seeded by the config.  Composite
+estimators take any function class with a sup_batch(points, C) method (see
+berncomp.classes).  All randomized operations are pure functions of
+(inputs, seed): the same seed gives a bit-identical result.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .classes import FiniteFunctionClass, FunctionClassOracle, _as_points
+from .classes import FiniteFunctionClass, _as_points
 from .core import ComplexityEstimate, PointSet
 from .errors import BudgetExceededError, DegenerateSetError, InvalidInputError
 
@@ -76,15 +79,22 @@ def sign_patterns(n_signs: int) -> np.ndarray:
     return bits.astype(float) * 2.0 - 1.0
 
 
-def _mc_signs(rng: np.random.Generator, samples: int, width: int) -> np.ndarray:
-    return rng.integers(0, 2, size=(samples, width)).astype(float) * 2.0 - 1.0
+def _sign_weights(cfg: EstimatorConfig, n: int) -> tuple[np.ndarray, bool]:
+    """(weights, exact): all 2^n sign patterns if cfg picks exact
+    enumeration for n signs, else cfg.mc_samples rows of random signs drawn
+    from a generator seeded with cfg.seed."""
+    if cfg.pick_exact(n):
+        return sign_patterns(n), True
+    rng = np.random.default_rng(cfg.seed)
+    return rng.integers(0, 2, size=(cfg.mc_samples, n)).astype(float) * 2.0 - 1.0, False
 
 
-def _finish(sups: np.ndarray, exact: bool, samples: int, seed: int) -> ComplexityEstimate:
+def _finish(sups: np.ndarray, exact: bool, seed: int) -> ComplexityEstimate:
     value = float(np.mean(sups))
+    samples = len(sups)
     if exact:
         return ComplexityEstimate(value, 0.0, "exact-enumeration", samples, seed)
-    se = float(np.std(sups, ddof=1) / np.sqrt(len(sups))) if len(sups) > 1 else 0.0
+    se = float(np.std(sups, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
     return ComplexityEstimate(value, se, "monte-carlo", samples, seed)
 
 
@@ -97,15 +107,9 @@ def _linear_sup_estimate(vecs: np.ndarray, cfg: EstimatorConfig, gaussian: bool)
     if gaussian:
         rng = np.random.default_rng(cfg.seed)
         draws = rng.standard_normal((cfg.mc_samples, width))
-        sups = (draws @ vecs.T).max(axis=1)
-        return _finish(sups, False, cfg.mc_samples, cfg.seed)
-    if cfg.pick_exact(width):
-        pats = sign_patterns(width)
-        sups = (pats @ vecs.T).max(axis=1)
-        return _finish(sups, True, len(pats), cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
-    sups = (_mc_signs(rng, cfg.mc_samples, width) @ vecs.T).max(axis=1)
-    return _finish(sups, False, cfg.mc_samples, cfg.seed)
+        return _finish((draws @ vecs.T).max(axis=1), False, cfg.seed)
+    weights, exact = _sign_weights(cfg, width)
+    return _finish((weights @ vecs.T).max(axis=1), exact, cfg.seed)
 
 
 def bernoulli_complexity(T: PointSet, cfg: EstimatorConfig | None = None) -> ComplexityEstimate:
@@ -129,74 +133,49 @@ def gaussian_complexity(T: PointSet, cfg: EstimatorConfig | None = None) -> Comp
     return _linear_sup_estimate(T.vectorized(), cfg, gaussian=True)
 
 
-def _composite_sups(oracle: FunctionClassOracle, T: PointSet, weights: np.ndarray) -> np.ndarray:
-    per_element = np.empty((T.n_elements, weights.shape[0]))
-    for i in range(T.n_elements):
-        pts = T.element(i).T  # columns of the element as (n, k) points
-        per_element[i] = oracle.sup_batch(pts, weights)
-    return per_element.max(axis=0)
-
-
-def composite_bernoulli_complexity(oracle: FunctionClassOracle, T: PointSet,
+def composite_bernoulli_complexity(fclass, T: PointSet,
                                    cfg: EstimatorConfig | None = None) -> ComplexityEstimate:
     """E sup over elements t and class members f of sum_i eps_i f(t_i),
     composite form (n independent signs, one per column).
 
-    The supremum couples f and t jointly, per sign pattern (exact) or per
-    sample (Monte Carlo).
+    fclass is any class with sup_batch(points, C).  The supremum couples f
+    and t jointly, per sign pattern (exact) or per sample (Monte Carlo).
     """
     cfg = cfg or DEFAULT_CONFIG
-    n = T.n
-    if cfg.pick_exact(n):
-        pats = sign_patterns(n)
-        sups = _composite_sups(oracle, T, pats)
-        return _finish(sups, True, len(pats), cfg.seed)
-    rng = np.random.default_rng(cfg.seed)
-    signs = _mc_signs(rng, cfg.mc_samples, n)
-    sups = _composite_sups(oracle, T, signs)
-    return _finish(sups, False, cfg.mc_samples, cfg.seed)
+    weights, exact = _sign_weights(cfg, T.n)
+    # the columns of each element are its (n, k) points
+    sups = np.max([fclass.sup_batch(T.element(i).T, weights)
+                   for i in range(T.n_elements)], axis=0)
+    return _finish(sups, exact, cfg.seed)
 
 
-def empirical_rademacher(cls_or_oracle, cfg: EstimatorConfig | None = None,
+def empirical_rademacher(fclass, cfg: EstimatorConfig | None = None,
                          points=None) -> ComplexityEstimate:
     """Normalized empirical Rademacher complexity over a fixed sample:
     (1/n) E sup over the class of the sign-weighted value sum (n signs).
 
-    Accepts a FiniteFunctionClass tabulated on the sample, or a
-    FunctionClassOracle together with the (n, k) sample points.
+    fclass is any class with sup_batch(points, C), given together with the
+    (n, k) sample points; a FiniteFunctionClass may omit them, since its
+    table fixes the sample.
     """
     cfg = cfg or DEFAULT_CONFIG
-    if isinstance(cls_or_oracle, FiniteFunctionClass):
-        if points is not None:
-            raise InvalidInputError("a tabulated class already fixes its sample")
-        oracle = cls_or_oracle.as_oracle()
-        pts = None
-        n = cls_or_oracle.n_points
+    if points is None:
+        if not isinstance(fclass, FiniteFunctionClass):
+            raise InvalidInputError("this class needs the sample points")
+        n = fclass.n_points
     else:
-        if points is None:
-            raise InvalidInputError("an oracle needs the sample points")
-        oracle = cls_or_oracle
-        pts = _as_points(points)
-        n = pts.shape[0]
-    if cfg.pick_exact(n):
-        weights = sign_patterns(n)
-        exact = True
-        samples = len(weights)
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        weights = _mc_signs(rng, cfg.mc_samples, n)
-        exact = False
-        samples = cfg.mc_samples
-    sups = oracle.sup_batch(pts, weights)
-    est = _finish(sups / n, exact, samples, cfg.seed)
-    return est
+        points = _as_points(points)
+        n = points.shape[0]
+    weights, exact = _sign_weights(cfg, n)
+    return _finish(fclass.sup_batch(points, weights) / n, exact, cfg.seed)
 
 
-def increment_ratio(oracle: FunctionClassOracle, S: PointSet,
+def increment_ratio(fclass, S: PointSet,
                     cfg: EstimatorConfig | None = None) -> float:
     """Worst pairwise ratio of the expected supremum of the sign-weighted
     increment sum_i eps_i (f(s_i) - f(t_i)) to the Frobenius distance
-    ||s - t|| (n signs, one per column).
+    ||s - t|| (n signs, one per column), for any class with
+    sup_batch(points, C).
 
     Pairs closer than DEGENERATE_PAIR_TOL are skipped; if every pair is
     degenerate a DegenerateSetError is raised.  The same sign draws are used
@@ -205,12 +184,7 @@ def increment_ratio(oracle: FunctionClassOracle, S: PointSet,
     cfg = cfg or DEFAULT_CONFIG
     if S.n_elements < 2:
         raise InvalidInputError("need at least two elements")
-    n = S.n
-    if cfg.pick_exact(n):
-        signs = sign_patterns(n)
-    else:
-        rng = np.random.default_rng(cfg.seed)
-        signs = _mc_signs(rng, cfg.mc_samples, n)
+    signs, _ = _sign_weights(cfg, S.n)
     half = np.concatenate([signs, -signs], axis=1)  # coefficients (eps, -eps)
     best = None
     vecs = S.vectorized()
@@ -222,7 +196,7 @@ def increment_ratio(oracle: FunctionClassOracle, S: PointSet,
             if dist < DEGENERATE_PAIR_TOL:
                 continue
             pts = np.concatenate([S.element(i).T, S.element(j).T], axis=0)
-            mean = float(np.mean(oracle.sup_batch(pts, half)))
+            mean = float(np.mean(fclass.sup_batch(pts, half)))
             ratio = mean / dist
             if best is None or ratio > best:
                 best = ratio

@@ -123,6 +123,13 @@ def frobenius(t) -> float:
     return float(np.linalg.norm(np.asarray(t, dtype=float)))
 
 
+def sq_distances(X: np.ndarray) -> np.ndarray:
+    """Squared Euclidean distances between the rows of an (m, d) array,
+    shape (m, m)."""
+    diff = X[:, None, :] - X[None, :, :]
+    return (diff * diff).sum(axis=2)
+
+
 def diameter2(T: PointSet) -> float:
     """Diameter of the set with respect to the Frobenius norm.
 
@@ -131,8 +138,7 @@ def diameter2(T: PointSet) -> float:
     vecs = T.vectorized()
     if len(vecs) == 1:
         return 0.0
-    diff = vecs[:, None, :] - vecs[None, :, :]
-    return float(np.sqrt((diff * diff).sum(axis=2)).max())
+    return float(np.sqrt(sq_distances(vecs)).max())
 
 
 @dataclass(frozen=True)
@@ -198,8 +204,7 @@ def metric_space_from_pointset(T: PointSet, metric: str = "euclidean-on-vectoriz
     if metric != "euclidean-on-vectorization":
         raise InvalidInputError(f"unsupported metric {metric!r}")
     vecs = T.vectorized()
-    diff = vecs[:, None, :] - vecs[None, :, :]
-    d = np.sqrt((diff * diff).sum(axis=2))
+    d = np.sqrt(sq_distances(vecs))
     d = (d + d.T) / 2.0
     np.fill_diagonal(d, 0.0)
     labels = tuple(str(i) for i in range(len(vecs)))

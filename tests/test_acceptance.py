@@ -125,12 +125,11 @@ def test_criterion_3_exact_vs_monte_carlo():
         rng = np.random.default_rng(SEED + 40000 + trial)
         n = int(rng.integers(4, 11))
         cls = sample_piecewise_linear_class(5, L=1.0, R=1.0, seed=trial)
-        oracle = cls.as_oracle()
         T = PointSet(rng.uniform(-1.0, 1.0, size=(5, 1, n)))
         exact = composite_bernoulli_complexity(
-            oracle, T, EstimatorConfig(mode="exact", seed=trial))
+            cls, T, EstimatorConfig(mode="exact", seed=trial))
         mc = composite_bernoulli_complexity(
-            oracle, T, EstimatorConfig(mode="monte-carlo", mc_samples=1500, seed=trial))
+            cls, T, EstimatorConfig(mode="monte-carlo", mc_samples=1500, seed=trial))
         if abs(mc.value - exact.value) <= 4.0 * mc.std_error:
             hits_comp += 1
     report(3, f"exact vs MC agreement: plain {hits_plain}/500, "
@@ -193,7 +192,7 @@ def test_criterion_6_rkhs_bound():
     def complexities(T, sigma, rho, seed):
         ball = GaussianRkhsBall(sigma=sigma, rho=rho)
         cfg = EstimatorConfig(mode="auto", mc_samples=mc, seed=seed, exact_cutoff_n=16)
-        return (composite_bernoulli_complexity(ball.as_oracle(), T, cfg),
+        return (composite_bernoulli_complexity(ball, T, cfg),
                 bernoulli_complexity(T, cfg))
 
     def ball_points(rng, m, k, n):
@@ -234,7 +233,7 @@ def test_criterion_6_rkhs_bound():
                 rng = np.random.default_rng(SEED + 800 + 10 * k + int(4 * sigma))
                 S = ball_points(rng, 4, k, 6)
                 ball = GaussianRkhsBall(sigma=sigma, rho=rho)
-                d_val = increment_ratio(ball.as_oracle(), S,
+                d_val = increment_ratio(ball, S,
                                         EstimatorConfig(mode="exact", seed=1))
                 if d_val > rho / sigma + 1e-9:
                     d_ok = False

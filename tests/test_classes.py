@@ -12,11 +12,9 @@ from berncomp import (
     InvalidInputError,
     LipschitzBall,
     finite_class_from_csv,
-    finite_class_sup,
     finite_class_to_csv,
     lipschitz_ball_sup,
     oracle_convexity_check,
-    rkhs_ball_sup,
     sample_piecewise_linear_class,
     simplex_maximize,
 )
@@ -64,23 +62,29 @@ class TestSimplex:
 class TestFiniteClassSup:
     def test_single_row(self):
         cls = FiniteFunctionClass(table=[[2.0, 3.0]], lipschitz_L=1.0, uniform_bound_B=3.0)
-        assert finite_class_sup(cls, [1.0, 1.0]) == pytest.approx(5.0)
+        assert cls.sup([1.0, 1.0]) == pytest.approx(5.0)
 
     def test_two_rows_enumerated(self):
         cls = FiniteFunctionClass(table=[[1.0, 0.0], [0.0, 1.0]], lipschitz_L=1.0,
                                   uniform_bound_B=1.0)
         # row 1 gives 1, row 2 gives -1
-        assert finite_class_sup(cls, [1.0, -1.0]) == pytest.approx(1.0)
+        assert cls.sup([1.0, -1.0]) == pytest.approx(1.0)
 
     def test_zero_coefficients(self):
         cls = FiniteFunctionClass(table=[[1.0, -1.0], [0.5, 0.5]], lipschitz_L=1.0,
                                   uniform_bound_B=1.0)
-        assert finite_class_sup(cls, [0.0, 0.0]) == 0.0
+        assert cls.sup([0.0, 0.0]) == 0.0
 
     def test_dimension_mismatch(self):
         cls = FiniteFunctionClass(table=[[1.0, 0.0]], lipschitz_L=1.0, uniform_bound_B=1.0)
         with pytest.raises(InvalidInputError):
-            finite_class_sup(cls, [1.0])
+            cls.sup([1.0])
+
+    def test_sup_batch_rejects_wrong_point_count(self):
+        cls = FiniteFunctionClass(table=[[1.0, 0.0]], lipschitz_L=1.0, uniform_bound_B=1.0)
+        assert cls.sup_batch(None, [[1.0, 1.0]])[0] == 1.0
+        with pytest.raises(InvalidInputError):
+            cls.sup_batch([[0.0], [1.0], [2.0]], [[1.0, 1.0]])
 
     def test_bound_violation_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -267,26 +271,26 @@ class TestLineSolverProperties:
 class TestRkhsBallSup:
     def test_single_point_is_rho(self):
         ball = GaussianRkhsBall(sigma=0.7, rho=2.5)
-        assert rkhs_ball_sup([[0.4]], [1.0], ball) == pytest.approx(2.5)
+        assert ball.sup([[0.4]], [1.0]) == pytest.approx(2.5)
 
     def test_identical_sections_cancel(self):
         ball = GaussianRkhsBall(sigma=1.0, rho=1.0)
-        assert rkhs_ball_sup([[0.2], [0.2]], [1.0, -1.0], ball) == pytest.approx(0.0, abs=1e-7)
+        assert ball.sup([[0.2], [0.2]], [1.0, -1.0]) == pytest.approx(0.0, abs=1e-7)
 
     def test_half_correlation_closed_form(self):
         # ||x1 - x2|| = sigma * sqrt(2 ln 2) gives K = 1/2 and value sqrt(3)
         sigma = 0.8
         gap = sigma * math.sqrt(2 * math.log(2))
         ball = GaussianRkhsBall(sigma=sigma, rho=1.0)
-        val = rkhs_ball_sup([[0.0], [gap]], [1.0, 1.0], ball)
+        val = ball.sup([[0.0], [gap]], [1.0, 1.0])
         assert val == pytest.approx(math.sqrt(3.0), abs=1e-12)
 
     def test_homogeneous_in_rho(self):
         rng = np.random.default_rng(31)
         pts = rng.normal(size=(4, 2))
         c = rng.normal(size=4)
-        v1 = rkhs_ball_sup(pts, c, GaussianRkhsBall(sigma=1.2, rho=1.0))
-        v3 = rkhs_ball_sup(pts, c, GaussianRkhsBall(sigma=1.2, rho=3.0))
+        v1 = GaussianRkhsBall(sigma=1.2, rho=1.0).sup(pts, c)
+        v3 = GaussianRkhsBall(sigma=1.2, rho=3.0).sup(pts, c)
         assert v3 == pytest.approx(3.0 * v1)
 
     def test_mc_over_ball_never_exceeds_and_converges(self):
@@ -297,7 +301,7 @@ class TestRkhsBallSup:
             c = rng.normal(size=n)
             sigma = float(rng.uniform(0.5, 2.0))
             rho = float(rng.uniform(0.5, 2.0))
-            closed = rkhs_ball_sup(pts, c, GaussianRkhsBall(sigma=sigma, rho=rho))
+            closed = GaussianRkhsBall(sigma=sigma, rho=rho).sup(pts, c)
             small = rkhs_ball_mc_lower(pts, c, sigma, rho, 64, seed=trial)
             large = rkhs_ball_mc_lower(pts, c, sigma, rho, 4096, seed=trial)
             assert small <= closed + 1e-9
@@ -310,24 +314,23 @@ class TestRkhsBallSup:
 class TestOracleConvexity:
     def test_lambda_zero_trivial(self):
         cls = FiniteFunctionClass(table=[[1.0, 0.0]], lipschitz_L=1.0, uniform_bound_B=1.0)
-        assert oracle_convexity_check(cls.as_oracle(), [[0.0], [1.0]],
+        assert oracle_convexity_check(cls, [[0.0], [1.0]],
                                       [1.0, 0.0], [0.0, 1.0], 0.0)
 
     def test_finite_class_random_trials(self):
         rng = np.random.default_rng(33)
         cls = FiniteFunctionClass(table=rng.uniform(-1, 1, size=(6, 4)),
                                   lipschitz_L=5.0, uniform_bound_B=1.0)
-        oracle = cls.as_oracle()
         pts = rng.normal(size=(4, 1))
         for _ in range(1000):
             ok = oracle_convexity_check(
-                oracle, pts, rng.normal(size=4), rng.normal(size=4), float(rng.uniform())
+                cls, pts, rng.normal(size=4), rng.normal(size=4), float(rng.uniform())
             )
             assert ok
 
     def test_rkhs_random_trials(self):
         rng = np.random.default_rng(34)
-        oracle = GaussianRkhsBall(sigma=1.0, rho=2.0).as_oracle()
+        oracle = GaussianRkhsBall(sigma=1.0, rho=2.0)
         pts = rng.normal(size=(5, 2))
         for _ in range(1000):
             assert oracle_convexity_check(
@@ -336,7 +339,7 @@ class TestOracleConvexity:
 
     def test_lipschitz_ball_random_trials(self):
         rng = np.random.default_rng(35)
-        oracle = LipschitzBall(lipschitz_L=1.0, radius_R=1.0).as_oracle()
+        oracle = LipschitzBall(lipschitz_L=1.0, radius_R=1.0)
         pts = rng.uniform(-1, 1, size=(4, 1))
         for _ in range(100):
             assert oracle_convexity_check(
@@ -362,6 +365,18 @@ class TestPiecewiseLinearSampler:
         rng = np.random.default_rng(13)
         pts = rng.uniform(-1, 1, size=(6, 1))
         c = rng.normal(size=6)
-        via_oracle = cls.as_oracle().sup(pts, c)
+        via_oracle = cls.sup_batch(pts, [c])[0]
         via_table = cls.tabulate(pts[:, 0]).sup(c)
         assert via_oracle == pytest.approx(via_table)
+
+    def test_sup_batch_rejects_points_off_the_line(self):
+        cls = sample_piecewise_linear_class(3, L=1.0, R=1.0, seed=14)
+        pts_k2 = np.random.default_rng(15).uniform(-1, 1, size=(4, 2))
+        with pytest.raises(InvalidInputError):
+            cls.sup_batch(pts_k2, np.ones((2, 4)))
+
+    def test_sup_batch_rejects_wrong_coefficient_width(self):
+        cls = sample_piecewise_linear_class(3, L=1.0, R=1.0, seed=14)
+        pts = np.random.default_rng(15).uniform(-1, 1, size=(4, 1))
+        with pytest.raises(InvalidInputError):
+            cls.sup_batch(pts, np.ones((2, 5)))

@@ -8,8 +8,8 @@ import pytest
 from berncomp import ConfigError, PointSet, bernoulli_complexity, pointset_to_csv
 from berncomp.cli import main
 from berncomp.complexity import EstimatorConfig
-from berncomp.config import parse_config_text
-from berncomp.experiments import ols_fit
+from berncomp.config import _DEFAULT_N_LISTS, default_config, parse_config_text
+from berncomp.experiments import _RUNNERS, ols_fit
 from berncomp.tails import TailSeriesParams, tail_series
 from oracles import ols_by_hand
 
@@ -60,6 +60,11 @@ class TestConfigParsing:
     def test_unknown_experiment(self):
         with pytest.raises(ConfigError):
             parse_config_text("experiment = not-a-thing\n")
+
+    def test_every_runner_validates_with_its_defaults(self):
+        assert set(_RUNNERS) == set(_DEFAULT_N_LISTS)
+        for name in _RUNNERS:
+            default_config(name).validate()
 
 
 class TestOlsFit:
@@ -193,13 +198,3 @@ def test_math_sanity_of_default_grids():
     # default tails grid starts above the w=0 convergence threshold
     assert 1.7 > math.sqrt(4 * math.log(2)) - 0.05
 
-
-def test_map_cells_order_independent_of_workers(monkeypatch):
-    from berncomp.experiments import _map_cells
-
-    cells = [(i, i + 1) for i in range(20)]
-    monkeypatch.setenv("PC_THREADS", "1")
-    serial = _map_cells(lambda a, b: a * b, cells)
-    monkeypatch.setenv("PC_THREADS", "4")
-    threaded = _map_cells(lambda a, b: a * b, cells)
-    assert serial == threaded

@@ -137,14 +137,14 @@ class TestCompositeComplexity:
         zero = FiniteFunctionClass(table=[[0.0, 0.0, 0.0]], lipschitz_L=1.0,
                                    uniform_bound_B=1.0)
         T = PointSet(np.random.default_rng(9).normal(size=(3, 1, 3)))
-        est = composite_bernoulli_complexity(zero.as_oracle(), T, EXACT)
+        est = composite_bernoulli_complexity(zero, T, EXACT)
         assert est.value == 0.0
 
     def test_rkhs_coincident_points_mean_abs_sum(self):
         # all 4 columns equal: Gram is all ones, sup = |sum eps|, mean 1.5
         T = PointSet(np.full((1, 1, 4), 0.3))
         ball = GaussianRkhsBall(sigma=1.0, rho=1.0)
-        est = composite_bernoulli_complexity(ball.as_oracle(), T, EXACT)
+        est = composite_bernoulli_complexity(ball, T, EXACT)
         assert est.value == pytest.approx(1.5)
         assert est.samples == 16
 
@@ -159,13 +159,13 @@ class TestCompositeComplexity:
             ball = GaussianRkhsBall(sigma=float(rng.uniform(0.5, 2.0)), rho=rho)
             for i in range(len(T)):
                 tau = PointSet.singleton(T.element(i))
-                est = composite_bernoulli_complexity(ball.as_oracle(), tau, EXACT)
+                est = composite_bernoulli_complexity(ball, tau, EXACT)
                 assert est.value <= rho * math.sqrt(n) + 3.0 * est.std_error + 1e-12
 
     def test_composite_uses_n_signs_not_kn(self):
         T = PointSet(np.random.default_rng(11).normal(size=(2, 3, 4)))  # k=3, n=4
         ball = GaussianRkhsBall(sigma=1.0, rho=1.0)
-        est = composite_bernoulli_complexity(ball.as_oracle(), T, EXACT)
+        est = composite_bernoulli_complexity(ball, T, EXACT)
         assert est.samples == 2 ** 4
 
 
@@ -188,19 +188,31 @@ class TestEmpiricalRademacher:
         ball = GaussianRkhsBall(sigma=1.0, rho=1.0)
         for n in (4, 8, 12):
             pts = rng.uniform(-1, 1, size=(n, 1))
-            est = empirical_rademacher(ball.as_oracle(), EXACT, points=pts)
+            est = empirical_rademacher(ball, EXACT, points=pts)
             assert est.value <= 1.0 / math.sqrt(n) + 3.0 * est.std_error + 1e-12
+
+
+    @pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
+    def test_matches_bernoulli_complexity_of_the_table_rows(self, mode):
+        # one sign source: the finite class over its sample is the point set
+        # of its rows, and n = 8 makes the division by n exact
+        table = np.random.default_rng(16).uniform(-1, 1, size=(5, 8))
+        cls = FiniteFunctionClass(table=table, lipschitz_L=1.0, uniform_bound_B=1.0)
+        cfg = EstimatorConfig(mode=mode, mc_samples=500, seed=17)
+        est = empirical_rademacher(cls, cfg)
+        plain = bernoulli_complexity(PointSet.from_rows(table), cfg)
+        assert est.value == plain.value / 8
+        assert (est.method, est.samples) == (plain.method, plain.samples)
 
 
 class TestIncrementRatio:
     def test_singleton_class_gives_zero(self):
-        from berncomp import FunctionClassOracle
+        class SingleFunction:
+            def sup_batch(self, points, C):
+                values = np.sin(np.atleast_2d(points)[:, 0])  # one fixed member
+                return np.asarray(C) @ values
 
-        def single_function_sup(points, c):
-            values = np.sin(np.atleast_2d(points)[:, 0])  # one fixed member
-            return float(np.dot(np.asarray(c), values))
-
-        oracle = FunctionClassOracle(1.0, 1.0, single_function_sup)
+        oracle = SingleFunction()
         S = PointSet(np.random.default_rng(13).uniform(-1, 1, size=(3, 1, 5)))
         # sup over a single function is linear in the signs, so the mean is 0
         assert increment_ratio(oracle, S, EXACT) == pytest.approx(0.0, abs=1e-12)
@@ -213,7 +225,7 @@ class TestIncrementRatio:
             n = int(rng.integers(2, 7))
             S = PointSet(rng.uniform(-1, 1, size=(4, 2, n)))
             ball = GaussianRkhsBall(sigma=sigma, rho=rho)
-            d_val = increment_ratio(ball.as_oracle(), S, EXACT)
+            d_val = increment_ratio(ball, S, EXACT)
             assert 0.0 <= d_val <= rho / sigma + 1e-9
 
     def test_lipschitz_single_coordinate_increment(self):
@@ -224,12 +236,12 @@ class TestIncrementRatio:
         other = base.copy()
         other[0] += delta
         S = PointSet.from_rows([base, other])
-        oracle = LipschitzBall(lipschitz_L=1.0, radius_R=1.0).as_oracle()
+        oracle = LipschitzBall(lipschitz_L=1.0, radius_R=1.0)
         d_val = increment_ratio(oracle, S, EXACT)
         assert d_val <= 1.0 + 1e-9
 
     def test_degenerate_set_raises(self):
         S = PointSet.from_rows([[1.0, 2.0], [1.0, 2.0]])
-        oracle = GaussianRkhsBall(sigma=1.0, rho=1.0).as_oracle()
+        oracle = GaussianRkhsBall(sigma=1.0, rho=1.0)
         with pytest.raises(DegenerateSetError):
             increment_ratio(oracle, S, EXACT)

@@ -4,7 +4,10 @@ chaining functionals and the entropy-based composite-complexity bound.
 Entropy numbers here restrict centers to subsets of the space itself (some
 texts allow external centers; exact values can differ by a factor of at
 most 2).  Center selections are farthest-first with ties broken by lowest
-index, so everything is deterministic.
+index, so everything is deterministic.  Exact covering and entropy numbers
+come from one exhaustive search over center subsets, run only while it
+enumerates at most SEARCH_BUDGET subsets (always for covering numbers of
+spaces of at most 20 points).
 """
 
 from __future__ import annotations
@@ -12,11 +15,12 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteMetricSpace
+from .core import FiniteMetricSpace, _parse_number
 from .errors import InvalidInputError
 
 ENTROPY_SOURCES = ("empirical-greedy", "exhaustive", "lipschitz-formula")
@@ -24,6 +28,16 @@ ENTROPY_SOURCES = ("empirical-greedy", "exhaustive", "lipschitz-formula")
 # Levels beyond this are never needed: their admissible cardinality exceeds
 # any finite space we can represent.
 MAX_LEVEL = 20
+
+# Most center subsets an exact covering or entropy number may enumerate.
+SEARCH_BUDGET = 1_000_000
+
+# Subsets per numpy chunk of the exhaustive search; a chunk's temporary is
+# (points, _SUBSET_CHUNK, subset size) floats.
+_SUBSET_CHUNK = 4096
+
+# Truncation levels scanned by min_truncation_objective.
+MAX_TRUNCATION_LEVEL = 64
 
 
 def admissible_capacity(m: int):
@@ -70,14 +84,23 @@ class CoveringResult:
     exact: int | None
 
 
-def covering_number(space: FiniteMetricSpace, delta: float,
-                    search_budget: int = 1_000_000) -> CoveringResult:
+def _subset_radii(d: np.ndarray, size: int):
+    """Covering radius max_i min_{j in S} d[i, j] of every size-subset S of
+    the points, yielded as one array per chunk of subsets in lexicographic
+    order."""
+    combos = itertools.combinations(range(d.shape[0]), size)
+    while block := list(itertools.islice(combos, _SUBSET_CHUNK)):
+        yield d[:, np.array(block, dtype=int)].min(axis=2).max(axis=0)
+
+
+def covering_number(space: FiniteMetricSpace, delta: float) -> CoveringResult:
     """Minimum number of closed delta-balls centered at space points needed
     to cover the space.
 
     The greedy farthest-first construction gives the upper bound.  The exact
-    minimum set cover is searched whenever the enumeration fits the budget,
-    which is guaranteed for spaces of at most 20 points.
+    minimum is searched whenever the enumeration fits SEARCH_BUDGET, which
+    is guaranteed for spaces of at most 20 points: a delta-cover of a given
+    size exists iff some subset of that size has covering radius <= delta.
     """
     if delta <= 0:
         raise InvalidInputError("delta must be positive")
@@ -94,30 +117,16 @@ def covering_number(space: FiniteMetricSpace, delta: float,
     if covered.max() > delta:  # only possible if loop exhausted all points
         upper = m
 
-    ball = d <= delta  # ball[i, j]: point i covered by a ball centered at j
     always_exact = m <= 20
     total = 0
     for size in range(1, upper):
         count = math.comb(m, size)
-        if not always_exact and total + count > search_budget:
+        if not always_exact and total + count > SEARCH_BUDGET:
             return CoveringResult(upper, None)
         total += count
-        if _exists_cover(ball, size):
+        if any((radii <= delta).any() for radii in _subset_radii(d, size)):
             return CoveringResult(upper, size)
     return CoveringResult(upper, upper)
-
-
-def _exists_cover(ball: np.ndarray, size: int, chunk: int = 8192) -> bool:
-    m = ball.shape[0]
-    combos = itertools.combinations(range(m), size)
-    while True:
-        block = list(itertools.islice(combos, chunk))
-        if not block:
-            return False
-        subsets = np.array(block, dtype=int)  # (chunk, size)
-        covered = ball[:, subsets].any(axis=2)  # (m, chunk)
-        if covered.all(axis=0).any():
-            return True
 
 
 @dataclass(frozen=True)
@@ -126,14 +135,13 @@ class EntropyResult:
     exact: float | None
 
 
-def entropy_number(space: FiniteMetricSpace, m: int,
-                   search_budget: int = 1_000_000) -> EntropyResult:
+def entropy_number(space: FiniteMetricSpace, m: int) -> EntropyResult:
     """Level-m entropy number: the best worst-case distance from any point
     to a center subset of the space of admissible cardinality (1 at level 0,
     2^(2^m) beyond).
 
     Farthest-first centers give the upper bound; subsets are enumerated for
-    the exact value when their count fits the budget.  Zero (exactly) once
+    the exact value when their count fits SEARCH_BUDGET.  Zero (exactly) once
     the capacity reaches the point count.
     """
     cap = admissible_capacity(m)
@@ -144,19 +152,10 @@ def entropy_number(space: FiniteMetricSpace, m: int,
     d = space.dist
     centers = farthest_first_order(d)[:size]
     upper = float(d[:, centers].min(axis=1).max())
-    if math.comb(npts, size) > search_budget:
+    if math.comb(npts, size) > SEARCH_BUDGET:
         return EntropyResult(upper, None)
-    best = upper
-    combos = itertools.combinations(range(npts), size)
-    while True:
-        block = list(itertools.islice(combos, 4096))
-        if not block:
-            break
-        subsets = np.array(block, dtype=int)
-        radius = d[:, subsets].min(axis=2).max(axis=0)  # (chunk,)
-        candidate = float(radius.min())
-        if candidate < best:
-            best = candidate
+    # The greedy centers are one of the subsets, so the minimum is <= upper.
+    best = min(float(radii.min()) for radii in _subset_radii(d, size))
     return EntropyResult(upper, best)
 
 
@@ -171,6 +170,8 @@ class EntropyProfile:
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise InvalidInputError("entropy profile must be nonempty")
+        if not all(math.isfinite(v) for v in vals):
+            raise InvalidInputError("entropy numbers must be finite")
         if any(v < 0 for v in vals):
             raise InvalidInputError("entropy numbers are nonnegative")
         for a, b in zip(vals, vals[1:]):
@@ -184,23 +185,14 @@ class EntropyProfile:
         return len(self.values)
 
 
-def entropy_profile(space: FiniteMetricSpace, max_m: int | None = None,
-                    prefer_exact: bool = True,
-                    search_budget: int = 1_000_000) -> EntropyProfile:
-    """Profile of entropy numbers of a space, up to the first zero level (or
-    max_m).  Uses exact values when every level admits the exhaustive
-    search, greedy upper bounds otherwise."""
-    results = []
-    m = 0
-    while True:
-        res = entropy_number(space, m, search_budget)
-        results.append(res)
-        if res.upper_bound == 0.0:
-            break
-        if max_m is not None and m >= max_m:
-            break
-        m += 1
-    if prefer_exact and all(r.exact is not None for r in results):
+def entropy_profile(space: FiniteMetricSpace) -> EntropyProfile:
+    """Profile of entropy numbers of a space, up to the first zero level.
+    Uses exact values when every level admits the exhaustive search, greedy
+    upper bounds otherwise."""
+    results = [entropy_number(space, 0)]
+    while results[-1].upper_bound != 0.0:
+        results.append(entropy_number(space, len(results)))
+    if all(r.exact is not None for r in results):
         return EntropyProfile(tuple(r.exact for r in results), "exhaustive")
     return EntropyProfile(tuple(r.upper_bound for r in results), "empirical-greedy")
 
@@ -217,8 +209,6 @@ def uniform_metric_space(table: np.ndarray, labels=None) -> FiniteMetricSpace:
     if t.ndim != 2:
         raise InvalidInputError("table must be 2-d (functions by points)")
     dist = np.abs(t[:, None, :] - t[None, :, :]).max(axis=2)
-    dist = (dist + dist.T) / 2.0
-    np.fill_diagonal(dist, 0.0)
     if labels is None:
         labels = tuple(str(j) for j in range(t.shape[0]))
     return FiniteMetricSpace(labels=tuple(labels), dist=dist)
@@ -287,24 +277,17 @@ class AdmissibleSequence:
                         f"level {m + 1} block {sorted(block)} is not nested in level {m}"
                     )
 
-    def block_of(self, m: int, point: int) -> tuple:
-        for block in self.levels[m]:
-            if point in block:
-                return block
-        raise InvalidInputError(f"point {point} missing from level {m}")
 
-
-def build_admissible_sequence(space: FiniteMetricSpace,
-                              max_level: int = MAX_LEVEL) -> AdmissibleSequence:
+def build_admissible_sequence(space: FiniteMetricSpace) -> AdmissibleSequence:
     """Recursive farthest-first splitting: level m refines level m-1 by
     partitioning each block around up to cap(m)/|level m-1| farthest-first
     centers; nesting is preserved by construction.  Stops once all blocks
-    are singletons (or at max_level)."""
+    are singletons (or at MAX_LEVEL)."""
     npts = space.size
     d = space.dist
     levels = [(tuple(range(npts)),)]
     m = 0
-    while m < max_level and any(len(b) > 1 for b in levels[-1]):
+    while m < MAX_LEVEL and any(len(b) > 1 for b in levels[-1]):
         m += 1
         cap = admissible_capacity(m)
         prev = levels[-1]
@@ -405,11 +388,12 @@ def truncation_objective(M: int, k: int, n: int) -> float:
     return float(2.0 ** (-M / k) + tail)
 
 
-def min_truncation_objective(k: int, n: int, max_m: int = 64):
-    """Exhaustive scan of the truncation objective; returns (minimum, argmin)."""
+def min_truncation_objective(k: int, n: int):
+    """Exhaustive scan of the truncation objective over levels 0 to
+    MAX_TRUNCATION_LEVEL; returns (minimum, argmin)."""
     best_val = math.inf
     best_m = 0
-    for M in range(max_m + 1):
+    for M in range(MAX_TRUNCATION_LEVEL + 1):
         v = truncation_objective(M, k, n)
         if v < best_val:
             best_val = v
@@ -444,6 +428,9 @@ def entropy_profile_to_csv(profile: EntropyProfile, path) -> None:
 
 
 def entropy_profile_from_csv(path) -> EntropyProfile:
+    """Load a profile written by entropy_profile_to_csv.  Rows must number
+    m = 0, 1, ... in order and share one source; a malformed row raises
+    InvalidInputError naming its line (and column, for a bad number)."""
     values = []
     source = None
     with open(path, newline="") as fh:
@@ -454,7 +441,17 @@ def entropy_profile_from_csv(path) -> EntropyProfile:
         for row in reader:
             if not row:
                 continue
-            values.append(float(row[1]))
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != 3:
+                raise InvalidInputError(f"{where}: expected 3 fields, got {len(row)}")
+            m = _parse_number(row[0], f"{where}, column m", int)
+            if m != len(values):
+                raise InvalidInputError(f"{where}: expected m = {len(values)}, got {m}")
+            if source is not None and row[2] != source:
+                raise InvalidInputError(
+                    f"{where}, column source: {row[2]!r} differs from {source!r}"
+                )
+            values.append(_parse_number(row[1], f"{where}, column e_m"))
             source = row[2]
     if source is None:
         raise InvalidInputError("entropy-profile CSV has no rows")
@@ -469,19 +466,27 @@ def sequence_to_text(seq: AdmissibleSequence, path) -> None:
             fh.write(f"level {m}: {blocks}\n")
 
 
+_SEQ_TOKEN = re.compile(r"\S+")
+_SEQ_INDEX = re.compile(r"[^,]+")
+
+
 def sequence_from_text(path) -> AdmissibleSequence:
+    """Load a sequence written by sequence_to_text.  An index that is not an
+    integer raises InvalidInputError naming its line and column."""
     levels = []
     with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.strip():
                 continue
-            _, _, rest = line.partition(":")
+            head, colon, _ = line.partition(":")
             blocks = []
-            for token in rest.split():
-                token = token.strip()
-                if not (token.startswith("{") and token.endswith("}")):
-                    raise InvalidInputError(f"malformed block token {token!r}")
-                blocks.append(tuple(int(v) for v in token[1:-1].split(",") if v))
+            for token in _SEQ_TOKEN.finditer(line, len(head) + len(colon)):
+                text = token.group()
+                if not (text.startswith("{") and text.endswith("}")):
+                    raise InvalidInputError(f"malformed block token {text!r}")
+                indices = _SEQ_INDEX.finditer(line, token.start() + 1, token.end() - 1)
+                blocks.append(tuple(
+                    _parse_number(v.group(), f"{path}, line {line_no}, column {v.start() + 1}", int)
+                    for v in indices))
             levels.append(tuple(blocks))
     return AdmissibleSequence(tuple(levels))

@@ -41,6 +41,12 @@ SIMPLEX_MAX_POINTS = 64
 # to zero; anything more negative indicates a broken Gram matrix.
 GRAM_NEGATIVE_TOL = -1e-12
 
+# Absolute slack allowed by oracle_convexity_check.
+CONVEXITY_TOL = 1e-9
+
+# Uniform grid cells of each function drawn by sample_piecewise_linear_class.
+PIECEWISE_LINEAR_CELLS = 32
+
 
 def _as_points(points) -> np.ndarray:
     """Normalize points to an (n, k) array; accepts (n,) for k = 1."""
@@ -294,8 +300,8 @@ class LipschitzBall:
         if self.lipschitz_L <= 0 or self.radius_R <= 0:
             raise InvalidInputError("lipschitz_L and radius_R must be positive")
 
-    def sup(self, points, c, method: str = "auto") -> float:
-        return lipschitz_ball_sup(points, c, self.lipschitz_L, self.radius_R, method)
+    def sup(self, points, c) -> float:
+        return lipschitz_ball_sup(points, c, self.lipschitz_L, self.radius_R)
 
     def sup_batch(self, points, C) -> np.ndarray:
         pts = _as_points(points)
@@ -366,16 +372,16 @@ class GaussianRkhsBall:
 # ---------------------------------------------------------------------------
 
 
-def oracle_convexity_check(fclass, points, c1, c2, lam: float, tol: float = 1e-9) -> bool:
+def oracle_convexity_check(fclass, points, c1, c2, lam: float) -> bool:
     """True iff the class's supremum oracle is convex along the segment
-    [c1, c2] at lam."""
+    [c1, c2] at lam, up to CONVEXITY_TOL."""
     if not 0.0 <= lam <= 1.0:
         raise InvalidInputError("lam must lie in [0, 1]")
     pts = _as_points(points)
     c1 = _as_coeffs(c1, pts.shape[0])
     c2 = _as_coeffs(c2, pts.shape[0])
     v1, v2, mixed = fclass.sup_batch(pts, np.stack([c1, c2, lam * c1 + (1.0 - lam) * c2]))
-    return mixed <= lam * v1 + (1.0 - lam) * v2 + tol
+    return mixed <= lam * v1 + (1.0 - lam) * v2 + CONVEXITY_TOL
 
 
 @dataclass(frozen=True)
@@ -414,19 +420,20 @@ class PiecewiseLinearClass:
         return (C @ self.eval_batch(pts[:, 0]).T).max(axis=1)
 
 
-def sample_piecewise_linear_class(n_functions: int, L: float, R: float, seed: int,
-                                  cells: int = 32) -> PiecewiseLinearClass:
+def sample_piecewise_linear_class(n_functions: int, L: float, R: float,
+                                  seed: int) -> PiecewiseLinearClass:
     """Random L-Lipschitz piecewise-linear functions on [-R, R]: random
-    slopes in [-L, L] on a uniform grid, clipped to [-L*R, L*R].
+    slopes in [-L, L] on a uniform grid of PIECEWISE_LINEAR_CELLS cells,
+    clipped to [-L*R, L*R].
 
     Clipping is a contraction, so the Lipschitz certificate survives it.
     """
-    if n_functions < 1 or L <= 0 or R <= 0 or cells < 1:
-        raise InvalidInputError("need n_functions >= 1, L > 0, R > 0, cells >= 1")
+    if n_functions < 1 or L <= 0 or R <= 0:
+        raise InvalidInputError("need n_functions >= 1, L > 0, R > 0")
     rng = np.random.default_rng(seed)
-    knots = np.linspace(-R, R, cells + 1)
+    knots = np.linspace(-R, R, PIECEWISE_LINEAR_CELLS + 1)
     dx = knots[1] - knots[0]
-    slopes = rng.uniform(-L, L, size=(n_functions, cells))
+    slopes = rng.uniform(-L, L, size=(n_functions, PIECEWISE_LINEAR_CELLS))
     starts = rng.uniform(-L * R, L * R, size=(n_functions, 1))
     values = np.concatenate([starts, starts + np.cumsum(slopes * dx, axis=1)], axis=1)
     values = np.clip(values, -L * R, L * R)

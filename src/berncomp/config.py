@@ -90,14 +90,21 @@ def _parse_value(token: str, line_no: int, col: int):
     return _parse_scalar(token, line_no, col)
 
 
-_KNOWN_KEYS = ("experiment", "n_list", "k", "seed", "mc_samples", "out_dir")
+# Every key besides constants.*: (accepts its parsed value, message if not).
+_TYPED_KEYS = {
+    "experiment": (lambda v: isinstance(v, str), "experiment must be a name"),
+    "n_list": (lambda v: isinstance(v, list) and all(isinstance(x, int) for x in v),
+               "n_list must be a list of integers"),
+    "k": (lambda v: isinstance(v, int), "k must be an integer"),
+    "seed": (lambda v: isinstance(v, int), "seed must be an integer"),
+    "mc_samples": (lambda v: isinstance(v, int), "mc_samples must be an integer"),
+    "out_dir": (lambda v: isinstance(v, str), "out_dir must be a path"),
+}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig(experiment="")
-    seen_n_list = False
-    seen_k = False
-    seen_out = False
+    seen = set()
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -116,44 +123,18 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 raise ConfigError(f"constant {name!r} must be numeric", line_no, col)
             cfg.constants[name] = float(value)
             continue
-        if key not in _KNOWN_KEYS:
+        if key not in _TYPED_KEYS:
             raise ConfigError(f"unknown key {key!r}", line_no, col)
-        if key == "experiment":
-            if not isinstance(value, str):
-                raise ConfigError("experiment must be a name", line_no, col)
-            cfg.experiment = value
-        elif key == "n_list":
-            if not isinstance(value, list) or not all(isinstance(v, int) for v in value):
-                raise ConfigError("n_list must be a list of integers", line_no, col)
-            cfg.n_list = value
-            seen_n_list = True
-        elif key == "k":
-            if not isinstance(value, int):
-                raise ConfigError("k must be an integer", line_no, col)
-            cfg.k = value
-            seen_k = True
-        elif key == "seed":
-            if not isinstance(value, int):
-                raise ConfigError("seed must be an integer", line_no, col)
-            cfg.seed = value
-        elif key == "mc_samples":
-            if not isinstance(value, int):
-                raise ConfigError("mc_samples must be an integer", line_no, col)
-            cfg.mc_samples = value
-        elif key == "out_dir":
-            if not isinstance(value, str):
-                raise ConfigError("out_dir must be a path", line_no, col)
-            cfg.out_dir = value
-            seen_out = True
+        accepts, message = _TYPED_KEYS[key]
+        if not accepts(value):
+            raise ConfigError(message, line_no, col)
+        setattr(cfg, key, value)
+        seen.add(key)
     if not cfg.experiment:
         raise ConfigError("missing required key 'experiment'")
     defaults = default_config(cfg.experiment)
-    if not seen_n_list:
-        cfg.n_list = defaults.n_list
-    if not seen_k:
-        cfg.k = defaults.k
-    if not seen_out:
-        cfg.out_dir = defaults.out_dir
+    for key in _TYPED_KEYS.keys() - seen:
+        setattr(cfg, key, getattr(defaults, key))
     cfg.validate()
     return cfg
 

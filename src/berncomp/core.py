@@ -199,14 +199,11 @@ def _check_triangle(d: np.ndarray) -> None:
         )
 
 
-def metric_space_from_pointset(T: PointSet, metric: str = "euclidean-on-vectorization") -> FiniteMetricSpace:
-    """Finite metric space on the elements of T under the Frobenius distance."""
-    if metric != "euclidean-on-vectorization":
-        raise InvalidInputError(f"unsupported metric {metric!r}")
+def metric_space_from_pointset(T: PointSet) -> FiniteMetricSpace:
+    """Finite metric space on the elements of T under the Frobenius distance
+    (the Euclidean distance of the vectorizations)."""
     vecs = T.vectorized()
     d = np.sqrt(sq_distances(vecs))
-    d = (d + d.T) / 2.0
-    np.fill_diagonal(d, 0.0)
     labels = tuple(str(i) for i in range(len(vecs)))
     return FiniteMetricSpace(labels=labels, dist=d)
 

@@ -5,7 +5,9 @@ overflows.
 The series is p(u) = sum_{m>=1} 2^(2^(m+1+w)) * exp(-u^2 * 2^(m-1)) and
 q(u) = min(p(u), 1).  The exponent u^2 * 2^(m-1) outgrows 2^(m+1+w) * ln 2
 only when u^2 > 2^(2+w) * ln 2; below that threshold the series diverges,
-which is benign because only q is ever used.
+which is benign because only q is ever used.  The truncation floor, the
+bisection and quadrature tolerances and the sampler grid are fixed module
+constants.
 """
 
 from __future__ import annotations
@@ -18,20 +20,22 @@ import numpy as np
 from .errors import InvalidInputError, SolverError
 
 _MAX_TERMS = 10000
+TRUNCATION_FLOOR = 1e-300
+CROSSING_TOL = 1e-13
+QUAD_REL_TOL = 1e-8
+SAMPLER_GRID_STEP = 0.01
+SAMPLER_TAIL_CUT = 1e-12
 
 
 @dataclass(frozen=True)
 class TailSeriesParams:
-    """Series offset w >= 0 and the relative term cutoff for truncation."""
+    """Series offset w >= 0."""
 
     w: int = 0
-    truncation_floor: float = 1e-300
 
     def __post_init__(self):
         if self.w < 0:
             raise InvalidInputError("w must be nonnegative")
-        if not 0 < self.truncation_floor < 1:
-            raise InvalidInputError("truncation_floor must lie in (0, 1)")
 
 
 def divergence_threshold(params: TailSeriesParams) -> float:
@@ -44,7 +48,7 @@ def log_tail_series(u: float, params: TailSeriesParams | None = None) -> float:
     convergence threshold).
 
     Terms are accumulated by log-sum-exp and truncated at the first term
-    falling below truncation_floor relative to the running sum.
+    falling below TRUNCATION_FLOOR relative to the running sum.
     """
     params = params or TailSeriesParams()
     if not u > 0:
@@ -52,7 +56,7 @@ def log_tail_series(u: float, params: TailSeriesParams | None = None) -> float:
     u2 = u * u
     if u2 <= 2.0 ** (2 + params.w) * math.log(2.0):
         return math.inf
-    log_floor = math.log(params.truncation_floor)
+    log_floor = math.log(TRUNCATION_FLOOR)
     ln2 = math.log(2.0)
     total = None
     for m in range(1, _MAX_TERMS + 1):
@@ -82,8 +86,7 @@ def tail_series_capped(u: float, params: TailSeriesParams | None = None) -> floa
     return math.exp(lp)
 
 
-def tail_crossing_point(params: TailSeriesParams | None = None,
-                        tol: float = 1e-13) -> float:
+def tail_crossing_point(params: TailSeriesParams | None = None) -> float:
     """The unique u* with p(u*) = 1: p decreases continuously from +inf at
     the convergence threshold to 0, so bisection on log p applies."""
     params = params or TailSeriesParams()
@@ -95,7 +98,7 @@ def tail_crossing_point(params: TailSeriesParams | None = None,
             raise SolverError("failed to bracket the tail crossing point")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if hi - lo <= tol * max(1.0, hi):
+        if hi - lo <= CROSSING_TOL * max(1.0, hi):
             break
         if log_tail_series(mid, params) > 0.0:
             lo = mid
@@ -104,7 +107,7 @@ def tail_crossing_point(params: TailSeriesParams | None = None,
     return 0.5 * (lo + hi)
 
 
-def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> float:
+def _adaptive_simpson(f, a: float, b: float) -> float:
     """Composite adaptive Simpson with a recursion-depth guard."""
     fa, fb = f(a), f(b)
     fm = f(0.5 * (a + b))
@@ -119,7 +122,7 @@ def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> float:
         if depth > 40:
             raise SolverError("adaptive quadrature exceeded maximum depth")
         delta = left + right - acc
-        if abs(delta) <= 15.0 * rel_tol * max(abs(left + right), 1e-300):
+        if abs(delta) <= 15.0 * QUAD_REL_TOL * max(abs(left + right), 1e-300):
             return left + right + delta / 15.0
         return (recurse(x0, x1, f0, lm, f1, left, depth + 1)
                 + recurse(x1, x2, f1, rm, f2, right, depth + 1))
@@ -127,15 +130,14 @@ def _adaptive_simpson(f, a: float, b: float, rel_tol: float) -> float:
     return recurse(a, b, fa, fm, fb, whole, 0)
 
 
-def tail_integral(params: TailSeriesParams | None = None,
-                  rel_tol: float = 1e-8) -> float:
+def tail_integral(params: TailSeriesParams | None = None) -> float:
     """The integral of q over (0, inf): the crossing point u* (where q = 1)
     plus adaptive Simpson over [u*, u* + 20] plus an analytic bound on the
     remainder via the dominant-term decay p(u) <= p(U) exp(-(u^2 - U^2))."""
     params = params or TailSeriesParams()
     u_star = tail_crossing_point(params)
     hi = u_star + 20.0
-    body = _adaptive_simpson(lambda u: tail_series(u, params), u_star, hi, rel_tol)
+    body = _adaptive_simpson(lambda u: tail_series(u, params), u_star, hi)
     remainder = tail_series(hi, params) / (2.0 * hi)
     total = u_star + body + remainder
     if not math.isfinite(total):
@@ -169,9 +171,7 @@ def uncenter_tail(a: float, u: float) -> float:
 
 
 def sample_from_capped_tail(params: TailSeriesParams, rho_scale: float,
-                            zeta_shift: float, n_samples: int, seed: int,
-                            grid_step: float = 0.01,
-                            tail_cut: float = 1e-12) -> np.ndarray:
+                            zeta_shift: float, n_samples: int, seed: int) -> np.ndarray:
     """Inverse-transform samples of a law satisfying the capped-tail
     hypothesis: draws X on a u-grid by flooring the inverse of q, then
     returns rho * X + zeta.
@@ -179,24 +179,22 @@ def sample_from_capped_tail(params: TailSeriesParams, rho_scale: float,
     Flooring keeps the sampled law strictly inside the hypothesis
     (P(Y > u * rho + zeta) <= q(u) for every u), so any valid expectation
     bound must dominate the sample mean; the deterministic slack is about
-    rho * grid_step / 2.
+    rho * SAMPLER_GRID_STEP / 2.
     """
     if n_samples < 1:
         raise InvalidInputError("n_samples must be positive")
-    if grid_step <= 0:
-        raise InvalidInputError("grid_step must be positive")
     if rho_scale <= 0 or zeta_shift < 0:
         raise InvalidInputError("need rho_scale > 0 and zeta_shift >= 0")
     grid = [0.0]
     qs = [1.0]
-    u = grid_step
+    u = SAMPLER_GRID_STEP
     while True:
         q = tail_series_capped(u, params)
         grid.append(u)
         qs.append(q)
-        if q < tail_cut:
+        if q < SAMPLER_TAIL_CUT:
             break
-        u += grid_step
+        u += SAMPLER_GRID_STEP
         if u > 1000.0:
             raise SolverError("tail grid failed to reach the cut level")
     grid_arr = np.asarray(grid)

@@ -5,6 +5,8 @@ enumeration, grid search and interval arithmetic only, so agreement between
 these oracles and the library is a genuine two-route check.
 """
 
+import itertools
+
 import numpy as np
 
 
@@ -143,6 +145,28 @@ def rkhs_ball_mc_lower(pts, c, sigma, rho, n_samples, seed):
     norms = np.sqrt(np.maximum(np.einsum("si,ij,sj->s", A, G, A), 1e-300))
     vals = rho * (A @ (G @ np.asarray(c, dtype=float))) / norms
     return float(vals.max())
+
+
+def brute_covering_number(dist, delta):
+    """Fewest centers among the points whose closed delta-balls cover every
+    point, by trying every center subset in order of size."""
+    m = len(dist)
+    for size in range(1, m + 1):
+        for centers in itertools.combinations(range(m), size):
+            if all(any(dist[i][j] <= delta for j in centers) for i in range(m)):
+                return size
+    raise ValueError("empty space")
+
+
+def brute_entropy_number(dist, level):
+    """Smallest worst-case distance from a point to a center subset of size
+    1 at level 0 and min(2^(2^level), m) beyond, over every such subset."""
+    m = len(dist)
+    size = 1 if level == 0 else min(2 ** (2 ** level), m)
+    return min(
+        max(min(dist[i][j] for j in centers) for i in range(m))
+        for centers in itertools.combinations(range(m), size)
+    )
 
 
 def enumerate_bernoulli_sup_mean(vectors):

@@ -30,6 +30,7 @@ from berncomp import (
     truncation_objective,
     uniform_metric_space,
 )
+from oracles import brute_covering_number, brute_entropy_number
 
 
 def random_space(seed, n_points, k=2):
@@ -99,6 +100,29 @@ class TestEntropyNumber:
         prof = entropy_profile(sp)
         assert prof.source in ("exhaustive", "empirical-greedy")
         assert prof.values[-1] == 0.0
+
+
+class TestSubsetSearchAgainstBruteForce:
+    @pytest.mark.parametrize("seed", range(18))
+    def test_exact_values_match_enumeration(self, seed):
+        # 1-9 points; seeds 9-17 repeat the first point at the end
+        n_points = 1 + seed % 9
+        pts = np.random.default_rng(seed + 300).uniform(-1, 1, size=(n_points, 1, 2))
+        if seed >= 9 and n_points > 1:
+            pts[-1] = pts[0]
+        sp = metric_space_from_pointset(PointSet(pts))
+        dist = sp.dist.tolist()
+        # every attained distance (closed-ball ties), its half, and beyond
+        attained = sorted({d for row in dist for d in row if d > 0.0})
+        deltas = attained + [d / 2 for d in attained] + [sp.diameter + 1.0]
+        for delta in deltas:
+            res = covering_number(sp, delta)
+            assert res.exact == brute_covering_number(dist, delta)
+            assert res.exact <= res.upper_bound
+        for level in range(4):
+            res = entropy_number(sp, level)
+            assert res.exact == brute_entropy_number(dist, level)
+            assert res.exact <= res.upper_bound
 
 
 class TestLipschitzEntropyFormula:
@@ -312,6 +336,35 @@ class TestProfileSerialization:
         entropy_profile_to_csv(prof, path)
         back = entropy_profile_from_csv(path)
         assert back.values == prof.values and back.source == prof.source
+
+    @pytest.mark.parametrize("rows, where", [
+        ("0,1.0,exhaustive\n1,abc,exhaustive\n", "line 3, column e_m: expected a number"),
+        ("0,1.0,exhaustive\n1,0.5\n", "line 3: expected 3 fields, got 2"),
+        ("x,1.0,exhaustive\n", "line 2, column m: expected a number"),
+        ("0,1.0,exhaustive\n2,0.5,exhaustive\n", "line 3: expected m = 1, got 2"),
+        ("0,1.0,exhaustive\n1,0.5,empirical-greedy\n",
+         "line 3, column source: 'empirical-greedy' differs from 'exhaustive'"),
+    ], ids=["non-numeric-e_m", "two-fields", "non-numeric-m", "m-out-of-order",
+            "mixed-sources"])
+    def test_bad_profile_row_names_file_and_line(self, tmp_path, rows, where):
+        path = tmp_path / "profile.csv"
+        path.write_text("m,e_m,source\n" + rows)
+        with pytest.raises(InvalidInputError) as err:
+            entropy_profile_from_csv(path)
+        assert str(err.value).startswith(f"{path}, {where}")
+
+    def test_non_finite_profile_rejected(self, tmp_path):
+        path = tmp_path / "profile.csv"
+        path.write_text("m,e_m,source\n0,nan,exhaustive\n")
+        with pytest.raises(InvalidInputError):
+            entropy_profile_from_csv(path)
+
+    def test_bad_sequence_index_names_file_line_and_column(self, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_text("level 0: {0,1}\nlevel 1: {0,x}\n")
+        with pytest.raises(InvalidInputError) as err:
+            sequence_from_text(path)
+        assert str(err.value) == f"{path}, line 2, column 13: expected a number, got 'x'"
 
     def test_increasing_profile_rejected(self):
         with pytest.raises(InvalidInputError):

@@ -53,6 +53,19 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config_text("experiment = scaling-k1\nseed = hello\n")
 
+    @pytest.mark.parametrize("line, message", [
+        ("experiment = 3", "experiment must be a name"),
+        ("n_list = [8, 16.5]", "n_list must be a list of integers"),
+        ("k = 2.5", "k must be an integer"),
+        ("seed = hello", "seed must be an integer"),
+        ("mc_samples = 1e3", "mc_samples must be an integer"),
+        ("out_dir = 5", "out_dir must be a path"),
+    ], ids=["experiment", "n_list", "k", "seed", "mc_samples", "out_dir"])
+    def test_type_mismatch_message_and_location(self, line, message):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"experiment = scaling-k1\n  {line}\n")
+        assert str(err.value) == f"line 2, column 3: {message}"
+
     def test_missing_experiment(self):
         with pytest.raises(ConfigError):
             parse_config_text("seed = 3\n")

@@ -471,14 +471,18 @@ _SEQ_INDEX = re.compile(r"[^,]+")
 
 
 def sequence_from_text(path) -> AdmissibleSequence:
-    """Load a sequence written by sequence_to_text.  An index that is not an
-    integer raises InvalidInputError naming its line and column."""
+    """Load a sequence written by sequence_to_text.  A line that does not
+    start with `level m:`, m counting the levels read so far, or an index
+    that is not an integer raises InvalidInputError naming its line."""
     levels = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             head, colon, _ = line.partition(":")
+            if not colon or head.split() != ["level", str(len(levels))]:
+                raise InvalidInputError(
+                    f"{path}, line {line_no}: expected 'level {len(levels)}:'")
             blocks = []
             for token in _SEQ_TOKEN.finditer(line, len(head) + len(colon)):
                 text = token.group()

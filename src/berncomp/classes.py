@@ -160,24 +160,16 @@ def _lipschitz_sup_simplex(pts: np.ndarray, c: np.ndarray, L: float, B: float) -
             "use sampled finite subclasses for larger problems"
         )
     d = np.sqrt(sq_distances(pts))
-    rows = []
-    rhs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            bound = min(L * d[i, j] / B, 4.0)  # |w_i - w_j| <= 2 anyway
-            row = np.zeros(n)
-            row[i], row[j] = 1.0, -1.0
-            rows.append(row.copy())
-            rhs.append(bound)
-            row[i], row[j] = -1.0, 1.0
-            rows.append(row)
-            rhs.append(bound)
-    for i in range(n):
-        row = np.zeros(n)
-        row[i] = 1.0
-        rows.append(row)
-        rhs.append(2.0)
-    value, _ = simplex_maximize(c, np.array(rows), np.array(rhs))
+    # rows e_i - e_j and e_j - e_i for each pair i < j in order, then w_i <= 2
+    iu, ju = np.triu_indices(n, 1)
+    rows = np.arange(2 * len(iu))
+    A = np.zeros((len(rows) + n, n))
+    A[rows, np.repeat(iu, 2)] = np.tile([1.0, -1.0], len(iu))
+    A[rows, np.repeat(ju, 2)] = np.tile([-1.0, 1.0], len(iu))
+    A[len(rows):] = np.eye(n)
+    bound = np.minimum(L * d[iu, ju] / B, 4.0)  # |w_i - w_j| <= 2 anyway
+    b = np.concatenate([np.repeat(bound, 2), np.full(n, 2.0)])
+    value, _ = simplex_maximize(c, A, b)
     return float(B * value - B * c.sum())
 
 

@@ -1,8 +1,10 @@
 """Strict flat key=value experiment configuration.
 
 Format: one `key = value` per line, `#` comments, lists as `[a, b, c]`,
-fitted constants as dotted keys `constants.<name> = <float>`.  Unknown keys
-are rejected with their line and column.
+fitted constants as dotted keys `constants.<name> = <float>`, where the
+names an experiment reads are those its `experiments.EXPERIMENTS` entry
+declares.  Unknown, undeclared and repeated keys are rejected with their line
+and column.
 """
 
 from __future__ import annotations
@@ -10,21 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .experiments import EXPERIMENTS
 
-# Every experiment and its default n_list; the single list of experiment
-# names that validate() accepts.
-_DEFAULT_N_LISTS = {
-    "lemma-checks": [4, 8, 12],
-    "scaling-k1": [64, 128, 256, 512, 1024, 2048, 4096],
-    "scaling-k2": [64, 128, 256, 512, 1024, 2048, 4096],
-    "scaling-kk": [64, 128, 256, 512, 1024, 2048, 4096],
-    "composition-logfree": [16, 32, 64, 128, 256],
-    "rkhs-bound": [8, 32, 128],
-    "tails-demo": [1],
-    "chaining-demo": [30],
-}
 
-_DEFAULT_K = {"scaling-k2": 2, "scaling-kk": 4, "rkhs-bound": 2}
+def _spec(experiment: str):
+    if experiment not in EXPERIMENTS:
+        raise ConfigError(
+            f"unknown experiment {experiment!r}; expected one of {', '.join(EXPERIMENTS)}"
+        )
+    return EXPERIMENTS[experiment]
 
 
 @dataclass
@@ -37,30 +33,34 @@ class ExperimentConfig:
     constants: dict = field(default_factory=dict)
     out_dir: str = ""
 
-    def validate(self) -> None:
-        if self.experiment not in _DEFAULT_N_LISTS:
-            raise ConfigError(
-                f"unknown experiment {self.experiment!r}; "
-                f"expected one of {', '.join(_DEFAULT_N_LISTS)}"
-            )
+    def validate(self, where=None) -> None:
+        """Raise ConfigError on the first invalid field; `where` maps a key to
+        the (line, column) it was read from."""
+        def fail(message, key):
+            raise ConfigError(message, *(where or {}).get(key, ()))
+
+        spec = _spec(self.experiment)
         if not self.n_list:
-            raise ConfigError("invariant violated: n_list must be nonempty")
+            fail("invariant violated: n_list must be nonempty", "n_list")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
-            raise ConfigError("invariant violated: n_list must be strictly ascending")
-        if self.k < 1:
-            raise ConfigError("k must be at least 1")
+            fail("invariant violated: n_list must be strictly ascending", "n_list")
+        if not spec.k_min <= self.k <= spec.k_max:
+            want = f"k = {spec.k_max}" if spec.k_max == spec.k_min else f"k >= {spec.k_min}"
+            fail(f"{self.experiment} requires {want}, got k = {self.k}", "k")
         if self.mc_samples < 1:
-            raise ConfigError("mc_samples must be positive")
+            fail("mc_samples must be positive", "mc_samples")
         if self.seed < 0:
-            raise ConfigError("seed must be a nonnegative 64-bit integer")
+            fail("seed must be a nonnegative 64-bit integer", "seed")
+        for name in self.constants:
+            if name not in spec.constants:
+                fail(f"unknown key 'constants.{name}' for {self.experiment}; "
+                     f"it reads constants {', '.join(spec.constants)}", f"constants.{name}")
 
 
 def default_config(experiment: str) -> ExperimentConfig:
-    cfg = ExperimentConfig(experiment=experiment)
-    cfg.n_list = list(_DEFAULT_N_LISTS.get(experiment, [16, 32, 64]))
-    cfg.k = _DEFAULT_K.get(experiment, 1)
-    cfg.out_dir = f"pc_out/{experiment}"
-    return cfg
+    spec = _spec(experiment)
+    return ExperimentConfig(experiment=experiment, n_list=list(spec.n_list), k=spec.k,
+                            out_dir=f"pc_out/{experiment}")
 
 
 def _parse_scalar(token: str, line_no: int, col: int):
@@ -104,7 +104,7 @@ _TYPED_KEYS = {
 
 def parse_config_text(text: str) -> ExperimentConfig:
     cfg = ExperimentConfig(experiment="")
-    seen = set()
+    where = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         if not line.strip():
@@ -121,21 +121,24 @@ def parse_config_text(text: str) -> ExperimentConfig:
                 raise ConfigError("constants key needs a name", line_no, col)
             if not isinstance(value, (int, float)) or isinstance(value, bool):
                 raise ConfigError(f"constant {name!r} must be numeric", line_no, col)
-            cfg.constants[name] = float(value)
-            continue
-        if key not in _TYPED_KEYS:
+        elif key not in _TYPED_KEYS:
             raise ConfigError(f"unknown key {key!r}", line_no, col)
-        accepts, message = _TYPED_KEYS[key]
-        if not accepts(value):
-            raise ConfigError(message, line_no, col)
-        setattr(cfg, key, value)
-        seen.add(key)
+        elif not _TYPED_KEYS[key][0](value):
+            raise ConfigError(_TYPED_KEYS[key][1], line_no, col)
+        if key in where:
+            raise ConfigError(f"repeated key {key!r} (first on line {where[key][0]})",
+                              line_no, col)
+        where[key] = (line_no, col)
+        if key.startswith("constants."):
+            cfg.constants[name] = float(value)
+        else:
+            setattr(cfg, key, value)
     if not cfg.experiment:
         raise ConfigError("missing required key 'experiment'")
     defaults = default_config(cfg.experiment)
-    for key in _TYPED_KEYS.keys() - seen:
+    for key in _TYPED_KEYS.keys() - where.keys():
         setattr(cfg, key, getattr(defaults, key))
-    cfg.validate()
+    cfg.validate(where)
     return cfg
 
 

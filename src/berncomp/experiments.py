@@ -3,7 +3,8 @@
 Each experiment reproduces one acceptance scenario, writing a long-format
 results.csv, a summary.csv of fitted constants with confidence intervals,
 and one SVG figure per experiment.  Runs are pure functions of the config:
-identical configs give byte-identical outputs.
+identical configs give byte-identical outputs.  EXPERIMENTS, at the bottom,
+is the one table of experiments: runner, defaults and settable constants.
 """
 
 from __future__ import annotations
@@ -11,7 +12,9 @@ from __future__ import annotations
 import csv
 import math
 import zlib
+from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -29,9 +32,7 @@ from .complexity import (
     gaussian_complexity,
     increment_ratio,
 )
-from .config import ExperimentConfig
 from .core import PointSet, diameter2, metric_space_from_pointset, norm_pq
-from .errors import ConfigError
 from .svgplot import write_plot
 from .tails import (
     TailSeriesParams,
@@ -42,6 +43,9 @@ from .tails import (
     tail_series_capped,
     uncenter_tail,
 )
+
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
 
 RESULTS_HEADER = ["experiment", "n", "k", "quantity", "value", "std_error", "seed"]
 SUMMARY_HEADER = ["experiment", "name", "value", "ci_low", "ci_high"]
@@ -66,6 +70,14 @@ def cell_seed(root: int, *tags) -> int:
     )
     ss = np.random.SeedSequence(entropy=root, spawn_key=key)
     return int(ss.generate_state(2, dtype=np.uint64)[0])
+
+
+# Run sizes that no config sets, each read by one runner.
+LEMMA_ELEMENTS = 8
+RKHS_FIT_REPLICATIONS = 5
+RKHS_MC_CAP = 4000
+TAIL_SAMPLES = 200000
+EXPECTATION_RUNS = 20
 
 
 def _random_pointset(rng, n_elements: int, k: int, n: int, box=1.0) -> PointSet:
@@ -118,15 +130,9 @@ def _ci_from_reps(values):
     return mean, mean - half, mean + half
 
 
-# ---------------------------------------------------------------------------
-# lemma-checks
-# ---------------------------------------------------------------------------
-
-
-def _run_lemma_checks(cfg: ExperimentConfig) -> ExperimentOutcome:
+def _run_lemma_checks(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
     out = ExperimentOutcome(cfg.experiment)
-    n_sets = int(cfg.constants.get("n_sets", 100))
-    n_elements = int(cfg.constants.get("n_elements", 8))
+    n_sets = int(consts["n_sets"])
     bound_pts, value_pts = [], []
     for n in cfg.n_list:
         margins = {"l1_envelope": [], "diameter_4b": [], "gaussian_domination": []}
@@ -134,7 +140,7 @@ def _run_lemma_checks(cfg: ExperimentConfig) -> ExperimentOutcome:
         for rep in range(n_sets):
             seed = cell_seed(cfg.seed, "lemma", n, rep)
             rng = np.random.default_rng(seed)
-            T = _random_pointset(rng, n_elements, cfg.k, n)
+            T = _random_pointset(rng, LEMMA_ELEMENTS, cfg.k, n)
             est_cfg = EstimatorConfig(mode="auto", mc_samples=cfg.mc_samples, seed=seed)
             b = bernoulli_complexity(T, est_cfg)
             g = gaussian_complexity(T, est_cfg)
@@ -166,15 +172,9 @@ def _run_lemma_checks(cfg: ExperimentConfig) -> ExperimentOutcome:
     return out
 
 
-# ---------------------------------------------------------------------------
-# scaling experiments
-# ---------------------------------------------------------------------------
-
-
-def _run_scaling(cfg: ExperimentConfig, k: int) -> ExperimentOutcome:
+def _run_scaling(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
     out = ExperimentOutcome(cfg.experiment)
-    slope_tol = cfg.constants.get("slope_tol", 0.15)
-    stability_ratio = cfg.constants.get("stability_ratio", 1.5)
+    k = cfg.k
     values, argmins = [], []
     for n in cfg.n_list:
         v, m_star = min_truncation_objective(k, n)
@@ -193,12 +193,12 @@ def _run_scaling(cfg: ExperimentConfig, k: int) -> ExperimentOutcome:
         out.add_summary("stability_c_max_over_min", ratio)
         for n, c in zip(cfg.n_list, cs):
             out.add_row(n, k, "fitted_c", c, 0.0, cfg.seed)
-        out.check(ratio <= stability_ratio,
-                  f"k=2 rate constant stability {ratio:.3f} > {stability_ratio}")
+        out.check(ratio <= consts["stability_ratio"],
+                  f"k=2 rate constant stability {ratio:.3f} > {consts['stability_ratio']}")
     else:
         target = -0.5 if k == 1 else -1.0 / k
         out.add_summary("target_slope", target)
-        out.check(abs(slope - target) <= slope_tol,
+        out.check(abs(slope - target) <= consts["slope_tol"],
                   f"k={k} rate slope {slope:.3f} vs target {target:.3f}")
     out.figures[f"plot_{cfg.experiment}.svg"] = (
         [("min_M objective", list(cfg.n_list), values)],
@@ -207,11 +207,6 @@ def _run_scaling(cfg: ExperimentConfig, k: int) -> ExperimentOutcome:
          "loglog": True},
     )
     return out
-
-
-# ---------------------------------------------------------------------------
-# composition-logfree
-# ---------------------------------------------------------------------------
 
 
 def _composition_cell(seed: int, n: int, r: int, L: float, R: float, samples: int):
@@ -230,14 +225,12 @@ def _composition_cell(seed: int, n: int, r: int, L: float, R: float, samples: in
     return rhat_comp, rhat_inner, rhat_comp / denom
 
 
-def _run_composition(cfg: ExperimentConfig) -> ExperimentOutcome:
+def _run_composition(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
     out = ExperimentOutcome(cfg.experiment)
-    L = cfg.constants.get("L", 1.0)
-    R = cfg.constants.get("R", 1.0)
-    r = int(cfg.constants.get("n_functions", 8))
-    samples = int(min(cfg.mc_samples, cfg.constants.get("lp_samples", 160)))
-    reps = int(cfg.constants.get("replications", 3))
-    band = cfg.constants.get("band", 1.5)
+    L, R, band = consts["L"], consts["R"], consts["band"]
+    r = int(consts["n_functions"])
+    samples = int(min(cfg.mc_samples, consts["lp_samples"]))
+    reps = int(consts["replications"])
     ratios_by_n = {}
     for n in cfg.n_list:
         cell_ratios = []
@@ -270,21 +263,14 @@ def _run_composition(cfg: ExperimentConfig) -> ExperimentOutcome:
     return out
 
 
-# ---------------------------------------------------------------------------
-# rkhs-bound
-# ---------------------------------------------------------------------------
-
-
-def _run_rkhs(cfg: ExperimentConfig) -> ExperimentOutcome:
+def _run_rkhs(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
     out = ExperimentOutcome(cfg.experiment)
     sigmas = (0.5, 1.0, 2.0)
     rhos = (0.5, 1.0)
     ks = (1, 2)
-    radius = cfg.constants.get("R", 1.0)
-    n_elements = int(cfg.constants.get("n_elements", 6))
-    headroom = cfg.constants.get("fit_headroom", 1.5)
-    fit_reps = int(cfg.constants.get("fit_replications", 5))
-    mc = int(min(cfg.mc_samples, cfg.constants.get("mc_cap", 4000)))
+    radius, headroom = consts["R"], consts["fit_headroom"]
+    n_elements = int(consts["n_elements"])
+    mc = min(cfg.mc_samples, RKHS_MC_CAP)
     out.add_summary("fit_headroom", headroom)
     out.notes.append(
         "increment-ratio checks use caller-supplied surrogate sets, not the "
@@ -304,7 +290,7 @@ def _run_rkhs(cfg: ExperimentConfig) -> ExperimentOutcome:
     n0 = cfg.n_list[0]
     fit_ratios = []
     for k in ks:
-        for rep in range(fit_reps):
+        for rep in range(RKHS_FIT_REPLICATIONS):
             seed = cell_seed(cfg.seed, "rkhs-fit", k, rep)
             rng = np.random.default_rng(seed)
             T = _random_ball_pointset(rng, n_elements, k, n0, radius)
@@ -362,11 +348,6 @@ def _run_rkhs(cfg: ExperimentConfig) -> ExperimentOutcome:
     return out
 
 
-# ---------------------------------------------------------------------------
-# tails-demo
-# ---------------------------------------------------------------------------
-
-
 def _direct_tail_sum(u: float) -> float:
     """sum_{m=1}^{8} 2^(2^(m+1)) * exp(-u^2 * 2^(m-1)), the w = 0 series cut
     where its coefficients still fit a float (2^(2^10) overflows)."""
@@ -374,12 +355,10 @@ def _direct_tail_sum(u: float) -> float:
                for m in range(1, 9))
 
 
-def _run_tails_demo(cfg: ExperimentConfig) -> ExperimentOutcome:
+def _run_tails_demo(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
     out = ExperimentOutcome(cfg.experiment)
-    params = TailSeriesParams(w=int(cfg.constants.get("w", 0)))
-    u_start = cfg.constants.get("u_start", 0.5)
-    u_stop = cfg.constants.get("u_stop", 4.0)
-    u_step = cfg.constants.get("u_step", 0.25)
+    params = TailSeriesParams(w=int(consts["w"]))
+    u_start, u_stop, u_step = consts["u_start"], consts["u_stop"], consts["u_step"]
     u = u_start
     while u <= u_stop + 1e-12:
         p = tail_series(u, params)
@@ -401,15 +380,14 @@ def _run_tails_demo(cfg: ExperimentConfig) -> ExperimentOutcome:
     # The bound is attained exactly at u = 2a, so the empirical tail (a
     # Monte Carlo estimate) is compared with the standard 3-sigma band; away
     # from the tight point the raw margin must be nonnegative.
-    samples = int(cfg.constants.get("tail_samples", 200000))
     for a in (0.0, 0.5, 1.0):
         rng = np.random.default_rng(cell_seed(cfg.seed, "uncenter", int(a * 10)))
-        y = a + np.sqrt(rng.exponential(size=samples))
+        y = a + np.sqrt(rng.exponential(size=TAIL_SAMPLES))
         min_margin = math.inf
         for u_val in np.arange(0.5, 4.01, 0.5):
             emp = float((y > u_val).mean())
             bound = uncenter_tail(a, float(u_val))
-            se = math.sqrt(max(emp * (1.0 - emp), 1e-12) / samples)
+            se = math.sqrt(max(emp * (1.0 - emp), 1e-12) / TAIL_SAMPLES)
             out.check(emp <= bound + 3.0 * se,
                       f"uncentered tail at a={a}, u={u_val}: {emp:.4g} > {bound:.4g}")
             if abs(u_val - 2.0 * a) > 0.3:
@@ -420,9 +398,8 @@ def _run_tails_demo(cfg: ExperimentConfig) -> ExperimentOutcome:
     # expectation bound dominates the floored inverse-transform law
     bound, c_w = expectation_bound_from_tail(1.0, 0.5, params)
     out.add_summary("C_w", c_w)
-    runs = int(cfg.constants.get("expectation_runs", 20))
     min_margin = math.inf
-    for rep in range(runs):
+    for rep in range(EXPECTATION_RUNS):
         y = sample_from_capped_tail(params, 1.0, 0.5, 100000,
                                     cell_seed(cfg.seed, "expect", rep))
         margin = bound - float(y.mean())
@@ -440,14 +417,9 @@ def _run_tails_demo(cfg: ExperimentConfig) -> ExperimentOutcome:
     return out
 
 
-# ---------------------------------------------------------------------------
-# chaining-demo
-# ---------------------------------------------------------------------------
-
-
-def _run_chaining_demo(cfg: ExperimentConfig) -> ExperimentOutcome:
+def _run_chaining_demo(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
     out = ExperimentOutcome(cfg.experiment)
-    n_spaces = int(cfg.constants.get("n_spaces", 200))
+    n_spaces = int(consts["n_spaces"])
     max_pts = cfg.n_list[-1]
     gammas, diams = [], []
     for rep in range(n_spaces):
@@ -489,25 +461,41 @@ def _run_chaining_demo(cfg: ExperimentConfig) -> ExperimentOutcome:
 
 
 # ---------------------------------------------------------------------------
-# dispatch and file output
+# the experiment table, dispatch and file output
 # ---------------------------------------------------------------------------
 
 
-def _run_scaling_kk(cfg: ExperimentConfig) -> ExperimentOutcome:
-    if cfg.k <= 2:
-        raise ConfigError("scaling-kk requires k > 2 (use scaling-k1/k2 otherwise)")
-    return _run_scaling(cfg, cfg.k)
+@dataclass(frozen=True)
+class Experiment:
+    """One `pc run` experiment: its runner, default n_list and k, the k range
+    it accepts, and the constants.* keys it reads with their defaults.  The
+    runner gets those defaults overlaid with the config's constants."""
+
+    run: Callable
+    n_list: tuple
+    constants: dict
+    k: int = 1
+    k_min: int = 1
+    k_max: float = math.inf
 
 
-_RUNNERS = {
-    "lemma-checks": _run_lemma_checks,
-    "scaling-k1": lambda cfg: _run_scaling(cfg, 1),
-    "scaling-k2": lambda cfg: _run_scaling(cfg, 2),
-    "scaling-kk": _run_scaling_kk,
-    "composition-logfree": _run_composition,
-    "rkhs-bound": _run_rkhs,
-    "tails-demo": _run_tails_demo,
-    "chaining-demo": _run_chaining_demo,
+_SCALING_N = (64, 128, 256, 512, 1024, 2048, 4096)
+
+EXPERIMENTS = {
+    "lemma-checks": Experiment(_run_lemma_checks, (4, 8, 12), {"n_sets": 100}),
+    "scaling-k1": Experiment(_run_scaling, _SCALING_N, {"slope_tol": 0.15}, k_max=1),
+    "scaling-k2": Experiment(_run_scaling, _SCALING_N, {"stability_ratio": 1.5},
+                             k=2, k_min=2, k_max=2),
+    "scaling-kk": Experiment(_run_scaling, _SCALING_N, {"slope_tol": 0.15}, k=4, k_min=3),
+    "composition-logfree": Experiment(
+        _run_composition, (16, 32, 64, 128, 256),
+        {"L": 1.0, "R": 1.0, "n_functions": 8, "lp_samples": 160, "replications": 3,
+         "band": 1.5}),
+    "rkhs-bound": Experiment(_run_rkhs, (8, 32, 128),
+                             {"R": 1.0, "n_elements": 6, "fit_headroom": 1.5}, k=2),
+    "tails-demo": Experiment(_run_tails_demo, (1,),
+                             {"w": 0, "u_start": 0.5, "u_stop": 4.0, "u_step": 0.25}),
+    "chaining-demo": Experiment(_run_chaining_demo, (30,), {"n_spaces": 200}),
 }
 
 
@@ -515,7 +503,8 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
     """Run one experiment, write its artifacts and return the exit status
     (0: all assertions passed, 1: at least one failed)."""
     cfg.validate()
-    outcome = _RUNNERS[cfg.experiment](cfg)
+    spec = EXPERIMENTS[cfg.experiment]
+    outcome = spec.run(cfg, {**spec.constants, **cfg.constants})
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "results.csv", "w", newline="") as fh:

@@ -366,6 +366,18 @@ class TestProfileSerialization:
             sequence_from_text(path)
         assert str(err.value) == f"{path}, line 2, column 13: expected a number, got 'x'"
 
+    @pytest.mark.parametrize("text, line, label", [
+        ("level 0 {0,1}\nlevel 7: {0} {1}\n", 1, "level 0:"),
+        ("level 0: {0,1}\n\nlevel 7: {0} {1}\n", 3, "level 1:"),
+        ("{0,1}\n", 1, "level 0:"),
+    ], ids=["missing-colon", "wrong-level", "no-label"])
+    def test_bad_sequence_label_names_file_and_line(self, tmp_path, text, line, label):
+        path = tmp_path / "seq.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError) as err:
+            sequence_from_text(path)
+        assert str(err.value) == f"{path}, line {line}: expected '{label}'"
+
     def test_increasing_profile_rejected(self):
         with pytest.raises(InvalidInputError):
             EntropyProfile((0.5, 1.0), "empirical-greedy")

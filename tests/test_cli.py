@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from berncomp import ConfigError, PointSet, bernoulli_complexity, pointset_to_csv
 from berncomp.cli import main
 from berncomp.complexity import EstimatorConfig
-from berncomp.config import _DEFAULT_N_LISTS, default_config, parse_config_text
-from berncomp.experiments import _RUNNERS, ols_fit
+from berncomp.config import default_config, parse_config, parse_config_text
+from berncomp.experiments import EXPERIMENTS, ols_fit
 from berncomp.tails import TailSeriesParams, tail_series
 from oracles import ols_by_hand
 
@@ -32,11 +33,47 @@ class TestConfigParsing:
         mc_samples = 500
         out_dir = /tmp/somewhere
         constants.n_sets = 5
-        constants.slope_tol = 0.2
         """
         cfg = parse_config_text(text)
         assert cfg.seed == 7
-        assert cfg.constants == {"n_sets": 5.0, "slope_tol": 0.2}
+        assert cfg.constants == {"n_sets": 5.0}
+
+    def test_undeclared_constant_rejected_with_location(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("experiment = lemma-checks\nconstants.n_set = 5\n")
+        assert "line 2, column 1" in str(err.value)
+        assert "constants.n_set" in str(err.value)
+
+    def test_constant_read_only_by_another_experiment_rejected(self):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text("constants.slope_tol = 0.2\nexperiment = scaling-k2\n")
+        assert str(err.value).startswith("line 1, column 1: unknown key 'constants.slope_tol'")
+
+    @pytest.mark.parametrize("second", ["seed = 2", "constants.n_sets = 5",
+                                        "experiment = scaling-k1"])
+    def test_repeated_key_rejected_at_second_occurrence(self, second):
+        text = f"experiment = lemma-checks\nseed = 1\nconstants.n_sets = 4\n  {second}\n"
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(text)
+        key = second.split(" =")[0]
+        assert str(err.value).startswith(f"line 4, column 3: repeated key {key!r}")
+
+    @pytest.mark.parametrize("experiment, k", [
+        ("scaling-k1", 3), ("scaling-k1", 2), ("scaling-k2", 1), ("scaling-k2", 4),
+        ("scaling-kk", 2), ("lemma-checks", 0),
+    ])
+    def test_k_outside_the_experiment_range_rejected(self, experiment, k):
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"experiment = {experiment}\nk = {k}\n")
+        assert str(err.value).startswith("line 2, column 1: ")
+        assert f"got k = {k}" in str(err.value)
+
+    @pytest.mark.parametrize("path", sorted(Path(__file__).parent.parent.glob("configs/*.txt")),
+                             ids=lambda p: p.stem)
+    def test_every_shipped_config_parses(self, path):
+        cfg = parse_config(path)
+        assert cfg.experiment in EXPERIMENTS
+        assert cfg.constants.keys() <= EXPERIMENTS[cfg.experiment].constants.keys()
 
     def test_unknown_key_rejected_with_location(self):
         with pytest.raises(ConfigError) as err:
@@ -75,8 +112,7 @@ class TestConfigParsing:
             parse_config_text("experiment = not-a-thing\n")
 
     def test_every_runner_validates_with_its_defaults(self):
-        assert set(_RUNNERS) == set(_DEFAULT_N_LISTS)
-        for name in _RUNNERS:
+        for name in EXPERIMENTS:
             default_config(name).validate()
 
 
@@ -196,6 +232,21 @@ class TestRunCommand:
         config = tmp_path / "cfg.txt"
         config.write_text(f"experiment = scaling-kk\nk = 1\nout_dir = {tmp_path / 'o'}\n")
         assert main(["run", str(config)]) == 2
+
+    @pytest.mark.parametrize("body, key, location", [
+        ("experiment = lemma-checks\nconstants.n_set = 5\n", "constants.n_set",
+         "line 2, column 1"),
+        ("experiment = scaling-k1\nseed = 1\nseed = 2\n", "seed", "line 3, column 1"),
+        ("experiment = scaling-k1\nk = 3\n", "k = 3", "line 2, column 1"),
+    ], ids=["undeclared-constant", "repeated-seed", "scaling-k1-with-k3"])
+    def test_rejected_config_exits_2_naming_the_key(self, tmp_path, capsys, body, key,
+                                                    location):
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"{body}out_dir = {tmp_path / 'o'}\n")
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert key in err and location in err
+        assert not (tmp_path / "o").exists()
 
     def test_figures_written(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"

@@ -6,14 +6,21 @@ logarithmic factor in n appears.  This script measures the ratio
 
     R_hat(composed) / [ L (R/sqrt(n) + R_hat(inner)) ]
 
-for growing n and shows it stays flat.
+for growing n and shows it stays flat.  Both estimates use the same
+Monte Carlo signs.
 """
 
 import math
 
 import numpy as np
 
-from berncomp import lipschitz_ball_sup
+from berncomp import (
+    EstimatorConfig,
+    LipschitzBall,
+    PointSet,
+    bernoulli_complexity,
+    composite_bernoulli_complexity,
+)
 
 L, R, r, samples = 1.0, 1.0, 8, 120
 print(f"inner class: {r} random functions into [-{R}, {R}];"
@@ -21,13 +28,10 @@ print(f"inner class: {r} random functions into [-{R}, {R}];"
 print(f"{'n':>5} {'inner':>8} {'composed':>9} {'ratio':>7}")
 for n in (16, 32, 64, 128):
     rng = np.random.default_rng(100 + n)
-    table = rng.uniform(-R, R, size=(r, n))
-    signs = rng.integers(0, 2, size=(samples, n)) * 2.0 - 1.0
-    inner = float(((signs @ table.T).max(axis=1) / n).mean())
-    composed = float(np.mean([
-        max(lipschitz_ball_sup(table[j], s, L, R) for j in range(r)) / n
-        for s in signs
-    ]))
+    T = PointSet(rng.uniform(-R, R, size=(r, 1, n)))
+    cfg = EstimatorConfig(mode="monte-carlo", mc_samples=samples, seed=200 + n)
+    inner = bernoulli_complexity(T, cfg).value / n
+    composed = composite_bernoulli_complexity(LipschitzBall(L, R), T, cfg).value / n
     ratio = composed / (L * (R / math.sqrt(n) + inner))
     print(f"{n:>5} {inner:>8.4f} {composed:>9.4f} {ratio:>7.3f}")
 

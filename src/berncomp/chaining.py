@@ -197,7 +197,7 @@ def entropy_profile(space: FiniteMetricSpace) -> EntropyProfile:
     return EntropyProfile(tuple(r.upper_bound for r in results), "empirical-greedy")
 
 
-def uniform_metric_space(table: np.ndarray, labels=None) -> FiniteMetricSpace:
+def uniform_metric_space(table: np.ndarray) -> FiniteMetricSpace:
     """Metric space of tabulated functions under the uniform metric over the
     tabulation points: d(f, g) = max_i |f(x_i) - g(x_i)|.
 
@@ -209,9 +209,7 @@ def uniform_metric_space(table: np.ndarray, labels=None) -> FiniteMetricSpace:
     if t.ndim != 2:
         raise InvalidInputError("table must be 2-d (functions by points)")
     dist = np.abs(t[:, None, :] - t[None, :, :]).max(axis=2)
-    if labels is None:
-        labels = tuple(str(j) for j in range(t.shape[0]))
-    return FiniteMetricSpace(labels=tuple(labels), dist=dist)
+    return FiniteMetricSpace(labels=tuple(str(j) for j in range(t.shape[0])), dist=dist)
 
 
 def lipschitz_entropy_formula(m: int, L: float, B: float, k: int, C_k: float) -> float:

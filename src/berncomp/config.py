@@ -1,10 +1,11 @@
 """Strict flat key=value experiment configuration.
 
 Format: one `key = value` per line, `#` comments, lists as `[a, b, c]`,
-fitted constants as dotted keys `constants.<name> = <float>`, where the
+fitted constants as dotted keys `constants.<name> = <number>`, where the
 names an experiment reads are those its `experiments.EXPERIMENTS` entry
-declares.  Unknown, undeclared and repeated keys are rejected with their line
-and column.
+declares.  A constant declared with an int default takes only integers.
+Unknown, undeclared, repeated and out-of-range keys are rejected with their
+line and column.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ class ExperimentConfig:
             fail("invariant violated: n_list must be nonempty", "n_list")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             fail("invariant violated: n_list must be strictly ascending", "n_list")
+        if self.n_list[0] < spec.n_min:
+            fail(f"{self.experiment} requires n_list entries >= {spec.n_min}, "
+                 f"got {self.n_list[0]}", "n_list")
         if not spec.k_min <= self.k <= spec.k_max:
             want = f"k = {spec.k_max}" if spec.k_max == spec.k_min else f"k >= {spec.k_min}"
             fail(f"{self.experiment} requires {want}, got k = {self.k}", "k")
@@ -51,10 +55,20 @@ class ExperimentConfig:
             fail("mc_samples must be positive", "mc_samples")
         if self.seed < 0:
             fail("seed must be a nonnegative 64-bit integer", "seed")
-        for name in self.constants:
+        for name, value in self.constants.items():
+            key = f"constants.{name}"
             if name not in spec.constants:
-                fail(f"unknown key 'constants.{name}' for {self.experiment}; "
-                     f"it reads constants {', '.join(spec.constants)}", f"constants.{name}")
+                fail(f"unknown key {key!r} for {self.experiment}; "
+                     f"it reads constants {', '.join(spec.constants)}", key)
+            if isinstance(spec.constants[name], int):
+                if not isinstance(value, int):
+                    fail(f"{key} must be an integer, got {value!r}", key)
+                low = 0 if name == "w" else 1  # the tail offset w; every other is a count
+                if value < low:
+                    fail(f"{key} must be >= {low}, got {value}", key)
+        if self.constants.get("u_step", 1) <= 0:
+            fail(f"constants.u_step must be positive, got {self.constants['u_step']}",
+                 "constants.u_step")
 
 
 def default_config(experiment: str) -> ExperimentConfig:
@@ -130,7 +144,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
                               line_no, col)
         where[key] = (line_no, col)
         if key.startswith("constants."):
-            cfg.constants[name] = float(value)
+            cfg.constants[name] = value
         else:
             setattr(cfg, key, value)
     if not cfg.experiment:

@@ -118,11 +118,6 @@ def norm_pq(t, p, q) -> float:
     return float(np.power(col, q).sum() ** (1.0 / q))
 
 
-def frobenius(t) -> float:
-    """Frobenius norm, equal to norm_pq(t, 2, 2)."""
-    return float(np.linalg.norm(np.asarray(t, dtype=float)))
-
-
 def sq_distances(X: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of an (m, d) array,
     shape (m, m)."""

@@ -24,7 +24,8 @@ from .chaining import (
     gamma2_upper,
     min_truncation_objective,
 )
-from .classes import GaussianRkhsBall, lipschitz_ball_sup
+from .classes import GaussianRkhsBall, LipschitzBall
+from .classes import lipschitz_ball_sup  # noqa: F401 - perfbench's selftest asserts it here
 from .complexity import (
     EstimatorConfig,
     bernoulli_complexity,
@@ -132,7 +133,7 @@ def _ci_from_reps(values):
 
 def _run_lemma_checks(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
     out = ExperimentOutcome(cfg.experiment)
-    n_sets = int(consts["n_sets"])
+    n_sets = consts["n_sets"]
     bound_pts, value_pts = [], []
     for n in cfg.n_list:
         margins = {"l1_envelope": [], "diameter_4b": [], "gaussian_domination": []}
@@ -210,27 +211,23 @@ def _run_scaling(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
 
 
 def _composition_cell(seed: int, n: int, r: int, L: float, R: float, samples: int):
+    """(composite, inner, ratio), both complexities divided by n; at k = 1
+    the two estimators share their n signs per sample."""
     rng = np.random.default_rng(seed)
-    table = rng.uniform(-R, R, size=(r, n))
-    signs = rng.integers(0, 2, size=(samples, n)).astype(float) * 2.0 - 1.0
-    inner_sups = (signs @ table.T).max(axis=1) / n
-    comp = np.empty(samples)
-    for s in range(samples):
-        comp[s] = max(
-            lipschitz_ball_sup(table[j], signs[s], L, R) for j in range(r)
-        ) / n
-    rhat_inner = float(inner_sups.mean())
-    rhat_comp = float(comp.mean())
-    denom = L * (R / math.sqrt(n) + rhat_inner)
-    return rhat_comp, rhat_inner, rhat_comp / denom
+    T = _random_pointset(rng, r, 1, n, R)
+    est_cfg = EstimatorConfig(mode="monte-carlo", mc_samples=samples,
+                              seed=cell_seed(seed, "signs"))
+    rhat_inner = bernoulli_complexity(T, est_cfg).value / n
+    rhat_comp = composite_bernoulli_complexity(LipschitzBall(L, R), T, est_cfg).value / n
+    return rhat_comp, rhat_inner, rhat_comp / (L * (R / math.sqrt(n) + rhat_inner))
 
 
 def _run_composition(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
     out = ExperimentOutcome(cfg.experiment)
     L, R, band = consts["L"], consts["R"], consts["band"]
-    r = int(consts["n_functions"])
-    samples = int(min(cfg.mc_samples, consts["lp_samples"]))
-    reps = int(consts["replications"])
+    r = consts["n_functions"]
+    samples = min(cfg.mc_samples, consts["lp_samples"])
+    reps = consts["replications"]
     ratios_by_n = {}
     for n in cfg.n_list:
         cell_ratios = []
@@ -269,7 +266,7 @@ def _run_rkhs(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
     rhos = (0.5, 1.0)
     ks = (1, 2)
     radius, headroom = consts["R"], consts["fit_headroom"]
-    n_elements = int(consts["n_elements"])
+    n_elements = consts["n_elements"]
     mc = min(cfg.mc_samples, RKHS_MC_CAP)
     out.add_summary("fit_headroom", headroom)
     out.notes.append(
@@ -357,7 +354,7 @@ def _direct_tail_sum(u: float) -> float:
 
 def _run_tails_demo(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
     out = ExperimentOutcome(cfg.experiment)
-    params = TailSeriesParams(w=int(consts["w"]))
+    params = TailSeriesParams(w=consts["w"])
     u_start, u_stop, u_step = consts["u_start"], consts["u_stop"], consts["u_step"]
     u = u_start
     while u <= u_stop + 1e-12:
@@ -419,14 +416,14 @@ def _run_tails_demo(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
 
 def _run_chaining_demo(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
     out = ExperimentOutcome(cfg.experiment)
-    n_spaces = int(consts["n_spaces"])
+    n_spaces = consts["n_spaces"]
     max_pts = cfg.n_list[-1]
     gammas, diams = [], []
     for rep in range(n_spaces):
         seed = cell_seed(cfg.seed, "chain", rep)
         rng = np.random.default_rng(seed)
         m_pts = int(rng.integers(2, max_pts + 1))
-        T = PointSet(rng.uniform(-1.0, 1.0, size=(m_pts, cfg.k, 2)))
+        T = _random_pointset(rng, m_pts, cfg.k, 2)
         space = metric_space_from_pointset(T)
         seq = build_admissible_sequence(space)
         try:
@@ -468,7 +465,8 @@ def _run_chaining_demo(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome
 @dataclass(frozen=True)
 class Experiment:
     """One `pc run` experiment: its runner, default n_list and k, the k range
-    it accepts, and the constants.* keys it reads with their defaults.  The
+    and least n it accepts, and the constants.* keys it reads with their
+    defaults.  A constant with an int default takes only integers.  The
     runner gets those defaults overlaid with the config's constants."""
 
     run: Callable
@@ -477,6 +475,7 @@ class Experiment:
     k: int = 1
     k_min: int = 1
     k_max: float = math.inf
+    n_min: int = 1
 
 
 _SCALING_N = (64, 128, 256, 512, 1024, 2048, 4096)
@@ -484,18 +483,23 @@ _SCALING_N = (64, 128, 256, 512, 1024, 2048, 4096)
 EXPERIMENTS = {
     "lemma-checks": Experiment(_run_lemma_checks, (4, 8, 12), {"n_sets": 100}),
     "scaling-k1": Experiment(_run_scaling, _SCALING_N, {"slope_tol": 0.15}, k_max=1),
+    # n >= 2: the fitted constant divides by log n
     "scaling-k2": Experiment(_run_scaling, _SCALING_N, {"stability_ratio": 1.5},
-                             k=2, k_min=2, k_max=2),
+                             k=2, k_min=2, k_max=2, n_min=2),
     "scaling-kk": Experiment(_run_scaling, _SCALING_N, {"slope_tol": 0.15}, k=4, k_min=3),
     "composition-logfree": Experiment(
         _run_composition, (16, 32, 64, 128, 256),
         {"L": 1.0, "R": 1.0, "n_functions": 8, "lp_samples": 160, "replications": 3,
-         "band": 1.5}),
+         "band": 1.5}, k_max=1),
+    # the runner always covers k = 1 and k = 2
     "rkhs-bound": Experiment(_run_rkhs, (8, 32, 128),
-                             {"R": 1.0, "n_elements": 6, "fit_headroom": 1.5}, k=2),
+                             {"R": 1.0, "n_elements": 6, "fit_headroom": 1.5},
+                             k=2, k_min=2, k_max=2),
     "tails-demo": Experiment(_run_tails_demo, (1,),
-                             {"w": 0, "u_start": 0.5, "u_stop": 4.0, "u_step": 0.25}),
-    "chaining-demo": Experiment(_run_chaining_demo, (30,), {"n_spaces": 200}),
+                             {"w": 0, "u_start": 0.5, "u_stop": 4.0, "u_step": 0.25},
+                             k_max=1),
+    # n is the largest space size; every space has at least 2 points
+    "chaining-demo": Experiment(_run_chaining_demo, (30,), {"n_spaces": 200}, n_min=2),
 }
 
 

@@ -14,11 +14,15 @@ from .errors import InvalidInputError, SolverError
 
 _PIVOT_TOL = 1e-9
 
+# Pivot cap: a fixed allowance plus this many pivots per row and column.
+MAX_ITER_BASE = 10000
+MAX_ITER_PER_DIM = 50
 
-def simplex_maximize(c, A, b, max_iter: int | None = None):
+
+def simplex_maximize(c, A, b):
     """Return (optimal value, optimal x).
 
-    Raises SolverError with diagnostics if the iteration cap is hit and
+    Raises SolverError with diagnostics if the pivot cap is hit and
     InvalidInputError for negative right-hand sides or an unbounded program
     (our callers always pass box-bounded problems).
     """
@@ -30,8 +34,7 @@ def simplex_maximize(c, A, b, max_iter: int | None = None):
         raise InvalidInputError("inconsistent LP dimensions")
     if np.any(b < 0):
         raise InvalidInputError("simplex_maximize requires b >= 0")
-    if max_iter is None:
-        max_iter = 10000 + 50 * (m + n)
+    max_iter = MAX_ITER_BASE + MAX_ITER_PER_DIM * (m + n)
 
     # Tableau: m constraint rows [A | I | b] and an objective row [-c | 0 | 0].
     T = np.zeros((m + 1, n + m + 1))

@@ -33,7 +33,8 @@ from berncomp import (
     sample_piecewise_linear_class,
     uncenter_tail,
 )
-from berncomp.experiments import ols_fit
+from berncomp.complexity import _sign_weights
+from berncomp.experiments import _composition_cell, cell_seed, ols_fit
 from oracles import grid_lipschitz_sup, rkhs_ball_mc_lower
 
 SEED = 20260810
@@ -178,6 +179,24 @@ def test_criterion_5_logfree_composition():
     ok = all(fit / 1.5 <= ratios[n] <= fit * 1.5 for n in (32, 64, 128, 256))
     pretty = ", ".join(f"n={n}: {v:.3f}" for n, v in ratios.items())
     report(5, f"log-free composition ratios ({pretty})", ok)
+
+
+@pytest.mark.parametrize("seed", [SEED, SEED + 1])
+def test_composition_cell_is_the_criterion_5_formula_on_estimator_signs(seed):
+    # composition-logfree's cell goes through the library estimators; on the
+    # sign rows _sign_weights gives its config it equals the inline formula.
+    n, r, L, R, samples = 24, 5, 0.7, 1.3, 40
+    table = np.random.default_rng(seed).uniform(-R, R, size=(r, n))
+    cfg = EstimatorConfig(mode="monte-carlo", mc_samples=samples,
+                          seed=cell_seed(seed, "signs"))
+    signs, exact = _sign_weights(cfg, n)
+    assert not exact and signs.shape == (samples, n)
+    rhat_inner = float(((signs @ table.T).max(axis=1) / n).mean())
+    rhat_comp = float(np.mean([
+        max(lipschitz_ball_sup(table[j], s, L, R) for j in range(r)) / n for s in signs
+    ]))
+    expected = (rhat_comp, rhat_inner, rhat_comp / (L * (R / math.sqrt(n) + rhat_inner)))
+    assert _composition_cell(seed, n, r, L, R, samples) == pytest.approx(expected, rel=1e-12)
 
 
 def test_criterion_6_rkhs_bound():

@@ -60,7 +60,8 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("experiment, k", [
         ("scaling-k1", 3), ("scaling-k1", 2), ("scaling-k2", 1), ("scaling-k2", 4),
-        ("scaling-kk", 2), ("lemma-checks", 0),
+        ("scaling-kk", 2), ("lemma-checks", 0), ("rkhs-bound", 5), ("rkhs-bound", 1),
+        ("composition-logfree", 2), ("tails-demo", 2),
     ])
     def test_k_outside_the_experiment_range_rejected(self, experiment, k):
         with pytest.raises(ConfigError) as err:
@@ -74,6 +75,10 @@ class TestConfigParsing:
         cfg = parse_config(path)
         assert cfg.experiment in EXPERIMENTS
         assert cfg.constants.keys() <= EXPERIMENTS[cfg.experiment].constants.keys()
+
+    def test_float_constant_accepts_an_integer_literal(self):
+        cfg = parse_config_text("experiment = composition-logfree\nconstants.L = 1\n")
+        assert cfg.constants == {"L": 1}
 
     def test_unknown_key_rejected_with_location(self):
         with pytest.raises(ConfigError) as err:
@@ -238,7 +243,21 @@ class TestRunCommand:
          "line 2, column 1"),
         ("experiment = scaling-k1\nseed = 1\nseed = 2\n", "seed", "line 3, column 1"),
         ("experiment = scaling-k1\nk = 3\n", "k = 3", "line 2, column 1"),
-    ], ids=["undeclared-constant", "repeated-seed", "scaling-k1-with-k3"])
+        ("experiment = tails-demo\nconstants.u_step = 0\n", "constants.u_step",
+         "line 2, column 1"),
+        ("experiment = tails-demo\nconstants.u_step = -0.25\n", "constants.u_step",
+         "line 2, column 1"),
+        ("experiment = lemma-checks\nn_list = [-1, 4]\n", "n_list", "line 2, column 1"),
+        ("experiment = scaling-k2\nn_list = [1, 2]\n", "n_list", "line 2, column 1"),
+        ("experiment = chaining-demo\nn_list = [1]\n", "n_list", "line 2, column 1"),
+        ("experiment = lemma-checks\nconstants.n_sets = 2.5\n", "constants.n_sets",
+         "line 2, column 1"),
+        ("experiment = composition-logfree\nconstants.n_functions = 0\n",
+         "constants.n_functions", "line 2, column 1"),
+        ("experiment = tails-demo\nconstants.w = -1\n", "constants.w", "line 2, column 1"),
+    ], ids=["undeclared-constant", "repeated-seed", "scaling-k1-with-k3", "zero-u-step",
+            "negative-u-step", "negative-n", "scaling-k2-with-n1", "chaining-demo-with-n1",
+            "fractional-count", "zero-count", "negative-w"])
     def test_rejected_config_exits_2_naming_the_key(self, tmp_path, capsys, body, key,
                                                     location):
         config = tmp_path / "cfg.txt"

@@ -345,7 +345,10 @@ class GaussianRkhsBall:
         pts = _as_points(points)
         C = _as_coeff_rows(C, pts.shape[0])
         G = gaussian_gram(pts, self.sigma)
-        quad = np.einsum("bi,ij,bj->b", C, G, C)
+        # c^T G c for every row on BLAS, through one (rows, n) temporary.
+        CG = C @ G
+        CG *= C
+        quad = CG.sum(axis=1)
         if np.any(quad < GRAM_NEGATIVE_TOL):
             raise InvalidInputError(
                 f"Gram quadratic form is negative beyond rounding: {float(quad.min()):.3e}"

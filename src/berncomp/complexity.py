@@ -37,7 +37,8 @@ class EstimatorConfig:
 
     mode "auto" selects exact enumeration iff the number of independent
     signs is at most exact_cutoff_n (2^cutoff patterns); the default 14
-    keeps a single estimate under 16384 patterns.
+    keeps a single estimate under 16384 patterns.  mc_samples is at least 2,
+    the least count with a sample standard error.
     """
 
     mode: str = "auto"
@@ -48,8 +49,10 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.mode not in ("auto", "exact", "monte-carlo"):
             raise InvalidInputError(f"unknown mode {self.mode!r}")
-        if self.mc_samples < 1 or self.exact_cutoff_n < 1:
-            raise InvalidInputError("mc_samples and exact_cutoff_n must be positive")
+        if self.mc_samples < 2:
+            raise InvalidInputError(f"mc_samples must be >= 2, got {self.mc_samples}")
+        if self.exact_cutoff_n < 1:
+            raise InvalidInputError("exact_cutoff_n must be positive")
 
     def with_seed(self, seed: int) -> "EstimatorConfig":
         return replace(self, seed=int(seed))
@@ -94,7 +97,7 @@ def _finish(sups: np.ndarray, exact: bool, seed: int) -> ComplexityEstimate:
     samples = len(sups)
     if exact:
         return ComplexityEstimate(value, 0.0, "exact-enumeration", samples, seed)
-    se = float(np.std(sups, ddof=1) / np.sqrt(samples)) if samples > 1 else 0.0
+    se = float(np.std(sups, ddof=1) / np.sqrt(samples))
     return ComplexityEstimate(value, se, "monte-carlo", samples, seed)
 
 

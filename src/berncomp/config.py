@@ -41,8 +41,9 @@ class ExperimentConfig:
             raise ConfigError(message, *(where or {}).get(key, ()))
 
         spec = _spec(self.experiment)
-        if not self.n_list:
-            fail("invariant violated: n_list must be nonempty", "n_list")
+        if len(self.n_list) < spec.n_count_min:
+            fail(f"{self.experiment} requires at least {spec.n_count_min} n_list "
+                 f"entries, got {len(self.n_list)}", "n_list")
         if any(b <= a for a, b in zip(self.n_list, self.n_list[1:])):
             fail("invariant violated: n_list must be strictly ascending", "n_list")
         if self.n_list[0] < spec.n_min:
@@ -51,8 +52,8 @@ class ExperimentConfig:
         if not spec.k_min <= self.k <= spec.k_max:
             want = f"k = {spec.k_max}" if spec.k_max == spec.k_min else f"k >= {spec.k_min}"
             fail(f"{self.experiment} requires {want}, got k = {self.k}", "k")
-        if self.mc_samples < 1:
-            fail("mc_samples must be positive", "mc_samples")
+        if self.mc_samples < 2:  # a standard error needs two samples
+            fail(f"mc_samples must be >= 2, got {self.mc_samples}", "mc_samples")
         if self.seed < 0:
             fail("seed must be a nonnegative 64-bit integer", "seed")
         for name, value in self.constants.items():
@@ -63,12 +64,20 @@ class ExperimentConfig:
             if isinstance(spec.constants[name], int):
                 if not isinstance(value, int):
                     fail(f"{key} must be an integer, got {value!r}", key)
-                low = 0 if name == "w" else 1  # the tail offset w; every other is a count
+                # w is a tail offset and lp_samples a Monte Carlo sample count
+                low = {"w": 0, "lp_samples": 2}.get(name, 1)
                 if value < low:
                     fail(f"{key} must be >= {low}, got {value}", key)
         if self.constants.get("u_step", 1) <= 0:
             fail(f"constants.u_step must be positive, got {self.constants['u_step']}",
                  "constants.u_step")
+        if "u_stop" in spec.constants:
+            u_start, u_stop = ({**spec.constants, **self.constants}[name]
+                               for name in ("u_start", "u_stop"))
+            if u_stop < u_start:
+                key = "constants.u_stop" if "u_stop" in self.constants else "constants.u_start"
+                fail(f"constants.u_stop = {u_stop} is below constants.u_start = {u_start}",
+                     key)
 
 
 def default_config(experiment: str) -> ExperimentConfig:

@@ -34,6 +34,7 @@ from .complexity import (
     increment_ratio,
 )
 from .core import PointSet, diameter2, metric_space_from_pointset, norm_pq
+from .errors import InvalidInputError
 from .svgplot import write_plot
 from .tails import (
     TailSeriesParams,
@@ -59,7 +60,7 @@ def ols_fit(xs, ys):
     xm, ym = xs.mean(), ys.mean()
     var = float(((xs - xm) ** 2).sum())
     if var == 0.0:
-        raise ValueError("degenerate regression: all x equal")
+        raise InvalidInputError("degenerate regression: all x equal")
     slope = float(((xs - xm) * (ys - ym)).sum() / var)
     return slope, float(ym - slope * xm)
 
@@ -464,10 +465,11 @@ def _run_chaining_demo(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome
 
 @dataclass(frozen=True)
 class Experiment:
-    """One `pc run` experiment: its runner, default n_list and k, the k range
-    and least n it accepts, and the constants.* keys it reads with their
-    defaults.  A constant with an int default takes only integers.  The
-    runner gets those defaults overlaid with the config's constants."""
+    """One `pc run` experiment: its runner, default n_list and k, the k range,
+    least n and least number of n it accepts, and the constants.* keys it
+    reads with their defaults.  A constant with an int default takes only
+    integers.  The runner gets those defaults overlaid with the config's
+    constants."""
 
     run: Callable
     n_list: tuple
@@ -476,17 +478,21 @@ class Experiment:
     k_min: int = 1
     k_max: float = math.inf
     n_min: int = 1
+    n_count_min: int = 1
 
 
 _SCALING_N = (64, 128, 256, 512, 1024, 2048, 4096)
 
 EXPERIMENTS = {
     "lemma-checks": Experiment(_run_lemma_checks, (4, 8, 12), {"n_sets": 100}),
-    "scaling-k1": Experiment(_run_scaling, _SCALING_N, {"slope_tol": 0.15}, k_max=1),
+    # the scaling runs fit a slope in log n, so they need two n
+    "scaling-k1": Experiment(_run_scaling, _SCALING_N, {"slope_tol": 0.15}, k_max=1,
+                             n_count_min=2),
     # n >= 2: the fitted constant divides by log n
     "scaling-k2": Experiment(_run_scaling, _SCALING_N, {"stability_ratio": 1.5},
-                             k=2, k_min=2, k_max=2, n_min=2),
-    "scaling-kk": Experiment(_run_scaling, _SCALING_N, {"slope_tol": 0.15}, k=4, k_min=3),
+                             k=2, k_min=2, k_max=2, n_min=2, n_count_min=2),
+    "scaling-kk": Experiment(_run_scaling, _SCALING_N, {"slope_tol": 0.15}, k=4, k_min=3,
+                             n_count_min=2),
     "composition-logfree": Experiment(
         _run_composition, (16, 32, 64, 128, 256),
         {"L": 1.0, "R": 1.0, "n_functions": 8, "lp_samples": 160, "replications": 3,

@@ -6,6 +6,7 @@ these oracles and the library is a genuine two-route check.
 """
 
 import itertools
+import math
 
 import numpy as np
 
@@ -145,6 +146,28 @@ def rkhs_ball_mc_lower(pts, c, sigma, rho, n_samples, seed):
     norms = np.sqrt(np.maximum(np.einsum("si,ij,sj->s", A, G, A), 1e-300))
     vals = rho * (A @ (G @ np.asarray(c, dtype=float))) / norms
     return float(vals.max())
+
+
+def rkhs_representer_value(pts, c, sigma, rho):
+    """(value, ||c||_G^2, scale) for the explicit maximizer of sum c_i f(x_i)
+    over the RKHS ball: f = rho * sum_j c_j K(x_j, .) / ||c||_G, evaluated
+    point by point with the kernel summed in pure Python (math.fsum).  value
+    is None when ||c||_G is 0; scale = (sum |c_i|)^2 bounds |c^T G c|."""
+    pts = [list(map(float, p)) for p in pts]
+    c = list(map(float, c))
+    n = len(pts)
+
+    def kernel(a, b):
+        return math.exp(-math.fsum((u - v) ** 2 for u, v in zip(a, b)) / (2.0 * sigma ** 2))
+
+    K = [[kernel(pts[i], pts[j]) for j in range(n)] for i in range(n)]
+    norm2 = math.fsum(c[i] * c[j] * K[i][j] for i in range(n) for j in range(n))
+    scale = math.fsum(abs(v) for v in c) ** 2
+    if norm2 <= 0.0:
+        return None, norm2, scale
+    norm = math.sqrt(norm2)
+    f = [rho * math.fsum(c[j] * K[j][i] for j in range(n)) / norm for i in range(n)]
+    return math.fsum(ci * fi for ci, fi in zip(c, f)), norm2, scale
 
 
 def brute_covering_number(dist, delta):

@@ -18,7 +18,8 @@ from berncomp import (
     sample_piecewise_linear_class,
     simplex_maximize,
 )
-from oracles import grid_lipschitz_sup, reference_line_dp, rkhs_ball_mc_lower
+from oracles import (grid_lipschitz_sup, reference_line_dp, rkhs_ball_mc_lower,
+                     rkhs_representer_value)
 
 
 class TestSimplex:
@@ -309,6 +310,48 @@ class TestRkhsBallSup:
             assert large >= small - 1e-12  # nested draws: gap shrinks monotonically
             if closed > 1e-6:
                 assert (closed - large) / closed <= 0.12
+
+
+_rkhs_problems = st.tuples(st.integers(1, 8), st.integers(1, 3)).flatmap(
+    lambda nk: st.tuples(
+        st.lists(st.lists(st.floats(-2, 2, allow_subnormal=False), min_size=nk[1],
+                          max_size=nk[1]), min_size=nk[0], max_size=nk[0]),
+        st.lists(st.one_of(
+            st.lists(st.sampled_from([-1.0, 1.0]), min_size=nk[0], max_size=nk[0]),
+            st.lists(st.floats(-3, 3, allow_subnormal=False), min_size=nk[0],
+                     max_size=nk[0])), min_size=1, max_size=4),
+        st.floats(0.3, 3.0),
+        st.floats(0.1, 10.0),
+    ))
+
+
+class TestRkhsGramForm:
+    @settings(max_examples=80, deadline=None)
+    @given(_rkhs_problems)
+    def test_matches_the_explicit_representer(self, problem):
+        pts, C, sigma, rho = problem
+        vals = GaussianRkhsBall(sigma=sigma, rho=rho).sup_batch(pts, C)
+        assert vals.shape == (len(C),)
+        for val, c in zip(vals, C):
+            ref, norm2, scale = rkhs_representer_value(pts, c, sigma, rho)
+            # Rounding in c^T G c is about eps * scale; rows whose form
+            # stands well above it match to 1e-10 relative, the others to the
+            # square root of a rounding-sized form.
+            if norm2 > 1e-4 * scale:
+                assert val == pytest.approx(ref, rel=1e-10)
+            else:
+                assert val == pytest.approx(rho * math.sqrt(max(norm2, 0.0)),
+                                            abs=rho * math.sqrt(1e-12 * scale))
+
+    def test_duplicated_set_with_opposite_signs_is_exactly_zero(self):
+        # the increment-ratio layout at the rkhs workload's size: (eps, -eps)
+        # rows over a 128-point set listed twice
+        rng = np.random.default_rng(36)
+        half = rng.uniform(-1, 1, size=(128, 2))
+        eps = rng.integers(0, 2, size=(4000, 128)) * 2.0 - 1.0
+        vals = GaussianRkhsBall(sigma=0.5, rho=1.0).sup_batch(
+            np.concatenate([half, half]), np.concatenate([eps, -eps], axis=1))
+        assert np.all(vals == 0.0)
 
 
 class TestOracleConvexity:

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from berncomp import ConfigError, PointSet, bernoulli_complexity, pointset_to_csv
+from berncomp import (ConfigError, InvalidInputError, PointSet, bernoulli_complexity,
+                      pointset_to_csv)
 from berncomp.cli import main
 from berncomp.complexity import EstimatorConfig
 from berncomp.config import default_config, parse_config, parse_config_text
@@ -132,6 +133,10 @@ class TestOlsFit:
         ref = ols_by_hand(xs, ys)
         assert slope == pytest.approx(ref[0]) and intercept == pytest.approx(ref[1])
 
+    def test_equal_x_raise_invalid_input(self):
+        with pytest.raises(InvalidInputError, match="all x equal"):
+            ols_fit([2.0, 2.0], [1.0, 3.0])
+
 
 class TestTailsCommand:
     def test_table_matches_library(self, capsys):
@@ -255,9 +260,22 @@ class TestRunCommand:
         ("experiment = composition-logfree\nconstants.n_functions = 0\n",
          "constants.n_functions", "line 2, column 1"),
         ("experiment = tails-demo\nconstants.w = -1\n", "constants.w", "line 2, column 1"),
+        ("experiment = scaling-k1\nn_list = [64]\n", "n_list", "line 2, column 1"),
+        ("experiment = scaling-k2\nn_list = [64]\n", "n_list", "line 2, column 1"),
+        ("experiment = scaling-kk\nn_list = [64]\n", "n_list", "line 2, column 1"),
+        ("experiment = lemma-checks\nn_list = [16]\nmc_samples = 1\nconstants.n_sets = 2\n",
+         "mc_samples", "line 3, column 1"),
+        ("experiment = composition-logfree\nconstants.lp_samples = 1\n",
+         "constants.lp_samples", "line 2, column 1"),
+        ("experiment = tails-demo\nconstants.u_start = 3.0\nconstants.u_stop = 2.0\n",
+         "constants.u_stop", "line 3, column 1"),
+        ("experiment = tails-demo\nconstants.u_start = 5.0\n", "constants.u_start",
+         "line 2, column 1"),
     ], ids=["undeclared-constant", "repeated-seed", "scaling-k1-with-k3", "zero-u-step",
             "negative-u-step", "negative-n", "scaling-k2-with-n1", "chaining-demo-with-n1",
-            "fractional-count", "zero-count", "negative-w"])
+            "fractional-count", "zero-count", "negative-w", "scaling-k1-with-one-n",
+            "scaling-k2-with-one-n", "scaling-kk-with-one-n", "one-mc-sample",
+            "one-lp-sample", "u-stop-below-u-start", "u-start-above-default-u-stop"])
     def test_rejected_config_exits_2_naming_the_key(self, tmp_path, capsys, body, key,
                                                     location):
         config = tmp_path / "cfg.txt"

@@ -9,6 +9,7 @@ from berncomp import (
     EstimatorConfig,
     FiniteFunctionClass,
     GaussianRkhsBall,
+    InvalidInputError,
     LipschitzBall,
     PointSet,
     bernoulli_complexity,
@@ -55,6 +56,21 @@ class TestBernoulliComplexity:
         T = PointSet(np.ones((2, 4, 4)))
         est = bernoulli_complexity(T, EstimatorConfig(mode="auto", mc_samples=500, seed=1))
         assert est.method == "monte-carlo" and est.samples == 500 and est.std_error > 0
+
+    @pytest.mark.parametrize("samples", [0, 1])
+    def test_fewer_than_two_mc_samples_rejected(self, samples):
+        # one sample has no standard error; reporting 0 would pass it as exact
+        with pytest.raises(InvalidInputError, match="mc_samples must be >= 2"):
+            EstimatorConfig(mc_samples=samples)
+
+    def test_two_mc_samples_give_the_sample_standard_error(self):
+        T = PointSet.from_rows([[1.0, 0.0, 0.0], [0.0, 0.0, 3.0]])
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=2, seed=1)
+        signs = np.random.default_rng(1).integers(0, 2, size=(2, 3)) * 2.0 - 1.0
+        sups = (signs @ T.vectorized().T).max(axis=1)
+        est = bernoulli_complexity(T, cfg)
+        assert est.samples == 2 and est.value == pytest.approx(sups.mean())
+        assert est.std_error == pytest.approx(abs(sups[0] - sups[1]) / 2.0)
 
     def test_monotone_under_inclusion_exact(self):
         rng = np.random.default_rng(1)

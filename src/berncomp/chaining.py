@@ -12,7 +12,6 @@ spaces of at most 20 points).
 
 from __future__ import annotations
 
-import csv
 import itertools
 import math
 import re
@@ -20,10 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteMetricSpace, _parse_number
+from .core import FiniteMetricSpace, _parse_cells, _parse_number, _read_csv, _write_csv
 from .errors import InvalidInputError
 
 ENTROPY_SOURCES = ("empirical-greedy", "exhaustive", "lipschitz-formula")
+ENTROPY_CSV_HEADER = ["m", "e_m", "source"]
 
 # Levels beyond this are never needed: their admissible cardinality exceeds
 # any finite space we can represent.
@@ -52,29 +52,24 @@ def admissible_capacity(m: int):
     return 2 ** (2 ** m)
 
 
-def farthest_first_order(dist: np.ndarray, indices=None) -> list:
-    """Greedy farthest-first ordering of the given indices (default: all).
+def farthest_first_order(dist: np.ndarray) -> list:
+    """Greedy farthest-first ordering of all points.
 
-    Starts from the lowest index; each subsequent pick maximizes the minimum
+    Starts from point 0; each subsequent pick maximizes the minimum
     distance to the points already chosen, ties broken by lowest index.
     """
-    if indices is None:
-        indices = np.arange(dist.shape[0])
-    idx = np.asarray(sorted(indices), dtype=int)
-    if idx.size == 0:
+    if dist.shape[0] == 0:
         raise InvalidInputError("need at least one point")
-    order = [int(idx[0])]
-    if idx.size == 1:
-        return order
-    remaining = list(idx[1:])
-    mindist = dist[np.asarray(remaining), order[0]].astype(float)
+    order = [0]
+    remaining = list(range(1, dist.shape[0]))
+    mindist = dist[remaining, 0].astype(float)
     while remaining:
         pos = int(np.argmax(mindist))  # first maximum = lowest index
         chosen = remaining.pop(pos)
-        order.append(int(chosen))
+        order.append(chosen)
         mindist = np.delete(mindist, pos)
         if remaining:
-            np.minimum(mindist, dist[np.asarray(remaining), chosen], out=mindist)
+            np.minimum(mindist, dist[remaining, chosen], out=mindist)
     return order
 
 
@@ -418,41 +413,28 @@ def composite_rate(n: int, k: int) -> float:
 
 
 def entropy_profile_to_csv(profile: EntropyProfile, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m", "e_m", "source"])
-        for m, v in enumerate(profile.values):
-            writer.writerow([str(m), repr(v), profile.source])
+    _write_csv(path, ENTROPY_CSV_HEADER,
+               ([str(m), repr(v), profile.source] for m, v in enumerate(profile.values)))
 
 
 def entropy_profile_from_csv(path) -> EntropyProfile:
     """Load a profile written by entropy_profile_to_csv.  Rows must number
     m = 0, 1, ... in order and share one source; a malformed row raises
     InvalidInputError naming its line (and column, for a bad number)."""
+    header, rows = _read_csv(path)
+    if header != ENTROPY_CSV_HEADER:
+        raise InvalidInputError(f"{path}, line 1: expected header {','.join(ENTROPY_CSV_HEADER)}")
     values = []
-    source = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["m", "e_m", "source"]:
-            raise InvalidInputError("unexpected entropy-profile header")
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}, line {reader.line_num}"
-            if len(row) != 3:
-                raise InvalidInputError(f"{where}: expected 3 fields, got {len(row)}")
-            m = _parse_number(row[0], f"{where}, column m", int)
-            if m != len(values):
-                raise InvalidInputError(f"{where}: expected m = {len(values)}, got {m}")
-            if source is not None and row[2] != source:
-                raise InvalidInputError(
-                    f"{where}, column source: {row[2]!r} differs from {source!r}"
-                )
-            values.append(_parse_number(row[1], f"{where}, column e_m"))
-            source = row[2]
-    if source is None:
-        raise InvalidInputError("entropy-profile CSV has no rows")
+    source = rows[0][1][2]  # the first row's source column
+    for where, row in rows:
+        m, value = _parse_cells(where, header, row, (int, float))
+        if m != len(values):
+            raise InvalidInputError(f"{where}: expected m = {len(values)}, got {m}")
+        if row[2] != source:
+            raise InvalidInputError(
+                f"{where}, column source: {row[2]!r} differs from {source!r}"
+            )
+        values.append(value)
     return EntropyProfile(tuple(values), source)
 
 
@@ -485,7 +467,8 @@ def sequence_from_text(path) -> AdmissibleSequence:
             for token in _SEQ_TOKEN.finditer(line, len(head) + len(colon)):
                 text = token.group()
                 if not (text.startswith("{") and text.endswith("}")):
-                    raise InvalidInputError(f"malformed block token {text!r}")
+                    raise InvalidInputError(f"{path}, line {line_no}, column "
+                                            f"{token.start() + 1}: malformed block token {text!r}")
                 indices = _SEQ_INDEX.finditer(line, token.start() + 1, token.end() - 1)
                 blocks.append(tuple(
                     _parse_number(v.group(), f"{path}, line {line_no}, column {v.start() + 1}", int)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _parse_number, sq_distances
+from .core import _parse_cells, _parse_number, _read_csv, _write_csv, sq_distances
 from .errors import BudgetExceededError, InvalidInputError
 # Called through this name: perfbench's tracer wraps classes.simplex_maximize.
 from .simplex import simplex_maximize
@@ -47,6 +47,8 @@ CONVEXITY_TOL = 1e-9
 
 # Uniform grid cells of each function drawn by sample_piecewise_linear_class.
 PIECEWISE_LINEAR_CELLS = 32
+
+FINITE_CLASS_CSV_HEADER = ["func_id", "point_id", "value"]
 
 
 def _as_points(points) -> np.ndarray:
@@ -440,58 +442,53 @@ def sample_piecewise_linear_class(n_functions: int, L: float, R: float,
 def finite_class_to_csv(cls: FiniteFunctionClass, values_path, meta_path) -> None:
     """Write (func_id, point_id, value) triplets plus a key=value sidecar
     holding the class metadata {L, B}."""
-    import csv as _csv
-
-    with open(values_path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(["func_id", "point_id", "value"])
-        for j in range(cls.n_functions):
-            for i in range(cls.n_points):
-                writer.writerow([str(j), str(i), repr(float(cls.table[j, i]))])
+    _write_csv(values_path, FINITE_CLASS_CSV_HEADER,
+               ([str(j), str(i), repr(float(cls.table[j, i]))]
+                for j in range(cls.n_functions) for i in range(cls.n_points)))
     with open(meta_path, "w") as fh:
         fh.write(f"L = {cls.lipschitz_L!r}\n")
         fh.write(f"B = {cls.uniform_bound_B!r}\n")
 
 
 def finite_class_from_csv(values_path, meta_path) -> FiniteFunctionClass:
-    import csv as _csv
-
+    """Load a class written by finite_class_to_csv.  The sidecar holds L and
+    B once each; the triplets hold every (func_id, point_id) cell of the
+    grid from 0 up to the largest ids exactly once."""
     meta = {}
     with open(meta_path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            meta[key] = _parse_number(value.strip(), f"{meta_path}, line {lineno}, key {key}")
+            where = f"{meta_path}, line {lineno}"
+            key, eq, value = (part.strip() for part in line.partition("="))
+            if not eq or key not in ("L", "B"):
+                raise InvalidInputError(f"{where}: expected 'L = value' or 'B = value'")
+            if key in meta:
+                raise InvalidInputError(f"{where}: repeated key {key}")
+            meta[key] = _parse_number(value, f"{where}, key {key}")
     for key in ("L", "B"):
         if key not in meta:
-            raise InvalidInputError(f"sidecar is missing {key}")
+            raise InvalidInputError(f"{meta_path}: sidecar is missing {key}")
+    header, rows = _read_csv(values_path)
+    if header != FINITE_CLASS_CSV_HEADER:
+        raise InvalidInputError(f"{values_path}, line 1: expected header "
+                                f"{','.join(FINITE_CLASS_CSV_HEADER)}")
     cells = {}
-    with open(values_path, newline="") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader, None)
-        if header != ["func_id", "point_id", "value"]:
-            raise InvalidInputError("unexpected header in function-class CSV")
-        for row in reader:
-            if not row:
-                continue
-            line = f"{values_path}, line {reader.line_num}"
-            if len(row) != 3:
-                raise InvalidInputError(f"{line}: expected 3 fields, got {len(row)}")
-            j, i, value = (_parse_number(text, f"{line}, column {name}", convert)
-                           for text, name, convert in zip(row, header, (int, int, float)))
-            if j < 0 or i < 0:
-                raise InvalidInputError(f"{line}: func_id and point_id must be >= 0")
-            cells[(j, i)] = value
-    if not cells:
-        raise InvalidInputError("function-class CSV has no values")
+    for where, row in rows:
+        j, i, value = _parse_cells(where, header, row, (int, int, float))
+        if j < 0 or i < 0:
+            raise InvalidInputError(f"{where}: func_id and point_id must be >= 0")
+        if (j, i) in cells:
+            raise InvalidInputError(f"{where}: repeated cell func_id {j}, point_id {i}")
+        cells[(j, i)] = value
+    # Distinct in-range cells fill the grid iff they number r * n.
     r = max(j for j, _ in cells) + 1
     n = max(i for _, i in cells) + 1
-    table = np.full((r, n), np.nan)
-    for (j, i), v in cells.items():
-        table[j, i] = v
-    if np.any(np.isnan(table)):
-        raise InvalidInputError("function-class CSV is missing entries")
+    if len(cells) != r * n:
+        raise InvalidInputError(f"{values_path}: function-class CSV is missing entries "
+                                f"({len(cells)} values for {r} functions x {n} points)")
+    table = np.empty((r, n))
+    for (j, i), value in cells.items():
+        table[j, i] = value
     return FiniteFunctionClass(table=table, lipschitz_L=meta["L"], uniform_bound_B=meta["B"])

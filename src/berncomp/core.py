@@ -236,57 +236,81 @@ class ComplexityEstimate:
 ESTIMATE_CSV_HEADER = ["quantity", "value", "std_error", "method", "samples", "seed"]
 
 
-def estimates_to_csv(rows, path) -> None:
-    """Write (quantity, estimate) pairs as CSV with the standard header."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ESTIMATE_CSV_HEADER)
-        for quantity, est in rows:
-            writer.writerow(est.csv_row(quantity))
-
-
 def _parse_number(text: str, where: str, convert=float):
-    """convert(text), or InvalidInputError naming `where` (file, line, column)."""
+    """convert(text), or InvalidInputError naming `where` (file, line, column)
+    when text is not a number or is not finite."""
     try:
-        return convert(text)
+        value = convert(text)
     except ValueError:
         raise InvalidInputError(f"{where}: expected a number, got {text!r}") from None
+    if isinstance(value, float) and not math.isfinite(value):
+        raise InvalidInputError(f"{where}: expected a finite number, got {text!r}")
+    return value
+
+
+def _parse_cells(where: str, names, cells, converts) -> list:
+    """The cells as numbers, each through its convert; a bad cell raises
+    InvalidInputError naming `where` and the cell's column name."""
+    return [_parse_number(text, f"{where}, column {name}", convert)
+            for name, text, convert in zip(names, cells, converts)]
+
+
+def _read_csv(path):
+    """The header and the nonblank data rows of a CSV file.  Each row comes
+    paired with its location "<path>, line <n>".  A row whose field count
+    differs from the header's raises InvalidInputError naming that line, and
+    so does a file without data rows, naming the file."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise InvalidInputError(
+                    f"{where}: expected {len(header)} fields, got {len(row)}")
+            rows.append((where, row))
+    if not rows:
+        raise InvalidInputError(f"{path}: no data rows")
+    return header, rows
+
+
+def _write_csv(path, header, rows) -> None:
+    """Write the header and then the rows in the csv default dialect."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def estimates_to_csv(rows, path) -> None:
+    """Write (quantity, estimate) pairs as CSV with the standard header."""
+    _write_csv(path, ESTIMATE_CSV_HEADER, (est.csv_row(quantity) for quantity, est in rows))
 
 
 def pointset_to_csv(T: PointSet, path) -> None:
     """One row per element: elem_id followed by the row-major vectorization."""
-    kn = T.k * T.n
-    header = ["elem_id"] + [f"coord_{j}" for j in range(kn)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for i, vec in enumerate(T.vectorized()):
-            writer.writerow([str(i)] + [repr(float(v)) for v in vec])
+    header = ["elem_id"] + [f"coord_{j}" for j in range(T.k * T.n)]
+    _write_csv(path, header, ([str(i)] + [repr(float(v)) for v in vec]
+                              for i, vec in enumerate(T.vectorized())))
 
 
 def pointset_from_csv(path, k: int = 1) -> PointSet:
     """Load a point set written by pointset_to_csv.
 
-    The flat coordinate count must be divisible by k; n is inferred.  A cell
-    that is not a number raises InvalidInputError naming its line and column.
+    The flat coordinate count must be divisible by k; n is inferred.  A
+    malformed file raises InvalidInputError naming its line, and the column
+    for a cell that is not a finite number.
     """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "elem_id":
-            raise InvalidInputError("expected header starting with elem_id")
-        rows = [(reader.line_num, row) for row in reader if row]
-    if not rows:
-        raise InvalidInputError("point set file has no elements")
+    if k < 1:
+        raise InvalidInputError(f"k must be at least 1, got {k}")
+    header, rows = _read_csv(path)
+    if header[:1] != ["elem_id"]:
+        raise InvalidInputError(f"{path}, line 1: expected header starting with elem_id")
     kn = len(header) - 1
-    if kn % k != 0:
-        raise InvalidInputError(f"{kn} coordinates not divisible by k={k}")
-    n = kn // k
-    mats = []
-    for line, row in rows:
-        if len(row) != kn + 1:
-            raise InvalidInputError(f"row {row[0]!r} has {len(row) - 1} coords, expected {kn}")
-        coords = [_parse_number(v, f"{path}, line {line}, column {name}")
-                  for name, v in zip(header[1:], row[1:])]
-        mats.append(np.array(coords, dtype=float).reshape(k, n))
-    return PointSet.from_elements(mats)
+    if kn == 0 or kn % k != 0:
+        raise InvalidInputError(f"{path}, line 1: {kn} coordinates do not form k={k} rows")
+    coords = [_parse_cells(where, header[1:], row[1:], [float] * kn) for where, row in rows]
+    return PointSet(np.array(coords, dtype=float).reshape(len(rows), k, kn // k))

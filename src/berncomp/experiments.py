@@ -9,7 +9,6 @@ is the one table of experiments: runner, defaults and settable constants.
 
 from __future__ import annotations
 
-import csv
 import math
 import zlib
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ from .complexity import (
     gaussian_complexity,
     increment_ratio,
 )
-from .core import PointSet, diameter2, metric_space_from_pointset, norm_pq
+from .core import PointSet, _write_csv, diameter2, metric_space_from_pointset, norm_pq
 from .errors import InvalidInputError
 from .svgplot import write_plot
 from .tails import (
@@ -517,14 +516,8 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
     outcome = spec.run(cfg, {**spec.constants, **cfg.constants})
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "results.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(RESULTS_HEADER)
-        writer.writerows(outcome.rows)
-    with open(out_dir / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_HEADER)
-        writer.writerows(outcome.summary)
+    _write_csv(out_dir / "results.csv", RESULTS_HEADER, outcome.rows)
+    _write_csv(out_dir / "summary.csv", SUMMARY_HEADER, outcome.summary)
     for name, (dots, lines, kwargs) in outcome.figures.items():
         write_plot(out_dir / name, dots, lines, **kwargs)
     for note in outcome.notes:

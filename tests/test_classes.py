@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -127,6 +128,61 @@ class TestFiniteClassSup:
         meta.write_text("L = 1.0\nB = one\n")
         with pytest.raises(InvalidInputError, match="line 2, key B"):
             finite_class_from_csv(vals, meta)
+
+    @pytest.mark.parametrize("rows, where", [
+        ("0,0,0.5\n0,0,0.25\n", "line 3: repeated cell func_id 0, point_id 0"),
+        ("0,0,nan\n", "line 2, column value: expected a finite number, got 'nan'"),
+    ], ids=["repeated-cell", "nan-cell"])
+    def test_bad_cell_names_file_and_line(self, tmp_path, rows, where):
+        meta = tmp_path / "meta.txt"
+        meta.write_text("L = 1.0\nB = 1.0\n")
+        vals = tmp_path / "class.csv"
+        vals.write_text("func_id,point_id,value\n" + rows)
+        with pytest.raises(InvalidInputError) as err:
+            finite_class_from_csv(vals, meta)
+        assert str(err.value).startswith(f"{vals}, {where}")
+
+    @pytest.mark.parametrize("rows", ["0,0,0.5\n1,1,0.5\n", "0,100000000,0.5\n"],
+                             ids=["diagonal", "one-far-cell"])
+    def test_missing_cells_rejected_before_the_table_is_allocated(self, tmp_path, rows):
+        # The far cell spans a 1 x 100000001 grid: 800 MB if it were tabulated.
+        meta = tmp_path / "meta.txt"
+        meta.write_text("L = 1.0\nB = 1.0\n")
+        vals = tmp_path / "class.csv"
+        vals.write_text("func_id,point_id,value\n" + rows)
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidInputError) as err:
+                finite_class_from_csv(vals, meta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value).startswith(f"{vals}: function-class CSV is missing entries")
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("text, where", [
+        ("L = 1.0\nL = 2.0\nB = 1.0\n", "line 2: repeated key L"),
+        ("L = 1.0\nB = 1.0\nC = 3.0\n", "line 3: expected 'L = value' or 'B = value'"),
+        ("L 1\nB = 1.0\n", "line 1: expected 'L = value' or 'B = value'"),
+        ("L = 1.0\nB = inf\n", "line 2, key B: expected a finite number, got 'inf'"),
+    ], ids=["repeated-key", "unknown-key", "no-equals", "infinite-value"])
+    def test_bad_sidecar_line_names_file_and_line(self, tmp_path, text, where):
+        vals = tmp_path / "class.csv"
+        vals.write_text("func_id,point_id,value\n0,0,0.5\n")
+        meta = tmp_path / "meta.txt"
+        meta.write_text(text)
+        with pytest.raises(InvalidInputError) as err:
+            finite_class_from_csv(vals, meta)
+        assert str(err.value).startswith(f"{meta}, {where}")
+
+    def test_sidecar_missing_key_names_file(self, tmp_path):
+        vals = tmp_path / "class.csv"
+        vals.write_text("func_id,point_id,value\n0,0,0.5\n")
+        meta = tmp_path / "meta.txt"
+        meta.write_text("L = 1.0\n")
+        with pytest.raises(InvalidInputError) as err:
+            finite_class_from_csv(vals, meta)
+        assert str(err.value) == f"{meta}: sidecar is missing B"
 
 
 class TestLipschitzBallSup:

@@ -197,6 +197,19 @@ class TestEstimateCommand:
         assert main(["estimate", "--input", str(path), "--quantity", "b"]) == 2
         assert "line 3, column coord_0" in capsys.readouterr().err
 
+    def test_nan_cell_exits_2_naming_line_and_column(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("elem_id,coord_0,coord_1\n0,1.0,2.0\n1,3.0,nan\n")
+        assert main(["estimate", "--input", str(path), "--quantity", "b"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}, line 3, column coord_1: expected a finite number, got 'nan'\n")
+
+    def test_k_below_one_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "pts.csv"
+        pointset_to_csv(PointSet.from_rows([[1.0, 2.0]]), path)
+        assert main(["estimate", "--input", str(path), "--quantity", "b", "--k", "0"]) == 2
+        assert "k must be at least 1" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["estimate", "--input", "/nonexistent.csv", "--quantity", "b"]) == 2
 

@@ -9,10 +9,13 @@ from berncomp import (
     InvalidInputError,
     PointSet,
     diameter2,
+    entropy_profile_from_csv,
+    finite_class_from_csv,
     metric_space_from_pointset,
     norm_pq,
     pointset_from_csv,
     pointset_to_csv,
+    sequence_from_text,
 )
 
 
@@ -188,3 +191,52 @@ class TestComplexityEstimate:
         lines = path.read_text().splitlines()
         assert lines[0] == "quantity,value,std_error,method,samples,seed"
         assert lines[2].startswith("g,0.81,0.02,monte-carlo,1000,7")
+
+
+def _load_finite_class(path):
+    meta = path.with_name("meta.txt")
+    meta.write_text("L = 1.0\nB = 1.0\n")
+    return finite_class_from_csv(path, meta)
+
+
+class TestLoaderErrors:
+    """Every loader reports malformed input as '<path>, line <n>...'."""
+
+    @pytest.mark.parametrize("load, text, where", [
+        (pointset_from_csv, "elem_id,coord_0,coord_1\n0,1.0,2.0\n1,3.0\n",
+         "line 3: expected 3 fields, got 2"),
+        (pointset_from_csv, "elem_id,coord_0,coord_1\n0,nan,2.0\n",
+         "line 2, column coord_0: expected a finite number, got 'nan'"),
+        (pointset_from_csv, "elem_id,coord_0,coord_1\n0,1.0,1e400\n",
+         "line 2, column coord_1: expected a finite number, got '1e400'"),
+        (pointset_from_csv, "id,coord_0\n0,1.0\n",
+         "line 1: expected header starting with elem_id"),
+        (pointset_from_csv, "elem_id\n0\n", "line 1: 0 coordinates do not form k=1 rows"),
+        (entropy_profile_from_csv, "m,e_m,source\n0,nan,exhaustive\n",
+         "line 2, column e_m: expected a finite number, got 'nan'"),
+        (entropy_profile_from_csv, "m,e,source\n0,1.0,exhaustive\n",
+         "line 1: expected header m,e_m,source"),
+        (_load_finite_class, "func,point,value\n0,0,0.5\n",
+         "line 1: expected header func_id,point_id,value"),
+        (sequence_from_text, "level 0: {0,1}\nlevel 1: {1 {0}\n",
+         "line 2, column 10: malformed block token '{1'"),
+    ], ids=["pointset-short-row", "pointset-nan", "pointset-overflow", "pointset-header",
+            "pointset-no-coordinates", "profile-nan", "profile-header", "class-header", "sequence-token"])
+    def test_message_names_file_and_line(self, tmp_path, load, text, where):
+        path = tmp_path / "data.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError) as err:
+            load(path)
+        assert str(err.value).startswith(f"{path}, {where}")
+
+    @pytest.mark.parametrize("load, header", [
+        (pointset_from_csv, "elem_id,coord_0"),
+        (entropy_profile_from_csv, "m,e_m,source"),
+        (_load_finite_class, "func_id,point_id,value"),
+    ], ids=["pointset", "profile", "class"])
+    def test_header_without_rows_names_file(self, tmp_path, load, header):
+        path = tmp_path / "data.csv"
+        path.write_text(header + "\n\n")
+        with pytest.raises(InvalidInputError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: no data rows"

@@ -2,7 +2,8 @@
 entropy-based bound on composite complexity.
 """
 
-import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +18,7 @@ from berncomp import (
     lipschitz_entropy_profile,
     metric_space_from_pointset,
     min_truncation_objective,
+    sequence_from_text,
     sequence_to_text,
 )
 
@@ -39,8 +41,14 @@ print(f"\nadmissible sequence: {seq.n_levels} levels, block counts "
       f"{[len(level) for level in seq.levels]}")
 print(f"chaining functional value: {gamma2_upper(space, seq):.4f} "
       f"(never below the diameter)")
-sequence_to_text(seq, "/tmp/sequence_demo.txt")
-print("serialized to /tmp/sequence_demo.txt (block-per-line format)")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "sequence.txt"
+    sequence_to_text(seq, path)
+    print("serialized in block-per-line format, first lines:")
+    for line in path.read_text().splitlines()[:3]:
+        print(f"  {line}")
+    back = sequence_from_text(path)
+print(f"read back: {back.n_levels} levels, equal to the original: {back == seq}")
 
 print("\nentropy envelope profiles and the composite bound:")
 profile = lipschitz_entropy_profile(20, L=1.0, B=1.0, k=1, C_k=4.0)

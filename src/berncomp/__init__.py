@@ -69,7 +69,6 @@ from .errors import (
 )
 from .simplex import simplex_maximize
 from .tails import (
-    TailSeriesParams,
     expectation_bound_from_tail,
     log_tail_series,
     sample_from_capped_tail,

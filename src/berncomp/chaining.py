@@ -52,25 +52,30 @@ def admissible_capacity(m: int):
     return 2 ** (2 ** m)
 
 
-def farthest_first_order(dist: np.ndarray) -> list:
-    """Greedy farthest-first ordering of all points.
+def farthest_first_order(dist: np.ndarray):
+    """(order, radii): the greedy farthest-first ordering of all points,
+    and radii[j] = max_i min_{c in order[:j+1]} dist[i, c], ending in 0.
 
-    Starts from point 0; each subsequent pick maximizes the minimum
-    distance to the points already chosen, ties broken by lowest index.
+    Starts from point 0; each subsequent pick maximizes the minimum distance
+    to the points already chosen (ties: lowest index), and that maximum is
+    the covering radius of the points chosen before it.
     """
     if dist.shape[0] == 0:
         raise InvalidInputError("need at least one point")
     order = [0]
+    radii = []
     remaining = list(range(1, dist.shape[0]))
     mindist = dist[remaining, 0].astype(float)
     while remaining:
         pos = int(np.argmax(mindist))  # first maximum = lowest index
+        radii.append(float(mindist[pos]))
         chosen = remaining.pop(pos)
         order.append(chosen)
         mindist = np.delete(mindist, pos)
         if remaining:
             np.minimum(mindist, dist[remaining, chosen], out=mindist)
-    return order
+    radii.append(0.0)
+    return order, radii
 
 
 @dataclass(frozen=True)
@@ -101,16 +106,8 @@ def covering_number(space: FiniteMetricSpace, delta: float) -> CoveringResult:
         raise InvalidInputError("delta must be positive")
     m = space.size
     d = space.dist
-    order = farthest_first_order(d)
-    covered = np.full(m, np.inf)
-    upper = 0
-    for center in order:
-        if upper > 0 and covered.max() <= delta:
-            break
-        np.minimum(covered, d[:, center], out=covered)
-        upper += 1
-    if covered.max() > delta:  # only possible if loop exhausted all points
-        upper = m
+    _, radii = farthest_first_order(d)
+    upper = next(j + 1 for j, radius in enumerate(radii) if radius <= delta)
 
     always_exact = m <= 20
     total = 0
@@ -119,7 +116,7 @@ def covering_number(space: FiniteMetricSpace, delta: float) -> CoveringResult:
         if not always_exact and total + count > SEARCH_BUDGET:
             return CoveringResult(upper, None)
         total += count
-        if any((radii <= delta).any() for radii in _subset_radii(d, size)):
+        if any((chunk <= delta).any() for chunk in _subset_radii(d, size)):
             return CoveringResult(upper, size)
     return CoveringResult(upper, upper)
 
@@ -145,8 +142,7 @@ def entropy_number(space: FiniteMetricSpace, m: int) -> EntropyResult:
     if size >= npts:
         return EntropyResult(0.0, 0.0)
     d = space.dist
-    centers = farthest_first_order(d)[:size]
-    upper = float(d[:, centers].min(axis=1).max())
+    upper = farthest_first_order(d)[1][size - 1]
     if math.comb(npts, size) > SEARCH_BUDGET:
         return EntropyResult(upper, None)
     # The greedy centers are one of the subsets, so the minimum is <= upper.
@@ -203,8 +199,7 @@ def uniform_metric_space(table: np.ndarray) -> FiniteMetricSpace:
     t = np.asarray(table, dtype=float)
     if t.ndim != 2:
         raise InvalidInputError("table must be 2-d (functions by points)")
-    dist = np.abs(t[:, None, :] - t[None, :, :]).max(axis=2)
-    return FiniteMetricSpace(labels=tuple(str(j) for j in range(t.shape[0])), dist=dist)
+    return FiniteMetricSpace(np.abs(t[:, None, :] - t[None, :, :]).max(axis=2))
 
 
 def lipschitz_entropy_formula(m: int, L: float, B: float, k: int, C_k: float) -> float:
@@ -299,7 +294,7 @@ def build_admissible_sequence(space: FiniteMetricSpace) -> AdmissibleSequence:
                     if chunk.size:
                         new_level.append(tuple(int(i) for i in chunk))
                 continue
-            local_centers = farthest_first_order(sub)[:n_centers]
+            local_centers = farthest_first_order(sub)[0][:n_centers]
             assign = np.argmin(sub[:, local_centers], axis=1)  # ties: lowest center
             for ci in range(len(local_centers)):
                 members = block_arr[assign == ci]
@@ -420,7 +415,8 @@ def entropy_profile_to_csv(profile: EntropyProfile, path) -> None:
 def entropy_profile_from_csv(path) -> EntropyProfile:
     """Load a profile written by entropy_profile_to_csv.  Rows must number
     m = 0, 1, ... in order and share one source; a malformed row raises
-    InvalidInputError naming its line (and column, for a bad number)."""
+    InvalidInputError naming its line (and column, for a bad number), and a
+    bad profile raises one naming the file."""
     header, rows = _read_csv(path)
     if header != ENTROPY_CSV_HEADER:
         raise InvalidInputError(f"{path}, line 1: expected header {','.join(ENTROPY_CSV_HEADER)}")
@@ -435,7 +431,10 @@ def entropy_profile_from_csv(path) -> EntropyProfile:
                 f"{where}, column source: {row[2]!r} differs from {source!r}"
             )
         values.append(value)
-    return EntropyProfile(tuple(values), source)
+    try:
+        return EntropyProfile(tuple(values), source)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None
 
 
 def sequence_to_text(seq: AdmissibleSequence, path) -> None:
@@ -453,7 +452,8 @@ _SEQ_INDEX = re.compile(r"[^,]+")
 def sequence_from_text(path) -> AdmissibleSequence:
     """Load a sequence written by sequence_to_text.  A line that does not
     start with `level m:`, m counting the levels read so far, or an index
-    that is not an integer raises InvalidInputError naming its line."""
+    that is not an integer raises InvalidInputError naming its line, and a
+    file without levels raises one naming the file."""
     levels = []
     with open(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -474,4 +474,7 @@ def sequence_from_text(path) -> AdmissibleSequence:
                     _parse_number(v.group(), f"{path}, line {line_no}, column {v.start() + 1}", int)
                     for v in indices))
             levels.append(tuple(blocks))
-    return AdmissibleSequence(tuple(levels))
+    try:
+        return AdmissibleSequence(tuple(levels))
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{path}: {exc}") from None

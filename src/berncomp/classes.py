@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _parse_cells, _parse_number, _read_csv, _write_csv, sq_distances
+from .core import _as_readonly, _parse_cells, _parse_number, _read_csv, _write_csv, sq_distances
 from .errors import BudgetExceededError, InvalidInputError
 # Called through this name: perfbench's tracer wraps classes.simplex_maximize.
 from .simplex import simplex_maximize
@@ -108,9 +108,7 @@ class FiniteFunctionClass:
             raise InvalidInputError("lipschitz_L and uniform_bound_B must be positive")
         if np.abs(table).max() > self.uniform_bound_B + 1e-9:
             raise InvalidInputError("table entries exceed the uniform bound")
-        table = table.copy()
-        table.flags.writeable = False
-        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "table", _as_readonly(table))
         if self.points is not None:
             pts = _as_points(self.points)
             if pts.shape[0] != table.shape[1]:
@@ -122,9 +120,7 @@ class FiniteFunctionClass:
                 raise InvalidInputError(
                     f"tabulated values violate the Lipschitz certificate by {slack.max():.3e}"
                 )
-            pts = pts.copy()
-            pts.flags.writeable = False
-            object.__setattr__(self, "points", pts)
+            object.__setattr__(self, "points", _as_readonly(pts))
 
     @property
     def n_functions(self) -> int:
@@ -428,10 +424,7 @@ def sample_piecewise_linear_class(n_functions: int, L: float, R: float,
     starts = rng.uniform(-L * R, L * R, size=(n_functions, 1))
     values = np.concatenate([starts, starts + np.cumsum(slopes * dx, axis=1)], axis=1)
     values = np.clip(values, -L * R, L * R)
-    values.flags.writeable = False
-    ro_knots = knots.copy()
-    ro_knots.flags.writeable = False
-    return PiecewiseLinearClass(ro_knots, values, float(L), float(R))
+    return PiecewiseLinearClass(_as_readonly(knots), _as_readonly(values), float(L), float(R))
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +446,8 @@ def finite_class_to_csv(cls: FiniteFunctionClass, values_path, meta_path) -> Non
 def finite_class_from_csv(values_path, meta_path) -> FiniteFunctionClass:
     """Load a class written by finite_class_to_csv.  The sidecar holds L and
     B once each; the triplets hold every (func_id, point_id) cell of the
-    grid from 0 up to the largest ids exactly once."""
+    grid from 0 up to the largest ids exactly once.  A table the class
+    rejects, such as one exceeding B, raises naming the values file."""
     meta = {}
     with open(meta_path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -491,4 +485,7 @@ def finite_class_from_csv(values_path, meta_path) -> FiniteFunctionClass:
     table = np.empty((r, n))
     for (j, i), value in cells.items():
         table[j, i] = value
-    return FiniteFunctionClass(table=table, lipschitz_L=meta["L"], uniform_bound_B=meta["B"])
+    try:
+        return FiniteFunctionClass(table=table, lipschitz_L=meta["L"], uniform_bound_B=meta["B"])
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{values_path}: {exc}") from None

@@ -14,7 +14,7 @@ from .config import parse_config
 from .core import ESTIMATE_CSV_HEADER, pointset_from_csv
 from .errors import ConfigError, ToolkitError
 from .experiments import run_experiment
-from .tails import TailSeriesParams, tail_series, tail_series_capped
+from .tails import tail_series, tail_series_capped
 
 
 def _parse_grid(spec: str):
@@ -41,12 +41,11 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_tails(args) -> int:
-    params = TailSeriesParams(w=args.w)
     writer = csv.writer(sys.stdout)
     writer.writerow(["u", "p", "q"])
     for u in _parse_grid(args.u_grid):
-        writer.writerow([repr(u), repr(tail_series(u, params)),
-                         repr(tail_series_capped(u, params))])
+        writer.writerow([repr(u), repr(tail_series(u, args.w)),
+                         repr(tail_series_capped(u, args.w))])
     return 0
 
 

@@ -18,7 +18,7 @@ berncomp.classes).  All randomized operations are pure functions of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,9 +53,8 @@ class EstimatorConfig:
             raise InvalidInputError(f"mc_samples must be >= 2, got {self.mc_samples}")
         if self.exact_cutoff_n < 1:
             raise InvalidInputError("exact_cutoff_n must be positive")
-
-    def with_seed(self, seed: int) -> "EstimatorConfig":
-        return replace(self, seed=int(seed))
+        if self.seed < 0:  # numpy generators take only nonnegative seeds
+            raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
 
     def pick_exact(self, n_signs: int) -> bool:
         if self.mode == "exact":

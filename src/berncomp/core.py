@@ -77,22 +77,12 @@ class PointSet:
         return self.elements.reshape(m, -1)
 
     @classmethod
-    def from_elements(cls, mats) -> "PointSet":
-        """Build from an iterable of (k, n) matrices (all the same shape)."""
-        arr = np.stack([np.atleast_2d(np.asarray(m, dtype=float)) for m in mats])
-        return cls(arr)
-
-    @classmethod
     def from_rows(cls, rows) -> "PointSet":
         """Build a k=1 set from an (m, n) array; each row becomes a 1-by-n element."""
         arr = np.asarray(rows, dtype=float)
         if arr.ndim != 2:
             raise InvalidInputError("from_rows expects a 2-d array")
         return cls(arr[:, None, :])
-
-    @classmethod
-    def singleton(cls, mat) -> "PointSet":
-        return cls.from_elements([mat])
 
 
 def norm_pq(t, p, q) -> float:
@@ -138,23 +128,18 @@ def diameter2(T: PointSet) -> float:
 
 @dataclass(frozen=True)
 class FiniteMetricSpace:
-    """A finite point list with a validated symmetric distance matrix.
+    """The points 0, ..., m-1 with a validated symmetric distance matrix.
 
-    Validation checks symmetry, a zero diagonal, nonnegativity and the
-    triangle inequality within TRIANGLE_TOL absolute slack.
+    Validation checks squareness, symmetry, a zero diagonal, nonnegativity
+    and the triangle inequality within TRIANGLE_TOL absolute slack.
     """
 
-    labels: tuple
     dist: np.ndarray
 
     def __post_init__(self):
         d = np.asarray(self.dist, dtype=float)
-        labels = tuple(str(x) for x in self.labels)
-        m = len(labels)
-        if d.shape != (m, m):
-            raise InvalidInputError(
-                f"distance matrix shape {d.shape} does not match {m} labels"
-            )
+        if d.ndim != 2 or d.shape[0] != d.shape[1]:
+            raise InvalidInputError(f"distance matrix must be square, got shape {d.shape}")
         if not np.all(np.isfinite(d)):
             raise InvalidInputError("distances must be finite")
         if np.any(d < 0):
@@ -166,12 +151,11 @@ class FiniteMetricSpace:
         if np.any(np.diag(d) != 0.0):
             raise InvalidInputError("distance matrix must have a zero diagonal")
         _check_triangle(d)
-        object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "dist", _as_readonly(d))
 
     @property
     def size(self) -> int:
-        return len(self.labels)
+        return self.dist.shape[0]
 
     @property
     def diameter(self) -> float:
@@ -197,10 +181,7 @@ def _check_triangle(d: np.ndarray) -> None:
 def metric_space_from_pointset(T: PointSet) -> FiniteMetricSpace:
     """Finite metric space on the elements of T under the Frobenius distance
     (the Euclidean distance of the vectorizations)."""
-    vecs = T.vectorized()
-    d = np.sqrt(sq_distances(vecs))
-    labels = tuple(str(i) for i in range(len(vecs)))
-    return FiniteMetricSpace(labels=labels, dist=d)
+    return FiniteMetricSpace(np.sqrt(sq_distances(T.vectorized())))
 
 
 @dataclass(frozen=True)

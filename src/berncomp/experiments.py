@@ -36,7 +36,6 @@ from .core import PointSet, _write_csv, diameter2, metric_space_from_pointset, n
 from .errors import InvalidInputError
 from .svgplot import write_plot
 from .tails import (
-    TailSeriesParams,
     divergence_threshold,
     expectation_bound_from_tail,
     sample_from_capped_tail,
@@ -354,21 +353,21 @@ def _direct_tail_sum(u: float) -> float:
 
 def _run_tails_demo(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
     out = ExperimentOutcome(cfg.experiment)
-    params = TailSeriesParams(w=consts["w"])
+    w = consts["w"]
     u_start, u_stop, u_step = consts["u_start"], consts["u_stop"], consts["u_step"]
     u = u_start
     while u <= u_stop + 1e-12:
-        p = tail_series(u, params)
-        q = tail_series_capped(u, params)
-        out.add_row(0, params.w, f"p[u={u:.4f}]", p if math.isfinite(p) else math.inf, 0.0, cfg.seed)
-        out.add_row(0, params.w, f"q[u={u:.4f}]", q, 0.0, cfg.seed)
+        p = tail_series(u, w)
+        q = tail_series_capped(u, w)
+        out.add_row(0, w, f"p[u={u:.4f}]", p if math.isfinite(p) else math.inf, 0.0, cfg.seed)
+        out.add_row(0, w, f"q[u={u:.4f}]", q, 0.0, cfg.seed)
         # second route: below the convergence threshold the series diverges;
         # for w = 0 and 1.75 <= u <= 26 (where exp(-u^2) is still a normal
         # float) its first 8 terms, summed directly, agree with the log-space
         # sum to rounding
-        if u <= divergence_threshold(params):
+        if u <= divergence_threshold(w):
             out.check(math.isinf(p), f"tail series finite at u={u} below the threshold")
-        elif params.w == 0 and 1.75 <= u <= 26.0:
+        elif w == 0 and 1.75 <= u <= 26.0:
             direct = _direct_tail_sum(u)
             out.check(abs(p - direct) <= 1e-12 * direct,
                       f"tail series {p!r} vs direct sum {direct!r} at u={u}")
@@ -391,24 +390,24 @@ def _run_tails_demo(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
                 out.check(emp <= bound,
                           f"uncentered tail margin at a={a}, u={u_val}")
                 min_margin = min(min_margin, bound - emp)
-        out.add_row(0, params.w, f"uncenter_min_margin_a={a}", min_margin, 0.0, cfg.seed)
+        out.add_row(0, w, f"uncenter_min_margin_a={a}", min_margin, 0.0, cfg.seed)
     # expectation bound dominates the floored inverse-transform law
-    bound, c_w = expectation_bound_from_tail(1.0, 0.5, params)
+    bound, c_w = expectation_bound_from_tail(1.0, 0.5, w)
     out.add_summary("C_w", c_w)
     min_margin = math.inf
     for rep in range(EXPECTATION_RUNS):
-        y = sample_from_capped_tail(params, 1.0, 0.5, 100000,
+        y = sample_from_capped_tail(w, 1.0, 0.5, 100000,
                                     cell_seed(cfg.seed, "expect", rep))
         margin = bound - float(y.mean())
         min_margin = min(min_margin, margin)
         out.check(margin >= 0.0, f"expectation bound margin < 0 in run {rep}")
     out.add_summary("expectation_min_margin", min_margin)
     grid = np.arange(max(u_start, 1.7), u_stop, u_step)
-    qs = [tail_series_capped(float(v), params) for v in grid]
+    qs = [tail_series_capped(float(v), w) for v in grid]
     out.figures["plot_tails_demo.svg"] = (
         [("q(u)", list(grid), qs)],
         [],
-        {"title": f"capped tail series, w={params.w}", "xlabel": "u", "ylabel": "q",
+        {"title": f"capped tail series, w={w}", "xlabel": "u", "ylabel": "q",
          "loglog": False},
     )
     return out

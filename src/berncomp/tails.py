@@ -13,7 +13,6 @@ constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,40 +26,32 @@ SAMPLER_GRID_STEP = 0.01
 SAMPLER_TAIL_CUT = 1e-12
 
 
-@dataclass(frozen=True)
-class TailSeriesParams:
-    """Series offset w >= 0."""
-
-    w: int = 0
-
-    def __post_init__(self):
-        if self.w < 0:
-            raise InvalidInputError("w must be nonnegative")
-
-
-def divergence_threshold(params: TailSeriesParams) -> float:
+def divergence_threshold(w: int = 0) -> float:
     """The series converges exactly for u above sqrt(2^(2+w) * ln 2)."""
-    return math.sqrt(2.0 ** (2 + params.w) * math.log(2.0))
+    if w < 0:
+        raise InvalidInputError("w must be nonnegative")
+    return math.sqrt(2.0 ** (2 + w) * math.log(2.0))
 
 
-def log_tail_series(u: float, params: TailSeriesParams | None = None) -> float:
+def log_tail_series(u: float, w: int = 0) -> float:
     """log p(u); +inf when the series diverges (u at or below the
     convergence threshold).
 
     Terms are accumulated by log-sum-exp and truncated at the first term
     falling below TRUNCATION_FLOOR relative to the running sum.
     """
-    params = params or TailSeriesParams()
+    if w < 0:
+        raise InvalidInputError("w must be nonnegative")
     if not u > 0:
         raise InvalidInputError("u must be positive")
     u2 = u * u
-    if u2 <= 2.0 ** (2 + params.w) * math.log(2.0):
+    if u2 <= 2.0 ** (2 + w) * math.log(2.0):
         return math.inf
     log_floor = math.log(TRUNCATION_FLOOR)
     ln2 = math.log(2.0)
     total = None
     for m in range(1, _MAX_TERMS + 1):
-        log_term = 2.0 ** (m + 1 + params.w) * ln2 - u2 * 2.0 ** (m - 1)
+        log_term = 2.0 ** (m + 1 + w) * ln2 - u2 * 2.0 ** (m - 1)
         if total is None:
             total = log_term
             continue
@@ -70,29 +61,28 @@ def log_tail_series(u: float, params: TailSeriesParams | None = None) -> float:
     return float(total)
 
 
-def tail_series(u: float, params: TailSeriesParams | None = None) -> float:
+def tail_series(u: float, w: int = 0) -> float:
     """p(u) itself; inf when the log value overflows a float."""
-    lp = log_tail_series(u, params)
+    lp = log_tail_series(u, w)
     if lp > 700.0:
         return math.inf
     return math.exp(lp)
 
 
-def tail_series_capped(u: float, params: TailSeriesParams | None = None) -> float:
+def tail_series_capped(u: float, w: int = 0) -> float:
     """q(u) = min(p(u), 1)."""
-    lp = log_tail_series(u, params)
+    lp = log_tail_series(u, w)
     if lp >= 0.0:
         return 1.0
     return math.exp(lp)
 
 
-def tail_crossing_point(params: TailSeriesParams | None = None) -> float:
+def tail_crossing_point(w: int = 0) -> float:
     """The unique u* with p(u*) = 1: p decreases continuously from +inf at
     the convergence threshold to 0, so bisection on log p applies."""
-    params = params or TailSeriesParams()
-    lo = divergence_threshold(params) * (1.0 + 1e-12)
+    lo = divergence_threshold(w) * (1.0 + 1e-12)
     hi = lo + 1.0
-    while log_tail_series(hi, params) > 0.0:
+    while log_tail_series(hi, w) > 0.0:
         hi += 1.0
         if hi > lo + 1000:
             raise SolverError("failed to bracket the tail crossing point")
@@ -100,7 +90,7 @@ def tail_crossing_point(params: TailSeriesParams | None = None) -> float:
         mid = 0.5 * (lo + hi)
         if hi - lo <= CROSSING_TOL * max(1.0, hi):
             break
-        if log_tail_series(mid, params) > 0.0:
+        if log_tail_series(mid, w) > 0.0:
             lo = mid
         else:
             hi = mid
@@ -130,32 +120,29 @@ def _adaptive_simpson(f, a: float, b: float) -> float:
     return recurse(a, b, fa, fm, fb, whole, 0)
 
 
-def tail_integral(params: TailSeriesParams | None = None) -> float:
+def tail_integral(w: int = 0) -> float:
     """The integral of q over (0, inf): the crossing point u* (where q = 1)
     plus adaptive Simpson over [u*, u* + 20] plus an analytic bound on the
     remainder via the dominant-term decay p(u) <= p(U) exp(-(u^2 - U^2))."""
-    params = params or TailSeriesParams()
-    u_star = tail_crossing_point(params)
+    u_star = tail_crossing_point(w)
     hi = u_star + 20.0
-    body = _adaptive_simpson(lambda u: tail_series(u, params), u_star, hi)
-    remainder = tail_series(hi, params) / (2.0 * hi)
+    body = _adaptive_simpson(lambda u: tail_series(u, w), u_star, hi)
+    remainder = tail_series(hi, w) / (2.0 * hi)
     total = u_star + body + remainder
     if not math.isfinite(total):
         raise SolverError("tail integral did not converge to a finite value")
     return total
 
 
-def expectation_bound_from_tail(rho_scale: float, zeta_shift: float,
-                                params: TailSeriesParams | None = None):
+def expectation_bound_from_tail(rho_scale: float, zeta_shift: float, w: int = 0):
     """Expectation bound for a nonnegative Y whose tail is dominated by the
     capped series: P(Y > u * rho + zeta) <= q(u) implies E Y <= C * rho +
     zeta with C the integral of q.  Returns (bound, C)."""
-    params = params or TailSeriesParams()
     if rho_scale <= 0:
         raise InvalidInputError("rho_scale must be positive")
     if zeta_shift < 0:
         raise InvalidInputError("zeta_shift must be nonnegative")
-    c_w = tail_integral(params)
+    c_w = tail_integral(w)
     return c_w * rho_scale + zeta_shift, c_w
 
 
@@ -170,7 +157,7 @@ def uncenter_tail(a: float, u: float) -> float:
     return math.exp(exponent)
 
 
-def sample_from_capped_tail(params: TailSeriesParams, rho_scale: float,
+def sample_from_capped_tail(w: int, rho_scale: float,
                             zeta_shift: float, n_samples: int, seed: int) -> np.ndarray:
     """Inverse-transform samples of a law satisfying the capped-tail
     hypothesis: draws X on a u-grid by flooring the inverse of q, then
@@ -189,7 +176,7 @@ def sample_from_capped_tail(params: TailSeriesParams, rho_scale: float,
     qs = [1.0]
     u = SAMPLER_GRID_STEP
     while True:
-        q = tail_series_capped(u, params)
+        q = tail_series_capped(u, w)
         grid.append(u)
         qs.append(q)
         if q < SAMPLER_TAIL_CUT:

@@ -15,7 +15,6 @@ from berncomp import (
     EstimatorConfig,
     GaussianRkhsBall,
     PointSet,
-    TailSeriesParams,
     bernoulli_complexity,
     build_admissible_sequence,
     composite_bernoulli_complexity,
@@ -280,11 +279,10 @@ def test_criterion_7_appendix_tail_machinery():
                 uncenter_ok = False
     # Expectation conversion: the bound dominates the sampled mean of the
     # floored inverse-transform law in 50 out of 50 seeded runs.
-    params = TailSeriesParams(w=0)
-    bound, _ = expectation_bound_from_tail(1.0, 0.25, params)
+    bound, _ = expectation_bound_from_tail(1.0, 0.25, 0)
     runs_ok = 0
     for rep in range(50):
-        y = sample_from_capped_tail(params, 1.0, 0.25, 200000, seed=SEED + rep)
+        y = sample_from_capped_tail(0, 1.0, 0.25, 200000, seed=SEED + rep)
         if float(y.mean()) <= bound:
             runs_ok += 1
     report(7, f"tail machinery: uncentering dominated, expectation margin "

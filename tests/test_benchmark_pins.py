@@ -6,6 +6,8 @@ from silently breaking the benchmark's tracer, self-test or workloads.
 
 import importlib
 import importlib.util
+import inspect
+import json
 from pathlib import Path
 
 import pytest
@@ -15,15 +17,19 @@ import berncomp
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing",
-                                                  PERFBENCH / "tracing.py")
+def _perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-@pytest.mark.parametrize("target", _tracing().TARGETS, ids=lambda t: ".".join(
+WORKLOADS = [w["name"] for w in json.loads(
+    (PERFBENCH.parent / "BENCHMARK.json").read_text())["workloads"]]
+
+
+@pytest.mark.parametrize("target", _perfbench("tracing").TARGETS, ids=lambda t: ".".join(
     part for part in t[:3] if part))
 def test_every_traced_target_resolves(target):
     module_name, class_name, attr, _ = target
@@ -34,4 +40,17 @@ def test_every_traced_target_resolves(target):
 
 
 def test_experiments_holds_the_traced_lipschitz_oracle():
-    assert berncomp.experiments.lipschitz_ball_sup is berncomp.classes.lipschitz_ball_sup
+    experiments = importlib.import_module("berncomp.experiments")
+    assert experiments.lipschitz_ball_sup is berncomp.classes.lipschitz_ball_sup
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_every_workload_unit_builds(name, tmp_path):
+    # building a unit parses its configs and draws its inputs; it is not run
+    unit = _perfbench("workloads").make_unit(name, 901, tmp_path)
+    assert unit.output_files()
+
+
+def test_lipschitz_k2_legacy_api_resolves():
+    assert callable(berncomp.LipschitzBall(1.0, 1.0).as_oracle)
+    assert "method" in inspect.signature(berncomp.lipschitz_ball_sup).parameters

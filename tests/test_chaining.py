@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berncomp import (
     AdmissibleSequence,
@@ -30,6 +32,7 @@ from berncomp import (
     truncation_objective,
     uniform_metric_space,
 )
+from berncomp.chaining import farthest_first_order
 from oracles import brute_covering_number, brute_entropy_number
 
 
@@ -37,6 +40,25 @@ def random_space(seed, n_points, k=2):
     rng = np.random.default_rng(seed)
     T = PointSet(rng.uniform(-1, 1, size=(n_points, k, 2)))
     return metric_space_from_pointset(T)
+
+
+# 1 to 12 points of 2-by-2 matrices with entries in {-1, 0, 1}: most sets
+# hold coincident points
+_small_sets = st.integers(1, 12).flatmap(lambda m: st.lists(
+    st.integers(-1, 1), min_size=4 * m, max_size=4 * m)).map(
+    lambda v: PointSet(np.reshape(np.asarray(v, dtype=float), (-1, 2, 2))))
+
+
+class TestFarthestFirstOrder:
+    @settings(max_examples=80, deadline=None)
+    @given(_small_sets)
+    def test_radii_are_the_prefix_covering_radii(self, T):
+        d = metric_space_from_pointset(T).dist
+        order, radii = farthest_first_order(d)
+        assert sorted(order) == list(range(len(T))) and len(radii) == len(T)
+        for j in range(len(T)):
+            assert radii[j] == float(d[:, order[:j + 1]].min(axis=1).max())
+        assert radii[-1] == 0.0
 
 
 class TestCoveringNumber:

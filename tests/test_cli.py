@@ -12,7 +12,7 @@ from berncomp.cli import main
 from berncomp.complexity import EstimatorConfig
 from berncomp.config import default_config, parse_config, parse_config_text
 from berncomp.experiments import EXPERIMENTS, ols_fit
-from berncomp.tails import TailSeriesParams, tail_series
+from berncomp.tails import tail_series
 from oracles import ols_by_hand
 
 
@@ -146,11 +146,15 @@ class TestTailsCommand:
         assert rows[0] == ["u", "p", "q"]
         for row in rows[1:]:
             u = float(row[0])
-            assert float(row[1]) == pytest.approx(tail_series(u, TailSeriesParams(w=0)),
+            assert float(row[1]) == pytest.approx(tail_series(u, 0),
                                                   rel=1e-12)
 
     def test_bad_grid_exits_2(self, capsys):
         assert main(["tails", "--u-grid", "oops"]) == 2
+
+    def test_negative_w_exits_2(self, capsys):
+        assert main(["tails", "--w", "-1"]) == 2
+        assert "error: w must be nonnegative" in capsys.readouterr().err
 
 
 class TestEstimateCommand:
@@ -212,6 +216,15 @@ class TestEstimateCommand:
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["estimate", "--input", "/nonexistent.csv", "--quantity", "b"]) == 2
+
+    @pytest.mark.parametrize("flags", [["--quantity", "g"], ["--quantity", "b", "--mc", "50"]],
+                             ids=["gaussian", "monte-carlo"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, flags):
+        # both paths draw from a numpy generator, which rejects negative seeds
+        path = tmp_path / "pts.csv"
+        pointset_to_csv(PointSet.from_rows([[1.0, 2.0], [0.0, 1.0]]), path)
+        assert main(["estimate", "--input", str(path), "--seed", "-1"] + flags) == 2
+        assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
 
 
 class TestRunCommand:

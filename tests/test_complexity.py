@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -57,6 +58,10 @@ class TestBernoulliComplexity:
         est = bernoulli_complexity(T, EstimatorConfig(mode="auto", mc_samples=500, seed=1))
         assert est.method == "monte-carlo" and est.samples == 500 and est.std_error > 0
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(InvalidInputError, match="seed must be nonnegative, got -1"):
+            EstimatorConfig(seed=-1)
+
     @pytest.mark.parametrize("samples", [0, 1])
     def test_fewer_than_two_mc_samples_rejected(self, samples):
         # one sample has no standard error; reporting 0 would pass it as exact
@@ -85,7 +90,7 @@ class TestBernoulliComplexity:
         a = bernoulli_complexity(T, cfg)
         b = bernoulli_complexity(T, cfg)
         assert (a.value, a.std_error) == (b.value, b.std_error)
-        c = bernoulli_complexity(T, cfg.with_seed(78))
+        c = bernoulli_complexity(T, dataclasses.replace(cfg, seed=78))
         assert a.value != c.value
 
     def test_mc_matches_exact_within_band(self):
@@ -174,7 +179,7 @@ class TestCompositeComplexity:
             rho = float(rng.uniform(0.5, 2.0))
             ball = GaussianRkhsBall(sigma=float(rng.uniform(0.5, 2.0)), rho=rho)
             for i in range(len(T)):
-                tau = PointSet.singleton(T.element(i))
+                tau = PointSet(T.elements[i:i + 1])
                 est = composite_bernoulli_complexity(ball, tau, EXACT)
                 assert est.value <= rho * math.sqrt(n) + 3.0 * est.std_error + 1e-12
 

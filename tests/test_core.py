@@ -158,12 +158,21 @@ class TestFiniteMetricSpace:
     def test_triangle_violation_rejected(self):
         d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
         with pytest.raises(InvalidInputError):
-            FiniteMetricSpace(labels=("a", "b", "c"), dist=d)
+            FiniteMetricSpace(d)
 
     def test_asymmetry_rejected(self):
         d = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(InvalidInputError):
-            FiniteMetricSpace(labels=("a", "b"), dist=d)
+            FiniteMetricSpace(d)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3,), (2, 2, 2)])
+    def test_non_square_rejected(self, shape):
+        with pytest.raises(InvalidInputError, match="must be square"):
+            FiniteMetricSpace(np.zeros(shape))
+
+    def test_empty_space_accepted(self):
+        sp = FiniteMetricSpace(np.zeros((0, 0)))
+        assert sp.size == 0 and sp.diameter == 0.0
 
 
 class TestComplexityEstimate:
@@ -228,6 +237,20 @@ class TestLoaderErrors:
         with pytest.raises(InvalidInputError) as err:
             load(path)
         assert str(err.value).startswith(f"{path}, {where}")
+
+    @pytest.mark.parametrize("load, text, message", [
+        (sequence_from_text, "", "sequence needs at least one level"),
+        (entropy_profile_from_csv, "m,e_m,source\n0,1.0,exhaustive\n1,2.0,exhaustive\n",
+         "entropy numbers must be nonincreasing"),
+        (_load_finite_class, "func_id,point_id,value\n0,0,2.0\n",
+         "table entries exceed the uniform bound"),
+    ], ids=["sequence-empty", "profile-increasing", "class-above-bound"])
+    def test_invalid_contents_name_file(self, tmp_path, load, text, message):
+        path = tmp_path / "data.txt"
+        path.write_text(text)
+        with pytest.raises(InvalidInputError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("load, header", [
         (pointset_from_csv, "elem_id,coord_0"),

@@ -5,7 +5,6 @@ import pytest
 
 from berncomp import (
     InvalidInputError,
-    TailSeriesParams,
     expectation_bound_from_tail,
     log_tail_series,
     sample_from_capped_tail,
@@ -15,6 +14,7 @@ from berncomp import (
     tail_series_capped,
     uncenter_tail,
 )
+from berncomp.tails import divergence_threshold
 
 
 def direct_series(u, w, max_m=None):
@@ -32,60 +32,69 @@ class TestTailSeries:
     def test_w0_u10_two_term_hand_value(self):
         # m = 1 term 16 e^-100 dominates; the m = 2 term is ~1e-85
         expected = 16.0 * math.exp(-100.0) + 256.0 * math.exp(-200.0)
-        assert tail_series(10.0, TailSeriesParams(w=0)) == pytest.approx(expected, rel=1e-12)
+        assert tail_series(10.0, 0) == pytest.approx(expected, rel=1e-12)
 
     def test_divergence_gives_capped_one(self):
         # at u = 1 the first term alone is 16/e > 1 and the terms increase
-        params = TailSeriesParams(w=0)
-        assert math.isinf(tail_series(1.0, params))
-        assert tail_series_capped(1.0, params) == 1.0
+        w = 0
+        assert math.isinf(tail_series(1.0, w))
+        assert tail_series_capped(1.0, w) == 1.0
 
     def test_monotone_in_w(self):
         for u in (2.0, 3.0, 6.0):
-            p0 = log_tail_series(u, TailSeriesParams(w=0))
-            p1 = log_tail_series(u, TailSeriesParams(w=1))
+            p0 = log_tail_series(u, 0)
+            p1 = log_tail_series(u, 1)
             assert p1 > p0
 
     def test_strictly_decreasing_in_u(self):
-        params = TailSeriesParams(w=0)
+        w = 0
         us = np.linspace(1.9, 6.0, 30)
-        vals = [log_tail_series(float(u), params) for u in us]
+        vals = [log_tail_series(float(u), w) for u in us]
         assert all(b < a for a, b in zip(vals, vals[1:]))
 
     def test_log_matches_direct_to_12_digits(self):
         for w, u_list in ((0, (3.0, 4.0, 5.0)), (1, (3.0, 4.0, 5.0)), (2, (3.5, 4.0, 5.0))):
             for u in u_list:
                 direct = direct_series(u, w)
-                ours = tail_series(u, TailSeriesParams(w=w))
+                ours = tail_series(u, w)
                 assert ours == pytest.approx(direct, rel=1e-12)
 
     def test_rejects_nonpositive_u(self):
         with pytest.raises(InvalidInputError):
-            tail_series(0.0, TailSeriesParams())
+            tail_series(0.0)
 
     def test_rejects_negative_w(self):
-        with pytest.raises(InvalidInputError):
-            TailSeriesParams(w=-1)
+        # every tail function passes through one of the first two
+        for call in (lambda: divergence_threshold(-1),
+                     lambda: log_tail_series(3.0, -1),
+                     lambda: tail_series(3.0, -1),
+                     lambda: tail_series_capped(3.0, -1),
+                     lambda: tail_crossing_point(-1),
+                     lambda: tail_integral(-1),
+                     lambda: expectation_bound_from_tail(1.0, 0.0, -1),
+                     lambda: sample_from_capped_tail(-1, 1.0, 0.0, 10, seed=0)):
+            with pytest.raises(InvalidInputError, match="w must be nonnegative"):
+                call()
 
 
 class TestCrossingAndIntegral:
     def test_crossing_point_bracket(self):
         # the dominant-term crossing sqrt(4 ln 2) = 1.665 is a lower sanity
         # bound; the full series crosses a bit later
-        u_star = tail_crossing_point(TailSeriesParams(w=0))
+        u_star = tail_crossing_point(0)
         assert 1.665 < u_star < 2.2
-        assert abs(log_tail_series(u_star, TailSeriesParams(w=0))) < 1e-9
+        assert abs(log_tail_series(u_star, 0)) < 1e-9
 
     def test_frozen_values_w0(self):
-        assert tail_crossing_point(TailSeriesParams(w=0)) == pytest.approx(
+        assert tail_crossing_point(0) == pytest.approx(
             1.8279855666670288, abs=1e-9)
-        assert tail_integral(TailSeriesParams(w=0)) == pytest.approx(
+        assert tail_integral(0) == pytest.approx(
             2.014245367442934, rel=1e-8)
 
     def test_integral_matches_scipy_quadrature(self):
         scipy_int = pytest.importorskip("scipy.integrate")
         for w in (0, 1):
-            ours = tail_integral(TailSeriesParams(w=w))
+            ours = tail_integral(w)
 
             def q_direct(u, w=w):
                 if u <= 0:
@@ -97,9 +106,9 @@ class TestCrossingAndIntegral:
             assert ours == pytest.approx(ref, rel=1e-6)
 
     def test_c_w_increasing_in_w(self):
-        c0 = tail_integral(TailSeriesParams(w=0))
-        c1 = tail_integral(TailSeriesParams(w=1))
-        c2 = tail_integral(TailSeriesParams(w=2))
+        c0 = tail_integral(0)
+        c1 = tail_integral(1)
+        c2 = tail_integral(2)
         assert c0 < c1 < c2
 
     def test_bound_linear_in_rho(self):
@@ -111,8 +120,8 @@ class TestCrossingAndIntegral:
         assert b3 == pytest.approx(b1 + 0.7)
 
     def test_bound_exceeds_crossing(self):
-        bound, c_w = expectation_bound_from_tail(1.0, 0.0, TailSeriesParams(w=0))
-        assert bound == c_w > tail_crossing_point(TailSeriesParams(w=0))
+        bound, c_w = expectation_bound_from_tail(1.0, 0.0, 0)
+        assert bound == c_w > tail_crossing_point(0)
 
 
 class TestUncenterTail:
@@ -141,29 +150,29 @@ class TestUncenterTail:
 
 class TestCappedTailSampler:
     def test_tail_dominated_by_q(self):
-        params = TailSeriesParams(w=0)
-        y = sample_from_capped_tail(params, 1.0, 0.0, 200000, seed=5)
+        w = 0
+        y = sample_from_capped_tail(w, 1.0, 0.0, 200000, seed=5)
         n = len(y)
         for u in (1.9, 2.1, 2.5, 3.0):
             emp = float((y > u).mean())
-            q = tail_series_capped(u, params)
+            q = tail_series_capped(u, w)
             se = math.sqrt(max(emp * (1 - emp), 1e-12) / n)
             assert emp <= q + 3.0 * se
 
     def test_mean_dominated_by_bound(self):
-        params = TailSeriesParams(w=0)
-        bound, _ = expectation_bound_from_tail(2.0, 0.5, params)
+        w = 0
+        bound, _ = expectation_bound_from_tail(2.0, 0.5, w)
         for rep in range(10):
-            y = sample_from_capped_tail(params, 2.0, 0.5, 100000, seed=rep)
+            y = sample_from_capped_tail(w, 2.0, 0.5, 100000, seed=rep)
             assert float(y.mean()) <= bound
 
     def test_values_at_or_above_shift(self):
-        params = TailSeriesParams(w=0)
-        y = sample_from_capped_tail(params, 1.5, 0.25, 1000, seed=1)
+        w = 0
+        y = sample_from_capped_tail(w, 1.5, 0.25, 1000, seed=1)
         assert float(y.min()) >= 0.25
 
     def test_determinism(self):
-        params = TailSeriesParams(w=1)
-        a = sample_from_capped_tail(params, 1.0, 0.0, 1000, seed=9)
-        b = sample_from_capped_tail(params, 1.0, 0.0, 1000, seed=9)
+        w = 1
+        a = sample_from_capped_tail(w, 1.0, 0.0, 1000, seed=9)
+        b = sample_from_capped_tail(w, 1.0, 0.0, 1000, seed=9)
         np.testing.assert_array_equal(a, b)

@@ -6,8 +6,8 @@ texts allow external centers; exact values can differ by a factor of at
 most 2).  Center selections are farthest-first with ties broken by lowest
 index, so everything is deterministic.  Exact covering and entropy numbers
 come from one exhaustive search over center subsets, run only while it
-enumerates at most SEARCH_BUDGET subsets (always for covering numbers of
-spaces of at most 20 points).
+enumerates at most SEARCH_BUDGET = 2^20 subsets (always for covering numbers
+of spaces of at most 20 points).
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ ENTROPY_CSV_HEADER = ["m", "e_m", "source"]
 MAX_LEVEL = 20
 
 # Most center subsets an exact covering or entropy number may enumerate.
-SEARCH_BUDGET = 1_000_000
+SEARCH_BUDGET = 2 ** 20
 
 # Subsets per numpy chunk of the exhaustive search; a chunk's temporary is
 # (points, _SUBSET_CHUNK, subset size) floats.
@@ -99,8 +99,8 @@ def covering_number(space: FiniteMetricSpace, delta: float) -> CoveringResult:
 
     The greedy farthest-first construction gives the upper bound.  The exact
     minimum is searched whenever the enumeration fits SEARCH_BUDGET, which
-    is guaranteed for spaces of at most 20 points: a delta-cover of a given
-    size exists iff some subset of that size has covering radius <= delta.
+    every space of at most 20 points does: a delta-cover of a given size
+    exists iff some subset of that size has covering radius <= delta.
     """
     if delta <= 0:
         raise InvalidInputError("delta must be positive")
@@ -109,11 +109,10 @@ def covering_number(space: FiniteMetricSpace, delta: float) -> CoveringResult:
     _, radii = farthest_first_order(d)
     upper = next(j + 1 for j, radius in enumerate(radii) if radius <= delta)
 
-    always_exact = m <= 20
     total = 0
     for size in range(1, upper):
         count = math.comb(m, size)
-        if not always_exact and total + count > SEARCH_BUDGET:
+        if total + count > SEARCH_BUDGET:
             return CoveringResult(upper, None)
         total += count
         if any((chunk <= delta).any() for chunk in _subset_radii(d, size)):
@@ -171,9 +170,6 @@ class EntropyProfile:
         if self.source not in ENTROPY_SOURCES:
             raise InvalidInputError(f"unknown source {self.source!r}")
         object.__setattr__(self, "values", vals)
-
-    def __len__(self) -> int:
-        return len(self.values)
 
 
 def entropy_profile(space: FiniteMetricSpace) -> EntropyProfile:
@@ -269,8 +265,9 @@ class AdmissibleSequence:
 def build_admissible_sequence(space: FiniteMetricSpace) -> AdmissibleSequence:
     """Recursive farthest-first splitting: level m refines level m-1 by
     partitioning each block around up to cap(m)/|level m-1| farthest-first
-    centers; nesting is preserved by construction.  Stops once all blocks
-    are singletons (or at MAX_LEVEL)."""
+    centers; nesting is preserved by construction.  Level m-1 holds at most
+    cap(m-1) blocks, so that allowance is at least cap(m)/cap(m-1) >= 4.
+    Stops once all blocks are singletons (or at MAX_LEVEL)."""
     npts = space.size
     d = space.dist
     levels = [(tuple(range(npts)),)]
@@ -279,10 +276,10 @@ def build_admissible_sequence(space: FiniteMetricSpace) -> AdmissibleSequence:
         m += 1
         cap = admissible_capacity(m)
         prev = levels[-1]
-        allowance = npts if cap is None else max(1, cap // len(prev))
+        allowance = npts if cap is None else cap // len(prev)
         new_level = []
         for block in prev:
-            if len(block) == 1 or allowance == 1:
+            if len(block) == 1:
                 new_level.append(block)
                 continue
             n_centers = min(allowance, len(block))
@@ -291,8 +288,7 @@ def build_admissible_sequence(space: FiniteMetricSpace) -> AdmissibleSequence:
             if sub.max() == 0.0:
                 # coincident points carry no metric signal; split by index
                 for chunk in np.array_split(block_arr, n_centers):
-                    if chunk.size:
-                        new_level.append(tuple(int(i) for i in chunk))
+                    new_level.append(tuple(int(i) for i in chunk))
                 continue
             local_centers = farthest_first_order(sub)[0][:n_centers]
             assign = np.argmin(sub[:, local_centers], axis=1)  # ties: lowest center

@@ -90,7 +90,8 @@ class FiniteFunctionClass:
     table[j, i] = f_j(x_i).  When the points are supplied the tabulated
     Lipschitz certificate |f_j(x_i) - f_j(x_i')| <= L ||x_i - x_i'|| is
     verified at construction, as is the uniform bound.  The class is tied
-    to its sample, so sup_batch takes points=None or exactly n_points rows.
+    to its sample, so sup_batch takes points=None or exactly n_points rows,
+    equal to the stored points when there are any.
     """
 
     table: np.ndarray
@@ -134,8 +135,11 @@ class FiniteFunctionClass:
         return float(self.sup_batch(None, _as_coeffs(c, self.n_points))[0])
 
     def sup_batch(self, points, C) -> np.ndarray:
-        if points is not None and _as_points(points).shape[0] != self.n_points:
-            raise InvalidInputError("finite class is tabulated on a fixed sample")
+        if points is not None:
+            pts = _as_points(points)
+            if pts.shape[0] != self.n_points or (
+                    self.points is not None and not np.array_equal(pts, self.points)):
+                raise InvalidInputError("finite class is tabulated on a fixed sample")
         C = _as_coeff_rows(C, self.n_points)
         return (C @ self.table.T).max(axis=1)
 
@@ -330,10 +334,6 @@ class GaussianRkhsBall:
         if self.sigma <= 0 or self.rho <= 0:
             raise InvalidInputError("sigma and rho must be positive")
 
-    @property
-    def lipschitz_L(self) -> float:
-        return self.rho / self.sigma
-
     # Defined in the class body because perfbench's tracer wraps it there.
     def sup(self, points, c) -> float:
         pts = _as_points(points)
@@ -380,10 +380,6 @@ class PiecewiseLinearClass:
     values: np.ndarray  # (r, cells + 1)
     lipschitz_L: float
     radius_R: float
-
-    @property
-    def n_functions(self) -> int:
-        return self.values.shape[0]
 
     def eval_batch(self, x) -> np.ndarray:
         """Values of every function at the given 1-d points, shape (r, len(x))."""
@@ -461,6 +457,8 @@ def finite_class_from_csv(values_path, meta_path) -> FiniteFunctionClass:
             if key in meta:
                 raise InvalidInputError(f"{where}: repeated key {key}")
             meta[key] = _parse_number(value, f"{where}, key {key}")
+            if meta[key] <= 0:
+                raise InvalidInputError(f"{where}, key {key}: must be positive, got {value!r}")
     for key in ("L", "B"):
         if key not in meta:
             raise InvalidInputError(f"{meta_path}: sidecar is missing {key}")

@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--k", type=int, default=1,
                        help="ambient dimension of the stored elements (default 1)")
     p_est.add_argument("--exact-cutoff", type=int, default=14,
-                       help="max sign count for exact enumeration (default 14)")
+                       help="max sign count for exact enumeration, at most 20 (default 14)")
     p_est.set_defaults(func=_cmd_estimate)
     return parser
 

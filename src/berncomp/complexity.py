@@ -26,6 +26,9 @@ from .classes import FiniteFunctionClass, _as_points
 from .core import ComplexityEstimate, PointSet
 from .errors import BudgetExceededError, DegenerateSetError, InvalidInputError
 
+# Largest exact_cutoff_n: 2^20 patterns of 20 signs are 168 MB per float copy.
+MAX_EXACT_CUTOFF = 20
+
 # Ordered pairs closer than this (Frobenius) are skipped as degenerate: the
 # increment ratio is undefined at coincident pairs.
 DEGENERATE_PAIR_TOL = 1e-12
@@ -37,8 +40,9 @@ class EstimatorConfig:
 
     mode "auto" selects exact enumeration iff the number of independent
     signs is at most exact_cutoff_n (2^cutoff patterns); the default 14
-    keeps a single estimate under 16384 patterns.  mc_samples is at least 2,
-    the least count with a sample standard error.
+    keeps a single estimate under 16384 patterns, and the cutoff is at most
+    MAX_EXACT_CUTOFF.  mc_samples is at least 2, the least count with a
+    sample standard error.
     """
 
     mode: str = "auto"
@@ -51,8 +55,9 @@ class EstimatorConfig:
             raise InvalidInputError(f"unknown mode {self.mode!r}")
         if self.mc_samples < 2:
             raise InvalidInputError(f"mc_samples must be >= 2, got {self.mc_samples}")
-        if self.exact_cutoff_n < 1:
-            raise InvalidInputError("exact_cutoff_n must be positive")
+        if not 1 <= self.exact_cutoff_n <= MAX_EXACT_CUTOFF:
+            raise InvalidInputError(f"exact_cutoff_n must be between 1 and {MAX_EXACT_CUTOFF}, "
+                                    f"got {self.exact_cutoff_n}")
         if self.seed < 0:  # numpy generators take only nonnegative seeds
             raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
 

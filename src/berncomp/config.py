@@ -3,13 +3,15 @@
 Format: one `key = value` per line, `#` comments, lists as `[a, b, c]`,
 fitted constants as dotted keys `constants.<name> = <number>`, where the
 names an experiment reads are those its `experiments.EXPERIMENTS` entry
-declares.  A constant declared with an int default takes only integers.
+declares.  A constant declared with an int default takes only integers, and
+every constant is finite and positive, except w >= 0 and lp_samples >= 2.
 Unknown, undeclared, repeated and out-of-range keys are rejected with their
 line and column.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -61,16 +63,13 @@ class ExperimentConfig:
             if name not in spec.constants:
                 fail(f"unknown key {key!r} for {self.experiment}; "
                      f"it reads constants {', '.join(spec.constants)}", key)
-            if isinstance(spec.constants[name], int):
-                if not isinstance(value, int):
-                    fail(f"{key} must be an integer, got {value!r}", key)
-                # w is a tail offset and lp_samples a Monte Carlo sample count
-                low = {"w": 0, "lp_samples": 2}.get(name, 1)
-                if value < low:
-                    fail(f"{key} must be >= {low}, got {value}", key)
-        if self.constants.get("u_step", 1) <= 0:
-            fail(f"constants.u_step must be positive, got {self.constants['u_step']}",
-                 "constants.u_step")
+            if isinstance(spec.constants[name], int) and not isinstance(value, int):
+                fail(f"{key} must be an integer, got {value!r}", key)
+            # w is a tail offset, lp_samples a Monte Carlo sample count; nan fails < inf
+            low = {"w": 0, "lp_samples": 2}.get(name)
+            if not value < math.inf or (value <= 0 if low is None else value < low):
+                fail(f"{key} must be finite and {'positive' if low is None else f'>= {low}'}"
+                     f", got {value}", key)
         if "u_stop" in spec.constants:
             u_start, u_stop = ({**spec.constants, **self.constants}[name]
                                for name in ("u_start", "u_stop"))

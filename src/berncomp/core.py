@@ -120,10 +120,7 @@ def diameter2(T: PointSet) -> float:
 
     Zero for singletons; exactly zero iff all elements coincide.
     """
-    vecs = T.vectorized()
-    if len(vecs) == 1:
-        return 0.0
-    return float(np.sqrt(sq_distances(vecs)).max())
+    return float(np.sqrt(sq_distances(T.vectorized())).max())
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ The series is p(u) = sum_{m>=1} 2^(2^(m+1+w)) * exp(-u^2 * 2^(m-1)) and
 q(u) = min(p(u), 1).  The exponent u^2 * 2^(m-1) outgrows 2^(m+1+w) * ln 2
 only when u^2 > 2^(2+w) * ln 2; below that threshold the series diverges,
 which is benign because only q is ever used.  The truncation floor, the
-bisection and quadrature tolerances and the sampler grid are fixed module
-constants.
+bisection and quadrature tolerances, the sampler grid and the ceiling MAX_W
+on w (past it the exponents overflow a float) are fixed module constants.
 """
 
 from __future__ import annotations
@@ -24,12 +24,13 @@ CROSSING_TOL = 1e-13
 QUAD_REL_TOL = 1e-8
 SAMPLER_GRID_STEP = 0.01
 SAMPLER_TAIL_CUT = 1e-12
+MAX_W = 1000
 
 
 def divergence_threshold(w: int = 0) -> float:
     """The series converges exactly for u above sqrt(2^(2+w) * ln 2)."""
-    if w < 0:
-        raise InvalidInputError("w must be nonnegative")
+    if not 0 <= w <= MAX_W:
+        raise InvalidInputError("w must be nonnegative" if w < 0 else f"w must be at most {MAX_W}")
     return math.sqrt(2.0 ** (2 + w) * math.log(2.0))
 
 
@@ -40,21 +41,18 @@ def log_tail_series(u: float, w: int = 0) -> float:
     Terms are accumulated by log-sum-exp and truncated at the first term
     falling below TRUNCATION_FLOOR relative to the running sum.
     """
-    if w < 0:
-        raise InvalidInputError("w must be nonnegative")
+    if not 0 <= w <= MAX_W:
+        raise InvalidInputError("w must be nonnegative" if w < 0 else f"w must be at most {MAX_W}")
     if not u > 0:
         raise InvalidInputError("u must be positive")
     u2 = u * u
-    if u2 <= 2.0 ** (2 + w) * math.log(2.0):
+    ln2 = math.log(2.0)
+    total = 2.0 ** (2 + w) * ln2 - u2  # the m = 1 term
+    if total >= 0.0:
         return math.inf
     log_floor = math.log(TRUNCATION_FLOOR)
-    ln2 = math.log(2.0)
-    total = None
-    for m in range(1, _MAX_TERMS + 1):
+    for m in range(2, _MAX_TERMS + 1):
         log_term = 2.0 ** (m + 1 + w) * ln2 - u2 * 2.0 ** (m - 1)
-        if total is None:
-            total = log_term
-            continue
         if log_term <= total + log_floor:
             break
         total = float(np.logaddexp(total, log_term))
@@ -79,13 +77,11 @@ def tail_series_capped(u: float, w: int = 0) -> float:
 
 def tail_crossing_point(w: int = 0) -> float:
     """The unique u* with p(u*) = 1: p decreases continuously from +inf at
-    the convergence threshold to 0, so bisection on log p applies."""
+    the convergence threshold u0 to 0, so bisection on log p applies.  Term
+    m is exp(-2^(m-1) (u^2 - u0^2)), so p(u0 + 1) < sum_m exp(-2^(m-1)) < 1
+    and u0 + 1 brackets u*."""
     lo = divergence_threshold(w) * (1.0 + 1e-12)
     hi = lo + 1.0
-    while log_tail_series(hi, w) > 0.0:
-        hi += 1.0
-        if hi > lo + 1000:
-            raise SolverError("failed to bracket the tail crossing point")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if hi - lo <= CROSSING_TOL * max(1.0, hi):

@@ -190,6 +190,13 @@ class TestAdmissibleSequence:
                     assert len(level) <= cap
             assert all(len(b) == 1 for b in seq.levels[-1])
 
+    @settings(max_examples=80, deadline=None)
+    @given(_small_sets)
+    def test_coincident_points_give_a_valid_sequence_of_singletons(self, T):
+        seq = build_admissible_sequence(metric_space_from_pointset(T))
+        seq.validate(len(T))
+        assert all(len(b) == 1 for b in seq.levels[-1])
+
     def test_duplicate_points_still_terminate(self):
         T = PointSet.from_rows([[1.0, 2.0]] * 5)
         seq = build_admissible_sequence(metric_space_from_pointset(T))

@@ -88,6 +88,16 @@ class TestFiniteClassSup:
         with pytest.raises(InvalidInputError):
             cls.sup_batch([[0.0], [1.0], [2.0]], [[1.0, 1.0]])
 
+    def test_sup_batch_rejects_points_other_than_the_tabulated_ones(self):
+        pl = sample_piecewise_linear_class(6, 1.0, 1.0, seed=3)
+        x = np.linspace(-1.0, 1.0, 5)
+        tab = pl.tabulate(x)
+        C = np.ones((1, 5))
+        assert tab.sup_batch(x[:, None], C)[0] == tab.sup_batch(None, C)[0]
+        for other in (np.zeros(5), x + 1e-9, np.stack([x, x], axis=1)):
+            with pytest.raises(InvalidInputError, match="tabulated on a fixed sample"):
+                tab.sup_batch(other, C)
+
     def test_bound_violation_rejected(self):
         with pytest.raises(InvalidInputError):
             FiniteFunctionClass(table=[[2.0]], lipschitz_L=1.0, uniform_bound_B=1.0)
@@ -165,7 +175,10 @@ class TestFiniteClassSup:
         ("L = 1.0\nB = 1.0\nC = 3.0\n", "line 3: expected 'L = value' or 'B = value'"),
         ("L 1\nB = 1.0\n", "line 1: expected 'L = value' or 'B = value'"),
         ("L = 1.0\nB = inf\n", "line 2, key B: expected a finite number, got 'inf'"),
-    ], ids=["repeated-key", "unknown-key", "no-equals", "infinite-value"])
+        ("L = -1\nB = 1.0\n", "line 1, key L: must be positive, got '-1'"),
+        ("L = 1.0\nB = 0\n", "line 2, key B: must be positive, got '0'"),
+    ], ids=["repeated-key", "unknown-key", "no-equals", "infinite-value", "negative-L",
+            "zero-B"])
     def test_bad_sidecar_line_names_file_and_line(self, tmp_path, text, where):
         vals = tmp_path / "class.csv"
         vals.write_text("func_id,point_id,value\n0,0,0.5\n")

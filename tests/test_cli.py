@@ -17,6 +17,12 @@ from oracles import ols_by_hand
 
 
 class TestConfigParsing:
+    def test_infinite_constant_rejected(self):
+        # checked at parse time: a tails-demo run would step towards u_stop forever
+        with pytest.raises(ConfigError, match="line 2, column 1: constants.u_stop must be "
+                                              "finite and positive, got inf"):
+            parse_config_text("experiment = tails-demo\nconstants.u_stop = inf\n")
+
     def test_minimal_file_fills_defaults(self):
         cfg = parse_config_text("experiment = scaling-k1\n")
         assert cfg.mc_samples == 20000
@@ -156,6 +162,10 @@ class TestTailsCommand:
         assert main(["tails", "--w", "-1"]) == 2
         assert "error: w must be nonnegative" in capsys.readouterr().err
 
+    def test_w_above_the_ceiling_exits_2(self, capsys):
+        assert main(["tails", "--w", "2000"]) == 2
+        assert "error: w must be at most 1000" in capsys.readouterr().err
+
 
 class TestEstimateCommand:
     def test_exact_estimate_round_trip(self, tmp_path, capsys):
@@ -213,6 +223,14 @@ class TestEstimateCommand:
         pointset_to_csv(PointSet.from_rows([[1.0, 2.0]]), path)
         assert main(["estimate", "--input", str(path), "--quantity", "b", "--k", "0"]) == 2
         assert "k must be at least 1" in capsys.readouterr().err
+
+    def test_exact_cutoff_above_20_exits_2(self, tmp_path, capsys):
+        # rejected before any sign pattern is built
+        path = tmp_path / "pts.csv"
+        pointset_to_csv(PointSet.from_rows([[1.0] * 21, [0.0] * 21]), path)
+        assert main(["estimate", "--input", str(path), "--quantity", "b",
+                     "--exact-cutoff", "21"]) == 2
+        assert "exact_cutoff_n must be between 1 and 20, got 21" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, capsys):
         assert main(["estimate", "--input", "/nonexistent.csv", "--quantity", "b"]) == 2
@@ -297,11 +315,21 @@ class TestRunCommand:
          "constants.u_stop", "line 3, column 1"),
         ("experiment = tails-demo\nconstants.u_start = 5.0\n", "constants.u_start",
          "line 2, column 1"),
+        ("experiment = composition-logfree\nconstants.band = 0\n", "constants.band",
+         "line 2, column 1"),
+        ("experiment = composition-logfree\nconstants.L = 0\n", "constants.L",
+         "line 2, column 1"),
+        ("experiment = rkhs-bound\nconstants.R = 0\n", "constants.R", "line 2, column 1"),
+        ("experiment = tails-demo\nconstants.u_start = 0\n", "constants.u_start",
+         "line 2, column 1"),
+        ("experiment = scaling-k1\nconstants.slope_tol = nan\n", "constants.slope_tol",
+         "line 2, column 1"),
     ], ids=["undeclared-constant", "repeated-seed", "scaling-k1-with-k3", "zero-u-step",
             "negative-u-step", "negative-n", "scaling-k2-with-n1", "chaining-demo-with-n1",
             "fractional-count", "zero-count", "negative-w", "scaling-k1-with-one-n",
             "scaling-k2-with-one-n", "scaling-kk-with-one-n", "one-mc-sample",
-            "one-lp-sample", "u-stop-below-u-start", "u-start-above-default-u-stop"])
+            "one-lp-sample", "u-stop-below-u-start", "u-start-above-default-u-stop",
+            "zero-band", "zero-L", "zero-rkhs-R", "zero-u-start", "nan-slope-tol"])
     def test_rejected_config_exits_2_naming_the_key(self, tmp_path, capsys, body, key,
                                                     location):
         config = tmp_path / "cfg.txt"

@@ -62,6 +62,13 @@ class TestBernoulliComplexity:
         with pytest.raises(InvalidInputError, match="seed must be nonnegative, got -1"):
             EstimatorConfig(seed=-1)
 
+    @pytest.mark.parametrize("cutoff", [0, 21])
+    def test_exact_cutoff_outside_1_to_20_rejected(self, cutoff):
+        # 2^21 patterns of 21 signs would be 352 MB per float copy
+        with pytest.raises(InvalidInputError, match="exact_cutoff_n must be between 1 and 20"):
+            EstimatorConfig(exact_cutoff_n=cutoff)
+        assert EstimatorConfig(exact_cutoff_n=20).exact_cutoff_n == 20
+
     @pytest.mark.parametrize("samples", [0, 1])
     def test_fewer_than_two_mc_samples_rejected(self, samples):
         # one sample has no standard error; reporting 0 would pass it as exact

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berncomp import (
     InvalidInputError,
@@ -14,7 +16,7 @@ from berncomp import (
     tail_series_capped,
     uncenter_tail,
 )
-from berncomp.tails import divergence_threshold
+from berncomp.tails import MAX_W, divergence_threshold
 
 
 def direct_series(u, w, max_m=None):
@@ -76,8 +78,31 @@ class TestTailSeries:
             with pytest.raises(InvalidInputError, match="w must be nonnegative"):
                 call()
 
+    def test_rejects_w_above_the_ceiling(self):
+        # 2^(m+1+w) overflows a float from w = 1021 on
+        for call in (lambda: divergence_threshold(MAX_W + 1),
+                     lambda: log_tail_series(3.0, MAX_W + 1),
+                     lambda: tail_integral(2000)):
+            with pytest.raises(InvalidInputError, match=f"w must be at most {MAX_W}"):
+                call()
+        assert math.isfinite(tail_integral(MAX_W))
+
 
 class TestCrossingAndIntegral:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, MAX_W))
+    def test_one_past_the_threshold_brackets_the_crossing(self, w):
+        # tail_crossing_point bisects on [lo, lo + 1] without widening it
+        lo = divergence_threshold(w) * (1.0 + 1e-12)
+        assert log_tail_series(lo + 1.0, w) < 0.0
+
+    def test_crossing_depends_on_u_only_through_u2_minus_threshold2(self):
+        # every term is exp(-2^(m-1) (u^2 - u0^2)), so u*^2 - u0^2 is one number
+        gaps = [tail_crossing_point(w) ** 2 - divergence_threshold(w) ** 2
+                for w in range(11)]
+        assert gaps == pytest.approx([gaps[0]] * 11, rel=1e-8)
+        assert gaps[0] == pytest.approx(0.568942509703, rel=1e-9)
+
     def test_crossing_point_bracket(self):
         # the dominant-term crossing sqrt(4 ln 2) = 1.665 is a lower sanity
         # bound; the full series crosses a bit later

@@ -10,14 +10,11 @@ from .chaining import (
     EntropyResult,
     admissible_capacity,
     build_admissible_sequence,
-    chaining_expectation_bound,
     composite_entropy_bound,
     composite_rate,
     covering_number,
     entropy_number,
     entropy_profile,
-    entropy_profile_from_csv,
-    entropy_profile_to_csv,
     gamma2_upper,
     lipschitz_entropy_formula,
     lipschitz_entropy_profile,
@@ -25,15 +22,12 @@ from .chaining import (
     sequence_from_text,
     sequence_to_text,
     truncation_objective,
-    uniform_metric_space,
 )
 from .classes import (
     FiniteFunctionClass,
     GaussianRkhsBall,
     LipschitzBall,
     PiecewiseLinearClass,
-    finite_class_from_csv,
-    finite_class_to_csv,
     gaussian_gram,
     lipschitz_ball_sup,
     oracle_convexity_check,
@@ -43,7 +37,6 @@ from .complexity import (
     EstimatorConfig,
     bernoulli_complexity,
     composite_bernoulli_complexity,
-    empirical_rademacher,
     gaussian_complexity,
     increment_ratio,
     sign_patterns,
@@ -53,7 +46,6 @@ from .core import (
     FiniteMetricSpace,
     PointSet,
     diameter2,
-    estimates_to_csv,
     metric_space_from_pointset,
     norm_pq,
     pointset_from_csv,

@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteMetricSpace, _parse_cells, _parse_number, _read_csv, _write_csv
+from .core import FiniteMetricSpace, _parse_number
 from .errors import InvalidInputError
 
 ENTROPY_SOURCES = ("empirical-greedy", "exhaustive", "lipschitz-formula")
-ENTROPY_CSV_HEADER = ["m", "e_m", "source"]
 
 # Levels beyond this are never needed: their admissible cardinality exceeds
 # any finite space we can represent.
@@ -184,20 +183,6 @@ def entropy_profile(space: FiniteMetricSpace) -> EntropyProfile:
     return EntropyProfile(tuple(r.upper_bound for r in results), "empirical-greedy")
 
 
-def uniform_metric_space(table: np.ndarray) -> FiniteMetricSpace:
-    """Metric space of tabulated functions under the uniform metric over the
-    tabulation points: d(f, g) = max_i |f(x_i) - g(x_i)|.
-
-    This realizes the uniform metric of a function class restricted to a
-    caller-supplied finite evaluation set; reports built on it should flag
-    that the evaluation set is a surrogate.
-    """
-    t = np.asarray(table, dtype=float)
-    if t.ndim != 2:
-        raise InvalidInputError("table must be 2-d (functions by points)")
-    return FiniteMetricSpace(np.abs(t[:, None, :] - t[None, :, :]).max(axis=2))
-
-
 def lipschitz_entropy_formula(m: int, L: float, B: float, k: int, C_k: float) -> float:
     """Entropy-number envelope C_k * L * B * 2^(-m/k) for an L-Lipschitz
     class that is L*B-bounded on a k-dimensional domain of scale B."""
@@ -323,17 +308,6 @@ def gamma2_upper(space: FiniteMetricSpace, seq: AdmissibleSequence) -> float:
     return float(totals.max())
 
 
-def chaining_expectation_bound(gamma2_value: float, diameter: float,
-                               kappa: float, c_univ: float = 1.0) -> float:
-    """Expected-supremum bound for a process with subgaussian increments and
-    tail inflation kappa: c_univ * (gamma2 + diameter * sqrt(log kappa))."""
-    if kappa < 1:
-        raise InvalidInputError("kappa must be at least 1")
-    if gamma2_value < 0 or diameter < 0 or c_univ <= 0:
-        raise InvalidInputError("gamma2, diameter must be nonnegative; c_univ positive")
-    return float(c_univ * (gamma2_value + diameter * math.sqrt(math.log(kappa))))
-
-
 def composite_entropy_bound(n: int, L: float, bT: float, profile: EntropyProfile,
                             c1: float = 1.0):
     """Entropy-number bound on the composite complexity:
@@ -401,36 +375,6 @@ def composite_rate(n: int, k: int) -> float:
 # ---------------------------------------------------------------------------
 # Serialization
 # ---------------------------------------------------------------------------
-
-
-def entropy_profile_to_csv(profile: EntropyProfile, path) -> None:
-    _write_csv(path, ENTROPY_CSV_HEADER,
-               ([str(m), repr(v), profile.source] for m, v in enumerate(profile.values)))
-
-
-def entropy_profile_from_csv(path) -> EntropyProfile:
-    """Load a profile written by entropy_profile_to_csv.  Rows must number
-    m = 0, 1, ... in order and share one source; a malformed row raises
-    InvalidInputError naming its line (and column, for a bad number), and a
-    bad profile raises one naming the file."""
-    header, rows = _read_csv(path)
-    if header != ENTROPY_CSV_HEADER:
-        raise InvalidInputError(f"{path}, line 1: expected header {','.join(ENTROPY_CSV_HEADER)}")
-    values = []
-    source = rows[0][1][2]  # the first row's source column
-    for where, row in rows:
-        m, value = _parse_cells(where, header, row, (int, float))
-        if m != len(values):
-            raise InvalidInputError(f"{where}: expected m = {len(values)}, got {m}")
-        if row[2] != source:
-            raise InvalidInputError(
-                f"{where}, column source: {row[2]!r} differs from {source!r}"
-            )
-        values.append(value)
-    try:
-        return EntropyProfile(tuple(values), source)
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
 
 
 def sequence_to_text(seq: AdmissibleSequence, path) -> None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_readonly, _parse_cells, _parse_number, _read_csv, _write_csv, sq_distances
+from .core import _as_readonly, sq_distances
 from .errors import BudgetExceededError, InvalidInputError
 # Called through this name: perfbench's tracer wraps classes.simplex_maximize.
 from .simplex import simplex_maximize
@@ -47,8 +47,6 @@ CONVEXITY_TOL = 1e-9
 
 # Uniform grid cells of each function drawn by sample_piecewise_linear_class.
 PIECEWISE_LINEAR_CELLS = 32
-
-FINITE_CLASS_CSV_HEADER = ["func_id", "point_id", "value"]
 
 
 def _as_points(points) -> np.ndarray:
@@ -87,17 +85,14 @@ def _as_coeff_rows(C, n: int) -> np.ndarray:
 class FiniteFunctionClass:
     """r functions tabulated on a fixed list of n points.
 
-    table[j, i] = f_j(x_i).  When the points are supplied the tabulated
-    Lipschitz certificate |f_j(x_i) - f_j(x_i')| <= L ||x_i - x_i'|| is
-    verified at construction, as is the uniform bound.  The class is tied
-    to its sample, so sup_batch takes points=None or exactly n_points rows,
-    equal to the stored points when there are any.
+    table[j, i] = f_j(x_i).  The uniform bound is verified at construction.
+    The class is tied to its sample, so sup_batch takes points=None or
+    exactly n_points rows.
     """
 
     table: np.ndarray
     lipschitz_L: float
     uniform_bound_B: float
-    points: np.ndarray | None = None
 
     def __post_init__(self):
         table = np.asarray(self.table, dtype=float)
@@ -110,22 +105,6 @@ class FiniteFunctionClass:
         if np.abs(table).max() > self.uniform_bound_B + 1e-9:
             raise InvalidInputError("table entries exceed the uniform bound")
         object.__setattr__(self, "table", _as_readonly(table))
-        if self.points is not None:
-            pts = _as_points(self.points)
-            if pts.shape[0] != table.shape[1]:
-                raise InvalidInputError("points and table column counts differ")
-            d = np.sqrt(sq_distances(pts))
-            gaps = np.abs(table[:, :, None] - table[:, None, :])
-            slack = gaps - self.lipschitz_L * d[None, :, :]
-            if slack.max() > 1e-9:
-                raise InvalidInputError(
-                    f"tabulated values violate the Lipschitz certificate by {slack.max():.3e}"
-                )
-            object.__setattr__(self, "points", _as_readonly(pts))
-
-    @property
-    def n_functions(self) -> int:
-        return self.table.shape[0]
 
     @property
     def n_points(self) -> int:
@@ -135,11 +114,8 @@ class FiniteFunctionClass:
         return float(self.sup_batch(None, _as_coeffs(c, self.n_points))[0])
 
     def sup_batch(self, points, C) -> np.ndarray:
-        if points is not None:
-            pts = _as_points(points)
-            if pts.shape[0] != self.n_points or (
-                    self.points is not None and not np.array_equal(pts, self.points)):
-                raise InvalidInputError("finite class is tabulated on a fixed sample")
+        if points is not None and _as_points(points).shape[0] != self.n_points:
+            raise InvalidInputError("finite class is tabulated on a fixed sample")
         C = _as_coeff_rows(C, self.n_points)
         return (C @ self.table.T).max(axis=1)
 
@@ -378,22 +354,11 @@ class PiecewiseLinearClass:
 
     knots: np.ndarray   # (cells + 1,)
     values: np.ndarray  # (r, cells + 1)
-    lipschitz_L: float
-    radius_R: float
 
     def eval_batch(self, x) -> np.ndarray:
         """Values of every function at the given 1-d points, shape (r, len(x))."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return np.vstack([np.interp(x, self.knots, row) for row in self.values])
-
-    def tabulate(self, points_1d) -> FiniteFunctionClass:
-        x = np.atleast_1d(np.asarray(points_1d, dtype=float))
-        return FiniteFunctionClass(
-            table=self.eval_batch(x),
-            lipschitz_L=self.lipschitz_L,
-            uniform_bound_B=self.lipschitz_L * self.radius_R,
-            points=x[:, None],
-        )
 
     def sup_batch(self, points, C) -> np.ndarray:
         pts = _as_points(points)
@@ -420,70 +385,5 @@ def sample_piecewise_linear_class(n_functions: int, L: float, R: float,
     starts = rng.uniform(-L * R, L * R, size=(n_functions, 1))
     values = np.concatenate([starts, starts + np.cumsum(slopes * dx, axis=1)], axis=1)
     values = np.clip(values, -L * R, L * R)
-    return PiecewiseLinearClass(_as_readonly(knots), _as_readonly(values), float(L), float(R))
+    return PiecewiseLinearClass(_as_readonly(knots), _as_readonly(values))
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def finite_class_to_csv(cls: FiniteFunctionClass, values_path, meta_path) -> None:
-    """Write (func_id, point_id, value) triplets plus a key=value sidecar
-    holding the class metadata {L, B}."""
-    _write_csv(values_path, FINITE_CLASS_CSV_HEADER,
-               ([str(j), str(i), repr(float(cls.table[j, i]))]
-                for j in range(cls.n_functions) for i in range(cls.n_points)))
-    with open(meta_path, "w") as fh:
-        fh.write(f"L = {cls.lipschitz_L!r}\n")
-        fh.write(f"B = {cls.uniform_bound_B!r}\n")
-
-
-def finite_class_from_csv(values_path, meta_path) -> FiniteFunctionClass:
-    """Load a class written by finite_class_to_csv.  The sidecar holds L and
-    B once each; the triplets hold every (func_id, point_id) cell of the
-    grid from 0 up to the largest ids exactly once.  A table the class
-    rejects, such as one exceeding B, raises naming the values file."""
-    meta = {}
-    with open(meta_path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            where = f"{meta_path}, line {lineno}"
-            key, eq, value = (part.strip() for part in line.partition("="))
-            if not eq or key not in ("L", "B"):
-                raise InvalidInputError(f"{where}: expected 'L = value' or 'B = value'")
-            if key in meta:
-                raise InvalidInputError(f"{where}: repeated key {key}")
-            meta[key] = _parse_number(value, f"{where}, key {key}")
-            if meta[key] <= 0:
-                raise InvalidInputError(f"{where}, key {key}: must be positive, got {value!r}")
-    for key in ("L", "B"):
-        if key not in meta:
-            raise InvalidInputError(f"{meta_path}: sidecar is missing {key}")
-    header, rows = _read_csv(values_path)
-    if header != FINITE_CLASS_CSV_HEADER:
-        raise InvalidInputError(f"{values_path}, line 1: expected header "
-                                f"{','.join(FINITE_CLASS_CSV_HEADER)}")
-    cells = {}
-    for where, row in rows:
-        j, i, value = _parse_cells(where, header, row, (int, int, float))
-        if j < 0 or i < 0:
-            raise InvalidInputError(f"{where}: func_id and point_id must be >= 0")
-        if (j, i) in cells:
-            raise InvalidInputError(f"{where}: repeated cell func_id {j}, point_id {i}")
-        cells[(j, i)] = value
-    # Distinct in-range cells fill the grid iff they number r * n.
-    r = max(j for j, _ in cells) + 1
-    n = max(i for _, i in cells) + 1
-    if len(cells) != r * n:
-        raise InvalidInputError(f"{values_path}: function-class CSV is missing entries "
-                                f"({len(cells)} values for {r} functions x {n} points)")
-    table = np.empty((r, n))
-    for (j, i), value in cells.items():
-        table[j, i] = value
-    try:
-        return FiniteFunctionClass(table=table, lipschitz_L=meta["L"], uniform_bound_B=meta["B"])
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{values_path}: {exc}") from None

@@ -41,11 +41,12 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_tails(args) -> int:
+    # every row before the header, so a failing call leaves stdout empty
+    rows = [[repr(u), repr(tail_series(u, args.w)), repr(tail_series_capped(u, args.w))]
+            for u in _parse_grid(args.u_grid)]
     writer = csv.writer(sys.stdout)
     writer.writerow(["u", "p", "q"])
-    for u in _parse_grid(args.u_grid):
-        writer.writerow([repr(u), repr(tail_series(u, args.w)),
-                         repr(tail_series_capped(u, args.w))])
+    writer.writerows(rows)
     return 0
 
 

@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .classes import FiniteFunctionClass, _as_points
 from .core import ComplexityEstimate, PointSet
 from .errors import BudgetExceededError, DegenerateSetError, InvalidInputError
 
@@ -154,27 +153,6 @@ def composite_bernoulli_complexity(fclass, T: PointSet,
     sups = np.max([fclass.sup_batch(T.element(i).T, weights)
                    for i in range(T.n_elements)], axis=0)
     return _finish(sups, exact, cfg.seed)
-
-
-def empirical_rademacher(fclass, cfg: EstimatorConfig | None = None,
-                         points=None) -> ComplexityEstimate:
-    """Normalized empirical Rademacher complexity over a fixed sample:
-    (1/n) E sup over the class of the sign-weighted value sum (n signs).
-
-    fclass is any class with sup_batch(points, C), given together with the
-    (n, k) sample points; a FiniteFunctionClass may omit them, since its
-    table fixes the sample.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    if points is None:
-        if not isinstance(fclass, FiniteFunctionClass):
-            raise InvalidInputError("this class needs the sample points")
-        n = fclass.n_points
-    else:
-        points = _as_points(points)
-        n = points.shape[0]
-    weights, exact = _sign_weights(cfg, n)
-    return _finish(fclass.sup_batch(points, weights) / n, exact, cfg.seed)
 
 
 def increment_ratio(fclass, S: PointSet,

@@ -4,7 +4,8 @@ Format: one `key = value` per line, `#` comments, lists as `[a, b, c]`,
 fitted constants as dotted keys `constants.<name> = <number>`, where the
 names an experiment reads are those its `experiments.EXPERIMENTS` entry
 declares.  A constant declared with an int default takes only integers, and
-every constant is finite and positive, except w >= 0 and lp_samples >= 2.
+every constant is finite and positive, except w >= 0 and lp_samples >= 2,
+and w keeps the tail divergence threshold below the sampler grid end.
 Unknown, undeclared, repeated and out-of-range keys are rejected with their
 line and column.
 """
@@ -16,6 +17,7 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .experiments import EXPERIMENTS
+from .tails import MAX_W, SAMPLER_GRID_END, divergence_threshold
 
 
 def _spec(experiment: str):
@@ -70,6 +72,11 @@ class ExperimentConfig:
             if not value < math.inf or (value <= 0 if low is None else value < low):
                 fail(f"{key} must be finite and {'positive' if low is None else f'>= {low}'}"
                      f", got {value}", key)
+            # tails-demo's sampler tabulates q on u <= SAMPLER_GRID_END, past the threshold
+            if name == "w" and (value > MAX_W
+                                or divergence_threshold(value) >= SAMPLER_GRID_END):
+                fail(f"{key} must put the divergence threshold below the sampler grid end "
+                     f"u = {SAMPLER_GRID_END:g}, got {value}", key)
         if "u_stop" in spec.constants:
             u_start, u_stop = ({**spec.constants, **self.constants}[name]
                                for name in ("u_start", "u_stop"))

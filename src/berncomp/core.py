@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -261,11 +261,6 @@ def _write_csv(path, header, rows) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def estimates_to_csv(rows, path) -> None:
-    """Write (quantity, estimate) pairs as CSV with the standard header."""
-    _write_csv(path, ESTIMATE_CSV_HEADER, (est.csv_row(quantity) for quantity, est in rows))
 
 
 def pointset_to_csv(T: PointSet, path) -> None:

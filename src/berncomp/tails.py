@@ -6,8 +6,10 @@ The series is p(u) = sum_{m>=1} 2^(2^(m+1+w)) * exp(-u^2 * 2^(m-1)) and
 q(u) = min(p(u), 1).  The exponent u^2 * 2^(m-1) outgrows 2^(m+1+w) * ln 2
 only when u^2 > 2^(2+w) * ln 2; below that threshold the series diverges,
 which is benign because only q is ever used.  The truncation floor, the
-bisection and quadrature tolerances, the sampler grid and the ceiling MAX_W
-on w (past it the exponents overflow a float) are fixed module constants.
+bisection and quadrature tolerances, the sampler grid with its end
+SAMPLER_GRID_END (the sampler needs the divergence threshold below it) and
+the ceiling MAX_W on w (past it the exponents overflow a float) are fixed
+module constants.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ TRUNCATION_FLOOR = 1e-300
 CROSSING_TOL = 1e-13
 QUAD_REL_TOL = 1e-8
 SAMPLER_GRID_STEP = 0.01
+SAMPLER_GRID_END = 1000.0
 SAMPLER_TAIL_CUT = 1e-12
 MAX_W = 1000
 
@@ -178,7 +181,7 @@ def sample_from_capped_tail(w: int, rho_scale: float,
         if q < SAMPLER_TAIL_CUT:
             break
         u += SAMPLER_GRID_STEP
-        if u > 1000.0:
+        if u > SAMPLER_GRID_END:
             raise SolverError("tail grid failed to reach the cut level")
     grid_arr = np.asarray(grid)
     qs_arr = np.asarray(qs)

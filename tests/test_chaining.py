@@ -9,18 +9,16 @@ from berncomp import (
     AdmissibleSequence,
     EntropyProfile,
     EstimatorConfig,
+    FiniteMetricSpace,
     InvalidInputError,
     PointSet,
     admissible_capacity,
     build_admissible_sequence,
-    chaining_expectation_bound,
     composite_entropy_bound,
     composite_rate,
     covering_number,
     entropy_number,
     entropy_profile,
-    entropy_profile_from_csv,
-    entropy_profile_to_csv,
     gamma2_upper,
     gaussian_complexity,
     lipschitz_entropy_formula,
@@ -30,7 +28,6 @@ from berncomp import (
     sequence_from_text,
     sequence_to_text,
     truncation_objective,
-    uniform_metric_space,
 )
 from berncomp.chaining import farthest_first_order
 from oracles import brute_covering_number, brute_entropy_number
@@ -160,7 +157,8 @@ class TestLipschitzEntropyFormula:
         # uniform metric over a 64-point grid
         cls = sample_piecewise_linear_class(200, L=1.0, R=1.0, seed=42)
         grid = np.linspace(-1.0, 1.0, 64)
-        space = uniform_metric_space(cls.eval_batch(grid))
+        t = cls.eval_batch(grid)
+        space = FiniteMetricSpace(np.abs(t[:, None] - t[None]).max(2))
         for m in range(5):
             e_m = entropy_number(space, m).upper_bound
             assert e_m <= lipschitz_entropy_formula(m, 1.0, 1.0, 1, 4.0) + 1e-12
@@ -343,51 +341,7 @@ class TestCompositeRate:
         assert composite_rate(256, 4) == pytest.approx(0.25)
 
 
-class TestChainingExpectationBound:
-    def test_kappa_one_drops_log_term(self):
-        assert chaining_expectation_bound(3.0, 10.0, 1.0, 2.0) == pytest.approx(6.0)
-
-    def test_singleton_zero(self):
-        assert chaining_expectation_bound(0.0, 0.0, 5.0) == 0.0
-
-    def test_two_point_with_kappa_e(self):
-        assert chaining_expectation_bound(1.0, 1.0, math.e, 1.0) == pytest.approx(2.0)
-
-    def test_kappa_below_one_rejected(self):
-        with pytest.raises(InvalidInputError):
-            chaining_expectation_bound(1.0, 1.0, 0.5)
-
-
 class TestProfileSerialization:
-    def test_csv_round_trip(self, tmp_path):
-        prof = EntropyProfile((1.0, 0.5, 0.0), "empirical-greedy")
-        path = tmp_path / "profile.csv"
-        entropy_profile_to_csv(prof, path)
-        back = entropy_profile_from_csv(path)
-        assert back.values == prof.values and back.source == prof.source
-
-    @pytest.mark.parametrize("rows, where", [
-        ("0,1.0,exhaustive\n1,abc,exhaustive\n", "line 3, column e_m: expected a number"),
-        ("0,1.0,exhaustive\n1,0.5\n", "line 3: expected 3 fields, got 2"),
-        ("x,1.0,exhaustive\n", "line 2, column m: expected a number"),
-        ("0,1.0,exhaustive\n2,0.5,exhaustive\n", "line 3: expected m = 1, got 2"),
-        ("0,1.0,exhaustive\n1,0.5,empirical-greedy\n",
-         "line 3, column source: 'empirical-greedy' differs from 'exhaustive'"),
-    ], ids=["non-numeric-e_m", "two-fields", "non-numeric-m", "m-out-of-order",
-            "mixed-sources"])
-    def test_bad_profile_row_names_file_and_line(self, tmp_path, rows, where):
-        path = tmp_path / "profile.csv"
-        path.write_text("m,e_m,source\n" + rows)
-        with pytest.raises(InvalidInputError) as err:
-            entropy_profile_from_csv(path)
-        assert str(err.value).startswith(f"{path}, {where}")
-
-    def test_non_finite_profile_rejected(self, tmp_path):
-        path = tmp_path / "profile.csv"
-        path.write_text("m,e_m,source\n0,nan,exhaustive\n")
-        with pytest.raises(InvalidInputError):
-            entropy_profile_from_csv(path)
-
     def test_bad_sequence_index_names_file_line_and_column(self, tmp_path):
         path = tmp_path / "seq.txt"
         path.write_text("level 0: {0,1}\nlevel 1: {0,x}\n")
@@ -410,3 +364,8 @@ class TestProfileSerialization:
     def test_increasing_profile_rejected(self):
         with pytest.raises(InvalidInputError):
             EntropyProfile((0.5, 1.0), "empirical-greedy")
+
+    def test_non_finite_profile_rejected(self):
+        for values in ((math.nan,), (math.inf, 1.0)):
+            with pytest.raises(InvalidInputError, match="entropy numbers must be finite"):
+                EntropyProfile(values, "exhaustive")

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,8 +11,6 @@ from berncomp import (
     GaussianRkhsBall,
     InvalidInputError,
     LipschitzBall,
-    finite_class_from_csv,
-    finite_class_to_csv,
     lipschitz_ball_sup,
     oracle_convexity_check,
     sample_piecewise_linear_class,
@@ -88,114 +85,9 @@ class TestFiniteClassSup:
         with pytest.raises(InvalidInputError):
             cls.sup_batch([[0.0], [1.0], [2.0]], [[1.0, 1.0]])
 
-    def test_sup_batch_rejects_points_other_than_the_tabulated_ones(self):
-        pl = sample_piecewise_linear_class(6, 1.0, 1.0, seed=3)
-        x = np.linspace(-1.0, 1.0, 5)
-        tab = pl.tabulate(x)
-        C = np.ones((1, 5))
-        assert tab.sup_batch(x[:, None], C)[0] == tab.sup_batch(None, C)[0]
-        for other in (np.zeros(5), x + 1e-9, np.stack([x, x], axis=1)):
-            with pytest.raises(InvalidInputError, match="tabulated on a fixed sample"):
-                tab.sup_batch(other, C)
-
     def test_bound_violation_rejected(self):
         with pytest.raises(InvalidInputError):
             FiniteFunctionClass(table=[[2.0]], lipschitz_L=1.0, uniform_bound_B=1.0)
-
-    def test_lipschitz_certificate_checked_when_points_given(self):
-        with pytest.raises(InvalidInputError):
-            FiniteFunctionClass(table=[[0.0, 1.0]], lipschitz_L=1.0, uniform_bound_B=1.0,
-                                points=[[0.0], [0.1]])
-
-    def test_csv_round_trip(self, tmp_path):
-        cls = FiniteFunctionClass(table=[[1.0, -0.5], [0.25, 0.75]], lipschitz_L=2.0,
-                                  uniform_bound_B=1.0)
-        vals = tmp_path / "class.csv"
-        meta = tmp_path / "class_meta.txt"
-        finite_class_to_csv(cls, vals, meta)
-        back = finite_class_from_csv(vals, meta)
-        np.testing.assert_array_equal(back.table, cls.table)
-        assert back.lipschitz_L == cls.lipschitz_L
-        assert back.uniform_bound_B == cls.uniform_bound_B
-
-    def test_csv_bad_row_names_line(self, tmp_path):
-        meta = tmp_path / "meta.txt"
-        meta.write_text("L = 1.0\nB = 1.0\n")
-        for bad_row, message in (("0,x,0.5", "line 3, column point_id"),
-                                 ("1.5,1,0.5", "line 3, column func_id"),
-                                 ("0,1,abc", "line 3, column value"),
-                                 ("0,1", "line 3: expected 3 fields"),
-                                 ("-1,0,0.5", "line 3: func_id and point_id must be >= 0")):
-            vals = tmp_path / "class.csv"
-            vals.write_text(f"func_id,point_id,value\n0,0,0.5\n{bad_row}\n")
-            with pytest.raises(InvalidInputError, match=message):
-                finite_class_from_csv(vals, meta)
-
-    def test_sidecar_non_numeric_value_names_line(self, tmp_path):
-        vals = tmp_path / "class.csv"
-        vals.write_text("func_id,point_id,value\n0,0,0.5\n")
-        meta = tmp_path / "meta.txt"
-        meta.write_text("L = 1.0\nB = one\n")
-        with pytest.raises(InvalidInputError, match="line 2, key B"):
-            finite_class_from_csv(vals, meta)
-
-    @pytest.mark.parametrize("rows, where", [
-        ("0,0,0.5\n0,0,0.25\n", "line 3: repeated cell func_id 0, point_id 0"),
-        ("0,0,nan\n", "line 2, column value: expected a finite number, got 'nan'"),
-    ], ids=["repeated-cell", "nan-cell"])
-    def test_bad_cell_names_file_and_line(self, tmp_path, rows, where):
-        meta = tmp_path / "meta.txt"
-        meta.write_text("L = 1.0\nB = 1.0\n")
-        vals = tmp_path / "class.csv"
-        vals.write_text("func_id,point_id,value\n" + rows)
-        with pytest.raises(InvalidInputError) as err:
-            finite_class_from_csv(vals, meta)
-        assert str(err.value).startswith(f"{vals}, {where}")
-
-    @pytest.mark.parametrize("rows", ["0,0,0.5\n1,1,0.5\n", "0,100000000,0.5\n"],
-                             ids=["diagonal", "one-far-cell"])
-    def test_missing_cells_rejected_before_the_table_is_allocated(self, tmp_path, rows):
-        # The far cell spans a 1 x 100000001 grid: 800 MB if it were tabulated.
-        meta = tmp_path / "meta.txt"
-        meta.write_text("L = 1.0\nB = 1.0\n")
-        vals = tmp_path / "class.csv"
-        vals.write_text("func_id,point_id,value\n" + rows)
-        tracemalloc.start()
-        try:
-            with pytest.raises(InvalidInputError) as err:
-                finite_class_from_csv(vals, meta)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert str(err.value).startswith(f"{vals}: function-class CSV is missing entries")
-        assert peak < 1 << 20
-
-    @pytest.mark.parametrize("text, where", [
-        ("L = 1.0\nL = 2.0\nB = 1.0\n", "line 2: repeated key L"),
-        ("L = 1.0\nB = 1.0\nC = 3.0\n", "line 3: expected 'L = value' or 'B = value'"),
-        ("L 1\nB = 1.0\n", "line 1: expected 'L = value' or 'B = value'"),
-        ("L = 1.0\nB = inf\n", "line 2, key B: expected a finite number, got 'inf'"),
-        ("L = -1\nB = 1.0\n", "line 1, key L: must be positive, got '-1'"),
-        ("L = 1.0\nB = 0\n", "line 2, key B: must be positive, got '0'"),
-    ], ids=["repeated-key", "unknown-key", "no-equals", "infinite-value", "negative-L",
-            "zero-B"])
-    def test_bad_sidecar_line_names_file_and_line(self, tmp_path, text, where):
-        vals = tmp_path / "class.csv"
-        vals.write_text("func_id,point_id,value\n0,0,0.5\n")
-        meta = tmp_path / "meta.txt"
-        meta.write_text(text)
-        with pytest.raises(InvalidInputError) as err:
-            finite_class_from_csv(vals, meta)
-        assert str(err.value).startswith(f"{meta}, {where}")
-
-    def test_sidecar_missing_key_names_file(self, tmp_path):
-        vals = tmp_path / "class.csv"
-        vals.write_text("func_id,point_id,value\n0,0,0.5\n")
-        meta = tmp_path / "meta.txt"
-        meta.write_text("L = 1.0\n")
-        with pytest.raises(InvalidInputError) as err:
-            finite_class_from_csv(vals, meta)
-        assert str(err.value) == f"{meta}: sidecar is missing B"
 
 
 class TestLipschitzBallSup:
@@ -464,9 +356,11 @@ class TestPiecewiseLinearSampler:
         cls = sample_piecewise_linear_class(40, L=1.0, R=1.0, seed=9)
         rng = np.random.default_rng(10)
         pts = rng.uniform(-1, 1, size=12)
-        tab = cls.tabulate(pts)  # construction re-validates the certificate
-        assert tab.n_functions == 40 and tab.n_points == 12
-        assert np.abs(tab.table).max() <= 1.0 + 1e-12
+        table = cls.eval_batch(pts)
+        assert table.shape == (40, 12)
+        gaps = np.abs(table[:, :, None] - table[:, None, :])
+        assert np.all(gaps <= np.abs(pts[:, None] - pts[None, :]) + 1e-12)
+        assert np.abs(table).max() <= 1.0 + 1e-12
 
     def test_values_clipped_to_box(self):
         cls = sample_piecewise_linear_class(100, L=2.0, R=1.5, seed=11)
@@ -478,7 +372,8 @@ class TestPiecewiseLinearSampler:
         pts = rng.uniform(-1, 1, size=(6, 1))
         c = rng.normal(size=6)
         via_oracle = cls.sup_batch(pts, [c])[0]
-        via_table = cls.tabulate(pts[:, 0]).sup(c)
+        via_table = FiniteFunctionClass(table=cls.eval_batch(pts[:, 0]), lipschitz_L=1.0,
+                                        uniform_bound_B=1.0).sup(c)
         assert via_oracle == pytest.approx(via_table)
 
     def test_sup_batch_rejects_points_off_the_line(self):

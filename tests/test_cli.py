@@ -6,13 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from berncomp import (ConfigError, InvalidInputError, PointSet, bernoulli_complexity,
-                      pointset_to_csv)
+from berncomp import (ConfigError, InvalidInputError, PointSet, SolverError,
+                      bernoulli_complexity, pointset_to_csv)
 from berncomp.cli import main
 from berncomp.complexity import EstimatorConfig
 from berncomp.config import default_config, parse_config, parse_config_text
 from berncomp.experiments import EXPERIMENTS, ols_fit
-from berncomp.tails import tail_series
+from berncomp.tails import sample_from_capped_tail, tail_series
 from oracles import ols_by_hand
 
 
@@ -127,6 +127,14 @@ class TestConfigParsing:
         for name in EXPERIMENTS:
             default_config(name).validate()
 
+    def test_largest_w_the_tail_sampler_runs_is_accepted(self):
+        # w = 19 puts the divergence threshold at u = 1205.7, past the grid end
+        assert parse_config_text("experiment = tails-demo\nconstants.w = 18\n").constants == {
+            "w": 18}
+        sample_from_capped_tail(18, 1.0, 0.5, 10, 0)
+        with pytest.raises(SolverError):
+            sample_from_capped_tail(19, 1.0, 0.5, 10, 0)
+
 
 class TestOlsFit:
     def test_hand_computed_three_points(self):
@@ -160,11 +168,13 @@ class TestTailsCommand:
 
     def test_negative_w_exits_2(self, capsys):
         assert main(["tails", "--w", "-1"]) == 2
-        assert "error: w must be nonnegative" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "error: w must be nonnegative" in err and out == ""
 
     def test_w_above_the_ceiling_exits_2(self, capsys):
         assert main(["tails", "--w", "2000"]) == 2
-        assert "error: w must be at most 1000" in capsys.readouterr().err
+        out, err = capsys.readouterr()
+        assert "error: w must be at most 1000" in err and out == ""
 
 
 class TestEstimateCommand:
@@ -304,6 +314,7 @@ class TestRunCommand:
         ("experiment = composition-logfree\nconstants.n_functions = 0\n",
          "constants.n_functions", "line 2, column 1"),
         ("experiment = tails-demo\nconstants.w = -1\n", "constants.w", "line 2, column 1"),
+        ("experiment = tails-demo\nconstants.w = 19\n", "constants.w", "line 2, column 1"),
         ("experiment = scaling-k1\nn_list = [64]\n", "n_list", "line 2, column 1"),
         ("experiment = scaling-k2\nn_list = [64]\n", "n_list", "line 2, column 1"),
         ("experiment = scaling-kk\nn_list = [64]\n", "n_list", "line 2, column 1"),
@@ -326,7 +337,8 @@ class TestRunCommand:
          "line 2, column 1"),
     ], ids=["undeclared-constant", "repeated-seed", "scaling-k1-with-k3", "zero-u-step",
             "negative-u-step", "negative-n", "scaling-k2-with-n1", "chaining-demo-with-n1",
-            "fractional-count", "zero-count", "negative-w", "scaling-k1-with-one-n",
+            "fractional-count", "zero-count", "negative-w", "w-past-the-sampler-grid",
+            "scaling-k1-with-one-n",
             "scaling-k2-with-one-n", "scaling-kk-with-one-n", "one-mc-sample",
             "one-lp-sample", "u-stop-below-u-start", "u-start-above-default-u-stop",
             "zero-band", "zero-L", "zero-rkhs-R", "zero-u-start", "nan-slope-tol"])

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berncomp import (
     BudgetExceededError,
@@ -16,7 +18,6 @@ from berncomp import (
     bernoulli_complexity,
     composite_bernoulli_complexity,
     diameter2,
-    empirical_rademacher,
     gaussian_complexity,
     increment_ratio,
     norm_pq,
@@ -90,6 +91,34 @@ class TestBernoulliComplexity:
         small = bernoulli_complexity(PointSet.from_rows(rows[:3]), EXACT)
         large = bernoulli_complexity(PointSet.from_rows(rows), EXACT)
         assert small.value <= large.value + 1e-12
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 2), st.integers(1, 5))
+    def test_symmetric_under_negation_exact(self, seed, m, k, n):
+        T = PointSet(np.random.default_rng(seed).uniform(-1, 1, size=(m, k, n)))
+        b = bernoulli_complexity(T, EXACT).value
+        assert bernoulli_complexity(PointSet(-T.elements), EXACT).value == pytest.approx(
+            b, rel=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 2), st.integers(1, 5))
+    def test_invariant_under_permuting_elements_and_columns_exact(self, seed, m, k, n):
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(-1, 1, size=(m, k, n))
+        rows, cols = rng.permutation(m), rng.permutation(n)
+        T, P = PointSet(X), PointSet(X[rows][:, :, cols])
+
+        def same(est, ref):
+            assert est.value == pytest.approx(ref.value, rel=1e-12)
+
+        same(bernoulli_complexity(P, EXACT), bernoulli_complexity(T, EXACT))
+        # g is Monte Carlo: its seeded draw is tied to each coordinate, so
+        # only a permutation of the elements leaves the estimate unchanged
+        mc = EstimatorConfig(mc_samples=200, seed=seed)
+        same(gaussian_complexity(PointSet(X[rows]), mc), gaussian_complexity(T, mc))
+        for fclass in (LipschitzBall(1.0, 1.0), GaussianRkhsBall(sigma=0.5, rho=1.0)):
+            same(composite_bernoulli_complexity(fclass, P, EXACT),
+                 composite_bernoulli_complexity(fclass, T, EXACT))
 
     def test_seed_determinism_bit_identical(self):
         T = PointSet(np.random.default_rng(2).normal(size=(4, 1, 20)))
@@ -198,38 +227,27 @@ class TestCompositeComplexity:
 
 
 class TestEmpiricalRademacher:
-    def test_singleton_class_is_zero(self):
-        cls = FiniteFunctionClass(table=[[0.7, -0.2, 0.5]], lipschitz_L=1.0,
-                                  uniform_bound_B=1.0)
-        est = empirical_rademacher(cls, EXACT)
-        assert est.value == pytest.approx(0.0, abs=1e-15)
-
-    def test_sign_pair_class(self):
-        # {g, -g} with g = 1 on both points: (1/2) E |e1 + e2| = 0.5
-        cls = FiniteFunctionClass(table=[[1.0, 1.0], [-1.0, -1.0]], lipschitz_L=1.0,
-                                  uniform_bound_B=1.0)
-        est = empirical_rademacher(cls, EXACT)
-        assert est.value == pytest.approx(0.5)
+    """The empirical Rademacher complexity of a class on a sample, times n,
+    is the composite complexity of the one-element set holding the sample."""
 
     def test_rkhs_one_over_root_n_envelope(self):
         rng = np.random.default_rng(12)
         ball = GaussianRkhsBall(sigma=1.0, rho=1.0)
         for n in (4, 8, 12):
-            pts = rng.uniform(-1, 1, size=(n, 1))
-            est = empirical_rademacher(ball, EXACT, points=pts)
-            assert est.value <= 1.0 / math.sqrt(n) + 3.0 * est.std_error + 1e-12
-
+            sample = PointSet(rng.uniform(-1, 1, size=(1, 1, n)))
+            est = composite_bernoulli_complexity(ball, sample, EXACT)
+            assert est.value / n <= 1.0 / math.sqrt(n) + 3.0 * est.std_error + 1e-12
 
     @pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
     def test_matches_bernoulli_complexity_of_the_table_rows(self, mode):
         # one sign source: the finite class over its sample is the point set
-        # of its rows, and n = 8 makes the division by n exact
+        # of its rows
         table = np.random.default_rng(16).uniform(-1, 1, size=(5, 8))
         cls = FiniteFunctionClass(table=table, lipschitz_L=1.0, uniform_bound_B=1.0)
         cfg = EstimatorConfig(mode=mode, mc_samples=500, seed=17)
-        est = empirical_rademacher(cls, cfg)
+        est = composite_bernoulli_complexity(cls, PointSet(np.zeros((1, 1, 8))), cfg)
         plain = bernoulli_complexity(PointSet.from_rows(table), cfg)
-        assert est.value == plain.value / 8
+        assert est.value == plain.value
         assert (est.method, est.samples) == (plain.method, plain.samples)
 
 

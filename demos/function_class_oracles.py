@@ -22,8 +22,7 @@ from berncomp import (
 rng = np.random.default_rng(0)
 
 print("Finite class: 4 tabulated functions on 3 points")
-cls = FiniteFunctionClass(table=rng.uniform(-1, 1, size=(4, 3)),
-                          lipschitz_L=5.0, uniform_bound_B=1.0)
+cls = FiniteFunctionClass(table=rng.uniform(-1, 1, size=(4, 3)), uniform_bound_B=1.0)
 c = rng.normal(size=3)
 print(f"  sup = {cls.sup(c):.4f} over rows {np.round(cls.table @ c, 4)}")
 

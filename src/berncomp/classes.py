@@ -91,7 +91,6 @@ class FiniteFunctionClass:
     """
 
     table: np.ndarray
-    lipschitz_L: float
     uniform_bound_B: float
 
     def __post_init__(self):
@@ -100,8 +99,8 @@ class FiniteFunctionClass:
             raise InvalidInputError("table must be a nonempty 2-d array")
         if not np.all(np.isfinite(table)):
             raise InvalidInputError("table entries must be finite")
-        if self.lipschitz_L <= 0 or self.uniform_bound_B <= 0:
-            raise InvalidInputError("lipschitz_L and uniform_bound_B must be positive")
+        if self.uniform_bound_B <= 0:
+            raise InvalidInputError("uniform_bound_B must be positive")
         if np.abs(table).max() > self.uniform_bound_B + 1e-9:
             raise InvalidInputError("table entries exceed the uniform bound")
         object.__setattr__(self, "table", _as_readonly(table))

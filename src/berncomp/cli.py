@@ -52,8 +52,6 @@ def _cmd_tails(args) -> int:
 
 def _cmd_estimate(args) -> int:
     T = pointset_from_csv(args.input, k=args.k)
-    if args.exact and args.mc is not None:
-        raise ConfigError("choose either --exact or --mc, not both")
     mode = "exact" if args.exact else ("monte-carlo" if args.mc is not None else "auto")
     cfg = EstimatorConfig(
         mode=mode,
@@ -91,8 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_est = sub.add_parser("estimate", help="estimate b or g for a point-set CSV")
     p_est.add_argument("--input", required=True, help="point-set CSV path")
     p_est.add_argument("--quantity", required=True, choices=("b", "g"))
-    p_est.add_argument("--exact", action="store_true", help="force exact enumeration")
-    p_est.add_argument("--mc", type=int, metavar="N", help="force Monte Carlo with N samples")
+    mode = p_est.add_mutually_exclusive_group()
+    mode.add_argument("--exact", action="store_true", help="force exact enumeration")
+    mode.add_argument("--mc", type=int, metavar="N", help="force Monte Carlo with N samples")
     p_est.add_argument("--seed", type=int, default=42)
     p_est.add_argument("--k", type=int, default=1,
                        help="ambient dimension of the stored elements (default 1)")

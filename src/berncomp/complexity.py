@@ -163,7 +163,8 @@ def increment_ratio(fclass, S: PointSet,
     sup_batch(points, C).
 
     Pairs closer than DEGENERATE_PAIR_TOL are skipped; if every pair is
-    degenerate a DegenerateSetError is raised.  The same sign draws are used
+    degenerate a DegenerateSetError is raised, and a pair distance that
+    overflows a float raises InvalidInputError.  The same sign draws are used
     for every pair (common random numbers) to reduce ratio variance.
     """
     cfg = cfg or DEFAULT_CONFIG
@@ -178,6 +179,8 @@ def increment_ratio(fclass, S: PointSet,
     for i in range(S.n_elements):
         for j in range(i + 1, S.n_elements):
             dist = float(np.linalg.norm(vecs[i] - vecs[j]))
+            if np.isinf(dist):
+                raise InvalidInputError(f"the distance of elements {i} and {j} overflows a float")
             if dist < DEGENERATE_PAIR_TOL:
                 continue
             pts = np.concatenate([S.element(i).T, S.element(j).T], axis=0)

@@ -90,7 +90,9 @@ def norm_pq(t, p, q) -> float:
     column p-norms.  p = q = 2 is the Frobenius norm.
 
     Infinite exponents are handled as max-reductions, never as limits of
-    finite powers.
+    finite powers.  A matrix whose largest entry has a p-th or q-th power
+    below 2^-1000 is scaled exactly by a power of two first; a norm whose
+    powers overflow a float raises InvalidInputError.
     """
     mat = np.atleast_2d(np.asarray(t, dtype=float))
     if not np.all(np.isfinite(mat)):
@@ -99,13 +101,18 @@ def norm_pq(t, p, q) -> float:
         if not (value >= 1):
             raise InvalidInputError(f"{name} must be in [1, inf], got {value!r}")
     absmat = np.abs(mat)
+    top = float(absmat.max())
+    power = max((e for e in (p, q) if e < math.inf), default=0.0)
+    shift = -math.frexp(top)[1] if top > 0.0 and power * math.log2(top) < -1000.0 else 0
+    absmat = np.ldexp(absmat, shift)
     if math.isinf(p):
         col = absmat.max(axis=0)
     else:
         col = np.power(absmat, p).sum(axis=0) ** (1.0 / p)
-    if math.isinf(q):
-        return float(col.max())
-    return float(np.power(col, q).sum() ** (1.0 / q))
+    value = float(col.max()) if math.isinf(q) else float(np.power(col, q).sum() ** (1.0 / q))
+    if math.isinf(value):
+        raise InvalidInputError(f"the ({p}, {q}) norm overflows a float")
+    return math.ldexp(value, -shift)
 
 
 def sq_distances(X: np.ndarray) -> np.ndarray:
@@ -118,9 +125,17 @@ def sq_distances(X: np.ndarray) -> np.ndarray:
 def diameter2(T: PointSet) -> float:
     """Diameter of the set with respect to the Frobenius norm.
 
-    Zero for singletons; exactly zero iff all elements coincide.
+    Zero for singletons; exactly zero iff all elements coincide, since
+    squares below the normal float range are redone on differences scaled
+    exactly by 2^600.  Elements about 1.3e154 apart raise InvalidInputError.
     """
-    return float(np.sqrt(sq_distances(T.vectorized())).max())
+    X = T.vectorized()
+    sq = float(sq_distances(X).max())
+    if sq < np.finfo(float).tiny:
+        return math.ldexp(math.sqrt(sq_distances(np.ldexp(X - X[0], 600)).max()), -600)
+    if math.isinf(sq):
+        raise InvalidInputError("the squared diameter overflows a float")
+    return math.sqrt(sq)
 
 
 @dataclass(frozen=True)

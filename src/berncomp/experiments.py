@@ -359,7 +359,7 @@ def _run_tails_demo(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
     while u <= u_stop + 1e-12:
         p = tail_series(u, w)
         q = tail_series_capped(u, w)
-        out.add_row(0, w, f"p[u={u:.4f}]", p if math.isfinite(p) else math.inf, 0.0, cfg.seed)
+        out.add_row(0, w, f"p[u={u:.4f}]", p, 0.0, cfg.seed)
         out.add_row(0, w, f"q[u={u:.4f}]", q, 0.0, cfg.seed)
         # second route: below the convergence threshold the series diverges;
         # for w = 0 and 1.75 <= u <= 26 (where exp(-u^2) is still a normal

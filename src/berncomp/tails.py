@@ -3,13 +3,14 @@ tail-uncentering inequality, evaluated in log space so no intermediate ever
 overflows.
 
 The series is p(u) = sum_{m>=1} 2^(2^(m+1+w)) * exp(-u^2 * 2^(m-1)) and
-q(u) = min(p(u), 1).  The exponent u^2 * 2^(m-1) outgrows 2^(m+1+w) * ln 2
-only when u^2 > 2^(2+w) * ln 2; below that threshold the series diverges,
-which is benign because only q is ever used.  The truncation floor, the
-bisection and quadrature tolerances, the sampler grid with its end
-SAMPLER_GRID_END (the sampler needs the divergence threshold below it) and
-the ceiling MAX_W on w (past it the exponents overflow a float) are fixed
-module constants.
+q(u) = min(p(u), 1).  Term m equals exp(-2^(m-1) * s) with s = u^2 - u0^2
+and u0^2 = 2^(2+w) * ln 2, so the series converges exactly for u > u0 and
+diverges below, which is benign because only q is ever used.  p = 1 at the
+one s = CROSSING_S for every w, and each term integrates over (u*, inf) to a
+scaled erfcx, so the crossing point and the integral of q are closed forms.
+The truncation floor, the sampler grid with its end SAMPLER_GRID_END (the
+sampler needs the divergence threshold below it) and the ceiling MAX_W on w
+(past it the exponents overflow a float) are fixed module constants.
 """
 
 from __future__ import annotations
@@ -22,40 +23,42 @@ from .errors import InvalidInputError, SolverError
 
 _MAX_TERMS = 10000
 TRUNCATION_FLOOR = 1e-300
-CROSSING_TOL = 1e-13
-QUAD_REL_TOL = 1e-8
+CROSSING_S = 0.5689425097032021  # the root of sum_{j>=0} exp(-2^j s) = 1
 SAMPLER_GRID_STEP = 0.01
 SAMPLER_GRID_END = 1000.0
 SAMPLER_TAIL_CUT = 1e-12
 MAX_W = 1000
 
 
-def divergence_threshold(w: int = 0) -> float:
-    """The series converges exactly for u above sqrt(2^(2+w) * ln 2)."""
+def _threshold_sq(w: int) -> float:
+    """u0^2 = 2^(2+w) * ln 2, after checking 0 <= w <= MAX_W."""
     if not 0 <= w <= MAX_W:
         raise InvalidInputError("w must be nonnegative" if w < 0 else f"w must be at most {MAX_W}")
-    return math.sqrt(2.0 ** (2 + w) * math.log(2.0))
+    return 2.0 ** (2 + w) * math.log(2.0)
+
+
+def divergence_threshold(w: int = 0) -> float:
+    """The series converges exactly for u above sqrt(2^(2+w) * ln 2)."""
+    return math.sqrt(_threshold_sq(w))
 
 
 def log_tail_series(u: float, w: int = 0) -> float:
     """log p(u); +inf when the series diverges (u at or below the
     convergence threshold).
 
-    Terms are accumulated by log-sum-exp and truncated at the first term
-    falling below TRUNCATION_FLOOR relative to the running sum.
+    Terms -2^(m-1) * s are accumulated by log-sum-exp and truncated at the
+    first term falling below TRUNCATION_FLOOR relative to the running sum.
     """
-    if not 0 <= w <= MAX_W:
-        raise InvalidInputError("w must be nonnegative" if w < 0 else f"w must be at most {MAX_W}")
+    u0_sq = _threshold_sq(w)
     if not u > 0:
         raise InvalidInputError("u must be positive")
-    u2 = u * u
-    ln2 = math.log(2.0)
-    total = 2.0 ** (2 + w) * ln2 - u2  # the m = 1 term
-    if total >= 0.0:
+    s = u * u - u0_sq
+    if s <= 0.0:
         return math.inf
+    total = -s  # the m = 1 term
     log_floor = math.log(TRUNCATION_FLOOR)
     for m in range(2, _MAX_TERMS + 1):
-        log_term = 2.0 ** (m + 1 + w) * ln2 - u2 * 2.0 ** (m - 1)
+        log_term = -s * 2.0 ** (m - 1)
         if log_term <= total + log_floor:
             break
         total = float(np.logaddexp(total, log_term))
@@ -79,58 +82,32 @@ def tail_series_capped(u: float, w: int = 0) -> float:
 
 
 def tail_crossing_point(w: int = 0) -> float:
-    """The unique u* with p(u*) = 1: p decreases continuously from +inf at
-    the convergence threshold u0 to 0, so bisection on log p applies.  Term
-    m is exp(-2^(m-1) (u^2 - u0^2)), so p(u0 + 1) < sum_m exp(-2^(m-1)) < 1
-    and u0 + 1 brackets u*."""
-    lo = divergence_threshold(w) * (1.0 + 1e-12)
-    hi = lo + 1.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= CROSSING_TOL * max(1.0, hi):
-            break
-        if log_tail_series(mid, w) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    """The unique u* with p(u*) = 1: u*^2 - u0^2 = CROSSING_S."""
+    return math.sqrt(_threshold_sq(w) + CROSSING_S)
 
 
-def _adaptive_simpson(f, a: float, b: float) -> float:
-    """Composite adaptive Simpson with a recursion-depth guard."""
-    fa, fb = f(a), f(b)
-    fm = f(0.5 * (a + b))
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(x0, x2, f0, f1, f2, acc, depth):
-        x1 = 0.5 * (x0 + x2)
-        lm = f(0.5 * (x0 + x1))
-        rm = f(0.5 * (x1 + x2))
-        left = (x1 - x0) / 6.0 * (f0 + 4.0 * lm + f1)
-        right = (x2 - x1) / 6.0 * (f1 + 4.0 * rm + f2)
-        if depth > 40:
-            raise SolverError("adaptive quadrature exceeded maximum depth")
-        delta = left + right - acc
-        if abs(delta) <= 15.0 * QUAD_REL_TOL * max(abs(left + right), 1e-300):
-            return left + right + delta / 15.0
-        return (recurse(x0, x1, f0, lm, f1, left, depth + 1)
-                + recurse(x1, x2, f1, rm, f2, right, depth + 1))
-
-    return recurse(a, b, fa, fm, fb, whole, 0)
+def _erfcx(x: float) -> float:
+    """exp(x^2) * erfc(x) for x >= 1; from x = 26 on, where erfc nears the
+    float floor, the asymptotic series to the term in x^-14, whose first
+    omitted term is below 2e-17 relative."""
+    if x < 26.0:
+        return math.exp(x * x) * math.erfc(x)
+    r = 1.0 / (2.0 * x * x)
+    term = total = 1.0
+    for n in range(1, 7):
+        term *= -(2 * n - 1) * r
+        total += term
+    return total / (x * math.sqrt(math.pi))
 
 
 def tail_integral(w: int = 0) -> float:
-    """The integral of q over (0, inf): the crossing point u* (where q = 1)
-    plus adaptive Simpson over [u*, u* + 20] plus an analytic bound on the
-    remainder via the dominant-term decay p(u) <= p(U) exp(-(u^2 - U^2))."""
+    """The integral of q over (0, inf): u* (where q = 1) plus the exact
+    Gaussian-tail integral of each term exp(-2^j (u^2 - u0^2)) over
+    (u*, inf), 0.5 sqrt(pi / 2^j) exp(-2^j CROSSING_S) erfcx(2^(j/2) u*).
+    Terms past j = 11 are below exp(-1165) and vanish in a float."""
     u_star = tail_crossing_point(w)
-    hi = u_star + 20.0
-    body = _adaptive_simpson(lambda u: tail_series(u, w), u_star, hi)
-    remainder = tail_series(hi, w) / (2.0 * hi)
-    total = u_star + body + remainder
-    if not math.isfinite(total):
-        raise SolverError("tail integral did not converge to a finite value")
-    return total
+    return u_star + sum(0.5 * math.sqrt(math.pi / 2.0 ** j) * math.exp(-2.0 ** j * CROSSING_S)
+                        * _erfcx(2.0 ** (0.5 * j) * u_star) for j in range(12))
 
 
 def expectation_bound_from_tail(rho_scale: float, zeta_shift: float, w: int = 0):

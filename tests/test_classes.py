@@ -60,34 +60,32 @@ class TestSimplex:
 
 class TestFiniteClassSup:
     def test_single_row(self):
-        cls = FiniteFunctionClass(table=[[2.0, 3.0]], lipschitz_L=1.0, uniform_bound_B=3.0)
+        cls = FiniteFunctionClass(table=[[2.0, 3.0]], uniform_bound_B=3.0)
         assert cls.sup([1.0, 1.0]) == pytest.approx(5.0)
 
     def test_two_rows_enumerated(self):
-        cls = FiniteFunctionClass(table=[[1.0, 0.0], [0.0, 1.0]], lipschitz_L=1.0,
-                                  uniform_bound_B=1.0)
+        cls = FiniteFunctionClass(table=[[1.0, 0.0], [0.0, 1.0]], uniform_bound_B=1.0)
         # row 1 gives 1, row 2 gives -1
         assert cls.sup([1.0, -1.0]) == pytest.approx(1.0)
 
     def test_zero_coefficients(self):
-        cls = FiniteFunctionClass(table=[[1.0, -1.0], [0.5, 0.5]], lipschitz_L=1.0,
-                                  uniform_bound_B=1.0)
+        cls = FiniteFunctionClass(table=[[1.0, -1.0], [0.5, 0.5]], uniform_bound_B=1.0)
         assert cls.sup([0.0, 0.0]) == 0.0
 
     def test_dimension_mismatch(self):
-        cls = FiniteFunctionClass(table=[[1.0, 0.0]], lipschitz_L=1.0, uniform_bound_B=1.0)
+        cls = FiniteFunctionClass(table=[[1.0, 0.0]], uniform_bound_B=1.0)
         with pytest.raises(InvalidInputError):
             cls.sup([1.0])
 
     def test_sup_batch_rejects_wrong_point_count(self):
-        cls = FiniteFunctionClass(table=[[1.0, 0.0]], lipschitz_L=1.0, uniform_bound_B=1.0)
+        cls = FiniteFunctionClass(table=[[1.0, 0.0]], uniform_bound_B=1.0)
         assert cls.sup_batch(None, [[1.0, 1.0]])[0] == 1.0
         with pytest.raises(InvalidInputError):
             cls.sup_batch([[0.0], [1.0], [2.0]], [[1.0, 1.0]])
 
     def test_bound_violation_rejected(self):
         with pytest.raises(InvalidInputError):
-            FiniteFunctionClass(table=[[2.0]], lipschitz_L=1.0, uniform_bound_B=1.0)
+            FiniteFunctionClass(table=[[2.0]], uniform_bound_B=1.0)
 
 
 class TestLipschitzBallSup:
@@ -317,14 +315,13 @@ class TestRkhsGramForm:
 
 class TestOracleConvexity:
     def test_lambda_zero_trivial(self):
-        cls = FiniteFunctionClass(table=[[1.0, 0.0]], lipschitz_L=1.0, uniform_bound_B=1.0)
+        cls = FiniteFunctionClass(table=[[1.0, 0.0]], uniform_bound_B=1.0)
         assert oracle_convexity_check(cls, [[0.0], [1.0]],
                                       [1.0, 0.0], [0.0, 1.0], 0.0)
 
     def test_finite_class_random_trials(self):
         rng = np.random.default_rng(33)
-        cls = FiniteFunctionClass(table=rng.uniform(-1, 1, size=(6, 4)),
-                                  lipschitz_L=5.0, uniform_bound_B=1.0)
+        cls = FiniteFunctionClass(table=rng.uniform(-1, 1, size=(6, 4)), uniform_bound_B=1.0)
         pts = rng.normal(size=(4, 1))
         for _ in range(1000):
             ok = oracle_convexity_check(
@@ -372,8 +369,7 @@ class TestPiecewiseLinearSampler:
         pts = rng.uniform(-1, 1, size=(6, 1))
         c = rng.normal(size=6)
         via_oracle = cls.sup_batch(pts, [c])[0]
-        via_table = FiniteFunctionClass(table=cls.eval_batch(pts[:, 0]), lipschitz_L=1.0,
-                                        uniform_bound_B=1.0).sup(c)
+        via_table = FiniteFunctionClass(table=cls.eval_batch(pts[:, 0]), uniform_bound_B=1.0).sup(c)
         assert via_oracle == pytest.approx(via_table)
 
     def test_sup_batch_rejects_points_off_the_line(self):

@@ -242,6 +242,16 @@ class TestEstimateCommand:
                      "--exact-cutoff", "21"]) == 2
         assert "exact_cutoff_n must be between 1 and 20, got 21" in capsys.readouterr().err
 
+    def test_exact_with_mc_exits_2_before_reading_the_input(self, tmp_path, capsys):
+        # argparse rejects the pair, so the missing file is never opened
+        with pytest.raises(SystemExit) as exc:
+            main(["estimate", "--input", str(tmp_path / "missing.csv"), "--quantity", "b",
+                  "--exact", "--mc", "10"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --mc: not allowed with argument --exact" in err
+        assert "missing.csv" not in err
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["estimate", "--input", "/nonexistent.csv", "--quantity", "b"]) == 2
 

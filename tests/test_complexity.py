@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -191,8 +193,7 @@ class TestComplexityInequalities:
 
 class TestCompositeComplexity:
     def test_constant_zero_class(self):
-        zero = FiniteFunctionClass(table=[[0.0, 0.0, 0.0]], lipschitz_L=1.0,
-                                   uniform_bound_B=1.0)
+        zero = FiniteFunctionClass(table=[[0.0, 0.0, 0.0]], uniform_bound_B=1.0)
         T = PointSet(np.random.default_rng(9).normal(size=(3, 1, 3)))
         est = composite_bernoulli_complexity(zero, T, EXACT)
         assert est.value == 0.0
@@ -243,7 +244,7 @@ class TestEmpiricalRademacher:
         # one sign source: the finite class over its sample is the point set
         # of its rows
         table = np.random.default_rng(16).uniform(-1, 1, size=(5, 8))
-        cls = FiniteFunctionClass(table=table, lipschitz_L=1.0, uniform_bound_B=1.0)
+        cls = FiniteFunctionClass(table=table, uniform_bound_B=1.0)
         cfg = EstimatorConfig(mode=mode, mc_samples=500, seed=17)
         est = composite_bernoulli_complexity(cls, PointSet(np.zeros((1, 1, 8))), cfg)
         plain = bernoulli_complexity(PointSet.from_rows(table), cfg)
@@ -291,3 +292,89 @@ class TestIncrementRatio:
         oracle = GaussianRkhsBall(sigma=1.0, rho=1.0)
         with pytest.raises(DegenerateSetError):
             increment_ratio(oracle, S, EXACT)
+
+
+SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)
+
+
+def _reference_norm(values, p):
+    """The p-norm of a few floats with no intermediate overflow or underflow."""
+    if math.isinf(p):
+        return max(values)
+    if p == 2:
+        return math.hypot(*values)
+    return float(sum(Fraction(v) for v in values))
+
+
+class TestExtremeScale:
+    elements = st.tuples(st.integers(2, 3), st.integers(1, 2), st.integers(1, 3)).flatmap(
+        lambda shape: st.lists(st.integers(-4, 4), min_size=math.prod(shape),
+                               max_size=math.prod(shape)).map(
+            lambda ints: np.array(ints, dtype=float).reshape(shape)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(elements, st.integers(-200, 300))
+    def test_norms_and_diameter_are_right_or_name_the_overflow(self, ints, exponent):
+        T = PointSet(ints * 10.0 ** exponent)
+        vecs = [tuple(v) for v in T.vectorized()]
+        ref = max(math.dist(a, b) for a in vecs for b in vecs)
+        if ref > SQRT_FLOAT_MAX:
+            with pytest.raises(InvalidInputError, match="overflow"):
+                diameter2(T)
+        else:
+            assert diameter2(T) == pytest.approx(ref, rel=1e-12, abs=0.0)
+        mat = T.element(0)
+        for p in (1, 2, math.inf):
+            for q in (1, 2, math.inf):
+                cols = [_reference_norm([abs(x) for x in col], p) for col in mat.T]
+                ref = _reference_norm(cols, q)
+                if (p == 2 and max(cols) > SQRT_FLOAT_MAX) or (q == 2 and ref > SQRT_FLOAT_MAX):
+                    with pytest.raises(InvalidInputError, match="overflow"):
+                        norm_pq(mat, p, q)
+                else:
+                    assert norm_pq(mat, p, q) == pytest.approx(ref, rel=1e-12, abs=0.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(elements, st.integers(-200, 300))
+    def test_increment_ratio_is_finite_or_names_the_overflow(self, ints, exponent):
+        S = PointSet(ints * 10.0 ** exponent)
+        vecs = [tuple(v) for v in S.vectorized()]
+        dists = [math.dist(a, b) for a in vecs for b in vecs]
+        for oracle in (LipschitzBall(lipschitz_L=1.0, radius_R=1.0),
+                       GaussianRkhsBall(sigma=1.0, rho=1.0)):
+            if max(dists) > SQRT_FLOAT_MAX:
+                with pytest.raises(InvalidInputError, match="overflow"):
+                    increment_ratio(oracle, S, EXACT)
+            elif max(dists) < 1e-12:
+                with pytest.raises(DegenerateSetError):
+                    increment_ratio(oracle, S, EXACT)
+            else:
+                assert 0.0 <= increment_ratio(oracle, S, EXACT) < math.inf
+
+    def test_named_overflows(self):
+        T = PointSet.from_rows([[1e154, -1e154], [-1e154, 1e154]])
+        for call in (lambda: norm_pq([[1e200, 1e200]], 2, 2),
+                     lambda: diameter2(T),
+                     lambda: increment_ratio(LipschitzBall(lipschitz_L=1.0, radius_R=1.0), T, EXACT),
+                     lambda: increment_ratio(GaussianRkhsBall(sigma=1.0, rho=1.0), T, EXACT)):
+            with pytest.raises(InvalidInputError, match="overflow"):
+                call()
+
+    def test_diameter_is_zero_only_for_coincident_elements(self):
+        assert diameter2(PointSet.from_rows([[0.0], [1e-170]])) == 1e-170
+        assert diameter2(PointSet.from_rows([[0.0], [5e-324]])) == 5e-324
+        assert diameter2(PointSet.from_rows([[1e-170, 3.0]] * 3)) == 0.0
+
+    def test_oracles_keep_their_separated_points_values(self):
+        # squared distances overflow, yet far-apart points decouple: the
+        # sup is the sum of B |c| (Lipschitz, B = L R) or the root of the
+        # sum of c^2 (RKHS) over the distinct locations
+        lip = LipschitzBall(lipschitz_L=1.0, radius_R=1.0)
+        rkhs = GaussianRkhsBall(sigma=1.0, rho=1.0)
+        line = [[1e154], [-1e154], [-1e154], [1e154]]
+        C = [[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]]
+        np.testing.assert_array_equal(lip.sup_batch(line, C), [0.0, 4.0])
+        np.testing.assert_allclose(rkhs.sup_batch(line, C), [0.0, math.sqrt(8.0)], rtol=1e-15)
+        plane = [[1e154, 0.0], [-1e154, 0.0], [0.0, 1e300]]
+        assert lip.sup(plane, [1.0, -1.0, 1.0]) == pytest.approx(3.0, rel=1e-12)
+        assert rkhs.sup(plane, [1.0, -1.0, 1.0]) == pytest.approx(math.sqrt(3.0), rel=1e-15)

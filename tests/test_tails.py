@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from berncomp import (
     tail_series_capped,
     uncenter_tail,
 )
-from berncomp.tails import MAX_W, divergence_threshold
+from berncomp.tails import CROSSING_S, MAX_W, _erfcx, divergence_threshold
 
 
 def direct_series(u, w, max_m=None):
@@ -92,9 +93,10 @@ class TestCrossingAndIntegral:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, MAX_W))
     def test_one_past_the_threshold_brackets_the_crossing(self, w):
-        # tail_crossing_point bisects on [lo, lo + 1] without widening it
+        # p(u0 + 1) < 1, so the closed-form u* lies in [u0, u0 + 1]
         lo = divergence_threshold(w) * (1.0 + 1e-12)
         assert log_tail_series(lo + 1.0, w) < 0.0
+        assert divergence_threshold(w) <= tail_crossing_point(w) < lo + 1.0
 
     def test_crossing_depends_on_u_only_through_u2_minus_threshold2(self):
         # every term is exp(-2^(m-1) (u^2 - u0^2)), so u*^2 - u0^2 is one number
@@ -129,6 +131,43 @@ class TestCrossingAndIntegral:
             ref, err = scipy_int.quad(q_direct, 0.0, 30.0, limit=300,
                                       points=[1.5, 2.0, 2.5, 3.0])
             assert ours == pytest.approx(ref, rel=1e-6)
+
+    def test_crossing_s_is_the_root(self):
+        # sum_{j>=0} exp(-2^j s) - 1 in 50-digit decimal arithmetic changes
+        # sign between the floats on either side of CROSSING_S
+        def excess(s):
+            with localcontext() as ctx:
+                ctx.prec = 50
+                return sum((-(2 ** j) * Decimal(s)).exp() for j in range(12)) - 1
+
+        assert excess(math.nextafter(CROSSING_S, 0.0)) > 0
+        assert excess(math.nextafter(CROSSING_S, 1.0)) < 0
+        for w in (0, 3, 10):
+            u_star = tail_crossing_point(w)
+            assert log_tail_series(u_star * (1 - 1e-12), w) > 0.0
+            assert log_tail_series(u_star * (1 + 1e-12), w) < 0.0
+
+    def test_erfcx_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        xs = np.concatenate([np.linspace(1.0, 40.0, 4001), np.geomspace(1.0, 1e6, 601),
+                             [math.nextafter(26.0, 0.0), 26.0]])
+        ours = np.array([_erfcx(float(x)) for x in xs])
+        np.testing.assert_allclose(ours, special.erfcx(xs), rtol=1e-13, atol=0.0)
+
+    def test_integral_matches_quadrature_split_at_the_crossing(self):
+        # scipy quad of sum_j exp(-2^j (u - u0)(u + u0)) over (u*, inf) in
+        # three pieces, plus u*
+        scipy_int = pytest.importorskip("scipy.integrate")
+        for w in (0, 1, 2, 5, 10):
+            u0, u_star = divergence_threshold(w), tail_crossing_point(w)
+
+            def p(u, u0=u0):
+                return math.fsum(math.exp(-2.0 ** j * (u - u0) * (u + u0)) for j in range(12))
+
+            cuts = [u_star, u_star + 1.0, u_star + 4.0, math.inf]
+            ref = u_star + sum(scipy_int.quad(p, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+                               for a, b in zip(cuts, cuts[1:]))
+            assert tail_integral(w) == pytest.approx(ref, rel=1e-13, abs=0.0)
 
     def test_c_w_increasing_in_w(self):
         c0 = tail_integral(0)

@@ -24,7 +24,7 @@ rng = np.random.default_rng(0)
 print("Finite class: 4 tabulated functions on 3 points")
 cls = FiniteFunctionClass(table=rng.uniform(-1, 1, size=(4, 3)), uniform_bound_B=1.0)
 c = rng.normal(size=3)
-print(f"  sup = {cls.sup(c):.4f} over rows {np.round(cls.table @ c, 4)}")
+print(f"  sup = {cls.sup(None, c):.4f} over rows {np.round(cls.table @ c, 4)}")
 
 print("\nLipschitz ball on the line: two far-apart points pay no Lipschitz tax")
 val = lipschitz_ball_sup([[-1.0], [1.0]], [1.0, 1.0], L=1.0, R=1.0)

@@ -40,14 +40,14 @@ MAX_TRUNCATION_LEVEL = 64
 
 
 def admissible_capacity(m: int):
-    """Largest admissible cardinality at level m: 1 at level 0, else 2^(2^m).
-    Returns None when the value exceeds any practical set size."""
+    """Largest admissible cardinality at level m: 1 at level 0, else 2^(2^m),
+    and math.inf once that exceeds 2^60, past any practical set size."""
     if m < 0:
         raise InvalidInputError("level must be nonnegative")
     if m == 0:
         return 1
     if 2 ** m > 60:
-        return None
+        return math.inf
     return 2 ** (2 ** m)
 
 
@@ -136,7 +136,7 @@ def entropy_number(space: FiniteMetricSpace, m: int) -> EntropyResult:
     """
     cap = admissible_capacity(m)
     npts = space.size
-    size = npts if cap is None else min(cap, npts)
+    size = min(cap, npts)
     if size >= npts:
         return EntropyResult(0.0, 0.0)
     d = space.dist
@@ -226,7 +226,7 @@ class AdmissibleSequence:
         universe = frozenset(range(n_points))
         for m, level in enumerate(self.levels):
             cap = admissible_capacity(m)
-            if cap is not None and len(level) > cap:
+            if len(level) > cap:
                 raise InvalidInputError(
                     f"level {m} has {len(level)} blocks, cap is {cap}"
                 )
@@ -261,7 +261,9 @@ def build_admissible_sequence(space: FiniteMetricSpace) -> AdmissibleSequence:
         m += 1
         cap = admissible_capacity(m)
         prev = levels[-1]
-        allowance = npts if cap is None else cap // len(prev)
+        # the min keeps an infinite cap integral and changes no n_centers:
+        # a cap past npts * len(prev) allows len(block) centers either way
+        allowance = min(cap, npts * len(prev)) // len(prev)
         new_level = []
         for block in prev:
             if len(block) == 1:

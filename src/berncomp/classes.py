@@ -86,8 +86,8 @@ class FiniteFunctionClass:
     """r functions tabulated on a fixed list of n points.
 
     table[j, i] = f_j(x_i).  The uniform bound is verified at construction.
-    The class is tied to its sample, so sup_batch takes points=None or
-    exactly n_points rows.
+    The class is tied to its sample, so sup and sup_batch take points=None
+    or exactly n_points rows.
     """
 
     table: np.ndarray
@@ -109,8 +109,8 @@ class FiniteFunctionClass:
     def n_points(self) -> int:
         return self.table.shape[1]
 
-    def sup(self, c) -> float:
-        return float(self.sup_batch(None, _as_coeffs(c, self.n_points))[0])
+    def sup(self, points, c) -> float:
+        return float(self.sup_batch(points, _as_coeffs(c, self.n_points))[0])
 
     def sup_batch(self, points, C) -> np.ndarray:
         if points is not None and _as_points(points).shape[0] != self.n_points:

@@ -9,8 +9,10 @@ Two sign conventions coexist and are never mixed:
   with n independent signs, one per column.
 
 Each operation documents which convention it uses.  Sign weights come from
-one place, _sign_weights: all 2^n patterns when the config picks exact
-enumeration, otherwise mc_samples draws seeded by the config.  Composite
+one place, _weights: all 2^n sign patterns when the config picks exact
+enumeration, otherwise mc_samples sign or Gaussian rows drawn from the one
+generator seeded by the config.  Element distances come from
+core._element_distances.  Composite
 estimators take any function class with a sup_batch(points, C) method (see
 berncomp.classes).  All randomized operations are pure functions of
 (inputs, seed): the same seed gives a bit-identical result.
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexityEstimate, PointSet
+from .core import ComplexityEstimate, PointSet, _element_distances
 from .errors import BudgetExceededError, DegenerateSetError, InvalidInputError
 
 # Largest exact_cutoff_n: 2^20 patterns of 20 signs are 168 MB per float copy.
@@ -85,14 +87,17 @@ def sign_patterns(n_signs: int) -> np.ndarray:
     return bits.astype(float) * 2.0 - 1.0
 
 
-def _sign_weights(cfg: EstimatorConfig, n: int) -> tuple[np.ndarray, bool]:
-    """(weights, exact): all 2^n sign patterns if cfg picks exact
-    enumeration for n signs, else cfg.mc_samples rows of random signs drawn
-    from a generator seeded with cfg.seed."""
-    if cfg.pick_exact(n):
-        return sign_patterns(n), True
+def _weights(cfg: EstimatorConfig, width: int, gaussian: bool = False) -> tuple[np.ndarray, bool]:
+    """(weights, exact): all 2^width sign patterns if cfg picks exact
+    enumeration for width signs, else cfg.mc_samples rows of random signs,
+    or of standard Gaussians, drawn from a generator seeded with cfg.seed.
+    Gaussian rows never ask for exact enumeration."""
+    if not gaussian and cfg.pick_exact(width):
+        return sign_patterns(width), True
     rng = np.random.default_rng(cfg.seed)
-    return rng.integers(0, 2, size=(cfg.mc_samples, n)).astype(float) * 2.0 - 1.0, False
+    if gaussian:
+        return rng.standard_normal((cfg.mc_samples, width)), False
+    return rng.integers(0, 2, size=(cfg.mc_samples, width)).astype(float) * 2.0 - 1.0, False
 
 
 def _finish(sups: np.ndarray, exact: bool, seed: int) -> ComplexityEstimate:
@@ -110,11 +115,7 @@ def _linear_sup_estimate(vecs: np.ndarray, cfg: EstimatorConfig, gaussian: bool)
     if m == 1:
         # E <weights, t> = 0 for a singleton; exact regardless of mode.
         return ComplexityEstimate(0.0, 0.0, "closed-form", 0, cfg.seed)
-    if gaussian:
-        rng = np.random.default_rng(cfg.seed)
-        draws = rng.standard_normal((cfg.mc_samples, width))
-        return _finish((draws @ vecs.T).max(axis=1), False, cfg.seed)
-    weights, exact = _sign_weights(cfg, width)
+    weights, exact = _weights(cfg, width, gaussian)
     return _finish((weights @ vecs.T).max(axis=1), exact, cfg.seed)
 
 
@@ -148,7 +149,7 @@ def composite_bernoulli_complexity(fclass, T: PointSet,
     and t jointly, per sign pattern (exact) or per sample (Monte Carlo).
     """
     cfg = cfg or DEFAULT_CONFIG
-    weights, exact = _sign_weights(cfg, T.n)
+    weights, exact = _weights(cfg, T.n)
     # the columns of each element are its (n, k) points
     sups = np.max([fclass.sup_batch(T.element(i).T, weights)
                    for i in range(T.n_elements)], axis=0)
@@ -163,31 +164,22 @@ def increment_ratio(fclass, S: PointSet,
     sup_batch(points, C).
 
     Pairs closer than DEGENERATE_PAIR_TOL are skipped; if every pair is
-    degenerate a DegenerateSetError is raised, and a pair distance that
-    overflows a float raises InvalidInputError.  The same sign draws are used
-    for every pair (common random numbers) to reduce ratio variance.
+    degenerate a DegenerateSetError is raised.  The distances come from
+    core._element_distances, which raises InvalidInputError on overflow.
+    The same sign draws are used for every pair (common random numbers) to
+    reduce ratio variance.
     """
     cfg = cfg or DEFAULT_CONFIG
     if S.n_elements < 2:
         raise InvalidInputError("need at least two elements")
-    signs, _ = _sign_weights(cfg, S.n)
+    signs, _ = _weights(cfg, S.n)
     half = np.concatenate([signs, -signs], axis=1)  # coefficients (eps, -eps)
-    best = None
-    vecs = S.vectorized()
+    dist = _element_distances(S)
     # Sign symmetry eps -> -eps makes the (s, t) and (t, s) expectations
     # equal, so unordered pairs suffice.
-    for i in range(S.n_elements):
-        for j in range(i + 1, S.n_elements):
-            dist = float(np.linalg.norm(vecs[i] - vecs[j]))
-            if np.isinf(dist):
-                raise InvalidInputError(f"the distance of elements {i} and {j} overflows a float")
-            if dist < DEGENERATE_PAIR_TOL:
-                continue
-            pts = np.concatenate([S.element(i).T, S.element(j).T], axis=0)
-            mean = float(np.mean(fclass.sup_batch(pts, half)))
-            ratio = mean / dist
-            if best is None or ratio > best:
-                best = ratio
-    if best is None:
+    pairs = [(i, j) for i, j in zip(*np.triu_indices(S.n_elements, 1))
+             if dist[i, j] >= DEGENERATE_PAIR_TOL]
+    if not pairs:
         raise DegenerateSetError("all element pairs coincide within tolerance")
-    return best
+    return max(float(np.mean(fclass.sup_batch(np.concatenate([S.element(i).T, S.element(j).T]), half)))
+               / float(dist[i, j]) for i, j in pairs)

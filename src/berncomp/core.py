@@ -122,20 +122,30 @@ def sq_distances(X: np.ndarray) -> np.ndarray:
     return (diff * diff).sum(axis=2)
 
 
-def diameter2(T: PointSet) -> float:
-    """Diameter of the set with respect to the Frobenius norm.
+def _element_distances(T: PointSet) -> np.ndarray:
+    """Frobenius distances between the elements of T, shape (m, m).
 
-    Zero for singletons; exactly zero iff all elements coincide, since
-    squares below the normal float range are redone on differences scaled
-    exactly by 2^600.  Elements about 1.3e154 apart raise InvalidInputError.
+    Exactly zero only between coincident elements, since squares below the
+    normal float range are redone on differences scaled exactly by 2^600.
+    Elements about 1.3e154 apart raise InvalidInputError naming the first
+    such pair.
     """
     X = T.vectorized()
-    sq = float(sq_distances(X).max())
-    if sq < np.finfo(float).tiny:
-        return math.ldexp(math.sqrt(sq_distances(np.ldexp(X - X[0], 600)).max()), -600)
-    if math.isinf(sq):
-        raise InvalidInputError("the squared diameter overflows a float")
-    return math.sqrt(sq)
+    sq = sq_distances(X)
+    top = sq.max()
+    if top < np.finfo(float).tiny:
+        return np.ldexp(np.sqrt(sq_distances(np.ldexp(X - X[0], 600))), -600)
+    if np.isinf(top):
+        i, j = np.argwhere(np.isinf(sq))[0]
+        raise InvalidInputError(f"the distance of elements {i} and {j} overflows a float")
+    return np.sqrt(sq)
+
+
+def diameter2(T: PointSet) -> float:
+    """Diameter of the set with respect to the Frobenius norm, the largest
+    of the _element_distances: zero for singletons, exactly zero iff all
+    elements coincide, and InvalidInputError when a distance overflows."""
+    return float(_element_distances(T).max())
 
 
 @dataclass(frozen=True)
@@ -192,8 +202,8 @@ def _check_triangle(d: np.ndarray) -> None:
 
 def metric_space_from_pointset(T: PointSet) -> FiniteMetricSpace:
     """Finite metric space on the elements of T under the Frobenius distance
-    (the Euclidean distance of the vectorizations)."""
-    return FiniteMetricSpace(np.sqrt(sq_distances(T.vectorized())))
+    (the Euclidean distance of the vectorizations), from _element_distances."""
+    return FiniteMetricSpace(_element_distances(T))
 
 
 @dataclass(frozen=True)
@@ -239,13 +249,6 @@ def _parse_number(text: str, where: str, convert=float):
     if isinstance(value, float) and not math.isfinite(value):
         raise InvalidInputError(f"{where}: expected a finite number, got {text!r}")
     return value
-
-
-def _parse_cells(where: str, names, cells, converts) -> list:
-    """The cells as numbers, each through its convert; a bad cell raises
-    InvalidInputError naming `where` and the cell's column name."""
-    return [_parse_number(text, f"{where}, column {name}", convert)
-            for name, text, convert in zip(names, cells, converts)]
 
 
 def _read_csv(path):
@@ -300,5 +303,6 @@ def pointset_from_csv(path, k: int = 1) -> PointSet:
     kn = len(header) - 1
     if kn == 0 or kn % k != 0:
         raise InvalidInputError(f"{path}, line 1: {kn} coordinates do not form k={k} rows")
-    coords = [_parse_cells(where, header[1:], row[1:], [float] * kn) for where, row in rows]
+    coords = [[_parse_number(text, f"{where}, column {name}")
+               for name, text in zip(header[1:], row[1:])] for where, row in rows]
     return PointSet(np.array(coords, dtype=float).reshape(len(rows), k, kn // k))

@@ -103,6 +103,14 @@ class TestEntropyNumber:
         assert entropy_number(sp, 0).exact == 0.0
         assert entropy_number(sp, 3).exact == 0.0
 
+    def test_capacity_past_two_to_the_sixty_is_infinite(self):
+        assert admissible_capacity(5) == 2 ** 32
+        assert admissible_capacity(6) == math.inf
+        sp = random_space(6, 5)
+        res = entropy_number(sp, 6)
+        assert (res.upper_bound, res.exact) == (0.0, 0.0)
+        AdmissibleSequence((((0, 1),),) + (((0,), (1,)),) * 6).validate(2)
+
     def test_exact_below_greedy_and_nonincreasing(self):
         sp = random_space(4, 14)
         values = []

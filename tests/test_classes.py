@@ -61,21 +61,21 @@ class TestSimplex:
 class TestFiniteClassSup:
     def test_single_row(self):
         cls = FiniteFunctionClass(table=[[2.0, 3.0]], uniform_bound_B=3.0)
-        assert cls.sup([1.0, 1.0]) == pytest.approx(5.0)
+        assert cls.sup(None, [1.0, 1.0]) == pytest.approx(5.0)
 
     def test_two_rows_enumerated(self):
         cls = FiniteFunctionClass(table=[[1.0, 0.0], [0.0, 1.0]], uniform_bound_B=1.0)
         # row 1 gives 1, row 2 gives -1
-        assert cls.sup([1.0, -1.0]) == pytest.approx(1.0)
+        assert cls.sup(None, [1.0, -1.0]) == pytest.approx(1.0)
 
     def test_zero_coefficients(self):
         cls = FiniteFunctionClass(table=[[1.0, -1.0], [0.5, 0.5]], uniform_bound_B=1.0)
-        assert cls.sup([0.0, 0.0]) == 0.0
+        assert cls.sup(None, [0.0, 0.0]) == 0.0
 
     def test_dimension_mismatch(self):
         cls = FiniteFunctionClass(table=[[1.0, 0.0]], uniform_bound_B=1.0)
         with pytest.raises(InvalidInputError):
-            cls.sup([1.0])
+            cls.sup(None, [1.0])
 
     def test_sup_batch_rejects_wrong_point_count(self):
         cls = FiniteFunctionClass(table=[[1.0, 0.0]], uniform_bound_B=1.0)
@@ -369,7 +369,7 @@ class TestPiecewiseLinearSampler:
         pts = rng.uniform(-1, 1, size=(6, 1))
         c = rng.normal(size=6)
         via_oracle = cls.sup_batch(pts, [c])[0]
-        via_table = FiniteFunctionClass(table=cls.eval_batch(pts[:, 0]), uniform_bound_B=1.0).sup(c)
+        via_table = FiniteFunctionClass(table=cls.eval_batch(pts[:, 0]), uniform_bound_B=1.0).sup(pts, c)
         assert via_oracle == pytest.approx(via_table)
 
     def test_sup_batch_rejects_points_off_the_line(self):

@@ -22,6 +22,7 @@ from berncomp import (
     diameter2,
     gaussian_complexity,
     increment_ratio,
+    metric_space_from_pointset,
     norm_pq,
 )
 from oracles import enumerate_bernoulli_sup_mean
@@ -227,6 +228,44 @@ class TestCompositeComplexity:
         assert est.samples == 2 ** 4
 
 
+class TestPinnedBits:
+    """The estimators' values at fixed seeds, bit for bit: any change to the
+    generator or to the draw calls of the weight source shows here."""
+
+    T = PointSet(np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, 2, 3)))
+    line = PointSet(np.random.default_rng(6).uniform(-1.0, 1.0, size=(3, 1, 5)))
+    exact = EstimatorConfig(mode="exact", seed=11)
+    mc = EstimatorConfig(mode="monte-carlo", mc_samples=300, seed=11)
+    rkhs = GaussianRkhsBall(sigma=0.8, rho=1.5)
+    lip = LipschitzBall(lipschitz_L=1.0, radius_R=1.0)
+
+    @pytest.mark.parametrize("name, value, std_error, method, samples", [
+        ("bernoulli-exact", "0x1.b97b751e0d5fap+0", "0x0.0p+0", "exact-enumeration", 64),
+        ("bernoulli-mc", "0x1.b4ba95f4819aep+0", "0x1.babbd4ee8addap-5", "monte-carlo", 300),
+        ("gaussian-mc", "0x1.9e53c227eca8ap+0", "0x1.be3b214fbf816p-5", "monte-carlo", 300),
+        ("composite-rkhs-exact", "0x1.8f774ecbe85c6p+1", "0x0.0p+0", "exact-enumeration", 8),
+        ("composite-rkhs-mc", "0x1.89564d801cc07p+1", "0x1.13360afc37337p-5", "monte-carlo", 300),
+        ("composite-lipschitz-exact", "0x1.706e58f9b86fcp+1", "0x0.0p+0", "exact-enumeration", 32),
+        ("composite-lipschitz-mc", "0x1.690b25a247fd1p+1", "0x1.d5357c6def7b0p-5", "monte-carlo", 300),
+    ])
+    def test_values_at_fixed_seeds(self, name, value, std_error, method, samples):
+        kind, _, mode = name.rpartition("-")
+        cfg = self.exact if mode == "exact" else self.mc
+        est = {"bernoulli": lambda: bernoulli_complexity(self.T, cfg),
+               "gaussian": lambda: gaussian_complexity(self.T, cfg),
+               "composite-rkhs": lambda: composite_bernoulli_complexity(self.rkhs, self.T, cfg),
+               "composite-lipschitz": lambda: composite_bernoulli_complexity(self.lip, self.line, cfg),
+               }[kind]()
+        assert (est.value.hex(), est.std_error.hex(), est.method, est.samples, est.seed) \
+            == (value, std_error, method, samples, 11)
+
+    def test_gaussian_rows_never_ask_for_exact_enumeration(self):
+        # 6 Gaussian weights under an exact-mode cutoff of 4: no budget
+        # error, and the same draws as in Monte Carlo mode
+        cfg = EstimatorConfig(mode="exact", mc_samples=300, seed=11, exact_cutoff_n=4)
+        assert gaussian_complexity(self.T, cfg) == gaussian_complexity(self.T, self.mc)
+
+
 class TestEmpiricalRademacher:
     """The empirical Rademacher complexity of a class on a sample, times n,
     is the composite complexity of the one-element set holding the sample."""
@@ -359,6 +398,32 @@ class TestExtremeScale:
                      lambda: increment_ratio(GaussianRkhsBall(sigma=1.0, rho=1.0), T, EXACT)):
             with pytest.raises(InvalidInputError, match="overflow"):
                 call()
+
+    @pytest.mark.parametrize("rows, pair", [
+        ([[1e154, -1e154], [-1e154, 1e154]], "0 and 1"),
+        # only elements 1 and 2 are 2e154 apart; 0 and 1 stay 1e154 apart
+        ([[0.0, 0.0], [1e154, 0.0], [-1e154, 0.0]], "1 and 2"),
+    ])
+    def test_every_element_distance_names_the_overflowing_pair(self, rows, pair):
+        T = PointSet.from_rows(rows)
+        for call in (lambda: diameter2(T),
+                     lambda: metric_space_from_pointset(T),
+                     lambda: increment_ratio(LipschitzBall(lipschitz_L=1.0, radius_R=1.0), T, EXACT)):
+            with pytest.raises(InvalidInputError, match=f"distance of elements {pair} overflows"):
+                call()
+
+    def test_metric_space_distances_are_zero_only_for_coincident_elements(self):
+        dist = metric_space_from_pointset(PointSet.from_rows([[0.0], [1e-170], [0.0]])).dist
+        np.testing.assert_array_equal(dist, [[0.0, 1e-170, 0.0], [1e-170, 0.0, 1e-170],
+                                             [0.0, 1e-170, 0.0]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(elements, st.integers(-200, 0))
+    def test_diameter_is_the_metric_space_diameter(self, ints, exponent):
+        # exponents stop at 0: the metric space's triangle check has an
+        # absolute slack, which far-apart collinear elements round past
+        T = PointSet(ints * 10.0 ** exponent)
+        assert diameter2(T) == metric_space_from_pointset(T).diameter
 
     def test_diameter_is_zero_only_for_coincident_elements(self):
         assert diameter2(PointSet.from_rows([[0.0], [1e-170]])) == 1e-170

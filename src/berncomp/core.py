@@ -15,8 +15,8 @@ import numpy as np
 
 from .errors import InvalidInputError
 
-# Absolute slack for the triangle-inequality validation of distance matrices.
-# Matrices derived from norms satisfy it exactly up to rounding.
+# Triangle-inequality slack for distance matrices, relative to the largest
+# distance when that exceeds 1; norm-derived matrices meet it up to rounding.
 TRIANGLE_TOL = 1e-9
 
 ESTIMATE_METHODS = ("exact-enumeration", "monte-carlo", "closed-form")
@@ -153,7 +153,8 @@ class FiniteMetricSpace:
     """The points 0, ..., m-1 with a validated symmetric distance matrix.
 
     Validation checks squareness, symmetry, a zero diagonal, nonnegativity
-    and the triangle inequality within TRIANGLE_TOL absolute slack.
+    and the triangle inequality within a slack of TRIANGLE_TOL times
+    max(1, largest distance).
     """
 
     dist: np.ndarray
@@ -194,9 +195,10 @@ def _check_triangle(d: np.ndarray) -> None:
     for i in range(m):
         np.minimum(best, d[:, i][:, None] + d[i, :][None, :], out=best)
     worst = float((d - best).max())
-    if worst > TRIANGLE_TOL:
+    slack = TRIANGLE_TOL * max(1.0, float(d.max()))
+    if worst > slack:
         raise InvalidInputError(
-            f"triangle inequality violated by {worst:.3e} (> {TRIANGLE_TOL})"
+            f"triangle inequality violated by {worst:.3e} (> slack {slack:.3e})"
         )
 
 

@@ -191,9 +191,7 @@ class TestAdmissibleSequence:
             seq.validate(n_pts)
             assert len(seq.levels[0]) == 1
             for m, level in enumerate(seq.levels):
-                cap = admissible_capacity(m)
-                if cap is not None:
-                    assert len(level) <= cap
+                assert len(level) <= admissible_capacity(m)
             assert all(len(b) == 1 for b in seq.levels[-1])
 
     @settings(max_examples=80, deadline=None)

@@ -16,8 +16,43 @@ from berncomp import (
     sample_piecewise_linear_class,
     simplex_maximize,
 )
-from oracles import (grid_lipschitz_sup, reference_line_dp, rkhs_ball_mc_lower,
-                     rkhs_representer_value)
+from oracles import (grid_lipschitz_sup, reference_dense_simplex, reference_line_dp,
+                     rkhs_ball_mc_lower, rkhs_representer_value)
+
+
+def _random_box_lps():
+    """50 random box-bounded LPs (c, A, b) with b > 0."""
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(2, 8))
+        A = rng.normal(size=(m, n))
+        b = rng.uniform(0.1, 2.0, size=m)
+        c = rng.normal(size=n)
+        yield c, np.vstack([A, np.eye(n)]), np.concatenate([b, np.full(n, 5.0)])
+
+
+def _allpairs_lps():
+    """The LPs the all-pairs Lipschitz oracle passes to simplex_maximize at
+    k = 2 and n = 8, 16, 24: +-1 rows, real rows, coincident points."""
+    rng = np.random.default_rng(24)
+    lps = []
+
+    def record(c, A, b):
+        lps.append((c, A, b))
+        return 0.0, None
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr("berncomp.classes.simplex_maximize", record)
+        for n in (8, 16, 24):
+            pts = rng.uniform(-1, 1, size=(n, 2))
+            twins = pts.copy()
+            twins[n // 2:] = twins[: n - n // 2]
+            for p, c in ((pts, rng.choice([-1.0, 1.0], size=n)),
+                         (pts, rng.normal(size=n)),
+                         (twins, rng.choice([-1.0, 1.0], size=n))):
+                lipschitz_ball_sup(p, c, 1.3, 0.9)
+    return lps
 
 
 class TestSimplex:
@@ -42,20 +77,27 @@ class TestSimplex:
 
     def test_against_scipy_on_random_instances(self):
         scipy_opt = pytest.importorskip("scipy.optimize")
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            n = int(rng.integers(2, 6))
-            m = int(rng.integers(2, 8))
-            A = rng.normal(size=(m, n))
-            b = rng.uniform(0.1, 2.0, size=m)
-            c = rng.normal(size=n)
-            A_box = np.vstack([A, np.eye(n)])
-            b_box = np.concatenate([b, np.full(n, 5.0)])
+        for c, A_box, b_box in _random_box_lps():
             value, x = simplex_maximize(c, A_box, b_box)
             ref = scipy_opt.linprog(-c, A_ub=A_box, b_ub=b_box,
-                                    bounds=[(0, None)] * n, method="highs")
+                                    bounds=[(0, None)] * len(c), method="highs")
             assert value == pytest.approx(-ref.fun, abs=1e-7)
             assert np.all(A_box @ x <= b_box + 1e-7)
+
+    @pytest.mark.parametrize("source", ["random", "degenerate", "all-pairs"])
+    def test_sparse_pivots_match_the_dense_reference_bit_for_bit(self, source):
+        # the same pivots, and the same product and subtraction on every
+        # entry a pivot changes
+        lps = {"random": lambda: list(_random_box_lps()),
+               "degenerate": lambda: [([1.0, -1.0], [[1.0, -1.0], [-1.0, 1.0], [1.0, 0.0]],
+                                       [0.0, 0.0, 1.0])],
+               "all-pairs": _allpairs_lps}[source]()
+        assert len(lps) == {"random": 50, "degenerate": 1, "all-pairs": 9}[source]
+        for c, A, b in lps:
+            value, x = simplex_maximize(c, A, b)
+            ref_value, ref_x = reference_dense_simplex(c, A, b)
+            assert value.hex() == ref_value.hex()
+            assert np.array_equal(x, ref_x)
 
 
 class TestFiniteClassSup:

@@ -234,6 +234,7 @@ class TestPinnedBits:
 
     T = PointSet(np.random.default_rng(5).uniform(-1.0, 1.0, size=(4, 2, 3)))
     line = PointSet(np.random.default_rng(6).uniform(-1.0, 1.0, size=(3, 1, 5)))
+    plane = PointSet(np.random.default_rng(7).uniform(-1.0, 1.0, size=(3, 2, 6)))
     exact = EstimatorConfig(mode="exact", seed=11)
     mc = EstimatorConfig(mode="monte-carlo", mc_samples=300, seed=11)
     rkhs = GaussianRkhsBall(sigma=0.8, rho=1.5)
@@ -247,6 +248,8 @@ class TestPinnedBits:
         ("composite-rkhs-mc", "0x1.89564d801cc07p+1", "0x1.13360afc37337p-5", "monte-carlo", 300),
         ("composite-lipschitz-exact", "0x1.706e58f9b86fcp+1", "0x0.0p+0", "exact-enumeration", 32),
         ("composite-lipschitz-mc", "0x1.690b25a247fd1p+1", "0x1.d5357c6def7b0p-5", "monte-carlo", 300),
+        ("composite-lipschitz-k2-exact", "0x1.e4bd639b01374p+1", "0x0.0p+0", "exact-enumeration", 64),
+        ("composite-lipschitz-k2-mc", "0x1.e561c03f51f14p+1", "0x1.953b80b7adf44p-5", "monte-carlo", 300),
     ])
     def test_values_at_fixed_seeds(self, name, value, std_error, method, samples):
         kind, _, mode = name.rpartition("-")
@@ -255,6 +258,7 @@ class TestPinnedBits:
                "gaussian": lambda: gaussian_complexity(self.T, cfg),
                "composite-rkhs": lambda: composite_bernoulli_complexity(self.rkhs, self.T, cfg),
                "composite-lipschitz": lambda: composite_bernoulli_complexity(self.lip, self.line, cfg),
+               "composite-lipschitz-k2": lambda: composite_bernoulli_complexity(self.lip, self.plane, cfg),
                }[kind]()
         assert (est.value.hex(), est.std_error.hex(), est.method, est.samples, est.seed) \
             == (value, std_error, method, samples, 11)
@@ -420,8 +424,8 @@ class TestExtremeScale:
     @settings(max_examples=60, deadline=None)
     @given(elements, st.integers(-200, 0))
     def test_diameter_is_the_metric_space_diameter(self, ints, exponent):
-        # exponents stop at 0: the metric space's triangle check has an
-        # absolute slack, which far-apart collinear elements round past
+        # exponents stop at 0; test_core.py checks the triangle slack of
+        # far-apart collinear elements
         T = PointSet(ints * 10.0 ** exponent)
         assert diameter2(T) == metric_space_from_pointset(T).diameter
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -156,6 +157,19 @@ class TestFiniteMetricSpace:
     def test_triangle_violation_rejected(self):
         d = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
         with pytest.raises(InvalidInputError):
+            FiniteMetricSpace(d)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6, 1e100])
+    def test_collinear_spaces_pass_at_every_scale(self, scale):
+        # {0, v, 2v, 3v} * scale: the slack follows the largest distance
+        for v in itertools.product(range(-4, 5), repeat=3):
+            T = PointSet(np.arange(4.0)[:, None, None] * np.array(v, dtype=float) * scale)
+            assert metric_space_from_pointset(T).size == 4
+
+    @pytest.mark.parametrize("scale", [1.0, 1e6])
+    def test_scaled_triangle_violation_rejected(self, scale):
+        d = np.array([[0.0, 1.0, 3.0], [1.0, 0.0, 1.0], [3.0, 1.0, 0.0]]) * scale
+        with pytest.raises(InvalidInputError, match=f"slack {1e-9 * 3.0 * scale:.3e}"):
             FiniteMetricSpace(d)
 
     def test_asymmetry_rejected(self):

@@ -8,27 +8,38 @@ Two sign conventions coexist and are never mixed:
 * composite form: a class applied to the n columns of an element is weighted
   with n independent signs, one per column.
 
-Each operation documents which convention it uses.  Sign weights come from
-one place, _weights: all 2^n sign patterns when the config picks exact
+Each operation documents which convention it uses.  Weights come from one
+place, _weights: all 2^n sign patterns when the config picks exact
 enumeration, otherwise mc_samples sign or Gaussian rows drawn from the one
-generator seeded by the config.  Element distances come from
-core._element_distances.  Composite
-estimators take any function class with a sup_batch(points, C) method (see
-berncomp.classes).  All randomized operations are pure functions of
-(inputs, seed): the same seed gives a bit-identical result.
+generator seeded by the config.  It yields them in consecutive blocks of
+WEIGHT_BLOCK rows, each from a bit-exact source, so the rows do not depend
+on the block size.  Every estimator reduces a block to its per-row suprema
+before the next block is drawn, so it holds at most two blocks of weights
+whatever mc_samples is.  Element distances come from
+core._element_distances.  Composite estimators take any function class
+with a sup_batch(points, C) method (see berncomp.classes).  All randomized
+operations are pure functions of (inputs, seed): the same seed gives a
+bit-identical result.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .core import ComplexityEstimate, PointSet, _element_distances
 from .errors import BudgetExceededError, DegenerateSetError, InvalidInputError
 
-# Largest exact_cutoff_n: 2^20 patterns of 20 signs are 168 MB per float copy.
+# Largest exact_cutoff_n.  The 2^n pattern table is drawn in blocks and never
+# held whole, so this bounds time (2^20 rows per estimate), not memory.
 MAX_EXACT_CUTOFF = 20
+
+# Weight rows per block.  Even, so a sign block ends on a whole 64-bit
+# generator word and the next block starts where the one-shot draw would.
+WEIGHT_BLOCK = 4096
 
 # Ordered pairs closer than this (Frobenius) are skipped as degenerate: the
 # increment ratio is undefined at coincident pairs.
@@ -78,26 +89,59 @@ class EstimatorConfig:
 DEFAULT_CONFIG = EstimatorConfig()
 
 
+def _pattern_rows(start: int, stop: int, width: int) -> np.ndarray:
+    """Rows start..stop-1 of the 2^width sign table: sign j of a row is +1
+    iff bit j of its row index is set."""
+    idx = np.arange(start, stop, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    return np.unpackbits(idx, axis=1, count=width, bitorder="little") * 2.0 - 1.0
+
+
 def sign_patterns(n_signs: int) -> np.ndarray:
     """All 2^n sign patterns as a (2^n, n) array of +-1 floats."""
     if n_signs < 1:
         raise InvalidInputError("need at least one sign")
-    idx = np.arange(2 ** n_signs, dtype=np.int64)
-    bits = (idx[:, None] >> np.arange(n_signs)) & 1
-    return bits.astype(float) * 2.0 - 1.0
+    if n_signs > MAX_EXACT_CUTOFF:
+        raise BudgetExceededError(f"{n_signs} signs exceed MAX_EXACT_CUTOFF = {MAX_EXACT_CUTOFF} "
+                                  f"(2^{n_signs} patterns)")
+    return _pattern_rows(0, 2 ** n_signs, n_signs)
 
 
-def _weights(cfg: EstimatorConfig, width: int, gaussian: bool = False) -> tuple[np.ndarray, bool]:
-    """(weights, exact): all 2^width sign patterns if cfg picks exact
-    enumeration for width signs, else cfg.mc_samples rows of random signs,
-    or of standard Gaussians, drawn from a generator seeded with cfg.seed.
-    Gaussian rows never ask for exact enumeration."""
+def _random_signs(bitgen, shape: tuple[int, int]) -> np.ndarray:
+    """The signs Generator.integers(0, 2, shape) * 2.0 - 1.0 gives, read
+    from the raw words: integers(0, 2) keeps the top bit of each 32-bit half
+    of a word, low half first, and a sign is +1 iff that bit is set, which
+    copysign reads as the sign bit of the inverted "<i4" half."""
+    count = shape[0] * shape[1]
+    words = bitgen.random_raw((count + 1) // 2).astype("<u8", copy=False)
+    np.invert(words, out=words)
+    return np.copysign(1.0, words.view("<i4")[:count]).reshape(shape)
+
+
+def _row_blocks(total: int):
+    """(start, stop) of consecutive WEIGHT_BLOCK-row blocks over total rows.
+    A lone last row joins the block before it: a one-row product goes
+    through a matrix-vector BLAS kernel that rounds differently."""
+    starts = list(range(0, total, WEIGHT_BLOCK))
+    if len(starts) > 1 and total - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [total])
+
+
+def _weights(cfg: EstimatorConfig, width: int,
+             gaussian: bool = False) -> tuple[Iterator[np.ndarray], bool]:
+    """(blocks, exact): an iterator over consecutive row blocks (see
+    _row_blocks) of all 2^width sign patterns if cfg picks exact enumeration
+    for width signs, else of cfg.mc_samples rows of random signs, or of
+    standard Gaussians, drawn from a generator seeded with cfg.seed.
+    Gaussian rows never ask for exact enumeration.  Whatever the block
+    size, the blocks concatenate to sign_patterns(width),
+    rng.integers(0, 2, (mc_samples, width)) * 2.0 - 1.0 or
+    rng.standard_normal((mc_samples, width)), bit for bit."""
     if not gaussian and cfg.pick_exact(width):
-        return sign_patterns(width), True
+        return (_pattern_rows(a, b, width) for a, b in _row_blocks(2 ** width)), True
     rng = np.random.default_rng(cfg.seed)
-    if gaussian:
-        return rng.standard_normal((cfg.mc_samples, width)), False
-    return rng.integers(0, 2, size=(cfg.mc_samples, width)).astype(float) * 2.0 - 1.0, False
+    draw = rng.standard_normal if gaussian else partial(_random_signs, rng.bit_generator)
+    return (draw((b - a, width)) for a, b in _row_blocks(cfg.mc_samples)), False
 
 
 def _finish(sups: np.ndarray, exact: bool, seed: int) -> ComplexityEstimate:
@@ -115,9 +159,12 @@ def _linear_sup_estimate(vecs: np.ndarray, cfg: EstimatorConfig, gaussian: bool)
     if m == 1:
         # E <weights, t> = 0 for a singleton; exact regardless of mode.
         return ComplexityEstimate(0.0, 0.0, "closed-form", 0, cfg.seed)
-    weights, exact = _weights(cfg, width, gaussian)
-    # max along the long (samples) axis: about 5x faster than across rows
-    return _finish(np.ascontiguousarray((weights @ vecs.T).T).max(axis=0), exact, cfg.seed)
+    blocks, exact = _weights(cfg, width, gaussian)
+    # W @ vecs.T rounds as the one-shot product did, which vecs @ W.T does
+    # not for every set; max along the long (samples) axis is about 5x
+    # faster than across rows
+    return _finish(np.concatenate([np.ascontiguousarray((W @ vecs.T).T).max(axis=0)
+                                   for W in blocks]), exact, cfg.seed)
 
 
 def bernoulli_complexity(T: PointSet, cfg: EstimatorConfig | None = None) -> ComplexityEstimate:
@@ -150,11 +197,11 @@ def composite_bernoulli_complexity(fclass, T: PointSet,
     and t jointly, per sign pattern (exact) or per sample (Monte Carlo).
     """
     cfg = cfg or DEFAULT_CONFIG
-    weights, exact = _weights(cfg, T.n)
+    blocks, exact = _weights(cfg, T.n)
     # the columns of each element are its (n, k) points
-    sups = np.max([fclass.sup_batch(T.element(i).T, weights)
-                   for i in range(T.n_elements)], axis=0)
-    return _finish(sups, exact, cfg.seed)
+    points = [T.element(i).T for i in range(T.n_elements)]
+    sups = [np.max([fclass.sup_batch(p, W) for p in points], axis=0) for W in blocks]
+    return _finish(np.concatenate(sups), exact, cfg.seed)
 
 
 def increment_ratio(fclass, S: PointSet,
@@ -173,8 +220,7 @@ def increment_ratio(fclass, S: PointSet,
     cfg = cfg or DEFAULT_CONFIG
     if S.n_elements < 2:
         raise InvalidInputError("need at least two elements")
-    signs, _ = _weights(cfg, S.n)
-    half = np.concatenate([signs, -signs], axis=1)  # coefficients (eps, -eps)
+    blocks, _ = _weights(cfg, S.n)
     dist = _element_distances(S)
     # Sign symmetry eps -> -eps makes the (s, t) and (t, s) expectations
     # equal, so unordered pairs suffice.
@@ -182,5 +228,8 @@ def increment_ratio(fclass, S: PointSet,
              if dist[i, j] >= DEGENERATE_PAIR_TOL]
     if not pairs:
         raise DegenerateSetError("all element pairs coincide within tolerance")
-    return max(float(np.mean(fclass.sup_batch(np.concatenate([S.element(i).T, S.element(j).T]), half)))
-               / float(dist[i, j]) for i, j in pairs)
+    points = [np.concatenate([S.element(i).T, S.element(j).T]) for i, j in pairs]
+    halves = (np.concatenate([W, -W], axis=1) for W in blocks)  # coefficients (eps, -eps)
+    sups = [[fclass.sup_batch(p, half) for p in points] for half in halves]  # block, then pair
+    return max(float(np.mean(np.concatenate(per_pair))) / float(dist[i, j])
+               for per_pair, (i, j) in zip(zip(*sups), pairs))

@@ -8,14 +8,16 @@ and u0^2 = 2^(2+w) * ln 2, so the series converges exactly for u > u0 and
 diverges below, which is benign because only q is ever used.  p = 1 at the
 one s = CROSSING_S for every w, and each term integrates over (u*, inf) to a
 scaled erfcx, so the crossing point and the integral of q are closed forms.
-The truncation floor, the sampler grid with its end SAMPLER_GRID_END (the
-sampler needs the divergence threshold below it) and the ceiling MAX_W on w
-(past it the exponents overflow a float) are fixed module constants.
+The truncation floor, the sampler grid (built once per w) with its end
+SAMPLER_GRID_END (the sampler needs the divergence threshold below it) and
+the ceiling MAX_W on w (past it the exponents overflow a float) are fixed
+module constants.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -133,6 +135,29 @@ def uncenter_tail(a: float, u: float) -> float:
     return math.exp(exponent)
 
 
+@lru_cache(maxsize=None)
+def _sampler_grid(w: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sampler's u-grid, from 0 in steps of SAMPLER_GRID_STEP up to the
+    first point where q falls below SAMPLER_TAIL_CUT, and q on it; built
+    once per w and returned read-only."""
+    grid = [0.0]
+    qs = [1.0]
+    u = SAMPLER_GRID_STEP
+    while True:
+        q = tail_series_capped(u, w)
+        grid.append(u)
+        qs.append(q)
+        if q < SAMPLER_TAIL_CUT:
+            break
+        u += SAMPLER_GRID_STEP
+        if u > SAMPLER_GRID_END:
+            raise SolverError("tail grid failed to reach the cut level")
+    grid_arr = np.asarray(grid)
+    qs_arr = np.asarray(qs)
+    grid_arr.flags.writeable = qs_arr.flags.writeable = False
+    return grid_arr, qs_arr
+
+
 def sample_from_capped_tail(w: int, rho_scale: float,
                             zeta_shift: float, n_samples: int, seed: int) -> np.ndarray:
     """Inverse-transform samples of a law satisfying the capped-tail
@@ -148,20 +173,7 @@ def sample_from_capped_tail(w: int, rho_scale: float,
         raise InvalidInputError("n_samples must be positive")
     if rho_scale <= 0 or zeta_shift < 0:
         raise InvalidInputError("need rho_scale > 0 and zeta_shift >= 0")
-    grid = [0.0]
-    qs = [1.0]
-    u = SAMPLER_GRID_STEP
-    while True:
-        q = tail_series_capped(u, w)
-        grid.append(u)
-        qs.append(q)
-        if q < SAMPLER_TAIL_CUT:
-            break
-        u += SAMPLER_GRID_STEP
-        if u > SAMPLER_GRID_END:
-            raise SolverError("tail grid failed to reach the cut level")
-    grid_arr = np.asarray(grid)
-    qs_arr = np.asarray(qs)
+    grid_arr, qs_arr = _sampler_grid(w)
     rng = np.random.default_rng(seed)
     uniforms = rng.uniform(0.0, 1.0, size=n_samples)
     # Largest j with q[j] >= U, via the ascending reversed array.

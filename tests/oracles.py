@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from berncomp import InvalidInputError, SolverError
+from berncomp import InvalidInputError, SolverError, tail_series_capped
+from berncomp.tails import SAMPLER_GRID_STEP, SAMPLER_TAIL_CUT
 
 
 def pairwise_dist(pts):
@@ -268,12 +269,35 @@ def brute_entropy_number(dist, level):
     )
 
 
+def reference_sign_table(width):
+    """All 2^width sign patterns by shifting the row index: sign j is +1
+    iff bit j is set (the table the library built whole before it drew
+    pattern rows in blocks)."""
+    idx = np.arange(2 ** width, dtype=np.int64)
+    return ((idx[:, None] >> np.arange(width)) & 1) * 2.0 - 1.0
+
+
+def reference_signs(seed, shape):
+    """Random signs drawn in one call, as the library did before it read
+    them in blocks from the raw generator words."""
+    return np.random.default_rng(seed).integers(0, 2, shape) * 2.0 - 1.0
+
+
+def reference_sampler_grid(w):
+    """The capped-tail sampler's u-grid and q on it, built point by point
+    as the sampler did on every call before the grid was cached."""
+    grid, qs, u = [0.0], [1.0], SAMPLER_GRID_STEP
+    while qs[-1] >= SAMPLER_TAIL_CUT:
+        grid.append(u)
+        qs.append(tail_series_capped(u, w))
+        u += SAMPLER_GRID_STEP
+    return np.asarray(grid), np.asarray(qs)
+
+
 def enumerate_bernoulli_sup_mean(vectors):
     """E sup over rows of the sign-weighted sum, by full enumeration."""
     vectors = np.atleast_2d(np.asarray(vectors, dtype=float))
-    width = vectors.shape[1]
-    idx = np.arange(2 ** width)
-    signs = ((idx[:, None] >> np.arange(width)) & 1) * 2.0 - 1.0
+    signs = reference_sign_table(vectors.shape[1])
     return float((signs @ vectors.T).max(axis=1).mean())
 
 

@@ -183,12 +183,14 @@ def test_criterion_5_logfree_composition():
 @pytest.mark.parametrize("seed", [SEED, SEED + 1])
 def test_composition_cell_is_the_criterion_5_formula_on_estimator_signs(seed):
     # composition-logfree's cell goes through the library estimators; on the
-    # sign rows _weights gives its config it equals the inline formula.
+    # sign rows _weights gives its config (its blocks, concatenated) it
+    # equals the inline formula.
     n, r, L, R, samples = 24, 5, 0.7, 1.3, 40
     table = np.random.default_rng(seed).uniform(-R, R, size=(r, n))
     cfg = EstimatorConfig(mode="monte-carlo", mc_samples=samples,
                           seed=cell_seed(seed, "signs"))
-    signs, exact = _weights(cfg, n)
+    blocks, exact = _weights(cfg, n)
+    signs = np.concatenate(list(blocks))
     assert not exact and signs.shape == (samples, n)
     rhat_inner = float(((signs @ table.T).max(axis=1) / n).mean())
     rhat_comp = float(np.mean([

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +26,9 @@ from berncomp import (
     metric_space_from_pointset,
     norm_pq,
 )
-from oracles import enumerate_bernoulli_sup_mean
+from berncomp import complexity
+from berncomp.complexity import MAX_EXACT_CUTOFF, _random_signs, _weights, sign_patterns
+from oracles import enumerate_bernoulli_sup_mean, reference_sign_table, reference_signs
 
 EXACT = EstimatorConfig(mode="exact", seed=3)
 
@@ -237,6 +240,8 @@ class TestPinnedBits:
     plane = PointSet(np.random.default_rng(7).uniform(-1.0, 1.0, size=(3, 2, 6)))
     exact = EstimatorConfig(mode="exact", seed=11)
     mc = EstimatorConfig(mode="monte-carlo", mc_samples=300, seed=11)
+    # more samples than one weight block, and an odd count of odd-width rows
+    mc5001 = EstimatorConfig(mode="monte-carlo", mc_samples=5001, seed=11)
     rkhs = GaussianRkhsBall(sigma=0.8, rho=1.5)
     lip = LipschitzBall(lipschitz_L=1.0, radius_R=1.0)
 
@@ -250,12 +255,16 @@ class TestPinnedBits:
         ("composite-lipschitz-mc", "0x1.690b25a247fd1p+1", "0x1.d5357c6def7b0p-5", "monte-carlo", 300),
         ("composite-lipschitz-k2-exact", "0x1.e4bd639b01374p+1", "0x0.0p+0", "exact-enumeration", 64),
         ("composite-lipschitz-k2-mc", "0x1.e561c03f51f14p+1", "0x1.953b80b7adf44p-5", "monte-carlo", 300),
+        ("bernoulli-line-mc5001", "0x1.4100b14bd32a7p+0", "0x1.b192207d3cb97p-7", "monte-carlo", 5001),
+        ("gaussian-line-mc5001", "0x1.33022bfa1b25fp+0", "0x1.daf4521e4d5f0p-7", "monte-carlo", 5001),
     ])
     def test_values_at_fixed_seeds(self, name, value, std_error, method, samples):
         kind, _, mode = name.rpartition("-")
-        cfg = self.exact if mode == "exact" else self.mc
+        cfg = {"exact": self.exact, "mc": self.mc, "mc5001": self.mc5001}[mode]
         est = {"bernoulli": lambda: bernoulli_complexity(self.T, cfg),
+               "bernoulli-line": lambda: bernoulli_complexity(self.line, cfg),
                "gaussian": lambda: gaussian_complexity(self.T, cfg),
+               "gaussian-line": lambda: gaussian_complexity(self.line, cfg),
                "composite-rkhs": lambda: composite_bernoulli_complexity(self.rkhs, self.T, cfg),
                "composite-lipschitz": lambda: composite_bernoulli_complexity(self.lip, self.line, cfg),
                "composite-lipschitz-k2": lambda: composite_bernoulli_complexity(self.lip, self.plane, cfg),
@@ -268,6 +277,107 @@ class TestPinnedBits:
         # error, and the same draws as in Monte Carlo mode
         cfg = EstimatorConfig(mode="exact", mc_samples=300, seed=11, exact_cutoff_n=4)
         assert gaussian_complexity(self.T, cfg) == gaussian_complexity(self.T, self.mc)
+
+
+class TestWeightBlocks:
+    """_weights yields its rows in blocks of WEIGHT_BLOCK rows, each from a
+    bit-exact source, so the rows do not depend on the block size; nor do
+    the estimates at these widths, below those where BLAS rounds small
+    blocks differently."""
+
+    line = PointSet(np.random.default_rng(6).uniform(-1.0, 1.0, size=(3, 1, 5)))  # odd width
+    mc = EstimatorConfig(mode="monte-carlo", mc_samples=301, seed=11)  # odd count
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 5), (4097, 3)])
+    @pytest.mark.parametrize("seed", [0, 11, 2023])
+    def test_raw_word_signs_are_the_integers_draw(self, shape, seed):
+        signs = _random_signs(np.random.default_rng(seed).bit_generator, shape)
+        assert signs.tobytes() == reference_signs(seed, shape).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 12, 13])
+    def test_sign_patterns_are_the_shift_table(self, n):
+        assert sign_patterns(n).tobytes() == reference_sign_table(n).tobytes()
+
+    @pytest.mark.parametrize("n", [MAX_EXACT_CUTOFF + 1, 33])
+    def test_sign_patterns_reject_an_oversized_count(self, n):
+        with pytest.raises(BudgetExceededError, match=f"^{n} signs exceed MAX_EXACT_CUTOFF"):
+            sign_patterns(n)
+
+    @staticmethod
+    def _rows(cfg, width, gaussian):
+        blocks, exact = _weights(cfg, width, gaussian)
+        return np.concatenate(list(blocks)), exact
+
+    @pytest.mark.parametrize("mode, width, gaussian, samples", [
+        ("exact", 13, False, 2), ("monte-carlo", 7, False, 4097), ("monte-carlo", 7, False, 9000),
+        ("monte-carlo", 7, True, 4097), ("monte-carlo", 7, True, 9000)])
+    def test_rows_are_the_one_shot_draw_at_every_block_size(self, monkeypatch, mode, width,
+                                                            gaussian, samples):
+        cfg = EstimatorConfig(mode=mode, mc_samples=samples, seed=5, exact_cutoff_n=13)
+        if mode == "exact":
+            one_shot = reference_sign_table(width)
+        elif gaussian:
+            one_shot = np.random.default_rng(5).standard_normal((samples, width))
+        else:
+            one_shot = reference_signs(5, (samples, width))
+        assert complexity.WEIGHT_BLOCK % 2 == 0
+        for block in (complexity.WEIGHT_BLOCK, 2, 4):
+            monkeypatch.setattr(complexity, "WEIGHT_BLOCK", block)
+            rows, exact = self._rows(cfg, width, gaussian)
+            assert exact == (mode == "exact")
+            assert rows.tobytes() == one_shot.tobytes()
+
+    def test_a_lone_last_row_joins_the_block_before_it(self, monkeypatch):
+        monkeypatch.setattr(complexity, "WEIGHT_BLOCK", 4)
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=9, seed=1)
+        assert [len(W) for W in _weights(cfg, 3)[0]] == [4, 5]
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=10, seed=1)
+        assert [len(W) for W in _weights(cfg, 3)[0]] == [4, 4, 2]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_a_lone_last_row_keeps_the_one_shot_product(self, monkeypatch, seed):
+        # three Gaussian rows in blocks of two: as a block of its own the
+        # last row would go through a matrix-vector product, which rounds
+        # differently
+        monkeypatch.setattr(complexity, "WEIGHT_BLOCK", 2)
+        vecs = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(3, 10))
+        W = np.random.default_rng(seed).standard_normal((3, 10))
+        sups = np.ascontiguousarray((W @ vecs.T).T).max(axis=0)
+        est = gaussian_complexity(PointSet.from_rows(vecs),
+                                  EstimatorConfig(mode="monte-carlo", mc_samples=3, seed=seed))
+        assert (est.value, est.std_error) == (np.mean(sups), np.std(sups, ddof=1) / np.sqrt(3))
+
+    @pytest.mark.parametrize("name", ["bernoulli-exact", "bernoulli-mc", "gaussian-mc",
+                                      "composite-rkhs-mc", "composite-lipschitz-mc",
+                                      "increment-ratio-mc"])
+    def test_estimates_do_not_depend_on_the_block_size(self, monkeypatch, name):
+        kind, _, mode = name.rpartition("-")
+        cfg = EXACT if mode == "exact" else self.mc
+        rkhs = GaussianRkhsBall(sigma=0.8, rho=1.5)
+        run = {"bernoulli": lambda: bernoulli_complexity(self.line, cfg),
+               "gaussian": lambda: gaussian_complexity(self.line, cfg),
+               "composite-rkhs": lambda: composite_bernoulli_complexity(rkhs, self.line, cfg),
+               "composite-lipschitz": lambda: composite_bernoulli_complexity(
+                   LipschitzBall(lipschitz_L=1.0, radius_R=1.0), self.line, cfg),
+               "increment-ratio": lambda: increment_ratio(rkhs, self.line, cfg)}[kind]
+        default = run()
+        monkeypatch.setattr(complexity, "WEIGHT_BLOCK", 2)
+        assert repr(run()) == repr(default)
+
+    def test_memory_stays_under_the_full_weight_array(self):
+        # 40000 rows of 64 signs are 20 MB as one float array; blocked, the
+        # weights held at once are the block being reduced, the next one and
+        # its raw words
+        T = PointSet(np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 8, 8)))
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=40000, seed=4)
+        tracemalloc.start()
+        try:
+            bernoulli_complexity(T, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block_bytes = (complexity.WEIGHT_BLOCK + 1) * 64 * 8
+        assert peak < 4 * block_bytes < 0.5 * 40000 * 64 * 8
 
 
 class TestEmpiricalRademacher:

@@ -1,6 +1,7 @@
 """Each estimator input has one route through the package.  complexity.py
-seeds one generator, inside its weight source _weights, and measures no
-distance itself.  Element distances come from core._element_distances,
+seeds one generator, inside its weight source _weights, reads raw generator
+words only in its sign-block helper _random_signs, and measures no distance
+itself.  Element distances come from core._element_distances,
 which alone raises on an overflowing distance; sq_distances otherwise
 serves only the two oracles that need the raw squares."""
 
@@ -59,6 +60,11 @@ def test_checkers_find_planted_cases():
 
 def test_complexity_seeds_one_generator_in_the_weight_source():
     assert callers(_read("complexity.py"), "default_rng") == ["_weights"]
+
+
+def test_raw_generator_words_are_read_only_by_the_sign_block_helper():
+    assert {(path.name, qual) for path in SRC.glob("*.py")
+            for qual in callers(path.read_text(), "random_raw")} == {("complexity.py", "_random_signs")}
 
 
 def test_complexity_measures_no_distance_itself():

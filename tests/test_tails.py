@@ -17,7 +17,8 @@ from berncomp import (
     tail_series_capped,
     uncenter_tail,
 )
-from berncomp.tails import CROSSING_S, MAX_W, _erfcx, divergence_threshold
+from berncomp.tails import CROSSING_S, MAX_W, _erfcx, _sampler_grid, divergence_threshold
+from oracles import reference_sampler_grid
 
 
 def direct_series(u, w, max_m=None):
@@ -240,3 +241,12 @@ class TestCappedTailSampler:
         a = sample_from_capped_tail(w, 1.0, 0.0, 1000, seed=9)
         b = sample_from_capped_tail(w, 1.0, 0.0, 1000, seed=9)
         np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("w", [0, 1, 3])
+    def test_grid_is_built_once_per_w_with_the_same_bits(self, w):
+        grid, qs = _sampler_grid(w)
+        ref_grid, ref_qs = reference_sampler_grid(w)
+        assert (grid.tobytes(), qs.tobytes()) == (ref_grid.tobytes(), ref_qs.tobytes())
+        assert _sampler_grid(w)[0] is grid
+        with pytest.raises(ValueError, match="read-only"):
+            qs[0] = 0.5

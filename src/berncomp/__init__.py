@@ -39,7 +39,6 @@ from .complexity import (
     composite_bernoulli_complexity,
     gaussian_complexity,
     increment_ratio,
-    sign_patterns,
 )
 from .core import (
     ComplexityEstimate,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_readonly, sq_distances
+from .core import _as_readonly, _row_max, sq_distances
 from .errors import BudgetExceededError, InvalidInputError
 # Called through this name: perfbench's tracer wraps classes.simplex_maximize.
 from .simplex import simplex_maximize
@@ -116,7 +116,7 @@ class FiniteFunctionClass:
         if points is not None and _as_points(points).shape[0] != self.n_points:
             raise InvalidInputError("finite class is tabulated on a fixed sample")
         C = _as_coeff_rows(C, self.n_points)
-        return (C @ self.table.T).max(axis=1)
+        return _row_max(C @ self.table.T)
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +364,7 @@ class PiecewiseLinearClass:
         if pts.shape[1] != 1:
             raise InvalidInputError("piecewise-linear classes live on the line")
         C = _as_coeff_rows(C, pts.shape[0])
-        return (C @ self.eval_batch(pts[:, 0]).T).max(axis=1)
+        return _row_max(C @ self.eval_batch(pts[:, 0]).T)
 
 
 def sample_piecewise_linear_class(n_functions: int, L: float, R: float,

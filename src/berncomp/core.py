@@ -28,6 +28,17 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _row_max(P: np.ndarray) -> np.ndarray:
+    """Maximum of each row of a 2-d array, taken with np.maximum over its
+    columns in order into one buffer, without a transposed copy.  Max is
+    exact, so this is np.ascontiguousarray(P.T).max(axis=0) bit for bit,
+    signed zeros too."""
+    out = P[:, 0].copy()
+    for j in range(1, P.shape[1]):
+        np.maximum(out, P[:, j], out=out)
+    return out
+
+
 @dataclass(frozen=True)
 class PointSet:
     """A finite index set whose elements are k-by-n real matrices.

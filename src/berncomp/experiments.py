@@ -10,8 +10,11 @@ is the one table of experiments: runner, defaults and settable constants.
 from __future__ import annotations
 
 import math
+import os
 import zlib
 from dataclasses import dataclass
+from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
 
@@ -130,22 +133,49 @@ def _ci_from_reps(values):
     return mean, mean - half, mean + half
 
 
+# Worker threads of _map_cells; None means one per CPU this process may run
+# on.  Tests set it to check that the outputs do not depend on the count.
+_POOL_WORKERS = None
+
+
+def _map_cells(fn, cells: list) -> list:
+    """[fn(cell) for cell in cells], run on a pool of threads, in input order.
+
+    Only lemma-checks runs its cells here: they spend their time in numpy's
+    Gaussian sampler and small BLAS products, which release the GIL.  The
+    other experiments stay serial, since their time goes to code that holds
+    the GIL (the Lipschitz line DP, the tail sampler's searchsorted) or, in
+    rkhs-bound, measured no faster on a pool.  Each cell seeds its own
+    generator, so the results are the same bits at any worker count.
+    """
+    # imported here, not at module level, where it costs every run import
+    # time and memory
+    from concurrent.futures import ThreadPoolExecutor
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    with ThreadPoolExecutor(min(_POOL_WORKERS or cpus or 1, len(cells))) as pool:
+        return list(pool.map(fn, cells))
+
+
+def _lemma_cell(cfg: ExperimentConfig, cell: tuple) -> tuple:
+    """(b, g, sup l1-norm, diameter) of the random set of one (n, rep) cell."""
+    n, rep = cell
+    seed = cell_seed(cfg.seed, "lemma", n, rep)
+    T = _random_pointset(np.random.default_rng(seed), LEMMA_ELEMENTS, cfg.k, n)
+    est_cfg = EstimatorConfig(mode="auto", mc_samples=cfg.mc_samples, seed=seed)
+    return (bernoulli_complexity(T, est_cfg), gaussian_complexity(T, est_cfg),
+            max(norm_pq(T.element(i), 1, 1) for i in range(len(T))), diameter2(T))
+
+
 def _run_lemma_checks(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
     out = ExperimentOutcome(cfg.experiment)
     n_sets = consts["n_sets"]
+    cells = iter(_map_cells(partial(_lemma_cell, cfg),
+                            [(n, rep) for n in cfg.n_list for rep in range(n_sets)]))
     bound_pts, value_pts = [], []
     for n in cfg.n_list:
         margins = {"l1_envelope": [], "diameter_4b": [], "gaussian_domination": []}
         violations = {name: 0 for name in margins}
-        for rep in range(n_sets):
-            seed = cell_seed(cfg.seed, "lemma", n, rep)
-            rng = np.random.default_rng(seed)
-            T = _random_pointset(rng, LEMMA_ELEMENTS, cfg.k, n)
-            est_cfg = EstimatorConfig(mode="auto", mc_samples=cfg.mc_samples, seed=seed)
-            b = bernoulli_complexity(T, est_cfg)
-            g = gaussian_complexity(T, est_cfg)
-            sup_l1 = max(norm_pq(T.element(i), 1, 1) for i in range(len(T)))
-            diam = diameter2(T)
+        for b, g, sup_l1, diam in islice(cells, n_sets):
             m1 = sup_l1 + 3.0 * b.std_error - b.value
             m2a = 4.0 * b.value + 12.0 * b.std_error - diam
             m2b = (math.sqrt(math.pi / 2.0) * g.value - b.value

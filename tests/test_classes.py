@@ -129,6 +129,20 @@ class TestFiniteClassSup:
         with pytest.raises(InvalidInputError):
             FiniteFunctionClass(table=[[2.0]], uniform_bound_B=1.0)
 
+    @pytest.mark.parametrize("r", [1, 9, 17, 40])
+    def test_sup_batch_bits_are_the_row_max_of_the_product(self, r):
+        # the finite and piecewise-linear classes take core._row_max of
+        # their products; without zero ties that is .max(axis=1) bit for bit
+        # (at some widths .max(axis=1) gives a zero tie the other sign)
+        rng = np.random.default_rng(r)
+        pts = rng.uniform(-1, 1, size=(7, 1))
+        C = rng.choice([-1.0, 1.0], size=(500, 7))
+        pl = sample_piecewise_linear_class(r, L=1.0, R=1.0, seed=r)
+        table = pl.eval_batch(pts[:, 0])
+        ref = (C @ table.T).max(axis=1).tobytes()
+        assert FiniteFunctionClass(table=table, uniform_bound_B=1.0).sup_batch(None, C).tobytes() == ref
+        assert pl.sup_batch(pts, C).tobytes() == ref
+
 
 class TestLipschitzBallSup:
     def test_single_point_box_only(self):

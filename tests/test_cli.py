@@ -8,6 +8,7 @@ import pytest
 
 from berncomp import (ConfigError, InvalidInputError, PointSet, SolverError,
                       bernoulli_complexity, pointset_to_csv)
+from berncomp import experiments
 from berncomp.cli import main
 from berncomp.complexity import EstimatorConfig
 from berncomp.config import default_config, parse_config, parse_config_text
@@ -283,6 +284,27 @@ class TestRunCommand:
                          + (out_dir / "summary.csv").read_bytes())
         capsys.readouterr()
         assert blobs[0] == blobs[1]
+
+    def test_lemma_checks_bytes_do_not_depend_on_the_worker_count(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # n = 4 enumerates its signs; n = 16 draws them, and its Gaussians
+        # take two weight blocks.  The plot keeps every set's point in order.
+        config = tmp_path / "cfg.txt"
+        blobs = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(experiments, "_POOL_WORKERS", workers)
+            out_dir = tmp_path / str(workers)
+            config.write_text("experiment = lemma-checks\n"
+                              f"out_dir = {out_dir}\n"
+                              "n_list = [4, 16]\n"
+                              "seed = 9\n"
+                              "mc_samples = 5000\n"
+                              "constants.n_sets = 5\n")
+            assert main(["run", str(config)]) == 0
+            blobs.append([(out_dir / name).read_bytes()
+                          for name in ("results.csv", "summary.csv", "plot_lemma_checks.svg")])
+        capsys.readouterr()
+        assert blobs[0] == blobs[1] == blobs[2]
 
     def test_assertion_failure_exits_1_and_names_quantity(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"

@@ -27,7 +27,7 @@ from berncomp import (
     norm_pq,
 )
 from berncomp import complexity
-from berncomp.complexity import MAX_EXACT_CUTOFF, _random_signs, _weights, sign_patterns
+from berncomp.complexity import _pattern_rows, _random_signs, _weights
 from oracles import enumerate_bernoulli_sup_mean, reference_sign_table, reference_signs
 
 EXACT = EstimatorConfig(mode="exact", seed=3)
@@ -296,12 +296,7 @@ class TestWeightBlocks:
 
     @pytest.mark.parametrize("n", [1, 3, 5, 12, 13])
     def test_sign_patterns_are_the_shift_table(self, n):
-        assert sign_patterns(n).tobytes() == reference_sign_table(n).tobytes()
-
-    @pytest.mark.parametrize("n", [MAX_EXACT_CUTOFF + 1, 33])
-    def test_sign_patterns_reject_an_oversized_count(self, n):
-        with pytest.raises(BudgetExceededError, match=f"^{n} signs exceed MAX_EXACT_CUTOFF"):
-            sign_patterns(n)
+        assert _pattern_rows(0, 2 ** n, n).tobytes() == reference_sign_table(n).tobytes()
 
     @staticmethod
     def _rows(cfg, width, gaussian):

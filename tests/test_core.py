@@ -16,6 +16,7 @@ from berncomp import (
     pointset_to_csv,
     sequence_from_text,
 )
+from berncomp.core import _row_max
 
 
 class TestNormPq:
@@ -244,3 +245,35 @@ class TestLoaderErrors:
         with pytest.raises(InvalidInputError) as err:
             load(path)
         assert str(err.value) == f"{path}: no data rows"
+
+
+class TestRowMax:
+    """core._row_max, the row maximum of every weight block and of the
+    finite classes' products, is the transposed-copy reduction it replaced,
+    bit for bit."""
+
+    @staticmethod
+    def _block(seed, shape):
+        rng = np.random.default_rng(seed)
+        P = rng.standard_normal(shape)
+        # ties of +0.0 and -0.0: scattered, and whole rows of them
+        ties = rng.random(shape) < 0.4
+        ties[::7] = True
+        P[ties] = np.where(rng.random(int(ties.sum())) < 0.5, 0.0, -0.0)
+        return P
+
+    @pytest.mark.parametrize("shape", [(4097, 1), (4097, 2), (4096, 8), (4097, 9),
+                                       (4097, 13), (4097, 17), (300, 50), (1, 5)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_equals_the_transposed_copy_maximum(self, shape, seed):
+        P = self._block(seed, shape)
+        ref = np.ascontiguousarray(P.T).max(axis=0)
+        got = _row_max(P)
+        assert got.tobytes() == ref.tobytes()
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    def test_zero_ties_carry_both_signs(self):
+        # the planted ties reach the maxima, so the signbit check has work to do
+        ref = np.ascontiguousarray(self._block(0, (4097, 8)).T).max(axis=0)
+        zero = ref == 0.0
+        assert np.signbit(ref[zero]).any() and not np.signbit(ref[zero]).all()

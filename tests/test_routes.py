@@ -3,7 +3,8 @@ seeds one generator, inside its weight source _weights, reads raw generator
 words only in its sign-block helper _random_signs, and measures no distance
 itself.  Element distances come from core._element_distances,
 which alone raises on an overflowing distance; sq_distances otherwise
-serves only the two oracles that need the raw squares."""
+serves only the two oracles that need the raw squares.  The one thread
+pool is built in experiments._map_cells."""
 
 import ast
 from pathlib import Path
@@ -52,8 +53,12 @@ def test_checkers_find_planted_cases():
               "def a():\n    np.random.default_rng(1)\n"
               "def b():\n    default_rng(2)\n    return np.random.default_rng(3)\n"
               "class C:\n    def m(self):\n        raise ValueError(f'{self} overflows')\n"
-              "x = np.random.default_rng(5)\n")
+              "x = np.random.default_rng(5)\n"
+              "def d():\n    from concurrent.futures import ThreadPoolExecutor\n"
+              "    with ThreadPoolExecutor(2) as pool:\n        return pool\n"
+              "y = futures.ThreadPoolExecutor()\n")
     assert callers(source, "default_rng") == ["<module>", "a", "b", "b"]
+    assert callers(source, "ThreadPoolExecutor") == ["<module>", "d"]
     assert callers(source, "norm") == []
     assert overflow_raisers(source) == ["C.m"]
 
@@ -65,6 +70,13 @@ def test_complexity_seeds_one_generator_in_the_weight_source():
 def test_raw_generator_words_are_read_only_by_the_sign_block_helper():
     assert {(path.name, qual) for path in SRC.glob("*.py")
             for qual in callers(path.read_text(), "random_raw")} == {("complexity.py", "_random_signs")}
+
+
+def test_the_one_executor_is_the_lemma_checks_pool():
+    built = {(path.name, qual) for path in SRC.glob("*.py")
+             for name in ("ThreadPoolExecutor", "ProcessPoolExecutor")
+             for qual in callers(path.read_text(), name)}
+    assert built == {("experiments.py", "_map_cells")}
 
 
 def test_complexity_measures_no_distance_itself():

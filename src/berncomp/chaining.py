@@ -22,8 +22,6 @@ import numpy as np
 from .core import FiniteMetricSpace, _parse_number
 from .errors import InvalidInputError
 
-ENTROPY_SOURCES = ("empirical-greedy", "exhaustive", "lipschitz-formula")
-
 # Levels beyond this are never needed: their admissible cardinality exceeds
 # any finite space we can represent.
 MAX_LEVEL = 20
@@ -150,10 +148,9 @@ def entropy_number(space: FiniteMetricSpace, m: int) -> EntropyResult:
 
 @dataclass(frozen=True)
 class EntropyProfile:
-    """Entropy numbers e_0 >= e_1 >= ... with their provenance tag."""
+    """Entropy numbers e_0 >= e_1 >= ..."""
 
     values: tuple
-    source: str
 
     def __post_init__(self):
         vals = tuple(float(v) for v in self.values)
@@ -166,8 +163,6 @@ class EntropyProfile:
         for a, b in zip(vals, vals[1:]):
             if b > a + 1e-12:
                 raise InvalidInputError("entropy numbers must be nonincreasing")
-        if self.source not in ENTROPY_SOURCES:
-            raise InvalidInputError(f"unknown source {self.source!r}")
         object.__setattr__(self, "values", vals)
 
 
@@ -179,8 +174,8 @@ def entropy_profile(space: FiniteMetricSpace) -> EntropyProfile:
     while results[-1].upper_bound != 0.0:
         results.append(entropy_number(space, len(results)))
     if all(r.exact is not None for r in results):
-        return EntropyProfile(tuple(r.exact for r in results), "exhaustive")
-    return EntropyProfile(tuple(r.upper_bound for r in results), "empirical-greedy")
+        return EntropyProfile(tuple(r.exact for r in results))
+    return EntropyProfile(tuple(r.upper_bound for r in results))
 
 
 def lipschitz_entropy_formula(m: int, L: float, B: float, k: int, C_k: float) -> float:
@@ -194,7 +189,7 @@ def lipschitz_entropy_formula(m: int, L: float, B: float, k: int, C_k: float) ->
 def lipschitz_entropy_profile(max_m: int, L: float, B: float, k: int,
                               C_k: float) -> EntropyProfile:
     values = tuple(lipschitz_entropy_formula(m, L, B, k, C_k) for m in range(max_m + 1))
-    return EntropyProfile(values, "lipschitz-formula")
+    return EntropyProfile(values)
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,10 @@ from .errors import InvalidInputError
 # distance when that exceeds 1; norm-derived matrices meet it up to rounding.
 TRIANGLE_TOL = 1e-9
 
+# Entries of the difference block that sq_distances holds at once: 2^20
+# doubles, 8 MiB.  A block has at least one row of m * d entries.
+SQ_DISTANCE_BLOCK = 1 << 20
+
 ESTIMATE_METHODS = ("exact-enumeration", "monte-carlo", "closed-form")
 
 
@@ -128,9 +132,21 @@ def norm_pq(t, p, q) -> float:
 
 def sq_distances(X: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of an (m, d) array,
-    shape (m, m)."""
-    diff = X[:, None, :] - X[None, :, :]
-    return (diff * diff).sum(axis=2)
+    shape (m, m).
+
+    Taken over blocks of rows, so the (rows, m, d) difference temporary
+    holds at most max(SQ_DISTANCE_BLOCK, m * d) entries.  Each entry is the
+    same sum over d in the same order, so the bits do not depend on the
+    block size.
+    """
+    m, d = X.shape
+    rows = max(1, SQ_DISTANCE_BLOCK // max(1, m * d))
+    out = np.empty((m, m))
+    for start in range(0, m, rows):
+        diff = X[start:start + rows, None, :] - X[None, :, :]
+        diff *= diff
+        diff.sum(axis=2, out=out[start:start + rows])
+    return out
 
 
 def _element_distances(T: PointSet) -> np.ndarray:

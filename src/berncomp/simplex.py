@@ -1,16 +1,21 @@
-"""Small dense primal simplex for the Lipschitz-extension linear programs.
+"""Small dense primal simplex for the all-pairs Lipschitz oracle.
 
 Solves  maximize c.x  subject to  A x <= b,  x >= 0  with b >= 0, so the
 all-slack basis is feasible and no phase-1 is needed.  Bland's rule is used
 throughout, which precludes cycling on the degenerate rows produced by
-coincident points (b_i = 0).
+coincident points and zero coefficients (b_i = 0).
 
-A pivot updates only the rows where the pivot column is nonzero times the
-columns where the pivot row is (about 5 on the all-pairs Lipschitz LPs).
-At k = 2 with a +-1 row a call takes about 2, 10 and 150 ms at 16, 32 and
-64 points on a 2-core x86 host (dense updates: 6 ms, 0.15 s, 8.2 s).  The
-tableau is (p^2+1) x (p^2+p+1) doubles for p points, 136 MB at the 64-point
-cap; no pivot makes a temporary of that size (at most 44k entries seen).
+The oracle's LP is the plus-to-minus transport problem of the Lipschitz
+ball (classes._lipschitz_sup_simplex): one row per point, one column per
+pair of a plus and a minus coefficient with a positive gain, two +1
+entries per column.  For p points and |P| <= p^2/4 pairs the tableau is
+(p+1) x (|P|+p+1) doubles, about 0.6 MB at the 64-point cap where the
+primal all-pairs LP it replaced took (p^2+1) x (p^2+p+1), 136 MB.  A pivot
+updates only the rows where the pivot column is nonzero times the columns
+where the pivot row is.  At k = 2 with a +-1 row a call takes about 0.5,
+1.8 and 17 ms at 16, 32 and 64 points on a 2-core x86 host (medians of 5
+point sets; the primal took 1.5, 4.4 and 110 ms), and 60-175 ms at 128
+points with the cap lifted.
 """
 
 from __future__ import annotations

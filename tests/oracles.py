@@ -1,10 +1,10 @@
 """Independent brute-force oracles used by the unit and acceptance suites.
 
 Nothing here touches the library's solver paths: values come from direct
-enumeration, grid search, interval arithmetic and earlier implementations
-kept as references (the list-rebuilding line DP, the dense simplex), so
-agreement between these oracles and the library is a genuine two-route
-check.
+enumeration, grid search, interval arithmetic, scipy's LP solver on the
+primal all-pairs LP, and earlier implementations kept as references (the
+list-rebuilding line DP, the dense simplex), so agreement between these
+oracles and the library is a genuine two-route check.
 """
 
 import itertools
@@ -94,6 +94,30 @@ def grid_lipschitz_sup(pts, c, L, R, divisor=200):
             best = max(best, c[0] * y1 + float(np.max(vals, initial=-np.inf, where=feasible)))
         return float(best)
     raise ValueError("grid oracle supports n <= 4")
+
+
+def linprog_lipschitz_sup(pts, c, L, R):
+    """sup sum c_i y_i over the all-pairs Lipschitz value polytope
+    (y_i - y_j <= L * d_ij for every ordered pair, |y_i| <= L * R), posed in
+    the values y themselves and solved by scipy's HiGHS.  The library solves
+    the transport dual of this LP on its own simplex; this route shares
+    neither the formulation nor the solver."""
+    from scipy.optimize import linprog
+
+    pts = np.asarray(pts, dtype=float)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    n = pts.shape[0]
+    i, j = np.nonzero(~np.eye(n, dtype=bool))
+    A = np.zeros((len(i), n))
+    A[np.arange(len(i)), i] = 1.0
+    A[np.arange(len(i)), j] = -1.0
+    b = L * pairwise_dist(pts)[i, j]
+    res = linprog(-np.asarray(c, dtype=float), A_ub=A if len(i) else None,
+                  b_ub=b if len(i) else None, bounds=[(-L * R, L * R)] * n, method="highs")
+    if res.status != 0:
+        raise ValueError(f"linprog failed: {res.message}")
+    return float(-res.fun)
 
 
 def reference_line_dp(x: np.ndarray, c: np.ndarray, L: float, B: float) -> float:

@@ -123,9 +123,12 @@ class TestEntropyNumber:
         assert values[-1] == 0.0  # 2^(2^2) = 16 >= 14 points
 
     def test_profile_sources(self):
+        # exact values where every level has them, greedy bounds otherwise
         sp = random_space(5, 10)
         prof = entropy_profile(sp)
-        assert prof.source in ("exhaustive", "empirical-greedy")
+        levels = [entropy_number(sp, m) for m in range(len(prof.values))]
+        exact = all(r.exact is not None for r in levels)
+        assert prof.values == tuple(r.exact if exact else r.upper_bound for r in levels)
         assert prof.values[-1] == 0.0
 
 
@@ -277,7 +280,7 @@ class TestGamma2Upper:
 
 class TestCompositeEntropyBound:
     def test_zero_profile(self):
-        prof = EntropyProfile((0.0, 0.0, 0.0), "lipschitz-formula")
+        prof = EntropyProfile((0.0, 0.0, 0.0))
         val, best_m = composite_entropy_bound(64, 2.0, 1.5, prof, c1=1.0)
         assert val == pytest.approx(3.0)
         assert best_m == 0
@@ -285,7 +288,7 @@ class TestCompositeEntropyBound:
     def test_geometric_profile_minimizer_frozen(self):
         # e_m = 2^-m, n = 256: exhaustive scan gives M* = 7 and a minimum
         # close to 3.33 / sqrt(n)
-        prof = EntropyProfile(tuple(2.0 ** -m for m in range(21)), "lipschitz-formula")
+        prof = EntropyProfile(tuple(2.0 ** -m for m in range(21)))
         val, best_m = composite_entropy_bound(256, 1.0, 0.0, prof)
         assert best_m == 7
         inner = val / 256
@@ -294,7 +297,7 @@ class TestCompositeEntropyBound:
     def test_scan_matches_brute_force(self):
         rng = np.random.default_rng(16)
         raw = np.sort(rng.uniform(0, 1, size=10))[::-1]
-        prof = EntropyProfile(tuple(raw), "empirical-greedy")
+        prof = EntropyProfile(tuple(raw))
         n, L, bT = 50, 1.5, 0.7
         val, best_m = composite_entropy_bound(n, L, bT, prof, c1=2.0)
         inners = [
@@ -306,8 +309,8 @@ class TestCompositeEntropyBound:
         assert best_m == int(np.argmin(inners))
 
     def test_nonincreasing_when_entropy_drops(self):
-        prof_hi = EntropyProfile((1.0, 0.5, 0.25), "lipschitz-formula")
-        prof_lo = EntropyProfile((1.0, 0.4, 0.25), "lipschitz-formula")
+        prof_hi = EntropyProfile((1.0, 0.5, 0.25))
+        prof_lo = EntropyProfile((1.0, 0.4, 0.25))
         v_hi, _ = composite_entropy_bound(16, 1.0, 1.0, prof_hi)
         v_lo, _ = composite_entropy_bound(16, 1.0, 1.0, prof_lo)
         assert v_lo <= v_hi + 1e-12
@@ -369,9 +372,9 @@ class TestProfileSerialization:
 
     def test_increasing_profile_rejected(self):
         with pytest.raises(InvalidInputError):
-            EntropyProfile((0.5, 1.0), "empirical-greedy")
+            EntropyProfile((0.5, 1.0))
 
     def test_non_finite_profile_rejected(self):
         for values in ((math.nan,), (math.inf, 1.0)):
             with pytest.raises(InvalidInputError, match="entropy numbers must be finite"):
-                EntropyProfile(values, "exhaustive")
+                EntropyProfile(values)

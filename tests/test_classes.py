@@ -11,13 +11,14 @@ from berncomp import (
     GaussianRkhsBall,
     InvalidInputError,
     LipschitzBall,
+    gaussian_gram,
     lipschitz_ball_sup,
     oracle_convexity_check,
     sample_piecewise_linear_class,
     simplex_maximize,
 )
-from oracles import (grid_lipschitz_sup, reference_dense_simplex, reference_line_dp,
-                     rkhs_ball_mc_lower, rkhs_representer_value)
+from oracles import (grid_lipschitz_sup, linprog_lipschitz_sup, reference_dense_simplex,
+                     reference_line_dp, rkhs_ball_mc_lower, rkhs_representer_value)
 
 
 def _random_box_lps():
@@ -33,8 +34,9 @@ def _random_box_lps():
 
 
 def _allpairs_lps():
-    """The LPs the all-pairs Lipschitz oracle passes to simplex_maximize at
-    k = 2 and n = 8, 16, 24: +-1 rows, real rows, coincident points."""
+    """The transport LPs the all-pairs Lipschitz oracle passes to
+    simplex_maximize at k = 2 and n = 8, 16, 24: +-1 rows, real rows,
+    coincident points."""
     rng = np.random.default_rng(24)
     lps = []
 
@@ -230,6 +232,66 @@ class TestLipschitzBallSup:
         val = lipschitz_ball_sup([[-1e200], [1e200]], [1.0, 1.0], L=1.0, R=1.0)
         assert val == 2.0
 
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("layout", ["signs", "real with zeros", "coincident",
+                                        "one-signed", "one point", "tiny masses"])
+    def test_matches_linprog_on_the_primal_lp(self, layout, k):
+        # the library solves the transport dual on its own simplex; scipy's
+        # HiGHS solves the primal LP in the values y
+        pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(40 + k)
+        for n in ((1,) if layout == "one point" else (2, 9, 24)):
+            pts = rng.uniform(-1, 1, size=(n, k))
+            c = rng.choice([-1.0, 1.0], size=n) if layout == "signs" else rng.normal(size=n)
+            if layout == "real with zeros":
+                c[::3] = 0.0
+            elif layout == "coincident":
+                pts[n // 2:] = pts[: n - n // 2]
+            elif layout == "one-signed":
+                c = np.abs(c)  # no plus-minus pair: the LP has no columns
+            # masses far below the simplex's absolute pivot tolerance; the
+            # value is homogeneous in c, and HiGHS solves the unit-scale LP
+            shrink = 1e-12 if layout == "tiny masses" else 1.0
+            L, R = float(rng.uniform(0.5, 2.0)), float(rng.uniform(0.5, 2.0))
+            val = lipschitz_ball_sup(pts, shrink * c, L, R)
+            ref = shrink * linprog_lipschitz_sup(pts, c, L, R)
+            assert abs(val - ref) <= 1e-9 * L * R * np.abs(shrink * c).sum(), (n, val, ref)
+
+    def test_collinear_small_scale_matches_the_line(self):
+        # on these 600 rows the all-pairs primal in w = (y + B)/B missed the
+        # line solver by more than this in 23, by up to 9.1e-11 * B * ||c||_1,
+        # and the transport LP in units of B in one, by 2.7e-11
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            x = rng.uniform(-1.0, 1.0, size=16) * 1e-6
+            direction = rng.standard_normal(2)
+            pts = x[:, None] * (direction / np.linalg.norm(direction))
+            C = np.vstack([rng.integers(0, 2, size=(4, 16)) * 2.0 - 1.0,
+                           rng.normal(size=(2, 16))])
+            for c in C:
+                line = lipschitz_ball_sup(x[:, None], c, 1.0, 1.0)
+                plane = lipschitz_ball_sup(pts, c, 1.0, 1.0)
+                assert abs(plane - line) <= 1e-14 * np.abs(c).sum(), (seed, plane, line)
+
+    @pytest.mark.parametrize("call", [
+        lambda: lipschitz_ball_sup([[0.0], [1.0]], [1.0, -1.0], L=math.nan, R=1.0),
+        lambda: lipschitz_ball_sup([[0.0, 0.0], [1.0, 0.0]], [1.0, -1.0], L=math.nan, R=1.0),
+        lambda: lipschitz_ball_sup([[0.0, 0.0], [1.0, 0.0]], [1.0, -1.0], L=math.inf, R=1.0),
+        lambda: lipschitz_ball_sup([[0.0], [1.0]], [1.0, -1.0], L=1.0, R=math.inf),
+        lambda: LipschitzBall(1.0, math.inf).sup_batch([[0.0], [1.0]], [[1.0, 1.0]]),
+        lambda: LipschitzBall(math.nan, 1.0),
+        lambda: GaussianRkhsBall(math.nan, 1.0),
+        lambda: GaussianRkhsBall(1.0, math.inf),
+        lambda: GaussianRkhsBall(1.0, -1.0),
+        lambda: gaussian_gram([[0.0], [1.0]], math.inf),
+        lambda: gaussian_gram([[0.0], [1.0]], math.nan),
+    ], ids=["line-L-nan", "k2-L-nan", "k2-L-inf", "R-inf", "ball-R-inf", "ball-L-nan",
+            "rkhs-sigma-nan", "rkhs-rho-inf", "rkhs-rho-negative", "gram-sigma-inf",
+            "gram-sigma-nan"])
+    def test_rejects_non_finite_parameters(self, call):
+        with pytest.raises(InvalidInputError, match="finite and positive"):
+            call()
+
     def test_zero_distance_pair_in_higher_dim(self):
         pts = np.array([[0.5, 0.5], [0.5, 0.5], [-0.5, 0.0]])
         val = lipschitz_ball_sup(pts, [1.0, -1.0, 1.0], L=1.0, R=1.0)
@@ -282,6 +344,61 @@ class TestLineSolverProperties:
         # y is feasible for (L, R) iff y / L is feasible for (1, R)
         x, c, L, R = problem
         assert _close(_line_sup(x, c, L, R), L * _line_sup(x, c, 1.0, R), c, L, R)
+
+
+_plane_problems = st.tuples(st.integers(1, 10), st.integers(2, 3)).flatmap(
+    lambda nk: st.tuples(
+        st.lists(st.lists(st.integers(-16, 16).map(lambda v: v / 8), min_size=nk[1],
+                          max_size=nk[1]), min_size=nk[0], max_size=nk[0]),
+        st.one_of(
+            st.lists(st.sampled_from([-1.0, 1.0]), min_size=nk[0], max_size=nk[0]),
+            st.lists(st.floats(-3, 3, allow_subnormal=False), min_size=nk[0],
+                     max_size=nk[0])),
+        st.floats(0.25, 4.0),
+        st.floats(0.25, 4.0),
+    ))
+
+
+class TestAllPairsProperties:
+    """Symmetries of the k >= 2 oracle (the transport LP), each checked to
+    1e-12 of the problem scale B * ||c||_1."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_plane_problems, st.lists(st.integers(-32, 32).map(lambda v: v / 8),
+                                     min_size=3, max_size=3))
+    def test_translation_invariance(self, problem, shift):
+        pts, c, L, R = problem
+        pts = np.asarray(pts)
+        # dyadic points and shift keep every difference exact
+        moved = pts + np.asarray(shift[: pts.shape[1]])
+        assert _close(lipschitz_ball_sup(moved, c, L, R), lipschitz_ball_sup(pts, c, L, R),
+                      c, L, R)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_plane_problems, st.floats(0.0, 2.0 * math.pi))
+    def test_rotation_invariance(self, problem, angle):
+        pts, c, L, R = problem
+        pts = np.asarray(pts)
+        turn = np.eye(pts.shape[1])
+        turn[:2, :2] = [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
+        assert _close(lipschitz_ball_sup(pts @ turn.T, c, L, R),
+                      lipschitz_ball_sup(pts, c, L, R), c, L, R)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_plane_problems)
+    def test_sign_symmetry(self, problem):
+        # the ball is symmetric under f -> -f
+        pts, c, L, R = problem
+        assert _close(lipschitz_ball_sup(pts, [-v for v in c], L, R),
+                      lipschitz_ball_sup(pts, c, L, R), c, L, R)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_plane_problems)
+    def test_homogeneous_in_l(self, problem):
+        # y is feasible for (L, R) iff y / L is feasible for (1, R)
+        pts, c, L, R = problem
+        assert _close(lipschitz_ball_sup(pts, c, L, R), L * lipschitz_ball_sup(pts, c, 1.0, R),
+                      c, L, R)
 
 
 class TestRkhsBallSup:

@@ -253,8 +253,8 @@ class TestPinnedBits:
         ("composite-rkhs-mc", "0x1.89564d801cc07p+1", "0x1.13360afc37337p-5", "monte-carlo", 300),
         ("composite-lipschitz-exact", "0x1.706e58f9b86fcp+1", "0x0.0p+0", "exact-enumeration", 32),
         ("composite-lipschitz-mc", "0x1.690b25a247fd1p+1", "0x1.d5357c6def7b0p-5", "monte-carlo", 300),
-        ("composite-lipschitz-k2-exact", "0x1.e4bd639b01374p+1", "0x0.0p+0", "exact-enumeration", 64),
-        ("composite-lipschitz-k2-mc", "0x1.e561c03f51f14p+1", "0x1.953b80b7adf44p-5", "monte-carlo", 300),
+        ("composite-lipschitz-k2-exact", "0x1.e4bd639b01373p+1", "0x0.0p+0", "exact-enumeration", 64),
+        ("composite-lipschitz-k2-mc", "0x1.e561c03f51f14p+1", "0x1.953b80b7adf41p-5", "monte-carlo", 300),
         ("bernoulli-line-mc5001", "0x1.4100b14bd32a7p+0", "0x1.b192207d3cb97p-7", "monte-carlo", 5001),
         ("gaussian-line-mc5001", "0x1.33022bfa1b25fp+0", "0x1.daf4521e4d5f0p-7", "monte-carlo", 5001),
     ])

@@ -16,7 +16,8 @@ from berncomp import (
     pointset_to_csv,
     sequence_from_text,
 )
-from berncomp.core import _row_max
+from berncomp import core
+from berncomp.core import _row_max, sq_distances
 
 
 class TestNormPq:
@@ -277,3 +278,17 @@ class TestRowMax:
         ref = np.ascontiguousarray(self._block(0, (4097, 8)).T).max(axis=0)
         zero = ref == 0.0
         assert np.signbit(ref[zero]).any() and not np.signbit(ref[zero]).all()
+
+
+class TestSqDistances:
+    """sq_distances works through blocks of rows, and each entry is the same
+    sum in the same order, so any block size gives the one-shot bits."""
+
+    @pytest.mark.parametrize("shape", [(1, 3), (7, 1), (40, 2), (33, 9), (20, 300)])
+    @pytest.mark.parametrize("block", [1, 200, core.SQ_DISTANCE_BLOCK])
+    def test_blocks_equal_the_one_shot_form(self, shape, block, monkeypatch):
+        X = np.random.default_rng(shape[0]).standard_normal(shape)
+        diff = X[:, None, :] - X[None, :, :]
+        ref = (diff * diff).sum(axis=2)
+        monkeypatch.setattr(core, "SQ_DISTANCE_BLOCK", block)  # 1: a row at a time
+        assert sq_distances(X).tobytes() == ref.tobytes()

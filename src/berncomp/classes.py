@@ -17,8 +17,9 @@ not be a cone).  Four concrete classes are provided:
   dual on a small dense simplex: cancel c+ against c- at cost L*d_ij, or
   send mass to the bank at B per unit (Kantorovich-Rubinstein duality for
   the bounded-Lipschitz ball).  The tableau is (n+1) x (|P|+n+1) for the
-  |P| <= n^2/4 plus-minus pairs, about 0.6 MB at 64 points, and a +-1 row
-  at k = 2 takes about 0.5, 1.8 and 17 ms at 16, 32 and 64 points (see
+  |P| <= n^2/4 plus-minus pairs, about 0.6 MB at 64 points.  The simplex
+  pivots by Dantzig's rule with a Bland fallback, and a +-1 row at k = 2
+  takes about 0.3, 1.0 and 2.7 ms at 16, 32 and 64 points (see
   simplex.py).  For k = 1 an exact slope-trick dynamic program solves it
   at any point count.  The line solver costs one sort plus O(1) amortized
   deque work per point for +-1 coefficients, and at most O(n^2) for
@@ -78,6 +79,29 @@ def _check_scales(**scales) -> None:
     for name, value in scales.items():
         if not 0.0 < value < np.inf:
             raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _lipschitz_bound(L: float, R: float) -> float:
+    """The uniform bound B = L * R of a Lipschitz ball with checked L and R;
+    raise InvalidInputError if the product overflows or underflows to 0."""
+    _check_scales(L=L, R=R)
+    B = L * R
+    if not 0.0 < B < np.inf:
+        raise InvalidInputError(
+            f"L * R must be finite and positive, got {B!r} for L={L!r}, R={R!r}")
+    return B
+
+
+def _kernel_width(sigma: float) -> float:
+    """The Gaussian kernel's denominator 2 sigma^2 for a checked sigma; raise
+    InvalidInputError if it underflows to 0 (it may overflow: the kernel is
+    then 1 everywhere, its limit)."""
+    _check_scales(sigma=sigma)
+    width = 2.0 * sigma * sigma
+    if not width > 0.0:
+        raise InvalidInputError(
+            f"2 * sigma**2 must be finite and positive, got {width!r} for sigma={sigma!r}")
+    return width
 
 
 def _as_coeffs(c, n: int) -> np.ndarray:
@@ -168,9 +192,10 @@ def _lipschitz_sup_simplex(pts: np.ndarray, c: np.ndarray, L: float, B: float) -
     The constraint matrix has one row per point (empty for c_i = 0) and two
     +1 entries per column, with right-hand side |c| >= 0.  It is totally
     unimodular, so its part of the tableau stays 0 and +-1.  Columns go in
-    order of descending gain (stable): Bland's rule then enters the best
-    pairs first, which took the median 32-point call from 365 pivots in
-    pair order to 45.
+    pair order.  Under the simplex's largest-reduced-cost rule a sort by
+    descending gain no longer pays: over 20 sets of +-1 rows it gave median
+    14, 32 and 78 pivots at 16, 32 and 64 points against 13, 33 and 79 in
+    pair order, and the same time per call within noise.
 
     The simplex's pivot tolerance is absolute, so the LP is handed over
     rescaled by exact powers of two: masses by the largest |c_i|, gains by
@@ -191,15 +216,14 @@ def _lipschitz_sup_simplex(pts: np.ndarray, c: np.ndarray, L: float, B: float) -
     i, j = np.nonzero(cost < 2.0 * B)  # g_ij > 0
     cost = cost[i, j]
     gain = 2.0 * B - cost
-    order = np.argsort(-gain, kind="stable")
-    cols = np.arange(len(order))
-    A = np.zeros((n, len(order)))
-    A[plus[i[order]], cols] = 1.0
-    A[minus[j[order]], cols] = 1.0
+    cols = np.arange(len(gain))
+    A = np.zeros((n, len(gain)))
+    A[plus[i], cols] = 1.0
+    A[minus[j], cols] = 1.0
     mass = np.abs(c)
     e_gain = np.frexp(max(cost.max(initial=0.0), 2.0 * B * GAIN_SCALE_FLOOR))[1]
     e_mass = np.frexp(mass.max())[1]
-    value, _ = simplex_maximize(np.ldexp(gain[order], -e_gain), A, np.ldexp(mass, -e_mass))
+    value, _ = simplex_maximize(np.ldexp(gain, -e_gain), A, np.ldexp(mass, -e_mass))
     return float(B * mass.sum() - np.ldexp(value, e_gain + e_mass))
 
 
@@ -295,11 +319,10 @@ def lipschitz_ball_sup(points, c, L: float, R: float, method: str = "auto") -> f
     ("line" requires k = 1).  The two backends agree exactly on the line.
     method= stays because perfbench's lipschitz-k2 check forces each backend.
     """
-    _check_scales(L=L, R=R)
+    B = _lipschitz_bound(L, R)
     pts = _as_points(points)
     n, k = pts.shape
     c = _as_coeffs(c, n)
-    B = L * R
     if method == "auto":
         method = "line" if k == 1 else "simplex"
     if method == "line":
@@ -320,6 +343,7 @@ class LipschitzBall:
 
     def __post_init__(self):
         _check_scales(lipschitz_L=self.lipschitz_L, radius_R=self.radius_R)
+        _lipschitz_bound(self.lipschitz_L, self.radius_R)
 
     def sup(self, points, c) -> float:
         return lipschitz_ball_sup(points, c, self.lipschitz_L, self.radius_R)
@@ -342,9 +366,9 @@ class LipschitzBall:
 
 def gaussian_gram(points, sigma: float) -> np.ndarray:
     """Gram matrix of the Gaussian kernel exp(-||x - y||^2 / (2 sigma^2))."""
-    _check_scales(sigma=sigma)
+    width = _kernel_width(sigma)
     pts = _as_points(points)
-    return np.exp(-sq_distances(pts) / (2.0 * sigma * sigma))
+    return np.exp(-sq_distances(pts) / width)
 
 
 @dataclass(frozen=True)
@@ -357,6 +381,7 @@ class GaussianRkhsBall:
 
     def __post_init__(self):
         _check_scales(sigma=self.sigma, rho=self.rho)
+        _kernel_width(self.sigma)
 
     # Defined in the class body because perfbench's tracer wraps it there.
     def sup(self, points, c) -> float:

@@ -1,21 +1,29 @@
 """Small dense primal simplex for the all-pairs Lipschitz oracle.
 
 Solves  maximize c.x  subject to  A x <= b,  x >= 0  with b >= 0, so the
-all-slack basis is feasible and no phase-1 is needed.  Bland's rule is used
-throughout, which precludes cycling on the degenerate rows produced by
-coincident points and zero coefficients (b_i = 0).
+all-slack basis is feasible and no phase-1 is needed.  The entering column
+is the one with the most negative reduced cost (Dantzig's rule), lowest
+index on ties.  That rule alone can cycle on degenerate programs (Beale's
+1955 example does), so once m pivots in a row have been degenerate the
+lowest-index improving column enters instead (Bland's rule, which cannot
+cycle; Bland, Math. Oper. Res. 2, 1977) until the next nondegenerate
+pivot.  The leaving row is the minimum ratio, ties broken by the lowest
+basic index.
 
 The oracle's LP is the plus-to-minus transport problem of the Lipschitz
 ball (classes._lipschitz_sup_simplex): one row per point, one column per
 pair of a plus and a minus coefficient with a positive gain, two +1
 entries per column.  For p points and |P| <= p^2/4 pairs the tableau is
-(p+1) x (|P|+p+1) doubles, about 0.6 MB at the 64-point cap where the
-primal all-pairs LP it replaced took (p^2+1) x (p^2+p+1), 136 MB.  A pivot
-updates only the rows where the pivot column is nonzero times the columns
-where the pivot row is.  At k = 2 with a +-1 row a call takes about 0.5,
-1.8 and 17 ms at 16, 32 and 64 points on a 2-core x86 host (medians of 5
-point sets; the primal took 1.5, 4.4 and 110 ms), and 60-175 ms at 128
-points with the cap lifted.
+(p+1) x (|P|+p+1) doubles, about 0.6 MB at the 64-point cap.  A pivot
+updates only the rows where the pivot column is nonzero, across all
+columns, so its pivots and bits are those of a dense update.  At k = 2
+with a +-1 row the median call takes 16, 35 and 74 pivots at 16, 32 and
+64 points where Bland's rule throughout took 22, 70 and 184, and about
+0.3, 1.0 and 2.7 ms on a 2-core x86 host (Bland's rule: 0.8, 2.0 and
+12 ms; medians of 10 point sets); with the cap lifted, 173 pivots and
+12 ms at 128 points (574 and 95 ms).  The longest degenerate run seen on
+these LPs (30 pivots at 64 coincident points) stays under m, so there
+Bland's rule is only the guard.
 """
 
 from __future__ import annotations
@@ -34,9 +42,15 @@ MAX_ITER_PER_DIM = 50
 def simplex_maximize(c, A, b):
     """Return (optimal value, optimal x).
 
+    Termination: a nondegenerate pivot strictly raises the objective, so no
+    basis repeats across one.  Within a run of degenerate pivots at most m
+    Dantzig pivots come before a stretch of pure Bland pivots, and Bland's
+    rule cannot cycle, so every run ends.  The pivot cap stays as a guard
+    against rounding.
+
     Raises SolverError with diagnostics if the pivot cap is hit and
-    InvalidInputError for negative right-hand sides or an unbounded program
-    (our callers always pass box-bounded problems).
+    InvalidInputError for non-finite input, negative right-hand sides or an
+    unbounded program (our callers always pass box-bounded problems).
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
@@ -44,6 +58,9 @@ def simplex_maximize(c, A, b):
     m, n = A.shape
     if c.shape != (n,) or b.shape != (m,):
         raise InvalidInputError("inconsistent LP dimensions")
+    if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
+        # a nan reduced cost would stop the argmin at once
+        raise InvalidInputError("simplex_maximize requires finite c, A and b")
     if np.any(b < 0):
         raise InvalidInputError("simplex_maximize requires b >= 0")
     max_iter = MAX_ITER_BASE + MAX_ITER_PER_DIM * (m + n)
@@ -54,36 +71,44 @@ def simplex_maximize(c, A, b):
     T[np.arange(m), np.arange(n, n + m)] = 1.0
     T[:m, -1] = b
     T[m, :n] = -c
-    basis = list(range(n, n + m))
+    basis = np.arange(n, n + m)
+    reduced = T[m, :n + m]
+    rhs = T[:m, -1]
+    degenerate = 0  # degenerate pivots since the last nondegenerate one
 
     for _ in range(max_iter):
-        # Bland: lowest-index improving column
-        improving = (T[m, :n + m] < -_PIVOT_TOL).nonzero()[0]
-        if improving.size == 0:
+        if degenerate < m:  # Dantzig: most negative reduced cost
+            entering = int(reduced.argmin())
+            if not reduced[entering] < -_PIVOT_TOL:
+                entering = -1
+        else:  # Bland: lowest-index improving column
+            improving = np.flatnonzero(reduced < -_PIVOT_TOL)
+            entering = int(improving[0]) if improving.size else -1
+        if entering < 0:
             x = np.zeros(n + m)
-            x[basis] = T[:m, -1]
+            x[basis] = rhs
             return float(T[m, -1]), x[:n]
-        entering = improving[0]
 
         col = T[:m, entering]
-        ratios = np.full(m, np.inf)
-        positive = col > _PIVOT_TOL
-        ratios[positive] = T[:m, -1][positive] / col[positive]
-        best = ratios.min()
+        positive = np.flatnonzero(col > _PIVOT_TOL)
+        ratios = rhs[positive] / col[positive]
+        best = ratios.min(initial=np.inf)
         if not np.isfinite(best):
             raise InvalidInputError("LP is unbounded")
-        # Bland tie-break: among minimal ratios, leave the lowest-index basic.
-        ties = np.flatnonzero(ratios <= best + _PIVOT_TOL * max(1.0, abs(best)))
-        leaving = min(ties, key=lambda r: basis[r])
+        # Among minimal ratios, leave the lowest-index basic (Bland's tie-break).
+        slack = _PIVOT_TOL * max(1.0, abs(best))
+        ties = positive[ratios <= best + slack]
+        leaving = ties[basis[ties].argmin()]
+        degenerate = degenerate + 1 if abs(best) <= slack else 0
 
-        pivot = T[leaving, entering]
-        T[leaving] /= pivot
+        prow = T[leaving]
+        prow /= prow[entering]
         factors = T[:, entering].copy()
         factors[leaving] = 0.0
-        # the entries a pivot can change; elsewhere a dense update subtracts +-0
-        rows = factors.nonzero()[0]
-        cols = T[leaving].nonzero()[0]
-        T[rows[:, None], cols] -= factors[rows, None] * T[leaving, cols]
+        # Only rows with a nonzero factor change; a dense update subtracts +-0
+        # elsewhere.  Row by row, with no (rows x cols) temporaries.
+        for r in factors.nonzero()[0].tolist():
+            T[r] -= factors[r] * prow
         T[:, entering] = 0.0
         T[leaving, entering] = 1.0
         basis[leaving] = entering

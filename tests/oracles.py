@@ -171,7 +171,10 @@ def reference_dense_simplex(c, A, b):
     """Return (optimal value, optimal x).
 
     Reference for the library's simplex_maximize: the same tableau and the
-    same Bland pivots, but every pivot updates the whole tableau densely.
+    same pivots, but every pivot updates the whole tableau densely.  The
+    entering column is the most negative reduced cost (Dantzig), or the
+    lowest-index improving one (Bland) once m pivots in a row have been
+    degenerate, until the next nondegenerate pivot.
 
     Raises SolverError with diagnostics if the pivot cap is hit and
     InvalidInputError for negative right-hand sides or an unbounded program
@@ -194,14 +197,20 @@ def reference_dense_simplex(c, A, b):
     T[:m, -1] = b
     T[m, :n] = -c
     basis = list(range(n, n + m))
+    degenerate = 0  # degenerate pivots since the last nondegenerate one
 
     for _ in range(max_iter):
         reduced = T[m, :n + m]
         entering = -1
-        for j in range(n + m):  # Bland: lowest-index improving column
-            if reduced[j] < -_PIVOT_TOL:
-                entering = j
-                break
+        if degenerate < m:  # Dantzig: most negative reduced cost, lowest index on ties
+            for j in range(n + m):
+                if reduced[j] < -_PIVOT_TOL and (entering < 0 or reduced[j] < reduced[entering]):
+                    entering = j
+        else:
+            for j in range(n + m):  # Bland: lowest-index improving column
+                if reduced[j] < -_PIVOT_TOL:
+                    entering = j
+                    break
         if entering < 0:
             x = np.zeros(n + m)
             x[basis] = T[:m, -1]
@@ -217,6 +226,10 @@ def reference_dense_simplex(c, A, b):
         # Bland tie-break: among minimal ratios, leave the lowest-index basic.
         ties = np.flatnonzero(ratios <= best + _PIVOT_TOL * max(1.0, abs(best)))
         leaving = min(ties, key=lambda r: basis[r])
+        if abs(best) <= _PIVOT_TOL * max(1.0, abs(best)):
+            degenerate += 1
+        else:
+            degenerate = 0
 
         pivot = T[leaving, entering]
         T[leaving] /= pivot

@@ -33,9 +33,9 @@ def _random_box_lps():
         yield c, np.vstack([A, np.eye(n)]), np.concatenate([b, np.full(n, 5.0)])
 
 
-def _allpairs_lps():
+def _allpairs_lps(sizes=(8, 16, 24)):
     """The transport LPs the all-pairs Lipschitz oracle passes to
-    simplex_maximize at k = 2 and n = 8, 16, 24: +-1 rows, real rows,
+    simplex_maximize at k = 2 and n in sizes: +-1 rows, real rows,
     coincident points."""
     rng = np.random.default_rng(24)
     lps = []
@@ -46,7 +46,7 @@ def _allpairs_lps():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("berncomp.classes.simplex_maximize", record)
-        for n in (8, 16, 24):
+        for n in sizes:
             pts = rng.uniform(-1, 1, size=(n, 2))
             twins = pts.copy()
             twins[n // 2:] = twins[: n - n // 2]
@@ -69,13 +69,33 @@ class TestSimplex:
         assert x.sum() == pytest.approx(4.0)
 
     def test_degenerate_rhs_terminates(self):
-        # zero right-hand sides force degenerate pivots; Bland must not cycle
+        # zero right-hand sides force degenerate pivots, which must not cycle
         value, _ = simplex_maximize(
             [1.0, -1.0],
             [[1.0, -1.0], [-1.0, 1.0], [1.0, 0.0]],
             [0.0, 0.0, 1.0],
         )
         assert value == pytest.approx(0.0)
+
+    @pytest.mark.parametrize("c, A, b", [
+        ([math.nan, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0]),
+        ([1.0, 1.0], [[math.nan, 0.0], [0.0, 1.0]], [1.0, 2.0]),
+        ([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0]], [math.inf, 2.0]),
+    ], ids=["c-nan", "A-nan", "b-inf"])
+    def test_rejects_non_finite_input(self, c, A, b):
+        with pytest.raises(InvalidInputError, match="finite c, A and b"):
+            simplex_maximize(c, A, b)
+
+    def test_beale_lp_terminates(self):
+        # Beale's cycling example: the most-negative-reduced-cost rule alone
+        # cycles through six degenerate bases and hits the pivot cap; the
+        # fallback to Bland's rule after m degenerate pivots breaks the cycle
+        value, _ = simplex_maximize(
+            [0.75, -20.0, 0.5, -6.0],
+            [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+            [0.0, 0.0, 1.0],
+        )
+        assert value == pytest.approx(1.25, abs=1e-12)
 
     def test_against_scipy_on_random_instances(self):
         scipy_opt = pytest.importorskip("scipy.optimize")
@@ -85,6 +105,15 @@ class TestSimplex:
                                     bounds=[(0, None)] * len(c), method="highs")
             assert value == pytest.approx(-ref.fun, abs=1e-7)
             assert np.all(A_box @ x <= b_box + 1e-7)
+        # degenerate transport LPs: +-1 masses and coincident points
+        lps = _allpairs_lps(sizes=(8, 16, 24, 32, 48))
+        assert len(lps) == 15
+        for c, A, b in lps:
+            value, x = simplex_maximize(c, A, b)
+            ref = scipy_opt.linprog(-c, A_ub=A, b_ub=b,
+                                    bounds=[(0, None)] * len(c), method="highs")
+            assert value == pytest.approx(-ref.fun, rel=1e-9)
+            assert np.all(A @ x <= b + 1e-9)
 
     @pytest.mark.parametrize("source", ["random", "degenerate", "all-pairs"])
     def test_sparse_pivots_match_the_dense_reference_bit_for_bit(self, source):
@@ -285,9 +314,16 @@ class TestLipschitzBallSup:
         lambda: GaussianRkhsBall(1.0, -1.0),
         lambda: gaussian_gram([[0.0], [1.0]], math.inf),
         lambda: gaussian_gram([[0.0], [1.0]], math.nan),
+        # each parameter is finite, but L * R overflows or 2 sigma^2 underflows
+        lambda: lipschitz_ball_sup([[0.0], [1.0]], [1.0, -1.0], L=1e200, R=1e200),
+        lambda: lipschitz_ball_sup([[0.0, 0.0], [1.0, 0.0]], [1.0, -1.0], L=1e200, R=1e200),
+        lambda: LipschitzBall(1e200, 1e200),
+        lambda: GaussianRkhsBall(1e-200, 1.0),
+        lambda: gaussian_gram([[0.0], [1.0]], 1e-200),
     ], ids=["line-L-nan", "k2-L-nan", "k2-L-inf", "R-inf", "ball-R-inf", "ball-L-nan",
             "rkhs-sigma-nan", "rkhs-rho-inf", "rkhs-rho-negative", "gram-sigma-inf",
-            "gram-sigma-nan"])
+            "gram-sigma-nan", "line-LR-overflow", "k2-LR-overflow", "ball-LR-overflow",
+            "rkhs-sigma-underflow", "gram-sigma-underflow"])
     def test_rejects_non_finite_parameters(self, call):
         with pytest.raises(InvalidInputError, match="finite and positive"):
             call()

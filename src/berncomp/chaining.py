@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FiniteMetricSpace, _parse_number
+from .core import FiniteMetricSpace, _check_count, _check_scales, _parse_number
 from .errors import InvalidInputError
 
 # Levels beyond this are never needed: their admissible cardinality exceeds
@@ -40,8 +40,7 @@ MAX_TRUNCATION_LEVEL = 64
 def admissible_capacity(m: int):
     """Largest admissible cardinality at level m: 1 at level 0, else 2^(2^m),
     and math.inf once that exceeds 2^60, past any practical set size."""
-    if m < 0:
-        raise InvalidInputError("level must be nonnegative")
+    _check_count("level", m)
     if m == 0:
         return 1
     if 2 ** m > 60:
@@ -99,8 +98,7 @@ def covering_number(space: FiniteMetricSpace, delta: float) -> CoveringResult:
     every space of at most 20 points does: a delta-cover of a given size
     exists iff some subset of that size has covering radius <= delta.
     """
-    if delta <= 0:
-        raise InvalidInputError("delta must be positive")
+    _check_scales(delta=delta)
     m = space.size
     d = space.dist
     _, radii = farthest_first_order(d)
@@ -181,8 +179,9 @@ def entropy_profile(space: FiniteMetricSpace) -> EntropyProfile:
 def lipschitz_entropy_formula(m: int, L: float, B: float, k: int, C_k: float) -> float:
     """Entropy-number envelope C_k * L * B * 2^(-m/k) for an L-Lipschitz
     class that is L*B-bounded on a k-dimensional domain of scale B."""
-    if m < 0 or L <= 0 or B <= 0 or k < 1 or C_k <= 0:
-        raise InvalidInputError("parameters must be positive (m nonnegative)")
+    _check_count("m", m)
+    _check_count("k", k, 1)
+    _check_scales(L=L, B=B, C_k=C_k)
     return float(C_k * L * B * 2.0 ** (-m / k))
 
 
@@ -314,8 +313,7 @@ def composite_entropy_bound(n: int, L: float, bT: float, profile: EntropyProfile
     Returns (bound, minimizing M); the scan over M is exhaustive over the
     profile, so the reported minimum is exact for the given values.
     """
-    if n < 1:
-        raise InvalidInputError("n must be at least 1")
+    _check_count("n", n, 1)
     vals = profile.values
     sqrt_n = math.sqrt(n)
     running = 0.0

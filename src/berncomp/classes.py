@@ -16,16 +16,14 @@ not be a cone).  Four concrete classes are provided:
   ambient dimension k it is solved, up to 64 points, as its transport
   dual on a small dense simplex: cancel c+ against c- at cost L*d_ij, or
   send mass to the bank at B per unit (Kantorovich-Rubinstein duality for
-  the bounded-Lipschitz ball).  The tableau is (n+1) x (|P|+n+1) for the
-  |P| <= n^2/4 plus-minus pairs, about 0.6 MB at 64 points.  The simplex
-  pivots by Dantzig's rule with a Bland fallback, and a +-1 row at k = 2
-  takes about 0.3, 1.0 and 2.7 ms at 16, 32 and 64 points (see
-  simplex.py).  For k = 1 an exact slope-trick dynamic program solves it
-  at any point count.  The line solver costs one sort plus O(1) amortized
-  deque work per point for +-1 coefficients, and at most O(n^2) for
-  arbitrary real coefficients.
+  the bounded-Lipschitz ball; sizes and timings in simplex.py).  For
+  k = 1 an exact slope-trick dynamic program solves it at any point
+  count, in one sort plus O(1) amortized deque work per point for +-1
+  coefficients and at most O(n^2) for real coefficients.
 * Gaussian-kernel RKHS balls of radius rho: Riesz representation gives the
-  closed form rho * sqrt(c' G c) with G the kernel Gram matrix.
+  closed form rho * sqrt(c' G c) with G the kernel Gram matrix, formed
+  from the same core.distances as the Lipschitz costs, so every finite
+  positive sigma gives the exact kernel at any scale of the points.
 * PiecewiseLinearClass: finitely many piecewise-linear functions on the
   line, evaluable at any point.
 """
@@ -37,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_readonly, _row_max, sq_distances
+from .core import _as_readonly, _check_count, _check_scales, _row_max, distances
 from .errors import BudgetExceededError, InvalidInputError
 # Called through this name: perfbench's tracer wraps classes.simplex_maximize.
 from .simplex import simplex_maximize
@@ -73,35 +71,13 @@ def _as_points(points) -> np.ndarray:
     return pts
 
 
-def _check_scales(**scales) -> None:
-    """Raise InvalidInputError unless every named class parameter is finite
-    and positive (nan fails both comparisons)."""
-    for name, value in scales.items():
-        if not 0.0 < value < np.inf:
-            raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
-
-
 def _lipschitz_bound(L: float, R: float) -> float:
-    """The uniform bound B = L * R of a Lipschitz ball with checked L and R;
-    raise InvalidInputError if the product overflows or underflows to 0."""
-    _check_scales(L=L, R=R)
+    """The uniform bound B = L * R of a Lipschitz ball, after checking that
+    L, R and their product (which may overflow or underflow to 0) are finite
+    and positive."""
     B = L * R
-    if not 0.0 < B < np.inf:
-        raise InvalidInputError(
-            f"L * R must be finite and positive, got {B!r} for L={L!r}, R={R!r}")
+    _check_scales(L=L, R=R, **{"L * R": B})
     return B
-
-
-def _kernel_width(sigma: float) -> float:
-    """The Gaussian kernel's denominator 2 sigma^2 for a checked sigma; raise
-    InvalidInputError if it underflows to 0 (it may overflow: the kernel is
-    then 1 everywhere, its limit)."""
-    _check_scales(sigma=sigma)
-    width = 2.0 * sigma * sigma
-    if not width > 0.0:
-        raise InvalidInputError(
-            f"2 * sigma**2 must be finite and positive, got {width!r} for sigma={sigma!r}")
-    return width
 
 
 def _as_coeffs(c, n: int) -> np.ndarray:
@@ -142,9 +118,8 @@ class FiniteFunctionClass:
             raise InvalidInputError("table must be a nonempty 2-d array")
         if not np.all(np.isfinite(table)):
             raise InvalidInputError("table entries must be finite")
-        if self.uniform_bound_B <= 0:
-            raise InvalidInputError("uniform_bound_B must be positive")
-        if np.abs(table).max() > self.uniform_bound_B + 1e-9:
+        _check_scales(uniform_bound_B=self.uniform_bound_B)
+        if np.abs(table).max() > self.uniform_bound_B + 1e-9 * min(1.0, self.uniform_bound_B):
             raise InvalidInputError("table entries exceed the uniform bound")
         object.__setattr__(self, "table", _as_readonly(table))
 
@@ -192,10 +167,8 @@ def _lipschitz_sup_simplex(pts: np.ndarray, c: np.ndarray, L: float, B: float) -
     The constraint matrix has one row per point (empty for c_i = 0) and two
     +1 entries per column, with right-hand side |c| >= 0.  It is totally
     unimodular, so its part of the tableau stays 0 and +-1.  Columns go in
-    pair order.  Under the simplex's largest-reduced-cost rule a sort by
-    descending gain no longer pays: over 20 sets of +-1 rows it gave median
-    14, 32 and 78 pivots at 16, 32 and 64 points against 13, 33 and 79 in
-    pair order, and the same time per call within noise.
+    pair order: under the simplex's largest-reduced-cost rule a sort by
+    descending gain saved no pivots.
 
     The simplex's pivot tolerance is absolute, so the LP is handed over
     rescaled by exact powers of two: masses by the largest |c_i|, gains by
@@ -212,7 +185,7 @@ def _lipschitz_sup_simplex(pts: np.ndarray, c: np.ndarray, L: float, B: float) -
             "use sampled finite subclasses for larger problems"
         )
     plus, minus = np.flatnonzero(c > 0), np.flatnonzero(c < 0)
-    cost = L * np.sqrt(sq_distances(pts))[plus[:, None], minus]
+    cost = L * distances(pts)[plus[:, None], minus]
     i, j = np.nonzero(cost < 2.0 * B)  # g_ij > 0
     cost = cost[i, j]
     gain = 2.0 * B - cost
@@ -342,7 +315,6 @@ class LipschitzBall:
     radius_R: float
 
     def __post_init__(self):
-        _check_scales(lipschitz_L=self.lipschitz_L, radius_R=self.radius_R)
         _lipschitz_bound(self.lipschitz_L, self.radius_R)
 
     def sup(self, points, c) -> float:
@@ -365,10 +337,14 @@ class LipschitzBall:
 
 
 def gaussian_gram(points, sigma: float) -> np.ndarray:
-    """Gram matrix of the Gaussian kernel exp(-||x - y||^2 / (2 sigma^2))."""
-    width = _kernel_width(sigma)
-    pts = _as_points(points)
-    return np.exp(-sq_distances(pts) / width)
+    """Gram matrix of the Gaussian kernel exp(-(||x - y|| / sigma)^2 / 2),
+    formed in place on core.distances, with no sigma^2."""
+    _check_scales(sigma=sigma)
+    G = distances(_as_points(points))
+    G /= sigma
+    G *= G
+    G *= -0.5
+    return np.exp(G, out=G)
 
 
 @dataclass(frozen=True)
@@ -381,7 +357,6 @@ class GaussianRkhsBall:
 
     def __post_init__(self):
         _check_scales(sigma=self.sigma, rho=self.rho)
-        _kernel_width(self.sigma)
 
     # Defined in the class body because perfbench's tracer wraps it there.
     def sup(self, points, c) -> float:
@@ -449,14 +424,15 @@ def sample_piecewise_linear_class(n_functions: int, L: float, R: float,
 
     Clipping is a contraction, so the Lipschitz certificate survives it.
     """
-    if n_functions < 1 or L <= 0 or R <= 0:
-        raise InvalidInputError("need n_functions >= 1, L > 0, R > 0")
+    _check_count("n_functions", n_functions, 1)
+    B = _lipschitz_bound(L, R)
+    _check_count("seed", seed)
     rng = np.random.default_rng(seed)
     knots = np.linspace(-R, R, PIECEWISE_LINEAR_CELLS + 1)
     dx = knots[1] - knots[0]
     slopes = rng.uniform(-L, L, size=(n_functions, PIECEWISE_LINEAR_CELLS))
-    starts = rng.uniform(-L * R, L * R, size=(n_functions, 1))
+    starts = rng.uniform(-B, B, size=(n_functions, 1))
     values = np.concatenate([starts, starts + np.cumsum(slopes * dx, axis=1)], axis=1)
-    values = np.clip(values, -L * R, L * R)
+    values = np.clip(values, -B, B)
     return PiecewiseLinearClass(_as_readonly(knots), _as_readonly(values))
 

@@ -30,7 +30,7 @@ from functools import partial
 
 import numpy as np
 
-from .core import ComplexityEstimate, PointSet, _element_distances, _row_max
+from .core import ComplexityEstimate, PointSet, _check_count, _element_distances, _row_max
 from .errors import BudgetExceededError, DegenerateSetError, InvalidInputError
 
 # Largest exact_cutoff_n.  The 2^n pattern table is drawn in blocks and never
@@ -65,13 +65,12 @@ class EstimatorConfig:
     def __post_init__(self):
         if self.mode not in ("auto", "exact", "monte-carlo"):
             raise InvalidInputError(f"unknown mode {self.mode!r}")
-        if self.mc_samples < 2:
-            raise InvalidInputError(f"mc_samples must be >= 2, got {self.mc_samples}")
+        _check_count("mc_samples", self.mc_samples, 2)
+        _check_count("exact_cutoff_n", self.exact_cutoff_n)
         if not 1 <= self.exact_cutoff_n <= MAX_EXACT_CUTOFF:
             raise InvalidInputError(f"exact_cutoff_n must be between 1 and {MAX_EXACT_CUTOFF}, "
                                     f"got {self.exact_cutoff_n}")
-        if self.seed < 0:  # numpy generators take only nonnegative seeds
-            raise InvalidInputError(f"seed must be nonnegative, got {self.seed}")
+        _check_count("seed", self.seed)  # numpy generators take only nonnegative seeds
 
     def pick_exact(self, n_signs: int) -> bool:
         if self.mode == "exact":
@@ -201,10 +200,9 @@ def increment_ratio(fclass, S: PointSet,
     sup_batch(points, C).
 
     Pairs closer than DEGENERATE_PAIR_TOL are skipped; if every pair is
-    degenerate a DegenerateSetError is raised.  The distances come from
-    core._element_distances, which raises InvalidInputError on overflow.
-    The same sign draws are used for every pair (common random numbers) to
-    reduce ratio variance.
+    degenerate a DegenerateSetError is raised.  The distances are the
+    core._element_distances.  The same sign draws are used for every pair
+    (common random numbers) to reduce ratio variance.
     """
     cfg = cfg or DEFAULT_CONFIG
     if S.n_elements < 2:

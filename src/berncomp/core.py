@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,22 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.flags.writeable = False
     return out
+
+
+def _check_scales(**scales) -> None:
+    """Raise InvalidInputError unless every named parameter is finite and
+    positive (nan fails both comparisons)."""
+    for name, value in scales.items():
+        if not 0.0 < value < np.inf:
+            raise InvalidInputError(f"{name} must be finite and positive, got {value!r}")
+
+
+def _check_count(name: str, value, low: int = 0) -> None:
+    """Raise InvalidInputError unless value is an integer of at least low."""
+    if not isinstance(value, numbers.Integral):
+        raise InvalidInputError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise InvalidInputError(f"{name} must be {f'>= {low}' if low else 'nonnegative'}, got {value}")
 
 
 def _row_max(P: np.ndarray) -> np.ndarray:
@@ -132,13 +149,10 @@ def norm_pq(t, p, q) -> float:
 
 def sq_distances(X: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between the rows of an (m, d) array,
-    shape (m, m).
-
-    Taken over blocks of rows, so the (rows, m, d) difference temporary
-    holds at most max(SQ_DISTANCE_BLOCK, m * d) entries.  Each entry is the
-    same sum over d in the same order, so the bits do not depend on the
-    block size.
-    """
+    shape (m, m), read only by distances.  Taken over blocks of rows, so the
+    (rows, m, d) difference temporary holds at most max(SQ_DISTANCE_BLOCK,
+    m * d) entries; each entry is the same sum in the same order at any
+    block size."""
     m, d = X.shape
     rows = max(1, SQ_DISTANCE_BLOCK // max(1, m * d))
     out = np.empty((m, m))
@@ -149,23 +163,34 @@ def sq_distances(X: np.ndarray) -> np.ndarray:
     return out
 
 
-def _element_distances(T: PointSet) -> np.ndarray:
-    """Frobenius distances between the elements of T, shape (m, m).
-
-    Exactly zero only between coincident elements, since squares below the
-    normal float range are redone on differences scaled exactly by 2^600.
-    Elements about 1.3e154 apart raise InvalidInputError naming the first
-    such pair.
-    """
-    X = T.vectorized()
+def distances(X: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of a finite (m, d) array, shape
+    (m, m): np.sqrt of sq_distances, except that a square which is zero,
+    subnormal or inf is redone on its difference scaled exactly by 2^600 or
+    2^-600 (Blue, ACM TOMS 4, 1978).  So a distance is zero only between
+    equal rows and inf only past the float range.  The diagonal's m zeros
+    and the largest square tell cheaply whether any square needs this."""
     sq = sq_distances(X)
-    top = sq.max()
-    if top < np.finfo(float).tiny:
-        return np.ldexp(np.sqrt(sq_distances(np.ldexp(X - X[0], 600))), -600)
-    if np.isinf(top):
-        i, j = np.argwhere(np.isinf(sq))[0]
+    tiny = np.finfo(float).tiny
+    if np.count_nonzero(sq < tiny) == len(X) and sq.max() < np.inf:
+        return np.sqrt(sq, out=sq)
+    i, j = np.nonzero((sq < tiny) | (sq == np.inf))
+    shift = np.where(sq[i, j] < tiny, 600, -600)
+    diff = np.ldexp(X[i] - X[j], shift[:, None]) ** 2  # an inf difference is an inf distance
+    dist = np.sqrt(sq, out=sq)
+    dist[i, j] = np.ldexp(np.sqrt(diff.sum(axis=1)), -shift)
+    return dist
+
+
+def _element_distances(T: PointSet) -> np.ndarray:
+    """Frobenius distances between the elements of T, shape (m, m), from
+    distances.  Elements 2^512 (about 1.3e154) or more apart, whose squared
+    distance overflows, raise InvalidInputError naming the first such pair."""
+    dist = distances(T.vectorized())
+    if dist.max() >= 2.0 ** 512:
+        i, j = np.argwhere(dist >= 2.0 ** 512)[0]
         raise InvalidInputError(f"the distance of elements {i} and {j} overflows a float")
-    return np.sqrt(sq)
+    return dist
 
 
 def diameter2(T: PointSet) -> float:

@@ -456,11 +456,10 @@ def _run_chaining_demo(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome
         space = metric_space_from_pointset(T)
         seq = build_admissible_sequence(space)
         try:
-            seq.validate(space.size)
-        except Exception as exc:  # noqa: BLE001 - report, do not crash the run
+            g2 = gamma2_upper(space, seq)  # validates seq first
+        except InvalidInputError as exc:
             out.check(False, f"admissible sequence invariants ({exc})")
             continue
-        g2 = gamma2_upper(space, seq)
         out.check(g2 >= space.diameter - 1e-9,
                   f"gamma2 upper below diameter in space {rep}")
         gammas.append(g2)

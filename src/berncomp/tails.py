@@ -21,6 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from .core import _as_readonly, _check_count, _check_scales
 from .errors import InvalidInputError, SolverError
 
 _MAX_TERMS = 10000
@@ -33,9 +34,10 @@ MAX_W = 1000
 
 
 def _threshold_sq(w: int) -> float:
-    """u0^2 = 2^(2+w) * ln 2, after checking 0 <= w <= MAX_W."""
-    if not 0 <= w <= MAX_W:
-        raise InvalidInputError("w must be nonnegative" if w < 0 else f"w must be at most {MAX_W}")
+    """u0^2 = 2^(2+w) * ln 2, after checking that w is an integer in [0, MAX_W]."""
+    _check_count("w", w)
+    if w > MAX_W:
+        raise InvalidInputError(f"w must be at most {MAX_W}")
     return 2.0 ** (2 + w) * math.log(2.0)
 
 
@@ -112,14 +114,18 @@ def tail_integral(w: int = 0) -> float:
                         * _erfcx(2.0 ** (0.5 * j) * u_star) for j in range(12))
 
 
+def _check_law(rho_scale: float, zeta_shift: float) -> None:
+    """Raise InvalidInputError unless rho_scale > 0 and zeta_shift >= 0 are finite."""
+    _check_scales(rho_scale=rho_scale)
+    if not 0.0 <= zeta_shift < math.inf:
+        raise InvalidInputError(f"zeta_shift must be finite and nonnegative, got {zeta_shift!r}")
+
+
 def expectation_bound_from_tail(rho_scale: float, zeta_shift: float, w: int = 0):
     """Expectation bound for a nonnegative Y whose tail is dominated by the
     capped series: P(Y > u * rho + zeta) <= q(u) implies E Y <= C * rho +
     zeta with C the integral of q.  Returns (bound, C)."""
-    if rho_scale <= 0:
-        raise InvalidInputError("rho_scale must be positive")
-    if zeta_shift < 0:
-        raise InvalidInputError("zeta_shift must be nonnegative")
+    _check_law(rho_scale, zeta_shift)
     c_w = tail_integral(w)
     return c_w * rho_scale + zeta_shift, c_w
 
@@ -129,6 +135,8 @@ def uncenter_tail(a: float, u: float) -> float:
     P(Y - a > u) <= exp(-u^2) satisfies P(Y > u) <= min(1, exp(a^2 - u^2/2))."""
     if not u > 0:
         raise InvalidInputError("u must be positive")
+    if not math.isfinite(a):
+        raise InvalidInputError(f"a must be finite, got {a!r}")
     exponent = a * a - u * u / 2.0
     if exponent >= 0.0:
         return 1.0
@@ -152,10 +160,7 @@ def _sampler_grid(w: int) -> tuple[np.ndarray, np.ndarray]:
         u += SAMPLER_GRID_STEP
         if u > SAMPLER_GRID_END:
             raise SolverError("tail grid failed to reach the cut level")
-    grid_arr = np.asarray(grid)
-    qs_arr = np.asarray(qs)
-    grid_arr.flags.writeable = qs_arr.flags.writeable = False
-    return grid_arr, qs_arr
+    return _as_readonly(grid), _as_readonly(qs)
 
 
 def sample_from_capped_tail(w: int, rho_scale: float,
@@ -169,10 +174,9 @@ def sample_from_capped_tail(w: int, rho_scale: float,
     bound must dominate the sample mean; the deterministic slack is about
     rho * SAMPLER_GRID_STEP / 2.
     """
-    if n_samples < 1:
-        raise InvalidInputError("n_samples must be positive")
-    if rho_scale <= 0 or zeta_shift < 0:
-        raise InvalidInputError("need rho_scale > 0 and zeta_shift >= 0")
+    _check_count("n_samples", n_samples, 1)
+    _check_law(rho_scale, zeta_shift)
+    _check_count("seed", seed)
     grid_arr, qs_arr = _sampler_grid(w)
     rng = np.random.default_rng(seed)
     uniforms = rng.uniform(0.0, 1.0, size=n_samples)

@@ -175,6 +175,19 @@ class TestLipschitzEntropyFormula:
             assert e_m <= lipschitz_entropy_formula(m, 1.0, 1.0, 1, 4.0) + 1e-12
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: covering_number(random_space(0, 3), math.nan), "delta must be finite and positive"),
+    (lambda: lipschitz_entropy_formula(0, math.nan, 1.0, 1, 4.0),
+     "L must be finite and positive"),
+    (lambda: lipschitz_entropy_formula(0, 1.0, 1.0, 1, math.inf),
+     "C_k must be finite and positive"),
+], ids=["covering-delta-nan", "entropy-L-nan", "entropy-C-inf"])
+def test_rejects_non_finite_parameters(call, message):
+    # covering_number leaked a bare StopIteration, the formula returned nan or inf
+    with pytest.raises(InvalidInputError, match=message):
+        call()
+
+
 class TestAdmissibleSequence:
     def test_singleton_space(self):
         seq = build_admissible_sequence(random_space(6, 1))

@@ -159,6 +159,10 @@ class TestFiniteClassSup:
     def test_bound_violation_rejected(self):
         with pytest.raises(InvalidInputError):
             FiniteFunctionClass(table=[[2.0]], uniform_bound_B=1.0)
+        # the 1e-9 slack is relative below B = 1: 5e-10 is five times B = 1e-10
+        with pytest.raises(InvalidInputError, match="exceed the uniform bound"):
+            FiniteFunctionClass(table=[[5e-10]], uniform_bound_B=1e-10)
+        assert FiniteFunctionClass(table=[[1e-10]], uniform_bound_B=1e-10).sup(None, [1.0]) == 1e-10
 
     @pytest.mark.parametrize("r", [1, 9, 17, 40])
     def test_sup_batch_bits_are_the_row_max_of_the_product(self, r):
@@ -314,19 +318,34 @@ class TestLipschitzBallSup:
         lambda: GaussianRkhsBall(1.0, -1.0),
         lambda: gaussian_gram([[0.0], [1.0]], math.inf),
         lambda: gaussian_gram([[0.0], [1.0]], math.nan),
-        # each parameter is finite, but L * R overflows or 2 sigma^2 underflows
+        # each parameter is finite, but L * R overflows
         lambda: lipschitz_ball_sup([[0.0], [1.0]], [1.0, -1.0], L=1e200, R=1e200),
         lambda: lipschitz_ball_sup([[0.0, 0.0], [1.0, 0.0]], [1.0, -1.0], L=1e200, R=1e200),
         lambda: LipschitzBall(1e200, 1e200),
-        lambda: GaussianRkhsBall(1e-200, 1.0),
-        lambda: gaussian_gram([[0.0], [1.0]], 1e-200),
+        lambda: FiniteFunctionClass(table=[[0.5]], uniform_bound_B=math.nan),
+        lambda: FiniteFunctionClass(table=[[0.5]], uniform_bound_B=math.inf),
+        lambda: sample_piecewise_linear_class(3, L=math.nan, R=1.0, seed=0),
+        lambda: sample_piecewise_linear_class(3, L=1.0, R=math.inf, seed=0),
     ], ids=["line-L-nan", "k2-L-nan", "k2-L-inf", "R-inf", "ball-R-inf", "ball-L-nan",
             "rkhs-sigma-nan", "rkhs-rho-inf", "rkhs-rho-negative", "gram-sigma-inf",
             "gram-sigma-nan", "line-LR-overflow", "k2-LR-overflow", "ball-LR-overflow",
-            "rkhs-sigma-underflow", "gram-sigma-underflow"])
+            "finite-B-nan", "finite-B-inf", "piecewise-L-nan", "piecewise-R-inf"])
     def test_rejects_non_finite_parameters(self, call):
         with pytest.raises(InvalidInputError, match="finite and positive"):
             call()
+
+    @pytest.mark.parametrize("gap, L, R", [(1e-170, 1e200, 1e-200), (3e-162, 1e160, 1e-160),
+                                           (1e160, 1e-200, 1e200)],
+                             ids=["gap-1e-170", "gap-3e-162", "gap-1e160"])
+    def test_extreme_gaps_match_the_line(self, gap, L, R):
+        # L * gap is of order B = 1 (or far from it), but the squared gaps
+        # underflow or overflow; the plane's distances must still be the gaps
+        x = gap * np.array([[0.0], [1.0], [2.0], [4.0]])
+        pts = np.hstack([x, np.zeros_like(x)])
+        for c in ([1.0, -1.0, 0.0, 0.0], [1.0, -1.0, 1.0, -1.0], [0.5, 1.0, -2.0, 0.25]):
+            line = lipschitz_ball_sup(x, c, L, R)
+            plane = lipschitz_ball_sup(pts, c, L, R)
+            assert abs(plane - line) <= 1e-14 * L * R * np.abs(c).sum(), (c, plane, line)
 
     def test_zero_distance_pair_in_higher_dim(self):
         pts = np.array([[0.5, 0.5], [0.5, 0.5], [-0.5, 0.0]])
@@ -437,7 +456,38 @@ class TestAllPairsProperties:
                       c, L, R)
 
 
+class TestPowerOfTwoScaling:
+    """Scaling the points by s = 2^e scales every distance exactly, also
+    where the squares leave the float range, so the oracles give the same
+    bits with L / s, R * s and s * sigma."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(_plane_problems, st.integers(-540, 540))
+    def test_lipschitz_ball(self, problem, e):
+        pts, c, L, R = problem
+        pts = np.asarray(pts)
+        scaled = lipschitz_ball_sup(np.ldexp(pts, e), c, math.ldexp(L, -e), math.ldexp(R, e))
+        assert scaled == lipschitz_ball_sup(pts, c, L, R)
+
+    @settings(max_examples=40, deadline=None)
+    @given(_plane_problems, st.floats(0.3, 3.0), st.integers(-540, 540))
+    def test_gaussian_gram(self, problem, sigma, e):
+        pts = np.asarray(problem[0])
+        assert np.array_equal(gaussian_gram(np.ldexp(pts, e), math.ldexp(sigma, e)),
+                              gaussian_gram(pts, sigma))
+
+
 class TestRkhsBallSup:
+    @pytest.mark.parametrize("scale", [1e-200, 1e160], ids=["sigma-1e-200", "sigma-1e160"])
+    def test_extreme_bandwidths_give_the_exact_kernel(self, scale):
+        # sigma and the gap at one scale: the kernel is exp(-1/2), where
+        # forming 2 sigma^2 underflows or the squared gap overflows
+        kernel = math.exp(-0.5)
+        np.testing.assert_allclose(gaussian_gram([[0.0], [scale]], scale),
+                                   [[1.0, kernel], [kernel, 1.0]], rtol=1e-15)
+        val = GaussianRkhsBall(sigma=scale, rho=1.0).sup([[0.0], [scale]], [1.0, -1.0])
+        assert val == pytest.approx(math.sqrt(2.0 - 2.0 * kernel), rel=1e-14)
+
     def test_single_point_is_rho(self):
         ball = GaussianRkhsBall(sigma=0.7, rho=2.5)
         assert ball.sup([[0.4]], [1.0]) == pytest.approx(2.5)
@@ -580,6 +630,15 @@ class TestPiecewiseLinearSampler:
         via_oracle = cls.sup_batch(pts, [c])[0]
         via_table = FiniteFunctionClass(table=cls.eval_batch(pts[:, 0]), uniform_bound_B=1.0).sup(pts, c)
         assert via_oracle == pytest.approx(via_table)
+
+    @pytest.mark.parametrize("n_functions, seed, message", [
+        (2.5, 0, "n_functions must be an integer, got 2.5"),
+        (0, 0, "n_functions must be >= 1, got 0"),
+        (3, 1.5, "seed must be an integer, got 1.5"),
+    ], ids=["count-half", "count-zero", "seed-half"])
+    def test_rejects_bad_counts(self, n_functions, seed, message):
+        with pytest.raises(InvalidInputError, match=message):
+            sample_piecewise_linear_class(n_functions, L=1.0, R=1.0, seed=seed)
 
     def test_sup_batch_rejects_points_off_the_line(self):
         cls = sample_piecewise_linear_class(3, L=1.0, R=1.0, seed=14)

@@ -76,6 +76,13 @@ class TestBernoulliComplexity:
             EstimatorConfig(exact_cutoff_n=cutoff)
         assert EstimatorConfig(exact_cutoff_n=20).exact_cutoff_n == 20
 
+    @pytest.mark.parametrize("field, value", [("mc_samples", 2.5), ("seed", 1.5),
+                                              ("exact_cutoff_n", 2.5)])
+    def test_non_integer_fields_rejected(self, field, value):
+        # they used to fail later inside the weight source, or not at all
+        with pytest.raises(InvalidInputError, match=f"{field} must be an integer, got {value}"):
+            EstimatorConfig(**{field: value})
+
     @pytest.mark.parametrize("samples", [0, 1])
     def test_fewer_than_two_mc_samples_rejected(self, samples):
         # one sample has no standard error; reporting 0 would pass it as exact
@@ -533,6 +540,24 @@ class TestExtremeScale:
         # far-apart collinear elements
         T = PointSet(ints * 10.0 ** exponent)
         assert diameter2(T) == metric_space_from_pointset(T).diameter
+
+    def test_mixed_scale_distances_keep_their_small_pairs(self):
+        # the unit pair keeps the squares in range; the 1e-170 pair's square
+        # alone underflows and is redone at scale
+        dist = metric_space_from_pointset(PointSet.from_rows([[0.0], [1e-170], [1.0]])).dist
+        np.testing.assert_array_equal(dist, [[0.0, 1e-170, 1.0], [1e-170, 0.0, 1.0],
+                                             [1.0, 1.0, 0.0]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(elements, st.integers(-540, 540))
+    def test_metric_space_scales_exactly_by_powers_of_two(self, ints, e):
+        ref = metric_space_from_pointset(PointSet(ints)).dist
+        scaled = PointSet(np.ldexp(ints, e))
+        if np.ldexp(ref.max(), e) >= 2.0 ** 512:
+            with pytest.raises(InvalidInputError, match="overflow"):
+                metric_space_from_pointset(scaled)
+        else:
+            assert np.array_equal(metric_space_from_pointset(scaled).dist, np.ldexp(ref, e))
 
     def test_diameter_is_zero_only_for_coincident_elements(self):
         assert diameter2(PointSet.from_rows([[0.0], [1e-170]])) == 1e-170

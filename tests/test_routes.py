@@ -1,10 +1,11 @@
 """Each estimator input has one route through the package.  complexity.py
 seeds one generator, inside its weight source _weights, reads raw generator
 words only in its sign-block helper _random_signs, and measures no distance
-itself.  Element distances come from core._element_distances,
-which alone raises on an overflowing distance; sq_distances otherwise
-serves only the two oracles that need the raw squares.  The one thread
-pool is built in experiments._map_cells."""
+itself.  Every distance comes from core.distances, the only reader of
+sq_distances: the element distances (core._element_distances, which alone
+raises on an overflowing distance), the k >= 2 Lipschitz oracle and the
+Gaussian Gram matrix.  The one thread pool is built in
+experiments._map_cells."""
 
 import ast
 from pathlib import Path
@@ -85,11 +86,14 @@ def test_complexity_measures_no_distance_itself():
 
 
 def test_element_distances_have_one_routine():
-    sq_callers = {(path.name, qual) for path in SRC.glob("*.py")
-                  for qual in callers(path.read_text(), "sq_distances")}
-    assert sq_callers == {("core.py", "_element_distances"),
-                          ("classes.py", "_lipschitz_sup_simplex"),
-                          ("classes.py", "gaussian_gram")}
+    def called_by(name):
+        return {(path.name, qual) for path in SRC.glob("*.py")
+                for qual in callers(path.read_text(), name)}
+
+    assert called_by("sq_distances") == {("core.py", "distances")}
+    assert called_by("distances") == {("core.py", "_element_distances"),
+                                      ("classes.py", "_lipschitz_sup_simplex"),
+                                      ("classes.py", "gaussian_gram")}
     raisers = {(path.name, qual) for path in SRC.glob("*.py")
                for qual in overflow_raisers(path.read_text())}
     assert raisers == {("core.py", "norm_pq"), ("core.py", "_element_distances")}

@@ -189,6 +189,36 @@ class TestCrossingAndIntegral:
         assert bound == c_w > tail_crossing_point(0)
 
 
+class TestParameterChecks:
+    @pytest.mark.parametrize("call, message", [
+        (lambda: expectation_bound_from_tail(math.nan, 0.0), "rho_scale must be finite and positive"),
+        (lambda: expectation_bound_from_tail(math.inf, 0.0), "rho_scale must be finite and positive"),
+        (lambda: expectation_bound_from_tail(1.0, math.nan),
+         "zeta_shift must be finite and nonnegative"),
+        (lambda: expectation_bound_from_tail(1.0, math.inf),
+         "zeta_shift must be finite and nonnegative"),
+        (lambda: sample_from_capped_tail(0, math.nan, 0.0, 10, seed=0),
+         "rho_scale must be finite and positive"),
+        (lambda: sample_from_capped_tail(0, 1.0, math.inf, 10, seed=0),
+         "zeta_shift must be finite and nonnegative"),
+        (lambda: uncenter_tail(math.nan, 1.0), "a must be finite"),
+        (lambda: tail_integral(1.5), "w must be an integer, got 1.5"),
+        (lambda: expectation_bound_from_tail(1.0, 0.0, 1.5), "w must be an integer, got 1.5"),
+        (lambda: sample_from_capped_tail(0, 1.0, 0.0, 2.5, seed=0),
+         "n_samples must be an integer, got 2.5"),
+        (lambda: sample_from_capped_tail(0, 1.0, 0.0, 10, seed=-1),
+         "seed must be nonnegative, got -1"),
+        (lambda: sample_from_capped_tail(0, 1.0, 0.0, 10, seed=1.5),
+         "seed must be an integer, got 1.5"),
+    ], ids=["bound-rho-nan", "bound-rho-inf", "bound-zeta-nan", "bound-zeta-inf",
+            "sampler-rho-nan", "sampler-zeta-inf", "uncenter-a-nan", "integral-w-half",
+            "bound-w-half", "sampler-count-half", "sampler-seed-negative", "sampler-seed-half"])
+    def test_rejects_bad_parameters(self, call, message):
+        # each used to return nan or inf, or raise a bare numpy TypeError or ValueError
+        with pytest.raises(InvalidInputError, match=message):
+            call()
+
+
 class TestUncenterTail:
     def test_formula_value(self):
         assert uncenter_tail(0.0, 2.0) == pytest.approx(math.exp(-2.0))

@@ -478,13 +478,17 @@ class TestPowerOfTwoScaling:
 
 
 class TestRkhsBallSup:
+    # sigma and the gap at one scale: the kernel is exp(-1/2), where
+    # forming 2 sigma^2 underflows or the squared gap overflows
     @pytest.mark.parametrize("scale", [1e-200, 1e160], ids=["sigma-1e-200", "sigma-1e160"])
-    def test_extreme_bandwidths_give_the_exact_kernel(self, scale):
-        # sigma and the gap at one scale: the kernel is exp(-1/2), where
-        # forming 2 sigma^2 underflows or the squared gap overflows
+    def test_gram_at_extreme_bandwidths_is_the_exact_kernel(self, scale):
         kernel = math.exp(-0.5)
         np.testing.assert_allclose(gaussian_gram([[0.0], [scale]], scale),
                                    [[1.0, kernel], [kernel, 1.0]], rtol=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-200, 1e160], ids=["sigma-1e-200", "sigma-1e160"])
+    def test_ball_at_extreme_bandwidths_is_the_exact_value(self, scale):
+        kernel = math.exp(-0.5)
         val = GaussianRkhsBall(sigma=scale, rho=1.0).sup([[0.0], [scale]], [1.0, -1.0])
         assert val == pytest.approx(math.sqrt(2.0 - 2.0 * kernel), rel=1e-14)
 

@@ -168,7 +168,7 @@ def _lipschitz_sup_simplex(pts: np.ndarray, c: np.ndarray, L: float, B: float) -
     +1 entries per column, with right-hand side |c| >= 0.  It is totally
     unimodular, so its part of the tableau stays 0 and +-1.  Columns go in
     pair order: under the simplex's largest-reduced-cost rule a sort by
-    descending gain saved no pivots.
+    descending gain saved no pivots (counts in CHANGES.md).
 
     The simplex's pivot tolerance is absolute, so the LP is handed over
     rescaled by exact powers of two: masses by the largest |c_i|, gains by
@@ -336,6 +336,7 @@ class LipschitzBall:
 # ---------------------------------------------------------------------------
 
 
+@np.errstate(over="ignore")  # (d / sigma)^2 past the float range is inf: the kernel is 0
 def gaussian_gram(points, sigma: float) -> np.ndarray:
     """Gram matrix of the Gaussian kernel exp(-(||x - y|| / sigma)^2 / 2),
     formed in place on core.distances, with no sigma^2."""

@@ -148,11 +148,10 @@ def norm_pq(t, p, q) -> float:
 
 
 def sq_distances(X: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of an (m, d) array,
-    shape (m, m), read only by distances.  Taken over blocks of rows, so the
-    (rows, m, d) difference temporary holds at most max(SQ_DISTANCE_BLOCK,
-    m * d) entries; each entry is the same sum in the same order at any
-    block size."""
+    """Squared Euclidean distances between the rows of an (m, d) array, read
+    only by distances, over blocks of rows: the (rows, m, d) difference holds
+    at most max(SQ_DISTANCE_BLOCK, m * d) entries, and each entry is the same
+    sum in the same order at any block size."""
     m, d = X.shape
     rows = max(1, SQ_DISTANCE_BLOCK // max(1, m * d))
     out = np.empty((m, m))
@@ -163,29 +162,29 @@ def sq_distances(X: np.ndarray) -> np.ndarray:
     return out
 
 
+@np.errstate(over="ignore")  # an overflowing square is redone below
 def distances(X: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of a finite (m, d) array, shape
-    (m, m): np.sqrt of sq_distances, except that a square which is zero,
-    subnormal or inf is redone on its difference scaled exactly by 2^600 or
-    2^-600 (Blue, ACM TOMS 4, 1978).  So a distance is zero only between
-    equal rows and inf only past the float range.  The diagonal's m zeros
-    and the largest square tell cheaply whether any square needs this."""
+    """Euclidean distances between the rows of a finite (m, d) array: np.sqrt
+    of sq_distances, but a pair whose square is inf or below 2^-969 (2^53 *
+    tiny) is redone on its difference scaled by 2^-600 or 2^600 (Blue, ACM
+    TOMS 4, 1978), i < j, SQ_DISTANCE_BLOCK // d pairs at a time."""
     sq = sq_distances(X)
-    tiny = np.finfo(float).tiny
-    if np.count_nonzero(sq < tiny) == len(X) and sq.max() < np.inf:
+    if np.count_nonzero(sq < 2.0 ** -969) == len(X) and sq.max() < np.inf:
         return np.sqrt(sq, out=sq)
-    i, j = np.nonzero((sq < tiny) | (sq == np.inf))
-    shift = np.where(sq[i, j] < tiny, 600, -600)
-    diff = np.ldexp(X[i] - X[j], shift[:, None]) ** 2  # an inf difference is an inf distance
+    i, j = np.nonzero(np.triu((sq < 2.0 ** -969) | (sq == np.inf), 1))
     dist = np.sqrt(sq, out=sq)
-    dist[i, j] = np.ldexp(np.sqrt(diff.sum(axis=1)), -shift)
+    step = max(1, SQ_DISTANCE_BLOCK // X.shape[1])
+    for s in range(0, len(i), step):
+        p, q = i[s:s + step], j[s:s + step]
+        shift = np.where(dist[p, q] < 1.0, 600, -600)  # below or past the range
+        diff = np.ldexp(X[p] - X[q], shift[:, None]) ** 2  # an inf difference stays inf
+        dist[p, q] = dist[q, p] = np.ldexp(np.sqrt(diff.sum(axis=1)), -shift)
     return dist
 
 
 def _element_distances(T: PointSet) -> np.ndarray:
-    """Frobenius distances between the elements of T, shape (m, m), from
-    distances.  Elements 2^512 (about 1.3e154) or more apart, whose squared
-    distance overflows, raise InvalidInputError naming the first such pair."""
+    """Frobenius distances between the elements of T, from distances; elements
+    2^512 (about 1.3e154) or more apart raise InvalidInputError naming a pair."""
     dist = distances(T.vectorized())
     if dist.max() >= 2.0 ** 512:
         i, j = np.argwhere(dist >= 2.0 ** 512)[0]

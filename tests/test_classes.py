@@ -457,9 +457,10 @@ class TestAllPairsProperties:
 
 
 class TestPowerOfTwoScaling:
-    """Scaling the points by s = 2^e scales every distance exactly, also
-    where the squares leave the float range, so the oracles give the same
-    bits with L / s, R * s and s * sigma."""
+    """Scaling points on a grid of 1/8 by s = 2^e scales every distance
+    exactly, also where the squares leave the float range, so the oracles
+    give the same bits with L / s, R * s and s * sigma (general coordinates:
+    test_core.py::TestDistances)."""
 
     @settings(max_examples=40, deadline=None)
     @given(_plane_problems, st.integers(-540, 540))

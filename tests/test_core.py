@@ -1,8 +1,12 @@
 import itertools
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from berncomp import (
     ComplexityEstimate,
@@ -10,6 +14,8 @@ from berncomp import (
     InvalidInputError,
     PointSet,
     diameter2,
+    gaussian_gram,
+    lipschitz_ball_sup,
     metric_space_from_pointset,
     norm_pq,
     pointset_from_csv,
@@ -17,7 +23,7 @@ from berncomp import (
     sequence_from_text,
 )
 from berncomp import core
-from berncomp.core import _row_max, sq_distances
+from berncomp.core import _row_max, distances, sq_distances
 
 
 class TestNormPq:
@@ -292,3 +298,82 @@ class TestSqDistances:
         ref = (diff * diff).sum(axis=2)
         monkeypatch.setattr(core, "SQ_DISTANCE_BLOCK", block)  # 1: a row at a time
         assert sq_distances(X).tobytes() == ref.tobytes()
+
+
+class TestDistances:
+    """distances redoes the pairs whose square is inf or below 2^-969 on
+    differences scaled by a power of two, SQ_DISTANCE_BLOCK // d pairs at a
+    time, so the fix-up keeps the memory bound of sq_distances."""
+
+    @staticmethod
+    def _sets():
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((30, 9))
+        mixed = np.concatenate([X[:15] * 1e-170, X[15:]])
+        return {"tiny": X * 1e-170, "coincident": np.ones((30, 9)),
+                "mixed": mixed, "far": X * 1e160}
+
+    @pytest.mark.parametrize("name", ["tiny", "coincident", "mixed", "far"])
+    @pytest.mark.parametrize("block", [1, 20, 100])
+    def test_fix_up_blocks_give_the_same_bits(self, name, block, monkeypatch):
+        X = self._sets()[name]
+        ref = distances(X)
+        monkeypatch.setattr(core, "SQ_DISTANCE_BLOCK", block)  # 1: a pair at a time
+        got = distances(X)
+        assert got.tobytes() == ref.tobytes()
+        assert np.array_equal(got, got.T) and np.array_equal(np.diag(got), np.zeros(30))
+        assert np.array_equal(got > 0.0, (X[:, None] != X[None, :]).any(axis=2))
+
+    def test_tiny_rows_scale_back_exactly(self):
+        X = self._sets()["tiny"]
+        ref = np.ldexp(np.sqrt(sq_distances(np.ldexp(X, 600))), -600)
+        assert distances(X).tobytes() == ref.tobytes()
+
+    def test_fix_up_memory_stays_within_the_block(self, monkeypatch):
+        # 200 coincident rows of 100 coordinates: every pair is redone, and
+        # one (pairs, d) difference would hold 19900 * 100 doubles, 16 MB
+        monkeypatch.setattr(core, "SQ_DISTANCE_BLOCK", 1 << 12)
+        X = np.zeros((200, 100))
+        tracemalloc.start()
+        try:
+            dist = distances(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not dist.any()
+        assert peak < 2 << 20 < 19900 * 100 * 8
+
+    def test_far_rows_do_not_warn(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rows in ([[1e200], [0.0]], [[1e308], [-1e308]]):
+                with pytest.raises(InvalidInputError, match="elements 0 and 1 overflows"):
+                    diameter2(PointSet.from_rows(rows))
+            pts = [[0.0, 0.0], [1e160, 0.0]]
+            assert lipschitz_ball_sup(pts, [1.0, -1.0], 1e-200, 1e200) == 0.0
+            assert gaussian_gram(pts, 1e160)[0, 1] == pytest.approx(math.exp(-0.5), rel=1e-15)
+            assert np.array_equal(gaussian_gram([[0.0], [1e300]], 1.0), np.eye(2))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.tuples(st.integers(2, 5), st.integers(1, 4)).flatmap(
+        lambda shape: st.tuples(
+            st.lists(st.integers(-2 ** 53, 2 ** 53), min_size=math.prod(shape),
+                     max_size=math.prod(shape)).map(
+                lambda ints: np.array(ints, dtype=float).reshape(shape)),
+            st.lists(st.integers(-80, -50), min_size=shape[1], max_size=shape[1]))),
+        st.integers(-540, 540))
+    def test_general_rows_scale_by_powers_of_two_within_an_ulp(self, rows, e):
+        # full 53-bit mantissas, each coordinate at its own scale, so that
+        # some coordinate squares are subnormal at one scale only; their
+        # rounding can tip a distance by one ulp at most
+        ints, exponents = rows
+        X = np.ldexp(ints, exponents)
+        ref = np.ldexp(distances(X), e)
+        got = distances(np.ldexp(X, e))
+        assert np.all(np.abs(got - ref) <= np.spacing(ref))
+
+    def test_subnormal_coordinate_square_keeps_the_scaled_bits(self):
+        # the square of the pair is just above the smallest normal at 2^-508
+        # while that of its second coordinate is subnormal; the pair is redone
+        X = np.array([[0.0, 0.0], [0.21697675619657453, 7.262950322431023e-09]])
+        assert distances(np.ldexp(X, -508))[0, 1] == np.ldexp(distances(X)[0, 1], -508)

@@ -49,27 +49,27 @@ def admissible_capacity(m: int):
 
 
 def farthest_first_order(dist: np.ndarray):
-    """(order, radii): the greedy farthest-first ordering of all points,
-    and radii[j] = max_i min_{c in order[:j+1]} dist[i, c], ending in 0.
+    """(order, radii): the greedy farthest-first ordering of all points of
+    a symmetric distance matrix, and
+    radii[j] = max_i min_{c in order[:j+1]} dist[i, c], ending in 0.
 
     Starts from point 0; each subsequent pick maximizes the minimum distance
     to the points already chosen (ties: lowest index), and that maximum is
-    the covering radius of the points chosen before it.
+    the covering radius of the points chosen before it.  The minimum
+    distances of all points sit in one vector, -inf at the chosen ones.
     """
     if dist.shape[0] == 0:
         raise InvalidInputError("need at least one point")
     order = [0]
     radii = []
-    remaining = list(range(1, dist.shape[0]))
-    mindist = dist[remaining, 0].astype(float)
-    while remaining:
-        pos = int(np.argmax(mindist))  # first maximum = lowest index
-        radii.append(float(mindist[pos]))
-        chosen = remaining.pop(pos)
+    mindist = dist[0].astype(float)
+    mindist[0] = -np.inf
+    for _ in range(1, len(mindist)):
+        chosen = int(np.argmax(mindist))  # first maximum = lowest index
+        radii.append(float(mindist[chosen]))
         order.append(chosen)
-        mindist = np.delete(mindist, pos)
-        if remaining:
-            np.minimum(mindist, dist[remaining, chosen], out=mindist)
+        np.minimum(mindist, dist[chosen], out=mindist)
+        mindist[chosen] = -np.inf
     radii.append(0.0)
     return order, radii
 
@@ -334,8 +334,9 @@ def truncation_objective(M: int, k: int, n: int) -> float:
 
         2^(-M/k) + (1/sqrt(n)) * sum_{m=0}^{M} 2^(m(1/2 - 1/k))
     """
-    if M < 0 or k < 1 or n < 1:
-        raise InvalidInputError("need M >= 0, k >= 1, n >= 1")
+    _check_count("M", M)
+    _check_count("k", k, 1)
+    _check_count("n", n, 1)
     ms = np.arange(M + 1)
     tail = float(np.power(2.0, ms * (0.5 - 1.0 / k)).sum()) / math.sqrt(n)
     return float(2.0 ** (-M / k) + tail)
@@ -358,8 +359,8 @@ def composite_rate(n: int, k: int) -> float:
     """Per-sample residual rate of the entropy-based composite bound:
     n^(-1/2) for k = 1, n^(-1/2) log n for k = 2, n^(-1/k) for k > 2
     (natural logarithm)."""
-    if n < 1 or k < 1:
-        raise InvalidInputError("need n >= 1, k >= 1")
+    _check_count("n", n, 1)
+    _check_count("k", k, 1)
     if k == 1:
         return n ** -0.5
     if k == 2:

@@ -14,7 +14,7 @@ from .config import parse_config
 from .core import ESTIMATE_CSV_HEADER, pointset_from_csv
 from .errors import ConfigError, ToolkitError
 from .experiments import run_experiment
-from .tails import tail_series, tail_series_capped
+from .tails import tail_series, tail_series_capped, u_grid
 
 
 def _parse_grid(spec: str):
@@ -25,14 +25,7 @@ def _parse_grid(spec: str):
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"u-grid values must be numeric ({exc})") from exc
-    if step <= 0 or stop < start:
-        raise ConfigError("u-grid needs step > 0 and b >= a")
-    values = []
-    u = start
-    while u <= stop + 1e-12:
-        values.append(round(u, 12))
-        u += step
-    return values
+    return [round(u, 12) for u in u_grid(start, stop, step)]
 
 
 def _cmd_run(args) -> int:

@@ -5,7 +5,8 @@ fitted constants as dotted keys `constants.<name> = <number>`, where the
 names an experiment reads are those its `experiments.EXPERIMENTS` entry
 declares.  A constant declared with an int default takes only integers, and
 every constant is finite and positive, except w >= 0 and lp_samples >= 2,
-and w keeps the tail divergence threshold below the sampler grid end.
+w keeps the tail divergence threshold below the sampler grid end, and the
+u-grid constants make a grid that tails.u_grid accepts.
 Unknown, undeclared, repeated and out-of-range keys are rejected with their
 line and column.
 """
@@ -15,9 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import ConfigError
+from .errors import ConfigError, InvalidInputError
 from .experiments import EXPERIMENTS
-from .tails import MAX_W, SAMPLER_GRID_END, divergence_threshold
+from .tails import MAX_W, SAMPLER_GRID_END, divergence_threshold, u_grid
 
 
 def _spec(experiment: str):
@@ -78,12 +79,18 @@ class ExperimentConfig:
                 fail(f"{key} must put the divergence threshold below the sampler grid end "
                      f"u = {SAMPLER_GRID_END:g}, got {value}", key)
         if "u_stop" in spec.constants:
-            u_start, u_stop = ({**spec.constants, **self.constants}[name]
-                               for name in ("u_start", "u_stop"))
+            u_start, u_stop, u_step = ({**spec.constants, **self.constants}[name]
+                                       for name in ("u_start", "u_stop", "u_step"))
             if u_stop < u_start:
                 key = "constants.u_stop" if "u_stop" in self.constants else "constants.u_start"
                 fail(f"constants.u_stop = {u_stop} is below constants.u_start = {u_start}",
                      key)
+            try:
+                u_grid(u_start, u_stop, u_step)
+            except InvalidInputError as exc:
+                # past the check above, the default step and stop make a valid grid
+                key = "constants.u_step" if "u_step" in self.constants else "constants.u_stop"
+                fail(f"{key}: {exc}", key)
 
 
 def default_config(experiment: str) -> ExperimentConfig:

@@ -20,7 +20,7 @@ from .errors import InvalidInputError
 # distance when that exceeds 1; norm-derived matrices meet it up to rounding.
 TRIANGLE_TOL = 1e-9
 
-# Entries of the difference block that sq_distances holds at once: 2^20
+# Entries of the difference block that distances holds at once: 2^20
 # doubles, 8 MiB.  A block has at least one row of m * d entries.
 SQ_DISTANCE_BLOCK = 1 << 20
 
@@ -117,6 +117,7 @@ class PointSet:
         return cls(arr[:, None, :])
 
 
+@np.errstate(over="ignore")  # an overflowing power raises below
 def norm_pq(t, p, q) -> float:
     """Mixed (p, q) norm of a k-by-n matrix: the q-norm of the vector of
     column p-norms.  p = q = 2 is the Frobenius norm.
@@ -147,39 +148,32 @@ def norm_pq(t, p, q) -> float:
     return math.ldexp(value, -shift)
 
 
-def sq_distances(X: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between the rows of an (m, d) array, read
-    only by distances, over blocks of rows: the (rows, m, d) difference holds
-    at most max(SQ_DISTANCE_BLOCK, m * d) entries, and each entry is the same
-    sum in the same order at any block size."""
+@np.errstate(over="ignore")  # an overflowing square is redone below
+def distances(X: np.ndarray) -> np.ndarray:
+    """Euclidean distances between the rows of a finite (m, d) array, over
+    blocks of rows: the (rows, m, d) difference holds at most
+    max(SQ_DISTANCE_BLOCK, m * d) entries, and each square is the same sum in
+    the same order at any block size.  A block with a square that is inf or
+    below 2^-969 (2^53 * tiny) off its diagonal redoes its pairs out of that
+    range on their differences scaled by 2^-600 or 2^600 (Blue, ACM TOMS 4,
+    1978); a block holds at most rows * m pairs, so the redo keeps the bound."""
     m, d = X.shape
     rows = max(1, SQ_DISTANCE_BLOCK // max(1, m * d))
     out = np.empty((m, m))
     for start in range(0, m, rows):
         diff = X[start:start + rows, None, :] - X[None, :, :]
         diff *= diff
-        diff.sum(axis=2, out=out[start:start + rows])
+        sq = diff.sum(axis=2, out=out[start:start + rows])
+        # its diagonal zeros are below the range too, and redo to zero
+        if np.count_nonzero(sq < 2.0 ** -969) == len(sq) and sq.max() < np.inf:
+            np.sqrt(sq, out=sq)
+            continue
+        i, j = np.nonzero((sq < 2.0 ** -969) | (sq == np.inf))
+        np.sqrt(sq, out=sq)
+        shift = np.where(sq[i, j] < 1.0, 600, -600)  # below or past the range
+        diff = np.ldexp(X[start + i] - X[j], shift[:, None]) ** 2  # an inf difference stays inf
+        sq[i, j] = np.ldexp(np.sqrt(diff.sum(axis=1)), -shift)
     return out
-
-
-@np.errstate(over="ignore")  # an overflowing square is redone below
-def distances(X: np.ndarray) -> np.ndarray:
-    """Euclidean distances between the rows of a finite (m, d) array: np.sqrt
-    of sq_distances, but a pair whose square is inf or below 2^-969 (2^53 *
-    tiny) is redone on its difference scaled by 2^-600 or 2^600 (Blue, ACM
-    TOMS 4, 1978), i < j, SQ_DISTANCE_BLOCK // d pairs at a time."""
-    sq = sq_distances(X)
-    if np.count_nonzero(sq < 2.0 ** -969) == len(X) and sq.max() < np.inf:
-        return np.sqrt(sq, out=sq)
-    i, j = np.nonzero(np.triu((sq < 2.0 ** -969) | (sq == np.inf), 1))
-    dist = np.sqrt(sq, out=sq)
-    step = max(1, SQ_DISTANCE_BLOCK // X.shape[1])
-    for s in range(0, len(i), step):
-        p, q = i[s:s + step], j[s:s + step]
-        shift = np.where(dist[p, q] < 1.0, 600, -600)  # below or past the range
-        diff = np.ldexp(X[p] - X[q], shift[:, None]) ** 2  # an inf difference stays inf
-        dist[p, q] = dist[q, p] = np.ldexp(np.sqrt(diff.sum(axis=1)), -shift)
-    return dist
 
 
 def _element_distances(T: PointSet) -> np.ndarray:

@@ -44,6 +44,7 @@ from .tails import (
     sample_from_capped_tail,
     tail_series,
     tail_series_capped,
+    u_grid,
     uncenter_tail,
 )
 
@@ -385,8 +386,7 @@ def _run_tails_demo(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
     out = ExperimentOutcome(cfg.experiment)
     w = consts["w"]
     u_start, u_stop, u_step = consts["u_start"], consts["u_stop"], consts["u_step"]
-    u = u_start
-    while u <= u_stop + 1e-12:
+    for u in u_grid(u_start, u_stop, u_step):
         p = tail_series(u, w)
         q = tail_series_capped(u, w)
         out.add_row(0, w, f"p[u={u:.4f}]", p, 0.0, cfg.seed)
@@ -401,7 +401,6 @@ def _run_tails_demo(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
             direct = _direct_tail_sum(u)
             out.check(abs(p - direct) <= 1e-12 * direct,
                       f"tail series {p!r} vs direct sum {direct!r} at u={u}")
-        u += u_step
     # Uncentering dominance on the exactly constructed law Y = a + sqrt(E).
     # The bound is attained exactly at u = 2a, so the empirical tail (a
     # Monte Carlo estimate) is compared with the standard 3-sigma band; away

@@ -9,9 +9,9 @@ diverges below, which is benign because only q is ever used.  p = 1 at the
 one s = CROSSING_S for every w, and each term integrates over (u*, inf) to a
 scaled erfcx, so the crossing point and the integral of q are closed forms.
 The truncation floor, the sampler grid (built once per w) with its end
-SAMPLER_GRID_END (the sampler needs the divergence threshold below it) and
-the ceiling MAX_W on w (past it the exponents overflow a float) are fixed
-module constants.
+SAMPLER_GRID_END (the sampler needs the divergence threshold below it), the
+ceiling MAX_W on w (past it the exponents overflow a float) and the row
+ceiling MAX_GRID_ROWS of u_grid are fixed module constants.
 """
 
 from __future__ import annotations
@@ -31,6 +31,9 @@ SAMPLER_GRID_STEP = 0.01
 SAMPLER_GRID_END = 1000.0
 SAMPLER_TAIL_CUT = 1e-12
 MAX_W = 1000
+# Most rows a u-grid of pc tails or tails-demo may have; the shipped grids
+# have 15 and 24.
+MAX_GRID_ROWS = 10000
 
 
 def _threshold_sq(w: int) -> float:
@@ -83,6 +86,25 @@ def tail_series_capped(u: float, w: int = 0) -> float:
     if lp >= 0.0:
         return 1.0
     return math.exp(lp)
+
+
+def u_grid(start: float, stop: float, step: float) -> list:
+    """The accumulated grid start, start + step, ... while u <= stop + 1e-12.
+    Raises InvalidInputError unless all three are finite, step > 0, stop >=
+    start, every step advances u and the grid has at most MAX_GRID_ROWS rows."""
+    spec = f"{start}:{stop}:{step}"
+    if not (-math.inf < start <= stop < math.inf and 0.0 < step < math.inf):  # nan fails too
+        raise InvalidInputError(f"u grid {spec} needs finite values, step > 0 and stop >= start")
+    values = []
+    u = start
+    while u <= stop + 1e-12:
+        if len(values) == MAX_GRID_ROWS:
+            raise InvalidInputError(f"u grid {spec} has more than {MAX_GRID_ROWS} rows")
+        values.append(u)
+        if u + step == u:
+            raise InvalidInputError(f"u grid {spec}: step {step} does not advance u = {u}")
+        u += step
+    return values
 
 
 def tail_crossing_point(w: int = 0) -> float:

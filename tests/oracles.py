@@ -3,8 +3,9 @@
 Nothing here touches the library's solver paths: values come from direct
 enumeration, grid search, interval arithmetic, scipy's LP solver on the
 primal all-pairs LP, and earlier implementations kept as references (the
-list-rebuilding line DP, the dense simplex), so agreement between these
-oracles and the library is a genuine two-route check.
+list-rebuilding line DP, the dense simplex, the list-and-delete
+farthest-first order), so agreement between these oracles and the library
+is a genuine two-route check.
 """
 
 import itertools
@@ -282,6 +283,26 @@ def rkhs_representer_value(pts, c, sigma, rho):
     norm = math.sqrt(norm2)
     f = [rho * math.fsum(c[j] * K[j][i] for j in range(n)) / norm for i in range(n)]
     return math.fsum(ci * fi for ci, fi in zip(c, f)), norm2, scale
+
+
+def reference_farthest_first_order(dist):
+    """The farthest-first (order, radii) of chaining.farthest_first_order,
+    kept in its earlier form: a list of the remaining points, with the
+    chosen one deleted from it and from its min-distance vector."""
+    order = [0]
+    radii = []
+    remaining = list(range(1, dist.shape[0]))
+    mindist = dist[remaining, 0].astype(float)
+    while remaining:
+        pos = int(np.argmax(mindist))  # first maximum = lowest index
+        radii.append(float(mindist[pos]))
+        chosen = remaining.pop(pos)
+        order.append(chosen)
+        mindist = np.delete(mindist, pos)
+        if remaining:
+            np.minimum(mindist, dist[remaining, chosen], out=mindist)
+    radii.append(0.0)
+    return order, radii
 
 
 def brute_covering_number(dist, delta):

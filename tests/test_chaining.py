@@ -30,7 +30,7 @@ from berncomp import (
     truncation_objective,
 )
 from berncomp.chaining import farthest_first_order
-from oracles import brute_covering_number, brute_entropy_number
+from oracles import brute_covering_number, brute_entropy_number, reference_farthest_first_order
 
 
 def random_space(seed, n_points, k=2):
@@ -56,6 +56,7 @@ class TestFarthestFirstOrder:
         for j in range(len(T)):
             assert radii[j] == float(d[:, order[:j + 1]].min(axis=1).max())
         assert radii[-1] == 0.0
+        assert (order, radii) == reference_farthest_first_order(d)
 
 
 class TestCoveringNumber:
@@ -181,9 +182,18 @@ class TestLipschitzEntropyFormula:
      "L must be finite and positive"),
     (lambda: lipschitz_entropy_formula(0, 1.0, 1.0, 1, math.inf),
      "C_k must be finite and positive"),
-], ids=["covering-delta-nan", "entropy-L-nan", "entropy-C-inf"])
+    (lambda: truncation_objective(1.5, 2, 64), "M must be an integer"),
+    (lambda: truncation_objective(2, 1.5, 64), "k must be an integer"),
+    (lambda: truncation_objective(2, 2, 64.5), "n must be an integer"),
+    (lambda: min_truncation_objective(1.5, 64), "k must be an integer"),
+    (lambda: composite_rate(64.5, 2), "n must be an integer"),
+    (lambda: composite_rate(64, 1.5), "k must be an integer"),
+], ids=["covering-delta-nan", "entropy-L-nan", "entropy-C-inf", "truncation-M-fractional",
+        "truncation-k-fractional", "truncation-n-fractional", "scan-k-fractional",
+        "rate-n-fractional", "rate-k-fractional"])
 def test_rejects_non_finite_parameters(call, message):
-    # covering_number leaked a bare StopIteration, the formula returned nan or inf
+    # covering_number leaked a bare StopIteration, the formula returned nan or
+    # inf, and the truncation scan and the rate took fractional counts
     with pytest.raises(InvalidInputError, match=message):
         call()
 

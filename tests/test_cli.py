@@ -166,6 +166,15 @@ class TestTailsCommand:
 
     def test_bad_grid_exits_2(self, capsys):
         assert main(["tails", "--u-grid", "oops"]) == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("grid", ["1.7:4.0:nan", "1.7:4.0:inf", "1:inf:1", "-inf:0:1",
+                                      "1:2:1e-17"])
+    def test_grid_that_never_ends_exits_2(self, capsys, grid):
+        # nan and inf steps printed one row; the others never ended
+        assert main(["tails", f"--u-grid={grid}"]) == 2
+        out, err = capsys.readouterr()
+        assert "error: u grid" in err and out == ""
 
     def test_negative_w_exits_2(self, capsys):
         assert main(["tails", "--w", "-1"]) == 2
@@ -367,13 +376,16 @@ class TestRunCommand:
          "line 2, column 1"),
         ("experiment = scaling-k1\nconstants.slope_tol = nan\n", "constants.slope_tol",
          "line 2, column 1"),
+        ("experiment = tails-demo\nconstants.u_step = 1e-300\n", "constants.u_step",
+         "line 2, column 1"),
     ], ids=["undeclared-constant", "repeated-seed", "scaling-k1-with-k3", "zero-u-step",
             "negative-u-step", "negative-n", "scaling-k2-with-n1", "chaining-demo-with-n1",
             "fractional-count", "zero-count", "negative-w", "w-past-the-sampler-grid",
             "scaling-k1-with-one-n",
             "scaling-k2-with-one-n", "scaling-kk-with-one-n", "one-mc-sample",
             "one-lp-sample", "u-stop-below-u-start", "u-start-above-default-u-stop",
-            "zero-band", "zero-L", "zero-rkhs-R", "zero-u-start", "nan-slope-tol"])
+            "zero-band", "zero-L", "zero-rkhs-R", "zero-u-start", "nan-slope-tol",
+            "u-step-that-never-advances"])
     def test_rejected_config_exits_2_naming_the_key(self, tmp_path, capsys, body, key,
                                                     location):
         config = tmp_path / "cfg.txt"

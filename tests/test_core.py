@@ -23,7 +23,7 @@ from berncomp import (
     sequence_from_text,
 )
 from berncomp import core
-from berncomp.core import _row_max, distances, sq_distances
+from berncomp.core import _row_max, distances
 
 
 class TestNormPq:
@@ -287,23 +287,25 @@ class TestRowMax:
 
 
 class TestSqDistances:
-    """sq_distances works through blocks of rows, and each entry is the same
-    sum in the same order, so any block size gives the one-shot bits."""
+    """The squares inside distances: each block of rows sums the same squares
+    in the same order, so at any block size the distances of in-range rows
+    are np.sqrt of the one-shot squares, bit for bit."""
 
     @pytest.mark.parametrize("shape", [(1, 3), (7, 1), (40, 2), (33, 9), (20, 300)])
     @pytest.mark.parametrize("block", [1, 200, core.SQ_DISTANCE_BLOCK])
     def test_blocks_equal_the_one_shot_form(self, shape, block, monkeypatch):
         X = np.random.default_rng(shape[0]).standard_normal(shape)
         diff = X[:, None, :] - X[None, :, :]
-        ref = (diff * diff).sum(axis=2)
+        ref = np.sqrt((diff * diff).sum(axis=2))
         monkeypatch.setattr(core, "SQ_DISTANCE_BLOCK", block)  # 1: a row at a time
-        assert sq_distances(X).tobytes() == ref.tobytes()
+        assert distances(X).tobytes() == ref.tobytes()
 
 
 class TestDistances:
-    """distances redoes the pairs whose square is inf or below 2^-969 on
-    differences scaled by a power of two, SQ_DISTANCE_BLOCK // d pairs at a
-    time, so the fix-up keeps the memory bound of sq_distances."""
+    """distances redoes, within each block of rows, the pairs whose square
+    is inf or below 2^-969 on differences scaled by a power of two; a block
+    holds at most rows * m pairs, so the redo keeps the block's memory
+    bound."""
 
     @staticmethod
     def _sets():
@@ -318,7 +320,7 @@ class TestDistances:
     def test_fix_up_blocks_give_the_same_bits(self, name, block, monkeypatch):
         X = self._sets()[name]
         ref = distances(X)
-        monkeypatch.setattr(core, "SQ_DISTANCE_BLOCK", block)  # 1: a pair at a time
+        monkeypatch.setattr(core, "SQ_DISTANCE_BLOCK", block)  # 1: a row at a time
         got = distances(X)
         assert got.tobytes() == ref.tobytes()
         assert np.array_equal(got, got.T) and np.array_equal(np.diag(got), np.zeros(30))
@@ -326,7 +328,7 @@ class TestDistances:
 
     def test_tiny_rows_scale_back_exactly(self):
         X = self._sets()["tiny"]
-        ref = np.ldexp(np.sqrt(sq_distances(np.ldexp(X, 600))), -600)
+        ref = np.ldexp(distances(np.ldexp(X, 600)), -600)
         assert distances(X).tobytes() == ref.tobytes()
 
     def test_fix_up_memory_stays_within_the_block(self, monkeypatch):
@@ -353,6 +355,8 @@ class TestDistances:
             assert lipschitz_ball_sup(pts, [1.0, -1.0], 1e-200, 1e200) == 0.0
             assert gaussian_gram(pts, 1e160)[0, 1] == pytest.approx(math.exp(-0.5), rel=1e-15)
             assert np.array_equal(gaussian_gram([[0.0], [1e300]], 1.0), np.eye(2))
+            with pytest.raises(InvalidInputError, match="overflows"):
+                norm_pq([[1e200, 1e200]], 2, 2)
 
     @settings(max_examples=200, deadline=None)
     @given(st.tuples(st.integers(2, 5), st.integers(1, 4)).flatmap(

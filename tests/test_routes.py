@@ -1,8 +1,8 @@
 """Each estimator input has one route through the package.  complexity.py
 seeds one generator, inside its weight source _weights, reads raw generator
 words only in its sign-block helper _random_signs, and measures no distance
-itself.  Every distance comes from core.distances, the only reader of
-sq_distances: the element distances (core._element_distances, which alone
+itself, not even through core.distances.  Every distance comes from
+core.distances: the element distances (core._element_distances, which alone
 raises on an overflowing distance), the k >= 2 Lipschitz oracle and the
 Gaussian Gram matrix.  The one thread pool is built in
 experiments._map_cells."""
@@ -82,7 +82,7 @@ def test_the_one_executor_is_the_lemma_checks_pool():
 
 def test_complexity_measures_no_distance_itself():
     source = _read("complexity.py")
-    assert [callers(source, name) for name in ("norm", "sq_distances")] == [[], []]
+    assert [callers(source, name) for name in ("norm", "distances")] == [[], []]
 
 
 def test_element_distances_have_one_routine():
@@ -90,7 +90,6 @@ def test_element_distances_have_one_routine():
         return {(path.name, qual) for path in SRC.glob("*.py")
                 for qual in callers(path.read_text(), name)}
 
-    assert called_by("sq_distances") == {("core.py", "distances")}
     assert called_by("distances") == {("core.py", "_element_distances"),
                                       ("classes.py", "_lipschitz_sup_simplex"),
                                       ("classes.py", "gaussian_gram")}

@@ -4,15 +4,17 @@ chaining functionals and the entropy-based composite-complexity bound.
 Entropy numbers here restrict centers to subsets of the space itself (some
 texts allow external centers; exact values can differ by a factor of at
 most 2).  Center selections are farthest-first with ties broken by lowest
-index, so everything is deterministic.  Exact covering and entropy numbers
-come from one exhaustive search over center subsets, run only while it
-enumerates at most SEARCH_BUDGET = 2^20 subsets (always for covering numbers
-of spaces of at most 20 points).
+index, so everything is deterministic; callers that need only the first
+picks stop the greedy pass there.  Exact covering and entropy numbers come
+from one branch-and-bound search over center subsets, which starts from the
+farthest-first radius and branches only over the centers that can cover the
+worst-covered point better.  It visits no center set twice, and it runs only
+while the subsets it could examine number at most SEARCH_BUDGET = 2^20
+(always for covering numbers of spaces of at most 20 points).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -26,12 +28,8 @@ from .errors import InvalidInputError
 # any finite space we can represent.
 MAX_LEVEL = 20
 
-# Most center subsets an exact covering or entropy number may enumerate.
+# Most center subsets an exact covering or entropy number may search.
 SEARCH_BUDGET = 2 ** 20
-
-# Subsets per numpy chunk of the exhaustive search; a chunk's temporary is
-# (points, _SUBSET_CHUNK, subset size) floats.
-_SUBSET_CHUNK = 4096
 
 # Truncation levels scanned by min_truncation_objective.
 MAX_TRUNCATION_LEVEL = 64
@@ -48,10 +46,11 @@ def admissible_capacity(m: int):
     return 2 ** (2 ** m)
 
 
-def farthest_first_order(dist: np.ndarray):
-    """(order, radii): the greedy farthest-first ordering of all points of
-    a symmetric distance matrix, and
-    radii[j] = max_i min_{c in order[:j+1]} dist[i, c], ending in 0.
+def farthest_first(dist: np.ndarray):
+    """Yield (point, radius) in the greedy farthest-first order of a
+    symmetric distance matrix, radius being the covering radius
+    max_i min_c dist[i, c] of the points yielded so far, this one included
+    (0 after the last); a caller stops after the picks it needs.
 
     Starts from point 0; each subsequent pick maximizes the minimum distance
     to the points already chosen (ties: lowest index), and that maximum is
@@ -60,18 +59,16 @@ def farthest_first_order(dist: np.ndarray):
     """
     if dist.shape[0] == 0:
         raise InvalidInputError("need at least one point")
-    order = [0]
-    radii = []
+    chosen = 0
     mindist = dist[0].astype(float)
     mindist[0] = -np.inf
     for _ in range(1, len(mindist)):
-        chosen = int(np.argmax(mindist))  # first maximum = lowest index
-        radii.append(float(mindist[chosen]))
-        order.append(chosen)
+        pick = int(np.argmax(mindist))  # first maximum = lowest index
+        yield chosen, float(mindist[pick])
+        chosen = pick
         np.minimum(mindist, dist[chosen], out=mindist)
         mindist[chosen] = -np.inf
-    radii.append(0.0)
-    return order, radii
+    yield chosen, 0.0
 
 
 @dataclass(frozen=True)
@@ -80,13 +77,35 @@ class CoveringResult:
     exact: int | None
 
 
-def _subset_radii(d: np.ndarray, size: int):
-    """Covering radius max_i min_{j in S} d[i, j] of every size-subset S of
-    the points, yielded as one array per chunk of subsets in lexicographic
-    order."""
-    combos = itertools.combinations(range(d.shape[0]), size)
-    while block := list(itertools.islice(combos, _SUBSET_CHUNK)):
-        yield d[:, np.array(block, dtype=int)].min(axis=2).max(axis=0)
+def _min_cover_radius(d: np.ndarray, size: int, best: float) -> float:
+    """The smallest covering radius max_i min_{j in S} d[i, j] over the
+    size-subsets S of the points, if one lies below best; best otherwise.
+
+    Branch and bound: a cover of radius below best puts a center within
+    best of the worst-covered point, so each node branches only over those
+    candidates, and the last center is taken for all candidates at once.
+    Each explored candidate leaves the later siblings' choices, so no center
+    set is visited twice and no more than C(points, size) full subsets are
+    examined; a candidate skipped because best fell to its distance stays
+    available to them.  The recursion is as deep as size.
+    """
+    def branch(mindist, avail, k):
+        nonlocal best
+        worst = int(np.argmax(mindist))
+        best = min(best, float(mindist[worst]))
+        cands = np.flatnonzero(avail & (d[worst] < best))
+        if k == 1:
+            if cands.size:
+                best = min(best, float(np.minimum(mindist, d[cands]).max(axis=1).min()))
+            return
+        avail = avail.copy()
+        for c in cands:
+            if d[worst, c] < best:
+                avail[c] = False
+                branch(np.minimum(mindist, d[c]), avail, k - 1)
+
+    branch(np.full(len(d), np.inf), np.ones(len(d), dtype=bool), size)
+    return best
 
 
 def covering_number(space: FiniteMetricSpace, delta: float) -> CoveringResult:
@@ -94,23 +113,23 @@ def covering_number(space: FiniteMetricSpace, delta: float) -> CoveringResult:
     to cover the space.
 
     The greedy farthest-first construction gives the upper bound.  The exact
-    minimum is searched whenever the enumeration fits SEARCH_BUDGET, which
+    minimum is searched whenever the subset count fits SEARCH_BUDGET, which
     every space of at most 20 points does: a delta-cover of a given size
     exists iff some subset of that size has covering radius <= delta.
     """
     _check_scales(delta=delta)
     m = space.size
     d = space.dist
-    _, radii = farthest_first_order(d)
-    upper = next(j + 1 for j, radius in enumerate(radii) if radius <= delta)
-
+    upper = next(j for j, (_, radius) in enumerate(farthest_first(d), 1) if radius <= delta)
+    # a radius below the float after delta is one <= delta
+    above = math.nextafter(delta, math.inf)
     total = 0
     for size in range(1, upper):
         count = math.comb(m, size)
         if total + count > SEARCH_BUDGET:
             return CoveringResult(upper, None)
         total += count
-        if any((chunk <= delta).any() for chunk in _subset_radii(d, size)):
+        if _min_cover_radius(d, size, above) <= delta:
             return CoveringResult(upper, size)
     return CoveringResult(upper, upper)
 
@@ -126,9 +145,9 @@ def entropy_number(space: FiniteMetricSpace, m: int) -> EntropyResult:
     to a center subset of the space of admissible cardinality (1 at level 0,
     2^(2^m) beyond).
 
-    Farthest-first centers give the upper bound; subsets are enumerated for
-    the exact value when their count fits SEARCH_BUDGET.  Zero (exactly) once
-    the capacity reaches the point count.
+    Farthest-first centers give the upper bound, and the exact value is
+    searched below it when the subset count fits SEARCH_BUDGET.  Zero
+    (exactly) once the capacity reaches the point count.
     """
     cap = admissible_capacity(m)
     npts = space.size
@@ -136,12 +155,11 @@ def entropy_number(space: FiniteMetricSpace, m: int) -> EntropyResult:
     if size >= npts:
         return EntropyResult(0.0, 0.0)
     d = space.dist
-    upper = farthest_first_order(d)[1][size - 1]
+    upper = [radius for _, (_, radius) in zip(range(size), farthest_first(d))][-1]
     if math.comb(npts, size) > SEARCH_BUDGET:
         return EntropyResult(upper, None)
     # The greedy centers are one of the subsets, so the minimum is <= upper.
-    best = min(float(radii.min()) for radii in _subset_radii(d, size))
-    return EntropyResult(upper, best)
+    return EntropyResult(upper, _min_cover_radius(d, size, upper))
 
 
 @dataclass(frozen=True)
@@ -231,11 +249,15 @@ class AdmissibleSequence:
                 seen.extend(block)
             if len(seen) != n_points or set(seen) != universe:
                 raise InvalidInputError(f"level {m} is not a partition of the space")
-        for m in range(len(self.levels) - 1):
-            parents = [frozenset(b) for b in self.levels[m]]
-            for block in self.levels[m + 1]:
-                b = frozenset(block)
-                if not any(b <= p for p in parents):
+        # every level is a partition by now, so a block is nested iff all its
+        # points carry one parent-block label
+        for m, (parents, level) in enumerate(zip(self.levels, self.levels[1:])):
+            label = [0] * n_points
+            for p, block in enumerate(parents):
+                for i in block:
+                    label[i] = p
+            for block in level:
+                if len({label[i] for i in block}) > 1:
                     raise InvalidInputError(
                         f"level {m + 1} block {sorted(block)} is not nested in level {m}"
                     )
@@ -271,7 +293,7 @@ def build_admissible_sequence(space: FiniteMetricSpace) -> AdmissibleSequence:
                 for chunk in np.array_split(block_arr, n_centers):
                     new_level.append(tuple(int(i) for i in chunk))
                 continue
-            local_centers = farthest_first_order(sub)[0][:n_centers]
+            local_centers = [c for _, (c, _) in zip(range(n_centers), farthest_first(sub))]
             assign = np.argmin(sub[:, local_centers], axis=1)  # ties: lowest center
             for ci in range(len(local_centers)):
                 members = block_arr[assign == ci]

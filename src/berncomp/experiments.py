@@ -145,8 +145,9 @@ def _map_cells(fn, cells: list) -> list:
     Only lemma-checks runs its cells here: they spend their time in numpy's
     Gaussian sampler and small BLAS products, which release the GIL.  The
     other experiments stay serial, since their time goes to code that holds
-    the GIL (the Lipschitz line DP, the tail sampler's searchsorted) or, in
-    rkhs-bound, measured no faster on a pool.  Each cell seeds its own
+    the GIL (the Lipschitz line DP, chaining-demo's small per-block steps),
+    is too short to share (tails-demo, whose sampler reads a lookup table)
+    or, in rkhs-bound, measured no faster on a pool.  Each cell seeds its own
     generator, so the results are the same bits at any worker count.
     """
     # imported here, not at module level, where it costs every run import

@@ -10,8 +10,10 @@ one s = CROSSING_S for every w, and each term integrates over (u*, inf) to a
 scaled erfcx, so the crossing point and the integral of q are closed forms.
 The truncation floor, the sampler grid (built once per w) with its end
 SAMPLER_GRID_END (the sampler needs the divergence threshold below it), the
-ceiling MAX_W on w (past it the exponents overflow a float) and the row
-ceiling MAX_GRID_ROWS of u_grid are fixed module constants.
+SAMPLER_BUCKETS buckets of the sampler's lookup table (built once per w, at
+the first draw), the ceiling MAX_W on w (past it the exponents overflow a
+float) and the row ceiling MAX_GRID_ROWS of u_grid are fixed module
+constants.
 """
 
 from __future__ import annotations
@@ -30,6 +32,9 @@ CROSSING_S = 0.5689425097032021  # the root of sum_{j>=0} exp(-2^j s) = 1
 SAMPLER_GRID_STEP = 0.01
 SAMPLER_GRID_END = 1000.0
 SAMPLER_TAIL_CUT = 1e-12
+# Buckets of the sampler's lookup table; a power of two, so U * SAMPLER_BUCKETS
+# is exact.
+SAMPLER_BUCKETS = 2 ** 14
 MAX_W = 1000
 # Most rows a u-grid of pc tails or tails-demo may have; the shipped grids
 # have 15 and 24.
@@ -185,6 +190,35 @@ def _sampler_grid(w: int) -> tuple[np.ndarray, np.ndarray]:
     return _as_readonly(grid), _as_readonly(qs)
 
 
+def _grid_index(qs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The largest j with qs[j] >= U for each U in [0, 1), found in the
+    ascending reversed array; qs[0] = 1, so j >= 0."""
+    return len(qs) - 1 - np.searchsorted(qs[::-1], uniforms, side="left")
+
+
+@lru_cache(maxsize=None)
+def _sampler_table(w: int) -> tuple[np.ndarray, np.ndarray]:
+    """(index, split) over the SAMPLER_BUCKETS buckets [b, b + 1) / 2^14 of
+    U: the grid index every U of bucket b draws, and whether a q value lies
+    in the bucket, which splits its U between two grid indices.  Built once
+    per w, at the first draw, and returned read-only."""
+    edges = _grid_index(_sampler_grid(w)[1], np.arange(SAMPLER_BUCKETS + 1) / SAMPLER_BUCKETS)
+    index, split = edges[:-1], edges[1:] != edges[:-1]
+    index.flags.writeable = split.flags.writeable = False
+    return index, split
+
+
+def _sampler_index(w: int, uniforms: np.ndarray) -> np.ndarray:
+    """_grid_index of q for each U in [0, 1): from the bucket table, and by
+    searchsorted only for the U whose bucket holds a q value."""
+    index, split = _sampler_table(w)
+    buckets = (uniforms * SAMPLER_BUCKETS).astype(np.intp)  # exact: a power of two
+    j = index[buckets]
+    odd = np.flatnonzero(split[buckets])
+    j[odd] = _grid_index(_sampler_grid(w)[1], uniforms[odd])
+    return j
+
+
 def sample_from_capped_tail(w: int, rho_scale: float,
                             zeta_shift: float, n_samples: int, seed: int) -> np.ndarray:
     """Inverse-transform samples of a law satisfying the capped-tail
@@ -199,11 +233,5 @@ def sample_from_capped_tail(w: int, rho_scale: float,
     _check_count("n_samples", n_samples, 1)
     _check_law(rho_scale, zeta_shift)
     _check_count("seed", seed)
-    grid_arr, qs_arr = _sampler_grid(w)
-    rng = np.random.default_rng(seed)
-    uniforms = rng.uniform(0.0, 1.0, size=n_samples)
-    # Largest j with q[j] >= U, via the ascending reversed array.
-    rev = qs_arr[::-1]
-    j_rev = np.searchsorted(rev, uniforms, side="left")
-    j = np.clip(len(qs_arr) - 1 - j_rev, 0, len(qs_arr) - 1)
-    return rho_scale * grid_arr[j] + zeta_shift
+    uniforms = np.random.default_rng(seed).uniform(0.0, 1.0, size=n_samples)
+    return rho_scale * _sampler_grid(w)[0][_sampler_index(w, uniforms)] + zeta_shift

@@ -286,7 +286,7 @@ def rkhs_representer_value(pts, c, sigma, rho):
 
 
 def reference_farthest_first_order(dist):
-    """The farthest-first (order, radii) of chaining.farthest_first_order,
+    """The farthest-first (order, radii) that chaining.farthest_first yields,
     kept in its earlier form: a list of the remaining points, with the
     chosen one deleted from it and from its min-distance vector."""
     order = [0]

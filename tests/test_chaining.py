@@ -29,7 +29,7 @@ from berncomp import (
     sequence_to_text,
     truncation_objective,
 )
-from berncomp.chaining import farthest_first_order
+from berncomp.chaining import farthest_first
 from oracles import brute_covering_number, brute_entropy_number, reference_farthest_first_order
 
 
@@ -51,7 +51,7 @@ class TestFarthestFirstOrder:
     @given(_small_sets)
     def test_radii_are_the_prefix_covering_radii(self, T):
         d = metric_space_from_pointset(T).dist
-        order, radii = farthest_first_order(d)
+        order, radii = map(list, zip(*farthest_first(d)))
         assert sorted(order) == list(range(len(T))) and len(radii) == len(T)
         for j in range(len(T)):
             assert radii[j] == float(d[:, order[:j + 1]].min(axis=1).max())
@@ -133,15 +133,55 @@ class TestEntropyNumber:
         assert prof.values[-1] == 0.0
 
 
+def _circle(m):
+    angles = 2.0 * np.pi * np.arange(m) / m
+    return np.stack([np.cos(angles), np.sin(angles)], axis=1)
+
+
+def _lattice(rows, cols):
+    # integer points: sqrt of integers, so distances tie exactly
+    return np.array([[i, j] for i in range(rows) for j in range(cols)], dtype=float)
+
+
+def _coincident(m):
+    # the four corners of the unit square, each repeated
+    return _lattice(2, 2)[np.arange(m) % 4]
+
+
+def _collinear(m):
+    return np.stack([np.arange(m), np.zeros(m)], axis=1).astype(float)
+
+
+def _simplex(m):
+    # every distance is sqrt(2)
+    return np.eye(m)
+
+
+def _random_points(seed):
+    # 1-9 points; seeds 9-17 repeat the first point at the end
+    n_points = 1 + seed % 9
+    pts = np.random.default_rng(seed + 300).uniform(-1, 1, size=(n_points, 2))
+    if seed >= 9 and n_points > 1:
+        pts[-1] = pts[0]
+    return pts
+
+
+# Sets where pruning by distance is weakest: equal or tied distances,
+# coincident points, points spread evenly.
+_WEAK_PRUNING = {"circle": _circle, "lattice": lambda m: _lattice(m // 4, 4),
+                 "coincident": _coincident, "collinear": _collinear, "simplex": _simplex}
+_SEARCH_SETS = {str(seed): _random_points(seed) for seed in range(18)}
+_SEARCH_SETS.update({f"{name}-12": make(12) for name, make in _WEAK_PRUNING.items()})
+
+
+def _space(pts):
+    return metric_space_from_pointset(PointSet(np.asarray(pts)[:, None, :]))
+
+
 class TestSubsetSearchAgainstBruteForce:
-    @pytest.mark.parametrize("seed", range(18))
-    def test_exact_values_match_enumeration(self, seed):
-        # 1-9 points; seeds 9-17 repeat the first point at the end
-        n_points = 1 + seed % 9
-        pts = np.random.default_rng(seed + 300).uniform(-1, 1, size=(n_points, 1, 2))
-        if seed >= 9 and n_points > 1:
-            pts[-1] = pts[0]
-        sp = metric_space_from_pointset(PointSet(pts))
+    @pytest.mark.parametrize("name", list(_SEARCH_SETS))
+    def test_exact_values_match_enumeration(self, name):
+        sp = _space(_SEARCH_SETS[name])
         dist = sp.dist.tolist()
         # every attained distance (closed-ball ties), its half, and beyond
         attained = sorted({d for row in dist for d in row if d > 0.0})
@@ -154,6 +194,33 @@ class TestSubsetSearchAgainstBruteForce:
             res = entropy_number(sp, level)
             assert res.exact == brute_entropy_number(dist, level)
             assert res.exact <= res.upper_bound
+
+    def test_random_level_one_values_match_enumeration(self):
+        # 4 centers among 6-12 random points: a candidate the bound skips
+        # must stay open to later siblings, and dropping it gave larger
+        # minima on three of these sets
+        for seed in range(100):
+            sp = _space(np.random.default_rng(seed + 500).uniform(-1, 1, size=(6 + seed % 7, 2)))
+            assert entropy_number(sp, 1).exact == brute_entropy_number(sp.dist.tolist(), 1)
+
+    @pytest.mark.parametrize("name", list(_WEAK_PRUNING))
+    def test_twenty_point_sets_match_enumeration(self, name):
+        # 20 points: every subset size is searched, 1, 4 and 16 centers for
+        # the entropy numbers; brute-force covering stays affordable where
+        # the farthest-first bound is at most 4
+        sp = _space(_WEAK_PRUNING[name](20))
+        dist = sp.dist.tolist()
+        for level in range(3):
+            assert entropy_number(sp, level).exact == brute_entropy_number(dist, level)
+        attained = sorted({d for row in dist for d in row if d > 0.0})
+        for delta in attained + [d / 2 for d in attained]:
+            res = covering_number(sp, delta)
+            assert res.exact is not None and res.exact <= res.upper_bound
+            if res.upper_bound <= 4:
+                assert res.exact == brute_covering_number(dist, delta)
+        if name == "simplex":
+            # a ball of radius below sqrt(2) holds its center alone
+            assert covering_number(sp, attained[0] / 2).exact == 20
 
 
 class TestLipschitzEntropyFormula:
@@ -246,6 +313,18 @@ class TestAdmissibleSequence:
         ))
         with pytest.raises(InvalidInputError):
             bad.validate(3)
+
+    @pytest.mark.parametrize("levels, message", [
+        ((((0, 1, 2, 3),), ((0, 1), (2, 3)), ((0, 2), (1, 3))),
+         "level 2 block [0, 2] is not nested in level 1"),
+        ((((0, 1, 2),), ((0, 2), (1,)), ((0, 1), (2,)), ((0, 2), (1,))),
+         "level 2 block [0, 1] is not nested in level 1"),
+        ((((0, 1, 2),), ((0, 1), (2,)), ((0, 2),)), "level 2 is not a partition of the space"),
+    ], ids=["first-unnested-block", "first-unnested-level", "partition-before-nesting"])
+    def test_validation_names_the_first_failure(self, levels, message):
+        with pytest.raises(InvalidInputError) as err:
+            AdmissibleSequence(levels).validate(len(levels[0][0]))
+        assert str(err.value) == message
 
     def test_text_round_trip(self, tmp_path):
         sp = random_space(7, 9)

@@ -5,7 +5,9 @@ itself, not even through core.distances.  Every distance comes from
 core.distances: the element distances (core._element_distances, which alone
 raises on an overflowing distance), the k >= 2 Lipschitz oracle and the
 Gaussian Gram matrix.  The one thread pool is built in
-experiments._map_cells."""
+experiments._map_cells.  Exact covering and entropy numbers come from one
+search, chaining._min_cover_radius, and the tail sampler reads q through
+one searchsorted, in tails._grid_index."""
 
 import ast
 from pathlib import Path
@@ -96,3 +98,15 @@ def test_element_distances_have_one_routine():
     raisers = {(path.name, qual) for path in SRC.glob("*.py")
                for qual in overflow_raisers(path.read_text())}
     assert raisers == {("core.py", "norm_pq"), ("core.py", "_element_distances")}
+
+
+def test_exact_covering_and_entropy_numbers_share_one_search():
+    source = _read("chaining.py")
+    assert callers(source, "_min_cover_radius") == ["covering_number", "entropy_number"]
+    assert callers(source, "combinations") == []
+
+
+def test_the_tail_sampler_has_one_searchsorted():
+    source = _read("tails.py")
+    assert callers(source, "searchsorted") == ["_grid_index"]
+    assert callers(source, "_grid_index") == ["_sampler_index", "_sampler_table"]

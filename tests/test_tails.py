@@ -17,7 +17,15 @@ from berncomp import (
     tail_series_capped,
     uncenter_tail,
 )
-from berncomp.tails import CROSSING_S, MAX_W, _erfcx, _sampler_grid, divergence_threshold
+from berncomp.tails import (
+    CROSSING_S,
+    MAX_W,
+    SAMPLER_BUCKETS,
+    _erfcx,
+    _sampler_grid,
+    _sampler_index,
+    divergence_threshold,
+)
 from oracles import reference_sampler_grid
 
 
@@ -280,3 +288,16 @@ class TestCappedTailSampler:
         assert _sampler_grid(w)[0] is grid
         with pytest.raises(ValueError, match="read-only"):
             qs[0] = 0.5
+
+    @pytest.mark.parametrize("w", [0, 1, 3])
+    def test_table_lookup_gives_the_one_shot_indices(self, w):
+        # every bucket edge, every q value below 1 and its two neighbouring
+        # floats (ties of U with an edge or a q value), then random draws
+        _, qs = _sampler_grid(w)
+        inner = qs[qs < 1.0]
+        ties = np.concatenate([np.arange(SAMPLER_BUCKETS) / SAMPLER_BUCKETS, inner,
+                               np.nextafter(inner, 0.0), np.nextafter(inner, 1.0)])
+        draws = [np.random.default_rng(seed).uniform(0.0, 1.0, 20000) for seed in range(4)]
+        for u in [ties] + draws:
+            one_shot = len(qs) - 1 - np.searchsorted(qs[::-1], u, side="left")
+            np.testing.assert_array_equal(_sampler_index(w, u), one_shot)

@@ -287,7 +287,7 @@ def build_admissible_sequence(space: FiniteMetricSpace) -> AdmissibleSequence:
                 continue
             n_centers = min(allowance, len(block))
             block_arr = np.asarray(block, dtype=int)
-            sub = d[np.ix_(block_arr, block_arr)]
+            sub = d[block_arr][:, block_arr]
             if sub.max() == 0.0:
                 # coincident points carry no metric signal; split by index
                 for chunk in np.array_split(block_arr, n_centers):
@@ -321,7 +321,7 @@ def gamma2_upper(space: FiniteMetricSpace, seq: AdmissibleSequence) -> float:
             if len(block) == 1:
                 continue
             idx = np.asarray(block, dtype=int)
-            diam = float(d[np.ix_(idx, idx)].max())
+            diam = float(d[idx][:, idx].max())
             totals[idx] += weight * diam
     return float(totals.max())
 

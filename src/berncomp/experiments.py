@@ -5,6 +5,10 @@ results.csv, a summary.csv of fitted constants with confidence intervals,
 and one SVG figure per experiment.  Runs are pure functions of the config:
 identical configs give byte-identical outputs.  EXPERIMENTS, at the bottom,
 is the one table of experiments: runner, defaults and settable constants.
+
+Every check an experiment makes is one ExperimentOutcome.gate call, which
+records value <= bound + slack, returns the margin and writes the FAIL line
+of a failing check; nothing else appends to ExperimentOutcome.failures.
 """
 
 from __future__ import annotations
@@ -104,7 +108,7 @@ class ExperimentOutcome:
         self.rows = []       # results.csv rows
         self.summary = []    # summary.csv rows
         self.figures = {}    # filename -> (dot_series, line_series, kwargs)
-        self.failures = []   # failing quantity descriptions
+        self.failures = []   # FAIL lines of the failing gates
         self.notes = []
 
     def add_row(self, n, k, quantity, value, std_error, seed):
@@ -120,9 +124,16 @@ class ExperimentOutcome:
             self.experiment, name, repr(float(value)), repr(float(lo)), repr(float(hi)),
         ])
 
-    def check(self, ok: bool, quantity: str):
-        if not ok:
-            self.failures.append(quantity)
+    def gate(self, name: str, value, bound, slack=0.0, tol=0.0) -> float:
+        """Check value <= bound + slack and return the margin
+        (bound - value) + slack.  The gate fails when the margin is below
+        -tol or is nan; slack is the allowance the statistics grant (a
+        number of standard errors), tol the one rounding needs."""
+        margin = (bound - value) + slack
+        if not margin >= -tol:
+            extra = f" + {slack:.6g}" if slack else ""
+            self.failures.append(f"FAIL: {name}: {value:.6g} > {bound:.6g}{extra}")
+        return margin
 
 
 def _ci_from_reps(values):
@@ -174,25 +185,24 @@ def _run_lemma_checks(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
     cells = iter(_map_cells(partial(_lemma_cell, cfg),
                             [(n, rep) for n in cfg.n_list for rep in range(n_sets)]))
     bound_pts, value_pts = [], []
+    sqrt_half_pi = math.sqrt(math.pi / 2.0)
+    tol = 1e-9
     for n in cfg.n_list:
         margins = {"l1_envelope": [], "diameter_4b": [], "gaussian_domination": []}
-        violations = {name: 0 for name in margins}
-        for b, g, sup_l1, diam in islice(cells, n_sets):
-            m1 = sup_l1 + 3.0 * b.std_error - b.value
-            m2a = 4.0 * b.value + 12.0 * b.std_error - diam
-            m2b = (math.sqrt(math.pi / 2.0) * g.value - b.value
-                   + 3.0 * (b.std_error + math.sqrt(math.pi / 2.0) * g.std_error))
-            for name, margin in (("l1_envelope", m1), ("diameter_4b", m2a),
-                                 ("gaussian_domination", m2b)):
-                margins[name].append(margin)
-                if margin < -1e-9:
-                    violations[name] += 1
+        for rep, (b, g, sup_l1, diam) in enumerate(islice(cells, n_sets)):
+            for name, value, bound, slack in (
+                    ("l1_envelope", b.value, sup_l1 + 3.0 * b.std_error, 0.0),
+                    ("diameter_4b", diam, 4.0 * b.value + 12.0 * b.std_error, 0.0),
+                    ("gaussian_domination", b.value, sqrt_half_pi * g.value,
+                     3.0 * (b.std_error + sqrt_half_pi * g.std_error))):
+                margins[name].append(out.gate(f"{name} at n={n}, set {rep}",
+                                              value, bound, slack, tol))
             bound_pts.append(sup_l1)
             value_pts.append(b.value)
-        for name in margins:
-            out.add_row(n, cfg.k, f"{name}_violations", violations[name], 0.0, cfg.seed)
-            out.add_row(n, cfg.k, f"{name}_min_margin", min(margins[name]), 0.0, cfg.seed)
-            out.check(violations[name] == 0, f"{name} violations at n={n}")
+        for name, ms in margins.items():
+            out.add_row(n, cfg.k, f"{name}_violations", sum(not m >= -tol for m in ms),
+                        0.0, cfg.seed)
+            out.add_row(n, cfg.k, f"{name}_min_margin", min(ms), 0.0, cfg.seed)
     out.add_summary("total_sets", len(cfg.n_list) * n_sets)
     lim = [0.0, max(bound_pts)]
     out.figures["plot_lemma_checks.svg"] = (
@@ -225,13 +235,12 @@ def _run_scaling(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
         out.add_summary("stability_c_max_over_min", ratio)
         for n, c in zip(cfg.n_list, cs):
             out.add_row(n, k, "fitted_c", c, 0.0, cfg.seed)
-        out.check(ratio <= consts["stability_ratio"],
-                  f"k=2 rate constant stability {ratio:.3f} > {consts['stability_ratio']}")
+        out.gate("k=2 rate constant stability", ratio, consts["stability_ratio"])
     else:
         target = -0.5 if k == 1 else -1.0 / k
         out.add_summary("target_slope", target)
-        out.check(abs(slope - target) <= consts["slope_tol"],
-                  f"k={k} rate slope {slope:.3f} vs target {target:.3f}")
+        out.gate(f"k={k} rate slope distance from {target:g}", abs(slope - target),
+                 consts["slope_tol"])
     out.figures[f"plot_{cfg.experiment}.svg"] = (
         [("min_M objective", list(cfg.n_list), values)],
         [(f"fit slope {slope:.3f}", list(cfg.n_list), fit_curve)],
@@ -279,8 +288,8 @@ def _run_composition(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
         means.append(mean)
         out.add_summary(f"ratio_mean_n{n}", mean, mlo, mhi)
         if n != n0:
-            out.check(fit / band <= mean <= fit * band,
-                      f"composition ratio at n={n}: {mean:.3f} vs fit {fit:.3f} (x{band})")
+            out.gate(f"composition ratio mean at n={n}", mean, fit * band)
+            out.gate(f"composition band floor at n={n}", fit / band, mean)
     out.figures["plot_composition_logfree.svg"] = (
         [("ratio", list(cfg.n_list), means)],
         [("fit band high", list(cfg.n_list), [fit * band] * len(cfg.n_list)),
@@ -348,8 +357,7 @@ def _run_rkhs(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
                     out.add_row(n, k, f"bF_{tag}", bF.value, bF.std_error, seed)
                     out.add_row(n, k, f"bT_{tag}", bT.value, bT.std_error, seed)
                     out.add_row(n, k, f"ratio_{tag}", ratio, 0.0, seed)
-                    out.check(bF.value <= c_fit * denom + slack,
-                              f"rkhs bound at {tag}: ratio {ratio:.3f} vs C {c_fit:.3f}")
+                    out.gate(f"rkhs bound at {tag}", bF.value, c_fit * denom, slack)
                     ratio_series[sigma][0].append(n)
                     ratio_series[sigma][1].append(ratio)
     # increment-ratio check on small surrogate sets (exact enumeration)
@@ -363,9 +371,8 @@ def _run_rkhs(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
                 d_val = increment_ratio(ball, S,
                                         EstimatorConfig(mode="exact", seed=seed))
                 out.add_row(6, k, f"increment_ratio_k{k}_s{sigma}_r{rho}", d_val, 0.0, seed)
-                out.check(d_val <= rho / sigma + 1e-9,
-                          f"increment ratio {d_val:.4f} exceeds rho/sigma={rho / sigma:.4f} "
-                          f"(k={k}, sigma={sigma}, rho={rho})")
+                out.gate(f"increment ratio at k={k}, sigma={sigma}, rho={rho}", d_val,
+                         rho / sigma, tol=1e-9)
     dots = [(f"sigma={s}", xs, ys) for s, (xs, ys) in ratio_series.items()]
     out.figures["plot_rkhs_bound.svg"] = (
         dots,
@@ -392,16 +399,16 @@ def _run_tails_demo(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
         q = tail_series_capped(u, w)
         out.add_row(0, w, f"p[u={u:.4f}]", p, 0.0, cfg.seed)
         out.add_row(0, w, f"q[u={u:.4f}]", q, 0.0, cfg.seed)
-        # second route: below the convergence threshold the series diverges;
-        # for w = 0 and 1.75 <= u <= 26 (where exp(-u^2) is still a normal
-        # float) its first 8 terms, summed directly, agree with the log-space
-        # sum to rounding
+        # second route: below the convergence threshold the series diverges,
+        # so 1/p is 0 (p >= 1 there); for w = 0 and 1.75 <= u <= 26 (where
+        # exp(-u^2) is still a normal float) its first 8 terms, summed
+        # directly, agree with the log-space sum to rounding
         if u <= divergence_threshold(w):
-            out.check(math.isinf(p), f"tail series finite at u={u} below the threshold")
+            out.gate(f"1/p below the divergence threshold at u={u}", 1.0 / p, 0.0)
         elif w == 0 and 1.75 <= u <= 26.0:
             direct = _direct_tail_sum(u)
-            out.check(abs(p - direct) <= 1e-12 * direct,
-                      f"tail series {p!r} vs direct sum {direct!r} at u={u}")
+            out.gate(f"tail series off the direct sum at u={u}", abs(p - direct),
+                     1e-12 * direct)
     # Uncentering dominance on the exactly constructed law Y = a + sqrt(E).
     # The bound is attained exactly at u = 2a, so the empirical tail (a
     # Monte Carlo estimate) is compared with the standard 3-sigma band; away
@@ -414,12 +421,11 @@ def _run_tails_demo(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
             emp = float((y > u_val).mean())
             bound = uncenter_tail(a, float(u_val))
             se = math.sqrt(max(emp * (1.0 - emp), 1e-12) / TAIL_SAMPLES)
-            out.check(emp <= bound + 3.0 * se,
-                      f"uncentered tail at a={a}, u={u_val}: {emp:.4g} > {bound:.4g}")
+            at = f"at a={a}, u={u_val}"
+            out.gate(f"uncentered tail {at}", emp, bound, 3.0 * se)
             if abs(u_val - 2.0 * a) > 0.3:
-                out.check(emp <= bound,
-                          f"uncentered tail margin at a={a}, u={u_val}")
-                min_margin = min(min_margin, bound - emp)
+                min_margin = min(min_margin, out.gate(f"uncentered tail margin {at}",
+                                                      emp, bound))
         out.add_row(0, w, f"uncenter_min_margin_a={a}", min_margin, 0.0, cfg.seed)
     # expectation bound dominates the floored inverse-transform law
     bound, c_w = expectation_bound_from_tail(1.0, 0.5, w)
@@ -428,9 +434,8 @@ def _run_tails_demo(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
     for rep in range(EXPECTATION_RUNS):
         y = sample_from_capped_tail(w, 1.0, 0.5, 100000,
                                     cell_seed(cfg.seed, "expect", rep))
-        margin = bound - float(y.mean())
-        min_margin = min(min_margin, margin)
-        out.check(margin >= 0.0, f"expectation bound margin < 0 in run {rep}")
+        min_margin = min(min_margin, out.gate(f"expectation bound in run {rep}",
+                                              float(y.mean()), bound))
     out.add_summary("expectation_min_margin", min_margin)
     grid = np.arange(max(u_start, 1.7), u_stop, u_step)
     qs = [tail_series_capped(float(v), w) for v in grid]
@@ -458,10 +463,9 @@ def _run_chaining_demo(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome
         try:
             g2 = gamma2_upper(space, seq)  # validates seq first
         except InvalidInputError as exc:
-            out.check(False, f"admissible sequence invariants ({exc})")
+            out.gate(f"admissible sequence invariants in space {rep} ({exc})", math.inf, 0.0)
             continue
-        out.check(g2 >= space.diameter - 1e-9,
-                  f"gamma2 upper below diameter in space {rep}")
+        out.gate(f"diameter over gamma2 upper in space {rep}", space.diameter, g2, tol=1e-9)
         gammas.append(g2)
         diams.append(space.diameter)
         if rep < 25:
@@ -469,11 +473,11 @@ def _run_chaining_demo(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome
             e1 = entropy_number(space, 1)
             for res in (e0, e1):
                 if res.exact is not None:
-                    out.check(res.exact <= res.upper_bound + 1e-12,
-                              f"exact entropy above greedy in space {rep}")
+                    out.gate(f"exact entropy over greedy in space {rep}", res.exact,
+                             res.upper_bound, tol=1e-12)
         if m_pts == 2:
-            out.check(abs(g2 - space.diameter) <= 1e-12,
-                      f"two-point gamma2 mismatch in space {rep}")
+            out.gate(f"two-point gamma2 off the diameter in space {rep}",
+                     abs(g2 - space.diameter), 1e-12)
     out.add_row(max_pts, cfg.k, "spaces_checked", n_spaces, 0.0, cfg.seed)
     out.add_summary("mean_gamma2_upper", float(np.mean(gammas)))
     out.figures["plot_chaining_demo.svg"] = (
@@ -552,7 +556,7 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
         echo(f"note: {note}")
     if outcome.failures:
         for failure in outcome.failures:
-            echo(f"FAIL: {failure}")
+            echo(failure)
         return 1
     echo(f"{cfg.experiment}: all assertions passed "
          f"({len(outcome.rows)} result rows in {out_dir})")

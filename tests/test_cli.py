@@ -326,6 +326,20 @@ class TestRunCommand:
         out = capsys.readouterr().out
         assert rc == 1
         assert "FAIL" in out and "slope" in out
+        # the FAIL line gives the gated value, |slope - target|, and its bound
+        with open(tmp_path / "out" / "summary.csv", newline="") as fh:
+            slope = next(float(row[2]) for row in csv.reader(fh) if row[1] == "slope")
+        assert f": {abs(slope + 0.5):.6g} > 1e-06\n" in out
+
+    def test_scaling_k2_failure_gives_the_ratio_and_its_bound(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_text(
+            "experiment = scaling-k2\n"
+            f"out_dir = {tmp_path / 'out'}\n"
+            "constants.stability_ratio = 1.0\n"
+        )
+        assert main(["run", str(config)]) == 1
+        assert "FAIL: k=2 rate constant stability: 1.06458 > 1\n" in capsys.readouterr().out
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"

@@ -7,7 +7,8 @@ raises on an overflowing distance), the k >= 2 Lipschitz oracle and the
 Gaussian Gram matrix.  The one thread pool is built in
 experiments._map_cells.  Exact covering and entropy numbers come from one
 search, chaining._min_cover_radius, and the tail sampler reads q through
-one searchsorted, in tails._grid_index."""
+one searchsorted, in tails._grid_index.  Every experiment check is an
+ExperimentOutcome.gate call, and only the gate records a failure."""
 
 import ast
 from pathlib import Path
@@ -110,3 +111,36 @@ def test_the_tail_sampler_has_one_searchsorted():
     source = _read("tails.py")
     assert callers(source, "searchsorted") == ["_grid_index"]
     assert callers(source, "_grid_index") == ["_sampler_index", "_sampler_table"]
+
+
+def failure_writers(source: str) -> list:
+    """The functions of source that grow a `failures` list: a method call
+    on it (append, extend, ...) or an augmented assignment to it."""
+    def grows(node):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            target = node.func.value
+        elif isinstance(node, ast.AugAssign):
+            target = node.target
+        else:
+            return False
+        return "failures" in (getattr(target, "attr", None), getattr(target, "id", None))
+
+    return sorted(qual for qual, fn in _functions(ast.parse(source))
+                  for node in ast.walk(fn) if grows(node))
+
+
+def test_failure_writers_find_planted_cases():
+    source = ("class O:\n    def g(self):\n        self.failures.append(1)\n"
+              "def f(out, failures):\n    out.failures.extend([2])\n    failures += [3]\n"
+              "def h(out):\n    return out.failures[0], out.rows.append(4)\n")
+    assert failure_writers(source) == ["O.g", "f", "f"]
+
+
+def test_every_experiment_check_is_a_gate():
+    source = _read("experiments.py")
+    assert failure_writers(source) == ["ExperimentOutcome.gate"]
+    assert "ExperimentOutcome.check" not in dict(_functions(ast.parse(source)))
+    assert callers(source, "check") == []
+    assert set(callers(source, "gate")) == {
+        "_run_lemma_checks", "_run_scaling", "_run_composition", "_run_rkhs",
+        "_run_tails_demo", "_run_chaining_demo"}

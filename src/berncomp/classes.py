@@ -16,10 +16,11 @@ not be a cone).  Four concrete classes are provided:
   ambient dimension k it is solved, up to 64 points, as its transport
   dual on a small dense simplex: cancel c+ against c- at cost L*d_ij, or
   send mass to the bank at B per unit (Kantorovich-Rubinstein duality for
-  the bounded-Lipschitz ball; sizes and timings in simplex.py).  For
-  k = 1 an exact slope-trick dynamic program solves it at any point
-  count, in one sort plus O(1) amortized deque work per point for +-1
-  coefficients and at most O(n^2) for real coefficients.
+  the bounded-Lipschitz ball; sizes and timings in simplex.py), on one
+  distance matrix per batch.  For k = 1 an exact slope-trick dynamic
+  program solves it at any point count, in one sort per batch plus O(1)
+  amortized deque work per point for +-1 coefficients and at most O(n^2)
+  for real coefficients.
 * Gaussian-kernel RKHS balls of radius rho: Riesz representation gives the
   closed form rho * sqrt(c' G c) with G the kernel Gram matrix, formed
   from the same core.distances as the Lipschitz costs, so every finite
@@ -142,8 +143,9 @@ class FiniteFunctionClass:
 # ---------------------------------------------------------------------------
 
 
-def _lipschitz_sup_simplex(pts: np.ndarray, c: np.ndarray, L: float, B: float) -> float:
-    """Transport dual of the all-pairs LP, correct in every dimension k.
+def _lipschitz_sup_simplex(pts: np.ndarray, C: np.ndarray, L: float, B: float) -> np.ndarray:
+    """Transport dual of the all-pairs LP, correct in every dimension k, for
+    every row c of C: the distances are formed once, one LP per row.
 
     A unit of c+ at point i can be cancelled against a unit of c- at point j
     for L * d_ij, or each can go to the bank (|y| <= B) for B.  With gains
@@ -184,31 +186,52 @@ def _lipschitz_sup_simplex(pts: np.ndarray, c: np.ndarray, L: float, B: float) -
             f"dense simplex oracle capped at n = {SIMPLEX_MAX_POINTS} points, got {n}; "
             "use sampled finite subclasses for larger problems"
         )
-    plus, minus = np.flatnonzero(c > 0), np.flatnonzero(c < 0)
-    cost = L * distances(pts)[plus[:, None], minus]
-    i, j = np.nonzero(cost < 2.0 * B)  # g_ij > 0
-    cost = cost[i, j]
-    gain = 2.0 * B - cost
-    cols = np.arange(len(gain))
-    A = np.zeros((n, len(gain)))
-    A[plus[i], cols] = 1.0
-    A[minus[j], cols] = 1.0
-    mass = np.abs(c)
-    e_gain = np.frexp(max(cost.max(initial=0.0), 2.0 * B * GAIN_SCALE_FLOOR))[1]
-    e_mass = np.frexp(mass.max())[1]
-    value, _ = simplex_maximize(np.ldexp(gain, -e_gain), A, np.ldexp(mass, -e_mass))
-    return float(B * mass.sum() - np.ldexp(value, e_gain + e_mass))
+    costs = L * distances(pts)
+    out = np.empty(len(C))
+    for row, c in enumerate(C):
+        plus, minus = np.flatnonzero(c > 0), np.flatnonzero(c < 0)
+        cost = costs[plus[:, None], minus]
+        i, j = np.nonzero(cost < 2.0 * B)  # g_ij > 0
+        cost = cost[i, j]
+        gain = 2.0 * B - cost
+        cols = np.arange(len(gain))
+        A = np.zeros((n, len(gain)))
+        A[plus[i], cols] = 1.0
+        A[minus[j], cols] = 1.0
+        mass = np.abs(c)
+        e_gain = np.frexp(max(cost.max(initial=0.0), 2.0 * B * GAIN_SCALE_FLOOR))[1]
+        e_mass = np.frexp(mass.max())[1]
+        value, _ = simplex_maximize(np.ldexp(gain, -e_gain), A, np.ldexp(mass, -e_mass))
+        out[row] = B * mass.sum() - np.ldexp(value, e_gain + e_mass)
+    return out
 
 
-def _lipschitz_sup_line(x: np.ndarray, c: np.ndarray, L: float, B: float) -> float:
-    """Exact 1-d path solver: a slope-trick dynamic program over concave
-    piecewise-linear value functions.
+def _lipschitz_sup_line(x: np.ndarray, C: np.ndarray, L: float, B: float) -> np.ndarray:
+    """Exact 1-d path solver for every row of C: one stable sort of x and
+    one vector of window halfwidths min(L * gap, 2B) per batch, then
+    _line_dp on each row's coefficients in sorted order, one row at a time.
 
-    Processing points in sorted order, V_i(y) is the best objective over the
-    first i points given y_i = y, on [-B, B].  Each step is a sliding-window
-    maximum (halfwidth a = L * gap), a clip back to [-B, B] and the addition
-    of c_i * y.  On the line the adjacent constraints imply all pairwise
-    ones, so this matches the all-pairs LP exactly.
+    A float64 subtraction and product round the same in numpy as in
+    Python, so every halfwidth, and every value, has the bits of a scalar
+    loop; a gap or product past the float range is inf and caps to 2B.
+    """
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    with np.errstate(over="ignore"):
+        gaps = np.minimum(L * np.diff(xs, prepend=xs[0]), 2.0 * B).tolist()
+    return np.array([_line_dp(gaps, c[order].tolist(), B) for c in C], dtype=float)
+
+
+def _line_dp(gaps: list, cs: list, B: float) -> float:
+    """Slope-trick dynamic program over concave piecewise-linear value
+    functions, for coefficients cs in sorted point order; gaps[i] is the
+    window halfwidth between points i - 1 and i (gaps[0] = 0).
+
+    V_i(y) is the best objective over the first i points given y_i = y, on
+    [-B, B].  Each step is a sliding-window maximum (halfwidth a), a clip
+    back to [-B, B] and the addition of c_i * y.  On the line the adjacent
+    constraints imply all pairwise ones, so this matches the all-pairs LP
+    exactly.
 
     V is stored as its value at -B plus a run of segments (key, width) in
     increasing key order, where key is the running coefficient sum S at the
@@ -223,18 +246,12 @@ def _lipschitz_sup_line(x: np.ndarray, c: np.ndarray, L: float, B: float) -> flo
     when no step moves more than a bounded number of segments, as with
     +-1 coefficients.
     """
-    order = np.argsort(x, kind="stable")
-    xs = x[order].tolist()
-    cs = c[order].tolist()
     left = deque()   # [key, width] with key < S, outer end first
     right = deque()  # [key, width] with key > S, inner end first
     plateau = 2.0 * B
     total = 0.0      # S
     value = 0.0      # V(-B)
-    prev = xs[0]
-    for xi, ci in zip(xs, cs):
-        a = min(L * (xi - prev), 2.0 * B)
-        prev = xi
+    for a, ci in zip(gaps, cs):
         if a > 0.0:
             plateau += 2.0 * a
             rest = a
@@ -294,16 +311,23 @@ def lipschitz_ball_sup(points, c, L: float, R: float, method: str = "auto") -> f
     """
     B = _lipschitz_bound(L, R)
     pts = _as_points(points)
-    n, k = pts.shape
-    c = _as_coeffs(c, n)
+    c = _as_coeffs(c, pts.shape[0])
+    return float(_lipschitz_sup_rows(pts, c[None], L, B, method)[0])
+
+
+def _lipschitz_sup_rows(pts: np.ndarray, C: np.ndarray, L: float, B: float,
+                        method: str = "auto") -> np.ndarray:
+    """The supremum for every row of C, on validated points and rows, by
+    the backend that method names."""
+    k = pts.shape[1]
     if method == "auto":
         method = "line" if k == 1 else "simplex"
     if method == "line":
         if k != 1:
             raise InvalidInputError("the line solver requires k = 1 points")
-        return _lipschitz_sup_line(pts[:, 0], c, L, B)
+        return _lipschitz_sup_line(pts[:, 0], C, L, B)
     if method == "simplex":
-        return _lipschitz_sup_simplex(pts, c, L, B)
+        return _lipschitz_sup_simplex(pts, C, L, B)
     raise InvalidInputError(f"unknown method {method!r}")
 
 
@@ -321,10 +345,12 @@ class LipschitzBall:
         return lipschitz_ball_sup(points, c, self.lipschitz_L, self.radius_R)
 
     def sup_batch(self, points, C) -> np.ndarray:
+        """The supremum for every row of C, with the points validated, and
+        sorted (k = 1) or their distances formed (k >= 2), once per batch."""
         pts = _as_points(points)
         C = _as_coeff_rows(C, pts.shape[0])
-        return np.array([lipschitz_ball_sup(pts, c, self.lipschitz_L, self.radius_R)
-                         for c in C], dtype=float)
+        B = _lipschitz_bound(self.lipschitz_L, self.radius_R)
+        return _lipschitz_sup_rows(pts, C, self.lipschitz_L, B)
 
     def as_oracle(self) -> "LipschitzBall":
         # Kept only because perfbench's lipschitz-k2 workload calls it.

@@ -203,6 +203,12 @@ def increment_ratio(fclass, S: PointSet,
     degenerate a DegenerateSetError is raised.  The distances are the
     core._element_distances.  The same sign draws are used for every pair
     (common random numbers) to reduce ratio variance.
+
+    Memory: each pair's mean is taken over its whole vector of per-row
+    suprema, which keeps the bits of a one-shot mean, so those vectors are
+    held until the last weight block: pairs x rows x 8 bytes.  At 20
+    elements of 8 points (190 pairs) and 20000 samples that is 30.4 MB,
+    and tracemalloc peaks at 31.8 MB for the RKHS ball.
     """
     cfg = cfg or DEFAULT_CONFIG
     if S.n_elements < 2:

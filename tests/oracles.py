@@ -3,13 +3,14 @@
 Nothing here touches the library's solver paths: values come from direct
 enumeration, grid search, interval arithmetic, scipy's LP solver on the
 primal all-pairs LP, and earlier implementations kept as references (the
-list-rebuilding line DP, the dense simplex, the list-and-delete
-farthest-first order), so agreement between these oracles and the library
-is a genuine two-route check.
+list-rebuilding line DP, the one-row slope-trick line DP, the dense
+simplex, the list-and-delete farthest-first order), so agreement between
+these oracles and the library is a genuine two-route check.
 """
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 
@@ -160,6 +161,72 @@ def reference_line_dp(x: np.ndarray, c: np.ndarray, L: float, B: float) -> float
         if ci != 0.0:
             vs = [v + ci * p for p, v in zip(xs, vs)]
     return float(max(vs))
+
+
+def reference_slope_trick_line(x: np.ndarray, c: np.ndarray, L: float, B: float) -> float:
+    """The library's slope-trick line solver in its one-row form: it sorts
+    x and forms each window halfwidth min(L * gap, 2B) in Python floats on
+    every call.  LipschitzBall.sup_batch, which sorts once per batch and
+    forms the halfwidths in numpy, must give these bits row by row."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order].tolist()
+    cs = c[order].tolist()
+    left = deque()   # [key, width] with key < S, outer end first
+    right = deque()  # [key, width] with key > S, inner end first
+    plateau = 2.0 * B
+    total = 0.0      # S
+    value = 0.0      # V(-B)
+    prev = xs[0]
+    for xi, ci in zip(xs, cs):
+        a = min(L * (xi - prev), 2.0 * B)
+        prev = xi
+        if a > 0.0:
+            plateau += 2.0 * a
+            rest = a
+            while left and left[0][1] <= rest:
+                key, width = left.popleft()
+                value += (total - key) * width
+                rest -= width
+            if rest > 0.0:
+                if left:
+                    left[0][1] -= rest
+                    value += (total - left[0][0]) * rest
+                else:
+                    plateau -= rest
+            rest = a
+            while right and right[-1][1] <= rest:
+                rest -= right.pop()[1]
+            if rest > 0.0:
+                if right:
+                    right[-1][1] -= rest
+                else:
+                    plateau -= rest
+        if ci == 0.0:
+            continue
+        value -= B * ci
+        new_total = total + ci
+        if ci > 0.0:
+            if plateau > 0.0:
+                left.append([total, plateau])
+            plateau = 0.0
+            while right and right[0][0] <= new_total:
+                seg = right.popleft()
+                if seg[0] < new_total:
+                    left.append(seg)
+                else:
+                    plateau += seg[1]
+        else:
+            if plateau > 0.0:
+                right.appendleft([total, plateau])
+            plateau = 0.0
+            while left and left[-1][0] >= new_total:
+                seg = left.pop()
+                if seg[0] > new_total:
+                    right.appendleft(seg)
+                else:
+                    plateau += seg[1]
+        total = new_total
+    return float(value + sum((total - key) * width for key, width in left))
 
 
 # Constants of the reference dense simplex below.

@@ -11,6 +11,7 @@ from berncomp import (
     GaussianRkhsBall,
     InvalidInputError,
     LipschitzBall,
+    classes,
     gaussian_gram,
     lipschitz_ball_sup,
     oracle_convexity_check,
@@ -18,7 +19,8 @@ from berncomp import (
     simplex_maximize,
 )
 from oracles import (grid_lipschitz_sup, linprog_lipschitz_sup, reference_dense_simplex,
-                     reference_line_dp, rkhs_ball_mc_lower, rkhs_representer_value)
+                     reference_line_dp, reference_slope_trick_line, rkhs_ball_mc_lower,
+                     rkhs_representer_value)
 
 
 def _random_box_lps():
@@ -234,6 +236,20 @@ class TestLipschitzBallSup:
         with pytest.raises(BudgetExceededError):
             lipschitz_ball_sup(pts, np.ones(65), 1.0, 1.0, method="simplex")
 
+    def test_batch_over_the_cap_fails_before_any_lp(self, monkeypatch):
+        # one budget error for the whole batch, raised before the distances
+        # are formed or any transport LP is built
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached past the point-count check")
+
+        monkeypatch.setattr(classes, "distances", unreachable)
+        monkeypatch.setattr(classes, "simplex_maximize", unreachable)
+        C = np.ones((3, 65))
+        with pytest.raises(BudgetExceededError,
+                           match="dense simplex oracle capped at n = 64 points, got 65; "
+                                 "use sampled finite subclasses for larger problems"):
+            LipschitzBall(1.0, 1.0).sup_batch(np.zeros((65, 2)), C)
+
     @pytest.mark.parametrize("n", [1, 2, 16, 64, 256])
     def test_line_solver_matches_reference_dp(self, n):
         # above n = SIMPLEX_MAX_POINTS this is the only two-route check of the line solver
@@ -264,6 +280,19 @@ class TestLipschitzBallSup:
         assert val == 3.0
         val = lipschitz_ball_sup([[-1e200], [1e200]], [1.0, 1.0], L=1.0, R=1.0)
         assert val == 2.0
+        # the batch forms every gap at once: a gap past the float range
+        # (1e308 - -1e308) and a product L * gap past it are inf, capped to
+        # 2B with no overflow warning
+        C = np.array([[1.0, 1.0], [1.0, -1.0]])
+        vals = LipschitzBall(1.0, 1.0).sup_batch([[-1e308], [1e308]], C)
+        assert vals.tolist() == [2.0, 2.0]
+        x = np.array([0.0, 1.0, 3.0, 3.5, 1e10])  # L * 1e10 overflows
+        C = np.array([[1.0, -1.0, 1.0, -1.0, 1.0], [0.5, 2.0, -1.0, 0.0, -3.0]])
+        vals = LipschitzBall(1e300, 1e-300).sup_batch(x, C)
+        B = 1e300 * 1e-300
+        # every gap is at least 2B / L, so the points are independent
+        assert vals.tolist() == [5.0 * B, 6.5 * B]
+        assert vals.tolist() == [reference_slope_trick_line(x, c, 1e300, B) for c in C]
 
     @pytest.mark.parametrize("k", [2, 3])
     @pytest.mark.parametrize("layout", ["signs", "real with zeros", "coincident",
@@ -476,6 +505,78 @@ class TestPowerOfTwoScaling:
         pts = np.asarray(problem[0])
         assert np.array_equal(gaussian_gram(np.ldexp(pts, e), math.ldexp(sigma, e)),
                               gaussian_gram(pts, sigma))
+
+
+@st.composite
+def _line_batches(draw):
+    """Points on the line, at unit scale or near 1e-170 or 1e160 (with L and
+    R rescaled half of the time so the gaps stay of order B / L), with
+    coincident points and mixed 0.0 and -0.0, and rows of +-1 or of real
+    coefficients with zeros."""
+    n = draw(st.integers(1, 24))
+    values = (st.sampled_from([0.0, -0.0]) | st.integers(-8, 8).map(lambda v: v / 4)
+              | st.floats(-1.0, 1.0, allow_subnormal=False))
+    scale = draw(st.sampled_from([1.0, 1e-170, 1e160]))
+    x = np.array(draw(st.lists(values, min_size=n, max_size=n))) * scale
+    if draw(st.booleans()):
+        coeffs = st.sampled_from([-1.0, 1.0])
+    else:
+        coeffs = st.just(0.0) | st.floats(-3.0, 3.0, allow_subnormal=False)
+    C = np.array(draw(st.lists(st.lists(coeffs, min_size=n, max_size=n),
+                               min_size=1, max_size=6)))
+    L, R = draw(st.floats(0.25, 4.0)), draw(st.floats(0.25, 4.0))
+    if draw(st.booleans()):
+        L, R = L / scale, R * scale
+    return x, C, L, R
+
+
+class TestBatchedLipschitzBits:
+    """sup_batch sorts the points and forms their halfwidths (k = 1), or
+    their distances (k >= 2), once per batch; every row keeps the bits of
+    the one-row solvers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_line_batches())
+    def test_line_batch_is_the_one_row_solver(self, batch):
+        x, C, L, R = batch
+        ref = np.array([reference_slope_trick_line(x, c, L, L * R) for c in C])
+        assert LipschitzBall(L, R).sup_batch(x, C).tobytes() == ref.tobytes()
+        assert lipschitz_ball_sup(x, C[0], L, R) == ref[0]
+
+    @pytest.mark.parametrize("layout", ["signs", "real with zeros", "coincident", "signed zeros"])
+    def test_line_batch_at_256_points(self, layout):
+        rng = np.random.default_rng(256)
+        x = rng.uniform(-1.0, 1.0, size=256)
+        C = rng.choice([-1.0, 1.0], size=(8, 256))
+        if layout == "real with zeros":
+            C = rng.normal(size=(8, 256))
+            C[:, ::3] = 0.0
+        elif layout == "coincident":
+            x = np.round(x * 4) / 4
+        elif layout == "signed zeros":
+            x[::2] = 0.0
+            x[1::4] = -0.0
+        ref = np.array([reference_slope_trick_line(x, c, 1.5, 1.5 * 0.75) for c in C])
+        assert LipschitzBall(1.5, 0.75).sup_batch(x, C).tobytes() == ref.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(_plane_problems, st.lists(st.sampled_from([-1.0, 0.0, 1.0, 0.5, -2.5]),
+                                     min_size=30, max_size=30))
+    def test_plane_batch_is_row_by_row(self, problem, extra):
+        pts, c, L, R = problem
+        pts = np.asarray(pts)
+        n = len(c)
+        C = np.array([c, [-v for v in c], extra[:n], extra[n: 2 * n]])
+        rows = [lipschitz_ball_sup(pts, row, L, R) for row in C]
+        assert LipschitzBall(L, R).sup_batch(pts, C).tobytes() == np.array(rows).tobytes()
+
+    def test_plane_batch_at_the_cap(self):
+        rng = np.random.default_rng(64)
+        pts = rng.uniform(-1.0, 1.0, size=(64, 2))
+        pts[32:40] = pts[:8]  # coincident pairs
+        C = np.vstack([rng.choice([-1.0, 1.0], size=(2, 64)), rng.normal(size=(1, 64))])
+        rows = [lipschitz_ball_sup(pts, row, 1.0, 1.0) for row in C]
+        assert LipschitzBall(1.0, 1.0).sup_batch(pts, C).tobytes() == np.array(rows).tobytes()
 
 
 class TestRkhsBallSup:

@@ -6,17 +6,19 @@ sup over its class of sum_i c_i f(x_i):
 * a finite tabulated class (row-wise maximum),
 * the Lipschitz ball {f : L-Lipschitz, |f| <= L R} (a linear program over
   attainable value vectors; any feasible vector extends to a real function),
-* a Gaussian-kernel RKHS ball (Gram-matrix closed form).
+* a Gaussian-kernel RKHS ball (Gram-matrix closed form),
+* an anchor-distance class clip(L ||x - a_j|| + s_j, -B, B), a finite
+  L-Lipschitz family in any dimension (row-wise maximum of its table).
 """
 
 import numpy as np
 
 from berncomp import (
+    AnchorDistanceClass,
     FiniteFunctionClass,
     GaussianRkhsBall,
     lipschitz_ball_sup,
     oracle_convexity_check,
-    sample_piecewise_linear_class,
 )
 
 rng = np.random.default_rng(0)
@@ -49,9 +51,14 @@ vals = (A @ (G @ c4)) / np.sqrt(np.einsum("si,ij,sj->s", A, G, A))
 print(f"  closed form = {closed:.4f}, best of 2000 sampled members = {vals.max():.4f}")
 
 print("\nEvery oracle is convex in the coefficients:")
-pl = sample_piecewise_linear_class(20, L=1.0, R=1.0, seed=4)
-for name, fclass in [("finite", cls), ("rkhs", ball), ("piecewise-linear", pl)]:
-    pts_n = rng.uniform(-1, 1, size=(cls.n_points if name == "finite" else 4, 1))
+anchor_1, anchor_2 = (
+    AnchorDistanceClass(rng.uniform(-1, 1, size=(20, k)), rng.uniform(-1, 1, size=20), 1.0, 1.0)
+    for k in (1, 2)
+)
+for name, fclass, k in [("finite", cls, 1), ("rkhs", ball, 1),
+                        ("anchor-distance, k = 1", anchor_1, 1),
+                        ("anchor-distance, k = 2", anchor_2, 2)]:
+    pts_n = rng.uniform(-1, 1, size=(cls.n_points if name == "finite" else 4, k))
     n = pts_n.shape[0]
     ok = all(
         oracle_convexity_check(fclass, pts_n, rng.normal(size=n),

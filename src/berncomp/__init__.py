@@ -24,14 +24,13 @@ from .chaining import (
     truncation_objective,
 )
 from .classes import (
+    AnchorDistanceClass,
     FiniteFunctionClass,
     GaussianRkhsBall,
     LipschitzBall,
-    PiecewiseLinearClass,
     gaussian_gram,
     lipschitz_ball_sup,
     oracle_convexity_check,
-    sample_piecewise_linear_class,
 )
 from .complexity import (
     EstimatorConfig,

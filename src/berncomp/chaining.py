@@ -333,9 +333,13 @@ def composite_entropy_bound(n: int, L: float, bT: float, profile: EntropyProfile
         c1 * L * bT + n * min over M of [e_M + sum_{m<=M} 2^(m/2) e_m / sqrt(n)]
 
     Returns (bound, minimizing M); the scan over M is exhaustive over the
-    profile, so the reported minimum is exact for the given values.
+    profile, so the reported minimum is exact for the given values.  L and
+    c1 must be finite and positive, bT finite and nonnegative.
     """
     _check_count("n", n, 1)
+    _check_scales(L=L, c1=c1)
+    if not 0.0 <= bT < math.inf:
+        raise InvalidInputError(f"bT must be finite and nonnegative, got {bT!r}")
     vals = profile.values
     sqrt_n = math.sqrt(n)
     running = 0.0

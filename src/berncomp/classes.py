@@ -25,8 +25,9 @@ not be a cone).  Four concrete classes are provided:
   closed form rho * sqrt(c' G c) with G the kernel Gram matrix, formed
   from the same core.distances as the Lipschitz costs, so every finite
   positive sigma gives the exact kernel at any scale of the points.
-* PiecewiseLinearClass: finitely many piecewise-linear functions on the
-  line, evaluable at any point.
+* AnchorDistanceClass: the r functions clip(L * ||x - a_j|| + s_j, -B, B),
+  a finite L-Lipschitz family bounded by B in every dimension k; its
+  supremum is the row maximum of C times its value table, with no size cap.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_readonly, _check_count, _check_scales, _row_max, distances
+from .core import _as_readonly, _check_scales, _row_max, distances
 from .errors import BudgetExceededError, InvalidInputError
 # Called through this name: perfbench's tracer wraps classes.simplex_maximize.
 from .simplex import simplex_maximize
@@ -55,9 +56,6 @@ GRAM_NEGATIVE_TOL = -1e-12
 
 # Absolute slack allowed by oracle_convexity_check.
 CONVEXITY_TOL = 1e-9
-
-# Uniform grid cells of each function drawn by sample_piecewise_linear_class.
-PIECEWISE_LINEAR_CELLS = 32
 
 
 def _as_points(points) -> np.ndarray:
@@ -406,7 +404,47 @@ class GaussianRkhsBall:
 
 
 # ---------------------------------------------------------------------------
-# Validation harness and samplers
+# Anchor-distance classes
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AnchorDistanceClass:
+    """The r functions f_j(x) = clip(L * ||x - a_j|| + s_j, -B, B) on R^k,
+    one per row a_j of anchors and entry s_j of shifts.  Each is
+    L-Lipschitz (clipping is a contraction) and bounded by B at every k;
+    with one anchor at 0 and shift 0 it is the norm, scaled and clipped."""
+
+    anchors: np.ndarray  # (r, k)
+    shifts: np.ndarray   # (r,)
+    lipschitz_L: float
+    uniform_bound_B: float
+
+    def __post_init__(self):
+        _check_scales(lipschitz_L=self.lipschitz_L, uniform_bound_B=self.uniform_bound_B)
+        anchors = _as_points(self.anchors)
+        object.__setattr__(self, "anchors", _as_readonly(anchors))
+        object.__setattr__(self, "shifts", _as_readonly(_as_coeffs(self.shifts, len(anchors))))
+
+    def values(self, points) -> np.ndarray:
+        """The (r, n) table f_j(x_i), on core.distances of the anchors
+        stacked over the points."""
+        pts = _as_points(points)
+        r, k = self.anchors.shape
+        if pts.shape[1] != k:
+            raise InvalidInputError(f"points have k = {pts.shape[1]}, the anchors k = {k}")
+        with np.errstate(over="ignore"):  # L * d past the float range is inf and clips to B
+            f = self.lipschitz_L * distances(np.vstack([self.anchors, pts]))[:r, r:]
+        f += self.shifts[:, None]
+        return np.clip(f, -self.uniform_bound_B, self.uniform_bound_B, out=f)
+
+    def sup_batch(self, points, C) -> np.ndarray:
+        table = self.values(points)
+        return _row_max(_as_coeff_rows(C, table.shape[1]) @ table.T)
+
+
+# ---------------------------------------------------------------------------
+# Validation harness
 # ---------------------------------------------------------------------------
 
 
@@ -420,46 +458,3 @@ def oracle_convexity_check(fclass, points, c1, c2, lam: float) -> bool:
     c2 = _as_coeffs(c2, pts.shape[0])
     v1, v2, mixed = fclass.sup_batch(pts, np.stack([c1, c2, lam * c1 + (1.0 - lam) * c2]))
     return mixed <= lam * v1 + (1.0 - lam) * v2 + CONVEXITY_TOL
-
-
-@dataclass(frozen=True)
-class PiecewiseLinearClass:
-    """Finitely many L-Lipschitz piecewise-linear functions on [-R, R],
-    evaluable anywhere on the interval."""
-
-    knots: np.ndarray   # (cells + 1,)
-    values: np.ndarray  # (r, cells + 1)
-
-    def eval_batch(self, x) -> np.ndarray:
-        """Values of every function at the given 1-d points, shape (r, len(x))."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.vstack([np.interp(x, self.knots, row) for row in self.values])
-
-    def sup_batch(self, points, C) -> np.ndarray:
-        pts = _as_points(points)
-        if pts.shape[1] != 1:
-            raise InvalidInputError("piecewise-linear classes live on the line")
-        C = _as_coeff_rows(C, pts.shape[0])
-        return _row_max(C @ self.eval_batch(pts[:, 0]).T)
-
-
-def sample_piecewise_linear_class(n_functions: int, L: float, R: float,
-                                  seed: int) -> PiecewiseLinearClass:
-    """Random L-Lipschitz piecewise-linear functions on [-R, R]: random
-    slopes in [-L, L] on a uniform grid of PIECEWISE_LINEAR_CELLS cells,
-    clipped to [-L*R, L*R].
-
-    Clipping is a contraction, so the Lipschitz certificate survives it.
-    """
-    _check_count("n_functions", n_functions, 1)
-    B = _lipschitz_bound(L, R)
-    _check_count("seed", seed)
-    rng = np.random.default_rng(seed)
-    knots = np.linspace(-R, R, PIECEWISE_LINEAR_CELLS + 1)
-    dx = knots[1] - knots[0]
-    slopes = rng.uniform(-L, L, size=(n_functions, PIECEWISE_LINEAR_CELLS))
-    starts = rng.uniform(-B, B, size=(n_functions, 1))
-    values = np.concatenate([starts, starts + np.cumsum(slopes * dx, axis=1)], axis=1)
-    values = np.clip(values, -B, B)
-    return PiecewiseLinearClass(_as_readonly(knots), _as_readonly(values))
-

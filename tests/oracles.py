@@ -2,10 +2,11 @@
 
 Nothing here touches the library's solver paths: values come from direct
 enumeration, grid search, interval arithmetic, scipy's LP solver on the
-primal all-pairs LP, and earlier implementations kept as references (the
-list-rebuilding line DP, the one-row slope-trick line DP, the dense
-simplex, the list-and-delete farthest-first order), so agreement between
-these oracles and the library is a genuine two-route check.
+primal all-pairs LP, per-function, per-point Python tables, and earlier
+implementations kept as references (the list-rebuilding line DP, the
+one-row slope-trick line DP, the dense simplex, the list-and-delete
+farthest-first order), so agreement between these oracles and the library
+is a genuine two-route check.
 """
 
 import itertools
@@ -350,6 +351,20 @@ def rkhs_representer_value(pts, c, sigma, rho):
     norm = math.sqrt(norm2)
     f = [rho * math.fsum(c[j] * K[j][i] for j in range(n)) / norm for i in range(n)]
     return math.fsum(ci * fi for ci, fi in zip(c, f)), norm2, scale
+
+
+def reference_anchor_distance_table(anchors, shifts, L, B, points):
+    """f_j(x_i) = clip(L * ||x_i - a_j|| + s_j, -B, B) as nested lists, one
+    function and one point at a time in Python floats.  The distance is
+    math.hypot, which squares no coordinate, so points 1e160 apart need no
+    rescaling; a product L * d past the float range is inf and clips to B."""
+    return [[min(max(L * math.hypot(*(float(u) - float(v) for u, v in zip(x, a))) + float(s), -B), B)
+             for x in points] for a, s in zip(anchors, shifts)]
+
+
+def reference_table_sup(table, c):
+    """max over the rows f of the table of sum_i c_i f_i, by math.fsum."""
+    return max(math.fsum(float(ci) * fi for ci, fi in zip(c, row)) for row in table)
 
 
 def reference_farthest_first_order(dist):

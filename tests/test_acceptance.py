@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from berncomp import (
+    AnchorDistanceClass,
     EstimatorConfig,
     GaussianRkhsBall,
     PointSet,
@@ -29,7 +30,6 @@ from berncomp import (
     min_truncation_objective,
     norm_pq,
     sample_from_capped_tail,
-    sample_piecewise_linear_class,
     uncenter_tail,
 )
 from berncomp.complexity import _weights
@@ -124,7 +124,9 @@ def test_criterion_3_exact_vs_monte_carlo():
     for trial in range(500):
         rng = np.random.default_rng(SEED + 40000 + trial)
         n = int(rng.integers(4, 11))
-        cls = sample_piecewise_linear_class(5, L=1.0, R=1.0, seed=trial)
+        cls_rng = np.random.default_rng(trial)
+        cls = AnchorDistanceClass(cls_rng.uniform(-1.0, 1.0, size=(5, 1)),
+                                  cls_rng.uniform(-1.0, 1.0, size=5), 1.0, 1.0)
         T = PointSet(rng.uniform(-1.0, 1.0, size=(5, 1, n)))
         exact = composite_bernoulli_complexity(
             cls, T, EstimatorConfig(mode="exact", seed=trial))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from berncomp import (
     AdmissibleSequence,
+    AnchorDistanceClass,
     EntropyProfile,
     EstimatorConfig,
     FiniteMetricSpace,
@@ -24,7 +25,6 @@ from berncomp import (
     lipschitz_entropy_formula,
     metric_space_from_pointset,
     min_truncation_objective,
-    sample_piecewise_linear_class,
     sequence_from_text,
     sequence_to_text,
     truncation_objective,
@@ -232,15 +232,20 @@ class TestLipschitzEntropyFormula:
         assert lipschitz_entropy_formula(3, 1.0, 1.0, 1, 4.0) == pytest.approx(c / 8)
 
     def test_empirical_class_entropy_below_formula(self):
-        # 200 random 1-Lipschitz piecewise-linear functions on [-1, 1],
-        # uniform metric over a 64-point grid
-        cls = sample_piecewise_linear_class(200, L=1.0, R=1.0, seed=42)
-        grid = np.linspace(-1.0, 1.0, 64)
-        t = cls.eval_batch(grid)
+        # 200 random 1-Lipschitz anchor-distance functions bounded by 1,
+        # anchors and shifts uniform in [-1, 1], uniform metric over a
+        # 64-point grid
+        rng = np.random.default_rng(42)
+        cls = AnchorDistanceClass(rng.uniform(-1.0, 1.0, size=(200, 1)),
+                                  rng.uniform(-1.0, 1.0, size=200), 1.0, 1.0)
+        t = cls.values(np.linspace(-1.0, 1.0, 64))
         space = FiniteMetricSpace(np.abs(t[:, None] - t[None]).max(2))
         for m in range(5):
             e_m = entropy_number(space, m).upper_bound
             assert e_m <= lipschitz_entropy_formula(m, 1.0, 1.0, 1, 4.0) + 1e-12
+
+
+_PROFILE = EntropyProfile((1.0, 0.5, 0.25))
 
 
 @pytest.mark.parametrize("call, message", [
@@ -255,12 +260,23 @@ class TestLipschitzEntropyFormula:
     (lambda: min_truncation_objective(1.5, 64), "k must be an integer"),
     (lambda: composite_rate(64.5, 2), "n must be an integer"),
     (lambda: composite_rate(64, 1.5), "k must be an integer"),
+    (lambda: composite_entropy_bound(16, 1.0, math.nan, _PROFILE), "bT must be finite and nonnegative"),
+    (lambda: composite_entropy_bound(16, 1.0, math.inf, _PROFILE), "bT must be finite and nonnegative"),
+    (lambda: composite_entropy_bound(16, 1.0, -1.0, _PROFILE), "bT must be finite and nonnegative"),
+    (lambda: composite_entropy_bound(16, -1.0, 1.0, _PROFILE), "L must be finite and positive"),
+    (lambda: composite_entropy_bound(16, math.inf, 1.0, _PROFILE), "L must be finite and positive"),
+    (lambda: composite_entropy_bound(16, 1.0, 1.0, _PROFILE, c1=0.0),
+     "c1 must be finite and positive"),
+    (lambda: composite_entropy_bound(16, 1.0, 1.0, _PROFILE, c1=math.nan),
+     "c1 must be finite and positive"),
 ], ids=["covering-delta-nan", "entropy-L-nan", "entropy-C-inf", "truncation-M-fractional",
         "truncation-k-fractional", "truncation-n-fractional", "scan-k-fractional",
-        "rate-n-fractional", "rate-k-fractional"])
+        "rate-n-fractional", "rate-k-fractional", "bound-bT-nan", "bound-bT-inf",
+        "bound-bT-negative", "bound-L-negative", "bound-L-inf", "bound-c1-zero", "bound-c1-nan"])
 def test_rejects_non_finite_parameters(call, message):
     # covering_number leaked a bare StopIteration, the formula returned nan or
-    # inf, and the truncation scan and the rate took fractional counts
+    # inf, the truncation scan and the rate took fractional counts, and the
+    # composite bound returned (nan, 0) for a nan bT and took L = -1
     with pytest.raises(InvalidInputError, match=message):
         call()
 

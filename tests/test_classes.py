@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berncomp import (
+    AnchorDistanceClass,
     BudgetExceededError,
     FiniteFunctionClass,
     GaussianRkhsBall,
@@ -15,12 +16,18 @@ from berncomp import (
     gaussian_gram,
     lipschitz_ball_sup,
     oracle_convexity_check,
-    sample_piecewise_linear_class,
     simplex_maximize,
 )
-from oracles import (grid_lipschitz_sup, linprog_lipschitz_sup, reference_dense_simplex,
-                     reference_line_dp, reference_slope_trick_line, rkhs_ball_mc_lower,
-                     rkhs_representer_value)
+from oracles import (grid_lipschitz_sup, linprog_lipschitz_sup, pairwise_dist,
+                     reference_anchor_distance_table, reference_dense_simplex,
+                     reference_line_dp, reference_slope_trick_line, reference_table_sup,
+                     rkhs_ball_mc_lower, rkhs_representer_value)
+
+
+def _anchor_class(seed, r, k, L=1.0, B=1.0):
+    """r anchors in [-1, 1]^k and shifts in [-B, B], drawn from the seed."""
+    rng = np.random.default_rng(seed)
+    return AnchorDistanceClass(rng.uniform(-1, 1, size=(r, k)), rng.uniform(-B, B, size=r), L, B)
 
 
 def _random_box_lps():
@@ -168,17 +175,17 @@ class TestFiniteClassSup:
 
     @pytest.mark.parametrize("r", [1, 9, 17, 40])
     def test_sup_batch_bits_are_the_row_max_of_the_product(self, r):
-        # the finite and piecewise-linear classes take core._row_max of
+        # the finite and anchor-distance classes take core._row_max of
         # their products; without zero ties that is .max(axis=1) bit for bit
         # (at some widths .max(axis=1) gives a zero tie the other sign)
         rng = np.random.default_rng(r)
-        pts = rng.uniform(-1, 1, size=(7, 1))
+        pts = rng.uniform(-1, 1, size=(7, 2))
         C = rng.choice([-1.0, 1.0], size=(500, 7))
-        pl = sample_piecewise_linear_class(r, L=1.0, R=1.0, seed=r)
-        table = pl.eval_batch(pts[:, 0])
+        cls = _anchor_class(r, r, 2)
+        table = cls.values(pts)
         ref = (C @ table.T).max(axis=1).tobytes()
         assert FiniteFunctionClass(table=table, uniform_bound_B=1.0).sup_batch(None, C).tobytes() == ref
-        assert pl.sup_batch(pts, C).tobytes() == ref
+        assert cls.sup_batch(pts, C).tobytes() == ref
 
 
 class TestLipschitzBallSup:
@@ -353,12 +360,13 @@ class TestLipschitzBallSup:
         lambda: LipschitzBall(1e200, 1e200),
         lambda: FiniteFunctionClass(table=[[0.5]], uniform_bound_B=math.nan),
         lambda: FiniteFunctionClass(table=[[0.5]], uniform_bound_B=math.inf),
-        lambda: sample_piecewise_linear_class(3, L=math.nan, R=1.0, seed=0),
-        lambda: sample_piecewise_linear_class(3, L=1.0, R=math.inf, seed=0),
+        lambda: AnchorDistanceClass([[0.0]], [0.0], math.nan, 1.0),
+        lambda: AnchorDistanceClass([[0.0]], [0.0], 1.0, math.inf),
+        lambda: AnchorDistanceClass([[0.0]], [0.0], -1.0, 1.0),
     ], ids=["line-L-nan", "k2-L-nan", "k2-L-inf", "R-inf", "ball-R-inf", "ball-L-nan",
             "rkhs-sigma-nan", "rkhs-rho-inf", "rkhs-rho-negative", "gram-sigma-inf",
             "gram-sigma-nan", "line-LR-overflow", "k2-LR-overflow", "ball-LR-overflow",
-            "finite-B-nan", "finite-B-inf", "piecewise-L-nan", "piecewise-R-inf"])
+            "finite-B-nan", "finite-B-inf", "anchor-L-nan", "anchor-B-inf", "anchor-L-negative"])
     def test_rejects_non_finite_parameters(self, call):
         with pytest.raises(InvalidInputError, match="finite and positive"):
             call()
@@ -713,47 +721,64 @@ class TestOracleConvexity:
             )
 
 
-class TestPiecewiseLinearSampler:
-    def test_tabulated_lipschitz_certificate(self):
-        cls = sample_piecewise_linear_class(40, L=1.0, R=1.0, seed=9)
-        rng = np.random.default_rng(10)
-        pts = rng.uniform(-1, 1, size=12)
-        table = cls.eval_batch(pts)
+class TestAnchorDistanceClass:
+    """AnchorDistanceClass against a per-function, per-point Python table."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("scale, L", [(1.0, 1.0), (1e160, 1e-160), (1e160, 1.0), (1e160, 1e200)],
+                             ids=["unit", "apart-1e160", "apart-1e160-clipped", "apart-1e160-inf"])
+    def test_sup_batch_matches_the_reference_table(self, k, scale, L):
+        # points 0 and 1 coincide and point 2 sits on anchor 0, whose shift
+        # -2B clips to -B there; shift B clips function 1 to B at every
+        # other point; at scale 1e160 every squared distance overflows, and
+        # at L = 1e200 so does L * d
+        B = 1.5
+        rng = np.random.default_rng(40 + k)
+        anchors = scale * rng.uniform(-1, 1, size=(6, k))
+        shifts = np.concatenate([[-2.0 * B, B], rng.uniform(-2.0 * B, B, size=4)])
+        pts = scale * rng.uniform(-1, 1, size=(9, k))
+        pts[1] = pts[0]
+        pts[2] = anchors[0]
+        cls = AnchorDistanceClass(anchors, shifts, L, B)
+        ref = reference_anchor_distance_table(anchors, shifts, L, B, pts)
+        table = cls.values(pts)
+        assert table.shape == (6, 9)
+        assert np.all(np.abs(table - np.array(ref)) <= 1e-13 * B)
+        assert table[0, 2] == -B and table[1].max() == B
+        C = np.vstack([rng.choice([-1.0, 1.0], size=(20, 9)), rng.normal(size=(20, 9))])
+        got = cls.sup_batch(pts, C)
+        for c, value in zip(C, got):
+            assert abs(value - reference_table_sup(ref, c)) <= 1e-13 * B * np.abs(c).sum()
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_lipschitz_and_bound_certificate(self, k):
+        L, B = 2.0, 1.5
+        cls = _anchor_class(50 + k, 40, k, L=L, B=B)
+        pts = np.random.default_rng(60 + k).uniform(-1, 1, size=(12, k))
+        table = cls.values(pts)
         assert table.shape == (40, 12)
+        assert np.abs(table).max() <= B
         gaps = np.abs(table[:, :, None] - table[:, None, :])
-        assert np.all(gaps <= np.abs(pts[:, None] - pts[None, :]) + 1e-12)
-        assert np.abs(table).max() <= 1.0 + 1e-12
+        assert np.all(gaps <= L * pairwise_dist(pts) + 1e-12 * B)
 
-    def test_values_clipped_to_box(self):
-        cls = sample_piecewise_linear_class(100, L=2.0, R=1.5, seed=11)
-        assert np.abs(cls.values).max() <= 3.0
-
-    def test_oracle_matches_tabulation(self):
-        cls = sample_piecewise_linear_class(12, L=1.0, R=1.0, seed=12)
-        rng = np.random.default_rng(13)
-        pts = rng.uniform(-1, 1, size=(6, 1))
-        c = rng.normal(size=6)
-        via_oracle = cls.sup_batch(pts, [c])[0]
-        via_table = FiniteFunctionClass(table=cls.eval_batch(pts[:, 0]), uniform_bound_B=1.0).sup(pts, c)
-        assert via_oracle == pytest.approx(via_table)
-
-    @pytest.mark.parametrize("n_functions, seed, message", [
-        (2.5, 0, "n_functions must be an integer, got 2.5"),
-        (0, 0, "n_functions must be >= 1, got 0"),
-        (3, 1.5, "seed must be an integer, got 1.5"),
-    ], ids=["count-half", "count-zero", "seed-half"])
-    def test_rejects_bad_counts(self, n_functions, seed, message):
-        with pytest.raises(InvalidInputError, match=message):
-            sample_piecewise_linear_class(n_functions, L=1.0, R=1.0, seed=seed)
-
-    def test_sup_batch_rejects_points_off_the_line(self):
-        cls = sample_piecewise_linear_class(3, L=1.0, R=1.0, seed=14)
-        pts_k2 = np.random.default_rng(15).uniform(-1, 1, size=(4, 2))
+    @pytest.mark.parametrize("call", [
+        lambda: AnchorDistanceClass([[0.0, math.nan]], [0.0], 1.0, 1.0),
+        lambda: AnchorDistanceClass(np.zeros((0, 2)), [], 1.0, 1.0),
+        lambda: AnchorDistanceClass([[0.0], [1.0]], [0.0], 1.0, 1.0),
+        lambda: AnchorDistanceClass([[0.0]], [math.inf], 1.0, 1.0),
+    ], ids=["anchor-nan", "no-anchors", "shift-count", "shift-inf"])
+    def test_rejects_bad_anchors_and_shifts(self, call):
         with pytest.raises(InvalidInputError):
+            call()
+
+    def test_sup_batch_rejects_points_of_another_k(self):
+        cls = _anchor_class(14, 3, 1)
+        pts_k2 = np.random.default_rng(15).uniform(-1, 1, size=(4, 2))
+        with pytest.raises(InvalidInputError, match="anchors k = 1"):
             cls.sup_batch(pts_k2, np.ones((2, 4)))
 
     def test_sup_batch_rejects_wrong_coefficient_width(self):
-        cls = sample_piecewise_linear_class(3, L=1.0, R=1.0, seed=14)
+        cls = _anchor_class(14, 3, 1)
         pts = np.random.default_rng(15).uniform(-1, 1, size=(4, 1))
         with pytest.raises(InvalidInputError):
             cls.sup_batch(pts, np.ones((2, 5)))

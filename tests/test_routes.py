@@ -3,8 +3,10 @@ seeds one generator, inside its weight source _weights, reads raw generator
 words only in its sign-block helper _random_signs, and measures no distance
 itself, not even through core.distances.  Every distance comes from
 core.distances: the element distances (core._element_distances, which alone
-raises on an overflowing distance), the k >= 2 Lipschitz oracle and the
-Gaussian Gram matrix.  The one thread pool is built in
+raises on an overflowing distance), the k >= 2 Lipschitz oracle, the
+Gaussian Gram matrix and the anchor-distance table.  Every oracle in
+classes.py validates its coefficient rows in its sup_batch, through
+_as_coeff_rows.  The one thread pool is built in
 experiments._map_cells.  Exact covering and entropy numbers come from one
 search, chaining._min_cover_radius, and the tail sampler reads q through
 one searchsorted, in tails._grid_index.  Every experiment check is an
@@ -95,10 +97,17 @@ def test_element_distances_have_one_routine():
 
     assert called_by("distances") == {("core.py", "_element_distances"),
                                       ("classes.py", "_lipschitz_sup_simplex"),
-                                      ("classes.py", "gaussian_gram")}
+                                      ("classes.py", "gaussian_gram"),
+                                      ("classes.py", "AnchorDistanceClass.values")}
     raisers = {(path.name, qual) for path in SRC.glob("*.py")
                for qual in overflow_raisers(path.read_text())}
     assert raisers == {("core.py", "norm_pq"), ("core.py", "_element_distances")}
+
+
+def test_every_oracle_validates_its_rows_through_one_helper():
+    source = _read("classes.py")
+    sup_batches = [qual for qual, _ in _functions(ast.parse(source)) if qual.endswith(".sup_batch")]
+    assert sup_batches and callers(source, "_as_coeff_rows") == sorted(sup_batches)
 
 
 def test_exact_covering_and_entropy_numbers_share_one_search():

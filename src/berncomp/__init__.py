@@ -35,6 +35,7 @@ from .classes import (
 from .complexity import (
     EstimatorConfig,
     bernoulli_complexity,
+    composite_and_inner_complexity,
     composite_bernoulli_complexity,
     gaussian_complexity,
     increment_ratio,

@@ -15,11 +15,14 @@ generator seeded by the config.  It yields them in consecutive blocks of
 WEIGHT_BLOCK rows, each from a bit-exact source, so the rows do not depend
 on the block size.  Every estimator reduces a block to its per-row suprema
 before the next block is drawn, so it holds at most two blocks of weights
-whatever mc_samples is.  Element distances come from
-core._element_distances.  Composite estimators take any function class
-with a sup_batch(points, C) method (see berncomp.classes).  All randomized
-operations are pure functions of (inputs, seed): the same seed gives a
-bit-identical result.
+whatever mc_samples is.  composite_and_inner_complexity returns a
+composite estimate and the inner estimate of the same set from one draw:
+the composite's n-wide rows are the first mc_samples * n signs of the
+inner k*n-wide stream, so they are cut from the inner blocks, not drawn
+again.  Element distances come from core._element_distances.  Composite
+estimators take any function class with a sup_batch(points, C) method
+(see berncomp.classes).  All randomized operations are pure functions of
+(inputs, seed): the same seed gives a bit-identical result.
 """
 
 from __future__ import annotations
@@ -149,10 +152,15 @@ def _linear_sup_estimate(vecs: np.ndarray, cfg: EstimatorConfig, gaussian: bool)
         # E <weights, t> = 0 for a singleton; exact regardless of mode.
         return ComplexityEstimate(0.0, 0.0, "closed-form", 0, cfg.seed)
     blocks, exact = _weights(cfg, width, gaussian)
+    return _finish(np.concatenate([_linear_sups(W, vecs) for W in blocks]), exact, cfg.seed)
+
+
+def _linear_sups(W: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """Per row of W, the maximum of <row, v> over the rows v of vecs."""
     # W @ vecs.T rounds as the one-shot product did, which vecs @ W.T does
     # not for every set; each row's maximum is a running np.maximum over
     # the m columns of the (rows, m) product
-    return _finish(np.concatenate([_row_max(W @ vecs.T) for W in blocks]), exact, cfg.seed)
+    return _row_max(W @ vecs.T)
 
 
 def bernoulli_complexity(T: PointSet, cfg: EstimatorConfig | None = None) -> ComplexityEstimate:
@@ -186,10 +194,62 @@ def composite_bernoulli_complexity(fclass, T: PointSet,
     """
     cfg = cfg or DEFAULT_CONFIG
     blocks, exact = _weights(cfg, T.n)
-    # the columns of each element are its (n, k) points
-    points = [T.element(i).T for i in range(T.n_elements)]
-    sups = [np.max([fclass.sup_batch(p, W) for p in points], axis=0) for W in blocks]
-    return _finish(np.concatenate(sups), exact, cfg.seed)
+    points = _columns(T)
+    return _finish(np.concatenate([_composite_sups(fclass, points, W) for W in blocks]),
+                   exact, cfg.seed)
+
+
+def _columns(T: PointSet) -> list:
+    """The (n, k) points of each element: its columns."""
+    return [T.element(i).T for i in range(T.n_elements)]
+
+
+def _composite_sups(fclass, points: list, W: np.ndarray) -> np.ndarray:
+    """Per row of W, the supremum over the elements' points and the class."""
+    return np.max([fclass.sup_batch(p, W) for p in points], axis=0)
+
+
+def _prefix_blocks(blocks: Iterator[np.ndarray], total: int, width: int):
+    """(W, Cs) for each block W of blocks: Cs are the blocks of
+    _row_blocks(total), rows of width signs cut from the flat prefix of the
+    stream, each given with the block it ends in.  A block is a view of W,
+    except one that straddles two blocks of the stream, which is joined
+    from a copy of its head and the start of the next block."""
+    cuts = [(a * width, b * width) for a, b in _row_blocks(total)]  # flat [lo, hi)
+    base, head = 0, None  # flat index of W's first sign; a straddling block's start
+    for W in blocks:
+        flat = W.reshape(-1)
+        end = base + flat.size
+        Cs = [np.concatenate([head, flat[:hi - base]]) if lo < base else flat[lo - base:hi - base]
+              for lo, hi in cuts if base < hi <= end]
+        head = next((flat[lo - base:].copy() for lo, hi in cuts if lo < end < hi), None)
+        base = end
+        yield W, [C.reshape(-1, width) for C in Cs]
+
+
+def composite_and_inner_complexity(fclass, T: PointSet, cfg: EstimatorConfig | None = None
+                                   ) -> tuple[ComplexityEstimate, ComplexityEstimate]:
+    """(composite_bernoulli_complexity(fclass, T, cfg),
+    bernoulli_complexity(T, cfg)), bit for bit, from one sign draw.
+
+    A Monte Carlo composite estimate's n-wide rows are the first
+    mc_samples * n signs of the inner estimate's k*n-wide stream (same
+    seed, whole generator words per block), so only the inner rows are
+    drawn and the composite rows are cut from them in their own row
+    blocks.  Exact enumeration (2^n and 2^(k*n) tables share no rows) and a
+    singleton T (closed-form inner estimate) take the two calls.
+    """
+    cfg = cfg or DEFAULT_CONFIG
+    if T.n_elements == 1 or cfg.pick_exact(T.n):
+        return composite_bernoulli_complexity(fclass, T, cfg), bernoulli_complexity(T, cfg)
+    vecs, points = T.vectorized(), _columns(T)
+    blocks, _ = _weights(cfg, vecs.shape[1])  # k*n >= n signs: Monte Carlo too
+    inner, composite = [], []
+    for W, Cs in _prefix_blocks(blocks, cfg.mc_samples, T.n):
+        inner.append(_linear_sups(W, vecs))
+        composite.extend(_composite_sups(fclass, points, C) for C in Cs)
+    return (_finish(np.concatenate(composite), False, cfg.seed),
+            _finish(np.concatenate(inner), False, cfg.seed))
 
 
 def increment_ratio(fclass, S: PointSet,

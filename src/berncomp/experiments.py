@@ -35,6 +35,7 @@ from .classes import lipschitz_ball_sup  # noqa: F401 - perfbench's selftest ass
 from .complexity import (
     EstimatorConfig,
     bernoulli_complexity,
+    composite_and_inner_complexity,
     composite_bernoulli_complexity,
     gaussian_complexity,
     increment_ratio,
@@ -252,13 +253,13 @@ def _run_scaling(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
 
 def _composition_cell(seed: int, n: int, r: int, L: float, R: float, samples: int):
     """(composite, inner, ratio), both complexities divided by n; at k = 1
-    the two estimators share their n signs per sample."""
+    the two estimators share one draw of n signs per sample."""
     rng = np.random.default_rng(seed)
     T = _random_pointset(rng, r, 1, n, R)
     est_cfg = EstimatorConfig(mode="monte-carlo", mc_samples=samples,
                               seed=cell_seed(seed, "signs"))
-    rhat_inner = bernoulli_complexity(T, est_cfg).value / n
-    rhat_comp = composite_bernoulli_complexity(LipschitzBall(L, R), T, est_cfg).value / n
+    comp, inner = composite_and_inner_complexity(LipschitzBall(L, R), T, est_cfg)
+    rhat_comp, rhat_inner = comp.value / n, inner.value / n
     return rhat_comp, rhat_inner, rhat_comp / (L * (R / math.sqrt(n) + rhat_inner))
 
 
@@ -314,13 +315,15 @@ def _run_rkhs(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
         "existential comparison set"
     )
 
-    def complexities(T: PointSet, sigma: float, rho: float, seed: int):
+    def estimator(seed: int) -> EstimatorConfig:
+        return EstimatorConfig(mode="auto", mc_samples=mc, seed=seed, exact_cutoff_n=16)
+
+    def complexities(T: PointSet, sigma: float, rho: float, seed: int, bT=None):
+        """(bF, bT) from one sign draw, or bF beside a given exact bT."""
         ball = GaussianRkhsBall(sigma=sigma, rho=rho)
-        est_cfg = EstimatorConfig(mode="auto", mc_samples=mc, seed=seed,
-                                  exact_cutoff_n=16)
-        bF = composite_bernoulli_complexity(ball, T, est_cfg)
-        bT = bernoulli_complexity(T, est_cfg)
-        return bF, bT
+        if bT is None:
+            return composite_and_inner_complexity(ball, T, estimator(seed))
+        return composite_bernoulli_complexity(ball, T, estimator(seed)), bT
 
     # Fit C at the smallest n with sigma = rho = 1, inflated by the headroom
     # factor, then hold it fixed for every other combination.
@@ -346,10 +349,13 @@ def _run_rkhs(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
             seed_T = cell_seed(cfg.seed, "rkhs-T", k, n)
             rng = np.random.default_rng(seed_T)
             T = _random_ball_pointset(rng, n_elements, k, n, radius)
+            # exact enumeration reads no seed: one inner estimate per set
+            set_cfg = estimator(seed_T)
+            bT_exact = bernoulli_complexity(T, set_cfg) if set_cfg.pick_exact(k * n) else None
             for sigma in sigmas:
                 for rho in rhos:
                     seed = cell_seed(cfg.seed, "rkhs", k, n, int(sigma * 10), int(rho * 10))
-                    bF, bT = complexities(T, sigma, rho, seed)
+                    bF, bT = complexities(T, sigma, rho, seed, bT_exact)
                     denom = rho * (bT.value / sigma + math.sqrt(n))
                     slack = 3.0 * (bF.std_error + c_fit * rho * bT.std_error / sigma)
                     ratio = bF.value / denom

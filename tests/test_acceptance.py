@@ -7,6 +7,7 @@ tests/test_acceptance.py` to see the per-criterion lines.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,8 +33,10 @@ from berncomp import (
     sample_from_capped_tail,
     uncenter_tail,
 )
+from berncomp import experiments
 from berncomp.complexity import _weights
-from berncomp.experiments import _composition_cell, cell_seed, ols_fit
+from berncomp.config import parse_config
+from berncomp.experiments import _composition_cell, cell_seed, ols_fit, run_experiment
 from oracles import grid_lipschitz_sup, rkhs_ball_mc_lower
 
 SEED = 20260810
@@ -200,6 +203,32 @@ def test_composition_cell_is_the_criterion_5_formula_on_estimator_signs(seed):
     ]))
     expected = (rhat_comp, rhat_inner, rhat_comp / (L * (R / math.sqrt(n) + rhat_inner)))
     assert _composition_cell(seed, n, r, L, R, samples) == pytest.approx(expected, rel=1e-12)
+
+
+def test_rkhs_bound_rows_are_the_per_cell_estimates(monkeypatch, tmp_path):
+    # rkhs-bound takes each Monte Carlo cell's pair from one sign draw and
+    # each exact inner estimate once per set; its rows are those of the two
+    # separate calls per cell, and its only direct inner estimates are one
+    # exact enumeration per (k, n) set with k * n <= 16
+    cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "rkhs_bound.txt")
+    cfg.n_list, cfg.out_dir = [8, 24], str(tmp_path / "shared")
+    direct = []
+
+    def counted(T, est_cfg):
+        est = bernoulli_complexity(T, est_cfg)
+        direct.append((T.k, T.n, est.method))
+        return est
+
+    monkeypatch.setattr(experiments, "bernoulli_complexity", counted)
+    assert run_experiment(cfg, echo=lambda line: None) == 0
+    assert direct == [(1, 8, "exact-enumeration"), (2, 8, "exact-enumeration")]
+    monkeypatch.setattr(experiments, "composite_and_inner_complexity", lambda fclass, T, c: (
+        composite_bernoulli_complexity(fclass, T, c), bernoulli_complexity(T, c)))
+    cfg.out_dir = str(tmp_path / "separate")
+    assert run_experiment(cfg, echo=lambda line: None) == 0
+    for name in ("results.csv", "summary.csv"):
+        assert (tmp_path / "shared" / name).read_bytes() == \
+            (tmp_path / "separate" / name).read_bytes()
 
 
 def test_criterion_6_rkhs_bound():

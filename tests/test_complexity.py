@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berncomp import (
+    AnchorDistanceClass,
     BudgetExceededError,
     DegenerateSetError,
     EstimatorConfig,
@@ -19,6 +20,7 @@ from berncomp import (
     LipschitzBall,
     PointSet,
     bernoulli_complexity,
+    composite_and_inner_complexity,
     composite_bernoulli_complexity,
     diameter2,
     gaussian_complexity,
@@ -27,7 +29,7 @@ from berncomp import (
     norm_pq,
 )
 from berncomp import complexity
-from berncomp.complexity import _pattern_rows, _random_signs, _weights
+from berncomp.complexity import _pattern_rows, _prefix_blocks, _random_signs, _weights
 from oracles import enumerate_bernoulli_sup_mean, reference_sign_table, reference_signs
 
 EXACT = EstimatorConfig(mode="exact", seed=3)
@@ -301,6 +303,14 @@ class TestWeightBlocks:
         signs = _random_signs(np.random.default_rng(seed).bit_generator, shape)
         assert signs.tobytes() == reference_signs(seed, shape).tobytes()
 
+    @pytest.mark.parametrize("short, long", [((1, 1), (1, 2)), ((3, 5), (2, 8)), ((3, 5), (3, 15)),
+                                             ((301, 5), (301, 10)), ((4097, 3), (4096, 9))])
+    def test_a_short_draw_is_the_prefix_of_a_long_one(self, short, long):
+        # the pair estimate cuts its composite rows from the inner rows
+        flat = _random_signs(np.random.default_rng(7).bit_generator, long).reshape(-1)
+        signs = _random_signs(np.random.default_rng(7).bit_generator, short)
+        assert signs.tobytes() == flat[:short[0] * short[1]].tobytes()
+
     @pytest.mark.parametrize("n", [1, 3, 5, 12, 13])
     def test_sign_patterns_are_the_shift_table(self, n):
         assert _pattern_rows(0, 2 ** n, n).tobytes() == reference_sign_table(n).tobytes()
@@ -380,6 +390,118 @@ class TestWeightBlocks:
             tracemalloc.stop()
         block_bytes = (complexity.WEIGHT_BLOCK + 1) * 64 * 8
         assert peak < 4 * block_bytes < 0.5 * 40000 * 64 * 8
+
+
+def _four_classes(k: int, n: int) -> dict:
+    rng = np.random.default_rng(10 * k + n)
+    return {"finite": FiniteFunctionClass(rng.uniform(-1.0, 1.0, size=(4, n)), 1.0),
+            "lipschitz": LipschitzBall(lipschitz_L=1.0, radius_R=1.0),
+            "rkhs": GaussianRkhsBall(sigma=0.8, rho=1.5),
+            "anchor": AnchorDistanceClass(rng.uniform(-1.0, 1.0, size=(3, k)),
+                                          rng.uniform(-1.0, 1.0, size=3), 1.0, 2.0)}
+
+
+class TestCompositeAndInner:
+    """composite_and_inner_complexity is the two separate estimates, bit for
+    bit, from one draw of the inner estimate's signs."""
+
+    @staticmethod
+    def _check(fclass, T, cfg):
+        pair = composite_and_inner_complexity(fclass, T, cfg)
+        assert repr(pair) == repr((composite_bernoulli_complexity(fclass, T, cfg),
+                                   bernoulli_complexity(T, cfg)))
+        return pair
+
+    @pytest.mark.parametrize("name", ["finite", "lipschitz", "rkhs", "anchor"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("samples", [2, 3, 301])
+    def test_every_class_at_every_k(self, name, k, samples):
+        T = PointSet(np.random.default_rng(k).uniform(-1.0, 1.0, size=(3, k, 5)))
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=samples, seed=samples)
+        comp, inner = self._check(_four_classes(k, 5)[name], T, cfg)
+        assert (comp.method, inner.method, comp.samples, inner.samples) == \
+            ("monte-carlo", "monte-carlo", samples, samples)
+
+    @pytest.mark.parametrize("block, samples", [
+        (block, samples) for block in (4096, 4, 2) for samples in (2, 3, 301, 4097, 9000)
+        if block > 2 or samples <= 301])  # blocks of four cover the long runs
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_block_size(self, monkeypatch, block, samples, k):
+        monkeypatch.setattr(complexity, "WEIGHT_BLOCK", block)
+        T = PointSet(np.random.default_rng(k).uniform(-1.0, 1.0, size=(2, k, 3)))
+        self._check(GaussianRkhsBall(sigma=0.8, rho=1.5), T,
+                    EstimatorConfig(mode="monte-carlo", mc_samples=samples, seed=k))
+
+    @pytest.mark.parametrize("k, samples", [(2, 9), (2, 17), (3, 13)])
+    @pytest.mark.parametrize("name", ["finite", "lipschitz", "rkhs", "anchor"])
+    def test_a_merged_last_row_that_straddles_two_inner_blocks(self, monkeypatch, k, samples,
+                                                                name):
+        monkeypatch.setattr(complexity, "WEIGHT_BLOCK", 4)
+        T = PointSet(np.random.default_rng(k).uniform(-1.0, 1.0, size=(3, k, 5)))
+        self._check(_four_classes(k, 5)[name], T,
+                    EstimatorConfig(mode="monte-carlo", mc_samples=samples, seed=1))
+
+    @pytest.mark.parametrize("k, samples, block", [(1, 9, 4), (2, 9, 4), (2, 17, 4), (3, 13, 4),
+                                                   (2, 10, 4), (3, 301, 2), (2, 4097, 4096)])
+    def test_composite_blocks_are_views_but_a_straddling_one(self, monkeypatch, k, samples,
+                                                             block):
+        monkeypatch.setattr(complexity, "WEIGHT_BLOCK", block)
+        n = 5
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=samples, seed=2)
+        blocks, _ = _weights(cfg, k * n)
+        pieces = [(W, C) for W, Cs in _prefix_blocks(blocks, samples, n) for C in Cs]
+        assert [len(C) for _, C in pieces] == [len(W) for W in _weights(cfg, n)[0]]
+        rows = np.concatenate([C for _, C in pieces])
+        assert rows.tobytes() == reference_signs(2, (samples, n)).tobytes()
+        q, last = divmod(samples, block)
+        straddles = k >= 2 and last == 1 and q % k == 0
+        assert [np.shares_memory(W, C) for W, C in pieces] == \
+            [True] * (len(pieces) - straddles) + [False] * straddles
+
+    @pytest.mark.parametrize("name", ["finite", "lipschitz", "rkhs", "anchor"])
+    @pytest.mark.parametrize("mode, cutoff, n", [
+        ("exact", 14, 3),         # both exact
+        ("auto", 4, 3),           # composite exact, inner Monte Carlo at k = 2
+        ("auto", 4, 5),           # both Monte Carlo
+        ("monte-carlo", 14, 3)])
+    def test_every_mode(self, name, mode, cutoff, n):
+        T = PointSet(np.random.default_rng(n).uniform(-1.0, 1.0, size=(2, 2, n)))
+        cfg = EstimatorConfig(mode=mode, mc_samples=301, seed=5, exact_cutoff_n=cutoff)
+        comp, inner = self._check(_four_classes(2, n)[name], T, cfg)
+        assert comp.method == ("exact-enumeration" if cfg.pick_exact(n) else "monte-carlo")
+        assert inner.method == ("exact-enumeration" if cfg.pick_exact(2 * n) else "monte-carlo")
+
+    def test_exact_mode_past_the_cutoff_raises_as_the_two_calls_do(self):
+        T = PointSet(np.random.default_rng(0).uniform(-1.0, 1.0, size=(2, 2, 5)))
+        cfg = EstimatorConfig(mode="exact", exact_cutoff_n=8)
+        with pytest.raises(BudgetExceededError, match="10 signs"):
+            composite_and_inner_complexity(GaussianRkhsBall(sigma=1.0, rho=1.0), T, cfg)
+
+    @pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
+    def test_a_singleton_set(self, mode):
+        T = PointSet(np.random.default_rng(4).uniform(-1.0, 1.0, size=(1, 2, 3)))
+        cfg = EstimatorConfig(mode=mode, mc_samples=301, seed=6)
+        comp, inner = self._check(GaussianRkhsBall(sigma=0.8, rho=1.5), T, cfg)
+        assert inner.method == "closed-form" and comp.value > 0.0
+
+    def test_memory_stays_at_one_inner_block_and_one_composite_block(self):
+        # the pair holds what the inner estimate holds, plus one composite
+        # block of 8 signs a row and the RKHS ball's temporary of that size;
+        # keeping a view of an old inner block alive would add 2 MB
+        T = PointSet(np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 8, 8)))
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=40000, seed=4)
+        ball = GaussianRkhsBall(sigma=1.0, rho=1.0)
+        peaks = []
+        for run in (lambda: bernoulli_complexity(T, cfg),
+                    lambda: composite_and_inner_complexity(ball, T, cfg)):
+            tracemalloc.start()
+            try:
+                run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        composite_block_bytes = (complexity.WEIGHT_BLOCK + 1) * 8 * 8
+        assert peaks[1] < peaks[0] + 2 * composite_block_bytes
 
 
 class TestEmpiricalRademacher:

@@ -1,6 +1,7 @@
 """Each estimator input has one route through the package.  complexity.py
 seeds one generator, inside its weight source _weights, reads raw generator
-words only in its sign-block helper _random_signs, and measures no distance
+words only in its sign-block helper _random_signs, draws the signs of a
+composite estimate and its inner estimate once, and measures no distance
 itself, not even through core.distances.  Every distance comes from
 core.distances: the element distances (core._element_distances, which alone
 raises on an overflowing distance), the k >= 2 Lipschitz oracle, the
@@ -14,6 +15,10 @@ ExperimentOutcome.gate call, and only the gate records a failure."""
 
 import ast
 from pathlib import Path
+
+import numpy as np
+
+from berncomp import EstimatorConfig, GaussianRkhsBall, PointSet, complexity
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "berncomp"
 
@@ -76,6 +81,33 @@ def test_complexity_seeds_one_generator_in_the_weight_source():
 def test_raw_generator_words_are_read_only_by_the_sign_block_helper():
     assert {(path.name, qual) for path in SRC.glob("*.py")
             for qual in callers(path.read_text(), "random_raw")} == {("complexity.py", "_random_signs")}
+
+
+def test_a_monte_carlo_pair_reads_the_inner_words_only(monkeypatch):
+    words = []
+
+    class Counting:
+        def __init__(self, bitgen):
+            self.bitgen = bitgen
+
+        def random_raw(self, size):
+            words.append(size)
+            return self.bitgen.random_raw(size)
+
+    draw = complexity._random_signs
+    monkeypatch.setattr(complexity, "_random_signs",
+                        lambda bitgen, shape: draw(Counting(bitgen), shape))
+    ball = GaussianRkhsBall(sigma=1.0, rho=1.0)
+    for mc, k, n in [(301, 1, 5), (301, 2, 5), (4097, 3, 3), (9000, 2, 7)]:
+        T = PointSet(np.random.default_rng(k).uniform(-1.0, 1.0, size=(3, k, n)))
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=mc, seed=1)
+        words.clear()
+        complexity.composite_and_inner_complexity(ball, T, cfg)
+        assert sum(words) == (mc * k * n + 1) // 2
+        words.clear()
+        complexity.composite_bernoulli_complexity(ball, T, cfg)
+        complexity.bernoulli_complexity(T, cfg)
+        assert sum(words) == (mc * k * n + 1) // 2 + (mc * n + 1) // 2
 
 
 def test_the_one_executor_is_the_lemma_checks_pool():

@@ -281,6 +281,21 @@ class TestPinnedBits:
         assert (est.value.hex(), est.std_error.hex(), est.method, est.samples, est.seed) \
             == (value, std_error, method, samples, 11)
 
+    @pytest.mark.parametrize("name, value", [
+        ("rkhs-exact", "0x1.79cc41324c97dp+0"),
+        ("rkhs-mc", "0x1.7afa6d341614fp+0"),
+        ("rkhs-line-mc5001", "0x1.69f78d5b7bf5fp+0"),
+        ("lipschitz-line-exact", "0x1.1da3cd405a378p+0"),
+        ("lipschitz-line-mc", "0x1.1af5b4a2db58fp+0"),
+        ("lipschitz-exact", "0x1.658d857cc23c1p+0"),
+    ])
+    def test_increment_ratios_at_fixed_seeds(self, name, value):
+        kind, _, mode = name.rpartition("-")
+        cfg = {"exact": self.exact, "mc": self.mc, "mc5001": self.mc5001}[mode]
+        fclass = self.rkhs if kind.startswith("rkhs") else self.lip
+        S = self.line if kind.endswith("-line") else self.T
+        assert increment_ratio(fclass, S, cfg).hex() == value
+
     def test_gaussian_rows_never_ask_for_exact_enumeration(self):
         # 6 Gaussian weights under an exact-mode cutoff of 4: no budget
         # error, and the same draws as in Monte Carlo mode
@@ -569,6 +584,23 @@ class TestIncrementRatio:
         oracle = GaussianRkhsBall(sigma=1.0, rho=1.0)
         with pytest.raises(DegenerateSetError):
             increment_ratio(oracle, S, EXACT)
+
+    def test_memory_stays_at_the_per_pair_suprema_and_the_weight_blocks(self):
+        # 45 pairs hold 45 x 20000 per-row suprema (7.2 MB) until the last
+        # block; the rest is a few blocks of (eps, -eps) rows and the RKHS
+        # ball's temporaries of that size.  Stacking the suprema per block
+        # and joining them into one (pairs, rows) array would hold them twice
+        S = PointSet(np.random.default_rng(0).uniform(-1.0, 1.0, size=(10, 1, 8)))
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=20000, seed=1)
+        tracemalloc.start()
+        try:
+            increment_ratio(GaussianRkhsBall(sigma=1.0, rho=1.0), S, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        sups_bytes = 45 * 20000 * 8
+        half_block_bytes = (complexity.WEIGHT_BLOCK + 1) * 2 * 8 * 8
+        assert peak < sups_bytes + 4 * half_block_bytes < 2 * sups_bytes
 
 
 SQRT_FLOAT_MAX = math.sqrt(sys.float_info.max)

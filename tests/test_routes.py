@@ -108,6 +108,9 @@ def test_a_monte_carlo_pair_reads_the_inner_words_only(monkeypatch):
         complexity.composite_bernoulli_complexity(ball, T, cfg)
         complexity.bernoulli_complexity(T, cfg)
         assert sum(words) == (mc * k * n + 1) // 2 + (mc * n + 1) // 2
+        words.clear()
+        complexity.increment_ratio(ball, T, cfg)  # three pairs, one draw
+        assert sum(words) == (mc * n + 1) // 2
 
 
 def test_the_one_executor_is_the_lemma_checks_pool():

@@ -13,20 +13,24 @@ place, _weights: all 2^n sign patterns when the config picks exact
 enumeration, otherwise mc_samples sign or Gaussian rows drawn from the one
 generator seeded by the config.  It yields them in consecutive blocks of
 WEIGHT_BLOCK rows, each from a bit-exact source, so the rows do not depend
-on the block size.  Every estimator reduces a block to its per-row suprema
-before the next block is drawn, so it holds at most two blocks of weights
-whatever mc_samples is.  composite_and_inner_complexity returns a
-composite estimate and the inner estimate of the same set from one draw:
-the composite's n-wide rows are the first mc_samples * n signs of the
-inner k*n-wide stream, so they are cut from the inner blocks, not drawn
-again.  Element distances come from core._element_distances.  Composite
-estimators take any function class with a sup_batch(points, C) method
-(see berncomp.classes).  All randomized operations are pure functions of
-(inputs, seed): the same seed gives a bit-identical result.
+on the block size.  Every estimator reads them through one routine,
+_per_row, which takes consumers, each a width and a function from a block
+of rows to per-row values.  It draws the widest stream once and cuts each
+consumer's rows from its flat prefix in the consumer's own row blocks,
+and each block is reduced before the next is drawn, so an estimate holds
+at most two blocks of weights whatever mc_samples is.  So
+composite_and_inner_complexity is two consumers on one draw: the
+composite's n-wide Monte Carlo rows are the first mc_samples * n signs of
+the inner k*n-wide stream.  increment_ratio is one consumer for all its
+element pairs.  Element distances come from core._element_distances.
+Composite estimators take any function class with a sup_batch(points, C)
+method (see berncomp.classes).  All randomized operations are pure
+functions of (inputs, seed): the same seed gives a bit-identical result.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
@@ -136,13 +140,42 @@ def _weights(cfg: EstimatorConfig, width: int,
     return (draw((b - a, width)) for a, b in _row_blocks(cfg.mc_samples)), False
 
 
-def _finish(sups: np.ndarray, exact: bool, seed: int) -> ComplexityEstimate:
-    value = float(np.mean(sups))
-    samples = len(sups)
-    if exact:
-        return ComplexityEstimate(value, 0.0, "exact-enumeration", samples, seed)
-    se = float(np.std(sups, ddof=1) / np.sqrt(samples))
-    return ComplexityEstimate(value, se, "monte-carlo", samples, seed)
+def _per_row(cfg: EstimatorConfig, consumers: list, gaussian: bool = False) -> tuple[list, bool]:
+    """(outs, exact): outs[c] lists fn(C) for the row blocks C (see
+    _row_blocks) of consumer c = (width, fn), in order, each C holding rows
+    of width weights.  _weights is drawn once, at the widest width, and
+    each consumer's rows are cut from the flat prefix of that stream, so a
+    Monte Carlo consumer gets the rows _weights would draw at its own width
+    (every stream block but the last ends on a whole generator word).
+    Exact tables of two widths share no rows: under exact enumeration all
+    consumers have the widest width.  A block C is a view of the stream
+    block it ends in, except one that straddles two stream blocks, which
+    joins a copy of its head to the start of the next.  fn(C) runs once the
+    stream has passed the end of C, so at most two stream blocks are held.
+    """
+    wide = max(width for width, _ in consumers)
+    blocks, exact = _weights(cfg, wide, gaussian)
+    rows = 2 ** wide if exact else cfg.mc_samples
+    cuts = [deque((a * width, b * width) for a, b in _row_blocks(rows)) for width, _ in consumers]
+    outs, heads, base = [[] for _ in consumers], [None] * len(consumers), 0
+    for W in blocks:
+        flat, end = W.reshape(-1), base + W.size
+        for c, ((width, fn), cut) in enumerate(zip(consumers, cuts)):
+            while cut and cut[0][1] <= end:  # the next C, flat [lo, hi), ends in W
+                lo, hi = cut.popleft()
+                C = (flat[lo - base:hi - base] if lo >= base  # a view, or a straddling C
+                     else np.concatenate([heads[c], flat[:hi - base]]))
+                outs[c].append(fn(C.reshape(-1, width)))
+            heads[c] = flat[cut[0][0] - base:].copy() if cut else None  # the next C's head
+        base = end
+    return outs, exact
+
+
+def _finish(sups: list, exact: bool, seed: int) -> ComplexityEstimate:
+    sups = np.concatenate(sups)
+    se = 0.0 if exact else float(np.std(sups, ddof=1) / np.sqrt(len(sups)))
+    return ComplexityEstimate(float(np.mean(sups)), se,
+                              "exact-enumeration" if exact else "monte-carlo", len(sups), seed)
 
 
 def _linear_sup_estimate(vecs: np.ndarray, cfg: EstimatorConfig, gaussian: bool) -> ComplexityEstimate:
@@ -151,11 +184,11 @@ def _linear_sup_estimate(vecs: np.ndarray, cfg: EstimatorConfig, gaussian: bool)
     if m == 1:
         # E <weights, t> = 0 for a singleton; exact regardless of mode.
         return ComplexityEstimate(0.0, 0.0, "closed-form", 0, cfg.seed)
-    blocks, exact = _weights(cfg, width, gaussian)
-    return _finish(np.concatenate([_linear_sups(W, vecs) for W in blocks]), exact, cfg.seed)
+    (sups,), exact = _per_row(cfg, [(width, partial(_linear_sups, vecs))], gaussian)
+    return _finish(sups, exact, cfg.seed)
 
 
-def _linear_sups(W: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+def _linear_sups(vecs: np.ndarray, W: np.ndarray) -> np.ndarray:
     """Per row of W, the maximum of <row, v> over the rows v of vecs."""
     # W @ vecs.T rounds as the one-shot product did, which vecs @ W.T does
     # not for every set; each row's maximum is a running np.maximum over
@@ -193,10 +226,8 @@ def composite_bernoulli_complexity(fclass, T: PointSet,
     and t jointly, per sign pattern (exact) or per sample (Monte Carlo).
     """
     cfg = cfg or DEFAULT_CONFIG
-    blocks, exact = _weights(cfg, T.n)
-    points = _columns(T)
-    return _finish(np.concatenate([_composite_sups(fclass, points, W) for W in blocks]),
-                   exact, cfg.seed)
+    (sups,), exact = _per_row(cfg, [(T.n, partial(_composite_sups, fclass, _columns(T)))])
+    return _finish(sups, exact, cfg.seed)
 
 
 def _columns(T: PointSet) -> list:
@@ -207,24 +238,6 @@ def _columns(T: PointSet) -> list:
 def _composite_sups(fclass, points: list, W: np.ndarray) -> np.ndarray:
     """Per row of W, the supremum over the elements' points and the class."""
     return np.max([fclass.sup_batch(p, W) for p in points], axis=0)
-
-
-def _prefix_blocks(blocks: Iterator[np.ndarray], total: int, width: int):
-    """(W, Cs) for each block W of blocks: Cs are the blocks of
-    _row_blocks(total), rows of width signs cut from the flat prefix of the
-    stream, each given with the block it ends in.  A block is a view of W,
-    except one that straddles two blocks of the stream, which is joined
-    from a copy of its head and the start of the next block."""
-    cuts = [(a * width, b * width) for a, b in _row_blocks(total)]  # flat [lo, hi)
-    base, head = 0, None  # flat index of W's first sign; a straddling block's start
-    for W in blocks:
-        flat = W.reshape(-1)
-        end = base + flat.size
-        Cs = [np.concatenate([head, flat[:hi - base]]) if lo < base else flat[lo - base:hi - base]
-              for lo, hi in cuts if base < hi <= end]
-        head = next((flat[lo - base:].copy() for lo, hi in cuts if lo < end < hi), None)
-        base = end
-        yield W, [C.reshape(-1, width) for C in Cs]
 
 
 def composite_and_inner_complexity(fclass, T: PointSet, cfg: EstimatorConfig | None = None
@@ -242,14 +255,10 @@ def composite_and_inner_complexity(fclass, T: PointSet, cfg: EstimatorConfig | N
     cfg = cfg or DEFAULT_CONFIG
     if T.n_elements == 1 or cfg.pick_exact(T.n):
         return composite_bernoulli_complexity(fclass, T, cfg), bernoulli_complexity(T, cfg)
-    vecs, points = T.vectorized(), _columns(T)
-    blocks, _ = _weights(cfg, vecs.shape[1])  # k*n >= n signs: Monte Carlo too
-    inner, composite = [], []
-    for W, Cs in _prefix_blocks(blocks, cfg.mc_samples, T.n):
-        inner.append(_linear_sups(W, vecs))
-        composite.extend(_composite_sups(fclass, points, C) for C in Cs)
-    return (_finish(np.concatenate(composite), False, cfg.seed),
-            _finish(np.concatenate(inner), False, cfg.seed))
+    # k*n >= n signs: the inner rows are Monte Carlo too
+    (composite, inner), _ = _per_row(cfg, [(T.n, partial(_composite_sups, fclass, _columns(T))),
+                                           (T.k * T.n, partial(_linear_sups, T.vectorized()))])
+    return _finish(composite, False, cfg.seed), _finish(inner, False, cfg.seed)
 
 
 def increment_ratio(fclass, S: PointSet,
@@ -273,7 +282,7 @@ def increment_ratio(fclass, S: PointSet,
     cfg = cfg or DEFAULT_CONFIG
     if S.n_elements < 2:
         raise InvalidInputError("need at least two elements")
-    blocks, _ = _weights(cfg, S.n)
+    cfg.pick_exact(S.n)  # an exact budget past the cutoff raises before the pair checks
     dist = _element_distances(S)
     # Sign symmetry eps -> -eps makes the (s, t) and (t, s) expectations
     # equal, so unordered pairs suffice.
@@ -282,7 +291,13 @@ def increment_ratio(fclass, S: PointSet,
     if not pairs:
         raise DegenerateSetError("all element pairs coincide within tolerance")
     points = [np.concatenate([S.element(i).T, S.element(j).T]) for i, j in pairs]
-    halves = (np.concatenate([W, -W], axis=1) for W in blocks)  # coefficients (eps, -eps)
-    sups = [[fclass.sup_batch(p, half) for p in points] for half in halves]  # block, then pair
+    (sups,), _ = _per_row(cfg, [(S.n, partial(_increment_sups, fclass, points))])  # block, then pair
     return max(float(np.mean(np.concatenate(per_pair))) / float(dist[i, j])
                for per_pair, (i, j) in zip(zip(*sups), pairs))
+
+
+def _increment_sups(fclass, points: list, W: np.ndarray) -> list:
+    """Per pair's points, the per-row suprema on the coefficients
+    (eps, -eps), formed once for all the pairs."""
+    half = np.concatenate([W, -W], axis=1)
+    return [fclass.sup_batch(p, half) for p in points]

@@ -29,7 +29,7 @@ from berncomp import (
     norm_pq,
 )
 from berncomp import complexity
-from berncomp.complexity import _pattern_rows, _prefix_blocks, _random_signs, _weights
+from berncomp.complexity import _pattern_rows, _random_signs, _weights
 from oracles import enumerate_bernoulli_sup_mean, reference_sign_table, reference_signs
 
 EXACT = EstimatorConfig(mode="exact", seed=3)
@@ -461,10 +461,12 @@ class TestCompositeAndInner:
     def test_composite_blocks_are_views_but_a_straddling_one(self, monkeypatch, k, samples,
                                                              block):
         monkeypatch.setattr(complexity, "WEIGHT_BLOCK", block)
-        n = 5
+        # an inner consumer records each stream block W, then a composite
+        # consumer records each block C that ends in W, with W
+        n, inner, pieces = 5, [], []
         cfg = EstimatorConfig(mode="monte-carlo", mc_samples=samples, seed=2)
-        blocks, _ = _weights(cfg, k * n)
-        pieces = [(W, C) for W, Cs in _prefix_blocks(blocks, samples, n) for C in Cs]
+        complexity._per_row(cfg, [(k * n, inner.append),
+                                  (n, lambda C: pieces.append((inner[-1], C)))])
         assert [len(C) for _, C in pieces] == [len(W) for W in _weights(cfg, n)[0]]
         rows = np.concatenate([C for _, C in pieces])
         assert rows.tobytes() == reference_signs(2, (samples, n)).tobytes()
@@ -584,6 +586,29 @@ class TestIncrementRatio:
         oracle = GaussianRkhsBall(sigma=1.0, rho=1.0)
         with pytest.raises(DegenerateSetError):
             increment_ratio(oracle, S, EXACT)
+
+    def test_exact_mode_past_the_cutoff_raises_before_the_pair_checks(self):
+        S = PointSet.from_rows([[1.0] * 16, [1.0] * 16])  # degenerate, and 16 signs
+        with pytest.raises(BudgetExceededError, match="16 signs"):
+            increment_ratio(GaussianRkhsBall(sigma=1.0, rho=1.0), S, EstimatorConfig(mode="exact"))
+
+    def test_every_pair_reads_one_coefficient_block_per_weight_block(self, monkeypatch):
+        # (eps, -eps) is formed once per weight block of 4 rows and read by
+        # all 6 pairs; a copy per pair keeps the bits but costs time
+        monkeypatch.setattr(complexity, "WEIGHT_BLOCK", 4)
+        ball, seen = GaussianRkhsBall(sigma=1.0, rho=1.0), []
+
+        class Recording:
+            def sup_batch(self, points, C):
+                seen.append(C)
+                return ball.sup_batch(points, C)
+
+        S = PointSet(np.random.default_rng(1).uniform(-1.0, 1.0, size=(4, 1, 5)))
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=10, seed=2)
+        assert increment_ratio(Recording(), S, cfg) == increment_ratio(ball, S, cfg)
+        assert len(seen) == 6 * 3 and len({id(C) for C in seen}) == 3
+        signs = reference_signs(2, (10, 5))
+        assert np.concatenate(seen[::6]).tobytes() == np.concatenate([signs, -signs], axis=1).tobytes()
 
     def test_memory_stays_at_the_per_pair_suprema_and_the_weight_blocks(self):
         # 45 pairs hold 45 x 20000 per-row suprema (7.2 MB) until the last

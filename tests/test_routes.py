@@ -1,8 +1,10 @@
 """Each estimator input has one route through the package.  complexity.py
 seeds one generator, inside its weight source _weights, reads raw generator
-words only in its sign-block helper _random_signs, draws the signs of a
-composite estimate and its inner estimate once, and measures no distance
-itself, not even through core.distances.  Every distance comes from
+words only in its sign-block helper _random_signs, and draws its weights
+only in _per_row, once for all that routine's consumers: a composite
+estimate and its inner estimate, or every element pair of an increment
+ratio, read one sign stream.  It measures no distance itself, not even
+through core.distances.  Every distance comes from
 core.distances: the element distances (core._element_distances, which alone
 raises on an overflowing distance), the k >= 2 Lipschitz oracle, the
 Gaussian Gram matrix and the anchor-distance table.  Every oracle in
@@ -76,6 +78,10 @@ def test_checkers_find_planted_cases():
 
 def test_complexity_seeds_one_generator_in_the_weight_source():
     assert callers(_read("complexity.py"), "default_rng") == ["_weights"]
+
+
+def test_every_estimator_draws_its_weights_through_one_routine():
+    assert callers(_read("complexity.py"), "_weights") == ["_per_row"]
 
 
 def test_raw_generator_words_are_read_only_by_the_sign_block_helper():

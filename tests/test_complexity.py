@@ -605,7 +605,7 @@ class TestIncrementRatio:
 
         S = PointSet(np.random.default_rng(1).uniform(-1.0, 1.0, size=(4, 1, 5)))
         cfg = EstimatorConfig(mode="monte-carlo", mc_samples=10, seed=2)
-        assert increment_ratio(Recording(), S, cfg) == increment_ratio(ball, S, cfg)
+        increment_ratio(Recording(), S, cfg)
         assert len(seen) == 6 * 3 and len({id(C) for C in seen}) == 3
         signs = reference_signs(2, (10, 5))
         assert np.concatenate(seen[::6]).tobytes() == np.concatenate([signs, -signs], axis=1).tobytes()

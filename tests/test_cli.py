@@ -347,6 +347,26 @@ class TestRunCommand:
         assert main(["run", str(config)]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line, message", [
+        ("seed =", "line 2, column 7: empty value"),
+        ("n_list = [4, , 8]", "line 2, column 9: empty value"),
+        ("n_list = [4, 8", "line 2, column 9: unterminated list (missing ])"),
+        ("n_list = []", "line 2, column 1: lemma-checks requires at least 1 n_list entries, "
+                        "got 0"),
+        ("seed 5", "line 2, column 1: expected `key = value`"),
+        ("constants. = 5", "line 2, column 1: constants key needs a name"),
+        ("constants.n_sets = many", "line 2, column 1: constant 'n_sets' must be numeric"),
+        ("seed = -1", "line 2, column 1: seed must be a nonnegative 64-bit integer"),
+    ], ids=["empty-value", "empty-list-entry", "unterminated-list", "empty-n-list",
+            "no-equals-sign", "nameless-constant", "non-numeric-constant", "negative-seed"])
+    def test_malformed_line_exits_2_naming_its_place(self, tmp_path, capsys, line, message):
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"experiment = lemma-checks\n{line}\nout_dir = {tmp_path / 'o'}\n")
+        assert main(["run", str(config)]) == 2
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", f"config error: {message}\n")
+        assert not (tmp_path / "o").exists()
+
     def test_scaling_kk_requires_k_above_2(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"
         config.write_text(f"experiment = scaling-kk\nk = 1\nout_dir = {tmp_path / 'o'}\n")

@@ -1,5 +1,6 @@
-"""ExperimentOutcome.gate, the one record of every experiment check, and the
-bytes of the shipped configs whose outputs make no BLAS product."""
+"""ExperimentOutcome.gate, the one record of every experiment check, the
+bytes of the shipped configs whose outputs make no BLAS product, and the
+bytes of one plot."""
 
 import hashlib
 import math
@@ -10,6 +11,7 @@ import pytest
 
 from berncomp.config import parse_config
 from berncomp.experiments import ExperimentOutcome, run_experiment
+from berncomp.svgplot import write_plot
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -92,3 +94,15 @@ def test_shipped_config_keeps_its_bytes(name, tmp_path):
     digests = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                     for f in ("results.csv", "summary.csv"))
     assert digests == PINNED[name]
+
+
+def test_write_plot_keeps_its_bytes(tmp_path):
+    # lines are drawn before dots and take the first colours; only labelled
+    # series get a legend entry, in drawing order.  No config draws an
+    # unlabelled series, so this is the one test that does.
+    path = tmp_path / "plot.svg"
+    write_plot(path, [("observed", [2.0, 8.0, 32.0], [0.5, 0.25, 0.125])],
+               [("fit", [2.0, 32.0], [0.5, 0.125]), ("", [2.0, 32.0], [1.0, 0.0625])],
+               title="t", xlabel="n", ylabel="value", loglog=True)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "4205bd5cfb983f9477899145022c99b759e64e784685dd5319ef2018efcdfcd2")

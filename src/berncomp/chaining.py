@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -342,15 +343,8 @@ def composite_entropy_bound(n: int, L: float, bT: float, profile: EntropyProfile
         raise InvalidInputError(f"bT must be finite and nonnegative, got {bT!r}")
     vals = profile.values
     sqrt_n = math.sqrt(n)
-    running = 0.0
-    best_val = math.inf
-    best_m = 0
-    for M, e in enumerate(vals):
-        running += (2.0 ** (M / 2.0)) * e / sqrt_n
-        inner = e + running
-        if inner < best_val:
-            best_val = inner
-            best_m = M
+    running = accumulate(2.0 ** (M / 2.0) * e / sqrt_n for M, e in enumerate(vals))
+    best_val, best_m = _first_minimum(e + r for e, r in zip(vals, running))
     return float(c1 * L * bT + n * best_val), best_m
 
 
@@ -371,13 +365,16 @@ def truncation_objective(M: int, k: int, n: int) -> float:
 def min_truncation_objective(k: int, n: int):
     """Exhaustive scan of the truncation objective over levels 0 to
     MAX_TRUNCATION_LEVEL; returns (minimum, argmin)."""
-    best_val = math.inf
-    best_m = 0
-    for M in range(MAX_TRUNCATION_LEVEL + 1):
-        v = truncation_objective(M, k, n)
+    return _first_minimum(truncation_objective(M, k, n) for M in range(MAX_TRUNCATION_LEVEL + 1))
+
+
+def _first_minimum(values):
+    """(minimum, level) of the values over levels 0, 1, ...: the first level
+    that attains the minimum, and (inf, 0) if no value is below inf."""
+    best_val, best_m = math.inf, 0
+    for M, v in enumerate(values):
         if v < best_val:
-            best_val = v
-            best_m = M
+            best_val, best_m = v, M
     return best_val, best_m
 
 

@@ -9,10 +9,11 @@ import argparse
 import csv
 import sys
 
-from .complexity import EstimatorConfig, bernoulli_complexity, gaussian_complexity
+from .complexity import (DEFAULT_CONFIG, MAX_EXACT_CUTOFF, MAX_MC_SAMPLES, EstimatorConfig,
+                         bernoulli_complexity, gaussian_complexity)
 from .config import parse_config
 from .core import ESTIMATE_CSV_HEADER, pointset_from_csv
-from .errors import ConfigError, ToolkitError
+from .errors import ConfigError, InvalidInputError, ToolkitError
 from .experiments import run_experiment
 from .tails import tail_series, tail_series_capped, u_grid
 
@@ -44,18 +45,17 @@ def _cmd_tails(args) -> int:
 
 
 def _cmd_estimate(args) -> int:
-    T = pointset_from_csv(args.input, k=args.k)
-    mode = "exact" if args.exact else ("monte-carlo" if args.mc is not None else "auto")
+    if args.exact and args.quantity == "g":
+        raise InvalidInputError("--exact needs --quantity b: Gaussian weights have no "
+                                "finite enumeration")
     cfg = EstimatorConfig(
-        mode=mode,
-        mc_samples=args.mc if args.mc is not None else 20000,
+        mode="exact" if args.exact else ("monte-carlo" if args.mc is not None else "auto"),
+        mc_samples=DEFAULT_CONFIG.mc_samples if args.mc is None else args.mc,
         seed=args.seed,
         exact_cutoff_n=args.exact_cutoff,
     )
-    if args.quantity == "b":
-        est = bernoulli_complexity(T, cfg)
-    else:
-        est = gaussian_complexity(T, cfg)
+    T = pointset_from_csv(args.input, k=args.k)
+    est = (bernoulli_complexity if args.quantity == "b" else gaussian_complexity)(T, cfg)
     writer = csv.writer(sys.stdout)
     writer.writerow(ESTIMATE_CSV_HEADER)
     writer.writerow(est.csv_row(args.quantity))
@@ -83,13 +83,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_est.add_argument("--input", required=True, help="point-set CSV path")
     p_est.add_argument("--quantity", required=True, choices=("b", "g"))
     mode = p_est.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true", help="force exact enumeration")
-    mode.add_argument("--mc", type=int, metavar="N", help="force Monte Carlo with N samples")
-    p_est.add_argument("--seed", type=int, default=42)
+    mode.add_argument("--exact", action="store_true",
+                      help="force exact enumeration (b only: Gaussian weights have none)")
+    mode.add_argument("--mc", type=int, metavar="N",
+                      help=f"force Monte Carlo with N samples, at most {MAX_MC_SAMPLES}")
+    p_est.add_argument("--seed", type=int, default=DEFAULT_CONFIG.seed)
     p_est.add_argument("--k", type=int, default=1,
                        help="ambient dimension of the stored elements (default 1)")
-    p_est.add_argument("--exact-cutoff", type=int, default=14,
-                       help="max sign count for exact enumeration, at most 20 (default 14)")
+    p_est.add_argument("--exact-cutoff", type=int, default=DEFAULT_CONFIG.exact_cutoff_n,
+                       help=f"max sign count for exact enumeration, at most {MAX_EXACT_CUTOFF} "
+                            "(default %(default)s)")
     p_est.set_defaults(func=_cmd_estimate)
     return parser
 

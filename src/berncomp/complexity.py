@@ -44,6 +44,10 @@ from .errors import BudgetExceededError, DegenerateSetError, InvalidInputError
 # held whole, so this bounds time (2^20 rows per estimate), not memory.
 MAX_EXACT_CUTOFF = 20
 
+# Most Monte Carlo rows per estimate: the row budget exact enumeration has at
+# MAX_EXACT_CUTOFF.  It bounds time and the block list _row_blocks builds.
+MAX_MC_SAMPLES = 2 ** MAX_EXACT_CUTOFF
+
 # Weight rows per block.  Even, so a sign block ends on a whole 64-bit
 # generator word and the next block starts where the one-shot draw would.
 WEIGHT_BLOCK = 4096
@@ -61,7 +65,7 @@ class EstimatorConfig:
     signs is at most exact_cutoff_n (2^cutoff patterns); the default 14
     keeps a single estimate under 16384 patterns, and the cutoff is at most
     MAX_EXACT_CUTOFF.  mc_samples is at least 2, the least count with a
-    sample standard error.
+    sample standard error, and at most MAX_MC_SAMPLES.
     """
 
     mode: str = "auto"
@@ -73,6 +77,9 @@ class EstimatorConfig:
         if self.mode not in ("auto", "exact", "monte-carlo"):
             raise InvalidInputError(f"unknown mode {self.mode!r}")
         _check_count("mc_samples", self.mc_samples, 2)
+        if self.mc_samples > MAX_MC_SAMPLES:
+            raise InvalidInputError(f"mc_samples must be at most {MAX_MC_SAMPLES}, "
+                                    f"got {self.mc_samples}")
         _check_count("exact_cutoff_n", self.exact_cutoff_n)
         if not 1 <= self.exact_cutoff_n <= MAX_EXACT_CUTOFF:
             raise InvalidInputError(f"exact_cutoff_n must be between 1 and {MAX_EXACT_CUTOFF}, "
@@ -196,36 +203,33 @@ def _linear_sups(vecs: np.ndarray, W: np.ndarray) -> np.ndarray:
     return _row_max(W @ vecs.T)
 
 
-def bernoulli_complexity(T: PointSet, cfg: EstimatorConfig | None = None) -> ComplexityEstimate:
+def bernoulli_complexity(T: PointSet, cfg: EstimatorConfig = DEFAULT_CONFIG) -> ComplexityEstimate:
     """E sup over elements t of the sign-weighted entry sum, matrix form
     (k*n independent signs).
 
     Exact mode enumerates all 2^(k*n) sign patterns; Monte Carlo reports the
     sample mean with std_error = sample std / sqrt(samples).
     """
-    cfg = cfg or DEFAULT_CONFIG
     return _linear_sup_estimate(T.vectorized(), cfg, gaussian=False)
 
 
-def gaussian_complexity(T: PointSet, cfg: EstimatorConfig | None = None) -> ComplexityEstimate:
+def gaussian_complexity(T: PointSet, cfg: EstimatorConfig = DEFAULT_CONFIG) -> ComplexityEstimate:
     """E sup over elements of the Gaussian-weighted entry sum, matrix form.
 
     Monte Carlo only (no finite enumeration exists); singletons return the
     closed form 0.
     """
-    cfg = cfg or DEFAULT_CONFIG
     return _linear_sup_estimate(T.vectorized(), cfg, gaussian=True)
 
 
 def composite_bernoulli_complexity(fclass, T: PointSet,
-                                   cfg: EstimatorConfig | None = None) -> ComplexityEstimate:
+                                   cfg: EstimatorConfig = DEFAULT_CONFIG) -> ComplexityEstimate:
     """E sup over elements t and class members f of sum_i eps_i f(t_i),
     composite form (n independent signs, one per column).
 
     fclass is any class with sup_batch(points, C).  The supremum couples f
     and t jointly, per sign pattern (exact) or per sample (Monte Carlo).
     """
-    cfg = cfg or DEFAULT_CONFIG
     (sups,), exact = _per_row(cfg, [(T.n, partial(_composite_sups, fclass, _columns(T)))])
     return _finish(sups, exact, cfg.seed)
 
@@ -240,7 +244,7 @@ def _composite_sups(fclass, points: list, W: np.ndarray) -> np.ndarray:
     return np.max([fclass.sup_batch(p, W) for p in points], axis=0)
 
 
-def composite_and_inner_complexity(fclass, T: PointSet, cfg: EstimatorConfig | None = None
+def composite_and_inner_complexity(fclass, T: PointSet, cfg: EstimatorConfig = DEFAULT_CONFIG
                                    ) -> tuple[ComplexityEstimate, ComplexityEstimate]:
     """(composite_bernoulli_complexity(fclass, T, cfg),
     bernoulli_complexity(T, cfg)), bit for bit, from one sign draw.
@@ -252,7 +256,6 @@ def composite_and_inner_complexity(fclass, T: PointSet, cfg: EstimatorConfig | N
     blocks.  Exact enumeration (2^n and 2^(k*n) tables share no rows) and a
     singleton T (closed-form inner estimate) take the two calls.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if T.n_elements == 1 or cfg.pick_exact(T.n):
         return composite_bernoulli_complexity(fclass, T, cfg), bernoulli_complexity(T, cfg)
     # k*n >= n signs: the inner rows are Monte Carlo too
@@ -262,7 +265,7 @@ def composite_and_inner_complexity(fclass, T: PointSet, cfg: EstimatorConfig | N
 
 
 def increment_ratio(fclass, S: PointSet,
-                    cfg: EstimatorConfig | None = None) -> float:
+                    cfg: EstimatorConfig = DEFAULT_CONFIG) -> float:
     """Worst pairwise ratio of the expected supremum of the sign-weighted
     increment sum_i eps_i (f(s_i) - f(t_i)) to the Frobenius distance
     ||s - t|| (n signs, one per column), for any class with
@@ -279,7 +282,6 @@ def increment_ratio(fclass, S: PointSet,
     elements of 8 points (190 pairs) and 20000 samples that is 30.4 MB,
     and tracemalloc peaks at 31.8 MB for the RKHS ball.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if S.n_elements < 2:
         raise InvalidInputError("need at least two elements")
     cfg.pick_exact(S.n)  # an exact budget past the cutoff raises before the pair checks

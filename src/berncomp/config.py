@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .complexity import MAX_MC_SAMPLES
 from .errors import ConfigError, InvalidInputError
 from .experiments import EXPERIMENTS
 from .tails import MAX_W, SAMPLER_GRID_END, divergence_threshold, u_grid
@@ -57,8 +58,9 @@ class ExperimentConfig:
         if not spec.k_min <= self.k <= spec.k_max:
             want = f"k = {spec.k_max}" if spec.k_max == spec.k_min else f"k >= {spec.k_min}"
             fail(f"{self.experiment} requires {want}, got k = {self.k}", "k")
-        if self.mc_samples < 2:  # a standard error needs two samples
-            fail(f"mc_samples must be >= 2, got {self.mc_samples}", "mc_samples")
+        if not 2 <= self.mc_samples <= MAX_MC_SAMPLES:  # a standard error needs two samples
+            fail(f"mc_samples must be between 2 and {MAX_MC_SAMPLES}, got {self.mc_samples}",
+                 "mc_samples")
         if self.seed < 0:
             fail("seed must be a nonnegative 64-bit integer", "seed")
         for name, value in self.constants.items():
@@ -79,17 +81,12 @@ class ExperimentConfig:
                 fail(f"{key} must put the divergence threshold below the sampler grid end "
                      f"u = {SAMPLER_GRID_END:g}, got {value}", key)
         if "u_stop" in spec.constants:
-            u_start, u_stop, u_step = ({**spec.constants, **self.constants}[name]
-                                       for name in ("u_start", "u_stop", "u_step"))
-            if u_stop < u_start:
-                key = "constants.u_stop" if "u_stop" in self.constants else "constants.u_start"
-                fail(f"constants.u_stop = {u_stop} is below constants.u_start = {u_start}",
-                     key)
+            grid = ("u_start", "u_stop", "u_step")
             try:
-                u_grid(u_start, u_stop, u_step)
+                u_grid(*({**spec.constants, **self.constants}[name] for name in grid))
             except InvalidInputError as exc:
-                # past the check above, the default step and stop make a valid grid
-                key = "constants.u_step" if "u_step" in self.constants else "constants.u_stop"
+                # the default grid is valid, so the file sets a grid key: blame the last
+                key = "constants." + [name for name in self.constants if name in grid][-1]
                 fail(f"{key}: {exc}", key)
 
 
@@ -99,31 +96,23 @@ def default_config(experiment: str) -> ExperimentConfig:
                             out_dir=f"pc_out/{experiment}")
 
 
-def _parse_scalar(token: str, line_no: int, col: int):
+def _parse_value(token: str, line_no: int, col: int):
+    """The list of the comma-separated values in `[...]`, else an int, else a
+    float, else the stripped token."""
     token = token.strip()
     if not token:
         raise ConfigError("empty value", line_no, col)
-    try:
-        return int(token)
-    except ValueError:
-        pass
-    try:
-        return float(token)
-    except ValueError:
-        pass
-    return token
-
-
-def _parse_value(token: str, line_no: int, col: int):
-    token = token.strip()
     if token.startswith("["):
         if not token.endswith("]"):
             raise ConfigError("unterminated list (missing ])", line_no, col)
         inner = token[1:-1].strip()
-        if not inner:
-            return []
-        return [_parse_scalar(part, line_no, col) for part in inner.split(",")]
-    return _parse_scalar(token, line_no, col)
+        return [_parse_value(part, line_no, col) for part in inner.split(",")] if inner else []
+    for kind in (int, float):
+        try:
+            return kind(token)
+        except ValueError:
+            pass
+    return token
 
 
 # Every key besides constants.*: (accepts its parsed value, message if not).
@@ -155,7 +144,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             name = key[len("constants."):]
             if not name:
                 raise ConfigError("constants key needs a name", line_no, col)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
+            if not isinstance(value, (int, float)):
                 raise ConfigError(f"constant {name!r} must be numeric", line_no, col)
         elif key not in _TYPED_KEYS:
             raise ConfigError(f"unknown key {key!r}", line_no, col)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import BudgetExceededError, InvalidInputError
 
 # Triangle-inequality slack for distance matrices, relative to the largest
 # distance when that exceeds 1; norm-derived matrices meet it up to rounding.
@@ -23,6 +23,9 @@ TRIANGLE_TOL = 1e-9
 # Entries of the difference block that distances holds at once: 2^20
 # doubles, 8 MiB.  A block has at least one row of m * d entries.
 SQ_DISTANCE_BLOCK = 1 << 20
+
+# Most rows distances takes: its (m, m) result is at most 512 MiB.
+MAX_DISTANCE_POINTS = 2 ** 13
 
 ESTIMATE_METHODS = ("exact-enumeration", "monte-carlo", "closed-form")
 
@@ -156,8 +159,13 @@ def distances(X: np.ndarray) -> np.ndarray:
     the same order at any block size.  A block with a square that is inf or
     below 2^-969 (2^53 * tiny) off its diagonal redoes its pairs out of that
     range on their differences scaled by 2^-600 or 2^600 (Blue, ACM TOMS 4,
-    1978); a block holds at most rows * m pairs, so the redo keeps the bound."""
+    1978); a block holds at most rows * m pairs, so the redo keeps the bound.
+    More than MAX_DISTANCE_POINTS rows raise BudgetExceededError before any
+    allocation."""
     m, d = X.shape
+    if m > MAX_DISTANCE_POINTS:
+        raise BudgetExceededError(f"distances between {m} points exceed the ceiling of "
+                                  f"{MAX_DISTANCE_POINTS} points")
     rows = max(1, SQ_DISTANCE_BLOCK // max(1, m * d))
     out = np.empty((m, m))
     for start in range(0, m, rows):

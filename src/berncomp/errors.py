@@ -11,7 +11,8 @@ class InvalidInputError(ToolkitError, ValueError):
 
 
 class BudgetExceededError(ToolkitError):
-    """An exact computation was requested beyond its enumeration budget."""
+    """A computation was requested beyond its enumeration, row or memory
+    budget."""
 
 
 class DegenerateSetError(ToolkitError):

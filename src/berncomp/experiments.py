@@ -218,11 +218,10 @@ def _run_lemma_checks(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
 def _run_scaling(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
     out = ExperimentOutcome(cfg.experiment)
     k = cfg.k
-    values, argmins = [], []
+    values = []
     for n in cfg.n_list:
         v, m_star = min_truncation_objective(k, n)
         values.append(v)
-        argmins.append(m_star)
         out.add_row(n, k, "min_h", v, 0.0, cfg.seed)
         out.add_row(n, k, "argmin_M", m_star, 0.0, cfg.seed)
     log_n = [math.log(n) for n in cfg.n_list]

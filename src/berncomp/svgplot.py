@@ -35,10 +35,10 @@ def write_plot(path, dot_series, line_series=(), *, title="", xlabel="",
     dot_series and line_series are sequences of (label, xs, ys).  With
     loglog=True all coordinates must be positive.
     """
-    xs_all, ys_all = [], []
-    for _, xs, ys in list(dot_series) + list(line_series):
-        xs_all.extend(_transform(xs, loglog))
-        ys_all.extend(_transform(ys, loglog))
+    # lines first, so they take the first colours and legend rows
+    series = [(s, True) for s in line_series] + [(s, False) for s in dot_series]
+    xs_all = [x for (_, xs, _), _ in series for x in _transform(xs, loglog)]
+    ys_all = [y for (_, _, ys), _ in series for y in _transform(ys, loglog)]
     if not xs_all:
         xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
     x_lo, x_hi = min(xs_all), max(xs_all)
@@ -78,27 +78,19 @@ def write_plot(path, dot_series, line_series=(), *, title="", xlabel="",
     )
 
     legend_y = _MT + 4
-    color_idx = 0
-    for label, xs, ys in line_series:
-        color = _PALETTE[color_idx % len(_PALETTE)]
-        color_idx += 1
-        pts = " ".join(
-            f"{px(x):.1f},{py(y):.1f}"
-            for x, y in zip(_transform(xs, loglog), _transform(ys, loglog))
-        )
-        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+    for i, ((label, xs, ys), is_line) in enumerate(series):
+        color = _PALETTE[i % len(_PALETTE)]
+        pts = [(px(x), py(y)) for x, y in zip(_transform(xs, loglog), _transform(ys, loglog))]
+        if is_line:
+            points = " ".join(f"{x:.1f},{y:.1f}" for x, y in pts)
+            parts.append(f'<polyline points="{points}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+            glyph = (f'<line x1="{_W - 170}" y1="{legend_y}" x2="{_W - 150}" y2="{legend_y}" '
+                     f'stroke="{color}" stroke-width="1.5"/>')
+        else:
+            parts.extend(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="3" fill="{color}"/>' for x, y in pts)
+            glyph = f'<circle cx="{_W - 160}" cy="{legend_y}" r="3" fill="{color}"/>'
         if label:
-            parts.append(f'<line x1="{_W - 170}" y1="{legend_y}" x2="{_W - 150}" y2="{legend_y}" stroke="{color}" stroke-width="1.5"/>')
-            parts.append(f'<text x="{_W - 144}" y="{legend_y + 4}">{label}</text>')
-            legend_y += 16
-    for label, xs, ys in dot_series:
-        color = _PALETTE[color_idx % len(_PALETTE)]
-        color_idx += 1
-        for x, y in zip(_transform(xs, loglog), _transform(ys, loglog)):
-            parts.append(f'<circle cx="{px(x):.1f}" cy="{py(y):.1f}" r="3" fill="{color}"/>')
-        if label:
-            parts.append(f'<circle cx="{_W - 160}" cy="{legend_y}" r="3" fill="{color}"/>')
-            parts.append(f'<text x="{_W - 144}" y="{legend_y + 4}">{label}</text>')
+            parts += [glyph, f'<text x="{_W - 144}" y="{legend_y + 4}">{label}</text>']
             legend_y += 16
     parts.append("</svg>")
     with open(path, "w") as fh:

@@ -6,6 +6,7 @@ criterion states a different multiple.  Run with `pytest -s
 tests/test_acceptance.py` to see the per-criterion lines.
 """
 
+import csv
 import math
 from pathlib import Path
 
@@ -36,7 +37,8 @@ from berncomp import (
 from berncomp import experiments
 from berncomp.complexity import _weights
 from berncomp.config import parse_config
-from berncomp.experiments import _composition_cell, cell_seed, ols_fit, run_experiment
+from berncomp.experiments import (_ci_from_reps, _composition_cell, cell_seed, ols_fit,
+                                  run_experiment)
 from oracles import grid_lipschitz_sup, rkhs_ball_mc_lower
 
 SEED = 20260810
@@ -203,6 +205,36 @@ def test_composition_cell_is_the_criterion_5_formula_on_estimator_signs(seed):
     ]))
     expected = (rhat_comp, rhat_inner, rhat_comp / (L * (R / math.sqrt(n) + rhat_inner)))
     assert _composition_cell(seed, n, r, L, R, samples) == pytest.approx(expected, rel=1e-12)
+
+
+def test_composition_runner_rows_are_its_cells(tmp_path):
+    # a reduced composition-logfree run: every row is a cell's estimate in
+    # repr, the summary is the replications' mean and interval, and a band
+    # of 1 fails the gate at the one gated n
+    body = ("experiment = composition-logfree\nn_list = [16, 32]\nseed = 7\n"
+            "constants.n_functions = 4\nconstants.lp_samples = 24\n"
+            "constants.replications = 2\n")
+    rows, summary, ratios = [], [], {}
+    for n in (16, 32):
+        for rep in range(2):
+            seed = cell_seed(7, "comp", n, rep)
+            cell = _composition_cell(seed, n, 4, 1.0, 1.0, 24)
+            rows += [["composition-logfree", str(n), "1", quantity, repr(value), "0.0", str(seed)]
+                     for quantity, value in zip(("rhat_composite", "rhat_inner", "ratio"), cell)]
+            ratios.setdefault(n, []).append(cell[2])
+    for name, reps in [("ratio_fit_at_n0", ratios[16])] + [(f"ratio_mean_n{n}", ratios[n])
+                                                           for n in (16, 32)]:
+        summary.append(["composition-logfree", name] + [repr(v) for v in _ci_from_reps(reps)])
+    for band, status in (("1.5", 0), ("1.0", 1)):
+        config = tmp_path / f"band{band}.txt"
+        config.write_text(f"{body}constants.band = {band}\nout_dir = {tmp_path / band}\n")
+        lines = []
+        assert run_experiment(parse_config(config), echo=lines.append) == status
+        for name, expected in (("results.csv", rows), ("summary.csv", summary)):
+            with open(tmp_path / band / name, newline="") as fh:
+                assert list(csv.reader(fh))[1:] == expected
+        fails = [line for line in lines if line.startswith("FAIL")]
+        assert bool(fails) == bool(status) and all("n=32" in line for line in fails)
 
 
 def test_rkhs_bound_rows_are_the_per_cell_estimates(monkeypatch, tmp_path):

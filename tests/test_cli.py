@@ -8,9 +8,9 @@ import pytest
 
 from berncomp import (ConfigError, InvalidInputError, PointSet, SolverError,
                       bernoulli_complexity, pointset_to_csv)
-from berncomp import experiments
+from berncomp import core, experiments
 from berncomp.cli import main
-from berncomp.complexity import EstimatorConfig
+from berncomp.complexity import MAX_MC_SAMPLES, EstimatorConfig
 from berncomp.config import default_config, parse_config, parse_config_text
 from berncomp.experiments import EXPERIMENTS, ols_fit
 from berncomp.tails import sample_from_capped_tail, tail_series
@@ -262,6 +262,30 @@ class TestEstimateCommand:
         assert "argument --mc: not allowed with argument --exact" in err
         assert "missing.csv" not in err
 
+    def test_exact_gaussian_exits_2_before_reading_the_input(self, tmp_path, capsys):
+        # Gaussian weights have no finite enumeration, so --exact cannot hold
+        assert main(["estimate", "--input", str(tmp_path / "missing.csv"), "--quantity", "g",
+                     "--exact"]) == 2
+        assert capsys.readouterr() == ("", "error: --exact needs --quantity b: Gaussian "
+                                           "weights have no finite enumeration\n")
+
+    @pytest.mark.parametrize("samples", [MAX_MC_SAMPLES + 1, 10 ** 20])
+    def test_mc_past_the_row_budget_exits_2(self, tmp_path, capsys, samples):
+        path = tmp_path / "pts.csv"
+        pointset_to_csv(PointSet.from_rows([[1.0, 2.0], [0.0, 1.0]]), path)
+        assert main(["estimate", "--input", str(path), "--quantity", "b",
+                     "--mc", str(samples)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: mc_samples must be at most {MAX_MC_SAMPLES}, got {samples}\n")
+
+    def test_defaults_are_the_estimator_defaults(self, tmp_path, capsys):
+        T = PointSet.from_rows(np.random.default_rng(2).normal(size=(3, 16)))
+        path = tmp_path / "pts.csv"
+        pointset_to_csv(T, path)
+        assert main(["estimate", "--input", str(path), "--quantity", "b"]) == 0
+        row = list(csv.reader(io.StringIO(capsys.readouterr().out)))[1]
+        assert row == bernoulli_complexity(T).csv_row("b")
+
     def test_missing_file_exits_2(self, capsys):
         assert main(["estimate", "--input", "/nonexistent.csv", "--quantity", "b"]) == 2
 
@@ -347,26 +371,6 @@ class TestRunCommand:
         assert main(["run", str(config)]) == 2
         assert "bogus" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line, message", [
-        ("seed =", "line 2, column 7: empty value"),
-        ("n_list = [4, , 8]", "line 2, column 9: empty value"),
-        ("n_list = [4, 8", "line 2, column 9: unterminated list (missing ])"),
-        ("n_list = []", "line 2, column 1: lemma-checks requires at least 1 n_list entries, "
-                        "got 0"),
-        ("seed 5", "line 2, column 1: expected `key = value`"),
-        ("constants. = 5", "line 2, column 1: constants key needs a name"),
-        ("constants.n_sets = many", "line 2, column 1: constant 'n_sets' must be numeric"),
-        ("seed = -1", "line 2, column 1: seed must be a nonnegative 64-bit integer"),
-    ], ids=["empty-value", "empty-list-entry", "unterminated-list", "empty-n-list",
-            "no-equals-sign", "nameless-constant", "non-numeric-constant", "negative-seed"])
-    def test_malformed_line_exits_2_naming_its_place(self, tmp_path, capsys, line, message):
-        config = tmp_path / "cfg.txt"
-        config.write_text(f"experiment = lemma-checks\n{line}\nout_dir = {tmp_path / 'o'}\n")
-        assert main(["run", str(config)]) == 2
-        out, err = capsys.readouterr()
-        assert (out, err) == ("", f"config error: {message}\n")
-        assert not (tmp_path / "o").exists()
-
     def test_scaling_kk_requires_k_above_2(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"
         config.write_text(f"experiment = scaling-kk\nk = 1\nout_dir = {tmp_path / 'o'}\n")
@@ -397,10 +401,16 @@ class TestRunCommand:
          "mc_samples", "line 3, column 1"),
         ("experiment = composition-logfree\nconstants.lp_samples = 1\n",
          "constants.lp_samples", "line 2, column 1"),
+        ("experiment = lemma-checks\nmc_samples = 1048577\n", "mc_samples",
+         "line 2, column 1"),
+        ("experiment = lemma-checks\nmc_samples = 99999999999999999999\n", "mc_samples",
+         "line 2, column 1"),
         ("experiment = tails-demo\nconstants.u_start = 3.0\nconstants.u_stop = 2.0\n",
          "constants.u_stop", "line 3, column 1"),
         ("experiment = tails-demo\nconstants.u_start = 5.0\n", "constants.u_start",
          "line 2, column 1"),
+        ("experiment = tails-demo\nconstants.u_stop = 2.0\nconstants.u_start = 3.0\n",
+         "constants.u_start", "line 3, column 1"),
         ("experiment = composition-logfree\nconstants.band = 0\n", "constants.band",
          "line 2, column 1"),
         ("experiment = composition-logfree\nconstants.L = 0\n", "constants.L",
@@ -412,14 +422,31 @@ class TestRunCommand:
          "line 2, column 1"),
         ("experiment = tails-demo\nconstants.u_step = 1e-300\n", "constants.u_step",
          "line 2, column 1"),
+        ("experiment = lemma-checks\nseed =\n", ": empty value", "line 2, column 7"),
+        ("experiment = lemma-checks\nn_list = [4, , 8]\n", ": empty value",
+         "line 2, column 9"),
+        ("experiment = lemma-checks\nn_list = [4, 8\n", ": unterminated list (missing ])",
+         "line 2, column 9"),
+        ("experiment = lemma-checks\nn_list = []\n", "at least 1 n_list entries, got 0",
+         "line 2, column 1"),
+        ("experiment = lemma-checks\nseed 5\n", ": expected `key = value`", "line 2, column 1"),
+        ("experiment = lemma-checks\nconstants. = 5\n", ": constants key needs a name",
+         "line 2, column 1"),
+        ("experiment = lemma-checks\nconstants.n_sets = many\n",
+         ": constant 'n_sets' must be numeric", "line 2, column 1"),
+        ("experiment = lemma-checks\nseed = -1\n", ": seed must be a nonnegative",
+         "line 2, column 1"),
     ], ids=["undeclared-constant", "repeated-seed", "scaling-k1-with-k3", "zero-u-step",
             "negative-u-step", "negative-n", "scaling-k2-with-n1", "chaining-demo-with-n1",
             "fractional-count", "zero-count", "negative-w", "w-past-the-sampler-grid",
             "scaling-k1-with-one-n",
             "scaling-k2-with-one-n", "scaling-kk-with-one-n", "one-mc-sample",
-            "one-lp-sample", "u-stop-below-u-start", "u-start-above-default-u-stop",
+            "one-lp-sample", "mc-samples-past-the-row-budget", "twenty-digit-mc-samples",
+            "u-stop-below-u-start", "u-start-above-default-u-stop", "u-start-set-after-u-stop",
             "zero-band", "zero-L", "zero-rkhs-R", "zero-u-start", "nan-slope-tol",
-            "u-step-that-never-advances"])
+            "u-step-that-never-advances", "empty-value", "empty-list-entry",
+            "unterminated-list", "empty-n-list", "no-equals-sign", "nameless-constant",
+            "non-numeric-constant", "negative-seed"])
     def test_rejected_config_exits_2_naming_the_key(self, tmp_path, capsys, body, key,
                                                     location):
         config = tmp_path / "cfg.txt"
@@ -427,6 +454,19 @@ class TestRunCommand:
         assert main(["run", str(config)]) == 2
         err = capsys.readouterr().err
         assert key in err and location in err
+        assert not (tmp_path / "o").exists()
+
+    def test_points_past_the_distance_ceiling_exit_2_writing_nothing(self, tmp_path, capsys,
+                                                                      monkeypatch):
+        # at the shipped ceiling this is n_list = [100000], whose first
+        # space would ask for a 91465 x 91465 matrix
+        monkeypatch.setattr(core, "MAX_DISTANCE_POINTS", 4)
+        config = tmp_path / "cfg.txt"
+        config.write_text("experiment = chaining-demo\nn_list = [12]\nconstants.n_spaces = 5\n"
+                          f"out_dir = {tmp_path / 'o'}\n")
+        assert main(["run", str(config)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: distances between 12 points exceed the ceiling of 4 points\n")
         assert not (tmp_path / "o").exists()
 
     def test_figures_written(self, tmp_path, capsys):

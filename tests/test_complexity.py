@@ -29,7 +29,7 @@ from berncomp import (
     norm_pq,
 )
 from berncomp import complexity
-from berncomp.complexity import _pattern_rows, _random_signs, _weights
+from berncomp.complexity import MAX_MC_SAMPLES, _pattern_rows, _random_signs, _weights
 from oracles import enumerate_bernoulli_sup_mean, reference_sign_table, reference_signs
 
 EXACT = EstimatorConfig(mode="exact", seed=3)
@@ -89,6 +89,16 @@ class TestBernoulliComplexity:
     def test_fewer_than_two_mc_samples_rejected(self, samples):
         # one sample has no standard error; reporting 0 would pass it as exact
         with pytest.raises(InvalidInputError, match="mc_samples must be >= 2"):
+            EstimatorConfig(mc_samples=samples)
+
+    @pytest.mark.parametrize("samples", [MAX_MC_SAMPLES + 1, 10 ** 20])
+    def test_mc_samples_past_the_row_budget_rejected(self, samples):
+        # the budget exact enumeration has at its largest cutoff; past it the
+        # row-block list alone would not fit in memory
+        assert MAX_MC_SAMPLES == 2 ** 20
+        EstimatorConfig(mc_samples=MAX_MC_SAMPLES)
+        with pytest.raises(InvalidInputError,
+                           match=f"mc_samples must be at most {MAX_MC_SAMPLES}, got {samples}"):
             EstimatorConfig(mc_samples=samples)
 
     def test_two_mc_samples_give_the_sample_standard_error(self):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berncomp import (
+    BudgetExceededError,
     ComplexityEstimate,
     FiniteMetricSpace,
     InvalidInputError,
@@ -344,6 +345,29 @@ class TestDistances:
             tracemalloc.stop()
         assert not dist.any()
         assert peak < 2 << 20 < 19900 * 100 * 8
+
+    def test_one_point_past_the_ceiling_raises_before_allocating(self):
+        # the (m, m) result would take 512 MiB plus a row; X itself is 64 KiB
+        X = np.zeros((core.MAX_DISTANCE_POINTS + 1, 1))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError, match=f"distances between "
+                               f"{core.MAX_DISTANCE_POINTS + 1} points exceed the ceiling"):
+                distances(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert core.MAX_DISTANCE_POINTS == 2 ** 13 and peak < 1 << 20
+
+    def test_the_ceiling_bounds_every_caller(self, monkeypatch):
+        monkeypatch.setattr(core, "MAX_DISTANCE_POINTS", 4)
+        assert distances(np.eye(4)).shape == (4, 4)
+        T = PointSet.from_rows(np.eye(5))
+        for call in (lambda: distances(np.eye(5)), lambda: diameter2(T),
+                     lambda: metric_space_from_pointset(T),
+                     lambda: lipschitz_ball_sup(np.eye(5), np.ones(5), 1.0, 1.0)):
+            with pytest.raises(BudgetExceededError, match="5 points exceed the ceiling of 4"):
+                call()
 
     def test_far_rows_do_not_warn(self):
         with warnings.catch_warnings():

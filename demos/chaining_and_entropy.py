@@ -18,8 +18,8 @@ from berncomp import (
     lipschitz_entropy_profile,
     metric_space_from_pointset,
     min_truncation_objective,
-    sequence_from_text,
-    sequence_to_text,
+    sequence_from_csv,
+    sequence_to_csv,
 )
 
 rng = np.random.default_rng(3)
@@ -42,12 +42,12 @@ print(f"\nadmissible sequence: {seq.n_levels} levels, block counts "
 print(f"chaining functional value: {gamma2_upper(space, seq):.4f} "
       f"(never below the diameter)")
 with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "sequence.txt"
-    sequence_to_text(seq, path)
-    print("serialized in block-per-line format, first lines:")
+    path = Path(tmp) / "sequence.csv"
+    sequence_to_csv(seq, path)
+    print("saved as CSV, one row per block, first lines:")
     for line in path.read_text().splitlines()[:3]:
         print(f"  {line}")
-    back = sequence_from_text(path)
+    back = sequence_from_csv(path)
 print(f"read back: {back.n_levels} levels, equal to the original: {back == seq}")
 
 print("\nentropy envelope profiles and the composite bound:")

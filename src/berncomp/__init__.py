@@ -19,8 +19,8 @@ from .chaining import (
     lipschitz_entropy_formula,
     lipschitz_entropy_profile,
     min_truncation_objective,
-    sequence_from_text,
-    sequence_to_text,
+    sequence_from_csv,
+    sequence_to_csv,
     truncation_objective,
 )
 from .classes import (

@@ -10,19 +10,20 @@ from one branch-and-bound search over center subsets, which starts from the
 farthest-first radius and branches only over the centers that can cover the
 worst-covered point better.  It visits no center set twice, and it runs only
 while the subsets it could examine number at most SEARCH_BUDGET = 2^20
-(always for covering numbers of spaces of at most 20 points).
+(always for covering numbers of spaces of at most 20 points).  Admissible
+sequences are saved and loaded as CSV, one `level,points` row per block,
+through core's one CSV writer and reader.
 """
 
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .core import FiniteMetricSpace, _check_count, _check_scales, _parse_number
+from .core import FiniteMetricSpace, _check_count, _check_scales, _parse_number, _read_csv, _write_csv
 from .errors import InvalidInputError
 
 # Levels beyond this are never needed: their admissible cardinality exceeds
@@ -396,44 +397,33 @@ def composite_rate(n: int, k: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def sequence_to_text(seq: AdmissibleSequence, path) -> None:
-    """One line per level: 'level m: {i,j,...} {k,...}'."""
-    with open(path, "w") as fh:
-        for m, level in enumerate(seq.levels):
-            blocks = " ".join("{" + ",".join(str(i) for i in block) + "}" for block in level)
-            fh.write(f"level {m}: {blocks}\n")
+def sequence_to_csv(seq: AdmissibleSequence, path) -> None:
+    """One `level,points` row per block, in level order and then block
+    order; the points cell holds the block's indices separated by single
+    spaces (empty for an empty block).  A level with no blocks would have no
+    row to read back, so it raises InvalidInputError."""
+    if () in seq.levels:
+        raise InvalidInputError(f"level {seq.levels.index(())} has no blocks")
+    _write_csv(path, ["level", "points"], ([str(m), " ".join(map(str, block))]
+                                           for m, level in enumerate(seq.levels) for block in level))
 
 
-_SEQ_TOKEN = re.compile(r"\S+")
-_SEQ_INDEX = re.compile(r"[^,]+")
-
-
-def sequence_from_text(path) -> AdmissibleSequence:
-    """Load a sequence written by sequence_to_text.  A line that does not
-    start with `level m:`, m counting the levels read so far, or an index
-    that is not an integer raises InvalidInputError naming its line, and a
-    file without levels raises one naming the file."""
+def sequence_from_csv(path) -> AdmissibleSequence:
+    """Load a sequence written by sequence_to_csv.  Each row continues the
+    current level or starts the next one, counting from 0.  A malformed file
+    raises InvalidInputError naming its line: a wrong header, a row with the
+    wrong field count, a row with any other level (column level) or an index
+    that is not an integer (column points).  A file without data rows raises
+    one naming the file."""
+    header, rows = _read_csv(path)
+    if header != ["level", "points"]:
+        raise InvalidInputError(f"{path}, line 1: expected header level,points")
     levels = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            head, colon, _ = line.partition(":")
-            if not colon or head.split() != ["level", str(len(levels))]:
-                raise InvalidInputError(
-                    f"{path}, line {line_no}: expected 'level {len(levels)}:'")
-            blocks = []
-            for token in _SEQ_TOKEN.finditer(line, len(head) + len(colon)):
-                text = token.group()
-                if not (text.startswith("{") and text.endswith("}")):
-                    raise InvalidInputError(f"{path}, line {line_no}, column "
-                                            f"{token.start() + 1}: malformed block token {text!r}")
-                indices = _SEQ_INDEX.finditer(line, token.start() + 1, token.end() - 1)
-                blocks.append(tuple(
-                    _parse_number(v.group(), f"{path}, line {line_no}, column {v.start() + 1}", int)
-                    for v in indices))
-            levels.append(tuple(blocks))
-    try:
-        return AdmissibleSequence(tuple(levels))
-    except InvalidInputError as exc:
-        raise InvalidInputError(f"{path}: {exc}") from None
+    for where, (level, points) in rows:
+        if level == str(len(levels)):
+            levels.append([])
+        elif not levels or level != str(len(levels) - 1):
+            raise InvalidInputError(f"{where}, column level: expected level {len(levels)}, got {level!r}")
+        levels[-1].append(tuple(_parse_number(i, f"{where}, column points", int)
+                                for i in points.split(" ")) if points else ())
+    return AdmissibleSequence(levels)

@@ -4,11 +4,12 @@ Format: one `key = value` per line, `#` comments, lists as `[a, b, c]`,
 fitted constants as dotted keys `constants.<name> = <number>`, where the
 names an experiment reads are those its `experiments.EXPERIMENTS` entry
 declares.  A constant declared with an int default takes only integers, and
-every constant is finite and positive, except w >= 0 and lp_samples >= 2,
-w keeps the tail divergence threshold below the sampler grid end, and the
-u-grid constants make a grid that tails.u_grid accepts.
-Unknown, undeclared, repeated and out-of-range keys are rejected with their
-line and column.
+every constant is finite and positive, except w >= 0 and lp_samples >= 2.
+Each rule another module owns is checked by that module: mc_samples and
+seed by building a complexity.EstimatorConfig, w by the capped-tail
+sampler's own check and the u-grid constants by tails.u_grid.  The n_list
+entries lie between the experiment's n_min and n_max.  Unknown, undeclared,
+repeated and out-of-range keys are rejected with their line and column.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .complexity import MAX_MC_SAMPLES
+from .complexity import DEFAULT_CONFIG, EstimatorConfig
 from .errors import ConfigError, InvalidInputError
 from .experiments import EXPERIMENTS
-from .tails import MAX_W, SAMPLER_GRID_END, divergence_threshold, u_grid
+from .tails import _check_sampler_w, u_grid
 
 
 def _spec(experiment: str):
@@ -35,8 +36,8 @@ class ExperimentConfig:
     experiment: str
     n_list: list = field(default_factory=list)
     k: int = 1
-    seed: int = 42
-    mc_samples: int = 20000
+    seed: int = DEFAULT_CONFIG.seed
+    mc_samples: int = DEFAULT_CONFIG.mc_samples
     constants: dict = field(default_factory=dict)
     out_dir: str = ""
 
@@ -55,14 +56,17 @@ class ExperimentConfig:
         if self.n_list[0] < spec.n_min:
             fail(f"{self.experiment} requires n_list entries >= {spec.n_min}, "
                  f"got {self.n_list[0]}", "n_list")
+        if self.n_list[-1] > spec.n_max:
+            fail(f"{self.experiment} requires n_list entries <= {spec.n_max}, "
+                 f"got {self.n_list[-1]}", "n_list")
         if not spec.k_min <= self.k <= spec.k_max:
             want = f"k = {spec.k_max}" if spec.k_max == spec.k_min else f"k >= {spec.k_min}"
             fail(f"{self.experiment} requires {want}, got k = {self.k}", "k")
-        if not 2 <= self.mc_samples <= MAX_MC_SAMPLES:  # a standard error needs two samples
-            fail(f"mc_samples must be between 2 and {MAX_MC_SAMPLES}, got {self.mc_samples}",
-                 "mc_samples")
-        if self.seed < 0:
-            fail("seed must be a nonnegative 64-bit integer", "seed")
+        for key in ("mc_samples", "seed"):
+            try:
+                EstimatorConfig(**{key: getattr(self, key)})
+            except InvalidInputError as exc:
+                fail(str(exc), key)
         for name, value in self.constants.items():
             key = f"constants.{name}"
             if name not in spec.constants:
@@ -75,11 +79,11 @@ class ExperimentConfig:
             if not value < math.inf or (value <= 0 if low is None else value < low):
                 fail(f"{key} must be finite and {'positive' if low is None else f'>= {low}'}"
                      f", got {value}", key)
-            # tails-demo's sampler tabulates q on u <= SAMPLER_GRID_END, past the threshold
-            if name == "w" and (value > MAX_W
-                                or divergence_threshold(value) >= SAMPLER_GRID_END):
-                fail(f"{key} must put the divergence threshold below the sampler grid end "
-                     f"u = {SAMPLER_GRID_END:g}, got {value}", key)
+            if name == "w":  # tails-demo samples the capped tail at w
+                try:
+                    _check_sampler_w(value)
+                except InvalidInputError as exc:
+                    fail(f"{key}: {exc}", key)
         if "u_stop" in spec.constants:
             grid = ("u_start", "u_stop", "u_step")
             try:

@@ -9,7 +9,8 @@ diverges below, which is benign because only q is ever used.  p = 1 at the
 one s = CROSSING_S for every w, and each term integrates over (u*, inf) to a
 scaled erfcx, so the crossing point and the integral of q are closed forms.
 The truncation floor, the sampler grid (built once per w) with its end
-SAMPLER_GRID_END (the sampler needs the divergence threshold below it), the
+SAMPLER_GRID_END (the sampler, and tails-demo's config check, require the
+divergence threshold below it through one check, _check_sampler_w), the
 SAMPLER_BUCKETS buckets of the sampler's lookup table (built once per w, at
 the first draw), the ceiling MAX_W on w (past it the exponents overflow a
 float) and the row ceiling MAX_GRID_ROWS of u_grid are fixed module
@@ -52,6 +53,17 @@ def _threshold_sq(w: int) -> float:
 def divergence_threshold(w: int = 0) -> float:
     """The series converges exactly for u above sqrt(2^(2+w) * ln 2)."""
     return math.sqrt(_threshold_sq(w))
+
+
+def _check_sampler_w(w: int) -> None:
+    """Raise InvalidInputError unless w is an integer in [0, MAX_W] whose
+    divergence threshold lies below SAMPLER_GRID_END, where the sampler's
+    grid ends: the one check of sample_from_capped_tail and of tails-demo's
+    w."""
+    u0 = divergence_threshold(w)
+    if not u0 < SAMPLER_GRID_END:
+        raise InvalidInputError(f"w = {w} puts the divergence threshold u = {u0:.6g} at or past the "
+                                f"sampler grid end u = {SAMPLER_GRID_END:g}")
 
 
 def log_tail_series(u: float, w: int = 0) -> float:
@@ -228,8 +240,11 @@ def sample_from_capped_tail(w: int, rho_scale: float,
     Flooring keeps the sampled law strictly inside the hypothesis
     (P(Y > u * rho + zeta) <= q(u) for every u), so any valid expectation
     bound must dominate the sample mean; the deterministic slack is about
-    rho * SAMPLER_GRID_STEP / 2.
+    rho * SAMPLER_GRID_STEP / 2.  A w whose divergence threshold is not
+    below SAMPLER_GRID_END raises InvalidInputError before any grid point is
+    evaluated.
     """
+    _check_sampler_w(w)
     _check_count("n_samples", n_samples, 1)
     _check_law(rho_scale, zeta_shift)
     _check_count("seed", seed)

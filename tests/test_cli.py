@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 from pathlib import Path
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from berncomp import (ConfigError, InvalidInputError, PointSet, SolverError,
+from berncomp import (ConfigError, InvalidInputError, PointSet,
                       bernoulli_complexity, pointset_to_csv)
 from berncomp import core, experiments
 from berncomp.cli import main
@@ -94,6 +95,25 @@ class TestConfigParsing:
         assert "foo" in str(err.value)
         assert "line 2" in str(err.value)
 
+    @pytest.mark.parametrize("experiment, n, n_max", [
+        ("lemma-checks", 1000000000, 16000), ("composition-logfree", 100000000, 16000),
+    ])
+    def test_n_past_the_memory_ceiling_rejected(self, experiment, n, n_max):
+        # these runs asked numpy for 59.6 GiB and 5.96 GiB arrays
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"experiment = {experiment}\nn_list = [4, {n}]\n")
+        assert str(err.value) == (f"line 2, column 1: {experiment} requires n_list entries "
+                                  f"<= {n_max}, got {n}")
+
+    @pytest.mark.parametrize("experiment", ["lemma-checks", "composition-logfree",
+                                            "rkhs-bound"])
+    def test_largest_accepted_n_is_n_max(self, experiment):
+        n_max = EXPERIMENTS[experiment].n_max
+        assert parse_config_text(f"experiment = {experiment}\nn_list = [{n_max}]\n").n_list == [
+            n_max]
+        with pytest.raises(ConfigError, match=f"line 2, column 1: .* <= {n_max}, got {n_max + 1}"):
+            parse_config_text(f"experiment = {experiment}\nn_list = [{n_max + 1}]\n")
+
     def test_descending_n_list_names_invariant(self):
         with pytest.raises(ConfigError) as err:
             parse_config_text("experiment = scaling-k1\nn_list = [8, 4]\n")
@@ -133,7 +153,7 @@ class TestConfigParsing:
         assert parse_config_text("experiment = tails-demo\nconstants.w = 18\n").constants == {
             "w": 18}
         sample_from_capped_tail(18, 1.0, 0.5, 10, 0)
-        with pytest.raises(SolverError):
+        with pytest.raises(InvalidInputError, match="sampler grid end u = 1000"):
             sample_from_capped_tail(19, 1.0, 0.5, 10, 0)
 
 
@@ -434,7 +454,7 @@ class TestRunCommand:
          "line 2, column 1"),
         ("experiment = lemma-checks\nconstants.n_sets = many\n",
          ": constant 'n_sets' must be numeric", "line 2, column 1"),
-        ("experiment = lemma-checks\nseed = -1\n", ": seed must be a nonnegative",
+        ("experiment = lemma-checks\nseed = -1\n", ": seed must be nonnegative",
          "line 2, column 1"),
     ], ids=["undeclared-constant", "repeated-seed", "scaling-k1-with-k3", "zero-u-step",
             "negative-u-step", "negative-n", "scaling-k2-with-n1", "chaining-demo-with-n1",
@@ -467,6 +487,26 @@ class TestRunCommand:
         assert main(["run", str(config)]) == 2
         assert capsys.readouterr() == (
             "", "error: distances between 12 points exceed the ceiling of 4 points\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("experiment", ["lemma-checks", "composition-logfree",
+                                            "rkhs-bound"])
+    def test_n_past_n_max_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch,
+                                                 experiment):
+        # a runner that fails the test: the bound must stop the run before it
+        # allocates anything
+        def never(cfg, consts):
+            raise AssertionError(f"{experiment} ran with n_list = {cfg.n_list}")
+
+        spec = EXPERIMENTS[experiment]
+        monkeypatch.setitem(EXPERIMENTS, experiment, dataclasses.replace(spec, run=never))
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"experiment = {experiment}\nn_list = [8, {spec.n_max + 1}]\n"
+                          f"out_dir = {tmp_path / 'o'}\n")
+        assert main(["run", str(config)]) == 2
+        assert capsys.readouterr() == (
+            "", f"config error: line 2, column 1: {experiment} requires n_list entries <= "
+                f"{spec.n_max}, got {spec.n_max + 1}\n")
         assert not (tmp_path / "o").exists()
 
     def test_figures_written(self, tmp_path, capsys):

@@ -21,7 +21,7 @@ from berncomp import (
     norm_pq,
     pointset_from_csv,
     pointset_to_csv,
-    sequence_from_text,
+    sequence_from_csv,
 )
 from berncomp import core
 from berncomp.core import _row_max, distances
@@ -223,10 +223,27 @@ class TestLoaderErrors:
         (pointset_from_csv, "id,coord_0\n0,1.0\n",
          "line 1: expected header starting with elem_id"),
         (pointset_from_csv, "elem_id\n0\n", "line 1: 0 coordinates do not form k=1 rows"),
-        (sequence_from_text, "level 0: {0,1}\nlevel 1: {1 {0}\n",
-         "line 2, column 10: malformed block token '{1'"),
+        (sequence_from_csv, "level,points\n0,0 1\n1,0 x\n",
+         "line 3, column points: expected a number, got 'x'"),
+        (sequence_from_csv, "level,points\n0,0 1\n2,0\n",
+         "line 3, column level: expected level 1, got '2'"),
+        (sequence_from_csv, "level,blocks\n0,0 1\n", "line 1: expected header level,points"),
+        (sequence_from_csv, "level,points\n0,0 1\n1\n", "line 3: expected 2 fields, got 1"),
+        (sequence_from_csv, "level,points\n1,0 1\n",
+         "line 2, column level: expected level 0, got '1'"),
+        (sequence_from_csv, "level,points\n0,0 1\n1,0\n0,1\n",
+         "line 4, column level: expected level 2, got '0'"),
+        (sequence_from_csv, "level,points\n0,0 1\n\n01,0\n",
+         "line 4, column level: expected level 1, got '01'"),
+        (sequence_from_csv, "level,points\n0,0  1\n",
+         "line 2, column points: expected a number, got ''"),
+        (sequence_from_csv, "level,points\n0,0 1.0\n",
+         "line 2, column points: expected a number, got '1.0'"),
     ], ids=["pointset-short-row", "pointset-nan", "pointset-overflow", "pointset-header",
-            "pointset-no-coordinates", "sequence-token"])
+            "pointset-no-coordinates", "sequence-bad-index", "sequence-skipped-level",
+            "sequence-header", "sequence-short-row", "sequence-first-level-not-0",
+            "sequence-level-going-back", "sequence-level-with-leading-zero",
+            "sequence-double-space", "sequence-fractional-index"])
     def test_message_names_file_and_line(self, tmp_path, load, text, where):
         path = tmp_path / "data.txt"
         path.write_text(text)
@@ -234,19 +251,10 @@ class TestLoaderErrors:
             load(path)
         assert str(err.value).startswith(f"{path}, {where}")
 
-    @pytest.mark.parametrize("load, text, message", [
-        (sequence_from_text, "", "sequence needs at least one level"),
-    ], ids=["sequence-empty"])
-    def test_invalid_contents_name_file(self, tmp_path, load, text, message):
-        path = tmp_path / "data.txt"
-        path.write_text(text)
-        with pytest.raises(InvalidInputError) as err:
-            load(path)
-        assert str(err.value) == f"{path}: {message}"
-
     @pytest.mark.parametrize("load, header", [
         (pointset_from_csv, "elem_id,coord_0"),
-    ], ids=["pointset"])
+        (sequence_from_csv, "level,points"),
+    ], ids=["pointset", "sequence"])
     def test_header_without_rows_names_file(self, tmp_path, load, header):
         path = tmp_path / "data.csv"
         path.write_text(header + "\n\n")

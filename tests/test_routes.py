@@ -13,7 +13,11 @@ _as_coeff_rows.  The one thread pool is built in
 experiments._map_cells.  Exact covering and entropy numbers come from one
 search, chaining._min_cover_radius, and the tail sampler reads q through
 one searchsorted, in tails._grid_index.  Every experiment check is an
-ExperimentOutcome.gate call, and only the gate records a failure."""
+ExperimentOutcome.gate call, and only the gate records a failure.  Files
+are opened in four places only: every CSV file the package loads or saves,
+point sets, admissible sequences and experiment results alike, goes
+through core._read_csv or core._write_csv, config files through
+config.parse_config and figures through svgplot.write_plot."""
 
 import ast
 from pathlib import Path
@@ -59,6 +63,12 @@ def overflow_raisers(source: str) -> list:
 
 def _read(module: str) -> str:
     return (SRC / module).read_text()
+
+
+def called_by(name: str) -> set:
+    """(module file, function) for every call of `name` in src/."""
+    return {(path.name, qual) for path in SRC.glob("*.py")
+            for qual in callers(path.read_text(), name)}
 
 
 def test_checkers_find_planted_cases():
@@ -119,6 +129,13 @@ def test_a_monte_carlo_pair_reads_the_inner_words_only(monkeypatch):
         assert sum(words) == (mc * n + 1) // 2
 
 
+def test_files_are_opened_by_one_reader_and_one_writer_per_format():
+    assert called_by("open") == {("core.py", "_read_csv"), ("core.py", "_write_csv"),
+                                 ("config.py", "parse_config"), ("svgplot.py", "write_plot")}
+    assert [called_by(name) for name in ("read_text", "write_text", "read_bytes",
+                                         "write_bytes")] == [set()] * 4
+
+
 def test_the_one_executor_is_the_lemma_checks_pool():
     built = {(path.name, qual) for path in SRC.glob("*.py")
              for name in ("ThreadPoolExecutor", "ProcessPoolExecutor")
@@ -132,10 +149,6 @@ def test_complexity_measures_no_distance_itself():
 
 
 def test_element_distances_have_one_routine():
-    def called_by(name):
-        return {(path.name, qual) for path in SRC.glob("*.py")
-                for qual in callers(path.read_text(), name)}
-
     assert called_by("distances") == {("core.py", "_element_distances"),
                                       ("classes.py", "_lipschitz_sup_simplex"),
                                       ("classes.py", "gaussian_gram"),

@@ -17,10 +17,12 @@ from berncomp import (
     tail_series_capped,
     uncenter_tail,
 )
+from berncomp import tails
 from berncomp.tails import (
     CROSSING_S,
     MAX_W,
     SAMPLER_BUCKETS,
+    SAMPLER_GRID_END,
     _erfcx,
     _sampler_grid,
     _sampler_index,
@@ -279,6 +281,19 @@ class TestCappedTailSampler:
         a = sample_from_capped_tail(w, 1.0, 0.0, 1000, seed=9)
         b = sample_from_capped_tail(w, 1.0, 0.0, 1000, seed=9)
         np.testing.assert_array_equal(a, b)
+
+    def test_w_past_the_grid_end_raises_before_the_grid_is_walked(self, monkeypatch):
+        # w = 19 puts the threshold at sqrt(2^21 ln 2) = 1205.67; the check
+        # must come before the sampler evaluates q at any grid point
+        def no_q(u, w):
+            raise AssertionError(f"q evaluated at u = {u}")
+
+        monkeypatch.setattr(tails, "tail_series_capped", no_q)
+        with pytest.raises(InvalidInputError) as err:
+            sample_from_capped_tail(19, 1.0, 0.5, 10, 0)
+        assert str(err.value) == ("w = 19 puts the divergence threshold u = 1205.67 at or past "
+                                  "the sampler grid end u = 1000")
+        assert divergence_threshold(18) < SAMPLER_GRID_END <= divergence_threshold(19)
 
     @pytest.mark.parametrize("w", [0, 1, 3])
     def test_grid_is_built_once_per_w_with_the_same_bits(self, w):

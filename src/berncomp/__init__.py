@@ -35,7 +35,6 @@ from .classes import (
 from .complexity import (
     EstimatorConfig,
     bernoulli_complexity,
-    composite_and_inner_complexity,
     composite_bernoulli_complexity,
     gaussian_complexity,
     increment_ratio,

@@ -13,24 +13,18 @@ place, _weights: all 2^n sign patterns when the config picks exact
 enumeration, otherwise mc_samples sign or Gaussian rows drawn from the one
 generator seeded by the config.  It yields them in consecutive blocks of
 WEIGHT_BLOCK rows, each from a bit-exact source, so the rows do not depend
-on the block size.  Every estimator reads them through one routine,
-_per_row, which takes consumers, each a width and a function from a block
-of rows to per-row values.  It draws the widest stream once and cuts each
-consumer's rows from its flat prefix in the consumer's own row blocks,
-and each block is reduced before the next is drawn, so an estimate holds
-at most two blocks of weights whatever mc_samples is.  So
-composite_and_inner_complexity is two consumers on one draw: the
-composite's n-wide Monte Carlo rows are the first mc_samples * n signs of
-the inner k*n-wide stream.  increment_ratio is one consumer for all its
-element pairs.  Element distances come from core._element_distances.
-Composite estimators take any function class with a sup_batch(points, C)
-method (see berncomp.classes).  All randomized operations are pure
-functions of (inputs, seed): the same seed gives a bit-identical result.
+on the block size.  Each estimator calls _weights once and reduces each
+block before the next is drawn, so an estimate holds at most two blocks of
+weights whatever mc_samples is; increment_ratio reduces each block for all
+its element pairs, which so share one draw.  Element distances come from
+core._element_distances.  Composite estimators take any function class
+with a sup_batch(points, C) method (see berncomp.classes).  All randomized
+operations are pure functions of (inputs, seed): the same seed gives a
+bit-identical result.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import partial
@@ -147,37 +141,6 @@ def _weights(cfg: EstimatorConfig, width: int,
     return (draw((b - a, width)) for a, b in _row_blocks(cfg.mc_samples)), False
 
 
-def _per_row(cfg: EstimatorConfig, consumers: list, gaussian: bool = False) -> tuple[list, bool]:
-    """(outs, exact): outs[c] lists fn(C) for the row blocks C (see
-    _row_blocks) of consumer c = (width, fn), in order, each C holding rows
-    of width weights.  _weights is drawn once, at the widest width, and
-    each consumer's rows are cut from the flat prefix of that stream, so a
-    Monte Carlo consumer gets the rows _weights would draw at its own width
-    (every stream block but the last ends on a whole generator word).
-    Exact tables of two widths share no rows: under exact enumeration all
-    consumers have the widest width.  A block C is a view of the stream
-    block it ends in, except one that straddles two stream blocks, which
-    joins a copy of its head to the start of the next.  fn(C) runs once the
-    stream has passed the end of C, so at most two stream blocks are held.
-    """
-    wide = max(width for width, _ in consumers)
-    blocks, exact = _weights(cfg, wide, gaussian)
-    rows = 2 ** wide if exact else cfg.mc_samples
-    cuts = [deque((a * width, b * width) for a, b in _row_blocks(rows)) for width, _ in consumers]
-    outs, heads, base = [[] for _ in consumers], [None] * len(consumers), 0
-    for W in blocks:
-        flat, end = W.reshape(-1), base + W.size
-        for c, ((width, fn), cut) in enumerate(zip(consumers, cuts)):
-            while cut and cut[0][1] <= end:  # the next C, flat [lo, hi), ends in W
-                lo, hi = cut.popleft()
-                C = (flat[lo - base:hi - base] if lo >= base  # a view, or a straddling C
-                     else np.concatenate([heads[c], flat[:hi - base]]))
-                outs[c].append(fn(C.reshape(-1, width)))
-            heads[c] = flat[cut[0][0] - base:].copy() if cut else None  # the next C's head
-        base = end
-    return outs, exact
-
-
 def _finish(sups: list, exact: bool, seed: int) -> ComplexityEstimate:
     sups = np.concatenate(sups)
     se = 0.0 if exact else float(np.std(sups, ddof=1) / np.sqrt(len(sups)))
@@ -191,16 +154,11 @@ def _linear_sup_estimate(vecs: np.ndarray, cfg: EstimatorConfig, gaussian: bool)
     if m == 1:
         # E <weights, t> = 0 for a singleton; exact regardless of mode.
         return ComplexityEstimate(0.0, 0.0, "closed-form", 0, cfg.seed)
-    (sups,), exact = _per_row(cfg, [(width, partial(_linear_sups, vecs))], gaussian)
-    return _finish(sups, exact, cfg.seed)
-
-
-def _linear_sups(vecs: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Per row of W, the maximum of <row, v> over the rows v of vecs."""
+    blocks, exact = _weights(cfg, width, gaussian)
     # W @ vecs.T rounds as the one-shot product did, which vecs @ W.T does
     # not for every set; each row's maximum is a running np.maximum over
     # the m columns of the (rows, m) product
-    return _row_max(W @ vecs.T)
+    return _finish([_row_max(W @ vecs.T) for W in blocks], exact, cfg.seed)
 
 
 def bernoulli_complexity(T: PointSet, cfg: EstimatorConfig = DEFAULT_CONFIG) -> ComplexityEstimate:
@@ -230,38 +188,10 @@ def composite_bernoulli_complexity(fclass, T: PointSet,
     fclass is any class with sup_batch(points, C).  The supremum couples f
     and t jointly, per sign pattern (exact) or per sample (Monte Carlo).
     """
-    (sups,), exact = _per_row(cfg, [(T.n, partial(_composite_sups, fclass, _columns(T)))])
-    return _finish(sups, exact, cfg.seed)
-
-
-def _columns(T: PointSet) -> list:
-    """The (n, k) points of each element: its columns."""
-    return [T.element(i).T for i in range(T.n_elements)]
-
-
-def _composite_sups(fclass, points: list, W: np.ndarray) -> np.ndarray:
-    """Per row of W, the supremum over the elements' points and the class."""
-    return np.max([fclass.sup_batch(p, W) for p in points], axis=0)
-
-
-def composite_and_inner_complexity(fclass, T: PointSet, cfg: EstimatorConfig = DEFAULT_CONFIG
-                                   ) -> tuple[ComplexityEstimate, ComplexityEstimate]:
-    """(composite_bernoulli_complexity(fclass, T, cfg),
-    bernoulli_complexity(T, cfg)), bit for bit, from one sign draw.
-
-    A Monte Carlo composite estimate's n-wide rows are the first
-    mc_samples * n signs of the inner estimate's k*n-wide stream (same
-    seed, whole generator words per block), so only the inner rows are
-    drawn and the composite rows are cut from them in their own row
-    blocks.  Exact enumeration (2^n and 2^(k*n) tables share no rows) and a
-    singleton T (closed-form inner estimate) take the two calls.
-    """
-    if T.n_elements == 1 or cfg.pick_exact(T.n):
-        return composite_bernoulli_complexity(fclass, T, cfg), bernoulli_complexity(T, cfg)
-    # k*n >= n signs: the inner rows are Monte Carlo too
-    (composite, inner), _ = _per_row(cfg, [(T.n, partial(_composite_sups, fclass, _columns(T))),
-                                           (T.k * T.n, partial(_linear_sups, T.vectorized()))])
-    return _finish(composite, False, cfg.seed), _finish(inner, False, cfg.seed)
+    blocks, exact = _weights(cfg, T.n)
+    points = [T.element(i).T for i in range(T.n_elements)]  # each element's (n, k) columns
+    return _finish([np.max([fclass.sup_batch(p, W) for p in points], axis=0) for W in blocks],
+                   exact, cfg.seed)
 
 
 def increment_ratio(fclass, S: PointSet,
@@ -284,7 +214,7 @@ def increment_ratio(fclass, S: PointSet,
     """
     if S.n_elements < 2:
         raise InvalidInputError("need at least two elements")
-    cfg.pick_exact(S.n)  # an exact budget past the cutoff raises before the pair checks
+    blocks, _ = _weights(cfg, S.n)  # an exact budget past the cutoff raises before the pair checks
     dist = _element_distances(S)
     # Sign symmetry eps -> -eps makes the (s, t) and (t, s) expectations
     # equal, so unordered pairs suffice.
@@ -293,7 +223,7 @@ def increment_ratio(fclass, S: PointSet,
     if not pairs:
         raise DegenerateSetError("all element pairs coincide within tolerance")
     points = [np.concatenate([S.element(i).T, S.element(j).T]) for i, j in pairs]
-    (sups,), _ = _per_row(cfg, [(S.n, partial(_increment_sups, fclass, points))])  # block, then pair
+    sups = [_increment_sups(fclass, points, W) for W in blocks]  # block, then pair
     return max(float(np.mean(np.concatenate(per_pair))) / float(dist[i, j])
                for per_pair, (i, j) in zip(zip(*sups), pairs))
 

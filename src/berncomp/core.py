@@ -350,8 +350,7 @@ def pointset_from_csv(path, k: int = 1) -> PointSet:
     malformed file raises InvalidInputError naming its line, and the column
     for a cell that is not a finite number.
     """
-    if k < 1:
-        raise InvalidInputError(f"k must be at least 1, got {k}")
+    _check_count("k", k, 1)
     header, rows = _read_csv(path)
     if header[:1] != ["elem_id"]:
         raise InvalidInputError(f"{path}, line 1: expected header starting with elem_id")

@@ -35,7 +35,6 @@ from .classes import lipschitz_ball_sup  # noqa: F401 - perfbench's selftest ass
 from .complexity import (
     EstimatorConfig,
     bernoulli_complexity,
-    composite_and_inner_complexity,
     composite_bernoulli_complexity,
     gaussian_complexity,
     increment_ratio,
@@ -175,7 +174,8 @@ def _lemma_cell(cfg: ExperimentConfig, cell: tuple) -> tuple:
     n, rep = cell
     seed = cell_seed(cfg.seed, "lemma", n, rep)
     T = _random_pointset(np.random.default_rng(seed), LEMMA_ELEMENTS, cfg.k, n)
-    est_cfg = EstimatorConfig(mode="auto", mc_samples=cfg.mc_samples, seed=seed)
+    est_cfg = EstimatorConfig(mode="auto", mc_samples=cfg.mc_samples,
+                              seed=cell_seed(seed, "signs"))
     return (bernoulli_complexity(T, est_cfg), gaussian_complexity(T, est_cfg),
             max(norm_pq(T.element(i), 1, 1) for i in range(len(T))), diameter2(T))
 
@@ -252,13 +252,13 @@ def _run_scaling(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
 
 def _composition_cell(seed: int, n: int, r: int, L: float, R: float, samples: int):
     """(composite, inner, ratio), both complexities divided by n; at k = 1
-    the two estimators share one draw of n signs per sample."""
+    both estimators have width n, so one seed gives them the same signs."""
     rng = np.random.default_rng(seed)
     T = _random_pointset(rng, r, 1, n, R)
     est_cfg = EstimatorConfig(mode="monte-carlo", mc_samples=samples,
                               seed=cell_seed(seed, "signs"))
-    comp, inner = composite_and_inner_complexity(LipschitzBall(L, R), T, est_cfg)
-    rhat_comp, rhat_inner = comp.value / n, inner.value / n
+    rhat_comp = composite_bernoulli_complexity(LipschitzBall(L, R), T, est_cfg).value / n
+    rhat_inner = bernoulli_complexity(T, est_cfg).value / n
     return rhat_comp, rhat_inner, rhat_comp / (L * (R / math.sqrt(n) + rhat_inner))
 
 
@@ -317,13 +317,6 @@ def _run_rkhs(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
     def estimator(seed: int) -> EstimatorConfig:
         return EstimatorConfig(mode="auto", mc_samples=mc, seed=seed, exact_cutoff_n=16)
 
-    def complexities(T: PointSet, sigma: float, rho: float, seed: int, bT=None):
-        """(bF, bT) from one sign draw, or bF beside a given exact bT."""
-        ball = GaussianRkhsBall(sigma=sigma, rho=rho)
-        if bT is None:
-            return composite_and_inner_complexity(ball, T, estimator(seed))
-        return composite_bernoulli_complexity(ball, T, estimator(seed)), bT
-
     # Fit C at the smallest n with sigma = rho = 1, inflated by the headroom
     # factor, then hold it fixed for every other combination.
     n0 = cfg.n_list[0]
@@ -333,7 +326,9 @@ def _run_rkhs(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
             seed = cell_seed(cfg.seed, "rkhs-fit", k, rep)
             rng = np.random.default_rng(seed)
             T = _random_ball_pointset(rng, n_elements, k, n0, radius)
-            bF, bT = complexities(T, 1.0, 1.0, seed)
+            est_cfg = estimator(cell_seed(seed, "signs"))
+            bF = composite_bernoulli_complexity(GaussianRkhsBall(sigma=1.0, rho=1.0), T, est_cfg)
+            bT = bernoulli_complexity(T, est_cfg)
             denom = bT.value / 1.0 + math.sqrt(n0)
             fit_ratios.append((bF.value + 3.0 * bF.std_error)
                               / max(denom - 3.0 * bT.std_error, 1e-9))
@@ -348,19 +343,19 @@ def _run_rkhs(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
             seed_T = cell_seed(cfg.seed, "rkhs-T", k, n)
             rng = np.random.default_rng(seed_T)
             T = _random_ball_pointset(rng, n_elements, k, n, radius)
-            # exact enumeration reads no seed: one inner estimate per set
-            set_cfg = estimator(seed_T)
-            bT_exact = bernoulli_complexity(T, set_cfg) if set_cfg.pick_exact(k * n) else None
+            # b(T) depends on the set alone: one estimate serves its six cells
+            bT = bernoulli_complexity(T, estimator(cell_seed(seed_T, "signs")))
             for sigma in sigmas:
                 for rho in rhos:
                     seed = cell_seed(cfg.seed, "rkhs", k, n, int(sigma * 10), int(rho * 10))
-                    bF, bT = complexities(T, sigma, rho, seed, bT_exact)
+                    bF = composite_bernoulli_complexity(GaussianRkhsBall(sigma=sigma, rho=rho),
+                                                        T, estimator(seed))
                     denom = rho * (bT.value / sigma + math.sqrt(n))
                     slack = 3.0 * (bF.std_error + c_fit * rho * bT.std_error / sigma)
                     ratio = bF.value / denom
                     tag = f"k{k}_n{n}_s{sigma}_r{rho}"
                     out.add_row(n, k, f"bF_{tag}", bF.value, bF.std_error, seed)
-                    out.add_row(n, k, f"bT_{tag}", bT.value, bT.std_error, seed)
+                    out.add_row(n, k, f"bT_{tag}", bT.value, bT.std_error, bT.seed)
                     out.add_row(n, k, f"ratio_{tag}", ratio, 0.0, seed)
                     out.gate(f"rkhs bound at {tag}", bF.value, c_fit * denom, slack)
                     ratio_series[sigma][0].append(n)
@@ -373,8 +368,7 @@ def _run_rkhs(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
                 rng = np.random.default_rng(seed)
                 S = _random_ball_pointset(rng, 4, k, 6, radius)
                 ball = GaussianRkhsBall(sigma=sigma, rho=rho)
-                d_val = increment_ratio(ball, S,
-                                        EstimatorConfig(mode="exact", seed=seed))
+                d_val = increment_ratio(ball, S, EstimatorConfig(mode="exact"))  # reads no seed
                 out.add_row(6, k, f"increment_ratio_k{k}_s{sigma}_r{rho}", d_val, 0.0, seed)
                 out.gate(f"increment ratio at k={k}, sigma={sigma}, rho={rho}", d_val,
                          rho / sigma, tol=1e-9)

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .core import _as_readonly, _check_count, _check_scales
-from .errors import InvalidInputError, SolverError
+from .errors import InvalidInputError
 
 _MAX_TERMS = 10000
 TRUNCATION_FLOOR = 1e-300
@@ -186,7 +186,13 @@ def uncenter_tail(a: float, u: float) -> float:
 def _sampler_grid(w: int) -> tuple[np.ndarray, np.ndarray]:
     """The sampler's u-grid, from 0 in steps of SAMPLER_GRID_STEP up to the
     first point where q falls below SAMPLER_TAIL_CUT, and q on it; built
-    once per w and returned read-only."""
+    once per w and returned read-only.
+
+    w must have passed _check_sampler_w, which puts the divergence
+    threshold u0 below SAMPLER_GRID_END.  q falls below the cut once
+    s = u^2 - u0^2 passes about 28, so the grid ends near sqrt(u0^2 + 28):
+    at u = 5.52, 53.55 and 852.56 for w = 0, 10 and 18, the largest w that
+    check admits, all before SAMPLER_GRID_END."""
     grid = [0.0]
     qs = [1.0]
     u = SAMPLER_GRID_STEP
@@ -197,8 +203,6 @@ def _sampler_grid(w: int) -> tuple[np.ndarray, np.ndarray]:
         if q < SAMPLER_TAIL_CUT:
             break
         u += SAMPLER_GRID_STEP
-        if u > SAMPLER_GRID_END:
-            raise SolverError("tail grid failed to reach the cut level")
     return _as_readonly(grid), _as_readonly(qs)
 
 

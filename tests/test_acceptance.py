@@ -34,7 +34,7 @@ from berncomp import (
     sample_from_capped_tail,
     uncenter_tail,
 )
-from berncomp import experiments
+from berncomp import complexity, experiments
 from berncomp.complexity import _weights
 from berncomp.config import parse_config
 from berncomp.experiments import (_ci_from_reps, _composition_cell, cell_seed, ols_fit,
@@ -238,29 +238,71 @@ def test_composition_runner_rows_are_its_cells(tmp_path):
 
 
 def test_rkhs_bound_rows_are_the_per_cell_estimates(monkeypatch, tmp_path):
-    # rkhs-bound takes each Monte Carlo cell's pair from one sign draw and
-    # each exact inner estimate once per set; its rows are those of the two
-    # separate calls per cell, and its only direct inner estimates are one
-    # exact enumeration per (k, n) set with k * n <= 16
+    # rkhs-bound estimates b(T) once per (k, n) set and once per fit
+    # replication, and b(F(T)) once per cell; every bF_ and bT_ row is the
+    # library call on its set at the seed the row names
     cfg = parse_config(Path(__file__).resolve().parents[1] / "configs" / "rkhs_bound.txt")
-    cfg.n_list, cfg.out_dir = [8, 24], str(tmp_path / "shared")
-    direct = []
+    cfg.n_list, cfg.out_dir = [8, 24], str(tmp_path)
+    consts = {**experiments.EXPERIMENTS["rkhs-bound"].constants, **cfg.constants}
+    inner = []
 
     def counted(T, est_cfg):
-        est = bernoulli_complexity(T, est_cfg)
-        direct.append((T.k, T.n, est.method))
-        return est
+        inner.append((T.k, T.n))
+        return bernoulli_complexity(T, est_cfg)
 
     monkeypatch.setattr(experiments, "bernoulli_complexity", counted)
     assert run_experiment(cfg, echo=lambda line: None) == 0
-    assert direct == [(1, 8, "exact-enumeration"), (2, 8, "exact-enumeration")]
-    monkeypatch.setattr(experiments, "composite_and_inner_complexity", lambda fclass, T, c: (
-        composite_bernoulli_complexity(fclass, T, c), bernoulli_complexity(T, c)))
-    cfg.out_dir = str(tmp_path / "separate")
-    assert run_experiment(cfg, echo=lambda line: None) == 0
-    for name in ("results.csv", "summary.csv"):
-        assert (tmp_path / "shared" / name).read_bytes() == \
-            (tmp_path / "separate" / name).read_bytes()
+    fits = [(k, 8) for k in (1, 2) for _ in range(experiments.RKHS_FIT_REPLICATIONS)]
+    assert inner == fits + [(k, n) for k in (1, 2) for n in (8, 24)]
+    mc = min(cfg.mc_samples, experiments.RKHS_MC_CAP)
+    with open(tmp_path / "results.csv", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row[3][:3] in ("bF_", "bT_")]
+    assert len(rows) == 2 * 2 * 2 * 6
+    for _, n, k, quantity, value, std_error, seed in rows:
+        n, k, seed = int(n), int(k), int(seed)
+        seed_T = cell_seed(cfg.seed, "rkhs-T", k, n)
+        T = experiments._random_ball_pointset(np.random.default_rng(seed_T),
+                                              consts["n_elements"], k, n, consts["R"])
+        est_cfg = EstimatorConfig(mode="auto", mc_samples=mc, seed=seed, exact_cutoff_n=16)
+        if quantity.startswith("bT_"):
+            assert seed == cell_seed(seed_T, "signs")
+            est = bernoulli_complexity(T, est_cfg)
+        else:
+            sigma, rho = (float(part[1:]) for part in quantity.split("_")[3:])
+            assert seed == cell_seed(cfg.seed, "rkhs", k, n, int(sigma * 10), int(rho * 10))
+            est = composite_bernoulli_complexity(GaussianRkhsBall(sigma=sigma, rho=rho), T,
+                                                 est_cfg)
+        assert (value, std_error) == (repr(est.value), repr(est.std_error))
+
+
+def test_no_monte_carlo_estimate_reads_a_point_set_seed(monkeypatch, tmp_path):
+    # one seed for both would tie the Monte Carlo signs to the set's
+    # coordinates: the signs read bit 63 of the words the set was drawn from
+    set_seeds, mc_seeds = set(), set()
+    for name in ("_random_pointset", "_random_ball_pointset"):
+        def drawn(rng, *args, draw=getattr(experiments, name)):
+            set_seeds.add(rng.bit_generator.seed_seq.entropy)
+            return draw(rng, *args)
+        monkeypatch.setattr(experiments, name, drawn)
+    weights = complexity._weights
+
+    def recorded(cfg, width, gaussian=False):
+        blocks, exact = weights(cfg, width, gaussian)
+        if not exact:
+            mc_seeds.add(cfg.seed)
+        return blocks, exact
+
+    monkeypatch.setattr(complexity, "_weights", recorded)
+    for body in ("experiment = lemma-checks\nn_list = [4, 16]\nmc_samples = 200\n"
+                 "constants.n_sets = 3\n",
+                 "experiment = composition-logfree\nn_list = [16, 32]\n"
+                 "constants.n_functions = 4\nconstants.lp_samples = 24\n"
+                 "constants.replications = 2\n",
+                 "experiment = rkhs-bound\nn_list = [8, 24]\nmc_samples = 200\n"):
+        config = tmp_path / "config.txt"
+        config.write_text(f"{body}seed = 7\nout_dir = {tmp_path / 'out'}\n")
+        assert run_experiment(parse_config(config), echo=lambda line: None) == 0
+    assert mc_seeds and set_seeds and not mc_seeds & set_seeds
 
 
 def test_criterion_6_rkhs_bound():

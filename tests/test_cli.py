@@ -262,7 +262,7 @@ class TestEstimateCommand:
         path = tmp_path / "pts.csv"
         pointset_to_csv(PointSet.from_rows([[1.0, 2.0]]), path)
         assert main(["estimate", "--input", str(path), "--quantity", "b", "--k", "0"]) == 2
-        assert "k must be at least 1" in capsys.readouterr().err
+        assert "k must be >= 1, got 0" in capsys.readouterr().err
 
     def test_exact_cutoff_above_20_exits_2(self, tmp_path, capsys):
         # rejected before any sign pattern is built

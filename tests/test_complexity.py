@@ -20,7 +20,6 @@ from berncomp import (
     LipschitzBall,
     PointSet,
     bernoulli_complexity,
-    composite_and_inner_complexity,
     composite_bernoulli_complexity,
     diameter2,
     gaussian_complexity,
@@ -331,7 +330,8 @@ class TestWeightBlocks:
     @pytest.mark.parametrize("short, long", [((1, 1), (1, 2)), ((3, 5), (2, 8)), ((3, 5), (3, 15)),
                                              ((301, 5), (301, 10)), ((4097, 3), (4096, 9))])
     def test_a_short_draw_is_the_prefix_of_a_long_one(self, short, long):
-        # the pair estimate cuts its composite rows from the inner rows
+        # signs read the generator's words in order: a block of a draw
+        # continues where the block before it stopped
         flat = _random_signs(np.random.default_rng(7).bit_generator, long).reshape(-1)
         signs = _random_signs(np.random.default_rng(7).bit_generator, short)
         assert signs.tobytes() == flat[:short[0] * short[1]].tobytes()
@@ -426,109 +426,39 @@ def _four_classes(k: int, n: int) -> dict:
                                           rng.uniform(-1.0, 1.0, size=3), 1.0, 2.0)}
 
 
-class TestCompositeAndInner:
-    """composite_and_inner_complexity is the two separate estimates, bit for
-    bit, from one draw of the inner estimate's signs."""
-
-    @staticmethod
-    def _check(fclass, T, cfg):
-        pair = composite_and_inner_complexity(fclass, T, cfg)
-        assert repr(pair) == repr((composite_bernoulli_complexity(fclass, T, cfg),
-                                   bernoulli_complexity(T, cfg)))
-        return pair
+class TestCompositeMonteCarlo:
+    """A Monte Carlo composite estimate reduces the n-wide sign rows its seed
+    gives, for every class at every k, and holds few weight blocks at once."""
 
     @pytest.mark.parametrize("name", ["finite", "lipschitz", "rkhs", "anchor"])
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("samples", [2, 3, 301])
-    def test_every_class_at_every_k(self, name, k, samples):
+    def test_every_class_at_every_k_reads_n_signs_a_row(self, name, k, samples):
         T = PointSet(np.random.default_rng(k).uniform(-1.0, 1.0, size=(3, k, 5)))
-        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=samples, seed=samples)
-        comp, inner = self._check(_four_classes(k, 5)[name], T, cfg)
-        assert (comp.method, inner.method, comp.samples, inner.samples) == \
-            ("monte-carlo", "monte-carlo", samples, samples)
+        fclass = _four_classes(k, 5)[name]
+        W = reference_signs(samples, (samples, 5))  # one weight block
+        sups = np.max([fclass.sup_batch(T.element(i).T, W) for i in range(3)], axis=0)
+        est = composite_bernoulli_complexity(
+            fclass, T, EstimatorConfig(mode="monte-carlo", mc_samples=samples, seed=samples))
+        assert (est.value, est.std_error, est.method, est.samples) == \
+            (np.mean(sups), np.std(sups, ddof=1) / np.sqrt(samples), "monte-carlo", samples)
 
-    @pytest.mark.parametrize("block, samples", [
-        (block, samples) for block in (4096, 4, 2) for samples in (2, 3, 301, 4097, 9000)
-        if block > 2 or samples <= 301])  # blocks of four cover the long runs
-    @pytest.mark.parametrize("k", [1, 2, 3])
-    def test_every_block_size(self, monkeypatch, block, samples, k):
-        monkeypatch.setattr(complexity, "WEIGHT_BLOCK", block)
-        T = PointSet(np.random.default_rng(k).uniform(-1.0, 1.0, size=(2, k, 3)))
-        self._check(GaussianRkhsBall(sigma=0.8, rho=1.5), T,
-                    EstimatorConfig(mode="monte-carlo", mc_samples=samples, seed=k))
-
-    @pytest.mark.parametrize("k, samples", [(2, 9), (2, 17), (3, 13)])
-    @pytest.mark.parametrize("name", ["finite", "lipschitz", "rkhs", "anchor"])
-    def test_a_merged_last_row_that_straddles_two_inner_blocks(self, monkeypatch, k, samples,
-                                                                name):
-        monkeypatch.setattr(complexity, "WEIGHT_BLOCK", 4)
-        T = PointSet(np.random.default_rng(k).uniform(-1.0, 1.0, size=(3, k, 5)))
-        self._check(_four_classes(k, 5)[name], T,
-                    EstimatorConfig(mode="monte-carlo", mc_samples=samples, seed=1))
-
-    @pytest.mark.parametrize("k, samples, block", [(1, 9, 4), (2, 9, 4), (2, 17, 4), (3, 13, 4),
-                                                   (2, 10, 4), (3, 301, 2), (2, 4097, 4096)])
-    def test_composite_blocks_are_views_but_a_straddling_one(self, monkeypatch, k, samples,
-                                                             block):
-        monkeypatch.setattr(complexity, "WEIGHT_BLOCK", block)
-        # an inner consumer records each stream block W, then a composite
-        # consumer records each block C that ends in W, with W
-        n, inner, pieces = 5, [], []
-        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=samples, seed=2)
-        complexity._per_row(cfg, [(k * n, inner.append),
-                                  (n, lambda C: pieces.append((inner[-1], C)))])
-        assert [len(C) for _, C in pieces] == [len(W) for W in _weights(cfg, n)[0]]
-        rows = np.concatenate([C for _, C in pieces])
-        assert rows.tobytes() == reference_signs(2, (samples, n)).tobytes()
-        q, last = divmod(samples, block)
-        straddles = k >= 2 and last == 1 and q % k == 0
-        assert [np.shares_memory(W, C) for W, C in pieces] == \
-            [True] * (len(pieces) - straddles) + [False] * straddles
-
-    @pytest.mark.parametrize("name", ["finite", "lipschitz", "rkhs", "anchor"])
-    @pytest.mark.parametrize("mode, cutoff, n", [
-        ("exact", 14, 3),         # both exact
-        ("auto", 4, 3),           # composite exact, inner Monte Carlo at k = 2
-        ("auto", 4, 5),           # both Monte Carlo
-        ("monte-carlo", 14, 3)])
-    def test_every_mode(self, name, mode, cutoff, n):
-        T = PointSet(np.random.default_rng(n).uniform(-1.0, 1.0, size=(2, 2, n)))
-        cfg = EstimatorConfig(mode=mode, mc_samples=301, seed=5, exact_cutoff_n=cutoff)
-        comp, inner = self._check(_four_classes(2, n)[name], T, cfg)
-        assert comp.method == ("exact-enumeration" if cfg.pick_exact(n) else "monte-carlo")
-        assert inner.method == ("exact-enumeration" if cfg.pick_exact(2 * n) else "monte-carlo")
-
-    def test_exact_mode_past_the_cutoff_raises_as_the_two_calls_do(self):
-        T = PointSet(np.random.default_rng(0).uniform(-1.0, 1.0, size=(2, 2, 5)))
-        cfg = EstimatorConfig(mode="exact", exact_cutoff_n=8)
-        with pytest.raises(BudgetExceededError, match="10 signs"):
-            composite_and_inner_complexity(GaussianRkhsBall(sigma=1.0, rho=1.0), T, cfg)
-
-    @pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
-    def test_a_singleton_set(self, mode):
-        T = PointSet(np.random.default_rng(4).uniform(-1.0, 1.0, size=(1, 2, 3)))
-        cfg = EstimatorConfig(mode=mode, mc_samples=301, seed=6)
-        comp, inner = self._check(GaussianRkhsBall(sigma=0.8, rho=1.5), T, cfg)
-        assert inner.method == "closed-form" and comp.value > 0.0
-
-    def test_memory_stays_at_one_inner_block_and_one_composite_block(self):
-        # the pair holds what the inner estimate holds, plus one composite
-        # block of 8 signs a row and the RKHS ball's temporary of that size;
-        # keeping a view of an old inner block alive would add 2 MB
+    def test_memory_stays_at_the_per_row_suprema_and_a_few_blocks(self):
+        # 40000 rows of 8 signs are 2.56 MB as one float array; blocked, the
+        # estimate holds the per-row suprema and their concatenation (16
+        # bytes a row), the block being reduced, the next one and the RKHS
+        # ball's temporaries
         T = PointSet(np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 8, 8)))
-        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=40000, seed=4)
-        ball = GaussianRkhsBall(sigma=1.0, rho=1.0)
-        peaks = []
-        for run in (lambda: bernoulli_complexity(T, cfg),
-                    lambda: composite_and_inner_complexity(ball, T, cfg)):
-            tracemalloc.start()
-            try:
-                run()
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-        composite_block_bytes = (complexity.WEIGHT_BLOCK + 1) * 8 * 8
-        assert peaks[1] < peaks[0] + 2 * composite_block_bytes
+        samples = 40000
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=samples, seed=4)
+        tracemalloc.start()
+        try:
+            composite_bernoulli_complexity(GaussianRkhsBall(sigma=1.0, rho=1.0), T, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block_bytes = (complexity.WEIGHT_BLOCK + 1) * 8 * 8
+        assert peak < 16 * samples + 4 * block_bytes < samples * 8 * 8
 
 
 class TestEmpiricalRademacher:

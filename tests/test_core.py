@@ -251,6 +251,17 @@ class TestLoaderErrors:
             load(path)
         assert str(err.value).startswith(f"{path}, {where}")
 
+    @pytest.mark.parametrize("k, message", [(0, "k must be >= 1, got 0"),
+                                            (1.5, "k must be an integer, got 1.5"),
+                                            (3.0, "k must be an integer, got 3.0")])
+    def test_a_k_that_is_not_a_positive_integer_is_named(self, tmp_path, k, message):
+        # 1.5 and 3.0 divide the 3 coordinates: only the integer check stops them
+        path = tmp_path / "data.csv"
+        path.write_text("elem_id,coord_0,coord_1,coord_2\n0,1.0,2.0,3.0\n")
+        with pytest.raises(InvalidInputError) as err:
+            pointset_from_csv(path, k=k)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("load, header", [
         (pointset_from_csv, "elem_id,coord_0"),
         (sequence_from_csv, "level,points"),

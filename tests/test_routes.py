@@ -1,10 +1,9 @@
 """Each estimator input has one route through the package.  complexity.py
-seeds one generator, inside its weight source _weights, reads raw generator
-words only in its sign-block helper _random_signs, and draws its weights
-only in _per_row, once for all that routine's consumers: a composite
-estimate and its inner estimate, or every element pair of an increment
-ratio, read one sign stream.  It measures no distance itself, not even
-through core.distances.  Every distance comes from
+seeds one generator, inside its weight source _weights, and reads raw
+generator words only in its sign-block helper _random_signs.  Each
+estimator calls _weights once and reads only its own words: every element
+pair of an increment ratio reads one sign draw.  complexity.py measures no
+distance itself, not even through core.distances.  Every distance comes from
 core.distances: the element distances (core._element_distances, which alone
 raises on an overflowing distance), the k >= 2 Lipschitz oracle, the
 Gaussian Gram matrix and the anchor-distance table.  Every oracle in
@@ -91,7 +90,8 @@ def test_complexity_seeds_one_generator_in_the_weight_source():
 
 
 def test_every_estimator_draws_its_weights_through_one_routine():
-    assert callers(_read("complexity.py"), "_weights") == ["_per_row"]
+    assert callers(_read("complexity.py"), "_weights") == [
+        "_linear_sup_estimate", "composite_bernoulli_complexity", "increment_ratio"]
 
 
 def test_raw_generator_words_are_read_only_by_the_sign_block_helper():
@@ -99,7 +99,7 @@ def test_raw_generator_words_are_read_only_by_the_sign_block_helper():
             for qual in callers(path.read_text(), "random_raw")} == {("complexity.py", "_random_signs")}
 
 
-def test_a_monte_carlo_pair_reads_the_inner_words_only(monkeypatch):
+def test_each_estimator_reads_its_own_words_only(monkeypatch):
     words = []
 
     class Counting:
@@ -117,16 +117,14 @@ def test_a_monte_carlo_pair_reads_the_inner_words_only(monkeypatch):
     for mc, k, n in [(301, 1, 5), (301, 2, 5), (4097, 3, 3), (9000, 2, 7)]:
         T = PointSet(np.random.default_rng(k).uniform(-1.0, 1.0, size=(3, k, n)))
         cfg = EstimatorConfig(mode="monte-carlo", mc_samples=mc, seed=1)
-        words.clear()
-        complexity.composite_and_inner_complexity(ball, T, cfg)
-        assert sum(words) == (mc * k * n + 1) // 2
-        words.clear()
-        complexity.composite_bernoulli_complexity(ball, T, cfg)
-        complexity.bernoulli_complexity(T, cfg)
-        assert sum(words) == (mc * k * n + 1) // 2 + (mc * n + 1) // 2
-        words.clear()
-        complexity.increment_ratio(ball, T, cfg)  # three pairs, one draw
-        assert sum(words) == (mc * n + 1) // 2
+        for estimate, width in [
+                (lambda: complexity.bernoulli_complexity(T, cfg), k * n),
+                (lambda: complexity.composite_bernoulli_complexity(ball, T, cfg), n),
+                (lambda: complexity.increment_ratio(ball, T, cfg), n),  # three pairs, one draw
+                (lambda: complexity.gaussian_complexity(T, cfg), 0)]:  # reads no sign words
+            words.clear()
+            estimate()
+            assert sum(words) == (mc * width + 1) // 2
 
 
 def test_files_are_opened_by_one_reader_and_one_writer_per_format():

@@ -461,6 +461,116 @@ class TestCompositeMonteCarlo:
         assert peak < 16 * samples + 4 * block_bytes < samples * 8 * 8
 
 
+def _block_lengths(samples: int, block: int) -> list:
+    """Blocks of block rows; a lone last row joins the block before it."""
+    q, last = divmod(samples, block)
+    if last == 1 and q > 0:
+        return [block] * (q - 1) + [block + 1]
+    return [block] * q + ([last] if last else [])
+
+
+class TestCompositeAndInnerApart:
+    """The composite estimate reads n signs a row and the inner estimate k*n,
+    each from its own draw at the same seed: at every k, mode and block size
+    each is the mean of its per-row suprema over the rows its width gives."""
+
+    @staticmethod
+    def _pair(fclass, T, cfg):
+        return composite_bernoulli_complexity(fclass, T, cfg), bernoulli_complexity(T, cfg)
+
+    @staticmethod
+    def _reference(fclass, T, comp_rows, inner_rows):
+        # per-row suprema of both estimates over the given rows, reduced in
+        # blocks of WEIGHT_BLOCK rows with a lone last row merged
+        points = [T.element(i).T for i in range(T.n_elements)]
+        vecs = T.vectorized()
+
+        def blocked(rows, reduce):
+            stops = np.cumsum(_block_lengths(len(rows), complexity.WEIGHT_BLOCK))
+            return np.concatenate([reduce(rows[a:b]) for a, b in zip([0, *stops[:-1]], stops)])
+
+        return (blocked(comp_rows, lambda C: np.max([fclass.sup_batch(p, C) for p in points],
+                                                    axis=0)),
+                blocked(inner_rows, lambda W: (W @ vecs.T).max(axis=1)))
+
+    @pytest.mark.parametrize("block, samples", [
+        (block, samples) for block in (4096, 4, 2) for samples in (2, 3, 301, 4097, 9000)
+        if block > 2 or samples <= 301])  # blocks of four cover the long runs
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_every_block_size(self, monkeypatch, block, samples, k):
+        T = PointSet(np.random.default_rng(k).uniform(-1.0, 1.0, size=(2, k, 3)))
+        ball = GaussianRkhsBall(sigma=0.8, rho=1.5)
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=samples, seed=k)
+        default = self._pair(ball, T, cfg)
+        monkeypatch.setattr(complexity, "WEIGHT_BLOCK", block)
+        assert repr(self._pair(ball, T, cfg)) == repr(default)
+
+    @pytest.mark.parametrize("k, samples", [(2, 9), (2, 17), (3, 13)])
+    @pytest.mark.parametrize("name", ["finite", "lipschitz", "rkhs", "anchor"])
+    def test_a_merged_last_row_at_both_widths(self, monkeypatch, k, samples, name):
+        monkeypatch.setattr(complexity, "WEIGHT_BLOCK", 4)
+        T = PointSet(np.random.default_rng(k).uniform(-1.0, 1.0, size=(3, k, 5)))
+        fclass = _four_classes(k, 5)[name]
+        assert _block_lengths(samples, 4)[-1] == 5
+        sups = self._reference(fclass, T, reference_signs(1, (samples, 5)),
+                               reference_signs(1, (samples, 5 * k)))
+        comp, inner = self._pair(fclass, T,
+                                 EstimatorConfig(mode="monte-carlo", mc_samples=samples, seed=1))
+        for est, s in zip((comp, inner), sups):
+            assert (est.value, est.std_error, est.method, est.samples) == \
+                (np.mean(s), np.std(s, ddof=1) / np.sqrt(samples), "monte-carlo", samples)
+
+    @pytest.mark.parametrize("k, samples, block", [(1, 9, 4), (2, 9, 4), (2, 17, 4), (3, 13, 4),
+                                                   (2, 10, 4), (3, 301, 2), (2, 4097, 4096)])
+    def test_each_width_reads_its_own_rows_at_every_block_size(self, monkeypatch, k, samples,
+                                                               block):
+        monkeypatch.setattr(complexity, "WEIGHT_BLOCK", block)
+        n = 5
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=samples, seed=2)
+        for width in (n, k * n):
+            blocks, exact = _weights(cfg, width)
+            blocks = list(blocks)
+            assert not exact
+            assert [len(W) for W in blocks] == _block_lengths(samples, block)
+            assert np.concatenate(blocks).tobytes() == \
+                reference_signs(2, (samples, width)).tobytes()
+
+    @pytest.mark.parametrize("name", ["finite", "lipschitz", "rkhs", "anchor"])
+    @pytest.mark.parametrize("mode, cutoff, n", [
+        ("exact", 14, 3),         # both exact
+        ("auto", 4, 3),           # composite exact, inner Monte Carlo at k = 2
+        ("auto", 4, 5),           # both Monte Carlo
+        ("monte-carlo", 14, 3)])
+    def test_every_mode(self, name, mode, cutoff, n):
+        T = PointSet(np.random.default_rng(n).uniform(-1.0, 1.0, size=(2, 2, n)))
+        cfg = EstimatorConfig(mode=mode, mc_samples=301, seed=5, exact_cutoff_n=cutoff)
+        fclass = _four_classes(2, n)[name]
+        sups = self._reference(fclass, T, *(reference_sign_table(w) if cfg.pick_exact(w) else
+                                            reference_signs(5, (301, w)) for w in (n, 2 * n)))
+        for est, s, width in zip(self._pair(fclass, T, cfg), sups, (n, 2 * n)):
+            exact = cfg.pick_exact(width)
+            assert est.method == ("exact-enumeration" if exact else "monte-carlo")
+            assert (est.value, est.samples) == (np.mean(s), len(s))
+            assert est.std_error == (0.0 if exact else np.std(s, ddof=1) / np.sqrt(len(s)))
+
+    def test_exact_mode_past_the_cutoff_raises_for_the_inner_estimate_only(self):
+        T = PointSet(np.random.default_rng(0).uniform(-1.0, 1.0, size=(2, 2, 5)))
+        cfg = EstimatorConfig(mode="exact", exact_cutoff_n=8)
+        ball = GaussianRkhsBall(sigma=1.0, rho=1.0)
+        assert composite_bernoulli_complexity(ball, T, cfg).method == "exact-enumeration"
+        with pytest.raises(BudgetExceededError, match="10 signs"):
+            bernoulli_complexity(T, cfg)
+
+    @pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
+    def test_a_singleton_set(self, mode):
+        T = PointSet(np.random.default_rng(4).uniform(-1.0, 1.0, size=(1, 2, 3)))
+        cfg = EstimatorConfig(mode=mode, mc_samples=301, seed=6)
+        comp, inner = self._pair(GaussianRkhsBall(sigma=0.8, rho=1.5), T, cfg)
+        assert (inner.value, inner.std_error, inner.method) == (0.0, 0.0, "closed-form")
+        assert comp.value > 0.0
+        assert comp.method == ("exact-enumeration" if mode == "exact" else "monte-carlo")
+
+
 class TestEmpiricalRademacher:
     """The empirical Rademacher complexity of a class on a sample, times n,
     is the composite complexity of the one-element set holding the sample."""

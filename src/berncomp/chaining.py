@@ -5,14 +5,16 @@ Entropy numbers here restrict centers to subsets of the space itself (some
 texts allow external centers; exact values can differ by a factor of at
 most 2).  Center selections are farthest-first with ties broken by lowest
 index, so everything is deterministic; callers that need only the first
-picks stop the greedy pass there.  Exact covering and entropy numbers come
-from one branch-and-bound search over center subsets, which starts from the
-farthest-first radius and branches only over the centers that can cover the
-worst-covered point better.  It visits no center set twice, and it runs only
-while the subsets it could examine number at most SEARCH_BUDGET = 2^20
-(always for covering numbers of spaces of at most 20 points).  Admissible
-sequences are saved and loaded as CSV, one `level,points` row per block,
-through core's one CSV writer and reader.
+picks stop the greedy pass there.  Every space has at least one point:
+core.FiniteMetricSpace rejects an empty one, so no function here checks
+for it.  Exact covering and entropy numbers come from one branch-and-bound
+search over center subsets, which starts from the farthest-first radius and
+branches only over the centers that can cover the worst-covered point
+better.  It visits no center set twice, and it runs only while the subsets
+it could examine number at most SEARCH_BUDGET = 2^20 (always for covering
+numbers of spaces of at most 20 points).  Admissible sequences are saved
+and loaded as CSV, one `level,points` row per block, through core's one CSV
+writer and reader.
 """
 
 from __future__ import annotations
@@ -50,17 +52,16 @@ def admissible_capacity(m: int):
 
 def farthest_first(dist: np.ndarray):
     """Yield (point, radius) in the greedy farthest-first order of a
-    symmetric distance matrix, radius being the covering radius
-    max_i min_c dist[i, c] of the points yielded so far, this one included
-    (0 after the last); a caller stops after the picks it needs.
+    symmetric distance matrix of at least one point, radius being the
+    covering radius max_i min_c dist[i, c] of the points yielded so far,
+    this one included (0 after the last); a caller stops after the picks it
+    needs.
 
     Starts from point 0; each subsequent pick maximizes the minimum distance
     to the points already chosen (ties: lowest index), and that maximum is
     the covering radius of the points chosen before it.  The minimum
     distances of all points sit in one vector, -inf at the chosen ones.
     """
-    if dist.shape[0] == 0:
-        raise InvalidInputError("need at least one point")
     chosen = 0
     mindist = dist[0].astype(float)
     mindist[0] = -np.inf

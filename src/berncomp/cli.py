@@ -1,6 +1,6 @@
 """`pc` command line: batch experiment runner plus small estimation and
 tail-table utilities.  Exit codes: 0 success, 1 assertion failure, 2 bad
-configuration or input.
+configuration or input, or an array numpy cannot allocate.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ToolkitError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ToolkitError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

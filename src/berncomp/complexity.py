@@ -13,14 +13,16 @@ place, _weights: all 2^n sign patterns when the config picks exact
 enumeration, otherwise mc_samples sign or Gaussian rows drawn from the one
 generator seeded by the config.  It yields them in consecutive blocks of
 WEIGHT_BLOCK rows, each from a bit-exact source, so the rows do not depend
-on the block size.  Each estimator calls _weights once and reduces each
-block before the next is drawn, so an estimate holds at most two blocks of
-weights whatever mc_samples is; increment_ratio reduces each block for all
-its element pairs, which so share one draw.  Element distances come from
-core._element_distances.  Composite estimators take any function class
-with a sup_batch(points, C) method (see berncomp.classes).  All randomized
-operations are pure functions of (inputs, seed): the same seed gives a
-bit-identical result.
+on the block size, and it raises BudgetExceededError before drawing rows
+wider than MAX_WEIGHT_WIDTH.  b, g and the composite are each one _estimate
+call: one _weights call, each block reduced to its per-row suprema before
+the next is drawn, and the mean and standard error of those suprema, so an
+estimate holds at most two blocks of weights whatever mc_samples is.
+increment_ratio reduces each block for all its element pairs, which so
+share one draw.  Element distances come from core._element_distances.
+Composite estimators take any function class with a sup_batch(points, C)
+method (see berncomp.classes).  All randomized operations are pure
+functions of (inputs, seed): the same seed gives a bit-identical result.
 """
 
 from __future__ import annotations
@@ -45,6 +47,11 @@ MAX_MC_SAMPLES = 2 ** MAX_EXACT_CUTOFF
 # Weight rows per block.  Even, so a sign block ends on a whole 64-bit
 # generator word and the next block starts where the one-shot draw would.
 WEIGHT_BLOCK = 4096
+
+# Widest weight row: a block and its lone merged row, WEIGHT_BLOCK + 1 rows
+# of this many doubles, take 500 MiB, within the 512 MiB of
+# core.MAX_DISTANCE_POINTS.
+MAX_WEIGHT_WIDTH = 16000
 
 # Ordered pairs closer than this (Frobenius) are skipped as degenerate: the
 # increment ratio is undefined at coincident pairs.
@@ -133,7 +140,10 @@ def _weights(cfg: EstimatorConfig, width: int,
     Gaussian rows never ask for exact enumeration.  Whatever the block
     size, the blocks concatenate to _pattern_rows(0, 2**width, width),
     rng.integers(0, 2, (mc_samples, width)) * 2.0 - 1.0 or
-    rng.standard_normal((mc_samples, width)), bit for bit."""
+    rng.standard_normal((mc_samples, width)), bit for bit.  Raises
+    BudgetExceededError past MAX_WEIGHT_WIDTH before drawing anything."""
+    if width > MAX_WEIGHT_WIDTH:
+        raise BudgetExceededError(f"weight rows {width} wide exceed the ceiling of {MAX_WEIGHT_WIDTH}")
     if not gaussian and cfg.pick_exact(width):
         return (_pattern_rows(a, b, width) for a, b in _row_blocks(2 ** width)), True
     rng = np.random.default_rng(cfg.seed)
@@ -141,11 +151,15 @@ def _weights(cfg: EstimatorConfig, width: int,
     return (draw((b - a, width)) for a, b in _row_blocks(cfg.mc_samples)), False
 
 
-def _finish(sups: list, exact: bool, seed: int) -> ComplexityEstimate:
-    sups = np.concatenate(sups)
+def _estimate(cfg: EstimatorConfig, width: int, reduce, gaussian: bool = False) -> ComplexityEstimate:
+    """The mean over the weight rows of _weights(cfg, width, gaussian) of
+    reduce's per-row values, reduce(W) taking each block W in turn, with
+    its standard error (0 when exact) and method."""
+    blocks, exact = _weights(cfg, width, gaussian)
+    sups = np.concatenate([reduce(W) for W in blocks])
     se = 0.0 if exact else float(np.std(sups, ddof=1) / np.sqrt(len(sups)))
     return ComplexityEstimate(float(np.mean(sups)), se,
-                              "exact-enumeration" if exact else "monte-carlo", len(sups), seed)
+                              "exact-enumeration" if exact else "monte-carlo", len(sups), cfg.seed)
 
 
 def _linear_sup_estimate(vecs: np.ndarray, cfg: EstimatorConfig, gaussian: bool) -> ComplexityEstimate:
@@ -154,11 +168,10 @@ def _linear_sup_estimate(vecs: np.ndarray, cfg: EstimatorConfig, gaussian: bool)
     if m == 1:
         # E <weights, t> = 0 for a singleton; exact regardless of mode.
         return ComplexityEstimate(0.0, 0.0, "closed-form", 0, cfg.seed)
-    blocks, exact = _weights(cfg, width, gaussian)
     # W @ vecs.T rounds as the one-shot product did, which vecs @ W.T does
     # not for every set; each row's maximum is a running np.maximum over
     # the m columns of the (rows, m) product
-    return _finish([_row_max(W @ vecs.T) for W in blocks], exact, cfg.seed)
+    return _estimate(cfg, width, lambda W: _row_max(W @ vecs.T), gaussian)
 
 
 def bernoulli_complexity(T: PointSet, cfg: EstimatorConfig = DEFAULT_CONFIG) -> ComplexityEstimate:
@@ -188,10 +201,8 @@ def composite_bernoulli_complexity(fclass, T: PointSet,
     fclass is any class with sup_batch(points, C).  The supremum couples f
     and t jointly, per sign pattern (exact) or per sample (Monte Carlo).
     """
-    blocks, exact = _weights(cfg, T.n)
     points = [T.element(i).T for i in range(T.n_elements)]  # each element's (n, k) columns
-    return _finish([np.max([fclass.sup_batch(p, W) for p in points], axis=0) for W in blocks],
-                   exact, cfg.seed)
+    return _estimate(cfg, T.n, lambda W: np.max([fclass.sup_batch(p, W) for p in points], axis=0))
 
 
 def increment_ratio(fclass, S: PointSet,
@@ -214,7 +225,7 @@ def increment_ratio(fclass, S: PointSet,
     """
     if S.n_elements < 2:
         raise InvalidInputError("need at least two elements")
-    blocks, _ = _weights(cfg, S.n)  # an exact budget past the cutoff raises before the pair checks
+    blocks, _ = _weights(cfg, S.n)  # a budget it exceeds raises before the pair checks
     dist = _element_distances(S)
     # Sign symmetry eps -> -eps makes the (s, t) and (t, s) expectations
     # equal, so unordered pairs suffice.
@@ -223,13 +234,8 @@ def increment_ratio(fclass, S: PointSet,
     if not pairs:
         raise DegenerateSetError("all element pairs coincide within tolerance")
     points = [np.concatenate([S.element(i).T, S.element(j).T]) for i, j in pairs]
-    sups = [_increment_sups(fclass, points, W) for W in blocks]  # block, then pair
+    halves = (np.concatenate([W, -W], axis=1) for W in blocks)  # (eps, -eps), once a block
+    sups = [[fclass.sup_batch(p, half) for p in points] for half in halves]  # block, then pair
     return max(float(np.mean(np.concatenate(per_pair))) / float(dist[i, j])
                for per_pair, (i, j) in zip(zip(*sups), pairs))
 
-
-def _increment_sups(fclass, points: list, W: np.ndarray) -> list:
-    """Per pair's points, the per-row suprema on the coefficients
-    (eps, -eps), formed once for all the pairs."""
-    half = np.concatenate([W, -W], axis=1)
-    return [fclass.sup_batch(p, half) for p in points]

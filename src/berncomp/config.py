@@ -3,13 +3,16 @@
 Format: one `key = value` per line, `#` comments, lists as `[a, b, c]`,
 fitted constants as dotted keys `constants.<name> = <number>`, where the
 names an experiment reads are those its `experiments.EXPERIMENTS` entry
-declares.  A constant declared with an int default takes only integers, and
-every constant is finite and positive, except w >= 0 and lp_samples >= 2.
-Each rule another module owns is checked by that module: mc_samples and
-seed by building a complexity.EstimatorConfig, w by the capped-tail
-sampler's own check and the u-grid constants by tails.u_grid.  The n_list
-entries lie between the experiment's n_min and n_max.  Unknown, undeclared,
-repeated and out-of-range keys are rejected with their line and column.
+declares.  A constant declared with an int default takes only integers at
+most complexity.MAX_MC_SAMPLES, the row budget, and every constant is
+finite and positive, except w >= 0 and lp_samples >= 2.  Each rule another
+module owns is checked by that module: mc_samples and seed by building a
+complexity.EstimatorConfig, w by the capped-tail sampler's own check and the
+u-grid constants by tails.u_grid.  The n_list entries are at least the
+experiment's n_min, and a run that draws weights has k times the largest n
+at most complexity.MAX_WEIGHT_WIDTH, the widest weight row.  Unknown,
+undeclared, repeated and out-of-range keys are rejected with their line and
+column.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .complexity import DEFAULT_CONFIG, EstimatorConfig
+from .complexity import DEFAULT_CONFIG, MAX_MC_SAMPLES, MAX_WEIGHT_WIDTH, EstimatorConfig
 from .errors import ConfigError, InvalidInputError
 from .experiments import EXPERIMENTS
 from .tails import _check_sampler_w, u_grid
@@ -56,12 +59,13 @@ class ExperimentConfig:
         if self.n_list[0] < spec.n_min:
             fail(f"{self.experiment} requires n_list entries >= {spec.n_min}, "
                  f"got {self.n_list[0]}", "n_list")
-        if self.n_list[-1] > spec.n_max:
-            fail(f"{self.experiment} requires n_list entries <= {spec.n_max}, "
-                 f"got {self.n_list[-1]}", "n_list")
         if not spec.k_min <= self.k <= spec.k_max:
             want = f"k = {spec.k_max}" if spec.k_max == spec.k_min else f"k >= {spec.k_min}"
             fail(f"{self.experiment} requires {want}, got k = {self.k}", "k")
+        if spec.draws_weights and self.k * self.n_list[-1] > MAX_WEIGHT_WIDTH:
+            key = "k" if self.k > spec.k else "n_list"  # k past its default, else n
+            fail(f"{self.experiment} requires k * n <= {MAX_WEIGHT_WIDTH}, got "
+                 f"k * n = {self.k} * {self.n_list[-1]}", key)
         for key in ("mc_samples", "seed"):
             try:
                 EstimatorConfig(**{key: getattr(self, key)})
@@ -72,8 +76,11 @@ class ExperimentConfig:
             if name not in spec.constants:
                 fail(f"unknown key {key!r} for {self.experiment}; "
                      f"it reads constants {', '.join(spec.constants)}", key)
-            if isinstance(spec.constants[name], int) and not isinstance(value, int):
-                fail(f"{key} must be an integer, got {value!r}", key)
+            if isinstance(spec.constants[name], int):  # it sizes a run: the row budget bounds it
+                if not isinstance(value, int):
+                    fail(f"{key} must be an integer, got {value!r}", key)
+                if value > MAX_MC_SAMPLES:
+                    fail(f"{key} must be at most {MAX_MC_SAMPLES}, got {value}", key)
             # w is a tail offset, lp_samples a Monte Carlo sample count; nan fails < inf
             low = {"w": 0, "lp_samples": 2}.get(name)
             if not value < math.inf or (value <= 0 if low is None else value < low):

@@ -205,17 +205,18 @@ def diameter2(T: PointSet) -> float:
 class FiniteMetricSpace:
     """The points 0, ..., m-1 with a validated symmetric distance matrix.
 
-    Validation checks squareness, symmetry, a zero diagonal, nonnegativity
-    and the triangle inequality within a slack of TRIANGLE_TOL times
-    max(1, largest distance).
+    Validation checks squareness, at least one point (the one place that
+    rejects an empty space, so no function of a space meets one), symmetry,
+    a zero diagonal, nonnegativity and the triangle inequality within a
+    slack of TRIANGLE_TOL times max(1, largest distance).
     """
 
     dist: np.ndarray
 
     def __post_init__(self):
         d = np.asarray(self.dist, dtype=float)
-        if d.ndim != 2 or d.shape[0] != d.shape[1]:
-            raise InvalidInputError(f"distance matrix must be square, got shape {d.shape}")
+        if d.ndim != 2 or not d.shape[0] == d.shape[1] > 0:
+            raise InvalidInputError(f"distance matrix must be square and nonempty, got shape {d.shape}")
         if not np.all(np.isfinite(d)):
             raise InvalidInputError("distances must be finite")
         if np.any(d < 0):
@@ -235,7 +236,7 @@ class FiniteMetricSpace:
 
     @property
     def diameter(self) -> float:
-        return float(self.dist.max()) if self.size > 1 else 0.0
+        return float(self.dist.max())
 
 
 def _check_triangle(d: np.ndarray) -> None:

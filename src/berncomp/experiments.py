@@ -496,10 +496,12 @@ def _run_chaining_demo(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome
 @dataclass(frozen=True)
 class Experiment:
     """One `pc run` experiment: its runner, default n_list and k, the k range,
-    least and largest n and least number of n it accepts, and the
-    constants.* keys it reads with their defaults.  A constant with an int
-    default takes only integers.  The runner gets those defaults overlaid
-    with the config's constants."""
+    least n and least number of n it accepts, whether it draws weight rows,
+    and the constants.* keys it reads with their defaults.  A constant with
+    an int default takes only integers.  The runner gets those defaults
+    overlaid with the config's constants.  A run that draws weights draws
+    rows at most k * n wide (b(T) of a k-by-n set), so the config bounds
+    k * n by complexity.MAX_WEIGHT_WIDTH for it."""
 
     run: Callable
     n_list: tuple
@@ -508,20 +510,14 @@ class Experiment:
     k_min: int = 1
     k_max: float = math.inf
     n_min: int = 1
-    n_max: float = math.inf
     n_count_min: int = 1
+    draws_weights: bool = False
 
 
 _SCALING_N = (64, 128, 256, 512, 1024, 2048, 4096)
 
-# The n_max of a run that allocates per n keeps its largest array within the
-# 512 MiB that core.MAX_DISTANCE_POINTS allows.  In all three that array is
-# a Monte Carlo weight block, complexity.WEIGHT_BLOCK + 1 = 4097 rows by
-# k * n doubles: 500 MiB at n = 16000 and k = 1 for lemma-checks and
-# composition-logfree, and at n = 8000 and k = 2 for rkhs-bound, whose
-# n-by-n Gram matrix then takes 488 MiB.
 EXPERIMENTS = {
-    "lemma-checks": Experiment(_run_lemma_checks, (4, 8, 12), {"n_sets": 100}, n_max=16000),
+    "lemma-checks": Experiment(_run_lemma_checks, (4, 8, 12), {"n_sets": 100}, draws_weights=True),
     # the scaling runs fit a slope in log n, so they need two n
     "scaling-k1": Experiment(_run_scaling, _SCALING_N, {"slope_tol": 0.15}, k_max=1,
                              n_count_min=2),
@@ -533,11 +529,12 @@ EXPERIMENTS = {
     "composition-logfree": Experiment(
         _run_composition, (16, 32, 64, 128, 256),
         {"L": 1.0, "R": 1.0, "n_functions": 8, "lp_samples": 160, "replications": 3,
-         "band": 1.5}, k_max=1, n_max=16000),
-    # the runner always covers k = 1 and k = 2
+         "band": 1.5}, k_max=1, draws_weights=True),
+    # the runner always covers k = 1 and k = 2; at k * n = 16000 each n-by-n
+    # Gram matrix takes 488 MiB
     "rkhs-bound": Experiment(_run_rkhs, (8, 32, 128),
                              {"R": 1.0, "n_elements": 6, "fit_headroom": 1.5},
-                             k=2, k_min=2, k_max=2, n_max=8000),
+                             k=2, k_min=2, k_max=2, draws_weights=True),
     "tails-demo": Experiment(_run_tails_demo, (1,),
                              {"w": 0, "u_start": 0.5, "u_stop": 4.0, "u_step": 0.25},
                              k_max=1),

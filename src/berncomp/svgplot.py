@@ -16,11 +16,11 @@ def _transform(values, log):
     return [math.log10(v) for v in values] if log else list(values)
 
 
-def _ticks(lo, hi, count=5):
-    if hi <= lo:
-        hi = lo + 1.0
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+def _ticks(lo, hi):
+    """Five evenly spaced ticks from lo to hi; write_plot pads every range,
+    so hi > lo."""
+    step = (hi - lo) / 4
+    return [lo + i * step for i in range(5)]
 
 
 def _fmt(value, log):

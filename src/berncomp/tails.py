@@ -90,11 +90,10 @@ def log_tail_series(u: float, w: int = 0) -> float:
 
 
 def tail_series(u: float, w: int = 0) -> float:
-    """p(u) itself; inf when the log value overflows a float."""
-    lp = log_tail_series(u, w)
-    if lp > 700.0:
-        return math.inf
-    return math.exp(lp)
+    """p(u) itself; inf when the series diverges."""
+    # above the threshold log_tail_series stays below log(_MAX_TERMS), since
+    # every term is below 1, so exp never overflows
+    return math.exp(log_tail_series(u, w))
 
 
 def tail_series_capped(u: float, w: int = 0) -> float:

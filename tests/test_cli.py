@@ -11,7 +11,7 @@ from berncomp import (ConfigError, InvalidInputError, PointSet,
                       bernoulli_complexity, pointset_to_csv)
 from berncomp import core, experiments
 from berncomp.cli import main
-from berncomp.complexity import MAX_MC_SAMPLES, EstimatorConfig
+from berncomp.complexity import MAX_MC_SAMPLES, MAX_WEIGHT_WIDTH, EstimatorConfig
 from berncomp.config import default_config, parse_config, parse_config_text
 from berncomp.experiments import EXPERIMENTS, ols_fit
 from berncomp.tails import sample_from_capped_tail, tail_series
@@ -95,24 +95,47 @@ class TestConfigParsing:
         assert "foo" in str(err.value)
         assert "line 2" in str(err.value)
 
-    @pytest.mark.parametrize("experiment, n, n_max", [
-        ("lemma-checks", 1000000000, 16000), ("composition-logfree", 100000000, 16000),
+    @pytest.mark.parametrize("experiment, n", [
+        ("lemma-checks", 1000000000), ("composition-logfree", 100000000),
     ])
-    def test_n_past_the_memory_ceiling_rejected(self, experiment, n, n_max):
+    def test_n_past_the_weight_ceiling_rejected(self, experiment, n):
         # these runs asked numpy for 59.6 GiB and 5.96 GiB arrays
         with pytest.raises(ConfigError) as err:
             parse_config_text(f"experiment = {experiment}\nn_list = [4, {n}]\n")
-        assert str(err.value) == (f"line 2, column 1: {experiment} requires n_list entries "
-                                  f"<= {n_max}, got {n}")
+        assert str(err.value) == (f"line 2, column 1: {experiment} requires k * n <= "
+                                  f"{MAX_WEIGHT_WIDTH}, got k * n = 1 * {n}")
 
     @pytest.mark.parametrize("experiment", ["lemma-checks", "composition-logfree",
                                             "rkhs-bound"])
-    def test_largest_accepted_n_is_n_max(self, experiment):
-        n_max = EXPERIMENTS[experiment].n_max
-        assert parse_config_text(f"experiment = {experiment}\nn_list = [{n_max}]\n").n_list == [
-            n_max]
-        with pytest.raises(ConfigError, match=f"line 2, column 1: .* <= {n_max}, got {n_max + 1}"):
-            parse_config_text(f"experiment = {experiment}\nn_list = [{n_max + 1}]\n")
+    def test_largest_accepted_n_fills_the_weight_ceiling(self, experiment):
+        k = EXPERIMENTS[experiment].k
+        n = MAX_WEIGHT_WIDTH // k
+        assert (k, n) == ((2, 8000) if experiment == "rkhs-bound" else (1, 16000))
+        assert parse_config_text(f"experiment = {experiment}\nn_list = [{n}]\n").n_list == [n]
+        with pytest.raises(ConfigError, match=f"line 2, column 1: .* <= {MAX_WEIGHT_WIDTH}, "
+                                              f"got k \\* n = {k} \\* {n + 1}$"):
+            parse_config_text(f"experiment = {experiment}\nn_list = [{n + 1}]\n")
+
+    @pytest.mark.parametrize("body, location, k, n", [
+        ("k = 1000000000\nn_list = [4]\n", "line 2", 1000000000, 4),
+        ("n_list = [4]\nk = 1000000000\n", "line 3", 1000000000, 4),
+        ("k = 4\nn_list = [16000]\n", "line 2", 4, 16000),
+        ("n_list = [4, 16000]\nk = 4\n", "line 3", 4, 16000),
+        ("k = 4001\n", "line 2", 4001, 12),
+    ], ids=["huge-k", "huge-k-set-last", "k4-n16000", "k4-set-last", "k-alone"])
+    def test_k_times_n_past_the_weight_ceiling_names_k_past_its_default(self, body, location,
+                                                                        k, n):
+        # a k of 10^9 at n = 4 asked numpy for a 238 GiB set; k = 4 at
+        # n = 16000 for a 2 GiB weight block
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"experiment = lemma-checks\n{body}")
+        assert str(err.value) == (f"{location}, column 1: lemma-checks requires k * n <= "
+                                  f"{MAX_WEIGHT_WIDTH}, got k * n = {k} * {n}")
+
+    @pytest.mark.parametrize("k, n", [(4, 4000), (16000, 1), (1, 16000)])
+    def test_k_times_n_at_the_weight_ceiling_accepted(self, k, n):
+        cfg = parse_config_text(f"experiment = lemma-checks\nk = {k}\nn_list = [{n}]\n")
+        assert cfg.k * cfg.n_list[-1] == MAX_WEIGHT_WIDTH
 
     def test_descending_n_list_names_invariant(self):
         with pytest.raises(ConfigError) as err:
@@ -147,6 +170,22 @@ class TestConfigParsing:
     def test_every_runner_validates_with_its_defaults(self):
         for name in EXPERIMENTS:
             default_config(name).validate()
+
+    @pytest.mark.parametrize("experiment, name", [
+        (experiment, name) for experiment, spec in EXPERIMENTS.items()
+        for name, default in spec.constants.items() if isinstance(default, int)])
+    def test_every_integer_constant_has_the_row_budget_as_its_ceiling(self, experiment, name):
+        # n_sets, n_functions, n_elements, n_spaces and replications had no
+        # ceiling; w and lp_samples meet this one first
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"experiment = {experiment}\n"
+                              f"constants.{name} = {MAX_MC_SAMPLES + 1}\n")
+        assert str(err.value) == (f"line 2, column 1: constants.{name} must be at most "
+                                  f"{MAX_MC_SAMPLES}, got {MAX_MC_SAMPLES + 1}")
+        if name != "w":  # whose own, lower ceiling tails checks
+            cfg = parse_config_text(f"experiment = {experiment}\n"
+                                    f"constants.{name} = {MAX_MC_SAMPLES}\n")
+            assert cfg.constants == {name: MAX_MC_SAMPLES}
 
     def test_largest_w_the_tail_sampler_runs_is_accepted(self):
         # w = 19 puts the divergence threshold at u = 1205.7, past the grid end
@@ -489,24 +528,73 @@ class TestRunCommand:
             "", "error: distances between 12 points exceed the ceiling of 4 points\n")
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("experiment", ["lemma-checks", "composition-logfree",
-                                            "rkhs-bound"])
-    def test_n_past_n_max_exits_2_before_the_run(self, tmp_path, capsys, monkeypatch,
-                                                 experiment):
+    @pytest.mark.parametrize("experiment, body, message", [
+        ("lemma-checks", "k = 1000000000\nn_list = [4]\n",
+         "line 2, column 1: lemma-checks requires k * n <= 16000, got k * n = 1000000000 * 4"),
+        ("lemma-checks", "k = 4\nn_list = [16000]\n",
+         "line 2, column 1: lemma-checks requires k * n <= 16000, got k * n = 4 * 16000"),
+        ("composition-logfree", "n_list = [8, 16001]\n",
+         "line 2, column 1: composition-logfree requires k * n <= 16000, got k * n = 1 * 16001"),
+        ("rkhs-bound", "n_list = [8, 8001]\n",
+         "line 2, column 1: rkhs-bound requires k * n <= 16000, got k * n = 2 * 8001"),
+    ], ids=["lemma-checks-huge-k", "lemma-checks-k4-n16000", "composition-logfree",
+            "rkhs-bound"])
+    def test_k_times_n_past_the_weight_ceiling_exits_2_before_the_run(
+            self, tmp_path, capsys, monkeypatch, experiment, body, message):
         # a runner that fails the test: the bound must stop the run before it
         # allocates anything
         def never(cfg, consts):
-            raise AssertionError(f"{experiment} ran with n_list = {cfg.n_list}")
+            raise AssertionError(f"{experiment} ran with k = {cfg.k}, n_list = {cfg.n_list}")
 
         spec = EXPERIMENTS[experiment]
         monkeypatch.setitem(EXPERIMENTS, experiment, dataclasses.replace(spec, run=never))
         config = tmp_path / "cfg.txt"
-        config.write_text(f"experiment = {experiment}\nn_list = [8, {spec.n_max + 1}]\n"
+        config.write_text(f"experiment = {experiment}\n{body}out_dir = {tmp_path / 'o'}\n")
+        assert main(["run", str(config)]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("experiment, line", [
+        ("lemma-checks", "constants.n_sets = 1048577"),
+        ("composition-logfree", "constants.n_functions = 1000000000"),
+    ])
+    def test_integer_constant_past_the_row_budget_exits_2_before_the_run(
+            self, tmp_path, capsys, monkeypatch, experiment, line):
+        # a runner that fails the test: without the ceiling the second run
+        # asked numpy for a 119 GiB point set
+        def never(cfg, consts):
+            raise AssertionError(f"{experiment} ran with {cfg.constants}")
+
+        spec = EXPERIMENTS[experiment]
+        monkeypatch.setitem(EXPERIMENTS, experiment, dataclasses.replace(spec, run=never))
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"experiment = {experiment}\n{line}\nout_dir = {tmp_path / 'o'}\n")
+        assert main(["run", str(config)]) == 2
+        key, value = line.split(" = ")
+        assert capsys.readouterr() == (
+            "", f"config error: line 2, column 1: {key} must be at most 1048576, got {value}\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("error, printed", [
+        (MemoryError("Unable to allocate 119. GiB for an array with shape "
+                     "(1000000000, 1, 16) and data type float64"),
+         "Unable to allocate 119. GiB for an array with shape (1000000000, 1, 16) and data "
+         "type float64"),
+        (MemoryError(), "out of memory"),
+    ], ids=["numpy-message", "bare"])
+    def test_an_array_numpy_cannot_allocate_exits_2_writing_nothing(
+            self, tmp_path, capsys, monkeypatch, error, printed):
+        # the error composition-logfree with n_functions = 10^9 met under
+        # ulimit -v 3000000, before that constant had a ceiling
+        def no_memory(rng, n_elements, k, n, box=1.0):
+            raise error
+
+        monkeypatch.setattr(experiments, "_random_pointset", no_memory)
+        config = tmp_path / "cfg.txt"
+        config.write_text("experiment = composition-logfree\nn_list = [8, 16]\n"
                           f"out_dir = {tmp_path / 'o'}\n")
         assert main(["run", str(config)]) == 2
-        assert capsys.readouterr() == (
-            "", f"config error: line 2, column 1: {experiment} requires n_list entries <= "
-                f"{spec.n_max}, got {spec.n_max + 1}\n")
+        assert capsys.readouterr() == ("", f"error: {printed}\n")
         assert not (tmp_path / "o").exists()
 
     def test_figures_written(self, tmp_path, capsys):

@@ -417,6 +417,63 @@ class TestWeightBlocks:
         assert peak < 4 * block_bytes < 0.5 * 40000 * 64 * 8
 
 
+class TestWeightWidthBudget:
+    """_weights raises BudgetExceededError past MAX_WEIGHT_WIDTH before it
+    draws a row: b and g read k*n weights a row, the composite and the
+    increment ratio n."""
+
+    ball = LipschitzBall(lipschitz_L=1.0, radius_R=1.0)
+
+    def _estimates(self, T, mode="monte-carlo"):
+        cfg = EstimatorConfig(mode=mode, mc_samples=2, seed=1)
+        return {"b": lambda: bernoulli_complexity(T, cfg),
+                "g": lambda: gaussian_complexity(T, cfg),
+                "composite": lambda: composite_bernoulli_complexity(self.ball, T, cfg),
+                "increment": lambda: increment_ratio(self.ball, T, cfg)}
+
+    @staticmethod
+    def _set(k, n):
+        return PointSet(np.random.default_rng(n).uniform(-1.0, 1.0, size=(2, k, n)))
+
+    @staticmethod
+    def _no_draws(monkeypatch):
+        def never(*args):
+            raise AssertionError("a weight row was drawn")
+
+        monkeypatch.setattr(complexity, "_random_signs", never)
+        monkeypatch.setattr(complexity, "_row_blocks", never)  # Gaussian and exact rows too
+
+    @pytest.mark.parametrize("mode", ["auto", "monte-carlo", "exact"])
+    @pytest.mark.parametrize("name", ["b", "g", "composite", "increment"])
+    def test_one_past_the_ceiling_raises_before_any_draw(self, monkeypatch, name, mode):
+        assert complexity.MAX_WEIGHT_WIDTH == 16000
+        self._no_draws(monkeypatch)
+        width = complexity.MAX_WEIGHT_WIDTH + 1
+        with pytest.raises(BudgetExceededError,
+                           match=f"^weight rows {width} wide exceed the ceiling of 16000$"):
+            self._estimates(self._set(1, width), mode)[name]()
+
+    @pytest.mark.parametrize("name", ["b", "g", "composite", "increment"])
+    def test_at_the_ceiling_every_estimate_runs(self, name):
+        result = self._estimates(self._set(1, complexity.MAX_WEIGHT_WIDTH))[name]()
+        if name == "increment":
+            assert 0.0 < result < math.inf
+        else:
+            assert (result.method, result.samples) == ("monte-carlo", 2)
+
+    def test_b_and_g_count_k_times_n_the_composite_n(self, monkeypatch):
+        n = complexity.MAX_WEIGHT_WIDTH // 2 + 1
+        T = self._set(2, n)
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=2, seed=1)
+        # a tabulated class, since the k = 2 Lipschitz oracle stops at 64 points
+        table = np.random.default_rng(0).uniform(-1.0, 1.0, size=(2, n))
+        assert composite_bernoulli_complexity(FiniteFunctionClass(table, 1.0), T, cfg).samples == 2
+        self._no_draws(monkeypatch)
+        for name in ("b", "g"):
+            with pytest.raises(BudgetExceededError, match=f"weight rows {2 * n} wide"):
+                self._estimates(T)[name]()
+
+
 def _four_classes(k: int, n: int) -> dict:
     rng = np.random.default_rng(10 * k + n)
     return {"finite": FiniteFunctionClass(rng.uniform(-1.0, 1.0, size=(4, n)), 1.0),

@@ -191,9 +191,15 @@ class TestFiniteMetricSpace:
         with pytest.raises(InvalidInputError, match="must be square"):
             FiniteMetricSpace(np.zeros(shape))
 
-    def test_empty_space_accepted(self):
-        sp = FiniteMetricSpace(np.zeros((0, 0)))
-        assert sp.size == 0 and sp.diameter == 0.0
+    def test_empty_space_rejected(self):
+        # covering_number, entropy_number and build_admissible_sequence
+        # disagreed about an empty space; none of them can meet one now
+        with pytest.raises(InvalidInputError, match=r"square and nonempty, got shape \(0, 0\)"):
+            FiniteMetricSpace(np.zeros((0, 0)))
+
+    def test_one_point_space_has_diameter_zero(self):
+        sp = FiniteMetricSpace(np.zeros((1, 1)))
+        assert sp.size == 1 and sp.diameter == 0.0
 
 
 class TestComplexityEstimate:

@@ -1,6 +1,8 @@
 """Each estimator input has one route through the package.  complexity.py
 seeds one generator, inside its weight source _weights, and reads raw
-generator words only in its sign-block helper _random_signs.  Each
+generator words only in its sign-block helper _random_signs.  b, g and the
+composite estimate each reduce their weights through the one estimate loop
+_estimate, which with increment_ratio is all that calls _weights.  Each
 estimator calls _weights once and reads only its own words: every element
 pair of an increment ratio reads one sign draw.  complexity.py measures no
 distance itself, not even through core.distances.  Every distance comes from
@@ -90,8 +92,14 @@ def test_complexity_seeds_one_generator_in_the_weight_source():
 
 
 def test_every_estimator_draws_its_weights_through_one_routine():
-    assert callers(_read("complexity.py"), "_weights") == [
-        "_linear_sup_estimate", "composite_bernoulli_complexity", "increment_ratio"]
+    assert callers(_read("complexity.py"), "_weights") == ["_estimate", "increment_ratio"]
+
+
+def test_every_estimate_reduces_its_weights_in_one_loop():
+    assert callers(_read("complexity.py"), "_estimate") == [
+        "_linear_sup_estimate", "composite_bernoulli_complexity"]
+    assert called_by("_estimate") == {("complexity.py", "_linear_sup_estimate"),
+                                      ("complexity.py", "composite_bernoulli_complexity")}
 
 
 def test_raw_generator_words_are_read_only_by_the_sign_block_helper():

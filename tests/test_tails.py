@@ -73,6 +73,22 @@ class TestTailSeries:
                 ours = tail_series(u, w)
                 assert ours == pytest.approx(direct, rel=1e-12)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, MAX_W), st.floats(0.0, 100.0), st.integers(0, 64))
+    def test_log_series_stays_below_log_max_terms_above_the_threshold(self, w, excess, ulps):
+        # every term is below 1, so the sum of at most _MAX_TERMS of them is
+        # below _MAX_TERMS: exp never overflows, and p is exp(log p) bit for
+        # bit; a few ulps above the threshold the terms sit nearest to 1
+        u = divergence_threshold(w) * (1.0 + excess)
+        for _ in range(ulps):
+            u = math.nextafter(u, math.inf)
+        lp = log_tail_series(u, w)
+        if u * u - tails._threshold_sq(w) > 0.0:
+            assert lp < math.log(tails._MAX_TERMS)
+        else:  # the threshold's square root, squared, rounds to or below it
+            assert lp == math.inf
+        assert tail_series(u, w) == math.exp(lp)
+
     def test_rejects_nonpositive_u(self):
         with pytest.raises(InvalidInputError):
             tail_series(0.0)

@@ -7,7 +7,7 @@ declares.  A constant declared with an int default takes only integers at
 most complexity.MAX_MC_SAMPLES, the row budget, and every constant is
 finite and positive, except w >= 0 and lp_samples >= 2.  Each rule another
 module owns is checked by that module: mc_samples and seed by building a
-complexity.EstimatorConfig, w by the capped-tail sampler's own check and the
+complexity.EstimatorConfig, w by the sampler grid's own check and the
 u-grid constants by tails.u_grid.  The n_list entries are at least the
 experiment's n_min, and a run that draws weights has k times the largest n
 at most complexity.MAX_WEIGHT_WIDTH, the widest weight row.  Unknown,
@@ -86,7 +86,7 @@ class ExperimentConfig:
             if not value < math.inf or (value <= 0 if low is None else value < low):
                 fail(f"{key} must be finite and {'positive' if low is None else f'>= {low}'}"
                      f", got {value}", key)
-            if name == "w":  # tails-demo samples the capped tail at w
+            if name == "w":  # tails-demo brackets C_w on the sampler's grid at w
                 try:
                     _check_sampler_w(value)
                 except InvalidInputError as exc:

@@ -39,13 +39,14 @@ from .complexity import (
     gaussian_complexity,
     increment_ratio,
 )
-from .core import PointSet, _write_csv, diameter2, metric_space_from_pointset, norm_pq
-from .errors import InvalidInputError
+from .core import (MAX_DISTANCE_POINTS, PointSet, _write_csv, diameter2,
+                   metric_space_from_pointset, norm_pq)
+from .errors import BudgetExceededError, InvalidInputError
 from .svgplot import write_plot
 from .tails import (
     divergence_threshold,
     expectation_bound_from_tail,
-    sample_from_capped_tail,
+    tail_integral_bracket,
     tail_series,
     tail_series_capped,
     u_grid,
@@ -84,17 +85,25 @@ def cell_seed(root: int, *tags) -> int:
 LEMMA_ELEMENTS = 8
 RKHS_FIT_REPLICATIONS = 5
 RKHS_MC_CAP = 4000
-TAIL_SAMPLES = 200000
-EXPECTATION_RUNS = 20
+
+
+def _budgeted(shape: tuple) -> tuple:
+    """shape, after raising BudgetExceededError if it holds more than
+    MAX_DISTANCE_POINTS ** 2 doubles (512 MiB, the budget of a distance
+    matrix): every point set is drawn at a budgeted shape."""
+    if math.prod(shape) > MAX_DISTANCE_POINTS ** 2:
+        raise BudgetExceededError(f"a point set of shape {shape} exceeds the ceiling of "
+                                  f"{MAX_DISTANCE_POINTS ** 2} values")
+    return shape
 
 
 def _random_pointset(rng, n_elements: int, k: int, n: int, box=1.0) -> PointSet:
-    return PointSet(rng.uniform(-box, box, size=(n_elements, k, n)))
+    return PointSet(rng.uniform(-box, box, size=_budgeted((n_elements, k, n))))
 
 
 def _random_ball_pointset(rng, n_elements: int, k: int, n: int, radius: float) -> PointSet:
     """Columns drawn uniformly from the k-dimensional Euclidean ball."""
-    raw = rng.standard_normal(size=(n_elements, n, k))
+    raw = rng.standard_normal(size=_budgeted((n_elements, n, k)))
     norms = np.linalg.norm(raw, axis=2, keepdims=True)
     norms[norms == 0] = 1.0
     radii = radius * rng.uniform(0.0, 1.0, size=(n_elements, n, 1)) ** (1.0 / k)
@@ -157,7 +166,7 @@ def _map_cells(fn, cells: list) -> list:
     Gaussian sampler and small BLAS products, which release the GIL.  The
     other experiments stay serial, since their time goes to code that holds
     the GIL (the Lipschitz line DP, chaining-demo's small per-block steps),
-    is too short to share (tails-demo, whose sampler reads a lookup table)
+    is too short to share (tails-demo, which draws no random numbers)
     or, in rkhs-bound, measured no faster on a pool.  Each cell seeds its own
     generator, so the results are the same bits at any worker count.
     """
@@ -395,9 +404,8 @@ def _run_tails_demo(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
     u_start, u_stop, u_step = consts["u_start"], consts["u_stop"], consts["u_step"]
     for u in u_grid(u_start, u_stop, u_step):
         p = tail_series(u, w)
-        q = tail_series_capped(u, w)
         out.add_row(0, w, f"p[u={u:.4f}]", p, 0.0, cfg.seed)
-        out.add_row(0, w, f"q[u={u:.4f}]", q, 0.0, cfg.seed)
+        out.add_row(0, w, f"q[u={u:.4f}]", tail_series_capped(u, w), 0.0, cfg.seed)
         # second route: below the convergence threshold the series diverges,
         # so 1/p is 0 (p >= 1 there); for w = 0 and 1.75 <= u <= 26 (where
         # exp(-u^2) is still a normal float) its first 8 terms, summed
@@ -408,34 +416,29 @@ def _run_tails_demo(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
             direct = _direct_tail_sum(u)
             out.gate(f"tail series off the direct sum at u={u}", abs(p - direct),
                      1e-12 * direct)
-    # Uncentering dominance on the exactly constructed law Y = a + sqrt(E).
-    # The bound is attained exactly at u = 2a, so the empirical tail (a
-    # Monte Carlo estimate) is compared with the standard 3-sigma band; away
-    # from the tight point the raw margin must be nonnegative.
+    # Uncentering dominance on the law Y = a + sqrt(E), E standard
+    # exponential, whose tail P(Y > u) = exp(-max(u - a, 0)^2) is exact.  The
+    # bound is attained at u = 2a, where it is also checked from above; away
+    # from that point the least margin is recorded.
     for a in (0.0, 0.5, 1.0):
-        rng = np.random.default_rng(cell_seed(cfg.seed, "uncenter", int(a * 10)))
-        y = a + np.sqrt(rng.exponential(size=TAIL_SAMPLES))
         min_margin = math.inf
-        for u_val in np.arange(0.5, 4.01, 0.5):
-            emp = float((y > u_val).mean())
-            bound = uncenter_tail(a, float(u_val))
-            se = math.sqrt(max(emp * (1.0 - emp), 1e-12) / TAIL_SAMPLES)
-            at = f"at a={a}, u={u_val}"
-            out.gate(f"uncentered tail {at}", emp, bound, 3.0 * se)
-            if abs(u_val - 2.0 * a) > 0.3:
-                min_margin = min(min_margin, out.gate(f"uncentered tail margin {at}",
-                                                      emp, bound))
+        for u_val in (0.5 * i for i in range(1, 9)):
+            exact = math.exp(-max(u_val - a, 0.0) ** 2)
+            bound = uncenter_tail(a, u_val)
+            margin = out.gate(f"uncentered tail at a={a}, u={u_val}", exact, bound, tol=1e-12)
+            if u_val == 2.0 * a:
+                out.gate(f"uncentering slack at the tight a={a}, u={u_val}", bound - exact, 1e-12)
+            else:
+                min_margin = min(min_margin, margin)
         out.add_row(0, w, f"uncenter_min_margin_a={a}", min_margin, 0.0, cfg.seed)
-    # expectation bound dominates the floored inverse-transform law
-    bound, c_w = expectation_bound_from_tail(1.0, 0.5, w)
+    # With rho = 1 and zeta = 0 the expectation bound is C_w.  It dominates
+    # the mean of the sampler's floored law, which is the lower end of the
+    # bracket, and lies below its upper end.
+    bound, c_w = expectation_bound_from_tail(1.0, 0.0, w)
+    lower, upper = tail_integral_bracket(w)
     out.add_summary("C_w", c_w)
-    min_margin = math.inf
-    for rep in range(EXPECTATION_RUNS):
-        y = sample_from_capped_tail(w, 1.0, 0.5, 100000,
-                                    cell_seed(cfg.seed, "expect", rep))
-        min_margin = min(min_margin, out.gate(f"expectation bound in run {rep}",
-                                              float(y.mean()), bound))
-    out.add_summary("expectation_min_margin", min_margin)
+    out.add_summary("expectation_min_margin", out.gate("floored mean over C_w", lower, bound))
+    out.add_summary("expectation_upper_margin", out.gate("C_w over the bracket", bound, upper))
     grid = np.arange(max(u_start, 1.7), u_stop, u_step)
     qs = [tail_series_capped(float(v), w) for v in grid]
     out.figures["plot_tails_demo.svg"] = (
@@ -551,10 +554,12 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
     outcome = spec.run(cfg, {**spec.constants, **cfg.constants})
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_csv(out_dir / "results.csv", RESULTS_HEADER, outcome.rows)
-    _write_csv(out_dir / "summary.csv", SUMMARY_HEADER, outcome.summary)
+    # figures first: write_plot raises on a range it cannot draw before it
+    # opens its file, so such a run writes no file
     for name, (dots, lines, kwargs) in outcome.figures.items():
         write_plot(out_dir / name, dots, lines, **kwargs)
+    _write_csv(out_dir / "results.csv", RESULTS_HEADER, outcome.rows)
+    _write_csv(out_dir / "summary.csv", SUMMARY_HEADER, outcome.summary)
     for note in outcome.notes:
         echo(f"note: {note}")
     if outcome.failures:

@@ -6,6 +6,8 @@ from __future__ import annotations
 
 import math
 
+from .errors import InvalidInputError
+
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 _W, _H = 640, 440
@@ -13,7 +15,25 @@ _ML, _MR, _MT, _MB = 70, 20, 40, 55  # margins
 
 
 def _transform(values, log):
-    return [math.log10(v) for v in values] if log else list(values)
+    """log10 of each value on log axes, where a nonpositive value maps to
+    nan; the values themselves otherwise, as Python floats, which overflow
+    to inf without a numpy warning."""
+    return [math.log10(v) if v > 0 else math.nan for v in values] if log else list(map(float, values))
+
+
+def _padded_range(axis, values, log):
+    """(lo, hi) of the transformed values, each end moved out by 5% of the
+    span, or by 5% of max(1, |value|) when the span is 0.  Raises
+    InvalidInputError naming the axis when a value or the padded span is
+    not finite, or when a log axis ends past 1e308, where its tick labels
+    overflow."""
+    lo, hi = min(values), max(values)
+    pad = 0.05 * (hi - lo or max(1.0, abs(lo)))
+    lo, hi = lo - pad, hi + pad
+    if not (all(map(math.isfinite, values)) and math.isfinite(hi - lo)) or log and hi > 308.0:
+        raise InvalidInputError(f"cannot draw the {axis} values: they and their padded range "
+                                "must be finite, and on log axes positive and below 1e308")
+    return lo, hi
 
 
 def _ticks(lo, hi):
@@ -33,7 +53,8 @@ def write_plot(path, dot_series, line_series=(), *, title="", xlabel="",
     """Write an SVG scatter plot.
 
     dot_series and line_series are sequences of (label, xs, ys).  With
-    loglog=True all coordinates must be positive.
+    loglog=True all coordinates must be positive.  A range write_plot
+    cannot draw raises InvalidInputError before the file is opened.
     """
     # lines first, so they take the first colours and legend rows
     series = [(s, True) for s in line_series] + [(s, False) for s in dot_series]
@@ -41,12 +62,8 @@ def write_plot(path, dot_series, line_series=(), *, title="", xlabel="",
     ys_all = [y for (_, _, ys), _ in series for y in _transform(ys, loglog)]
     if not xs_all:
         xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
-    x_lo, x_hi = min(xs_all), max(xs_all)
-    y_lo, y_hi = min(ys_all), max(ys_all)
-    x_pad = 0.05 * (x_hi - x_lo or 1.0)
-    y_pad = 0.05 * (y_hi - y_lo or 1.0)
-    x_lo, x_hi = x_lo - x_pad, x_hi + x_pad
-    y_lo, y_hi = y_lo - y_pad, y_hi + y_pad
+    x_lo, x_hi = _padded_range("x", xs_all, loglog)
+    y_lo, y_hi = _padded_range("y", ys_all, loglog)
 
     def px(x):
         return _ML + (x - x_lo) / (x_hi - x_lo) * (_W - _ML - _MR)

@@ -8,13 +8,12 @@ and u0^2 = 2^(2+w) * ln 2, so the series converges exactly for u > u0 and
 diverges below, which is benign because only q is ever used.  p = 1 at the
 one s = CROSSING_S for every w, and each term integrates over (u*, inf) to a
 scaled erfcx, so the crossing point and the integral of q are closed forms.
-The truncation floor, the sampler grid (built once per w) with its end
-SAMPLER_GRID_END (the sampler, and tails-demo's config check, require the
-divergence threshold below it through one check, _check_sampler_w), the
-SAMPLER_BUCKETS buckets of the sampler's lookup table (built once per w, at
-the first draw), the ceiling MAX_W on w (past it the exponents overflow a
-float) and the row ceiling MAX_GRID_ROWS of u_grid are fixed module
-constants.
+The truncation floor, the sampler grid (built once per w, and read by both
+the sampler and tail_integral_bracket) with its end SAMPLER_GRID_END (both
+require the divergence threshold below it through one check,
+_check_sampler_w, which also checks tails-demo's w), the ceiling MAX_W on w
+(past it the exponents overflow a float) and the row ceiling MAX_GRID_ROWS
+of u_grid are fixed module constants.
 """
 
 from __future__ import annotations
@@ -33,9 +32,6 @@ CROSSING_S = 0.5689425097032021  # the root of sum_{j>=0} exp(-2^j s) = 1
 SAMPLER_GRID_STEP = 0.01
 SAMPLER_GRID_END = 1000.0
 SAMPLER_TAIL_CUT = 1e-12
-# Buckets of the sampler's lookup table; a power of two, so U * SAMPLER_BUCKETS
-# is exact.
-SAMPLER_BUCKETS = 2 ** 14
 MAX_W = 1000
 # Most rows a u-grid of pc tails or tails-demo may have; the shipped grids
 # have 15 and 24.
@@ -58,8 +54,8 @@ def divergence_threshold(w: int = 0) -> float:
 def _check_sampler_w(w: int) -> None:
     """Raise InvalidInputError unless w is an integer in [0, MAX_W] whose
     divergence threshold lies below SAMPLER_GRID_END, where the sampler's
-    grid ends: the one check of sample_from_capped_tail and of tails-demo's
-    w."""
+    grid ends: the one check of sample_from_capped_tail,
+    tail_integral_bracket and tails-demo's w."""
     u0 = divergence_threshold(w)
     if not u0 < SAMPLER_GRID_END:
         raise InvalidInputError(f"w = {w} puts the divergence threshold u = {u0:.6g} at or past the "
@@ -205,33 +201,28 @@ def _sampler_grid(w: int) -> tuple[np.ndarray, np.ndarray]:
     return _as_readonly(grid), _as_readonly(qs)
 
 
-def _grid_index(qs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """The largest j with qs[j] >= U for each U in [0, 1), found in the
-    ascending reversed array; qs[0] = 1, so j >= 0."""
-    return len(qs) - 1 - np.searchsorted(qs[::-1], uniforms, side="left")
+def tail_integral_bracket(w: int = 0) -> tuple[float, float]:
+    """(lower, upper) around C_w, the integral of q over (0, inf), from q on
+    the sampler's grid u_0 = 0 < u_1 < ... < u_N.
 
-
-@lru_cache(maxsize=None)
-def _sampler_table(w: int) -> tuple[np.ndarray, np.ndarray]:
-    """(index, split) over the SAMPLER_BUCKETS buckets [b, b + 1) / 2^14 of
-    U: the grid index every U of bucket b draws, and whether a q value lies
-    in the bucket, which splits its U between two grid indices.  Built once
-    per w, at the first draw, and returned read-only."""
-    edges = _grid_index(_sampler_grid(w)[1], np.arange(SAMPLER_BUCKETS + 1) / SAMPLER_BUCKETS)
-    index, split = edges[:-1], edges[1:] != edges[:-1]
-    index.flags.writeable = split.flags.writeable = False
-    return index, split
-
-
-def _sampler_index(w: int, uniforms: np.ndarray) -> np.ndarray:
-    """_grid_index of q for each U in [0, 1): from the bucket table, and by
-    searchsorted only for the U whose bucket holds a q value."""
-    index, split = _sampler_table(w)
-    buckets = (uniforms * SAMPLER_BUCKETS).astype(np.intp)  # exact: a power of two
-    j = index[buckets]
-    odd = np.flatnonzero(split[buckets])
-    j[odd] = _grid_index(_sampler_grid(w)[1], uniforms[odd])
-    return j
+    q is nonincreasing, so on each step (u_{j-1}, u_j) it lies between
+    q(u_j) and q(u_{j-1}).  Hence lower = sum_{j>=1} (u_j - u_{j-1}) q(u_j)
+    is at most the integral of q over (0, u_N), and it is exactly the mean
+    of the floored law that sample_from_capped_tail draws, since that law
+    puts mass q(u_j) on X >= u_j.  The same integral is at most
+    sum_{j<N} (u_{j+1} - u_j) q(u_j).  Past u_N, q <= p, and every term
+    exp(-2^(m-1) (u^2 - u0^2)) of p is its value at u_N times
+    exp(-2^(m-1) (u^2 - u_N^2)) <= exp(-2 u_N (u - u_N)), so the integral of
+    q over (u_N, inf) is at most p(u_N) / (2 u_N) = q(u_N) / (2 u_N), as
+    q(u_N) < SAMPLER_TAIL_CUT < 1.  upper adds that to the sum.  The steps
+    are the grid's own, which are SAMPLER_GRID_STEP up to rounding, and
+    math.fsum rounds each sum once, so the bracket holds up to the rounding
+    of q and of each product.  w must pass _check_sampler_w.
+    """
+    _check_sampler_w(w)
+    grid, qs = _sampler_grid(w)
+    steps = np.diff(grid)
+    return math.fsum(steps * qs[1:]), math.fsum(steps * qs[:-1]) + float(qs[-1] / (2.0 * grid[-1]))
 
 
 def sample_from_capped_tail(w: int, rho_scale: float,
@@ -251,5 +242,9 @@ def sample_from_capped_tail(w: int, rho_scale: float,
     _check_count("n_samples", n_samples, 1)
     _check_law(rho_scale, zeta_shift)
     _check_count("seed", seed)
+    grid, qs = _sampler_grid(w)
     uniforms = np.random.default_rng(seed).uniform(0.0, 1.0, size=n_samples)
-    return rho_scale * _sampler_grid(w)[0][_sampler_index(w, uniforms)] + zeta_shift
+    # the largest j with qs[j] >= U, found in the ascending reversed array;
+    # qs[0] = 1, so j >= 0
+    j = len(qs) - 1 - np.searchsorted(qs[::-1], uniforms, side="left")
+    return rho_scale * grid[j] + zeta_shift

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from berncomp import (ConfigError, InvalidInputError, PointSet,
+from berncomp import (BudgetExceededError, ConfigError, InvalidInputError, PointSet,
                       bernoulli_complexity, pointset_to_csv)
 from berncomp import core, experiments
 from berncomp.cli import main
@@ -358,6 +358,34 @@ class TestEstimateCommand:
         assert capsys.readouterr().err == "error: seed must be nonnegative, got -1\n"
 
 
+class _Drawn(Exception):
+    """Raised by _NoDraws in place of a draw."""
+
+
+class _NoDraws:
+    """A generator stub whose every draw raises _Drawn, so no test that
+    hands it out allocates a point set, even if a budget check regresses."""
+
+    def __getattr__(self, name):
+        def draw(*args, **kwargs):
+            raise _Drawn(name)
+        return draw
+
+
+class TestPointSetBudget:
+    @pytest.mark.parametrize("draw", [
+        lambda rng, m, k, n: experiments._random_pointset(rng, m, k, n),
+        lambda rng, m, k, n: experiments._random_ball_pointset(rng, m, k, n, 1.0)],
+        ids=["box", "ball"])
+    @pytest.mark.parametrize("m, k, n", [(2 ** 26, 1, 1), (1, 2 ** 13, 2 ** 13), (4, 2, 2 ** 23)])
+    def test_draws_at_the_budget_and_raises_past_it(self, draw, m, k, n):
+        with pytest.raises(_Drawn):
+            draw(_NoDraws(), m, k, n)
+        with pytest.raises(BudgetExceededError, match="exceeds the ceiling of 67108864 values"):
+            draw(_NoDraws(), m + 1, k, n)
+        assert core.MAX_DISTANCE_POINTS ** 2 == 2 ** 26
+
+
 class TestRunCommand:
     def test_results_are_byte_identical_across_runs(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"
@@ -596,6 +624,40 @@ class TestRunCommand:
         assert main(["run", str(config)]) == 2
         assert capsys.readouterr() == ("", f"error: {printed}\n")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("experiment, body, shape", [
+        ("rkhs-bound", "n_list = [8000]\nconstants.n_elements = 1048576\n", (1048576, 8000, 1)),
+        ("composition-logfree", "n_list = [16000]\nconstants.n_functions = 1048576\n",
+         (1048576, 1, 16000)),
+    ])
+    def test_point_set_past_the_distance_budget_exits_2_writing_nothing(
+            self, tmp_path, capsys, monkeypatch, experiment, body, shape):
+        # both configs pass validation; the stub generator keeps a regressed
+        # check from allocating the 62.5 or 125 GiB set
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: _NoDraws())
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"experiment = {experiment}\n{body}out_dir = {tmp_path / 'o'}\n")
+        assert main(["run", str(config)]) == 2
+        assert capsys.readouterr() == (
+            "", f"error: a point set of shape {shape} exceeds the ceiling of 67108864 values\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_figure_write_plot_cannot_draw_exits_2_writing_no_file(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        def zero_on_a_log_axis(cfg, consts):
+            out = experiments.ExperimentOutcome(cfg.experiment)
+            out.add_row(1, 1, "x", 1.0, 0.0, cfg.seed)
+            out.figures["plot.svg"] = ([("a", [0.0, 1.0], [1.0, 2.0])], [], {"loglog": True})
+            return out
+
+        spec = EXPERIMENTS["tails-demo"]
+        monkeypatch.setitem(EXPERIMENTS, "tails-demo",
+                            dataclasses.replace(spec, run=zero_on_a_log_axis))
+        config = tmp_path / "cfg.txt"
+        config.write_text(f"experiment = tails-demo\nout_dir = {tmp_path / 'o'}\n")
+        assert main(["run", str(config)]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot draw the x values")
+        assert list((tmp_path / "o").iterdir()) == []
 
     def test_figures_written(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"

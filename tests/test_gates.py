@@ -1,14 +1,20 @@
 """ExperimentOutcome.gate, the one record of every experiment check, the
-bytes of the shipped configs whose outputs make no BLAS product, and the
-bytes of one plot."""
+bytes of the shipped configs whose outputs make no BLAS product, tails-demo's
+exact gates, and the plots write_plot draws or rejects."""
 
+import csv
 import hashlib
 import math
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from berncomp import InvalidInputError, experiments, tails
 from berncomp.config import parse_config
 from berncomp.experiments import ExperimentOutcome, run_experiment
 from berncomp.svgplot import write_plot
@@ -69,8 +75,8 @@ class TestGate:
 # their Monte Carlo products round by the core.
 PINNED = {
     "tails_demo": (
-        "8510b16de31b4e01bbe64edd59424d85ae39c27c29f11ab782adfef6735e8970",
-        "ca35b092ba6d55d4b7580f5954189f811a4bc5be60336c9ca80e70997f4ca0af"),
+        "70f9f4df277cca8f13e870ee90c5aed3df81b266be42104e508b7f8e5283202f",
+        "a29d1ed7ab3f8e60c71284d47828865af32c96ec70eb7bfe13e77c14162be74e"),
     "chaining_demo": (
         "9c9d2f5fc448fe57ff92609b543e49c85b70f5660f7f95518b5eb1e3c5a2ef79",
         "6cc0753afb7ac2d7dba74a1a33fba0d23e15bd0aff94513b8ad9510be42e0d1b"),
@@ -106,3 +112,103 @@ def test_write_plot_keeps_its_bytes(tmp_path):
                title="t", xlabel="n", ylabel="value", loglog=True)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "4205bd5cfb983f9477899145022c99b759e64e784685dd5319ef2018efcdfcd2")
+
+
+def _run_tails_demo(tmp_path, seed=42, w=0):
+    """(exit status, FAIL lines, results.csv rows) of the shipped tails-demo
+    config at seed and w."""
+    cfg = parse_config(CONFIGS / "tails_demo.txt")
+    cfg.out_dir, cfg.seed = str(tmp_path / f"s{seed}w{w}"), seed
+    cfg.constants = {**cfg.constants, "w": w}
+    lines = []
+    status = run_experiment(cfg, echo=lines.append)
+    with open(Path(cfg.out_dir) / "results.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    return status, [line for line in lines if line.startswith("FAIL")], rows
+
+
+class TestTailsDemo:
+    def test_seed_12_passes_with_the_values_of_seed_42(self, tmp_path):
+        # the Monte Carlo uncentering check failed at seed 12, at a = 1, u = 2
+        runs = [_run_tails_demo(tmp_path, seed) for seed in (12, 42)]
+        assert [run[:2] for run in runs] == [(0, [])] * 2
+        # every column but the seed
+        assert [row[:6] for row in runs[0][2]] == [row[:6] for row in runs[1][2]]
+
+    @pytest.mark.parametrize("w", [0, 10, 18])
+    def test_every_w_the_sampler_grid_admits_passes(self, tmp_path, w):
+        assert _run_tails_demo(tmp_path, w=w)[:2] == (0, [])
+
+    @pytest.mark.parametrize("shift, failing", [
+        (0.006, "FAIL: C_w over the bracket: "),
+        (-0.006, "FAIL: floored mean over C_w: ")])
+    def test_c_w_off_by_more_than_the_bracket_fails(self, tmp_path, monkeypatch, shift, failing):
+        exact = tails.tail_integral
+        monkeypatch.setattr(tails, "tail_integral", lambda w=0: exact(w) + shift)
+        status, fails, _ = _run_tails_demo(tmp_path)
+        assert status == 1 and [line[:len(failing)] for line in fails] == [failing]
+
+    @pytest.mark.parametrize("bound", [
+        lambda a, u: 0.999 * tails.uncenter_tail(a, u),
+        lambda a, u: min(1.0, math.exp(a * a - u * u / 4.0))], ids=["scaled-down", "looser"])
+    def test_uncentering_bound_off_at_the_tight_point_fails(self, tmp_path, monkeypatch, bound):
+        monkeypatch.setattr(experiments, "uncenter_tail", bound)
+        status, fails, _ = _run_tails_demo(tmp_path)
+        assert status == 1
+        for tight in ("a=0.5, u=1.0", "a=1.0, u=2.0"):
+            assert any(tight in line for line in fails), tight
+
+
+# every coordinate attribute of an SVG element, and each number of a polyline
+_COORDS = re.compile(r' (?:x|y|x1|y1|x2|y2|cx|cy)="([^"]*)"|points="([^"]*)"')
+
+
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _coords(n):
+    """n finite floats of any magnitude, or one of them n times: a flat range."""
+    return st.one_of(st.lists(_FLOATS, min_size=n, max_size=n), _FLOATS.map(lambda v: [v] * n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(series=st.lists(st.integers(1, 4).flatmap(lambda n: st.tuples(_coords(n), _coords(n))),
+                       min_size=1, max_size=3), loglog=st.booleans())
+@example(series=[([1e16, 1e16], [1.0, 2.0])], loglog=False)
+@example(series=[([1.0, 2.0], [0.0, 2.0])], loglog=True)
+@example(series=[([1.0, math.nan], [1.0, 2.0])], loglog=False)
+@example(series=[([-1e308, 1e308], [1.0, 2.0])], loglog=False)
+@example(series=[(np.array([-1e308, 1e308]), np.array([1.0, 2.0]))], loglog=False)
+def test_write_plot_draws_finite_coordinates_or_raises_before_opening(series, loglog):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "plot.svg"
+        try:
+            write_plot(path, [("dots", xs, ys) for xs, ys in series],
+                       [("line", xs, ys) for xs, ys in series[:1]], loglog=loglog)
+        except InvalidInputError:
+            assert not path.exists()
+            return
+        numbers = [v for one, many in _COORDS.findall(path.read_text())
+                   for v in (one.split() if one else re.split("[ ,]", many))]
+        assert numbers and all(math.isfinite(float(v)) for v in numbers)
+
+
+@pytest.mark.parametrize("xs, ys, loglog, axis", [
+    ([1.0, 2.0], [0.0, 2.0], True, "y"),
+    ([1.0, math.nan], [1.0, 2.0], False, "x"),
+    ([-1e308, 1e308], [1.0, 2.0], False, "x"),
+    ([1.0, 2.0], [1e300, 1e308], True, "y")])
+def test_write_plot_names_the_axis_it_cannot_draw(tmp_path, xs, ys, loglog, axis):
+    with pytest.raises(InvalidInputError, match=f"cannot draw the {axis} values"):
+        write_plot(tmp_path / "plot.svg", [("a", xs, ys)], loglog=loglog)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_flat_range_is_padded_by_its_magnitude(tmp_path):
+    # a pad of 0.05 rounded away at 1e16, leaving a range of width 0; 5%
+    # of 1e16 puts the points mid-axis between ticks at 9.5e15 and 1.05e16
+    write_plot(tmp_path / "plot.svg", [("a", [1e16, 1e16], [1.0, 2.0])])
+    svg = (tmp_path / "plot.svg").read_text()
+    assert svg.count('<circle cx="345.0"') == 2
+    assert '<text x="70.0" y="403" text-anchor="middle">9.5e+15</text>' in svg
+    assert '<text x="620.0" y="403" text-anchor="middle">1.05e+16</text>' in svg

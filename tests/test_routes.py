@@ -13,8 +13,10 @@ classes.py validates its coefficient rows in its sup_batch, through
 _as_coeff_rows.  The one thread pool is built in
 experiments._map_cells.  Exact covering and entropy numbers come from one
 search, chaining._min_cover_radius, and the tail sampler reads q through
-one searchsorted, in tails._grid_index.  Every experiment check is an
-ExperimentOutcome.gate call, and only the gate records a failure.  Files
+one searchsorted, in tails.sample_from_capped_tail.  tails-demo draws no
+random numbers: it seeds no generator and calls no sampler.  Every
+experiment check is an ExperimentOutcome.gate call, and only the gate
+records a failure.  Files
 are opened in four places only: every CSV file the package loads or saves,
 point sets, admissible sequences and experiment results alike, goes
 through core._read_csv or core._write_csv, config files through
@@ -177,9 +179,13 @@ def test_exact_covering_and_entropy_numbers_share_one_search():
 
 
 def test_the_tail_sampler_has_one_searchsorted():
-    source = _read("tails.py")
-    assert callers(source, "searchsorted") == ["_grid_index"]
-    assert callers(source, "_grid_index") == ["_sampler_index", "_sampler_table"]
+    assert called_by("searchsorted") == {("tails.py", "sample_from_capped_tail")}
+
+
+def test_tails_demo_draws_no_random_numbers():
+    source = _read("experiments.py")
+    for name in ("cell_seed", "default_rng", "sample_from_capped_tail"):
+        assert "_run_tails_demo" not in callers(source, name), name
 
 
 def failure_writers(source: str) -> list:

@@ -21,12 +21,12 @@ from berncomp import tails
 from berncomp.tails import (
     CROSSING_S,
     MAX_W,
-    SAMPLER_BUCKETS,
     SAMPLER_GRID_END,
+    SAMPLER_GRID_STEP,
     _erfcx,
     _sampler_grid,
-    _sampler_index,
     divergence_threshold,
+    tail_integral_bracket,
 )
 from oracles import reference_sampler_grid
 
@@ -321,14 +321,47 @@ class TestCappedTailSampler:
             qs[0] = 0.5
 
     @pytest.mark.parametrize("w", [0, 1, 3])
-    def test_table_lookup_gives_the_one_shot_indices(self, w):
-        # every bucket edge, every q value below 1 and its two neighbouring
-        # floats (ties of U with an edge or a q value), then random draws
-        _, qs = _sampler_grid(w)
-        inner = qs[qs < 1.0]
-        ties = np.concatenate([np.arange(SAMPLER_BUCKETS) / SAMPLER_BUCKETS, inner,
-                               np.nextafter(inner, 0.0), np.nextafter(inner, 1.0)])
-        draws = [np.random.default_rng(seed).uniform(0.0, 1.0, 20000) for seed in range(4)]
-        for u in [ties] + draws:
+    def test_draws_are_the_reference_grid_at_the_one_shot_indices(self, w):
+        # the largest j with q(u_j) >= U, by one searchsorted of the seeded
+        # uniforms in the reversed q values
+        grid, qs = reference_sampler_grid(w)
+        for seed in range(4):
+            u = np.random.default_rng(seed).uniform(0.0, 1.0, 20000)
             one_shot = len(qs) - 1 - np.searchsorted(qs[::-1], u, side="left")
-            np.testing.assert_array_equal(_sampler_index(w, u), one_shot)
+            assert (sample_from_capped_tail(w, 1.0, 0.0, 20000, seed).tobytes()
+                    == grid[one_shot].tobytes())
+
+
+class TestTailIntegralBracket:
+    @pytest.mark.parametrize("w", [0, 1, 3, 10, 18])
+    def test_brackets_the_closed_form_within_one_grid_step(self, w):
+        lower, upper = tail_integral_bracket(w)
+        assert lower <= tail_integral(w) <= upper
+        # the two sums differ by h (q(u_0) - q(u_N)) and the tail term
+        assert upper - lower < 1.001 * SAMPLER_GRID_STEP
+
+    @pytest.mark.parametrize("w", [0, 1, 3])
+    def test_lower_end_is_the_mean_of_the_floored_law(self, w):
+        # E X = sum_j u_j P(X = u_j), with P(X = u_j) = q(u_j) - q(u_{j+1})
+        # and P(X = u_N) = q(u_N)
+        grid, qs = reference_sampler_grid(w)
+        mean = math.fsum(grid * (qs - np.append(qs[1:], 0.0)))
+        assert tail_integral_bracket(w)[0] == pytest.approx(mean, rel=1e-13)
+        draws = sample_from_capped_tail(w, 1.0, 0.0, 200000, seed=5)
+        assert abs(draws.mean() - mean) <= 4.0 * draws.std() / math.sqrt(len(draws))
+
+    @pytest.mark.parametrize("w", [0, 3])
+    def test_tail_term_dominates_the_integral_past_the_grid(self, w):
+        from scipy.integrate import quad
+
+        grid, qs = _sampler_grid(w)
+        past, _ = quad(lambda u: tail_series_capped(u, w), grid[-1], math.inf, epsabs=0.0)
+        assert 0.9 * qs[-1] / (2.0 * grid[-1]) < past <= qs[-1] / (2.0 * grid[-1])
+
+    def test_w_past_the_grid_end_raises_before_the_grid_is_walked(self, monkeypatch):
+        def no_q(u, w):
+            raise AssertionError(f"q evaluated at u = {u}")
+
+        monkeypatch.setattr(tails, "tail_series_capped", no_q)
+        with pytest.raises(InvalidInputError, match="at or past the sampler grid end"):
+            tail_integral_bracket(19)

@@ -17,8 +17,9 @@ not be a cone).  Four concrete classes are provided:
   dual on a small dense simplex: cancel c+ against c- at cost L*d_ij, or
   send mass to the bank at B per unit (Kantorovich-Rubinstein duality for
   the bounded-Lipschitz ball; sizes and timings in simplex.py), on one
-  distance matrix per batch.  For k = 1 an exact slope-trick dynamic
-  program solves it at any point count, in one sort per batch plus O(1)
+  distance matrix per batch, with the batch's LPs pivoted together in
+  stacks of at most SIMPLEX_STACK_BYTES.  For k = 1 an exact slope-trick
+  dynamic program solves it at any point count, in one sort per batch plus O(1)
   amortized deque work per point for +-1 coefficients and at most O(n^2)
   for real coefficients.
 * Gaussian-kernel RKHS balls of radius rho: Riesz representation gives the
@@ -44,6 +45,12 @@ from .simplex import simplex_maximize
 
 # Largest point count accepted by the dense all-pairs simplex oracle.
 SIMPLEX_MAX_POINTS = 64
+
+# Byte ceiling of the tableaus of one stack of transport LPs (16 MiB): a
+# batch's rows are cut into stacks that fit it at the widest tableau a row
+# can have, 29 rows at the 64-point cap and 1522 at 16 points.  The
+# constraint stack handed over is smaller than the tableaus.
+SIMPLEX_STACK_BYTES = 2 ** 24
 
 # Smallest gain unit of the transport LP, as a fraction of 2B: keeps the
 # rounding noise of its reduced costs (about 2^-52 * 2B) under the simplex's
@@ -143,7 +150,9 @@ class FiniteFunctionClass:
 
 def _lipschitz_sup_simplex(pts: np.ndarray, C: np.ndarray, L: float, B: float) -> np.ndarray:
     """Transport dual of the all-pairs LP, correct in every dimension k, for
-    every row c of C: the distances are formed once, one LP per row.
+    every row c of C: the distances are formed once per batch, and the
+    rows' LPs are solved as stacks of up to SIMPLEX_STACK_BYTES of
+    tableaus, one simplex_maximize call per stack (_transport_stack).
 
     A unit of c+ at point i can be cancelled against a unit of c- at point j
     for L * d_ij, or each can go to the bank (|y| <= B) for B.  With gains
@@ -168,15 +177,19 @@ def _lipschitz_sup_simplex(pts: np.ndarray, C: np.ndarray, L: float, B: float) -
     +1 entries per column, with right-hand side |c| >= 0.  It is totally
     unimodular, so its part of the tableau stays 0 and +-1.  Columns go in
     pair order: under the simplex's largest-reduced-cost rule a sort by
-    descending gain saved no pivots (counts in CHANGES.md).
+    descending gain saved no pivots (counts in CHANGES.md).  In a stack,
+    each row's columns are padded with zero columns to the widest row's
+    count; a zero column has gain 0 and no incidence entry, so it never
+    enters, and the slack columns keep their order, so no pivot moves.
+    Every LP has one constraint per point, so rows are never padded.
 
     The simplex's pivot tolerance is absolute, so the LP is handed over
     rescaled by exact powers of two: masses by the largest |c_i|, gains by
     the largest cost L * d_ij in P (at least 2B * GAIN_SCALE_FLOOR).  The
     pivots then skip only reduced costs below 1e-9 of the spread of the
     costs, instead of 1e-9 * B, and coefficients far below 1e-9 are not
-    lost under the tolerance.  Scaling by powers of two is exact, so every
-    other bit is the unscaled LP's.
+    lost under the tolerance.  Each row keeps its own two scales.  Scaling
+    by powers of two is exact, so every other bit is the unscaled LP's.
     """
     n = pts.shape[0]
     if n > SIMPLEX_MAX_POINTS:
@@ -185,23 +198,41 @@ def _lipschitz_sup_simplex(pts: np.ndarray, C: np.ndarray, L: float, B: float) -
             "use sampled finite subclasses for larger problems"
         )
     costs = L * distances(pts)
+    # A row has at most n^2 / 4 pairs: its tableau's largest size in bytes.
+    row_bytes = 8 * (n + 1) * (n * n // 4 + n + 1)
+    height = max(1, SIMPLEX_STACK_BYTES // row_bytes)
     out = np.empty(len(C))
-    for row, c in enumerate(C):
-        plus, minus = np.flatnonzero(c > 0), np.flatnonzero(c < 0)
-        cost = costs[plus[:, None], minus]
-        i, j = np.nonzero(cost < 2.0 * B)  # g_ij > 0
-        cost = cost[i, j]
-        gain = 2.0 * B - cost
-        cols = np.arange(len(gain))
-        A = np.zeros((n, len(gain)))
-        A[plus[i], cols] = 1.0
-        A[minus[j], cols] = 1.0
-        mass = np.abs(c)
-        e_gain = np.frexp(max(cost.max(initial=0.0), 2.0 * B * GAIN_SCALE_FLOOR))[1]
-        e_mass = np.frexp(mass.max())[1]
-        value, _ = simplex_maximize(np.ldexp(gain, -e_gain), A, np.ldexp(mass, -e_mass))
-        out[row] = B * mass.sum() - np.ldexp(value, e_gain + e_mass)
+    for start in range(0, len(C), height):
+        out[start:start + height] = _transport_stack(costs, C[start:start + height], B)
     return out
+
+
+def _transport_stack(costs: np.ndarray, C: np.ndarray, B: float) -> np.ndarray:
+    """The supremum for every row of C from one simplex_maximize call on the
+    rows' transport LPs, stacked and zero-padded to the widest row."""
+    rows, n = C.shape
+    # Each row's pairs in row-major (plus, minus) order, as its own columns.
+    pairs = (C[:, :, None] > 0) & (C[:, None, :] < 0) & (costs < 2.0 * B)  # g_ij > 0
+    row, i, j = np.nonzero(pairs)
+    counts = np.bincount(row, minlength=rows)
+    col = np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
+    width = counts.max(initial=0)
+    A = np.zeros((rows, n, width))
+    A[row, i, col] = 1.0
+    A[row, j, col] = 1.0
+    pair_cost = costs[i, j]
+    gain = np.zeros((rows, width))
+    gain[row, col] = 2.0 * B - pair_cost
+    largest = np.zeros(rows)
+    np.maximum.at(largest, row, pair_cost)
+    # C order: numpy sums the rows of a Fortran-ordered array in another
+    # order than one row alone, which changes the last bits.
+    mass = np.abs(C, order="C")
+    e_gain = np.frexp(np.maximum(largest, 2.0 * B * GAIN_SCALE_FLOOR))[1]
+    e_mass = np.frexp(mass.max(axis=1))[1]
+    values, _ = simplex_maximize(np.ldexp(gain, -e_gain[:, None]), A,
+                                 np.ldexp(mass, -e_mass[:, None]))
+    return B * mass.sum(axis=1) - np.ldexp(values, e_gain + e_mass)
 
 
 def _lipschitz_sup_line(x: np.ndarray, C: np.ndarray, L: float, B: float) -> np.ndarray:

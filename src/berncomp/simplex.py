@@ -1,29 +1,41 @@
 """Small dense primal simplex for the all-pairs Lipschitz oracle.
 
-Solves  maximize c.x  subject to  A x <= b,  x >= 0  with b >= 0, so the
-all-slack basis is feasible and no phase-1 is needed.  The entering column
-is the one with the most negative reduced cost (Dantzig's rule), lowest
-index on ties.  That rule alone can cycle on degenerate programs (Beale's
-1955 example does), so once m pivots in a row have been degenerate the
-lowest-index improving column enters instead (Bland's rule, which cannot
-cycle; Bland, Math. Oper. Res. 2, 1977) until the next nondegenerate
-pivot.  The leaving row is the minimum ratio, ties broken by the lowest
-basic index.
+Solves stacks of LPs  maximize c.x  subject to  A x <= b,  x >= 0  with
+b >= 0, so the all-slack basis is feasible and no phase-1 is needed.  The
+entering column is the one with the most negative reduced cost (Dantzig's
+rule), lowest index on ties.  That rule alone can cycle on degenerate
+programs (Beale's 1955 example does), so once m pivots in a row have been
+degenerate the lowest-index improving column enters instead (Bland's rule,
+which cannot cycle; Bland, Math. Oper. Res. 2, 1977) until the next
+nondegenerate pivot.  The leaving row is the minimum ratio, ties broken by
+the lowest basic index.
+
+A stack is L programs of equal m and n in one pivot loop.  Each pass
+pivots every program that is not yet optimal, with that program's own
+entering and leaving rows, degenerate count and pivot cap, so each program
+gets the pivots and bits it gets alone.  A pass is a fixed number of numpy
+calls whatever L, so the interpreter is paid once per pass of the slowest
+program instead of once per pivot of every program.  The live tableaus
+stay a prefix of the stack: an optimal program leaves, and one live
+tableau from the end moves into its place, so no pass copies the stack.
 
 The oracle's LP is the plus-to-minus transport problem of the Lipschitz
 ball (classes._lipschitz_sup_simplex): one row per point, one column per
 pair of a plus and a minus coefficient with a positive gain, two +1
 entries per column.  For p points and |P| <= p^2/4 pairs the tableau is
-(p+1) x (|P|+p+1) doubles, about 0.6 MB at the 64-point cap.  A pivot
-updates only the rows where the pivot column is nonzero, across all
-columns, so its pivots and bits are those of a dense update.  At k = 2
-with a +-1 row the median call takes 16, 35 and 74 pivots at 16, 32 and
-64 points where Bland's rule throughout took 22, 70 and 184, and about
-0.3, 1.0 and 2.7 ms on a 2-core x86 host (Bland's rule: 0.8, 2.0 and
-12 ms; medians of 10 point sets); with the cap lifted, 173 pivots and
-12 ms at 128 points (574 and 95 ms).  The longest degenerate run seen on
-these LPs (30 pivots at 64 coincident points) stays under m, so there
-Bland's rule is only the guard.
+(p+1) x (|P|+p+1) doubles, about 0.6 MB at the 64-point cap, and
+classes.SIMPLEX_STACK_BYTES bounds a stack of them.  A pivot updates only
+the rows where the pivot column is nonzero, across all columns, so its
+pivots and bits are those of a dense update.  At k = 2 with a +-1 row the
+median LP takes 16, 35 and 74 pivots at 16, 32 and 64 points where Bland's
+rule throughout took 22, 70 and 184 (medians of 10 point sets); with the
+cap lifted, 173 pivots at 128 points (574).  The longest degenerate run
+seen on these LPs (30 pivots at 64 coincident points) stays under m, so
+there Bland's rule is only the guard.  On a shared 2-core x86 host, a
+stack of 32 +-1 rows takes 2.3, 10.5 and 71 ms at 16, 32 and 64 points,
+where one LP per call took 7.7, 20.5 and 56 ms; a stack of one row takes
+0.55, 1.5 and 4.9 ms, where one LP per call took 0.27, 0.65 and 2.4 ms
+(BENCH_32.json).
 """
 
 from __future__ import annotations
@@ -40,7 +52,15 @@ MAX_ITER_PER_DIM = 50
 
 
 def simplex_maximize(c, A, b):
-    """Return (optimal value, optimal x).
+    """Return (optimal values, optimal x) of a stack of LPs.
+
+    c is (L, n), A is (L, m, n) and b is (L, m): L programs with equal m
+    and n, solved in one pivot loop.  Each keeps its own entering and
+    leaving choices, degenerate-pivot count and pivot cap, so it gets the
+    pivots and bits it gets when solved alone; each loop pass pivots every
+    program that is not yet optimal.  Returns the (L,) values and the
+    (L, n) x.  A 1-d c, 2-d A and 1-d b are one program, and return
+    (float value, x).
 
     Termination: a nondegenerate pivot strictly raises the objective, so no
     basis repeats across one.  Within a run of degenerate pivots at most m
@@ -48,15 +68,20 @@ def simplex_maximize(c, A, b):
     rule cannot cycle, so every run ends.  The pivot cap stays as a guard
     against rounding.
 
-    Raises SolverError with diagnostics if the pivot cap is hit and
+    Raises SolverError with diagnostics if a program hits the pivot cap and
     InvalidInputError for non-finite input, negative right-hand sides or an
     unbounded program (our callers always pass box-bounded problems).
     """
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    m, n = A.shape
-    if c.shape != (n,) or b.shape != (m,):
+    single = c.ndim == 1
+    if single:
+        c, A, b = c[None], A[None], b[None]
+    if A.ndim != 3 or c.ndim != 2 or b.ndim != 2:
+        raise InvalidInputError("inconsistent LP dimensions")
+    L, m, n = A.shape
+    if c.shape != (L, n) or b.shape != (L, m):
         raise InvalidInputError("inconsistent LP dimensions")
     if not (np.isfinite(c).all() and np.isfinite(A).all() and np.isfinite(b).all()):
         # a nan reduced cost would stop the argmin at once
@@ -65,55 +90,84 @@ def simplex_maximize(c, A, b):
         raise InvalidInputError("simplex_maximize requires b >= 0")
     max_iter = MAX_ITER_BASE + MAX_ITER_PER_DIM * (m + n)
 
-    # Tableau: m constraint rows [A | I | b] and an objective row [-c | 0 | 0].
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A
-    T[np.arange(m), np.arange(n, n + m)] = 1.0
-    T[:m, -1] = b
-    T[m, :n] = -c
-    basis = np.arange(n, n + m)
-    reduced = T[m, :n + m]
-    rhs = T[:m, -1]
-    degenerate = 0  # degenerate pivots since the last nondegenerate one
+    # Tableaus: m constraint rows [A | I | b] and an objective row [-c | 0 | 0].
+    T = np.zeros((L, m + 1, n + m + 1))
+    T[:, :m, :n] = A
+    T[:, :m, n:n + m] = np.eye(m)
+    T[:, :m, -1] = b
+    T[:, m, :n] = -c
+    rows = T.reshape(L * (m + 1), n + m + 1)  # every tableau row, program by program
+    basis = np.tile(np.arange(n, n + m), (L, 1))
+    degenerate = np.zeros(L, dtype=int)  # degenerate pivots since the last nondegenerate one
+    # The k programs not yet optimal sit at stack positions 0..k-1, program
+    # order[p] at position p; an optimal one gives its place to a live one
+    # from the end, so no pass copies more than the tableaus that move.
+    order = np.arange(L)
+    positions = np.arange(L)
+    first_row = positions * (m + 1)
+    values = np.empty(L)
+    x = np.zeros((L, n + m))
+    k = L
+    pivots = 0
 
-    for _ in range(max_iter):
-        if degenerate < m:  # Dantzig: most negative reduced cost
-            entering = int(reduced.argmin())
-            if not reduced[entering] < -_PIVOT_TOL:
-                entering = -1
-        else:  # Bland: lowest-index improving column
-            improving = np.flatnonzero(reduced < -_PIVOT_TOL)
-            entering = int(improving[0]) if improving.size else -1
-        if entering < 0:
-            x = np.zeros(n + m)
-            x[basis] = rhs
-            return float(T[m, -1]), x[:n]
+    while k:
+        at = positions[:k]
+        reduced = T[:k, m, :n + m]
+        entering = reduced.argmin(axis=1)  # Dantzig: most negative, lowest index on ties
+        improving = reduced[at, entering] < -_PIVOT_TOL
+        if not improving.all():  # optimal programs leave the working set
+            done = np.flatnonzero(~improving)
+            values[order[done]] = T[done, m, -1]
+            x[order[done, None], basis[done]] = T[done, :m, -1]
+            k -= len(done)
+            if not k:
+                break
+            holes = done[done < k]
+            movers = k + np.flatnonzero(improving[k:])
+            for array in (T, basis, degenerate, order, entering):
+                array[holes] = array[movers]
+            at = positions[:k]
+            reduced = T[:k, m, :n + m]
+            entering = entering[:k]
+        if pivots == max_iter:
+            raise SolverError(
+                f"simplex did not converge in {max_iter} iterations "
+                f"(m={m}, n={n}); problem may be badly scaled"
+            )
+        pivots += 1
+        streak = degenerate[:k]
+        if streak.max() >= m:  # Bland: lowest-index improving column
+            bland = streak >= m
+            entering[bland] = (reduced[bland] < -_PIVOT_TOL).argmax(axis=1)
 
-        col = T[:m, entering]
-        positive = np.flatnonzero(col > _PIVOT_TOL)
-        ratios = rhs[positive] / col[positive]
-        best = ratios.min(initial=np.inf)
-        if not np.isfinite(best):
+        column = T[at, :, entering]
+        col = column[:, :m]
+        ratios = np.divide(T[:k, :m, -1], col, out=np.full((k, m), np.inf),
+                           where=col > _PIVOT_TOL)
+        best = ratios.min(axis=1)
+        if best.max() == np.inf:
             raise InvalidInputError("LP is unbounded")
         # Among minimal ratios, leave the lowest-index basic (Bland's tie-break).
-        slack = _PIVOT_TOL * max(1.0, abs(best))
-        ties = positive[ratios <= best + slack]
-        leaving = ties[basis[ties].argmin()]
-        degenerate = degenerate + 1 if abs(best) <= slack else 0
+        size = np.abs(best)
+        slack = _PIVOT_TOL * np.maximum(1.0, size)
+        leaving = np.where(ratios <= (best + slack)[:, None], basis[:k], n + m).argmin(axis=1)
+        streak += 1
+        streak *= size <= slack
 
-        prow = T[leaving]
-        prow /= prow[entering]
-        factors = T[:, entering].copy()
-        factors[leaving] = 0.0
+        pivot_rows = first_row[:k] + leaving
+        prow = rows[pivot_rows]
+        prow /= column[at, leaving][:, None]
+        rows[pivot_rows] = prow
+        column[at, leaving] = 0.0
         # Only rows with a nonzero factor change; a dense update subtracts +-0
-        # elsewhere.  Row by row, with no (rows x cols) temporaries.
-        for r in factors.nonzero()[0].tolist():
-            T[r] -= factors[r] * prow
-        T[:, entering] = 0.0
-        T[leaving, entering] = 1.0
-        basis[leaving] = entering
+        # elsewhere.  Entry (p, r) of column, at flat index p * (m + 1) + r,
+        # belongs to row r of the tableau at position p: that row of rows.
+        targets = np.flatnonzero(column)
+        rows[targets] -= column.ravel()[targets, None] * prow[targets // (m + 1)]
+        T[at, :, entering] = 0.0
+        rows[pivot_rows, entering] = 1.0
+        basis[at, leaving] = entering
 
-    raise SolverError(
-        f"simplex did not converge in {max_iter} iterations "
-        f"(m={m}, n={n}); problem may be badly scaled"
-    )
+    if single:
+        return float(values[0]), x[0, :n]
+    return values, x[:, :n]

@@ -4,8 +4,8 @@ Nothing here touches the library's solver paths: values come from direct
 enumeration, grid search, interval arithmetic, scipy's LP solver on the
 primal all-pairs LP, per-function, per-point Python tables, and earlier
 implementations kept as references (the list-rebuilding line DP, the
-one-row slope-trick line DP, the dense simplex, the list-and-delete
-farthest-first order), so agreement between these oracles and the library
+one-row slope-trick line DP, the dense simplex and the one-row transport
+LP built on it, the list-and-delete farthest-first order), so agreement between these oracles and the library
 is a genuine two-route check.
 """
 
@@ -16,6 +16,7 @@ from collections import deque
 import numpy as np
 
 from berncomp import InvalidInputError, SolverError, tail_series_capped
+from berncomp.classes import GAIN_SCALE_FLOOR
 from berncomp.tails import SAMPLER_GRID_STEP, SAMPLER_TAIL_CUT
 
 
@@ -313,6 +314,30 @@ def reference_dense_simplex(c, A, b):
         f"simplex did not converge in {max_iter} iterations "
         f"(m={m}, n={n}); problem may be badly scaled"
     )
+
+
+def reference_transport_sup(costs, c, B):
+    """The all-pairs Lipschitz supremum for one coefficient row c, posed
+    one row at a time as the library posed it before it stacked a batch's
+    LPs: the transport LP over the plus-minus pairs with gain
+    2B - costs[i, j] > 0, in row-major (plus, minus) order, masses and gains
+    rescaled by powers of two, solved by reference_dense_simplex.  costs is
+    L times the point distances."""
+    c = np.asarray(c, dtype=float)
+    plus, minus = np.flatnonzero(c > 0), np.flatnonzero(c < 0)
+    cost = costs[plus[:, None], minus]
+    i, j = np.nonzero(cost < 2.0 * B)
+    cost = cost[i, j]
+    gain = 2.0 * B - cost
+    cols = np.arange(len(gain))
+    A = np.zeros((len(c), len(gain)))
+    A[plus[i], cols] = 1.0
+    A[minus[j], cols] = 1.0
+    mass = np.abs(c)
+    e_gain = np.frexp(max(cost.max(initial=0.0), 2.0 * B * GAIN_SCALE_FLOOR))[1]
+    e_mass = np.frexp(mass.max())[1]
+    value, _ = reference_dense_simplex(np.ldexp(gain, -e_gain), A, np.ldexp(mass, -e_mass))
+    return B * mass.sum() - np.ldexp(value, e_gain + e_mass)
 
 
 def rkhs_ball_mc_lower(pts, c, sigma, rho, n_samples, seed):

@@ -12,15 +12,18 @@ from berncomp import (
     GaussianRkhsBall,
     InvalidInputError,
     LipschitzBall,
+    SolverError,
     classes,
     gaussian_gram,
     lipschitz_ball_sup,
     oracle_convexity_check,
+    simplex,
     simplex_maximize,
 )
 from oracles import (grid_lipschitz_sup, linprog_lipschitz_sup, pairwise_dist,
                      reference_anchor_distance_table, reference_dense_simplex,
                      reference_line_dp, reference_slope_trick_line, reference_table_sup,
+                     reference_transport_sup,
                      rkhs_ball_mc_lower, rkhs_representer_value)
 
 
@@ -45,13 +48,14 @@ def _random_box_lps():
 def _allpairs_lps(sizes=(8, 16, 24)):
     """The transport LPs the all-pairs Lipschitz oracle passes to
     simplex_maximize at k = 2 and n in sizes: +-1 rows, real rows,
-    coincident points."""
+    coincident points.  Each call hands over a stack; it is split into
+    one (c, A, b) triple per LP."""
     rng = np.random.default_rng(24)
     lps = []
 
     def record(c, A, b):
-        lps.append((c, A, b))
-        return 0.0, None
+        lps.extend(zip(c, A, b))
+        return np.zeros(len(c)), np.zeros(c.shape)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr("berncomp.classes.simplex_maximize", record)
@@ -64,6 +68,25 @@ def _allpairs_lps(sizes=(8, 16, 24)):
                          (twins, rng.choice([-1.0, 1.0], size=n))):
                 lipschitz_ball_sup(p, c, 1.3, 0.9)
     return lps
+
+
+def _stacks(lps):
+    """The LPs grouped by their number of constraints m, each group one
+    stack (c, A, b) zero-padded to its widest LP, in first-seen order."""
+    groups = {}
+    for c, A, b in lps:
+        groups.setdefault(len(b), []).append((np.asarray(c), np.asarray(A), np.asarray(b)))
+    for group in groups.values():
+        width = max(len(c) for c, _, _ in group)
+        yield (np.array([np.pad(c, (0, width - len(c))) for c, _, _ in group]),
+               np.array([np.pad(A, ((0, 0), (0, width - A.shape[1]))) for _, A, _ in group]),
+               np.array([b for _, _, b in group]),
+               group)
+
+
+_BEALE = ([0.75, -20.0, 0.5, -6.0],
+          [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
+          [0.0, 0.0, 1.0])
 
 
 class TestSimplex:
@@ -99,11 +122,7 @@ class TestSimplex:
         # Beale's cycling example: the most-negative-reduced-cost rule alone
         # cycles through six degenerate bases and hits the pivot cap; the
         # fallback to Bland's rule after m degenerate pivots breaks the cycle
-        value, _ = simplex_maximize(
-            [0.75, -20.0, 0.5, -6.0],
-            [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]],
-            [0.0, 0.0, 1.0],
-        )
+        value, _ = simplex_maximize(*_BEALE)
         assert value == pytest.approx(1.25, abs=1e-12)
 
     def test_against_scipy_on_random_instances(self):
@@ -138,6 +157,78 @@ class TestSimplex:
             ref_value, ref_x = reference_dense_simplex(c, A, b)
             assert value.hex() == ref_value.hex()
             assert np.array_equal(x, ref_x)
+
+    @pytest.mark.parametrize("source", ["random", "beale", "all-pairs"])
+    def test_a_stack_is_its_lps_solved_alone_bit_for_bit(self, source):
+        # every LP keeps its own entering and leaving choices, degenerate
+        # count and Bland switch inside one pivot loop: Beale's LP switches
+        # to Bland's rule while two LPs stacked with it finish at pivot 0.
+        # The fourth never has m degenerate pivots in a row and is still
+        # pivoting when Beale's switches; a switch shared by the stack would
+        # end it 1 ulp lower
+        lps = {"random": lambda: list(_random_box_lps()),
+               "beale": lambda: [(np.zeros(4), *_BEALE[1:]), _BEALE,
+                                 (-np.abs(_BEALE[0]), *_BEALE[1:]),
+                                 ([4.0, 4.0, 4.0, -2.0],
+                                  [[1.0, 0.0, -2.0, 3.0], [2.0, 1.0, 3.0, 2.0],
+                                   [-3.0, -2.0, 1.0, 3.0]],
+                                  [1.0, 2.0, 1.0])],
+               "all-pairs": _allpairs_lps}[source]()
+        heights = [len(group) for _, _, _, group in _stacks(lps)]
+        assert sum(heights) == len(lps) and max(heights) >= 3
+        for c, A, b, group in _stacks(lps):
+            values, X = simplex_maximize(c, A, b)
+            assert values.shape == (len(group),) and X.shape == c.shape
+            for value, x, lp in zip(values, X, group):
+                ref_value, ref_x = reference_dense_simplex(*lp)
+                assert value.hex() == ref_value.hex()
+                assert np.array_equal(x[:len(ref_x)], ref_x) and not x[len(ref_x):].any()
+
+    @pytest.mark.parametrize("source", ["random", "all-pairs"])
+    def test_zero_columns_keep_an_lps_pivots_and_bits(self, source):
+        # a zero column has gain 0 and no incidence entry, so it never
+        # enters, and the slack columns keep their order
+        lps = list(_random_box_lps()) if source == "random" else _allpairs_lps()
+        for c, A, b in lps:
+            value, x = simplex_maximize(c, A, b)
+            padded, x_padded = simplex_maximize(np.pad(c, (0, 3)), np.pad(A, ((0, 0), (0, 3))), b)
+            assert padded.hex() == value.hex()
+            assert np.array_equal(x_padded, np.pad(x, (0, 3)))
+
+    def test_stack_shapes(self):
+        c, A, b = (np.asarray(part) for part in _BEALE)
+        value, x = simplex_maximize(c, A, b)
+        assert isinstance(value, float) and x.shape == (4,)
+        values, X = simplex_maximize(c[None], A[None], b[None])
+        assert values.shape == (1,) and X.shape == (1, 4)
+        assert values[0].hex() == value.hex() and np.array_equal(X[0], x)
+        values, X = simplex_maximize(np.zeros((0, 4)), np.zeros((0, 3, 4)), np.zeros((0, 3)))
+        assert values.shape == (0,) and X.shape == (0, 4)
+        for bad in [(c[None], A, b[None]), (c[None], A[None], b), (c, A[None], b),
+                    (np.stack([c, c]), A[None], b[None])]:
+            with pytest.raises(InvalidInputError, match="inconsistent LP dimensions"):
+                simplex_maximize(*bad)
+
+    def test_one_unbounded_lp_fails_its_stack(self):
+        c = np.array([[1.0, 0.0], [1.0, 1.0]])
+        A = np.array([[[1.0, 0.0]], [[1.0, -1.0]]])  # the second: y grows without bound
+        with pytest.raises(InvalidInputError, match="LP is unbounded"):
+            simplex_maximize(c, A, np.ones((2, 1)))
+
+    def test_the_pivot_cap_counts_each_lps_own_pivots(self, monkeypatch):
+        # the hand-made LP takes two pivots; the zero-gain LP stacked with
+        # it none, so a cap of two pivots lets the stack finish and one does not
+        c = np.array([[1.0, 1.0], [0.0, 0.0]])
+        A = np.array([[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]] * 2)
+        b = np.array([[2.0, 3.0, 4.0]] * 2)
+        monkeypatch.setattr(simplex, "MAX_ITER_PER_DIM", 0)
+        monkeypatch.setattr(simplex, "MAX_ITER_BASE", 2)
+        values, _ = simplex_maximize(c, A, b)
+        assert values.tolist() == [4.0, 0.0]
+        monkeypatch.setattr(simplex, "MAX_ITER_BASE", 1)
+        with pytest.raises(SolverError, match="did not converge in 1 iterations"):
+            simplex_maximize(c, A, b)
+        assert simplex_maximize(c[1:], A[1:], b[1:])[0].tolist() == [0.0]
 
 
 class TestFiniteClassSup:
@@ -577,6 +668,65 @@ class TestBatchedLipschitzBits:
         C = np.array([c, [-v for v in c], extra[:n], extra[n: 2 * n]])
         rows = [lipschitz_ball_sup(pts, row, L, R) for row in C]
         assert LipschitzBall(L, R).sup_batch(pts, C).tobytes() == np.array(rows).tobytes()
+        # and each row's bits are those of its own LP, posed and solved alone
+        costs = L * classes.distances(pts)
+        alone = [reference_transport_sup(costs, row, L * R) for row in C]
+        assert np.array(rows).tobytes() == np.array(alone).tobytes()
+
+    def test_a_plane_batch_is_one_stack(self, monkeypatch):
+        # coincident points tie gains, so the column order decides pivots
+        # and, with real rows, last bits
+        rng = np.random.default_rng(33)
+        pts = rng.uniform(-1.0, 1.0, size=(16, 2))
+        pts[8:] = pts[:8]
+        C = np.vstack([rng.choice([-1.0, 1.0], size=(17, 16)), rng.normal(size=(16, 16))])
+        rows = [reference_transport_sup(classes.distances(pts), row, 1.0) for row in C]
+        heights = []
+        solve = classes.simplex_maximize
+
+        def record(c, A, b):
+            heights.append(len(c))
+            return solve(c, A, b)
+
+        monkeypatch.setattr(classes, "simplex_maximize", record)
+        batch = LipschitzBall(1.0, 1.0).sup_batch(pts, C)
+        assert heights == [33]
+        assert batch.tobytes() == np.array(rows).tobytes()
+        # numpy sums a Fortran-ordered row in another order; the bits stay
+        assert LipschitzBall(1.0, 1.0).sup_batch(pts, np.asfortranarray(C)).tobytes() == batch.tobytes()
+
+    def test_each_row_of_a_stack_keeps_its_own_scales(self):
+        # a row inside a cluster 1e-10 wide and a row of coefficients near
+        # 1e-12, stacked with a +-1 row across the whole set: each keeps
+        # the gain and mass scales it has alone
+        rng = np.random.default_rng(10)
+        pts = rng.uniform(-1.0, 1.0, size=(16, 2))
+        pts[8:] = pts[0] + 1e-10 * rng.uniform(-1.0, 1.0, size=(8, 2))
+        cluster = np.zeros(16)
+        cluster[8:] = rng.normal(size=8)
+        C = np.array([cluster, rng.choice([-1.0, 1.0], size=16), 1e-12 * rng.normal(size=16)])
+        alone = [reference_transport_sup(classes.distances(pts), row, 1.0) for row in C]
+        assert LipschitzBall(1.0, 1.0).sup_batch(pts, C).tobytes() == np.array(alone).tobytes()
+
+    def test_stacks_stay_under_the_byte_ceiling(self, monkeypatch):
+        # the estimators hand sup_batch up to WEIGHT_BLOCK + 1 rows; at the
+        # 64-point cap one stack of them all would hold 2.3 GB of tableaus.
+        # The stub solves nothing, so each stack is built and dropped.
+        heights = []
+
+        def record(c, A, b):
+            lps, m, n = A.shape
+            assert 8 * lps * (m + 1) * (n + m + 1) <= classes.SIMPLEX_STACK_BYTES
+            heights.append(lps)
+            return np.zeros(lps), np.zeros((lps, n))
+
+        monkeypatch.setattr(classes, "simplex_maximize", record)
+        rng = np.random.default_rng(4097)
+        pts = rng.uniform(-1.0, 1.0, size=(classes.SIMPLEX_MAX_POINTS, 2))
+        C = rng.choice([-1.0, 1.0], size=(4097, classes.SIMPLEX_MAX_POINTS))
+        out = LipschitzBall(1.0, 1.0).sup_batch(pts, C)
+        assert sum(heights) == 4097 and len(heights) > 1
+        assert np.array_equal(out, np.full(4097, 64.0))  # B * ||c||_1 minus a zero gain
 
     def test_plane_batch_at_the_cap(self):
         rng = np.random.default_rng(64)

@@ -676,6 +676,23 @@ class TestIncrementRatio:
             d_val = increment_ratio(ball, S, EXACT)
             assert 0.0 <= d_val <= rho / sigma + 1e-9
 
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("sigma, rho", [(1.0, 1.0), (0.5, 1.0), (2.0, 0.5),
+                                            (1.0, 2.0), (0.25, 0.5), (4.0, 4.0)])
+    def test_rkhs_ratio_reaches_rho_over_sigma(self, k, sigma, rho):
+        # R(F) = rho / sigma is attained: with columns far apart relative
+        # to sigma the increment Gram is diagonal, so Jensen's step is an
+        # equality, and 2 (1 - exp(-x^2 / 2 sigma^2)) / x^2 -> 1 / sigma^2
+        # as the increments x -> 0.  Columns 10 sigma apart on a line,
+        # jittered by 0.1 sigma, and increments at 1e-3 sigma.
+        rng = np.random.default_rng([k, int(4 * sigma), int(4 * rho)])
+        line = rng.normal(size=(k, 1))
+        line /= np.linalg.norm(line)
+        s = sigma * (10.0 * line * np.arange(6) + 0.1 * rng.uniform(-1.0, 1.0, size=(k, 6)))
+        t = s + 1e-3 * sigma * rng.normal(size=(k, 6))
+        ratio = increment_ratio(GaussianRkhsBall(sigma=sigma, rho=rho), PointSet(np.stack([s, t])), EXACT)
+        assert (1.0 - 1e-5) * rho / sigma <= ratio <= rho / sigma * (1.0 + 1e-9)
+
     def test_lipschitz_single_coordinate_increment(self):
         # elements differ in one coordinate by delta: ratio bounded by L
         rng = np.random.default_rng(15)

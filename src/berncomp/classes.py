@@ -3,9 +3,13 @@
 Every complexity computation reduces to evaluating, for coefficient vectors
 c, the supremum of sum_i c_i f(x_i) over a class of functions.  A class is
 anything with a method sup_batch(points, C) returning that supremum for
-every row of C at the (n, k) points; the estimators call it directly.  The
-oracle is convex in c but not assumed positively homogeneous (a class need
-not be a cone).  Four concrete classes are provided:
+every row of C: as a (rows,) array at one (n, k) point set, and as an
+(E, rows) array, row e for set e, at an (E, n, k) stack of E sets with one
+n.  The estimators call it directly, once per weight block with all their
+sets in one stack.  The oracle is convex in c but not assumed positively
+homogeneous (a class need not be a cone).  Four concrete classes are
+provided; each maps a stack over its sets into one (E, rows) array, except
+the Lipschitz ball at k >= 2, which solves the LPs of every set at once:
 
 * FiniteFunctionClass: tabulated values, supremum by row-wise maximization.
 * Lipschitz balls {f : L-Lipschitz, |f| <= L*R}: the supremum equals the
@@ -17,11 +21,11 @@ not be a cone).  Four concrete classes are provided:
   dual on a small dense simplex: cancel c+ against c- at cost L*d_ij, or
   send mass to the bank at B per unit (Kantorovich-Rubinstein duality for
   the bounded-Lipschitz ball; sizes and timings in simplex.py), on one
-  distance matrix per batch, with the batch's LPs pivoted together in
-  stacks of at most SIMPLEX_STACK_BYTES.  For k = 1 an exact slope-trick
-  dynamic program solves it at any point count, in one sort per batch plus O(1)
-  amortized deque work per point for +-1 coefficients and at most O(n^2)
-  for real coefficients.
+  distance matrix per set, with the LPs of every row at every set of a
+  batch pivoted together in stacks of at most SIMPLEX_STACK_BYTES.  For
+  k = 1 an exact slope-trick dynamic program solves it at any point count,
+  in one sort per set plus O(1) amortized deque work per point for +-1
+  coefficients and at most O(n^2) for real coefficients.
 * Gaussian-kernel RKHS balls of radius rho: Riesz representation gives the
   closed form rho * sqrt(c' G c) with G the kernel Gram matrix, formed
   from the same core.distances as the Lipschitz costs, so every finite
@@ -65,16 +69,27 @@ GRAM_NEGATIVE_TOL = -1e-12
 CONVEXITY_TOL = 1e-9
 
 
-def _as_points(points) -> np.ndarray:
-    """Normalize points to an (n, k) array; accepts (n,) for k = 1."""
+def _as_points(points, stack: bool = False) -> np.ndarray:
+    """Normalize points to an (n, k) array; accepts (n,) for k = 1.  With
+    stack, an (E, n, k) stack of E >= 1 sets is kept as it is."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] < 1:
-        raise InvalidInputError("points must be an (n, k) array with n >= 1")
+    if pts.ndim not in ((2, 3) if stack else (2,)) or 0 in pts.shape[:-1]:
+        raise InvalidInputError("points must be an (n, k) array with n >= 1"
+                                + (", or an (E, n, k) stack of them" if stack else ""))
     if not np.all(np.isfinite(pts)):
         raise InvalidInputError("points must be finite")
     return pts
+
+
+def _each_set(sup, pts: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """sup(points, C) for every (n, k) set of an (E, n, k) stack, written
+    into one (E, rows) array."""
+    out = np.empty((len(pts), len(C)))
+    for e, p in enumerate(pts):
+        out[e] = sup(p, C)
+    return out
 
 
 def _lipschitz_bound(L: float, R: float) -> float:
@@ -137,10 +152,14 @@ class FiniteFunctionClass:
         return float(self.sup_batch(points, _as_coeffs(c, self.n_points))[0])
 
     def sup_batch(self, points, C) -> np.ndarray:
-        if points is not None and _as_points(points).shape[0] != self.n_points:
+        pts = None if points is None else _as_points(points, stack=True)
+        if pts is not None and pts.shape[-2] != self.n_points:
             raise InvalidInputError("finite class is tabulated on a fixed sample")
         C = _as_coeff_rows(C, self.n_points)
-        return _row_max(C @ self.table.T)
+        sups = _row_max(C @ self.table.T)
+        if pts is None or pts.ndim == 2:
+            return sups
+        return np.tile(sups, (len(pts), 1))  # every set of a stack is the sample
 
 
 # ---------------------------------------------------------------------------
@@ -150,8 +169,9 @@ class FiniteFunctionClass:
 
 def _lipschitz_sup_simplex(pts: np.ndarray, C: np.ndarray, L: float, B: float) -> np.ndarray:
     """Transport dual of the all-pairs LP, correct in every dimension k, for
-    every row c of C: the distances are formed once per batch, and the
-    rows' LPs are solved as stacks of up to SIMPLEX_STACK_BYTES of
+    every row c of C at every set of the (E, n, k) stack pts, as an (E, rows)
+    array: the distances are formed once per set, and the E * rows LPs,
+    set by set, are solved as stacks of up to SIMPLEX_STACK_BYTES of
     tableaus, one simplex_maximize call per stack (_transport_stack).
 
     A unit of c+ at point i can be cancelled against a unit of c- at point j
@@ -178,53 +198,58 @@ def _lipschitz_sup_simplex(pts: np.ndarray, C: np.ndarray, L: float, B: float) -
     unimodular, so its part of the tableau stays 0 and +-1.  Columns go in
     pair order: under the simplex's largest-reduced-cost rule a sort by
     descending gain saved no pivots (counts in CHANGES.md).  In a stack,
-    each row's columns are padded with zero columns to the widest row's
-    count; a zero column has gain 0 and no incidence entry, so it never
-    enters, and the slack columns keep their order, so no pivot moves.
-    Every LP has one constraint per point, so rows are never padded.
+    each LP's columns are padded with zero columns to the widest LP's
+    count, whichever set either belongs to; a zero column has gain 0 and no
+    incidence entry, so it never enters, and the slack columns keep their
+    order, so no pivot moves.  Every LP has one constraint per point and
+    every set n points, so rows are never padded.
 
     The simplex's pivot tolerance is absolute, so the LP is handed over
     rescaled by exact powers of two: masses by the largest |c_i|, gains by
     the largest cost L * d_ij in P (at least 2B * GAIN_SCALE_FLOOR).  The
     pivots then skip only reduced costs below 1e-9 of the spread of the
     costs, instead of 1e-9 * B, and coefficients far below 1e-9 are not
-    lost under the tolerance.  Each row keeps its own two scales.  Scaling
+    lost under the tolerance.  Each LP keeps its own two scales.  Scaling
     by powers of two is exact, so every other bit is the unscaled LP's.
     """
-    n = pts.shape[0]
+    E, n, _ = pts.shape
     if n > SIMPLEX_MAX_POINTS:
         raise BudgetExceededError(
             f"dense simplex oracle capped at n = {SIMPLEX_MAX_POINTS} points, got {n}; "
             "use sampled finite subclasses for larger problems"
         )
-    costs = L * distances(pts)
+    costs = np.stack([L * distances(p) for p in pts])
     # A row has at most n^2 / 4 pairs: its tableau's largest size in bytes.
     row_bytes = 8 * (n + 1) * (n * n // 4 + n + 1)
     height = max(1, SIMPLEX_STACK_BYTES // row_bytes)
-    out = np.empty(len(C))
-    for start in range(0, len(C), height):
-        out[start:start + height] = _transport_stack(costs, C[start:start + height], B)
-    return out
+    out = np.empty(E * len(C))
+    for start in range(0, len(out), height):
+        lps = np.arange(start, min(start + height, len(out)))
+        out[start:start + height] = _transport_stack(costs, *np.divmod(lps, len(C)), C, B)
+    return out.reshape(E, len(C))
 
 
-def _transport_stack(costs: np.ndarray, C: np.ndarray, B: float) -> np.ndarray:
-    """The supremum for every row of C from one simplex_maximize call on the
-    rows' transport LPs, stacked and zero-padded to the widest row."""
-    rows, n = C.shape
-    # Each row's pairs in row-major (plus, minus) order, as its own columns.
-    pairs = (C[:, :, None] > 0) & (C[:, None, :] < 0) & (costs < 2.0 * B)  # g_ij > 0
-    row, i, j = np.nonzero(pairs)
-    counts = np.bincount(row, minlength=rows)
-    col = np.arange(len(row)) - (np.cumsum(counts) - counts)[row]
+def _transport_stack(costs: np.ndarray, sets: np.ndarray, rows: np.ndarray, C: np.ndarray,
+                     B: float) -> np.ndarray:
+    """The supremum of the LP of coefficient row rows[q] of C at set sets[q]
+    (costs[sets[q]]), for every q, from one simplex_maximize call on those
+    transport LPs, stacked and zero-padded to the widest one."""
+    C = C[rows]
+    lps, n = C.shape
+    # Each LP's pairs in row-major (plus, minus) order, as its own columns.
+    pairs = (C[:, :, None] > 0) & (C[:, None, :] < 0) & (costs < 2.0 * B)[sets]  # g_ij > 0
+    lp, i, j = np.nonzero(pairs)
+    counts = np.bincount(lp, minlength=lps)
+    col = np.arange(len(lp)) - (np.cumsum(counts) - counts)[lp]
     width = counts.max(initial=0)
-    A = np.zeros((rows, n, width))
-    A[row, i, col] = 1.0
-    A[row, j, col] = 1.0
-    pair_cost = costs[i, j]
-    gain = np.zeros((rows, width))
-    gain[row, col] = 2.0 * B - pair_cost
-    largest = np.zeros(rows)
-    np.maximum.at(largest, row, pair_cost)
+    A = np.zeros((lps, n, width))
+    A[lp, i, col] = 1.0
+    A[lp, j, col] = 1.0
+    pair_cost = costs[sets[lp], i, j]
+    gain = np.zeros((lps, width))
+    gain[lp, col] = 2.0 * B - pair_cost
+    largest = np.zeros(lps)
+    np.maximum.at(largest, lp, pair_cost)
     # C order: numpy sums the rows of a Fortran-ordered array in another
     # order than one row alone, which changes the last bits.
     mass = np.abs(C, order="C")
@@ -341,20 +366,21 @@ def lipschitz_ball_sup(points, c, L: float, R: float, method: str = "auto") -> f
     B = _lipschitz_bound(L, R)
     pts = _as_points(points)
     c = _as_coeffs(c, pts.shape[0])
-    return float(_lipschitz_sup_rows(pts, c[None], L, B, method)[0])
+    return float(_lipschitz_sup_rows(pts[None], c[None], L, B, method)[0, 0])
 
 
 def _lipschitz_sup_rows(pts: np.ndarray, C: np.ndarray, L: float, B: float,
                         method: str = "auto") -> np.ndarray:
-    """The supremum for every row of C, on validated points and rows, by
-    the backend that method names."""
-    k = pts.shape[1]
+    """The (E, rows) supremum for every row of C at every set of the
+    (E, n, k) stack pts, on validated points and rows, by the backend that
+    method names."""
+    k = pts.shape[2]
     if method == "auto":
         method = "line" if k == 1 else "simplex"
     if method == "line":
         if k != 1:
             raise InvalidInputError("the line solver requires k = 1 points")
-        return _lipschitz_sup_line(pts[:, 0], C, L, B)
+        return _each_set(lambda p, C: _lipschitz_sup_line(p[:, 0], C, L, B), pts, C)
     if method == "simplex":
         return _lipschitz_sup_simplex(pts, C, L, B)
     raise InvalidInputError(f"unknown method {method!r}")
@@ -375,11 +401,13 @@ class LipschitzBall:
 
     def sup_batch(self, points, C) -> np.ndarray:
         """The supremum for every row of C, with the points validated, and
-        sorted (k = 1) or their distances formed (k >= 2), once per batch."""
-        pts = _as_points(points)
-        C = _as_coeff_rows(C, pts.shape[0])
+        sorted (k = 1) or their distances formed (k >= 2), once per set.  At
+        k >= 2 the LPs of every set of a stack are solved together."""
+        pts = _as_points(points, stack=True)
+        C = _as_coeff_rows(C, pts.shape[-2])
         B = _lipschitz_bound(self.lipschitz_L, self.radius_R)
-        return _lipschitz_sup_rows(pts, C, self.lipschitz_L, B)
+        sups = _lipschitz_sup_rows(pts if pts.ndim == 3 else pts[None], C, self.lipschitz_L, B)
+        return sups if pts.ndim == 3 else sups[0]
 
     def as_oracle(self) -> "LipschitzBall":
         # Kept only because perfbench's lipschitz-k2 workload calls it.
@@ -420,8 +448,10 @@ class GaussianRkhsBall:
         return float(self.sup_batch(pts, _as_coeffs(c, pts.shape[0]))[0])
 
     def sup_batch(self, points, C) -> np.ndarray:
-        pts = _as_points(points)
-        C = _as_coeff_rows(C, pts.shape[0])
+        pts = _as_points(points, stack=True)
+        C = _as_coeff_rows(C, pts.shape[-2])
+        if pts.ndim == 3:
+            return _each_set(self.sup_batch, pts, C)
         G = gaussian_gram(pts, self.sigma)
         # c^T G c for every row on BLAS, through one (rows, n) temporary.
         CG = C @ G
@@ -470,8 +500,11 @@ class AnchorDistanceClass:
         return np.clip(f, -self.uniform_bound_B, self.uniform_bound_B, out=f)
 
     def sup_batch(self, points, C) -> np.ndarray:
-        table = self.values(points)
-        return _row_max(_as_coeff_rows(C, table.shape[1]) @ table.T)
+        pts = _as_points(points, stack=True)
+        C = _as_coeff_rows(C, pts.shape[-2])
+        if pts.ndim == 3:
+            return _each_set(self.sup_batch, pts, C)
+        return _row_max(C @ self.values(pts).T)
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,11 @@ estimate holds at most two blocks of weights whatever mc_samples is.
 increment_ratio reduces each block for all its element pairs, which so
 share one draw.  Element distances come from core._element_distances.
 Composite estimators take any function class with a sup_batch(points, C)
-method (see berncomp.classes).  All randomized operations are pure
-functions of (inputs, seed): the same seed gives a bit-identical result.
+method (see berncomp.classes) and make one call per weight block, on the
+(E, n, k) stack of every element, or of every pair's 2n columns, and
+raise InvalidInputError when it does not return (E, rows).  All
+randomized operations are pure functions of (inputs, seed): the same seed
+gives a bit-identical result.
 """
 
 from __future__ import annotations
@@ -50,8 +53,13 @@ WEIGHT_BLOCK = 4096
 
 # Widest weight row: a block and its lone merged row, WEIGHT_BLOCK + 1 rows
 # of this many doubles, take 500 MiB, within the 512 MiB of
-# core.MAX_DISTANCE_POINTS.
+# core.MAX_DISTANCE_POINTS.  increment_ratio also holds the block's
+# (eps, -eps) rows, twice its size.
 MAX_WEIGHT_WIDTH = 16000
+
+# Raw generator words a sign block reads at a time (512 KiB): the words are
+# held beside the block's signs one chunk at a time, not all at once.
+SIGN_CHUNK_WORDS = 2 ** 16
 
 # Ordered pairs closer than this (Frobenius) are skipped as degenerate: the
 # increment ratio is undefined at coincident pairs.
@@ -114,11 +122,17 @@ def _random_signs(bitgen, shape: tuple[int, int]) -> np.ndarray:
     """The signs Generator.integers(0, 2, shape) * 2.0 - 1.0 gives, read
     from the raw words: integers(0, 2) keeps the top bit of each 32-bit half
     of a word, low half first, and a sign is +1 iff that bit is set, which
-    copysign reads as the sign bit of the inverted "<i4" half."""
+    copysign reads as the sign bit of the inverted "<i4" half.  The words
+    are read SIGN_CHUNK_WORDS at a time, each chunk's signs written straight
+    into the output, so only one chunk of words is held beside it."""
     count = shape[0] * shape[1]
-    words = bitgen.random_raw((count + 1) // 2).astype("<u8", copy=False)
-    np.invert(words, out=words)
-    return np.copysign(1.0, words.view("<i4")[:count]).reshape(shape)
+    out = np.empty(count)
+    for start in range(0, count, 2 * SIGN_CHUNK_WORDS):
+        stop = min(start + 2 * SIGN_CHUNK_WORDS, count)
+        words = bitgen.random_raw((stop - start + 1) // 2).astype("<u8", copy=False)
+        np.invert(words, out=words)
+        np.copysign(1.0, words.view("<i4")[:stop - start], out=out[start:stop])
+    return out.reshape(shape)
 
 
 def _row_blocks(total: int):
@@ -193,6 +207,19 @@ def gaussian_complexity(T: PointSet, cfg: EstimatorConfig = DEFAULT_CONFIG) -> C
     return _linear_sup_estimate(T.vectorized(), cfg, gaussian=True)
 
 
+def _set_sups(fclass, points: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """fclass.sup_batch on the (E, n, k) stack points: the (E, rows) suprema
+    of every row of C at every set, checked for that shape, which a class
+    written for one (n, k) set need not fail to return otherwise."""
+    sups = fclass.sup_batch(points, C)
+    if np.shape(sups) != (len(points), len(C)):
+        raise InvalidInputError(
+            f"{type(fclass).__name__}.sup_batch returned shape {np.shape(sups)} for a stack "
+            f"of {len(points)} point sets and {len(C)} coefficient rows; a class must take "
+            f"(E, n, k) point sets and return (E, rows) suprema")
+    return sups
+
+
 def composite_bernoulli_complexity(fclass, T: PointSet,
                                    cfg: EstimatorConfig = DEFAULT_CONFIG) -> ComplexityEstimate:
     """E sup over elements t and class members f of sum_i eps_i f(t_i),
@@ -200,9 +227,10 @@ def composite_bernoulli_complexity(fclass, T: PointSet,
 
     fclass is any class with sup_batch(points, C).  The supremum couples f
     and t jointly, per sign pattern (exact) or per sample (Monte Carlo).
+    Each weight block is one sup_batch call on the stack of all elements.
     """
-    points = [T.element(i).T for i in range(T.n_elements)]  # each element's (n, k) columns
-    return _estimate(cfg, T.n, lambda W: np.max([fclass.sup_batch(p, W) for p in points], axis=0))
+    points = T.elements.transpose(0, 2, 1)  # each element's (n, k) columns
+    return _estimate(cfg, T.n, lambda W: np.max(_set_sups(fclass, points, W), axis=0))
 
 
 def increment_ratio(fclass, S: PointSet,
@@ -217,11 +245,19 @@ def increment_ratio(fclass, S: PointSet,
     core._element_distances.  The same sign draws are used for every pair
     (common random numbers) to reduce ratio variance.
 
+    Each weight block W is one sup_batch call on the stack of every pair's
+    (2n, k) columns, with the coefficient rows (eps, -eps) formed once in
+    one (rows, 2n) array.
+
     Memory: each pair's mean is taken over its whole vector of per-row
-    suprema, which keeps the bits of a one-shot mean, so those vectors are
-    held until the last weight block: pairs x rows x 8 bytes.  At 20
-    elements of 8 points (190 pairs) and 20000 samples that is 30.4 MB,
-    and tracemalloc peaks at 31.8 MB for the RKHS ball.
+    suprema, which keeps the bits of a one-shot mean, so the class's
+    (pairs, block rows) suprema of every block are held until the last
+    block, pairs x rows x 8 bytes, and each pair's vector is joined from
+    them only for its mean.  Copying each block into one preallocated
+    (pairs, rows) array would hold the block's suprema twice.  Beside them
+    one block is held at a time: W and its (eps, -eps) rows, twice W.  At
+    20 elements of 8 points (190 pairs) and 20000 samples the suprema take
+    30.4 MB.
     """
     if S.n_elements < 2:
         raise InvalidInputError("need at least two elements")
@@ -233,9 +269,14 @@ def increment_ratio(fclass, S: PointSet,
              if dist[i, j] >= DEGENERATE_PAIR_TOL]
     if not pairs:
         raise DegenerateSetError("all element pairs coincide within tolerance")
-    points = [np.concatenate([S.element(i).T, S.element(j).T]) for i, j in pairs]
-    halves = (np.concatenate([W, -W], axis=1) for W in blocks)  # (eps, -eps), once a block
-    sups = [[fclass.sup_batch(p, half) for p in points] for half in halves]  # block, then pair
-    return max(float(np.mean(np.concatenate(per_pair))) / float(dist[i, j])
-               for per_pair, (i, j) in zip(zip(*sups), pairs))
+    points = np.stack([np.concatenate([S.element(i).T, S.element(j).T]) for i, j in pairs])
+    n = S.n
+    sups = []  # each block's (pairs, block rows), as the class returns it
+    for W in blocks:
+        half = np.empty((len(W), 2 * n))
+        half[:, :n] = W
+        np.negative(W, out=half[:, n:])
+        sups.append(_set_sups(fclass, points, half))
+    return max(float(np.mean(np.concatenate([block[p] for block in sups]))) / float(dist[i, j])
+               for p, (i, j) in enumerate(pairs))
 

@@ -35,7 +35,10 @@ there Bland's rule is only the guard.  On a shared 2-core x86 host, a
 stack of 32 +-1 rows takes 2.3, 10.5 and 71 ms at 16, 32 and 64 points,
 where one LP per call took 7.7, 20.5 and 56 ms; a stack of one row takes
 0.55, 1.5 and 4.9 ms, where one LP per call took 0.27, 0.65 and 2.4 ms
-(BENCH_32.json).
+(BENCH_32.json).  The oracle stacks the LPs of every row at every set of
+a weight block, so the estimators make one call per block: on the
+lipschitz-k2 workload at seed 1, 3 calls and 125 pivot passes where one
+call per set made 10 and 367 (BENCH_33.json).
 """
 
 from __future__ import annotations

@@ -737,6 +737,98 @@ class TestBatchedLipschitzBits:
         assert LipschitzBall(1.0, 1.0).sup_batch(pts, C).tobytes() == np.array(rows).tobytes()
 
 
+def _hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestStackedOracle:
+    """sup_batch takes an (E, n, k) stack of point sets and returns (E, rows):
+    row e has the bits sup_batch gives on set e alone.  At k >= 2 the
+    Lipschitz ball solves the LPs of every set of a stack together."""
+
+    @staticmethod
+    def _class(name, k, n):
+        rng = np.random.default_rng(10 * k + n)
+        return {"finite": FiniteFunctionClass(rng.uniform(-1.0, 1.0, size=(4, n)), 1.0),
+                "lipschitz": LipschitzBall(lipschitz_L=1.0, radius_R=1.0),
+                "rkhs": GaussianRkhsBall(sigma=0.8, rho=1.5),
+                "anchor": _anchor_class(k, 3, k, B=2.0)}[name]
+
+    @pytest.mark.parametrize("name", ["finite", "lipschitz", "rkhs", "anchor"])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("sets", [1, 4])
+    def test_each_set_of_a_stack_is_the_set_alone(self, name, k, sets):
+        rng = np.random.default_rng(k)
+        pts = rng.uniform(-1.0, 1.0, size=(sets, 7, k))
+        C = np.vstack([rng.choice([-1.0, 1.0], size=(5, 7)), rng.normal(size=(3, 7))])
+        C[-1, ::2] = 0.0
+        fclass = self._class(name, k, 7)
+        stacked = fclass.sup_batch(pts, C)
+        assert stacked.shape == (sets, 8)
+        for e in range(sets):
+            alone = fclass.sup_batch(pts[e], C)
+            assert alone.shape == (8,)
+            assert _hexes(stacked[e]) == _hexes(alone)
+
+    @staticmethod
+    def _plane_sets():
+        """Three 16-point sets at k = 2: one spread out, one with 8 pairs of
+        coincident points and one three times wider, where fewer pairs have
+        a positive gain; and +-1 rows, real rows and a row with zeros."""
+        rng = np.random.default_rng(41)
+        pts = rng.uniform(-1.0, 1.0, size=(3, 16, 2))
+        pts[1, 8:] = pts[1, :8]
+        pts[2] *= 3.0
+        C = np.vstack([rng.choice([-1.0, 1.0], size=(4, 16)), rng.normal(size=(3, 16))])
+        C[-1, ::3] = 0.0
+        return pts, C
+
+    def test_allpairs_stack_keeps_each_lps_bits(self, monkeypatch):
+        pts, C = self._plane_sets()
+        pair_counts = [[int(np.count_nonzero((c[:, None] > 0) & (c[None, :] < 0)
+                                             & (classes.distances(p) < 2.0))) for c in C]
+                       for p in pts]
+        assert len({counts[0] for counts in pair_counts}) == 3  # padded to the widest
+        heights = []
+        solve = classes.simplex_maximize
+
+        def record(c, A, b):
+            heights.append(len(c))
+            return solve(c, A, b)
+
+        monkeypatch.setattr(classes, "simplex_maximize", record)
+        stacked = LipschitzBall(1.0, 1.0).sup_batch(pts, C)
+        assert heights == [3 * 7]
+        for p, row in zip(pts, stacked):
+            alone = [reference_transport_sup(classes.distances(p), c, 1.0) for c in C]
+            assert _hexes(row) == _hexes(alone)
+
+    def test_allpairs_stack_cut_inside_a_set(self, monkeypatch):
+        pts, C = self._plane_sets()
+        whole = LipschitzBall(1.0, 1.0).sup_batch(pts, C)
+        heights = []
+        solve = classes.simplex_maximize
+
+        def record(c, A, b):
+            heights.append(len(c))
+            return solve(c, A, b)
+
+        # room for 5 LPs of 16 points a stack: stacks end inside every set
+        row_bytes = 8 * 17 * (16 * 16 // 4 + 16 + 1)
+        monkeypatch.setattr(classes, "SIMPLEX_STACK_BYTES", 5 * row_bytes)
+        monkeypatch.setattr(classes, "simplex_maximize", record)
+        cut = LipschitzBall(1.0, 1.0).sup_batch(pts, C)
+        assert heights == [5, 5, 5, 5, 1]
+        assert cut.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("points", [np.zeros((0, 4, 2)), np.zeros((2, 0, 2)),
+                                        np.zeros((2, 2, 2, 2))])
+    @pytest.mark.parametrize("name", ["finite", "lipschitz", "rkhs", "anchor"])
+    def test_empty_or_deeper_stacks_are_rejected(self, name, points):
+        with pytest.raises(InvalidInputError, match="points must be"):
+            self._class(name, 2, points.shape[-2] or 1).sup_batch(points, np.ones((1, 4)))
+
+
 class TestRkhsBallSup:
     # sigma and the gap at one scale: the kernel is exp(-1/2), where
     # forming 2 sigma^2 underflows or the squared gap overflows

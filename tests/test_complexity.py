@@ -27,7 +27,7 @@ from berncomp import (
     metric_space_from_pointset,
     norm_pq,
 )
-from berncomp import complexity
+from berncomp import classes, complexity
 from berncomp.complexity import MAX_MC_SAMPLES, _pattern_rows, _random_signs, _weights
 from oracles import enumerate_bernoulli_sup_mean, reference_sign_table, reference_signs
 
@@ -327,6 +327,33 @@ class TestWeightBlocks:
         signs = _random_signs(np.random.default_rng(seed).bit_generator, shape)
         assert signs.tobytes() == reference_signs(seed, shape).tobytes()
 
+    @pytest.mark.parametrize("shape", [(4000, 128), (4000, 256), (7, 33333), (1, 65537),
+                                       (1, 2 ** 17 + 1)])
+    def test_signs_read_in_chunks_are_the_integers_draw(self, shape):
+        signs = _random_signs(np.random.default_rng(5).bit_generator, shape)
+        assert signs.tobytes() == reference_signs(5, shape).tobytes()
+
+    @pytest.mark.parametrize("chunk", [1, 3, 64])
+    def test_every_chunk_size_reads_the_same_signs(self, monkeypatch, chunk):
+        monkeypatch.setattr(complexity, "SIGN_CHUNK_WORDS", chunk)
+        for shape in [(1, 1), (3, 5), (7, 33), (301, 10)]:
+            signs = _random_signs(np.random.default_rng(3).bit_generator, shape)
+            assert signs.tobytes() == reference_signs(3, shape).tobytes()
+
+    def test_a_sign_block_holds_one_chunk_of_words_beside_its_signs(self):
+        # 8.2 MB of signs over 16 chunks; all their words at once would
+        # hold 4.1 MB more.  A chunk's words and their conversion take
+        # 16 bytes a word.
+        shape = (4000, 256)
+        signs_bytes = 8 * shape[0] * shape[1]
+        tracemalloc.start()
+        try:
+            _random_signs(np.random.default_rng(1).bit_generator, shape)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < signs_bytes + 32 * complexity.SIGN_CHUNK_WORDS < 1.5 * signs_bytes
+
     @pytest.mark.parametrize("short, long", [((1, 1), (1, 2)), ((3, 5), (2, 8)), ((3, 5), (3, 15)),
                                              ((301, 5), (301, 10)), ((4097, 3), (4096, 9))])
     def test_a_short_draw_is_the_prefix_of_a_long_one(self, short, long):
@@ -526,6 +553,48 @@ def _block_lengths(samples: int, block: int) -> list:
     return [block] * q + ([last] if last else [])
 
 
+class TestStackedEstimates:
+    """The estimators hand a class every element, or every pair, of a weight
+    block in one sup_batch call, and check the (E, rows) shape it returns."""
+
+    def test_a_k2_composite_estimate_is_one_simplex_stack_per_weight_block(self, monkeypatch):
+        monkeypatch.setattr(complexity, "WEIGHT_BLOCK", 16)
+        heights = []
+        solve = classes.simplex_maximize
+
+        def record(c, A, b):
+            heights.append(len(c))
+            return solve(c, A, b)
+
+        T = PointSet(np.random.default_rng(33).uniform(-1.0, 1.0, size=(4, 2, 16)))
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=33, seed=3)
+        monkeypatch.setattr(classes, "simplex_maximize", record)
+        est = composite_bernoulli_complexity(LipschitzBall(1.0, 1.0), T, cfg)
+        assert heights == [4 * 16, 4 * 17]  # a lone last row joins the block before it
+        monkeypatch.setattr(classes, "simplex_maximize", solve)
+        W = reference_signs(3, (33, 16))
+        ball = LipschitzBall(1.0, 1.0)
+        sups = np.concatenate([np.max([ball.sup_batch(T.element(i).T, W[a:b]) for i in range(4)],
+                                      axis=0) for a, b in [(0, 16), (16, 33)]])
+        assert (est.value, est.std_error) == (np.mean(sups), np.std(sups, ddof=1) / np.sqrt(33))
+
+    def test_a_class_for_one_set_is_named_with_the_shape_it_returned(self):
+        class OneSet:
+            """A class written for one (n, k) set, which a stack fools when
+            its sizes line up."""
+
+            def sup_batch(self, points, C):
+                return np.asarray(C) @ np.sin(np.asarray(points, dtype=float)[:, 0])
+
+        # 3 elements of 3 points: the stack's (3, 1) first points pass for
+        # the 3 coefficients; 4 elements are 6 pairs of 6 points
+        T = PointSet(np.random.default_rng(2).uniform(-1.0, 1.0, size=(4, 1, 3)))
+        with pytest.raises(InvalidInputError, match=r"OneSet\.sup_batch returned shape \(8, 1\)"):
+            composite_bernoulli_complexity(OneSet(), PointSet(T.elements[:3]), EXACT)
+        with pytest.raises(InvalidInputError, match=r"OneSet\.sup_batch returned shape \(8, 1\)"):
+            increment_ratio(OneSet(), T, EXACT)
+
+
 class TestCompositeAndInnerApart:
     """The composite estimate reads n signs a row and the inner estimate k*n,
     each from its own draw at the same seed: at every k, mode and block size
@@ -657,8 +726,8 @@ class TestIncrementRatio:
     def test_singleton_class_gives_zero(self):
         class SingleFunction:
             def sup_batch(self, points, C):
-                values = np.sin(np.atleast_2d(points)[:, 0])  # one fixed member
-                return np.asarray(C) @ values
+                # one fixed member, at every set of the stack
+                return np.array([np.asarray(C) @ np.sin(p[:, 0]) for p in points])
 
         oracle = SingleFunction()
         S = PointSet(np.random.default_rng(13).uniform(-1, 1, size=(3, 1, 5)))
@@ -718,21 +787,41 @@ class TestIncrementRatio:
 
     def test_every_pair_reads_one_coefficient_block_per_weight_block(self, monkeypatch):
         # (eps, -eps) is formed once per weight block of 4 rows and read by
-        # all 6 pairs; a copy per pair keeps the bits but costs time
+        # all 6 pairs, stacked in one call; a copy per pair keeps the bits
+        # but costs time
         monkeypatch.setattr(complexity, "WEIGHT_BLOCK", 4)
         ball, seen = GaussianRkhsBall(sigma=1.0, rho=1.0), []
 
         class Recording:
             def sup_batch(self, points, C):
-                seen.append(C)
+                seen.append((np.shape(points), C))
                 return ball.sup_batch(points, C)
 
         S = PointSet(np.random.default_rng(1).uniform(-1.0, 1.0, size=(4, 1, 5)))
         cfg = EstimatorConfig(mode="monte-carlo", mc_samples=10, seed=2)
         increment_ratio(Recording(), S, cfg)
-        assert len(seen) == 6 * 3 and len({id(C) for C in seen}) == 3
+        assert [shape for shape, _ in seen] == [(6, 10, 1)] * 3
+        assert len({id(C) for _, C in seen}) == 3
         signs = reference_signs(2, (10, 5))
-        assert np.concatenate(seen[::6]).tobytes() == np.concatenate([signs, -signs], axis=1).tobytes()
+        assert np.concatenate([C for _, C in seen]).tobytes() == \
+            np.concatenate([signs, -signs], axis=1).tobytes()
+
+    def test_the_eps_minus_eps_rows_are_formed_in_place(self):
+        # with a class that returns zeros the peak is the weight block W and
+        # its (eps, -eps) rows, 3 x W; a -W temporary would make it 4 x W
+        class Zeros:
+            def sup_batch(self, points, C):
+                return np.zeros((len(points), len(C)))
+
+        S = PointSet(np.random.default_rng(0).uniform(-1.0, 1.0, size=(2, 1, 500)))
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=4096, seed=1)
+        tracemalloc.start()
+        try:
+            assert increment_ratio(Zeros(), S, cfg) == 0.0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.25 * 4096 * 500 * 8
 
     def test_memory_stays_at_the_per_pair_suprema_and_the_weight_blocks(self):
         # 45 pairs hold 45 x 20000 per-row suprema (7.2 MB) until the last

@@ -25,13 +25,14 @@ ANCHORS = np.random.default_rng(11).uniform(-1.0, 1.0, size=(3, 3))
 
 
 class OneFunction:
-    """The class {h}: its supremum is the weighted sum of h over the points."""
+    """The class {h}: its supremum is the weighted sum of h over the points,
+    for every (n, k) set of the stack of them."""
 
     def __init__(self, h):
         self.h = h
 
     def sup_batch(self, points, C):
-        return C @ self.h(np.asarray(points, dtype=float))
+        return np.array([C @ self.h(p) for p in np.asarray(points, dtype=float)])
 
 
 def norm(x):

@@ -8,8 +8,10 @@ every row of C: as a (rows,) array at one (n, k) point set, and as an
 n.  The estimators call it directly, once per weight block with all their
 sets in one stack.  The oracle is convex in c but not assumed positively
 homogeneous (a class need not be a cone).  Four concrete classes are
-provided; each maps a stack over its sets into one (E, rows) array, except
-the Lipschitz ball at k >= 2, which solves the LPs of every set at once:
+provided.  Each checks a stack's points and coefficient rows once, in its
+sup_batch, and maps a private per-set routine over the sets into one
+(E, rows) array, except the Lipschitz ball at k >= 2, which solves the LPs
+of every set at once:
 
 * FiniteFunctionClass: tabulated values, supremum by row-wise maximization.
 * Lipschitz balls {f : L-Lipschitz, |f| <= L*R}: the supremum equals the
@@ -85,7 +87,8 @@ def _as_points(points, stack: bool = False) -> np.ndarray:
 
 def _each_set(sup, pts: np.ndarray, C: np.ndarray) -> np.ndarray:
     """sup(points, C) for every (n, k) set of an (E, n, k) stack, written
-    into one (E, rows) array."""
+    into one (E, rows) array; the stack and C are already checked, so sup
+    is a class's private per-set routine, not its sup_batch."""
     out = np.empty((len(pts), len(C)))
     for e, p in enumerate(pts):
         out[e] = sup(p, C)
@@ -451,7 +454,11 @@ class GaussianRkhsBall:
         pts = _as_points(points, stack=True)
         C = _as_coeff_rows(C, pts.shape[-2])
         if pts.ndim == 3:
-            return _each_set(self.sup_batch, pts, C)
+            return _each_set(self._sup_rows, pts, C)
+        return self._sup_rows(pts, C)
+
+    def _sup_rows(self, pts: np.ndarray, C: np.ndarray) -> np.ndarray:
+        """rho * sqrt(c' G c) for every row of C at one checked (n, k) set."""
         G = gaussian_gram(pts, self.sigma)
         # c^T G c for every row on BLAS, through one (rows, n) temporary.
         CG = C @ G
@@ -503,7 +510,11 @@ class AnchorDistanceClass:
         pts = _as_points(points, stack=True)
         C = _as_coeff_rows(C, pts.shape[-2])
         if pts.ndim == 3:
-            return _each_set(self.sup_batch, pts, C)
+            return _each_set(self._sup_rows, pts, C)
+        return self._sup_rows(pts, C)
+
+    def _sup_rows(self, pts: np.ndarray, C: np.ndarray) -> np.ndarray:
+        """The row maximum of C times the value table of one checked (n, k) set."""
         return _row_max(C @ self.values(pts).T)
 
 

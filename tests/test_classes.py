@@ -821,6 +821,21 @@ class TestStackedOracle:
         assert heights == [5, 5, 5, 5, 1]
         assert cut.tobytes() == whole.tobytes()
 
+    @pytest.mark.parametrize("name", ["rkhs", "anchor"])
+    def test_a_stack_checks_its_rows_once(self, name, monkeypatch):
+        # the per-set work runs on the checked stack, not back through sup_batch
+        checks = []
+        check = classes._as_coeff_rows
+
+        def counted(C, n):
+            checks.append(n)
+            return check(C, n)
+
+        monkeypatch.setattr(classes, "_as_coeff_rows", counted)
+        pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(4, 7, 2))
+        stacked = self._class(name, 2, 7).sup_batch(pts, np.ones((3, 7)))
+        assert stacked.shape == (4, 3) and checks == [7]
+
     @pytest.mark.parametrize("points", [np.zeros((0, 4, 2)), np.zeros((2, 0, 2)),
                                         np.zeros((2, 2, 2, 2))])
     @pytest.mark.parametrize("name", ["finite", "lipschitz", "rkhs", "anchor"])

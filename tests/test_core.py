@@ -312,19 +312,56 @@ class TestRowMax:
         assert np.signbit(ref[zero]).any() and not np.signbit(ref[zero]).all()
 
 
+def _stack_view(shape):
+    """Set 1 of a (3, d, m) array seen as (3, m, d), as the composite
+    estimator passes T.elements.transpose(0, 2, 1): a column-major view."""
+    m, d = shape
+    return np.random.default_rng(m + d).standard_normal((3, d, m)).transpose(0, 2, 1)[1]
+
+
 class TestSqDistances:
     """The squares inside distances: each block of rows sums the same squares
-    in the same order, so at any block size the distances of in-range rows
-    are np.sqrt of the one-shot squares, bit for bit."""
+    in the same order as numpy's reduce over the coordinate axis (coordinate
+    by coordinate below 8 coordinates, the reduce itself from 8 on), so at
+    any block size the distances of in-range rows are np.sqrt of the
+    one-shot squares, bit for bit."""
 
-    @pytest.mark.parametrize("shape", [(1, 3), (7, 1), (40, 2), (33, 9), (20, 300)])
+    @pytest.mark.parametrize("shape", [(1, 3), (7, 1), (40, 2), (33, 9), (20, 300)]
+                             + [(23, d) for d in range(1, 10)])
+    @pytest.mark.parametrize("view", ["rows", "transposed"])
     @pytest.mark.parametrize("block", [1, 200, core.SQ_DISTANCE_BLOCK])
-    def test_blocks_equal_the_one_shot_form(self, shape, block, monkeypatch):
-        X = np.random.default_rng(shape[0]).standard_normal(shape)
+    def test_blocks_equal_the_one_shot_form(self, shape, view, block, monkeypatch):
+        if view == "rows":
+            X = np.random.default_rng(shape[0]).standard_normal(shape)
+        else:
+            X = _stack_view(shape)
         diff = X[:, None, :] - X[None, :, :]
         ref = np.sqrt((diff * diff).sum(axis=2))
         monkeypatch.setattr(core, "SQ_DISTANCE_BLOCK", block)  # 1: a row at a time
         assert distances(X).tobytes() == ref.tobytes()
+
+    def test_eight_coordinates_are_where_the_reduce_leaves_coordinate_order(self):
+        # why distances keeps the reduce from 8 coordinates on: there numpy
+        # adds the squares pairwise, in another order than one at a time
+        rng = np.random.default_rng(8)
+        for d, same in ((7, True), (8, False)):
+            diff = rng.standard_normal((40, 40, d)) ** 2
+            in_order = diff[:, :, 0].copy()
+            for j in range(1, d):
+                in_order += diff[:, :, j]
+            assert (diff.sum(axis=2).tobytes() == in_order.tobytes()) is same
+
+    def test_fewer_than_8_coordinates_hold_one_coordinate_beside_the_result(self):
+        # (500, 4) in one block: one (rows, m) difference beside the 2 MB
+        # result, where the (rows, m, d) difference of the reduce is 8 MB
+        X = np.random.default_rng(4).standard_normal((500, 4))
+        tracemalloc.start()
+        try:
+            distances(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 500 * 500 * 8
 
 
 class TestDistances:
@@ -334,17 +371,20 @@ class TestDistances:
     bound."""
 
     @staticmethod
-    def _sets():
+    def _sets(d=9):
+        """30 rows of d coordinates: 9 sums them in numpy's reduce, 2 one
+        coordinate at a time."""
         rng = np.random.default_rng(5)
-        X = rng.standard_normal((30, 9))
+        X = rng.standard_normal((30, d))
         mixed = np.concatenate([X[:15] * 1e-170, X[15:]])
-        return {"tiny": X * 1e-170, "coincident": np.ones((30, 9)),
+        return {"tiny": X * 1e-170, "coincident": np.ones((30, d)),
                 "mixed": mixed, "far": X * 1e160}
 
     @pytest.mark.parametrize("name", ["tiny", "coincident", "mixed", "far"])
+    @pytest.mark.parametrize("d", [2, 9])
     @pytest.mark.parametrize("block", [1, 20, 100])
-    def test_fix_up_blocks_give_the_same_bits(self, name, block, monkeypatch):
-        X = self._sets()[name]
+    def test_fix_up_blocks_give_the_same_bits(self, name, d, block, monkeypatch):
+        X = self._sets(d)[name]
         ref = distances(X)
         monkeypatch.setattr(core, "SQ_DISTANCE_BLOCK", block)  # 1: a row at a time
         got = distances(X)
@@ -352,8 +392,9 @@ class TestDistances:
         assert np.array_equal(got, got.T) and np.array_equal(np.diag(got), np.zeros(30))
         assert np.array_equal(got > 0.0, (X[:, None] != X[None, :]).any(axis=2))
 
-    def test_tiny_rows_scale_back_exactly(self):
-        X = self._sets()["tiny"]
+    @pytest.mark.parametrize("d", [2, 9])
+    def test_tiny_rows_scale_back_exactly(self, d):
+        X = self._sets(d)["tiny"]
         ref = np.ldexp(distances(np.ldexp(X, 600)), -600)
         assert distances(X).tobytes() == ref.tobytes()
 

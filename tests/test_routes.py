@@ -10,7 +10,8 @@ core.distances: the element distances (core._element_distances, which alone
 raises on an overflowing distance), the k >= 2 Lipschitz oracle, the
 Gaussian Gram matrix and the anchor-distance table.  Every oracle in
 classes.py validates its coefficient rows in its sup_batch, through
-_as_coeff_rows.  The one thread pool is built in
+_as_coeff_rows, once per stack: no stack is mapped back through a
+sup_batch.  The one thread pool is built in
 experiments._map_cells.  Exact covering and entropy numbers come from one
 search, chaining._min_cover_radius, and the tail sampler reads q through
 one searchsorted, in tails.sample_from_capped_tail.  tails-demo draws no
@@ -64,6 +65,16 @@ def overflow_raisers(source: str) -> list:
                          for node in ast.walk(fn)))
 
 
+def passed_to(source: str, name: str) -> list:
+    """The names and attributes in the arguments of every call of `name`
+    in source, sorted."""
+    return sorted(node.id if isinstance(node, ast.Name) else node.attr
+                  for call in ast.walk(ast.parse(source))
+                  if isinstance(call, ast.Call) and getattr(call.func, "id", None) == name
+                  for arg in call.args + [kw.value for kw in call.keywords]
+                  for node in ast.walk(arg) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
 def _read(module: str) -> str:
     return (SRC / module).read_text()
 
@@ -87,6 +98,8 @@ def test_checkers_find_planted_cases():
     assert callers(source, "ThreadPoolExecutor") == ["<module>", "d"]
     assert callers(source, "norm") == []
     assert overflow_raisers(source) == ["C.m"]
+    assert passed_to("def f(self, p, C):\n    return g(self.h, p, C=C)\n", "g") == [
+        "C", "h", "p", "self"]
 
 
 def test_complexity_seeds_one_generator_in_the_weight_source():
@@ -170,6 +183,12 @@ def test_every_oracle_validates_its_rows_through_one_helper():
     source = _read("classes.py")
     sup_batches = [qual for qual, _ in _functions(ast.parse(source)) if qual.endswith(".sup_batch")]
     assert sup_batches and callers(source, "_as_coeff_rows") == sorted(sup_batches)
+
+
+def test_a_stack_is_not_mapped_back_through_sup_batch():
+    # _each_set takes a checked stack; a public sup_batch would check C again per set
+    passed = passed_to(_read("classes.py"), "_each_set")
+    assert "_sup_rows" in passed and "sup_batch" not in passed
 
 
 def test_exact_covering_and_entropy_numbers_share_one_search():

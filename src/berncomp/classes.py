@@ -25,9 +25,10 @@ of every set at once:
   the bounded-Lipschitz ball; sizes and timings in simplex.py), on one
   distance matrix per set, with the LPs of every row at every set of a
   batch pivoted together in stacks of at most SIMPLEX_STACK_BYTES.  For
-  k = 1 an exact slope-trick dynamic program solves it at any point count,
-  in one sort per set plus O(1) amortized deque work per point for +-1
-  coefficients and at most O(n^2) for real coefficients.
+  k = 1 an exact slope-trick dynamic program solves it at any point count.
+  Each set is sorted once and each row flagged once as +-1 or not; a +-1
+  row moves at most one segment a step, O(1) amortized deque work per
+  point, and a real row at most O(n^2) in all.
 * Gaussian-kernel RKHS balls of radius rho: Riesz representation gives the
   closed form rho * sqrt(c' G c) with G the kernel Gram matrix, formed
   from the same core.distances as the Lipschitz costs, so every finite
@@ -264,9 +265,12 @@ def _transport_stack(costs: np.ndarray, sets: np.ndarray, rows: np.ndarray, C: n
 
 
 def _lipschitz_sup_line(x: np.ndarray, C: np.ndarray, L: float, B: float) -> np.ndarray:
-    """Exact 1-d path solver for every row of C: one stable sort of x and
-    one vector of window halfwidths min(L * gap, 2B) per batch, then
-    _line_dp on each row's coefficients in sorted order, one row at a time.
+    """Exact 1-d path solver for every row of C.  Per set: one stable sort
+    of x, one vector of window halfwidths min(L * gap, 2B), one gather of
+    the rows into sorted order, and one flag per row that is true when all
+    its coefficients are +-1.  Then _line_dp runs on each row, one row at a
+    time, with its flag as unit; a row becomes a list of Python floats only
+    for its own run, so at most one row is held as objects.
 
     A float64 subtraction and product round the same in numpy as in
     Python, so every halfwidth, and every value, has the bits of a scalar
@@ -276,10 +280,12 @@ def _lipschitz_sup_line(x: np.ndarray, C: np.ndarray, L: float, B: float) -> np.
     xs = x[order]
     with np.errstate(over="ignore"):
         gaps = np.minimum(L * np.diff(xs, prepend=xs[0]), 2.0 * B).tolist()
-    return np.array([_line_dp(gaps, c[order].tolist(), B) for c in C], dtype=float)
+    rows = C[:, order]
+    unit = np.all(np.abs(rows) == 1.0, axis=1).tolist()
+    return np.array([_line_dp(gaps, c.tolist(), B, u) for c, u in zip(rows, unit)], dtype=float)
 
 
-def _line_dp(gaps: list, cs: list, B: float) -> float:
+def _line_dp(gaps: list, cs: list, B: float, unit: bool) -> float:
     """Slope-trick dynamic program over concave piecewise-linear value
     functions, for coefficients cs in sorted point order; gaps[i] is the
     window halfwidth between points i - 1 and i (gaps[0] = 0).
@@ -297,11 +303,22 @@ def _line_dp(gaps: list, cs: list, B: float) -> float:
     positive-slope deque `left` and the negative-slope deque `right`, and
     those whose key equals S form the flat `plateau` at the maximum.  The
     window maximum widens the plateau by 2a and the clip trims a from both
-    outer ends.  Capping a at 2B is exact, since |y_i - y_j| <= 2B always,
-    and keeps every width of order B even for astronomically wide gaps.
-    Every step adds at most one segment, so the cost is O(n) after the sort
-    when no step moves more than a bounded number of segments, as with
-    +-1 coefficients.
+    outer ends, testing the outer segment once and looping only when a
+    segment is used up.  Capping a at 2B is exact, since |y_i - y_j| <= 2B
+    always, and keeps every width of order B even for astronomically wide
+    gaps.
+
+    unit says that every c_i is +1.0 or -1.0.  Then S and every key are
+    integer-valued floats, and no two segments of `left` (or of `right`)
+    share a key: a segment is pushed with key S just before S moves past
+    it, and a key-K segment joins the plateau whenever S returns to K.  So
+    a +1 step can move only the inner end of `right`, into the plateau and
+    only when its key equals the new S, and a -1 step mirrors this: one
+    test replaces the migration loop, and each step is O(1) amortized.  Its
+    floats are those of the general step (B * +-1 = +-B, 0.0 + w = w), so
+    the two give the same bits.  Rows with other coefficients, 0.0 and -0.0
+    included, take the general step, which may move many segments a step,
+    at most O(n^2) work in all.
     """
     left = deque()   # [key, width] with key < S, outer end first
     right = deque()  # [key, width] with key > S, inner end first
@@ -312,24 +329,45 @@ def _line_dp(gaps: list, cs: list, B: float) -> float:
         if a > 0.0:
             plateau += 2.0 * a
             rest = a
-            while left and left[0][1] <= rest:
-                key, width = left.popleft()
-                value += (total - key) * width
-                rest -= width
-            if rest > 0.0:
-                if left:
-                    left[0][1] -= rest
-                    value += (total - left[0][0]) * rest
-                else:
-                    plateau -= rest
+            while left:
+                seg = left[0]
+                if seg[1] > rest:
+                    seg[1] -= rest
+                    value += (total - seg[0]) * rest
+                    break
+                left.popleft()
+                value += (total - seg[0]) * seg[1]
+                rest -= seg[1]
+                if rest <= 0.0:
+                    break
+            else:
+                plateau -= rest
             rest = a
-            while right and right[-1][1] <= rest:
-                rest -= right.pop()[1]
-            if rest > 0.0:
-                if right:
-                    right[-1][1] -= rest
-                else:
-                    plateau -= rest
+            while right:
+                seg = right[-1]
+                if seg[1] > rest:
+                    seg[1] -= rest
+                    break
+                right.pop()
+                rest -= seg[1]
+                if rest <= 0.0:
+                    break
+            else:
+                plateau -= rest
+        if unit:
+            if ci > 0.0:
+                value -= B
+                if plateau > 0.0:
+                    left.append([total, plateau])
+                total += 1.0
+                plateau = right.popleft()[1] if right and right[0][0] == total else 0.0
+            else:
+                value += B
+                if plateau > 0.0:
+                    right.appendleft([total, plateau])
+                total -= 1.0
+                plateau = left.pop()[1] if left and left[-1][0] == total else 0.0
+            continue
         if ci == 0.0:
             continue
         value -= B * ci

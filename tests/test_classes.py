@@ -8,12 +8,15 @@ from hypothesis import strategies as st
 from berncomp import (
     AnchorDistanceClass,
     BudgetExceededError,
+    EstimatorConfig,
     FiniteFunctionClass,
     GaussianRkhsBall,
     InvalidInputError,
     LipschitzBall,
+    PointSet,
     SolverError,
     classes,
+    composite_bernoulli_complexity,
     gaussian_gram,
     lipschitz_ball_sup,
     oracle_convexity_check,
@@ -607,17 +610,17 @@ class TestPowerOfTwoScaling:
 
 
 @st.composite
-def _line_batches(draw):
+def _line_batches(draw, signs=None):
     """Points on the line, at unit scale or near 1e-170 or 1e160 (with L and
     R rescaled half of the time so the gaps stay of order B / L), with
     coincident points and mixed 0.0 and -0.0, and rows of +-1 or of real
-    coefficients with zeros."""
+    coefficients with zeros (signs=True: +-1 rows only)."""
     n = draw(st.integers(1, 24))
     values = (st.sampled_from([0.0, -0.0]) | st.integers(-8, 8).map(lambda v: v / 4)
               | st.floats(-1.0, 1.0, allow_subnormal=False))
     scale = draw(st.sampled_from([1.0, 1e-170, 1e160]))
     x = np.array(draw(st.lists(values, min_size=n, max_size=n))) * scale
-    if draw(st.booleans()):
+    if signs or (signs is None and draw(st.booleans())):
         coeffs = st.sampled_from([-1.0, 1.0])
     else:
         coeffs = st.just(0.0) | st.floats(-3.0, 3.0, allow_subnormal=False)
@@ -735,6 +738,95 @@ class TestBatchedLipschitzBits:
         C = np.vstack([rng.choice([-1.0, 1.0], size=(2, 64)), rng.normal(size=(1, 64))])
         rows = [lipschitz_ball_sup(pts, row, 1.0, 1.0) for row in C]
         assert LipschitzBall(1.0, 1.0).sup_batch(pts, C).tobytes() == np.array(rows).tobytes()
+
+
+def _sorted_line(x, C, L, B):
+    """The halfwidths and sorted rows _line_dp takes, formed as
+    _lipschitz_sup_line forms them."""
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    with np.errstate(over="ignore"):
+        gaps = np.minimum(L * np.diff(xs, prepend=xs[0]), 2.0 * B).tolist()
+    return gaps, C[:, order].tolist()
+
+
+def _record_unit_flags(monkeypatch):
+    """Patch classes._line_dp with a recorder of each row's unit flag."""
+    flags = []
+    solve = classes._line_dp
+
+    def record(gaps, cs, B, unit):
+        flags.append(unit)
+        return solve(gaps, cs, B, unit)
+
+    monkeypatch.setattr(classes, "_line_dp", record)
+    return flags
+
+
+class TestUnitStep:
+    """The +-1 step of _line_dp gives the bits of its general step, and the
+    estimators hand +-1 rows to it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_line_batches(signs=True))
+    def test_unit_step_has_the_bits_of_the_general_step(self, batch):
+        x, C, L, R = batch
+        gaps, rows = _sorted_line(x, C, L, L * R)
+        for c in rows:
+            assert (classes._line_dp(gaps, c, L * R, unit=True).hex()
+                    == classes._line_dp(gaps, c, L * R, unit=False).hex())
+
+    @pytest.mark.parametrize("e", [-500, -20, 0, 20, 500])
+    @pytest.mark.parametrize("layout", ["spread", "coincident", "signed zeros", "wide gaps"])
+    def test_unit_step_at_256_points(self, layout, e):
+        # L and R scaled by 2^e and 2^(e / 2): B = L * R and every gap
+        # L * |x_i - x_j| move by powers of two
+        rng = np.random.default_rng(256)
+        x = rng.uniform(-1.0, 1.0, size=256)
+        if layout == "coincident":
+            x = np.round(x * 4) / 4
+        elif layout == "signed zeros":
+            x[::2] = 0.0
+            x[1::4] = -0.0
+        elif layout == "wide gaps":
+            x = x * 1024.0  # typical gaps exceed 2B / L
+        C = rng.choice([-1.0, 1.0], size=(8, 256))
+        L, R = math.ldexp(1.5, e), math.ldexp(0.75, e // 2)
+        gaps, rows = _sorted_line(x, C, L, L * R)
+        unit = [classes._line_dp(gaps, c, L * R, unit=True) for c in rows]
+        assert _hexes(unit) == _hexes(classes._line_dp(gaps, c, L * R, unit=False)
+                                      for c in rows)
+        assert _hexes(unit) == _hexes(reference_slope_trick_line(x, c, L, L * R) for c in C)
+
+    def test_mixed_batch_flags_only_the_unit_rows(self, monkeypatch):
+        rng = np.random.default_rng(35)
+        x = rng.uniform(-1.0, 1.0, size=64)
+        signed = rng.choice([-1.0, 1.0], size=64)
+        signed[17] = -0.0  # not +-1: this row takes the general step
+        zeros = rng.choice([-1.0, 1.0], size=64)
+        zeros[::5] = 0.0
+        C = np.vstack([rng.choice([-1.0, 1.0], size=(2, 64)), rng.normal(size=64), zeros,
+                       signed])
+        flags = _record_unit_flags(monkeypatch)
+        out = LipschitzBall(1.25, 0.5).sup_batch(x, C)
+        assert flags == [True, True, False, False, False]
+        ref = [reference_slope_trick_line(x, c, 1.25, 1.25 * 0.5) for c in C]
+        assert _hexes(out) == _hexes(ref)
+
+    @pytest.mark.parametrize("mode", ["exact", "monte-carlo"])
+    def test_the_k1_composite_estimate_takes_the_unit_step(self, monkeypatch, mode):
+        T = PointSet(np.random.default_rng(1).uniform(-1.0, 1.0, size=(3, 1, 10)))
+        flags = _record_unit_flags(monkeypatch)
+        composite_bernoulli_complexity(LipschitzBall(1.0, 1.0), T,
+                                       EstimatorConfig(mode=mode, mc_samples=200, seed=2))
+        rows = 3 * (2 ** 10 if mode == "exact" else 200)
+        assert flags == [True] * rows
+
+    def test_a_convexity_mixture_row_takes_the_general_step(self, monkeypatch):
+        flags = _record_unit_flags(monkeypatch)
+        assert oracle_convexity_check(LipschitzBall(1.0, 1.0), [[0.0], [0.5], [2.0]],
+                                      [1.0, -1.0, 1.0], [-1.0, -1.0, 1.0], 0.25)
+        assert flags == [True, True, False]
 
 
 def _hexes(values):

@@ -2,9 +2,6 @@
 entropy-based bound on composite complexity.
 """
 
-import tempfile
-from pathlib import Path
-
 import numpy as np
 
 from berncomp import (
@@ -18,8 +15,6 @@ from berncomp import (
     lipschitz_entropy_profile,
     metric_space_from_pointset,
     min_truncation_objective,
-    sequence_from_csv,
-    sequence_to_csv,
 )
 
 rng = np.random.default_rng(3)
@@ -37,18 +32,10 @@ for m in range(3):
     print(f"  entropy number e_{m}: greedy {res.upper_bound:.4f}, exact {res.exact}")
 
 seq = build_admissible_sequence(space)
-print(f"\nadmissible sequence: {seq.n_levels} levels, block counts "
+print(f"\nadmissible sequence: {len(seq.levels)} levels, block counts "
       f"{[len(level) for level in seq.levels]}")
 print(f"chaining functional value: {gamma2_upper(space, seq):.4f} "
       f"(never below the diameter)")
-with tempfile.TemporaryDirectory() as tmp:
-    path = Path(tmp) / "sequence.csv"
-    sequence_to_csv(seq, path)
-    print("saved as CSV, one row per block, first lines:")
-    for line in path.read_text().splitlines()[:3]:
-        print(f"  {line}")
-    back = sequence_from_csv(path)
-print(f"read back: {back.n_levels} levels, equal to the original: {back == seq}")
 
 print("\nentropy envelope profiles and the composite bound:")
 profile = lipschitz_entropy_profile(20, L=1.0, B=1.0, k=1, C_k=4.0)

@@ -19,8 +19,6 @@ from .chaining import (
     lipschitz_entropy_formula,
     lipschitz_entropy_profile,
     min_truncation_objective,
-    sequence_from_csv,
-    sequence_to_csv,
     truncation_objective,
 )
 from .classes import (
@@ -30,7 +28,6 @@ from .classes import (
     LipschitzBall,
     gaussian_gram,
     lipschitz_ball_sup,
-    oracle_convexity_check,
 )
 from .complexity import (
     EstimatorConfig,

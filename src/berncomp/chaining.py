@@ -12,9 +12,7 @@ search over center subsets, which starts from the farthest-first radius and
 branches only over the centers that can cover the worst-covered point
 better.  It visits no center set twice, and it runs only while the subsets
 it could examine number at most SEARCH_BUDGET = 2^20 (always for covering
-numbers of spaces of at most 20 points).  Admissible sequences are saved
-and loaded as CSV, one `level,points` row per block, through core's one CSV
-writer and reader.
+numbers of spaces of at most 20 points).
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .core import FiniteMetricSpace, _check_count, _check_scales, _parse_number, _read_csv, _write_csv
+from .core import FiniteMetricSpace, _check_count, _check_scales
 from .errors import InvalidInputError
 
 # Levels beyond this are never needed: their admissible cardinality exceeds
@@ -233,10 +231,6 @@ class AdmissibleSequence:
             raise InvalidInputError("sequence needs at least one level")
         object.__setattr__(self, "levels", levels)
 
-    @property
-    def n_levels(self) -> int:
-        return len(self.levels)
-
     def validate(self, n_points: int) -> None:
         universe = frozenset(range(n_points))
         for m, level in enumerate(self.levels):
@@ -391,40 +385,3 @@ def composite_rate(n: int, k: int) -> float:
     if k == 2:
         return math.log(n) * n ** -0.5
     return n ** (-1.0 / k)
-
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-
-def sequence_to_csv(seq: AdmissibleSequence, path) -> None:
-    """One `level,points` row per block, in level order and then block
-    order; the points cell holds the block's indices separated by single
-    spaces (empty for an empty block).  A level with no blocks would have no
-    row to read back, so it raises InvalidInputError."""
-    if () in seq.levels:
-        raise InvalidInputError(f"level {seq.levels.index(())} has no blocks")
-    _write_csv(path, ["level", "points"], ([str(m), " ".join(map(str, block))]
-                                           for m, level in enumerate(seq.levels) for block in level))
-
-
-def sequence_from_csv(path) -> AdmissibleSequence:
-    """Load a sequence written by sequence_to_csv.  Each row continues the
-    current level or starts the next one, counting from 0.  A malformed file
-    raises InvalidInputError naming its line: a wrong header, a row with the
-    wrong field count, a row with any other level (column level) or an index
-    that is not an integer (column points).  A file without data rows raises
-    one naming the file."""
-    header, rows = _read_csv(path)
-    if header != ["level", "points"]:
-        raise InvalidInputError(f"{path}, line 1: expected header level,points")
-    levels = []
-    for where, (level, points) in rows:
-        if level == str(len(levels)):
-            levels.append([])
-        elif not levels or level != str(len(levels) - 1):
-            raise InvalidInputError(f"{where}, column level: expected level {len(levels)}, got {level!r}")
-        levels[-1].append(tuple(_parse_number(i, f"{where}, column points", int)
-                                for i in points.split(" ")) if points else ())
-    return AdmissibleSequence(levels)

@@ -7,11 +7,11 @@ every row of C: as a (rows,) array at one (n, k) point set, and as an
 (E, rows) array, row e for set e, at an (E, n, k) stack of E sets with one
 n.  The estimators call it directly, once per weight block with all their
 sets in one stack.  The oracle is convex in c but not assumed positively
-homogeneous (a class need not be a cone).  Four concrete classes are
-provided.  Each checks a stack's points and coefficient rows once, in its
-sup_batch, and maps a private per-set routine over the sets into one
-(E, rows) array, except the Lipschitz ball at k >= 2, which solves the LPs
-of every set at once:
+homogeneous (a class need not be a cone); the test suite checks convexity
+along segments of rows.  Four concrete classes are provided.  Each checks
+a stack's points and coefficient rows once, in its sup_batch, and maps a
+private per-set routine over the sets into one (E, rows) array, except the
+Lipschitz ball at k >= 2, which solves the LPs of every set at once:
 
 * FiniteFunctionClass: tabulated values, supremum by row-wise maximization.
 * Lipschitz balls {f : L-Lipschitz, |f| <= L*R}: the supremum equals the
@@ -67,9 +67,6 @@ GAIN_SCALE_FLOOR = 2.0 ** -20
 # Gram quadratic forms below this are treated as rounding noise and clamped
 # to zero; anything more negative indicates a broken Gram matrix.
 GRAM_NEGATIVE_TOL = -1e-12
-
-# Absolute slack allowed by oracle_convexity_check.
-CONVEXITY_TOL = 1e-9
 
 
 def _as_points(points, stack: bool = False) -> np.ndarray:
@@ -130,8 +127,8 @@ class FiniteFunctionClass:
     """r functions tabulated on a fixed list of n points.
 
     table[j, i] = f_j(x_i).  The uniform bound is verified at construction.
-    The class is tied to its sample, so sup and sup_batch take points=None
-    or exactly n_points rows.
+    The class is tied to its sample, so sup_batch takes points=None or
+    exactly n_points rows.
     """
 
     table: np.ndarray
@@ -151,9 +148,6 @@ class FiniteFunctionClass:
     @property
     def n_points(self) -> int:
         return self.table.shape[1]
-
-    def sup(self, points, c) -> float:
-        return float(self.sup_batch(points, _as_coeffs(c, self.n_points))[0])
 
     def sup_batch(self, points, C) -> np.ndarray:
         pts = None if points is None else _as_points(points, stack=True)
@@ -554,20 +548,3 @@ class AnchorDistanceClass:
     def _sup_rows(self, pts: np.ndarray, C: np.ndarray) -> np.ndarray:
         """The row maximum of C times the value table of one checked (n, k) set."""
         return _row_max(C @ self.values(pts).T)
-
-
-# ---------------------------------------------------------------------------
-# Validation harness
-# ---------------------------------------------------------------------------
-
-
-def oracle_convexity_check(fclass, points, c1, c2, lam: float) -> bool:
-    """True iff the class's supremum oracle is convex along the segment
-    [c1, c2] at lam, up to CONVEXITY_TOL."""
-    if not 0.0 <= lam <= 1.0:
-        raise InvalidInputError("lam must lie in [0, 1]")
-    pts = _as_points(points)
-    c1 = _as_coeffs(c1, pts.shape[0])
-    c2 = _as_coeffs(c2, pts.shape[0])
-    v1, v2, mixed = fclass.sup_batch(pts, np.stack([c1, c2, lam * c1 + (1.0 - lam) * c2]))
-    return mixed <= lam * v1 + (1.0 - lam) * v2 + CONVEXITY_TOL

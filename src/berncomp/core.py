@@ -314,14 +314,14 @@ class ComplexityEstimate:
 ESTIMATE_CSV_HEADER = ["quantity", "value", "std_error", "method", "samples", "seed"]
 
 
-def _parse_number(text: str, where: str, convert=float):
-    """convert(text), or InvalidInputError naming `where` (file, line, column)
+def _parse_number(text: str, where: str) -> float:
+    """float(text), or InvalidInputError naming `where` (file, line, column)
     when text is not a number or is not finite."""
     try:
-        value = convert(text)
+        value = float(text)
     except ValueError:
         raise InvalidInputError(f"{where}: expected a number, got {text!r}") from None
-    if isinstance(value, float) and not math.isfinite(value):
+    if not math.isfinite(value):
         raise InvalidInputError(f"{where}: expected a finite number, got {text!r}")
     return value
 

@@ -5,8 +5,9 @@ enumeration, grid search, interval arithmetic, scipy's LP solver on the
 primal all-pairs LP, per-function, per-point Python tables, and earlier
 implementations kept as references (the list-rebuilding line DP, the
 one-row slope-trick line DP, the dense simplex and the one-row transport
-LP built on it, the list-and-delete farthest-first order), so agreement between these oracles and the library
-is a genuine two-route check.
+LP built on it, the list-and-delete farthest-first order), so agreement
+between these oracles and the library is a genuine two-route check.  The
+convexity check of an oracle along a segment of rows lives here too.
 """
 
 import itertools
@@ -390,6 +391,19 @@ def reference_anchor_distance_table(anchors, shifts, L, B, points):
 def reference_table_sup(table, c):
     """max over the rows f of the table of sum_i c_i f_i, by math.fsum."""
     return max(math.fsum(float(ci) * fi for ci, fi in zip(c, row)) for row in table)
+
+
+# Absolute slack allowed by oracle_convexity_check.
+CONVEXITY_TOL = 1e-9
+
+
+def oracle_convexity_check(fclass, points, c1, c2, lam: float) -> bool:
+    """True iff the class's supremum oracle is convex along the segment
+    [c1, c2] at lam, up to CONVEXITY_TOL, from one sup_batch call on the
+    rows c1, c2 and lam * c1 + (1 - lam) * c2."""
+    c1, c2 = np.asarray(c1, dtype=float), np.asarray(c2, dtype=float)
+    v1, v2, mixed = fclass.sup_batch(points, np.stack([c1, c2, lam * c1 + (1.0 - lam) * c2]))
+    return mixed <= lam * v1 + (1.0 - lam) * v2 + CONVEXITY_TOL
 
 
 def reference_farthest_first_order(dist):

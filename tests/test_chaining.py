@@ -25,8 +25,6 @@ from berncomp import (
     lipschitz_entropy_formula,
     metric_space_from_pointset,
     min_truncation_objective,
-    sequence_from_csv,
-    sequence_to_csv,
     truncation_objective,
 )
 from berncomp.chaining import farthest_first
@@ -341,67 +339,6 @@ class TestAdmissibleSequence:
         with pytest.raises(InvalidInputError) as err:
             AdmissibleSequence(levels).validate(len(levels[0][0]))
         assert str(err.value) == message
-
-    def test_text_round_trip(self, tmp_path):
-        sp = random_space(7, 9)
-        seq = build_admissible_sequence(sp)
-        path = tmp_path / "seq.csv"
-        sequence_to_csv(seq, path)
-        assert sequence_from_csv(path).levels == seq.levels
-
-
-# Levels of blocks of indices, every level with at least one block; blocks
-# may be empty and indices negative or past 2^64, which the format holds too.
-_block_levels = st.lists(st.lists(st.lists(st.integers(-5, 2 ** 70), max_size=4).map(tuple),
-                                  min_size=1, max_size=4).map(tuple), min_size=1, max_size=5)
-
-
-class TestSequenceCsv:
-    """sequence_to_csv writes one row per block, and every sequence it
-    accepts reads back equal (malformed files: test_core.TestLoaderErrors)."""
-
-    def test_random_spaces_read_back_equal(self, tmp_path):
-        path = tmp_path / "seq.csv"
-        for seed in range(50):  # 1 to 39 points, one point at seed 0
-            seq = build_admissible_sequence(random_space(seed, 1 + seed % 39))
-            sequence_to_csv(seq, path)
-            assert sequence_from_csv(path) == seq
-
-    @settings(max_examples=60, deadline=None)
-    @given(_small_sets)
-    def test_coincident_points_read_back_equal(self, tmp_path_factory, T):
-        path = tmp_path_factory.mktemp("seq") / "seq.csv"
-        seq = build_admissible_sequence(metric_space_from_pointset(T))
-        sequence_to_csv(seq, path)
-        assert sequence_from_csv(path) == seq
-
-    @settings(max_examples=80, deadline=None)
-    @given(_block_levels)
-    def test_any_levels_with_blocks_read_back_equal(self, tmp_path_factory, levels):
-        path = tmp_path_factory.mktemp("seq") / "seq.csv"
-        seq = AdmissibleSequence(tuple(levels))
-        sequence_to_csv(seq, path)
-        assert sequence_from_csv(path) == seq
-
-    @pytest.mark.parametrize("levels, data", [
-        ((((0,),),), b"0,0\r\n"),
-        ((((0, 1, 2),), ((0, 2), (1,)), ((0,), (2,), (1,))),
-         b"0,0 1 2\r\n1,0 2\r\n1,1\r\n2,0\r\n2,2\r\n2,1\r\n"),
-        ((((0, 1), ()),), b"0,0 1\r\n0,\r\n"),
-    ], ids=["one-point", "level-then-block-order", "empty-block"])
-    def test_one_row_per_block(self, tmp_path, levels, data):
-        path = tmp_path / "seq.csv"
-        seq = AdmissibleSequence(levels)
-        sequence_to_csv(seq, path)
-        assert path.read_bytes() == b"level,points\r\n" + data
-        assert sequence_from_csv(path) == seq
-
-    def test_level_without_blocks_is_not_written(self, tmp_path):
-        path = tmp_path / "seq.csv"
-        with pytest.raises(InvalidInputError) as err:
-            sequence_to_csv(AdmissibleSequence((((0, 1),), (), ((0,), (1,)))), path)
-        assert str(err.value) == "level 1 has no blocks"
-        assert not path.exists()
 
 
 class TestGamma2Upper:

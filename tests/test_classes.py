@@ -19,12 +19,11 @@ from berncomp import (
     composite_bernoulli_complexity,
     gaussian_gram,
     lipschitz_ball_sup,
-    oracle_convexity_check,
     simplex,
     simplex_maximize,
 )
-from oracles import (grid_lipschitz_sup, linprog_lipschitz_sup, pairwise_dist,
-                     reference_anchor_distance_table, reference_dense_simplex,
+from oracles import (grid_lipschitz_sup, linprog_lipschitz_sup, oracle_convexity_check,
+                     pairwise_dist, reference_anchor_distance_table, reference_dense_simplex,
                      reference_line_dp, reference_slope_trick_line, reference_table_sup,
                      reference_transport_sup,
                      rkhs_ball_mc_lower, rkhs_representer_value)
@@ -237,21 +236,21 @@ class TestSimplex:
 class TestFiniteClassSup:
     def test_single_row(self):
         cls = FiniteFunctionClass(table=[[2.0, 3.0]], uniform_bound_B=3.0)
-        assert cls.sup(None, [1.0, 1.0]) == pytest.approx(5.0)
+        assert cls.sup_batch(None, [[1.0, 1.0]])[0] == pytest.approx(5.0)
 
     def test_two_rows_enumerated(self):
         cls = FiniteFunctionClass(table=[[1.0, 0.0], [0.0, 1.0]], uniform_bound_B=1.0)
         # row 1 gives 1, row 2 gives -1
-        assert cls.sup(None, [1.0, -1.0]) == pytest.approx(1.0)
+        assert cls.sup_batch(None, [[1.0, -1.0]])[0] == pytest.approx(1.0)
 
     def test_zero_coefficients(self):
         cls = FiniteFunctionClass(table=[[1.0, -1.0], [0.5, 0.5]], uniform_bound_B=1.0)
-        assert cls.sup(None, [0.0, 0.0]) == 0.0
+        assert cls.sup_batch(None, [[0.0, 0.0]])[0] == 0.0
 
     def test_dimension_mismatch(self):
         cls = FiniteFunctionClass(table=[[1.0, 0.0]], uniform_bound_B=1.0)
         with pytest.raises(InvalidInputError):
-            cls.sup(None, [1.0])
+            cls.sup_batch(None, [[1.0]])
 
     def test_sup_batch_rejects_wrong_point_count(self):
         cls = FiniteFunctionClass(table=[[1.0, 0.0]], uniform_bound_B=1.0)
@@ -265,7 +264,8 @@ class TestFiniteClassSup:
         # the 1e-9 slack is relative below B = 1: 5e-10 is five times B = 1e-10
         with pytest.raises(InvalidInputError, match="exceed the uniform bound"):
             FiniteFunctionClass(table=[[5e-10]], uniform_bound_B=1e-10)
-        assert FiniteFunctionClass(table=[[1e-10]], uniform_bound_B=1e-10).sup(None, [1.0]) == 1e-10
+        tiny = FiniteFunctionClass(table=[[1e-10]], uniform_bound_B=1e-10)
+        assert tiny.sup_batch(None, [[1.0]])[0] == 1e-10
 
     @pytest.mark.parametrize("r", [1, 9, 17, 40])
     def test_sup_batch_bits_are_the_row_max_of_the_product(self, r):

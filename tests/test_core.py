@@ -21,7 +21,6 @@ from berncomp import (
     norm_pq,
     pointset_from_csv,
     pointset_to_csv,
-    sequence_from_csv,
 )
 from berncomp import core
 from berncomp.core import _row_max, distances
@@ -217,44 +216,23 @@ class TestComplexityEstimate:
 
 
 class TestLoaderErrors:
-    """Every loader reports malformed input as '<path>, line <n>...'."""
+    """The point-set loader reports malformed input as '<path>, line <n>...'."""
 
-    @pytest.mark.parametrize("load, text, where", [
-        (pointset_from_csv, "elem_id,coord_0,coord_1\n0,1.0,2.0\n1,3.0\n",
-         "line 3: expected 3 fields, got 2"),
-        (pointset_from_csv, "elem_id,coord_0,coord_1\n0,nan,2.0\n",
+    @pytest.mark.parametrize("text, where", [
+        ("elem_id,coord_0,coord_1\n0,1.0,2.0\n1,3.0\n", "line 3: expected 3 fields, got 2"),
+        ("elem_id,coord_0,coord_1\n0,nan,2.0\n",
          "line 2, column coord_0: expected a finite number, got 'nan'"),
-        (pointset_from_csv, "elem_id,coord_0,coord_1\n0,1.0,1e400\n",
+        ("elem_id,coord_0,coord_1\n0,1.0,1e400\n",
          "line 2, column coord_1: expected a finite number, got '1e400'"),
-        (pointset_from_csv, "id,coord_0\n0,1.0\n",
-         "line 1: expected header starting with elem_id"),
-        (pointset_from_csv, "elem_id\n0\n", "line 1: 0 coordinates do not form k=1 rows"),
-        (sequence_from_csv, "level,points\n0,0 1\n1,0 x\n",
-         "line 3, column points: expected a number, got 'x'"),
-        (sequence_from_csv, "level,points\n0,0 1\n2,0\n",
-         "line 3, column level: expected level 1, got '2'"),
-        (sequence_from_csv, "level,blocks\n0,0 1\n", "line 1: expected header level,points"),
-        (sequence_from_csv, "level,points\n0,0 1\n1\n", "line 3: expected 2 fields, got 1"),
-        (sequence_from_csv, "level,points\n1,0 1\n",
-         "line 2, column level: expected level 0, got '1'"),
-        (sequence_from_csv, "level,points\n0,0 1\n1,0\n0,1\n",
-         "line 4, column level: expected level 2, got '0'"),
-        (sequence_from_csv, "level,points\n0,0 1\n\n01,0\n",
-         "line 4, column level: expected level 1, got '01'"),
-        (sequence_from_csv, "level,points\n0,0  1\n",
-         "line 2, column points: expected a number, got ''"),
-        (sequence_from_csv, "level,points\n0,0 1.0\n",
-         "line 2, column points: expected a number, got '1.0'"),
+        ("id,coord_0\n0,1.0\n", "line 1: expected header starting with elem_id"),
+        ("elem_id\n0\n", "line 1: 0 coordinates do not form k=1 rows"),
     ], ids=["pointset-short-row", "pointset-nan", "pointset-overflow", "pointset-header",
-            "pointset-no-coordinates", "sequence-bad-index", "sequence-skipped-level",
-            "sequence-header", "sequence-short-row", "sequence-first-level-not-0",
-            "sequence-level-going-back", "sequence-level-with-leading-zero",
-            "sequence-double-space", "sequence-fractional-index"])
-    def test_message_names_file_and_line(self, tmp_path, load, text, where):
+            "pointset-no-coordinates"])
+    def test_message_names_file_and_line(self, tmp_path, text, where):
         path = tmp_path / "data.txt"
         path.write_text(text)
         with pytest.raises(InvalidInputError) as err:
-            load(path)
+            pointset_from_csv(path)
         assert str(err.value).startswith(f"{path}, {where}")
 
     @pytest.mark.parametrize("k, message", [(0, "k must be >= 1, got 0"),
@@ -268,15 +246,12 @@ class TestLoaderErrors:
             pointset_from_csv(path, k=k)
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("load, header", [
-        (pointset_from_csv, "elem_id,coord_0"),
-        (sequence_from_csv, "level,points"),
-    ], ids=["pointset", "sequence"])
-    def test_header_without_rows_names_file(self, tmp_path, load, header):
+    @pytest.mark.parametrize("header", ["elem_id,coord_0"], ids=["pointset"])
+    def test_header_without_rows_names_file(self, tmp_path, header):
         path = tmp_path / "data.csv"
         path.write_text(header + "\n\n")
         with pytest.raises(InvalidInputError) as err:
-            load(path)
+            pointset_from_csv(path)
         assert str(err.value) == f"{path}: no data rows"
 
 

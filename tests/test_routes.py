@@ -19,9 +19,10 @@ random numbers: it seeds no generator and calls no sampler.  Every
 experiment check is an ExperimentOutcome.gate call, and only the gate
 records a failure.  Files
 are opened in four places only: every CSV file the package loads or saves,
-point sets, admissible sequences and experiment results alike, goes
-through core._read_csv or core._write_csv, config files through
-config.parse_config and figures through svgplot.write_plot."""
+point sets and experiment results alike, goes through core._read_csv or
+core._write_csv, config files through config.parse_config and figures
+through svgplot.write_plot.  Which functions the runs reach is checked in
+test_reach.py."""
 
 import ast
 from pathlib import Path

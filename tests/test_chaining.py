@@ -334,11 +334,23 @@ class TestAdmissibleSequence:
         ((((0, 1, 2),), ((0, 2), (1,)), ((0, 1), (2,)), ((0, 2), (1,))),
          "level 2 block [0, 1] is not nested in level 1"),
         ((((0, 1, 2),), ((0, 1), (2,)), ((0, 2),)), "level 2 is not a partition of the space"),
-    ], ids=["first-unnested-block", "first-unnested-level", "partition-before-nesting"])
+        ((((0, 1),), ((0,), (1,)), ((0,), (0, 1))), "level 2 is not a partition of the space"),
+        ((((0, 1),), ((0,), (2,))), "level 1 is not a partition of the space"),
+        ((((0, 1),), ((0, 1), ())), "level 1 contains an empty block"),
+        ((((0,), (1,)),), "level 0 has 2 blocks, cap is 1"),
+        ((((0, 1, 2, 3, 4),), ((0,), (1,), (2,), (3,), (4,))), "level 1 has 5 blocks, cap is 4"),
+    ], ids=["first-unnested-block", "first-unnested-level", "partition-before-nesting",
+            "repeated-index", "index-out-of-range", "empty-block", "cap-at-level-0",
+            "cap-at-level-1"])
     def test_validation_names_the_first_failure(self, levels, message):
         with pytest.raises(InvalidInputError) as err:
             AdmissibleSequence(levels).validate(len(levels[0][0]))
         assert str(err.value) == message
+
+    def test_no_levels_rejected(self):
+        with pytest.raises(InvalidInputError) as err:
+            AdmissibleSequence(())
+        assert str(err.value) == "sequence needs at least one level"
 
 
 class TestGamma2Upper:

@@ -106,6 +106,15 @@ class TestPointSet:
         back = pointset_from_csv(path, k=2)
         np.testing.assert_array_equal(back.elements, T.elements)
 
+    def test_csv_round_trip_keeps_every_bit(self, tmp_path):
+        # repr gives the shortest string that reads back to the same double,
+        # so signed zero, subnormals and the extremes survive
+        values = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1 / 3]
+        T = PointSet.from_rows([values[:3], values[3:]])
+        path = tmp_path / "points.csv"
+        pointset_to_csv(T, path)
+        assert pointset_from_csv(path).elements.tobytes() == T.elements.tobytes()
+
     def test_csv_header_is_stable(self, tmp_path):
         T = PointSet.from_rows([[1.0, 2.0]])
         path = tmp_path / "p.csv"
@@ -226,8 +235,20 @@ class TestLoaderErrors:
          "line 2, column coord_1: expected a finite number, got '1e400'"),
         ("id,coord_0\n0,1.0\n", "line 1: expected header starting with elem_id"),
         ("elem_id\n0\n", "line 1: 0 coordinates do not form k=1 rows"),
+        ("elem_id,coord_0\n0,1.0,2.0\n", "line 2: expected 2 fields, got 3"),
+        ("elem_id,coord_0\n0,x\n", "line 2, column coord_0: expected a number, got 'x'"),
+        ("elem_id,coord_0,coord_1\n0,,2.0\n",
+         "line 2, column coord_0: expected a number, got ''"),
+        ("elem_id,coord_0\n0,-inf\n",
+         "line 2, column coord_0: expected a finite number, got '-inf'"),
+        ("elem_id,coord_0\n0,1.0\n\n1,y\n",
+         "line 4, column coord_0: expected a number, got 'y'"),
+        ("elem_id,coord_0,coord_1\n0,1.0,2.0\n1,3.0,4.0,5.0\n",
+         "line 3: expected 3 fields, got 4"),
     ], ids=["pointset-short-row", "pointset-nan", "pointset-overflow", "pointset-header",
-            "pointset-no-coordinates"])
+            "pointset-no-coordinates", "pointset-long-row", "pointset-not-a-number",
+            "pointset-empty-cell", "pointset-negative-infinity", "pointset-line-after-blank",
+            "pointset-long-later-row"])
     def test_message_names_file_and_line(self, tmp_path, text, where):
         path = tmp_path / "data.txt"
         path.write_text(text)
@@ -246,7 +267,21 @@ class TestLoaderErrors:
             pointset_from_csv(path, k=k)
         assert str(err.value) == message
 
-    @pytest.mark.parametrize("header", ["elem_id,coord_0"], ids=["pointset"])
+    @pytest.mark.parametrize("k, kn", [(2, 3), (3, 4), (2, 1)])
+    def test_coordinates_that_do_not_form_k_rows_are_named(self, tmp_path, k, kn):
+        path = tmp_path / "data.csv"
+        cols = ",".join(f"coord_{j}" for j in range(kn))
+        path.write_text(f"elem_id,{cols}\n0" + ",1.0" * kn + "\n")
+        with pytest.raises(InvalidInputError) as err:
+            pointset_from_csv(path, k=k)
+        assert str(err.value) == f"{path}, line 1: {kn} coordinates do not form k={k} rows"
+
+    # the missing rows are named before the header is read, so a file with a
+    # wrong header and no rows reports the rows
+    @pytest.mark.parametrize("header", ["elem_id,coord_0", "elem_id,coord_0,coord_1", "",
+                                        "id,coord_0"],
+                             ids=["pointset", "pointset-two-columns", "empty-file",
+                                  "wrong-header"])
     def test_header_without_rows_names_file(self, tmp_path, header):
         path = tmp_path / "data.csv"
         path.write_text(header + "\n\n")

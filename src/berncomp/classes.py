@@ -102,18 +102,11 @@ def _lipschitz_bound(L: float, R: float) -> float:
     return B
 
 
-def _as_coeffs(c, n: int) -> np.ndarray:
-    c = np.asarray(c, dtype=float)
-    if c.shape != (n,):
-        raise InvalidInputError(f"expected {n} coefficients, got shape {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise InvalidInputError("coefficients must be finite")
-    return c
-
-
 def _as_coeff_rows(C, n: int) -> np.ndarray:
     """Normalize a coefficient batch to a finite (rows, n) array; accepts
-    (n,) for one row."""
+    (n,) for one row.  The one-row sups and AnchorDistanceClass's shifts
+    pass [c], a batch of one row, so a c of any other shape than (n,)
+    fails, except a 0-d c at n = 1."""
     C = np.atleast_2d(np.asarray(C, dtype=float))
     if C.ndim != 2 or C.shape[1] != n:
         raise InvalidInputError(f"expected rows of {n} coefficients, got shape {C.shape}")
@@ -400,8 +393,7 @@ def lipschitz_ball_sup(points, c, L: float, R: float, method: str = "auto") -> f
     """
     B = _lipschitz_bound(L, R)
     pts = _as_points(points)
-    c = _as_coeffs(c, pts.shape[0])
-    return float(_lipschitz_sup_rows(pts[None], c[None], L, B, method)[0, 0])
+    return float(_lipschitz_sup_rows(pts[None], _as_coeff_rows([c], len(pts)), L, B, method)[0, 0])
 
 
 def _lipschitz_sup_rows(pts: np.ndarray, C: np.ndarray, L: float, B: float,
@@ -479,8 +471,7 @@ class GaussianRkhsBall:
 
     # Defined in the class body because perfbench's tracer wraps it there.
     def sup(self, points, c) -> float:
-        pts = _as_points(points)
-        return float(self.sup_batch(pts, _as_coeffs(c, pts.shape[0]))[0])
+        return float(self.sup_batch(_as_points(points), [c])[0])
 
     def sup_batch(self, points, C) -> np.ndarray:
         pts = _as_points(points, stack=True)
@@ -524,7 +515,8 @@ class AnchorDistanceClass:
         _check_scales(lipschitz_L=self.lipschitz_L, uniform_bound_B=self.uniform_bound_B)
         anchors = _as_points(self.anchors)
         object.__setattr__(self, "anchors", _as_readonly(anchors))
-        object.__setattr__(self, "shifts", _as_readonly(_as_coeffs(self.shifts, len(anchors))))
+        shifts = _as_coeff_rows([self.shifts], len(anchors))[0]
+        object.__setattr__(self, "shifts", _as_readonly(shifts))
 
     def values(self, points) -> np.ndarray:
         """The (r, n) table f_j(x_i), on core.distances of the anchors

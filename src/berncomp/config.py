@@ -46,10 +46,15 @@ class ExperimentConfig:
 
     def validate(self, where=None) -> None:
         """Raise ConfigError on the first invalid field; `where` maps a key to
-        the (line, column) it was read from."""
+        the (line, column) it was read from.  The types come first, by the
+        checks parse_config_text makes line by line, so a config built in
+        code meets them too."""
         def fail(message, key):
             raise ConfigError(message, *(where or {}).get(key, ()))
 
+        for key, (accepts, message) in _TYPED_KEYS.items():
+            if not accepts(getattr(self, key)):
+                fail(message, key)
         spec = _spec(self.experiment)
         if len(self.n_list) < spec.n_count_min:
             fail(f"{self.experiment} requires at least {spec.n_count_min} n_list "
@@ -76,11 +81,11 @@ class ExperimentConfig:
             if name not in spec.constants:
                 fail(f"unknown key {key!r} for {self.experiment}; "
                      f"it reads constants {', '.join(spec.constants)}", key)
-            if isinstance(spec.constants[name], int):  # it sizes a run: the row budget bounds it
-                if not isinstance(value, int):
-                    fail(f"{key} must be an integer, got {value!r}", key)
-                if value > MAX_MC_SAMPLES:
-                    fail(f"{key} must be at most {MAX_MC_SAMPLES}, got {value}", key)
+            integral = isinstance(spec.constants[name], int)
+            if not isinstance(value, int if integral else (int, float)):
+                fail(f"{key} must be {'an integer' if integral else 'a number'}, got {value!r}", key)
+            if integral and value > MAX_MC_SAMPLES:  # it sizes a run: the row budget bounds it
+                fail(f"{key} must be at most {MAX_MC_SAMPLES}, got {value}", key)
             # w is a tail offset, lp_samples a Monte Carlo sample count; nan fails < inf
             low = {"w": 0, "lp_samples": 2}.get(name)
             if not value < math.inf or (value <= 0 if low is None else value < low):
@@ -134,7 +139,7 @@ _TYPED_KEYS = {
     "k": (lambda v: isinstance(v, int), "k must be an integer"),
     "seed": (lambda v: isinstance(v, int), "seed must be an integer"),
     "mc_samples": (lambda v: isinstance(v, int), "mc_samples must be an integer"),
-    "out_dir": (lambda v: isinstance(v, str), "out_dir must be a path"),
+    "out_dir": (lambda v: isinstance(v, str) or hasattr(v, "__fspath__"), "out_dir must be a path"),
 }
 
 

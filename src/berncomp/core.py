@@ -314,40 +314,6 @@ class ComplexityEstimate:
 ESTIMATE_CSV_HEADER = ["quantity", "value", "std_error", "method", "samples", "seed"]
 
 
-def _parse_number(text: str, where: str) -> float:
-    """float(text), or InvalidInputError naming `where` (file, line, column)
-    when text is not a number or is not finite."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise InvalidInputError(f"{where}: expected a number, got {text!r}") from None
-    if not math.isfinite(value):
-        raise InvalidInputError(f"{where}: expected a finite number, got {text!r}")
-    return value
-
-
-def _read_csv(path):
-    """The header and the nonblank data rows of a CSV file.  Each row comes
-    paired with its location "<path>, line <n>".  A row whose field count
-    differs from the header's raises InvalidInputError naming that line, and
-    so does a file without data rows, naming the file."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}, line {reader.line_num}"
-            if len(row) != len(header):
-                raise InvalidInputError(
-                    f"{where}: expected {len(header)} fields, got {len(row)}")
-            rows.append((where, row))
-    if not rows:
-        raise InvalidInputError(f"{path}: no data rows")
-    return header, rows
-
-
 def _write_csv(path, header, rows) -> None:
     """Write the header and then the rows in the csv default dialect."""
     with open(path, "w", newline="") as fh:
@@ -366,17 +332,37 @@ def pointset_to_csv(T: PointSet, path) -> None:
 def pointset_from_csv(path, k: int = 1) -> PointSet:
     """Load a point set written by pointset_to_csv.
 
-    The flat coordinate count must be divisible by k; n is inferred.  A
-    malformed file raises InvalidInputError naming its line, and the column
-    for a cell that is not a finite number.
+    The flat coordinate count must be divisible by k; n is inferred.  Blank
+    lines are skipped.  A malformed file raises InvalidInputError, checked
+    in this order: a row whose field count differs from the header's, named
+    by its line; a file without data rows, named; the header; the
+    coordinate count against k; and a cell that is not a finite number,
+    named by its line and column.
     """
     _check_count("k", k, 1)
-    header, rows = _read_csv(path)
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = []
+        for row in filter(None, reader):
+            where = f"{path}, line {reader.line_num}"
+            if len(row) != len(header):
+                raise InvalidInputError(f"{where}: expected {len(header)} fields, got {len(row)}")
+            rows.append((where, row))
+    if not rows:
+        raise InvalidInputError(f"{path}: no data rows")
     if header[:1] != ["elem_id"]:
         raise InvalidInputError(f"{path}, line 1: expected header starting with elem_id")
     kn = len(header) - 1
     if kn == 0 or kn % k != 0:
         raise InvalidInputError(f"{path}, line 1: {kn} coordinates do not form k={k} rows")
-    coords = [[_parse_number(text, f"{where}, column {name}")
-               for name, text in zip(header[1:], row[1:])] for where, row in rows]
-    return PointSet(np.array(coords, dtype=float).reshape(len(rows), k, kn // k))
+    coords = []
+    for where, text in ((f"{line}, column {name}", text) for line, row in rows
+                        for name, text in zip(header[1:], row[1:])):
+        try:
+            coords.append(float(text))
+        except ValueError:
+            raise InvalidInputError(f"{where}: expected a number, got {text!r}") from None
+        if not math.isfinite(coords[-1]):
+            raise InvalidInputError(f"{where}: expected a finite number, got {text!r}")
+    return PointSet(np.array(coords).reshape(len(rows), k, kn // k))

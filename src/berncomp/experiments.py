@@ -118,7 +118,6 @@ class ExperimentOutcome:
         self.summary = []    # summary.csv rows
         self.figures = {}    # filename -> (dot_series, line_series, kwargs)
         self.failures = []   # FAIL lines of the failing gates
-        self.notes = []
 
     def add_row(self, n, k, quantity, value, std_error, seed):
         self.rows.append([
@@ -318,10 +317,6 @@ def _run_rkhs(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
     n_elements = consts["n_elements"]
     mc = min(cfg.mc_samples, RKHS_MC_CAP)
     out.add_summary("fit_headroom", headroom)
-    out.notes.append(
-        "increment-ratio checks use caller-supplied surrogate sets, not the "
-        "existential comparison set"
-    )
 
     def estimator(seed: int) -> EstimatorConfig:
         return EstimatorConfig(mode="auto", mc_samples=mc, seed=seed, exact_cutoff_n=16)
@@ -369,7 +364,9 @@ def _run_rkhs(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome:
                     out.gate(f"rkhs bound at {tag}", bF.value, c_fit * denom, slack)
                     ratio_series[sigma][0].append(n)
                     ratio_series[sigma][1].append(ratio)
-    # increment-ratio check on small surrogate sets (exact enumeration)
+    # increment-ratio check on small surrogate sets (exact enumeration): the
+    # bound is checked on these caller-supplied sets, not on the existential
+    # comparison set
     for k in ks:
         for sigma in sigmas:
             for rho in rhos:
@@ -560,8 +557,6 @@ def run_experiment(cfg: ExperimentConfig, echo=print) -> int:
         write_plot(out_dir / name, dots, lines, **kwargs)
     _write_csv(out_dir / "results.csv", RESULTS_HEADER, outcome.rows)
     _write_csv(out_dir / "summary.csv", SUMMARY_HEADER, outcome.summary)
-    for note in outcome.notes:
-        echo(f"note: {note}")
     if outcome.failures:
         for failure in outcome.failures:
             echo(failure)

@@ -62,8 +62,7 @@ def simplex_maximize(c, A, b):
     leaving choices, degenerate-pivot count and pivot cap, so it gets the
     pivots and bits it gets when solved alone; each loop pass pivots every
     program that is not yet optimal.  Returns the (L,) values and the
-    (L, n) x.  A 1-d c, 2-d A and 1-d b are one program, and return
-    (float value, x).
+    (L, n) x.
 
     Termination: a nondegenerate pivot strictly raises the objective, so no
     basis repeats across one.  Within a run of degenerate pivots at most m
@@ -78,9 +77,6 @@ def simplex_maximize(c, A, b):
     c = np.asarray(c, dtype=float)
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    single = c.ndim == 1
-    if single:
-        c, A, b = c[None], A[None], b[None]
     if A.ndim != 3 or c.ndim != 2 or b.ndim != 2:
         raise InvalidInputError("inconsistent LP dimensions")
     L, m, n = A.shape
@@ -171,6 +167,4 @@ def simplex_maximize(c, A, b):
         rows[pivot_rows, entering] = 1.0
         basis[at, leaving] = entering
 
-    if single:
-        return float(values[0]), x[0, :n]
     return values, x[:, :n]

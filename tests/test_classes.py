@@ -94,22 +94,22 @@ _BEALE = ([0.75, -20.0, 0.5, -6.0],
 class TestSimplex:
     def test_tiny_lp_by_hand(self):
         # max x + y st x <= 2, y <= 3, x + y <= 4 -> 4
-        value, x = simplex_maximize(
-            [1.0, 1.0],
-            [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
-            [2.0, 3.0, 4.0],
+        values, X = simplex_maximize(
+            [[1.0, 1.0]],
+            [[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]],
+            [[2.0, 3.0, 4.0]],
         )
-        assert value == pytest.approx(4.0)
-        assert x.sum() == pytest.approx(4.0)
+        assert values[0] == pytest.approx(4.0)
+        assert X[0].sum() == pytest.approx(4.0)
 
     def test_degenerate_rhs_terminates(self):
         # zero right-hand sides force degenerate pivots, which must not cycle
-        value, _ = simplex_maximize(
-            [1.0, -1.0],
-            [[1.0, -1.0], [-1.0, 1.0], [1.0, 0.0]],
-            [0.0, 0.0, 1.0],
+        values, _ = simplex_maximize(
+            [[1.0, -1.0]],
+            [[[1.0, -1.0], [-1.0, 1.0], [1.0, 0.0]]],
+            [[0.0, 0.0, 1.0]],
         )
-        assert value == pytest.approx(0.0)
+        assert values[0] == pytest.approx(0.0)
 
     @pytest.mark.parametrize("c, A, b", [
         ([math.nan, 1.0], [[1.0, 0.0], [0.0, 1.0]], [1.0, 2.0]),
@@ -118,32 +118,32 @@ class TestSimplex:
     ], ids=["c-nan", "A-nan", "b-inf"])
     def test_rejects_non_finite_input(self, c, A, b):
         with pytest.raises(InvalidInputError, match="finite c, A and b"):
-            simplex_maximize(c, A, b)
+            simplex_maximize([c], [A], [b])
 
     def test_beale_lp_terminates(self):
         # Beale's cycling example: the most-negative-reduced-cost rule alone
         # cycles through six degenerate bases and hits the pivot cap; the
         # fallback to Bland's rule after m degenerate pivots breaks the cycle
-        value, _ = simplex_maximize(*_BEALE)
-        assert value == pytest.approx(1.25, abs=1e-12)
+        values, _ = simplex_maximize(*([part] for part in _BEALE))
+        assert values[0] == pytest.approx(1.25, abs=1e-12)
 
     def test_against_scipy_on_random_instances(self):
         scipy_opt = pytest.importorskip("scipy.optimize")
         for c, A_box, b_box in _random_box_lps():
-            value, x = simplex_maximize(c, A_box, b_box)
+            values, X = simplex_maximize([c], [A_box], [b_box])
             ref = scipy_opt.linprog(-c, A_ub=A_box, b_ub=b_box,
                                     bounds=[(0, None)] * len(c), method="highs")
-            assert value == pytest.approx(-ref.fun, abs=1e-7)
-            assert np.all(A_box @ x <= b_box + 1e-7)
+            assert values[0] == pytest.approx(-ref.fun, abs=1e-7)
+            assert np.all(A_box @ X[0] <= b_box + 1e-7)
         # degenerate transport LPs: +-1 masses and coincident points
         lps = _allpairs_lps(sizes=(8, 16, 24, 32, 48))
         assert len(lps) == 15
         for c, A, b in lps:
-            value, x = simplex_maximize(c, A, b)
+            values, X = simplex_maximize([c], [A], [b])
             ref = scipy_opt.linprog(-c, A_ub=A, b_ub=b,
                                     bounds=[(0, None)] * len(c), method="highs")
-            assert value == pytest.approx(-ref.fun, rel=1e-9)
-            assert np.all(A @ x <= b + 1e-9)
+            assert values[0] == pytest.approx(-ref.fun, rel=1e-9)
+            assert np.all(A @ X[0] <= b + 1e-9)
 
     @pytest.mark.parametrize("source", ["random", "degenerate", "all-pairs"])
     def test_sparse_pivots_match_the_dense_reference_bit_for_bit(self, source):
@@ -155,10 +155,10 @@ class TestSimplex:
                "all-pairs": _allpairs_lps}[source]()
         assert len(lps) == {"random": 50, "degenerate": 1, "all-pairs": 9}[source]
         for c, A, b in lps:
-            value, x = simplex_maximize(c, A, b)
+            values, X = simplex_maximize([c], [A], [b])
             ref_value, ref_x = reference_dense_simplex(c, A, b)
-            assert value.hex() == ref_value.hex()
-            assert np.array_equal(x, ref_x)
+            assert values[0].hex() == ref_value.hex()
+            assert np.array_equal(X[0], ref_x)
 
     @pytest.mark.parametrize("source", ["random", "beale", "all-pairs"])
     def test_a_stack_is_its_lps_solved_alone_bit_for_bit(self, source):
@@ -192,21 +192,20 @@ class TestSimplex:
         # enters, and the slack columns keep their order
         lps = list(_random_box_lps()) if source == "random" else _allpairs_lps()
         for c, A, b in lps:
-            value, x = simplex_maximize(c, A, b)
-            padded, x_padded = simplex_maximize(np.pad(c, (0, 3)), np.pad(A, ((0, 0), (0, 3))), b)
-            assert padded.hex() == value.hex()
-            assert np.array_equal(x_padded, np.pad(x, (0, 3)))
+            values, X = simplex_maximize([c], [A], [b])
+            padded, X_padded = simplex_maximize([np.pad(c, (0, 3))],
+                                                [np.pad(A, ((0, 0), (0, 3)))], [b])
+            assert padded[0].hex() == values[0].hex()
+            assert np.array_equal(X_padded[0], np.pad(X[0], (0, 3)))
 
     def test_stack_shapes(self):
         c, A, b = (np.asarray(part) for part in _BEALE)
-        value, x = simplex_maximize(c, A, b)
-        assert isinstance(value, float) and x.shape == (4,)
         values, X = simplex_maximize(c[None], A[None], b[None])
         assert values.shape == (1,) and X.shape == (1, 4)
-        assert values[0].hex() == value.hex() and np.array_equal(X[0], x)
         values, X = simplex_maximize(np.zeros((0, 4)), np.zeros((0, 3, 4)), np.zeros((0, 3)))
         assert values.shape == (0,) and X.shape == (0, 4)
-        for bad in [(c[None], A, b[None]), (c[None], A[None], b), (c, A[None], b),
+        # one program unstacked (1-d c, 2-d A, 1-d b) is not a stack
+        for bad in [(c, A, b), (c[None], A, b[None]), (c[None], A[None], b), (c, A[None], b),
                     (np.stack([c, c]), A[None], b[None])]:
             with pytest.raises(InvalidInputError, match="inconsistent LP dimensions"):
                 simplex_maximize(*bad)
@@ -231,6 +230,32 @@ class TestSimplex:
         with pytest.raises(SolverError, match="did not converge in 1 iterations"):
             simplex_maximize(c, A, b)
         assert simplex_maximize(c[1:], A[1:], b[1:])[0].tolist() == [0.0]
+
+
+_ONE_ROW_SUPS = {
+    "lipschitz_ball_sup": lambda points, c: lipschitz_ball_sup(points, c, 1.0, 1.0),
+    "LipschitzBall.sup": LipschitzBall(1.0, 1.0).sup,
+    "GaussianRkhsBall.sup": GaussianRkhsBall(1.0, 1.0).sup,
+}
+
+
+class TestOneRowSupInput:
+    """The one-row sups take n points and one row of n finite coefficients."""
+
+    POINTS = np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 2))
+
+    @pytest.mark.parametrize("c", [np.ones(4), np.ones((2, 3)), np.ones((1, 3)),
+                                   [1.0, math.nan, 0.0], [math.inf, 1.0, 0.0]],
+                             ids=["n-plus-1", "two-rows", "one-row-2d", "nan", "inf"])
+    @pytest.mark.parametrize("name", _ONE_ROW_SUPS)
+    def test_rejects_coefficients_of_another_shape_or_not_finite(self, name, c):
+        with pytest.raises(InvalidInputError):
+            _ONE_ROW_SUPS[name](self.POINTS, c)
+
+    @pytest.mark.parametrize("name", _ONE_ROW_SUPS)
+    def test_rejects_a_stack_of_point_sets(self, name):
+        with pytest.raises(InvalidInputError, match="points must be"):
+            _ONE_ROW_SUPS[name](np.stack([self.POINTS, self.POINTS]), np.ones(3))
 
 
 class TestFiniteClassSup:
@@ -915,7 +940,10 @@ class TestStackedOracle:
 
     @pytest.mark.parametrize("name", ["rkhs", "anchor"])
     def test_a_stack_checks_its_rows_once(self, name, monkeypatch):
-        # the per-set work runs on the checked stack, not back through sup_batch
+        # the per-set work runs on the checked stack, not back through sup_batch;
+        # the class is built before the count starts, since building the
+        # anchor class checks its shifts through the same helper
+        fclass = self._class(name, 2, 7)
         checks = []
         check = classes._as_coeff_rows
 
@@ -925,7 +953,7 @@ class TestStackedOracle:
 
         monkeypatch.setattr(classes, "_as_coeff_rows", counted)
         pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(4, 7, 2))
-        stacked = self._class(name, 2, 7).sup_batch(pts, np.ones((3, 7)))
+        stacked = fclass.sup_batch(pts, np.ones((3, 7)))
         assert stacked.shape == (4, 3) and checks == [7]
 
     @pytest.mark.parametrize("points", [np.zeros((0, 4, 2)), np.zeros((2, 0, 2)),
@@ -1119,6 +1147,13 @@ class TestAnchorDistanceClass:
     def test_rejects_bad_anchors_and_shifts(self, call):
         with pytest.raises(InvalidInputError):
             call()
+
+    @pytest.mark.parametrize("shifts", [np.zeros(4), np.zeros((2, 3)), np.zeros((1, 3)),
+                                        [0.0, math.nan, 0.0]],
+                             ids=["r-plus-1", "two-rows", "one-row-2d", "nan"])
+    def test_rejects_shifts_of_another_shape_or_not_finite(self, shifts):
+        with pytest.raises(InvalidInputError):
+            AnchorDistanceClass(np.zeros((3, 2)), shifts, 1.0, 1.0)
 
     def test_sup_batch_rejects_points_of_another_k(self):
         cls = _anchor_class(14, 3, 1)

@@ -12,7 +12,7 @@ from berncomp import (BudgetExceededError, ConfigError, InvalidInputError, Point
 from berncomp import core, experiments
 from berncomp.cli import main
 from berncomp.complexity import MAX_MC_SAMPLES, MAX_WEIGHT_WIDTH, EstimatorConfig
-from berncomp.config import default_config, parse_config, parse_config_text
+from berncomp.config import ExperimentConfig, default_config, parse_config, parse_config_text
 from berncomp.experiments import EXPERIMENTS, ols_fit
 from berncomp.tails import sample_from_capped_tail, tail_series
 from oracles import ols_by_hand
@@ -158,6 +158,24 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_config_text(f"experiment = scaling-k1\n  {line}\n")
         assert str(err.value) == f"line 2, column 3: {message}"
+
+    @pytest.mark.parametrize("experiment, fields, message", [
+        ("lemma-checks", {"n_list": [4.5, 8]}, "n_list must be a list of integers"),
+        ("lemma-checks", {"n_list": [4, 8], "k": "1"}, "k must be an integer"),
+        ("scaling-k1", {"n_list": [64, 128], "constants": {"slope_tol": "0.1"}},
+         "constants.slope_tol must be a number, got '0.1'"),
+    ], ids=["float-n", "string-k", "string-constant"])
+    def test_config_built_in_code_meets_the_parse_time_type_checks(self, tmp_path, experiment,
+                                                                   fields, message):
+        # these failed in numpy or in a comparison inside validate with a TypeError
+        cfg = ExperimentConfig(experiment, out_dir=str(tmp_path / "out"), **fields)
+        with pytest.raises(ConfigError) as err:
+            experiments.run_experiment(cfg)
+        assert str(err.value) == message
+        assert not (tmp_path / "out").exists()
+
+    def test_config_built_in_code_takes_a_path_as_out_dir(self, tmp_path):
+        ExperimentConfig("tails-demo", n_list=[1], out_dir=tmp_path).validate()
 
     def test_missing_experiment(self):
         with pytest.raises(ConfigError):

@@ -762,6 +762,29 @@ class TestIncrementRatio:
         ratio = increment_ratio(GaussianRkhsBall(sigma=sigma, rho=rho), PointSet(np.stack([s, t])), EXACT)
         assert (1.0 - 1e-5) * rho / sigma <= ratio <= rho / sigma * (1.0 + 1e-9)
 
+    @staticmethod
+    def _small_scale_sets():
+        """(b): three spread pairs s, s + 1e-9 h (k = 2, n = 6); (a): one
+        3-element set at n = 3 shrunk to 1e-9 and to 1e-11."""
+        rng = np.random.default_rng(7)
+        for _ in range(3):
+            s = rng.uniform(-1, 1, (2, 6))
+            h = rng.standard_normal((2, 6))
+            yield PointSet(np.stack([s, s + 1e-9 * h]))
+        for scale in (1e-9, 1e-11):
+            yield PointSet(scale * np.random.default_rng(7).uniform(-4, 4, (3, 1, 3)))
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 10")
+    @pytest.mark.parametrize("case", range(5), ids=["b-pair-0", "b-pair-1", "b-pair-2",
+                                                    "a-scale-1e-9", "a-scale-1e-11"])
+    def test_rkhs_ratio_stays_in_zero_to_rho_over_sigma_at_small_scales(self, case):
+        # the kernel rounds to 1 near each pair: (b) reads 3.62, 7.27 and
+        # 3.04 (0.96-0.98 at scale 1e-2), (a) reads 0.0; both limits lie in
+        # (0, rho / sigma]
+        S = list(self._small_scale_sets())[case]
+        value = increment_ratio(GaussianRkhsBall(1.0, 1.0), S, EstimatorConfig(mode="exact"))
+        assert 0 < value <= 1 + 1e-9
+
     def test_lipschitz_single_coordinate_increment(self):
         # elements differ in one coordinate by delta: ratio bounded by L
         rng = np.random.default_rng(15)

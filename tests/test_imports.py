@@ -1,11 +1,14 @@
 """Every name a berncomp module imports is used in that module, and every
 module-level constant is read somewhere in the package, so deleting code
-cannot leave an orphaned import or constant behind."""
+cannot leave an orphaned import or constant behind.  The code-line counter
+of code_lines.py is checked on a planted source."""
 
 import ast
 from pathlib import Path
 
 import pytest
+
+from code_lines import code_lines, docstring_lines
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "berncomp"
 
@@ -65,3 +68,33 @@ def test_checker_finds_a_planted_constant():
 def test_every_module_constant_is_read():
     sources = {path.name: path.read_text() for path in SRC.glob("*.py")}
     assert unread_constants(sources) == []
+
+
+PLANTED = '''"""Module
+docstring."""
+
+import os  # a trailing comment leaves the line a code line
+# a comment line
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Function
+        docstring."""
+        return os.path.join(
+            "a",
+            "b",
+        )
+
+
+TEXT = """a string, not
+a docstring"""
+'''
+
+
+def test_code_line_counter_on_a_planted_source():
+    # import, class, def, the four lines of the call and the two of TEXT
+    assert docstring_lines(PLANTED) == {1, 2, 9, 12, 13}
+    assert code_lines(PLANTED) == 9

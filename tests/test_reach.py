@@ -45,7 +45,6 @@ UNREACHED = {
     "classes.GaussianRkhsBall.sup": PIN,
     "classes.LipschitzBall.as_oracle": PIN,
     "classes.LipschitzBall.sup": PIN,
-    "classes._as_coeffs": f"{ANCHOR}; and {PIN}: the one-row sups",
     "classes._lipschitz_sup_simplex": ALL_PAIRS,
     "classes._transport_stack": ALL_PAIRS,
     "classes.lipschitz_ball_sup": PIN,

@@ -11,7 +11,8 @@ raises on an overflowing distance), the k >= 2 Lipschitz oracle, the
 Gaussian Gram matrix and the anchor-distance table.  Every oracle in
 classes.py validates its coefficient rows in its sup_batch, through
 _as_coeff_rows, once per stack: no stack is mapped back through a
-sup_batch.  The one thread pool is built in
+sup_batch.  lipschitz_ball_sup and the anchor class's shifts pass their
+one row through the same helper.  The one thread pool is built in
 experiments._map_cells.  Exact covering and entropy numbers come from one
 search, chaining._min_cover_radius, and the tail sampler reads q through
 one searchsorted, in tails.sample_from_capped_tail.  tails-demo draws no
@@ -19,8 +20,9 @@ random numbers: it seeds no generator and calls no sampler.  Every
 experiment check is an ExperimentOutcome.gate call, and only the gate
 records a failure.  Files
 are opened in four places only: every CSV file the package loads or saves,
-point sets and experiment results alike, goes through core._read_csv or
-core._write_csv, config files through config.parse_config and figures
+point sets and experiment results alike, goes through
+core.pointset_from_csv, the one CSV reader, or core._write_csv, config
+files through config.parse_config and figures
 through svgplot.write_plot.  Which functions the runs reach is checked in
 test_reach.py."""
 
@@ -152,7 +154,7 @@ def test_each_estimator_reads_its_own_words_only(monkeypatch):
 
 
 def test_files_are_opened_by_one_reader_and_one_writer_per_format():
-    assert called_by("open") == {("core.py", "_read_csv"), ("core.py", "_write_csv"),
+    assert called_by("open") == {("core.py", "pointset_from_csv"), ("core.py", "_write_csv"),
                                  ("config.py", "parse_config"), ("svgplot.py", "write_plot")}
     assert [called_by(name) for name in ("read_text", "write_text", "read_bytes",
                                          "write_bytes")] == [set()] * 4
@@ -181,9 +183,11 @@ def test_element_distances_have_one_routine():
 
 
 def test_every_oracle_validates_its_rows_through_one_helper():
+    # the one-row lipschitz_ball_sup and the anchor class's shifts too
     source = _read("classes.py")
     sup_batches = [qual for qual, _ in _functions(ast.parse(source)) if qual.endswith(".sup_batch")]
-    assert sup_batches and callers(source, "_as_coeff_rows") == sorted(sup_batches)
+    assert sup_batches and callers(source, "_as_coeff_rows") == sorted(
+        sup_batches + ["lipschitz_ball_sup", "AnchorDistanceClass.__post_init__"])
 
 
 def test_a_stack_is_not_mapped_back_through_sup_batch():

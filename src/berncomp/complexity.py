@@ -16,8 +16,12 @@ WEIGHT_BLOCK rows, each from a bit-exact source, so the rows do not depend
 on the block size, and it raises BudgetExceededError before drawing rows
 wider than MAX_WEIGHT_WIDTH.  b, g and the composite are each one _estimate
 call: one _weights call, each block reduced to its per-row suprema before
-the next is drawn, and the mean and standard error of those suprema, so an
-estimate holds at most two blocks of weights whatever mc_samples is.
+the next is drawn, and the mean and standard error of those suprema.  Every
+block of an estimate is drawn into one buffer, which the thread keeps for
+its next estimate if it holds at most SPARE_DOUBLES doubles, so a block is
+valid only until the next one is drawn, an estimate holds one block of
+weights whatever mc_samples is, and a run of estimates reuses memory the
+system has already mapped instead of faulting in fresh pages for each.
 increment_ratio reduces each block for all its element pairs, which so
 share one draw.  Element distances come from core._element_distances.
 Composite estimators take any function class with a sup_batch(points, C)
@@ -30,9 +34,9 @@ gives a bit-identical result.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterator
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -60,6 +64,14 @@ MAX_WEIGHT_WIDTH = 16000
 # Raw generator words a sign block reads at a time (512 KiB): the words are
 # held beside the block's signs one chunk at a time, not all at once.
 SIGN_CHUNK_WORDS = 2 ** 16
+
+# Doubles a thread's spare weight buffer may keep between estimates (8 MiB):
+# rkhs-bound's widest block, 4000 rows of 256 signs, fits.  A wider block's
+# buffer is freed when its estimate ends.
+SPARE_DOUBLES = 2 ** 20
+
+# Each thread's spare weight buffer, in .buf, while no estimate draws into it.
+_SPARE = threading.local()
 
 # Ordered pairs closer than this (Frobenius) are skipped as degenerate: the
 # increment ratio is undefined at coincident pairs.
@@ -111,28 +123,31 @@ class EstimatorConfig:
 DEFAULT_CONFIG = EstimatorConfig()
 
 
-def _pattern_rows(start: int, stop: int, width: int) -> np.ndarray:
+def _pattern_rows(start: int, stop: int, width: int, out: np.ndarray | None = None) -> np.ndarray:
     """Rows start..stop-1 of the 2^width sign table: sign j of a row is +1
-    iff bit j of its row index is set."""
+    iff bit j of its row index is set.  Written into out, a
+    (stop - start, width) float array, when it is given."""
     idx = np.arange(start, stop, dtype="<u4").view(np.uint8).reshape(-1, 4)
-    return np.unpackbits(idx, axis=1, count=width, bitorder="little") * 2.0 - 1.0
+    bits = np.unpackbits(idx, axis=1, count=width, bitorder="little")
+    return np.subtract(np.multiply(bits, 2.0, out=out, dtype=float), 1.0, out=out)
 
 
-def _random_signs(bitgen, shape: tuple[int, int]) -> np.ndarray:
+def _random_signs(bitgen, shape: tuple[int, int], out: np.ndarray | None = None) -> np.ndarray:
     """The signs Generator.integers(0, 2, shape) * 2.0 - 1.0 gives, read
     from the raw words: integers(0, 2) keeps the top bit of each 32-bit half
     of a word, low half first, and a sign is +1 iff that bit is set, which
     copysign reads as the sign bit of the inverted "<i4" half.  The words
     are read SIGN_CHUNK_WORDS at a time, each chunk's signs written straight
-    into the output, so only one chunk of words is held beside it."""
+    into the output (out, a C-contiguous float array of that shape, when it
+    is given), so only one chunk of words is held beside it."""
     count = shape[0] * shape[1]
-    out = np.empty(count)
+    flat = np.empty(count) if out is None else out.reshape(count)
     for start in range(0, count, 2 * SIGN_CHUNK_WORDS):
         stop = min(start + 2 * SIGN_CHUNK_WORDS, count)
         words = bitgen.random_raw((stop - start + 1) // 2).astype("<u8", copy=False)
         np.invert(words, out=words)
-        np.copysign(1.0, words.view("<i4")[:stop - start], out=out[start:stop])
-    return out.reshape(shape)
+        np.copysign(1.0, words.view("<i4")[:stop - start], out=flat[start:stop])
+    return flat.reshape(shape)
 
 
 def _row_blocks(total: int):
@@ -142,7 +157,29 @@ def _row_blocks(total: int):
     starts = list(range(0, total, WEIGHT_BLOCK))
     if len(starts) > 1 and total - starts[-1] == 1:
         starts.pop()
-    return zip(starts, starts[1:] + [total])
+    return list(zip(starts, starts[1:] + [total]))
+
+
+def _blocks(total: int, width: int, fill) -> Iterator[np.ndarray]:
+    """The _row_blocks(total) blocks of width-wide rows, fill(start, stop,
+    out) writing each into out, a view of this thread's spare buffer.  The
+    spare leaves _SPARE while the blocks are drawn, so an estimate nested in
+    a class's sup_batch draws into a buffer of its own; it is allocated, or
+    grown, to the widest block, and kept for the thread's next estimate
+    only if it holds at most SPARE_DOUBLES doubles."""
+    bounds = _row_blocks(total)
+    spare, _SPARE.buf = getattr(_SPARE, "buf", None), None
+    size = max(b - a for a, b in bounds) * width
+    if spare is None or spare.size < size:
+        spare = np.empty(size)
+    try:
+        for a, b in bounds:
+            out = spare[:(b - a) * width].reshape(b - a, width)
+            fill(a, b, out)
+            yield out
+    finally:
+        if spare.size <= SPARE_DOUBLES:
+            _SPARE.buf = spare
 
 
 def _weights(cfg: EstimatorConfig, width: int,
@@ -155,14 +192,18 @@ def _weights(cfg: EstimatorConfig, width: int,
     size, the blocks concatenate to _pattern_rows(0, 2**width, width),
     rng.integers(0, 2, (mc_samples, width)) * 2.0 - 1.0 or
     rng.standard_normal((mc_samples, width)), bit for bit.  Raises
-    BudgetExceededError past MAX_WEIGHT_WIDTH before drawing anything."""
+    BudgetExceededError past MAX_WEIGHT_WIDTH before drawing anything.
+
+    Every block is drawn into the same buffer (see _blocks), so a block is
+    valid only until the next one is drawn: reduce it, or copy it, first."""
     if width > MAX_WEIGHT_WIDTH:
         raise BudgetExceededError(f"weight rows {width} wide exceed the ceiling of {MAX_WEIGHT_WIDTH}")
     if not gaussian and cfg.pick_exact(width):
-        return (_pattern_rows(a, b, width) for a, b in _row_blocks(2 ** width)), True
+        return _blocks(2 ** width, width, lambda a, b, out: _pattern_rows(a, b, width, out)), True
     rng = np.random.default_rng(cfg.seed)
-    draw = rng.standard_normal if gaussian else partial(_random_signs, rng.bit_generator)
-    return (draw((b - a, width)) for a, b in _row_blocks(cfg.mc_samples)), False
+    fill = ((lambda a, b, out: rng.standard_normal(out=out)) if gaussian else
+            (lambda a, b, out: _random_signs(rng.bit_generator, out.shape, out)))
+    return _blocks(cfg.mc_samples, width, fill), False
 
 
 def _estimate(cfg: EstimatorConfig, width: int, reduce, gaussian: bool = False) -> ComplexityEstimate:
@@ -255,7 +296,8 @@ def increment_ratio(fclass, S: PointSet,
     block, pairs x rows x 8 bytes, and each pair's vector is joined from
     them only for its mean.  Copying each block into one preallocated
     (pairs, rows) array would hold the block's suprema twice.  Beside them
-    one block is held at a time: W and its (eps, -eps) rows, twice W.  At
+    one block is held at a time: W, in the thread's spare buffer and
+    overwritten by the next block, and its (eps, -eps) rows, twice W.  At
     20 elements of 8 points (190 pairs) and 20000 samples the suprema take
     30.4 MB.
     """

@@ -184,5 +184,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        return parse_config_text(fh.read())
+    """parse_config_text on the file at path, read as UTF-8; bytes that are
+    not UTF-8 raise ConfigError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}: not UTF-8 text") from None
+    return parse_config_text(text)

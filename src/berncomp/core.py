@@ -337,18 +337,26 @@ def pointset_from_csv(path, k: int = 1) -> PointSet:
     in this order: a row whose field count differs from the header's, named
     by its line; a file without data rows, named; the header; the
     coordinate count against k; and a cell that is not a finite number,
-    named by its line and column.
+    named by its line and column.  The file is read as UTF-8; bytes that
+    are not, or a line the csv module rejects (a field past its size
+    limit), raise InvalidInputError too.
     """
     _check_count("k", k, 1)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        rows = []
-        for row in filter(None, reader):
-            where = f"{path}, line {reader.line_num}"
-            if len(row) != len(header):
-                raise InvalidInputError(f"{where}: expected {len(header)} fields, got {len(row)}")
-            rows.append((where, row))
+        try:
+            header = next(reader, [])
+            rows = []
+            for row in filter(None, reader):
+                where = f"{path}, line {reader.line_num}"
+                if len(row) != len(header):
+                    raise InvalidInputError(
+                        f"{where}: expected {len(header)} fields, got {len(row)}")
+                rows.append((where, row))
+        except csv.Error as exc:
+            raise InvalidInputError(f"{path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise InvalidInputError(f"{path}: not UTF-8 text") from None
     if not rows:
         raise InvalidInputError(f"{path}: no data rows")
     if header[:1] != ["elem_id"]:

@@ -167,7 +167,9 @@ def _map_cells(fn, cells: list) -> list:
     the GIL (the Lipschitz line DP, chaining-demo's small per-block steps),
     is too short to share (tails-demo, which draws no random numbers)
     or, in rkhs-bound, measured no faster on a pool.  Each cell seeds its own
-    generator, so the results are the same bits at any worker count.
+    generator, so the results are the same bits at any worker count.  Each
+    worker thread draws its weights into its own spare buffer (see
+    complexity._blocks), freed when the pool exits.
     """
     # imported here, not at module level, where it costs every run import
     # time and memory

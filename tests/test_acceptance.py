@@ -197,7 +197,7 @@ def test_composition_cell_is_the_criterion_5_formula_on_estimator_signs(seed):
     cfg = EstimatorConfig(mode="monte-carlo", mc_samples=samples,
                           seed=cell_seed(seed, "signs"))
     blocks, exact = _weights(cfg, n)
-    signs = np.concatenate(list(blocks))
+    signs = np.concatenate([W.copy() for W in blocks])  # a block lasts until the next
     assert not exact and signs.shape == (samples, n)
     rhat_inner = float(((signs @ table.T).max(axis=1) / n).mean())
     rhat_comp = float(np.mean([

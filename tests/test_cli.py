@@ -366,6 +366,18 @@ class TestEstimateCommand:
     def test_missing_file_exits_2(self, capsys):
         assert main(["estimate", "--input", "/nonexistent.csv", "--quantity", "b"]) == 2
 
+    @pytest.mark.parametrize("data, message", [
+        (b"elem_id,a\n0,\xe9\xff1\n", ": not UTF-8 text"),
+        (b"elem_id,a\n0," + b"1" * 200000 + b"\n", ", line 2: field larger than field limit")],
+        ids=["not-utf8", "field-past-the-csv-limit"])
+    def test_a_file_the_reader_cannot_read_exits_2(self, tmp_path, capsys, data, message):
+        path = tmp_path / "pts.csv"
+        path.write_bytes(data)
+        assert main(["estimate", "--input", str(path), "--quantity", "b"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1  # one error line, no traceback
+        assert err.startswith(f"error: {path}{message}")
+
     @pytest.mark.parametrize("flags", [["--quantity", "g"], ["--quantity", "b", "--mc", "50"]],
                              ids=["gaussian", "monte-carlo"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, flags):
@@ -469,6 +481,12 @@ class TestRunCommand:
         )
         assert main(["run", str(config)]) == 1
         assert "FAIL: k=2 rate constant stability: 1.06458 > 1\n" in capsys.readouterr().out
+
+    def test_a_config_that_is_not_utf8_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "cfg.txt"
+        config.write_bytes(b"# caf\xe9\nexperiment = scaling-k1\n")
+        assert main(["run", str(config)]) == 2
+        assert capsys.readouterr() == ("", f"config error: {config}: not UTF-8 text\n")
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         config = tmp_path / "cfg.txt"

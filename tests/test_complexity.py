@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -370,7 +371,7 @@ class TestWeightBlocks:
     @staticmethod
     def _rows(cfg, width, gaussian):
         blocks, exact = _weights(cfg, width, gaussian)
-        return np.concatenate(list(blocks)), exact
+        return np.concatenate([W.copy() for W in blocks]), exact  # a block lasts until the next
 
     @pytest.mark.parametrize("mode, width, gaussian, samples", [
         ("exact", 13, False, 2), ("monte-carlo", 7, False, 4097), ("monte-carlo", 7, False, 9000),
@@ -430,8 +431,7 @@ class TestWeightBlocks:
 
     def test_memory_stays_under_the_full_weight_array(self):
         # 40000 rows of 64 signs are 20 MB as one float array; blocked, the
-        # weights held at once are the block being reduced, the next one and
-        # its raw words
+        # weights held at once are one block and a chunk of its raw words
         T = PointSet(np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 8, 8)))
         cfg = EstimatorConfig(mode="monte-carlo", mc_samples=40000, seed=4)
         tracemalloc.start()
@@ -442,6 +442,92 @@ class TestWeightBlocks:
             tracemalloc.stop()
         block_bytes = (complexity.WEIGHT_BLOCK + 1) * 64 * 8
         assert peak < 4 * block_bytes < 0.5 * 40000 * 64 * 8
+
+    @staticmethod
+    def _first_block(fclass, T, cfg):
+        """The first weight block a composite estimate hands fclass, as
+        drawn, not a copy."""
+        seen = []
+
+        class Recording:
+            def sup_batch(self, points, C):
+                seen.append(C)
+                return fclass.sup_batch(points, C)
+
+        composite_bernoulli_complexity(Recording(), T, cfg)
+        return seen[0]
+
+    def test_successive_estimates_draw_into_one_buffer(self):
+        # the guard against a fresh block per estimate, whose pages the
+        # allocator hands back to the system and faults in again
+        ball = GaussianRkhsBall(sigma=0.8, rho=1.5)
+        first = self._first_block(ball, self.line, self.mc)
+        second = self._first_block(ball, self.line, dataclasses.replace(self.mc, seed=12))
+        assert np.shares_memory(first, second)
+
+    def test_a_larger_dirty_spare_keeps_the_fresh_threads_bits(self):
+        # a wide Gaussian estimate leaves a spare larger than the next block
+        # and full of its values; the next estimate reads only its own rows
+        ball = GaussianRkhsBall(sigma=0.8, rho=1.5)
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=301, seed=11)
+        wide = PointSet(np.random.default_rng(2).uniform(-1.0, 1.0, size=(3, 4, 64)))
+        runs = {"b": lambda: bernoulli_complexity(self.line, cfg),
+                "g": lambda: gaussian_complexity(self.line, cfg),
+                "exact": lambda: bernoulli_complexity(self.line, EXACT),
+                "composite": lambda: composite_bernoulli_complexity(ball, self.line, cfg),
+                "increment": lambda: increment_ratio(ball, self.line, cfg)}
+        fresh = {}
+
+        def on_a_fresh_thread():
+            fresh.update({name: repr(run()) for name, run in runs.items()})
+
+        thread = threading.Thread(target=on_a_fresh_thread)
+        thread.start()
+        thread.join()
+        for name, run in runs.items():
+            gaussian_complexity(wide, EstimatorConfig(mode="monte-carlo", mc_samples=5000, seed=1))
+            assert repr(run()) == fresh[name]
+
+    def test_an_estimate_nested_in_a_sup_batch_draws_into_its_own_buffer(self):
+        # the inner estimate runs while the outer block is live, before the
+        # class reads it: sharing one buffer would overwrite the outer rows
+        ball = GaussianRkhsBall(sigma=0.8, rho=1.5)
+        inner_set = PointSet(np.random.default_rng(8).uniform(-1.0, 1.0, size=(4, 1, 4)))
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=9000, seed=3)
+        inner = []
+
+        class Nested:
+            def sup_batch(self, points, C):
+                inner.append(repr(bernoulli_complexity(inner_set, cfg)))
+                return ball.sup_batch(points, C)
+
+        # run apart first, so that the thread holds a spare both blocks fit
+        apart = repr(composite_bernoulli_complexity(ball, self.line, cfg))
+        inner_apart = repr(bernoulli_complexity(inner_set, cfg))
+        assert repr(composite_bernoulli_complexity(Nested(), self.line, cfg)) == apart
+        assert inner == [inner_apart] * 3  # one inner estimate per outer block
+
+    def test_a_block_past_the_keep_limit_leaves_no_spare(self, monkeypatch):
+        # on a fresh thread, which starts with no spare: 20 rows of 5 signs
+        # take 100 doubles
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=20, seed=1)
+        spares = []
+
+        def estimate_at(limit):
+            monkeypatch.setattr(complexity, "SPARE_DOUBLES", limit)
+            bernoulli_complexity(self.line, cfg)
+            spares.append(getattr(complexity._SPARE, "buf", None))
+
+        def on_a_fresh_thread():
+            spares.append(getattr(complexity._SPARE, "buf", None))
+            for limit in (99, 100, 99):
+                estimate_at(limit)
+
+        thread = threading.Thread(target=on_a_fresh_thread)
+        thread.start()
+        thread.join()
+        assert [None if spare is None else spare.size for spare in spares] == \
+            [None, None, 100, None]
 
 
 class TestWeightWidthBudget:
@@ -530,8 +616,7 @@ class TestCompositeMonteCarlo:
     def test_memory_stays_at_the_per_row_suprema_and_a_few_blocks(self):
         # 40000 rows of 8 signs are 2.56 MB as one float array; blocked, the
         # estimate holds the per-row suprema and their concatenation (16
-        # bytes a row), the block being reduced, the next one and the RKHS
-        # ball's temporaries
+        # bytes a row), one block and the RKHS ball's temporaries
         T = PointSet(np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 8, 8)))
         samples = 40000
         cfg = EstimatorConfig(mode="monte-carlo", mc_samples=samples, seed=4)
@@ -655,7 +740,7 @@ class TestCompositeAndInnerApart:
         cfg = EstimatorConfig(mode="monte-carlo", mc_samples=samples, seed=2)
         for width in (n, k * n):
             blocks, exact = _weights(cfg, width)
-            blocks = list(blocks)
+            blocks = [W.copy() for W in blocks]  # a block lasts until the next is drawn
             assert not exact
             assert [len(W) for W in blocks] == _block_lengths(samples, block)
             assert np.concatenate(blocks).tobytes() == \

@@ -245,10 +245,11 @@ class TestLoaderErrors:
          "line 4, column coord_0: expected a number, got 'y'"),
         ("elem_id,coord_0,coord_1\n0,1.0,2.0\n1,3.0,4.0,5.0\n",
          "line 3: expected 3 fields, got 4"),
+        ("elem_id,a\n0," + "1" * 200000 + "\n", "line 2: field larger than field limit"),
     ], ids=["pointset-short-row", "pointset-nan", "pointset-overflow", "pointset-header",
             "pointset-no-coordinates", "pointset-long-row", "pointset-not-a-number",
             "pointset-empty-cell", "pointset-negative-infinity", "pointset-line-after-blank",
-            "pointset-long-later-row"])
+            "pointset-long-later-row", "pointset-field-past-the-csv-limit"])
     def test_message_names_file_and_line(self, tmp_path, text, where):
         path = tmp_path / "data.txt"
         path.write_text(text)
@@ -288,6 +289,15 @@ class TestLoaderErrors:
         with pytest.raises(InvalidInputError) as err:
             pointset_from_csv(path)
         assert str(err.value) == f"{path}: no data rows"
+
+    @pytest.mark.parametrize("data", [b"elem_id,a\n0,\xe9\xff1\n", b"elem_id,a\n0,1\n" * 5000 +
+                                      b"1,\xe9\n"], ids=["first-row", "past-the-first-read"])
+    def test_bytes_that_are_not_utf8_are_named(self, tmp_path, data):
+        path = tmp_path / "data.csv"
+        path.write_bytes(data)
+        with pytest.raises(InvalidInputError) as err:
+            pointset_from_csv(path)
+        assert str(err.value) == f"{path}: not UTF-8 text"
 
 
 class TestRowMax:

@@ -138,7 +138,7 @@ def test_each_estimator_reads_its_own_words_only(monkeypatch):
 
     draw = complexity._random_signs
     monkeypatch.setattr(complexity, "_random_signs",
-                        lambda bitgen, shape: draw(Counting(bitgen), shape))
+                        lambda bitgen, shape, out=None: draw(Counting(bitgen), shape, out))
     ball = GaussianRkhsBall(sigma=1.0, rho=1.0)
     for mc, k, n in [(301, 1, 5), (301, 2, 5), (4097, 3, 3), (9000, 2, 7)]:
         T = PointSet(np.random.default_rng(k).uniform(-1.0, 1.0, size=(3, k, n)))

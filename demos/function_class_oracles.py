@@ -25,7 +25,9 @@ rng = np.random.default_rng(0)
 print("Finite class: 4 tabulated functions on 3 points")
 cls = FiniteFunctionClass(table=rng.uniform(-1, 1, size=(4, 3)), uniform_bound_B=1.0)
 c = rng.normal(size=3)
-print(f"  sup = {cls.sup_batch(None, [c])[0]:.4f} over rows {np.round(cls.table @ c, 4)}")
+# every sup_batch takes a stack of point sets; the finite class reads only its point count
+sup = cls.sup_batch(np.zeros((1, 3, 1)), [c])[0, 0]
+print(f"  sup = {sup:.4f} over rows {np.round(cls.table @ c, 4)}")
 
 print("\nLipschitz ball on the line: two far-apart points pay no Lipschitz tax")
 val = lipschitz_ball_sup([[-1.0], [1.0]], [1.0, 1.0], L=1.0, R=1.0)
@@ -63,6 +65,7 @@ for name, fclass, k in [("finite", cls, 1), ("rkhs", ball, 1),
     for _ in range(200):
         # the value at a mixture of two rows is at most the mixture of values
         c1, c2, lam = rng.normal(size=n), rng.normal(size=n), float(rng.uniform())
-        v1, v2, mixed = fclass.sup_batch(pts_n, np.stack([c1, c2, lam * c1 + (1.0 - lam) * c2]))
+        rows = np.stack([c1, c2, lam * c1 + (1.0 - lam) * c2])
+        v1, v2, mixed = fclass.sup_batch(pts_n[None], rows)[0]  # a stack of one set
         ok = ok and bool(mixed <= lam * v1 + (1.0 - lam) * v2 + 1e-9)
     print(f"  {name}: 200 random convexity checks pass = {ok}")

@@ -2,16 +2,18 @@
 
 Every complexity computation reduces to evaluating, for coefficient vectors
 c, the supremum of sum_i c_i f(x_i) over a class of functions.  A class is
-anything with a method sup_batch(points, C) returning that supremum for
-every row of C: as a (rows,) array at one (n, k) point set, and as an
-(E, rows) array, row e for set e, at an (E, n, k) stack of E sets with one
-n.  The estimators call it directly, once per weight block with all their
-sets in one stack.  The oracle is convex in c but not assumed positively
-homogeneous (a class need not be a cone); the test suite checks convexity
-along segments of rows.  Four concrete classes are provided.  Each checks
-a stack's points and coefficient rows once, in its sup_batch, and maps a
-private per-set routine over the sets into one (E, rows) array, except the
-Lipschitz ball at k >= 2, which solves the LPs of every set at once:
+anything with a method sup_batch(points, C) of one shape: it takes an
+(E, n, k) stack of E >= 1 point sets with one n and a 2-d (rows, n) array
+C, and returns the supremum for every row of C at every set as an
+(E, rows) array, row e for set e.  The estimators call it once per weight
+block with all their sets in one stack; one set is a stack of one.  The
+oracle is convex in c but not assumed positively homogeneous (a class need
+not be a cone); the test suite checks convexity along segments of rows.
+Four concrete classes are provided.  Each checks a stack's points and
+coefficient rows once, in its sup_batch, and maps a private per-set
+routine over the sets into one (E, rows) array, except the Lipschitz ball
+at k >= 2, which solves the LPs of every set at once, and the finite
+class, which reads only the stack's point count:
 
 * FiniteFunctionClass: tabulated values, supremum by row-wise maximization.
 * Lipschitz balls {f : L-Lipschitz, |f| <= L*R}: the supremum equals the
@@ -71,13 +73,13 @@ GRAM_NEGATIVE_TOL = -1e-12
 
 def _as_points(points, stack: bool = False) -> np.ndarray:
     """Normalize points to an (n, k) array; accepts (n,) for k = 1.  With
-    stack, an (E, n, k) stack of E >= 1 sets is kept as it is."""
+    stack, only an (E, n, k) stack of E >= 1 sets is accepted."""
     pts = np.asarray(points, dtype=float)
-    if pts.ndim == 1:
+    if pts.ndim == 1 and not stack:
         pts = pts[:, None]
-    if pts.ndim not in ((2, 3) if stack else (2,)) or 0 in pts.shape[:-1]:
-        raise InvalidInputError("points must be an (n, k) array with n >= 1"
-                                + (", or an (E, n, k) stack of them" if stack else ""))
+    if pts.ndim != (3 if stack else 2) or 0 in pts.shape[:-1]:
+        raise InvalidInputError("points must be an (E, n, k) stack of E >= 1 sets with n >= 1"
+                                if stack else "points must be an (n, k) array with n >= 1")
     if not np.all(np.isfinite(pts)):
         raise InvalidInputError("points must be finite")
     return pts
@@ -103,11 +105,10 @@ def _lipschitz_bound(L: float, R: float) -> float:
 
 
 def _as_coeff_rows(C, n: int) -> np.ndarray:
-    """Normalize a coefficient batch to a finite (rows, n) array; accepts
-    (n,) for one row.  The one-row sups and AnchorDistanceClass's shifts
-    pass [c], a batch of one row, so a c of any other shape than (n,)
-    fails, except a 0-d c at n = 1."""
-    C = np.atleast_2d(np.asarray(C, dtype=float))
+    """Check a coefficient batch as a finite (rows, n) array.  The one-row
+    sups and AnchorDistanceClass's shifts pass [c], a batch of one row, so
+    a c of any other shape than (n,) fails."""
+    C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[1] != n:
         raise InvalidInputError(f"expected rows of {n} coefficients, got shape {C.shape}")
     if not np.all(np.isfinite(C)):
@@ -120,8 +121,8 @@ class FiniteFunctionClass:
     """r functions tabulated on a fixed list of n points.
 
     table[j, i] = f_j(x_i).  The uniform bound is verified at construction.
-    The class is tied to its sample, so sup_batch takes points=None or
-    exactly n_points rows.
+    The class is tied to its sample: sup_batch reads only the point count
+    of its stack, which must be n_points, and gives every set the same row.
     """
 
     table: np.ndarray
@@ -143,14 +144,11 @@ class FiniteFunctionClass:
         return self.table.shape[1]
 
     def sup_batch(self, points, C) -> np.ndarray:
-        pts = None if points is None else _as_points(points, stack=True)
-        if pts is not None and pts.shape[-2] != self.n_points:
+        pts = _as_points(points, stack=True)
+        if pts.shape[1] != self.n_points:
             raise InvalidInputError("finite class is tabulated on a fixed sample")
         C = _as_coeff_rows(C, self.n_points)
-        sups = _row_max(C @ self.table.T)
-        if pts is None or pts.ndim == 2:
-            return sups
-        return np.tile(sups, (len(pts), 1))  # every set of a stack is the sample
+        return np.tile(_row_max(C @ self.table.T), (len(pts), 1))  # every set is the sample
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +425,14 @@ class LipschitzBall:
         return lipschitz_ball_sup(points, c, self.lipschitz_L, self.radius_R)
 
     def sup_batch(self, points, C) -> np.ndarray:
-        """The supremum for every row of C, with the points validated, and
-        sorted (k = 1) or their distances formed (k >= 2), once per set.  At
-        k >= 2 the LPs of every set of a stack are solved together."""
+        """The supremum for every row of C at every set of the stack, with
+        the points validated, and sorted (k = 1) or their distances formed
+        (k >= 2), once per set.  At k >= 2 the LPs of every set are solved
+        together."""
         pts = _as_points(points, stack=True)
-        C = _as_coeff_rows(C, pts.shape[-2])
+        C = _as_coeff_rows(C, pts.shape[1])
         B = _lipschitz_bound(self.lipschitz_L, self.radius_R)
-        sups = _lipschitz_sup_rows(pts if pts.ndim == 3 else pts[None], C, self.lipschitz_L, B)
-        return sups if pts.ndim == 3 else sups[0]
+        return _lipschitz_sup_rows(pts, C, self.lipschitz_L, B)
 
     def as_oracle(self) -> "LipschitzBall":
         # Kept only because perfbench's lipschitz-k2 workload calls it.
@@ -471,14 +469,11 @@ class GaussianRkhsBall:
 
     # Defined in the class body because perfbench's tracer wraps it there.
     def sup(self, points, c) -> float:
-        return float(self.sup_batch(_as_points(points), [c])[0])
+        return float(self.sup_batch(_as_points(points)[None], [c])[0, 0])
 
     def sup_batch(self, points, C) -> np.ndarray:
         pts = _as_points(points, stack=True)
-        C = _as_coeff_rows(C, pts.shape[-2])
-        if pts.ndim == 3:
-            return _each_set(self._sup_rows, pts, C)
-        return self._sup_rows(pts, C)
+        return _each_set(self._sup_rows, pts, _as_coeff_rows(C, pts.shape[1]))
 
     def _sup_rows(self, pts: np.ndarray, C: np.ndarray) -> np.ndarray:
         """rho * sqrt(c' G c) for every row of C at one checked (n, k) set."""
@@ -532,10 +527,7 @@ class AnchorDistanceClass:
 
     def sup_batch(self, points, C) -> np.ndarray:
         pts = _as_points(points, stack=True)
-        C = _as_coeff_rows(C, pts.shape[-2])
-        if pts.ndim == 3:
-            return _each_set(self._sup_rows, pts, C)
-        return self._sup_rows(pts, C)
+        return _each_set(self._sup_rows, pts, _as_coeff_rows(C, pts.shape[1]))
 
     def _sup_rows(self, pts: np.ndarray, C: np.ndarray) -> np.ndarray:
         """The row maximum of C times the value table of one checked (n, k) set."""

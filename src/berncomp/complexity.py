@@ -250,8 +250,10 @@ def gaussian_complexity(T: PointSet, cfg: EstimatorConfig = DEFAULT_CONFIG) -> C
 
 def _set_sups(fclass, points: np.ndarray, C: np.ndarray) -> np.ndarray:
     """fclass.sup_batch on the (E, n, k) stack points: the (E, rows) suprema
-    of every row of C at every set, checked for that shape, which a class
-    written for one (n, k) set need not fail to return otherwise."""
+    of every row of C at every set, checked for that shape.  The classes of
+    berncomp.classes take only stacks and return it by construction; the
+    check guards any other class, which, written for one (n, k) set, may
+    return some other shape without failing."""
     sups = fclass.sup_batch(points, C)
     if np.shape(sups) != (len(points), len(C)):
         raise InvalidInputError(

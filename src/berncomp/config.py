@@ -184,9 +184,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config(path) -> ExperimentConfig:
-    """parse_config_text on the file at path, read as UTF-8; bytes that are
-    not UTF-8 raise ConfigError naming the file."""
-    with open(path, encoding="utf-8") as fh:
+    """parse_config_text on the file at path, read as UTF-8 with or without
+    a byte-order mark; bytes that are not UTF-8 raise ConfigError naming
+    the file."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError:

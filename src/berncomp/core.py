@@ -265,8 +265,9 @@ def _check_triangle(d: np.ndarray) -> None:
     # d[j,k] <= min_i d[j,i] + d[i,k], checked one row of intermediates at a
     # time to keep memory at O(m^2).
     best = np.full_like(d, np.inf)
-    for i in range(m):
-        np.minimum(best, d[:, i][:, None] + d[i, :][None, :], out=best)
+    with np.errstate(over="ignore"):  # a sum past the float range is inf: it bounds nothing
+        for i in range(m):
+            np.minimum(best, d[:, i][:, None] + d[i, :][None, :], out=best)
     worst = float((d - best).max())
     slack = TRIANGLE_TOL * max(1.0, float(d.max()))
     if worst > slack:
@@ -337,12 +338,12 @@ def pointset_from_csv(path, k: int = 1) -> PointSet:
     in this order: a row whose field count differs from the header's, named
     by its line; a file without data rows, named; the header; the
     coordinate count against k; and a cell that is not a finite number,
-    named by its line and column.  The file is read as UTF-8; bytes that
-    are not, or a line the csv module rejects (a field past its size
-    limit), raise InvalidInputError too.
+    named by its line and column.  The file is read as UTF-8, with or
+    without a byte-order mark; bytes that are not, or a line the csv module
+    rejects (a field past its size limit), raise InvalidInputError too.
     """
     _check_count("k", k, 1)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, [])

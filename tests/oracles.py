@@ -400,9 +400,11 @@ CONVEXITY_TOL = 1e-9
 def oracle_convexity_check(fclass, points, c1, c2, lam: float) -> bool:
     """True iff the class's supremum oracle is convex along the segment
     [c1, c2] at lam, up to CONVEXITY_TOL, from one sup_batch call on the
-    rows c1, c2 and lam * c1 + (1 - lam) * c2."""
+    rows c1, c2 and lam * c1 + (1 - lam) * c2 at the (n, k) points, passed
+    as a stack of one set."""
     c1, c2 = np.asarray(c1, dtype=float), np.asarray(c2, dtype=float)
-    v1, v2, mixed = fclass.sup_batch(points, np.stack([c1, c2, lam * c1 + (1.0 - lam) * c2]))
+    rows = np.stack([c1, c2, lam * c1 + (1.0 - lam) * c2])
+    v1, v2, mixed = fclass.sup_batch(np.asarray(points, dtype=float)[None], rows)[0]
     return mixed <= lam * v1 + (1.0 - lam) * v2 + CONVEXITY_TOL
 
 

@@ -253,35 +253,46 @@ class TestOneRowSupInput:
             _ONE_ROW_SUPS[name](self.POINTS, c)
 
     @pytest.mark.parametrize("name", _ONE_ROW_SUPS)
+    def test_rejects_a_0d_coefficient_at_one_point(self, name):
+        # [c] of a 0-d c is (1,), not one row of one coefficient
+        with pytest.raises(InvalidInputError, match=r"rows of 1 coefficients, got shape \(1,\)"):
+            _ONE_ROW_SUPS[name](self.POINTS[:1], np.float64(1.0))
+
+    @pytest.mark.parametrize("name", _ONE_ROW_SUPS)
     def test_rejects_a_stack_of_point_sets(self, name):
         with pytest.raises(InvalidInputError, match="points must be"):
             _ONE_ROW_SUPS[name](np.stack([self.POINTS, self.POINTS]), np.ones(3))
 
 
 class TestFiniteClassSup:
+    """The finite class reads only the point count of its stack; SAMPLE is
+    one set of its two points."""
+
+    SAMPLE = np.zeros((1, 2, 1))
+
     def test_single_row(self):
         cls = FiniteFunctionClass(table=[[2.0, 3.0]], uniform_bound_B=3.0)
-        assert cls.sup_batch(None, [[1.0, 1.0]])[0] == pytest.approx(5.0)
+        assert cls.sup_batch(self.SAMPLE, [[1.0, 1.0]])[0, 0] == pytest.approx(5.0)
 
     def test_two_rows_enumerated(self):
         cls = FiniteFunctionClass(table=[[1.0, 0.0], [0.0, 1.0]], uniform_bound_B=1.0)
         # row 1 gives 1, row 2 gives -1
-        assert cls.sup_batch(None, [[1.0, -1.0]])[0] == pytest.approx(1.0)
+        assert cls.sup_batch(self.SAMPLE, [[1.0, -1.0]])[0, 0] == pytest.approx(1.0)
 
     def test_zero_coefficients(self):
         cls = FiniteFunctionClass(table=[[1.0, -1.0], [0.5, 0.5]], uniform_bound_B=1.0)
-        assert cls.sup_batch(None, [[0.0, 0.0]])[0] == 0.0
+        assert cls.sup_batch(self.SAMPLE, [[0.0, 0.0]])[0, 0] == 0.0
 
     def test_dimension_mismatch(self):
         cls = FiniteFunctionClass(table=[[1.0, 0.0]], uniform_bound_B=1.0)
         with pytest.raises(InvalidInputError):
-            cls.sup_batch(None, [[1.0]])
+            cls.sup_batch(self.SAMPLE, [[1.0]])
 
     def test_sup_batch_rejects_wrong_point_count(self):
         cls = FiniteFunctionClass(table=[[1.0, 0.0]], uniform_bound_B=1.0)
-        assert cls.sup_batch(None, [[1.0, 1.0]])[0] == 1.0
+        assert cls.sup_batch(self.SAMPLE, [[1.0, 1.0]])[0, 0] == 1.0
         with pytest.raises(InvalidInputError):
-            cls.sup_batch([[0.0], [1.0], [2.0]], [[1.0, 1.0]])
+            cls.sup_batch([[[0.0], [1.0], [2.0]]], [[1.0, 1.0]])
 
     def test_bound_violation_rejected(self):
         with pytest.raises(InvalidInputError):
@@ -290,7 +301,7 @@ class TestFiniteClassSup:
         with pytest.raises(InvalidInputError, match="exceed the uniform bound"):
             FiniteFunctionClass(table=[[5e-10]], uniform_bound_B=1e-10)
         tiny = FiniteFunctionClass(table=[[1e-10]], uniform_bound_B=1e-10)
-        assert tiny.sup_batch(None, [[1.0]])[0] == 1e-10
+        assert tiny.sup_batch(np.zeros((1, 1, 1)), [[1.0]])[0, 0] == 1e-10
 
     @pytest.mark.parametrize("r", [1, 9, 17, 40])
     def test_sup_batch_bits_are_the_row_max_of_the_product(self, r):
@@ -303,8 +314,9 @@ class TestFiniteClassSup:
         cls = _anchor_class(r, r, 2)
         table = cls.values(pts)
         ref = (C @ table.T).max(axis=1).tobytes()
-        assert FiniteFunctionClass(table=table, uniform_bound_B=1.0).sup_batch(None, C).tobytes() == ref
-        assert cls.sup_batch(pts, C).tobytes() == ref
+        finite = FiniteFunctionClass(table=table, uniform_bound_B=1.0)
+        assert finite.sup_batch(pts[None], C)[0].tobytes() == ref
+        assert cls.sup_batch(pts[None], C)[0].tobytes() == ref
 
 
 class TestLipschitzBallSup:
@@ -374,7 +386,7 @@ class TestLipschitzBallSup:
         with pytest.raises(BudgetExceededError,
                            match="dense simplex oracle capped at n = 64 points, got 65; "
                                  "use sampled finite subclasses for larger problems"):
-            LipschitzBall(1.0, 1.0).sup_batch(np.zeros((65, 2)), C)
+            LipschitzBall(1.0, 1.0).sup_batch(np.zeros((1, 65, 2)), C)
 
     @pytest.mark.parametrize("n", [1, 2, 16, 64, 256])
     def test_line_solver_matches_reference_dp(self, n):
@@ -410,11 +422,11 @@ class TestLipschitzBallSup:
         # (1e308 - -1e308) and a product L * gap past it are inf, capped to
         # 2B with no overflow warning
         C = np.array([[1.0, 1.0], [1.0, -1.0]])
-        vals = LipschitzBall(1.0, 1.0).sup_batch([[-1e308], [1e308]], C)
+        vals = LipschitzBall(1.0, 1.0).sup_batch([[[-1e308], [1e308]]], C)[0]
         assert vals.tolist() == [2.0, 2.0]
         x = np.array([0.0, 1.0, 3.0, 3.5, 1e10])  # L * 1e10 overflows
         C = np.array([[1.0, -1.0, 1.0, -1.0, 1.0], [0.5, 2.0, -1.0, 0.0, -3.0]])
-        vals = LipschitzBall(1e300, 1e-300).sup_batch(x, C)
+        vals = LipschitzBall(1e300, 1e-300).sup_batch(x[None, :, None], C)[0]
         B = 1e300 * 1e-300
         # every gap is at least 2B / L, so the points are independent
         assert vals.tolist() == [5.0 * B, 6.5 * B]
@@ -466,7 +478,7 @@ class TestLipschitzBallSup:
         lambda: lipschitz_ball_sup([[0.0, 0.0], [1.0, 0.0]], [1.0, -1.0], L=math.nan, R=1.0),
         lambda: lipschitz_ball_sup([[0.0, 0.0], [1.0, 0.0]], [1.0, -1.0], L=math.inf, R=1.0),
         lambda: lipschitz_ball_sup([[0.0], [1.0]], [1.0, -1.0], L=1.0, R=math.inf),
-        lambda: LipschitzBall(1.0, math.inf).sup_batch([[0.0], [1.0]], [[1.0, 1.0]]),
+        lambda: LipschitzBall(1.0, math.inf).sup_batch([[[0.0], [1.0]]], [[1.0, 1.0]]),
         lambda: LipschitzBall(math.nan, 1.0),
         lambda: GaussianRkhsBall(math.nan, 1.0),
         lambda: GaussianRkhsBall(1.0, math.inf),
@@ -667,7 +679,7 @@ class TestBatchedLipschitzBits:
     def test_line_batch_is_the_one_row_solver(self, batch):
         x, C, L, R = batch
         ref = np.array([reference_slope_trick_line(x, c, L, L * R) for c in C])
-        assert LipschitzBall(L, R).sup_batch(x, C).tobytes() == ref.tobytes()
+        assert LipschitzBall(L, R).sup_batch(x[None, :, None], C)[0].tobytes() == ref.tobytes()
         assert lipschitz_ball_sup(x, C[0], L, R) == ref[0]
 
     @pytest.mark.parametrize("layout", ["signs", "real with zeros", "coincident", "signed zeros"])
@@ -684,7 +696,7 @@ class TestBatchedLipschitzBits:
             x[::2] = 0.0
             x[1::4] = -0.0
         ref = np.array([reference_slope_trick_line(x, c, 1.5, 1.5 * 0.75) for c in C])
-        assert LipschitzBall(1.5, 0.75).sup_batch(x, C).tobytes() == ref.tobytes()
+        assert LipschitzBall(1.5, 0.75).sup_batch(x[None, :, None], C)[0].tobytes() == ref.tobytes()
 
     @settings(max_examples=40, deadline=None)
     @given(_plane_problems, st.lists(st.sampled_from([-1.0, 0.0, 1.0, 0.5, -2.5]),
@@ -695,7 +707,7 @@ class TestBatchedLipschitzBits:
         n = len(c)
         C = np.array([c, [-v for v in c], extra[:n], extra[n: 2 * n]])
         rows = [lipschitz_ball_sup(pts, row, L, R) for row in C]
-        assert LipschitzBall(L, R).sup_batch(pts, C).tobytes() == np.array(rows).tobytes()
+        assert LipschitzBall(L, R).sup_batch(pts[None], C)[0].tobytes() == np.array(rows).tobytes()
         # and each row's bits are those of its own LP, posed and solved alone
         costs = L * classes.distances(pts)
         alone = [reference_transport_sup(costs, row, L * R) for row in C]
@@ -717,11 +729,12 @@ class TestBatchedLipschitzBits:
             return solve(c, A, b)
 
         monkeypatch.setattr(classes, "simplex_maximize", record)
-        batch = LipschitzBall(1.0, 1.0).sup_batch(pts, C)
+        batch = LipschitzBall(1.0, 1.0).sup_batch(pts[None], C)[0]
         assert heights == [33]
         assert batch.tobytes() == np.array(rows).tobytes()
         # numpy sums a Fortran-ordered row in another order; the bits stay
-        assert LipschitzBall(1.0, 1.0).sup_batch(pts, np.asfortranarray(C)).tobytes() == batch.tobytes()
+        fortran = LipschitzBall(1.0, 1.0).sup_batch(pts[None], np.asfortranarray(C))[0]
+        assert fortran.tobytes() == batch.tobytes()
 
     def test_each_row_of_a_stack_keeps_its_own_scales(self):
         # a row inside a cluster 1e-10 wide and a row of coefficients near
@@ -734,7 +747,8 @@ class TestBatchedLipschitzBits:
         cluster[8:] = rng.normal(size=8)
         C = np.array([cluster, rng.choice([-1.0, 1.0], size=16), 1e-12 * rng.normal(size=16)])
         alone = [reference_transport_sup(classes.distances(pts), row, 1.0) for row in C]
-        assert LipschitzBall(1.0, 1.0).sup_batch(pts, C).tobytes() == np.array(alone).tobytes()
+        batch = LipschitzBall(1.0, 1.0).sup_batch(pts[None], C)[0]
+        assert batch.tobytes() == np.array(alone).tobytes()
 
     def test_stacks_stay_under_the_byte_ceiling(self, monkeypatch):
         # the estimators hand sup_batch up to WEIGHT_BLOCK + 1 rows; at the
@@ -752,7 +766,7 @@ class TestBatchedLipschitzBits:
         rng = np.random.default_rng(4097)
         pts = rng.uniform(-1.0, 1.0, size=(classes.SIMPLEX_MAX_POINTS, 2))
         C = rng.choice([-1.0, 1.0], size=(4097, classes.SIMPLEX_MAX_POINTS))
-        out = LipschitzBall(1.0, 1.0).sup_batch(pts, C)
+        out = LipschitzBall(1.0, 1.0).sup_batch(pts[None], C)[0]
         assert sum(heights) == 4097 and len(heights) > 1
         assert np.array_equal(out, np.full(4097, 64.0))  # B * ||c||_1 minus a zero gain
 
@@ -762,7 +776,8 @@ class TestBatchedLipschitzBits:
         pts[32:40] = pts[:8]  # coincident pairs
         C = np.vstack([rng.choice([-1.0, 1.0], size=(2, 64)), rng.normal(size=(1, 64))])
         rows = [lipschitz_ball_sup(pts, row, 1.0, 1.0) for row in C]
-        assert LipschitzBall(1.0, 1.0).sup_batch(pts, C).tobytes() == np.array(rows).tobytes()
+        batch = LipschitzBall(1.0, 1.0).sup_batch(pts[None], C)[0]
+        assert batch.tobytes() == np.array(rows).tobytes()
 
 
 def _sorted_line(x, C, L, B):
@@ -833,7 +848,7 @@ class TestUnitStep:
         C = np.vstack([rng.choice([-1.0, 1.0], size=(2, 64)), rng.normal(size=64), zeros,
                        signed])
         flags = _record_unit_flags(monkeypatch)
-        out = LipschitzBall(1.25, 0.5).sup_batch(x, C)
+        out = LipschitzBall(1.25, 0.5).sup_batch(x[None, :, None], C)[0]
         assert flags == [True, True, False, False, False]
         ref = [reference_slope_trick_line(x, c, 1.25, 1.25 * 0.5) for c in C]
         assert _hexes(out) == _hexes(ref)
@@ -860,8 +875,9 @@ def _hexes(values):
 
 class TestStackedOracle:
     """sup_batch takes an (E, n, k) stack of point sets and returns (E, rows):
-    row e has the bits sup_batch gives on set e alone.  At k >= 2 the
-    Lipschitz ball solves the LPs of every set of a stack together."""
+    row e has the bits sup_batch gives on set e alone, as a stack of one.
+    At k >= 2 the Lipschitz ball solves the LPs of every set of a stack
+    together."""
 
     @staticmethod
     def _class(name, k, n):
@@ -883,9 +899,9 @@ class TestStackedOracle:
         stacked = fclass.sup_batch(pts, C)
         assert stacked.shape == (sets, 8)
         for e in range(sets):
-            alone = fclass.sup_batch(pts[e], C)
-            assert alone.shape == (8,)
-            assert _hexes(stacked[e]) == _hexes(alone)
+            alone = fclass.sup_batch(pts[e:e + 1], C)
+            assert alone.shape == (1, 8)
+            assert _hexes(stacked[e]) == _hexes(alone[0])
 
     @staticmethod
     def _plane_sets():
@@ -955,6 +971,24 @@ class TestStackedOracle:
         pts = np.random.default_rng(4).uniform(-1.0, 1.0, size=(4, 7, 2))
         stacked = fclass.sup_batch(pts, np.ones((3, 7)))
         assert stacked.shape == (4, 3) and checks == [7]
+
+    @pytest.mark.parametrize("name", ["finite", "lipschitz", "rkhs", "anchor"])
+    def test_a_stack_gives_one_row_of_suprema_per_set(self, name):
+        pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 4, 2))
+        assert self._class(name, 2, 4).sup_batch(pts, np.ones((5, 4))).shape == (3, 5)
+
+    # a 4-d array is one of test_empty_or_deeper_stacks_are_rejected's cases
+    @pytest.mark.parametrize("points", [np.zeros((4, 2)), None], ids=["one-set-unstacked", "none"])
+    @pytest.mark.parametrize("name", ["finite", "lipschitz", "rkhs", "anchor"])
+    def test_only_a_stack_is_taken(self, name, points):
+        with pytest.raises(InvalidInputError, match="points must be"):
+            self._class(name, 2, 4).sup_batch(points, np.ones((1, 4)))
+
+    @pytest.mark.parametrize("name", ["finite", "lipschitz", "rkhs", "anchor"])
+    def test_only_2d_rows_are_taken(self, name):
+        with pytest.raises(InvalidInputError,
+                           match=r"expected rows of 4 coefficients, got shape \(4,\)"):
+            self._class(name, 2, 4).sup_batch(np.zeros((3, 4, 2)), np.ones(4))
 
     @pytest.mark.parametrize("points", [np.zeros((0, 4, 2)), np.zeros((2, 0, 2)),
                                         np.zeros((2, 2, 2, 2))])
@@ -1039,7 +1073,7 @@ class TestRkhsGramForm:
     @given(_rkhs_problems)
     def test_matches_the_explicit_representer(self, problem):
         pts, C, sigma, rho = problem
-        vals = GaussianRkhsBall(sigma=sigma, rho=rho).sup_batch(pts, C)
+        vals = GaussianRkhsBall(sigma=sigma, rho=rho).sup_batch([pts], C)[0]
         assert vals.shape == (len(C),)
         for val, c in zip(vals, C):
             ref, norm2, scale = rkhs_representer_value(pts, c, sigma, rho)
@@ -1059,7 +1093,7 @@ class TestRkhsGramForm:
         half = rng.uniform(-1, 1, size=(128, 2))
         eps = rng.integers(0, 2, size=(4000, 128)) * 2.0 - 1.0
         vals = GaussianRkhsBall(sigma=0.5, rho=1.0).sup_batch(
-            np.concatenate([half, half]), np.concatenate([eps, -eps], axis=1))
+            np.concatenate([half, half])[None], np.concatenate([eps, -eps], axis=1))
         assert np.all(vals == 0.0)
 
 
@@ -1123,7 +1157,7 @@ class TestAnchorDistanceClass:
         assert np.all(np.abs(table - np.array(ref)) <= 1e-13 * B)
         assert table[0, 2] == -B and table[1].max() == B
         C = np.vstack([rng.choice([-1.0, 1.0], size=(20, 9)), rng.normal(size=(20, 9))])
-        got = cls.sup_batch(pts, C)
+        got = cls.sup_batch(pts[None], C)[0]
         for c, value in zip(C, got):
             assert abs(value - reference_table_sup(ref, c)) <= 1e-13 * B * np.abs(c).sum()
 
@@ -1143,7 +1177,9 @@ class TestAnchorDistanceClass:
         lambda: AnchorDistanceClass(np.zeros((0, 2)), [], 1.0, 1.0),
         lambda: AnchorDistanceClass([[0.0], [1.0]], [0.0], 1.0, 1.0),
         lambda: AnchorDistanceClass([[0.0]], [math.inf], 1.0, 1.0),
-    ], ids=["anchor-nan", "no-anchors", "shift-count", "shift-inf"])
+        # [shifts] of a 0-d shift is (1,), not one row of one shift
+        lambda: AnchorDistanceClass([[0.0, 0.0]], np.float64(0.0), 1.0, 1.0),
+    ], ids=["anchor-nan", "no-anchors", "shift-count", "shift-inf", "shift-0d-at-one-anchor"])
     def test_rejects_bad_anchors_and_shifts(self, call):
         with pytest.raises(InvalidInputError):
             call()
@@ -1159,10 +1195,10 @@ class TestAnchorDistanceClass:
         cls = _anchor_class(14, 3, 1)
         pts_k2 = np.random.default_rng(15).uniform(-1, 1, size=(4, 2))
         with pytest.raises(InvalidInputError, match="anchors k = 1"):
-            cls.sup_batch(pts_k2, np.ones((2, 4)))
+            cls.sup_batch(pts_k2[None], np.ones((2, 4)))
 
     def test_sup_batch_rejects_wrong_coefficient_width(self):
         cls = _anchor_class(14, 3, 1)
         pts = np.random.default_rng(15).uniform(-1, 1, size=(4, 1))
         with pytest.raises(InvalidInputError):
-            cls.sup_batch(pts, np.ones((2, 5)))
+            cls.sup_batch(pts[None], np.ones((2, 5)))

@@ -85,6 +85,13 @@ class TestConfigParsing:
         assert cfg.experiment in EXPERIMENTS
         assert cfg.constants.keys() <= EXPERIMENTS[cfg.experiment].constants.keys()
 
+    @pytest.mark.parametrize("path", sorted(Path(__file__).parent.parent.glob("configs/*.txt")),
+                             ids=lambda p: p.stem)
+    def test_a_byte_order_mark_is_skipped(self, path, tmp_path):
+        marked = tmp_path / path.name
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert parse_config(marked) == parse_config(path)
+
     def test_float_constant_accepts_an_integer_literal(self):
         cfg = parse_config_text("experiment = composition-logfree\nconstants.L = 1\n")
         assert cfg.constants == {"L": 1}

@@ -607,7 +607,7 @@ class TestCompositeMonteCarlo:
         T = PointSet(np.random.default_rng(k).uniform(-1.0, 1.0, size=(3, k, 5)))
         fclass = _four_classes(k, 5)[name]
         W = reference_signs(samples, (samples, 5))  # one weight block
-        sups = np.max([fclass.sup_batch(T.element(i).T, W) for i in range(3)], axis=0)
+        sups = np.max([fclass.sup_batch(T.element(i).T[None], W)[0] for i in range(3)], axis=0)
         est = composite_bernoulli_complexity(
             fclass, T, EstimatorConfig(mode="monte-carlo", mc_samples=samples, seed=samples))
         assert (est.value, est.std_error, est.method, est.samples) == \
@@ -659,8 +659,8 @@ class TestStackedEstimates:
         monkeypatch.setattr(classes, "simplex_maximize", solve)
         W = reference_signs(3, (33, 16))
         ball = LipschitzBall(1.0, 1.0)
-        sups = np.concatenate([np.max([ball.sup_batch(T.element(i).T, W[a:b]) for i in range(4)],
-                                      axis=0) for a, b in [(0, 16), (16, 33)]])
+        sups = np.concatenate([np.max([ball.sup_batch(T.element(i).T[None], W[a:b])[0]
+                                       for i in range(4)], axis=0) for a, b in [(0, 16), (16, 33)]])
         assert (est.value, est.std_error) == (np.mean(sups), np.std(sups, ddof=1) / np.sqrt(33))
 
     def test_a_class_for_one_set_is_named_with_the_shape_it_returned(self):
@@ -693,14 +693,14 @@ class TestCompositeAndInnerApart:
     def _reference(fclass, T, comp_rows, inner_rows):
         # per-row suprema of both estimates over the given rows, reduced in
         # blocks of WEIGHT_BLOCK rows with a lone last row merged
-        points = [T.element(i).T for i in range(T.n_elements)]
+        points = [T.element(i).T[None] for i in range(T.n_elements)]
         vecs = T.vectorized()
 
         def blocked(rows, reduce):
             stops = np.cumsum(_block_lengths(len(rows), complexity.WEIGHT_BLOCK))
             return np.concatenate([reduce(rows[a:b]) for a, b in zip([0, *stops[:-1]], stops)])
 
-        return (blocked(comp_rows, lambda C: np.max([fclass.sup_batch(p, C) for p in points],
+        return (blocked(comp_rows, lambda C: np.max([fclass.sup_batch(p, C)[0] for p in points],
                                                     axis=0)),
                 blocked(inner_rows, lambda W: (W @ vecs.T).max(axis=1)))
 
@@ -1072,8 +1072,8 @@ class TestExtremeScale:
         rkhs = GaussianRkhsBall(sigma=1.0, rho=1.0)
         line = [[1e154], [-1e154], [-1e154], [1e154]]
         C = [[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, -1.0, 1.0]]
-        np.testing.assert_array_equal(lip.sup_batch(line, C), [0.0, 4.0])
-        np.testing.assert_allclose(rkhs.sup_batch(line, C), [0.0, math.sqrt(8.0)], rtol=1e-15)
+        np.testing.assert_array_equal(lip.sup_batch([line], C)[0], [0.0, 4.0])
+        np.testing.assert_allclose(rkhs.sup_batch([line], C)[0], [0.0, math.sqrt(8.0)], rtol=1e-15)
         plane = [[1e154, 0.0], [-1e154, 0.0], [0.0, 1e300]]
         assert lip.sup(plane, [1.0, -1.0, 1.0]) == pytest.approx(3.0, rel=1e-12)
         assert rkhs.sup(plane, [1.0, -1.0, 1.0]) == pytest.approx(math.sqrt(3.0), rel=1e-15)

@@ -189,6 +189,21 @@ class TestFiniteMetricSpace:
         with pytest.raises(InvalidInputError, match=f"slack {1e-9 * 3.0 * scale:.3e}"):
             FiniteMetricSpace(d)
 
+    def test_a_space_at_the_float_limit_passes_without_a_warning(self):
+        # every sum d[j, i] + d[i, k] of two distances overflows to inf,
+        # which bounds nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert FiniteMetricSpace(1e308 * (1.0 - np.eye(3))).diameter == 1e308
+
+    def test_a_violation_at_the_float_limit_is_still_found(self):
+        # 1e308 > 1e307 + 1e307, while 1e308 + 1e308 overflows
+        d = np.array([[0.0, 1e308, 1e307], [1e308, 0.0, 1e307], [1e307, 1e307, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError, match="triangle inequality violated by 8.000e"):
+                FiniteMetricSpace(d)
+
     def test_asymmetry_rejected(self):
         d = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(InvalidInputError):
@@ -298,6 +313,16 @@ class TestLoaderErrors:
         with pytest.raises(InvalidInputError) as err:
             pointset_from_csv(path)
         assert str(err.value) == f"{path}: not UTF-8 text"
+
+
+    def test_a_byte_order_mark_is_skipped(self, tmp_path):
+        text = "elem_id,coord_0,coord_1\n0,1.5,-2.0\n1,3.0,4.25\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode("utf-8"))
+        marked.write_bytes(text.encode("utf-8-sig"))
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert pointset_from_csv(marked).elements.tobytes() == \
+            pointset_from_csv(plain).elements.tobytes()
 
 
 class TestRowMax:

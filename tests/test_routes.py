@@ -11,8 +11,10 @@ raises on an overflowing distance), the k >= 2 Lipschitz oracle, the
 Gaussian Gram matrix and the anchor-distance table.  Every oracle in
 classes.py validates its coefficient rows in its sup_batch, through
 _as_coeff_rows, once per stack: no stack is mapped back through a
-sup_batch.  lipschitz_ball_sup and the anchor class's shifts pass their
-one row through the same helper.  The one thread pool is built in
+sup_batch.  Each sup_batch takes one shape, an (E, n, k) stack and 2-d
+rows: none reads .ndim or tests for None, and _as_coeff_rows promotes no
+1-d row.  lipschitz_ball_sup and the anchor class's shifts pass their one
+row through the same helper.  The one thread pool is built in
 experiments._map_cells.  Exact covering and entropy numbers come from one
 search, chaining._min_cover_radius, and the tail sampler reads q through
 one searchsorted, in tails.sample_from_capped_tail.  tails-demo draws no
@@ -78,6 +80,14 @@ def passed_to(source: str, name: str) -> list:
                   for node in ast.walk(arg) if isinstance(node, (ast.Name, ast.Attribute)))
 
 
+def shape_branches(source: str) -> list:
+    """The sup_batch methods of source that read an .ndim or name None."""
+    return sorted(qual for qual, fn in _functions(ast.parse(source)) if qual.endswith(".sup_batch")
+                  and any(getattr(node, "attr", None) == "ndim"
+                          or (isinstance(node, ast.Constant) and node.value is None)
+                          for node in ast.walk(fn)))
+
+
 def _read(module: str) -> str:
     return (SRC / module).read_text()
 
@@ -103,6 +113,11 @@ def test_checkers_find_planted_cases():
     assert overflow_raisers(source) == ["C.m"]
     assert passed_to("def f(self, p, C):\n    return g(self.h, p, C=C)\n", "g") == [
         "C", "h", "p", "self"]
+    assert shape_branches("class A:\n    def sup_batch(self, p, C):\n        return p.ndim\n"
+                          "class B:\n    def sup_batch(self, p, C):\n        return p is None\n"
+                          "class D:\n    def sup_batch(self, p, C):\n        return p\n"
+                          "def sup_batch(p):\n    return p.ndim\n") == [
+        "A.sup_batch", "B.sup_batch"]
 
 
 def test_complexity_seeds_one_generator_in_the_weight_source():
@@ -188,6 +203,14 @@ def test_every_oracle_validates_its_rows_through_one_helper():
     sup_batches = [qual for qual, _ in _functions(ast.parse(source)) if qual.endswith(".sup_batch")]
     assert sup_batches and callers(source, "_as_coeff_rows") == sorted(
         sup_batches + ["lipschitz_ball_sup", "AnchorDistanceClass.__post_init__"])
+
+
+def test_every_sup_batch_takes_one_shape():
+    source = _read("classes.py")
+    assert len([qual for qual, _ in _functions(ast.parse(source))
+                if qual.endswith(".sup_batch")]) == 4
+    assert shape_branches(source) == []
+    assert "_as_coeff_rows" not in callers(source, "atleast_2d")
 
 
 def test_a_stack_is_not_mapped_back_through_sup_batch():

@@ -13,7 +13,10 @@ Four concrete classes are provided.  Each checks a stack's points and
 coefficient rows once, in its sup_batch, and maps a private per-set
 routine over the sets into one (E, rows) array, except the Lipschitz ball
 at k >= 2, which solves the LPs of every set at once, and the finite
-class, which reads only the stack's point count:
+class, which reads only the stack's point count.  The finite, RKHS and
+anchor classes multiply by the rows of C in row chunks of at most
+core.PRODUCT_BYTES (core._in_row_chunks), so BLAS packs one chunk at a
+time:
 
 * FiniteFunctionClass: tabulated values, supremum by row-wise maximization.
 * Lipschitz balls {f : L-Lipschitz, |f| <= L*R}: the supremum equals the
@@ -34,7 +37,9 @@ class, which reads only the stack's point count:
 * Gaussian-kernel RKHS balls of radius rho: Riesz representation gives the
   closed form rho * sqrt(c' G c) with G the kernel Gram matrix, formed
   from the same core.distances as the Lipschitz costs, so every finite
-  positive sigma gives the exact kernel at any scale of the points.
+  positive sigma gives the exact kernel at any scale of the points.  The
+  form of a row chunk holds one (chunk, n) temporary, and a form below
+  GRAM_NEGATIVE_TOL * ||c||_1^2 raises.
 * AnchorDistanceClass: the r functions clip(L * ||x - a_j|| + s_j, -B, B),
   a finite L-Lipschitz family bounded by B in every dimension k; its
   supremum is the row maximum of C times its value table, with no size cap.
@@ -47,7 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _as_readonly, _check_scales, _row_max, distances
+from .core import _as_readonly, _check_scales, _in_row_chunks, _row_max, distances
 from .errors import BudgetExceededError, InvalidInputError
 # Called through this name: perfbench's tracer wraps classes.simplex_maximize.
 from .simplex import simplex_maximize
@@ -66,8 +71,10 @@ SIMPLEX_STACK_BYTES = 2 ** 24
 # pivot tolerance in that unit.
 GAIN_SCALE_FLOOR = 2.0 ** -20
 
-# Gram quadratic forms below this are treated as rounding noise and clamped
-# to zero; anything more negative indicates a broken Gram matrix.
+# A Gram quadratic form c' G c above this times ||c||_1^2 is treated as
+# rounding noise and clamped to zero; anything more negative indicates a
+# broken Gram matrix.  Relative, since every 0 <= G_ij <= 1 gives
+# |c' G c| <= ||c||_1^2 and the rounding grows with that bound.
 GRAM_NEGATIVE_TOL = -1e-12
 
 
@@ -148,7 +155,8 @@ class FiniteFunctionClass:
         if pts.shape[1] != self.n_points:
             raise InvalidInputError("finite class is tabulated on a fixed sample")
         C = _as_coeff_rows(C, self.n_points)
-        return np.tile(_row_max(C @ self.table.T), (len(pts), 1))  # every set is the sample
+        sups = _in_row_chunks(lambda rows: _row_max(rows @ self.table.T), C)
+        return np.tile(sups, (len(pts), 1))  # every set is the sample
 
 
 # ---------------------------------------------------------------------------
@@ -478,15 +486,25 @@ class GaussianRkhsBall:
     def _sup_rows(self, pts: np.ndarray, C: np.ndarray) -> np.ndarray:
         """rho * sqrt(c' G c) for every row of C at one checked (n, k) set."""
         G = gaussian_gram(pts, self.sigma)
-        # c^T G c for every row on BLAS, through one (rows, n) temporary.
-        CG = C @ G
-        CG *= C
-        quad = CG.sum(axis=1)
-        if np.any(quad < GRAM_NEGATIVE_TOL):
-            raise InvalidInputError(
-                f"Gram quadratic form is negative beyond rounding: {float(quad.min()):.3e}"
-            )
+        quad = _in_row_chunks(lambda rows: _gram_form(rows @ G, rows), C)
         return self.rho * np.sqrt(np.maximum(quad, 0.0))
+
+
+def _gram_form(CG: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """c' G c for every row c of C, from CG = C @ G, which it overwrites: so
+    a chunk's form holds one (chunk, n) temporary.  Raises InvalidInputError
+    on a form below GRAM_NEGATIVE_TOL * ||c||_1^2."""
+    CG *= C
+    quad = CG.sum(axis=1)
+    if quad.min(initial=0.0) < 0.0:  # only negative rows are checked, against their own bound
+        neg = quad < 0.0
+        l1 = np.abs(C[neg]).sum(axis=1)
+        low = quad[neg] < GRAM_NEGATIVE_TOL * l1 * l1
+        if np.any(low):
+            raise InvalidInputError(
+                f"Gram quadratic form is negative beyond rounding: {float(quad[neg][low].min()):.3e}"
+            )
+    return quad
 
 
 # ---------------------------------------------------------------------------
@@ -531,4 +549,5 @@ class AnchorDistanceClass:
 
     def _sup_rows(self, pts: np.ndarray, C: np.ndarray) -> np.ndarray:
         """The row maximum of C times the value table of one checked (n, k) set."""
-        return _row_max(C @ self.values(pts).T)
+        table = self.values(pts).T
+        return _in_row_chunks(lambda rows: _row_max(rows @ table), C)

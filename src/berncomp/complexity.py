@@ -22,8 +22,11 @@ its next estimate if it holds at most SPARE_DOUBLES doubles, so a block is
 valid only until the next one is drawn, an estimate holds one block of
 weights whatever mc_samples is, and a run of estimates reuses memory the
 system has already mapped instead of faulting in fresh pages for each.
-increment_ratio reduces each block for all its element pairs, which so
-share one draw.  Element distances come from core._element_distances.
+b and g take each block's product with the elements in row chunks of at
+most core.PRODUCT_BYTES (core._in_row_chunks), so BLAS packs one chunk at
+a time; chunks and blocks merge a lone last row by one rule,
+core._row_blocks.  increment_ratio reduces each block for all its element
+pairs, which so share one draw.  Element distances come from core._element_distances.
 Composite estimators take any function class with a sup_batch(points, C)
 method (see berncomp.classes) and make one call per weight block, on the
 (E, n, k) stack of every element, or of every pair's 2n columns, and
@@ -40,7 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ComplexityEstimate, PointSet, _check_count, _element_distances, _row_max
+from .core import (ComplexityEstimate, PointSet, _check_count, _element_distances, _in_row_chunks,
+                   _row_blocks, _row_max)
 from .errors import BudgetExceededError, DegenerateSetError, InvalidInputError
 
 # Largest exact_cutoff_n.  The 2^n pattern table is drawn in blocks and never
@@ -150,24 +154,14 @@ def _random_signs(bitgen, shape: tuple[int, int], out: np.ndarray | None = None)
     return flat.reshape(shape)
 
 
-def _row_blocks(total: int):
-    """(start, stop) of consecutive WEIGHT_BLOCK-row blocks over total rows.
-    A lone last row joins the block before it: a one-row product goes
-    through a matrix-vector BLAS kernel that rounds differently."""
-    starts = list(range(0, total, WEIGHT_BLOCK))
-    if len(starts) > 1 and total - starts[-1] == 1:
-        starts.pop()
-    return list(zip(starts, starts[1:] + [total]))
-
-
 def _blocks(total: int, width: int, fill) -> Iterator[np.ndarray]:
-    """The _row_blocks(total) blocks of width-wide rows, fill(start, stop,
-    out) writing each into out, a view of this thread's spare buffer.  The
-    spare leaves _SPARE while the blocks are drawn, so an estimate nested in
-    a class's sup_batch draws into a buffer of its own; it is allocated, or
-    grown, to the widest block, and kept for the thread's next estimate
-    only if it holds at most SPARE_DOUBLES doubles."""
-    bounds = _row_blocks(total)
+    """The core._row_blocks(total, WEIGHT_BLOCK) blocks of width-wide rows,
+    fill(start, stop, out) writing each into out, a view of this thread's
+    spare buffer.  The spare leaves _SPARE while the blocks are drawn, so
+    an estimate nested in a class's sup_batch draws into a buffer of its
+    own; it is allocated, or grown, to the widest block, and kept for the
+    thread's next estimate only if it holds at most SPARE_DOUBLES doubles."""
+    bounds = _row_blocks(total, WEIGHT_BLOCK)
     spare, _SPARE.buf = getattr(_SPARE, "buf", None), None
     size = max(b - a for a, b in bounds) * width
     if spare is None or spare.size < size:
@@ -185,7 +179,7 @@ def _blocks(total: int, width: int, fill) -> Iterator[np.ndarray]:
 def _weights(cfg: EstimatorConfig, width: int,
              gaussian: bool = False) -> tuple[Iterator[np.ndarray], bool]:
     """(blocks, exact): an iterator over consecutive row blocks (see
-    _row_blocks) of all 2^width sign patterns if cfg picks exact enumeration
+    _blocks) of all 2^width sign patterns if cfg picks exact enumeration
     for width signs, else of cfg.mc_samples rows of random signs, or of
     standard Gaussians, drawn from a generator seeded with cfg.seed.
     Gaussian rows never ask for exact enumeration.  Whatever the block
@@ -225,8 +219,9 @@ def _linear_sup_estimate(vecs: np.ndarray, cfg: EstimatorConfig, gaussian: bool)
         return ComplexityEstimate(0.0, 0.0, "closed-form", 0, cfg.seed)
     # W @ vecs.T rounds as the one-shot product did, which vecs @ W.T does
     # not for every set; each row's maximum is a running np.maximum over
-    # the m columns of the (rows, m) product
-    return _estimate(cfg, width, lambda W: _row_max(W @ vecs.T), gaussian)
+    # the m columns of the (rows, m) product of each row chunk
+    return _estimate(cfg, width, lambda W: _in_row_chunks(lambda rows: _row_max(rows @ vecs.T), W),
+                     gaussian)
 
 
 def bernoulli_complexity(T: PointSet, cfg: EstimatorConfig = DEFAULT_CONFIG) -> ComplexityEstimate:

@@ -1,5 +1,7 @@
 """Foundational geometric types: finite index sets of k-by-n matrices, mixed
-(p,q) norms, Frobenius diameters, finite metric spaces and estimate records.
+(p,q) norms, Frobenius diameters, finite metric spaces and estimate records;
+and the one routine that takes products on weight or coefficient rows,
+_in_row_chunks, which hands BLAS at most PRODUCT_BYTES of rows at a time.
 
 Everything here is immutable after construction and safe to share across
 concurrent workers; all operations are pure.
@@ -28,6 +30,14 @@ SQ_DISTANCE_BLOCK = 1 << 20
 # Most rows distances takes: its (m, m) result is at most 512 MiB.
 MAX_DISTANCE_POINTS = 2 ** 13
 
+# Bytes of coefficient rows one BLAS product takes (1 MiB): _in_row_chunks
+# hands a larger block over in row chunks of at most this size, so BLAS
+# packs, and a product's temporaries hold, one chunk at a time.  At least
+# 384 KiB, so lemma-checks' 4096-row blocks of 12 signs stay one product;
+# smaller chunks cost time on skinny products and round differently more
+# often (README, Numerical notes).
+PRODUCT_BYTES = 2 ** 20
+
 ESTIMATE_METHODS = ("exact-enumeration", "monte-carlo", "closed-form")
 
 
@@ -51,6 +61,30 @@ def _check_count(name: str, value, low: int = 0) -> None:
         raise InvalidInputError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise InvalidInputError(f"{name} must be {f'>= {low}' if low else 'nonnegative'}, got {value}")
+
+
+def _row_blocks(total: int, size: int) -> list:
+    """(start, stop) of consecutive size-row blocks over total rows.  A lone
+    last row joins the block before it: a one-row product goes through a
+    matrix-vector BLAS kernel that rounds differently."""
+    starts = list(range(0, total, size))
+    if len(starts) > 1 and total - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [total]))
+
+
+def _in_row_chunks(reduce, C: np.ndarray) -> np.ndarray:
+    """reduce(rows), one value per row, on consecutive _row_blocks chunks of
+    the 2-d array C, each of at most PRODUCT_BYTES of rows but at least two
+    rows, joined into one (len(C),) array.  Every product on weight or
+    coefficient rows is taken here, in reduce, so BLAS never packs more
+    than one chunk and a product's (chunk, columns) temporaries are freed
+    before the next chunk.  A row's bits may depend on the chunk's row
+    count at widths of 32 and more (README, Numerical notes)."""
+    out = np.empty(len(C))
+    for a, b in _row_blocks(len(C), max(2, PRODUCT_BYTES // (8 * C.shape[1]))):
+        out[a:b] = reduce(C[a:b])
+    return out
 
 
 def _row_max(P: np.ndarray) -> np.ndarray:

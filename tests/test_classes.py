@@ -1096,6 +1096,26 @@ class TestRkhsGramForm:
             np.concatenate([half, half])[None], np.concatenate([eps, -eps], axis=1))
         assert np.all(vals == 0.0)
 
+    def test_the_rounding_bound_scales_with_the_row(self):
+        # rounding in c' G c grows with ||c||_1^2: a row whose form is
+        # +3.5e-11 in long double rounds to -1.1e-10 at this scale, which
+        # an absolute -1e-12 rejected, while the same row / 100 passed
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((1, 32, 2)) * 1e-8
+        c = rng.integers(-3, 4, 32).astype(float)
+        c[-1] -= c.sum()
+        c *= 100.0
+        ball = GaussianRkhsBall(1.0, 1.0)
+        assert ball.sup_batch(x, [c / 100.0])[0, 0] == 0.0
+        assert ball.sup_batch(x, [c])[0, 0] == 0.0
+
+    def test_a_broken_gram_still_raises(self, monkeypatch):
+        # c' G c = -2 at ||c||_1^2 = 4 is no rounding
+        monkeypatch.setattr(classes, "gaussian_gram", lambda pts, sigma: np.array([[0.0, 1.0],
+                                                                                   [1.0, 0.0]]))
+        with pytest.raises(InvalidInputError, match="negative beyond rounding: -2.000e"):
+            GaussianRkhsBall(1.0, 1.0).sup_batch(np.zeros((1, 2, 1)), [[1.0, 1.0], [1.0, -1.0]])
+
 
 class TestOracleConvexity:
     def test_lambda_zero_trivial(self):

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -28,7 +30,7 @@ from berncomp import (
     metric_space_from_pointset,
     norm_pq,
 )
-from berncomp import classes, complexity
+from berncomp import classes, complexity, core
 from berncomp.complexity import MAX_MC_SAMPLES, _pattern_rows, _random_signs, _weights
 from oracles import enumerate_bernoulli_sup_mean, reference_sign_table, reference_signs
 
@@ -780,6 +782,110 @@ class TestCompositeAndInnerApart:
         assert (inner.value, inner.std_error, inner.method) == (0.0, 0.0, "closed-form")
         assert comp.value > 0.0
         assert comp.method == ("exact-enumeration" if mode == "exact" else "monte-carlo")
+
+
+class TestProductChunks:
+    """Every product on weight or coefficient rows is taken in row chunks of
+    at most core.PRODUCT_BYTES (core._in_row_chunks), with a lone last row
+    merged into the chunk before it.  At chunks of two rows, of odd sizes
+    and with a lone last row, every estimate keeps the bits of the default
+    chunks, at these widths, below those where BLAS rounds products of a
+    few rows differently."""
+
+    T = PointSet(np.random.default_rng(40).uniform(-1.0, 1.0, size=(3, 2, 5)))
+    mc = EstimatorConfig(mode="monte-carlo", mc_samples=301, seed=40)  # a lone row at 2, 3 and 5
+
+    @classmethod
+    def _estimates(cls) -> dict:
+        """name: (width of its weight rows, estimate)."""
+        T, mc, k, n = cls.T, cls.mc, cls.T.k, cls.T.n
+        exact = EstimatorConfig(mode="exact", seed=40)  # 2^10 rows: a lone row at 3
+        fclasses = _four_classes(k, n)
+        out = {"b-mc": (k * n, lambda: bernoulli_complexity(T, mc)),
+               "b-exact": (k * n, lambda: bernoulli_complexity(T, exact)),
+               "g": (k * n, lambda: gaussian_complexity(T, mc)),
+               "increment": (2 * n, lambda: increment_ratio(fclasses["rkhs"], T, mc))}
+        for name in ("rkhs", "anchor", "finite"):
+            out[name] = (n, lambda f=fclasses[name]: composite_bernoulli_complexity(f, T, mc))
+        return out
+
+    @pytest.mark.parametrize("rows", [2, 3, 5, 7])
+    @pytest.mark.parametrize("name", ["b-mc", "b-exact", "g", "increment", "rkhs", "anchor",
+                                      "finite"])
+    def test_chunk_sizes_keep_the_bits(self, monkeypatch, name, rows):
+        width, estimate = self._estimates()[name]
+        default = repr(estimate())
+        chunks = []
+        blocks = core._row_blocks
+
+        def recorded(total, size):
+            chunks.append((total, blocks(total, size)))
+            return chunks[-1][1]
+
+        monkeypatch.setattr(core, "_row_blocks", recorded)
+        monkeypatch.setattr(core, "PRODUCT_BYTES", 8 * rows * width)
+        assert repr(estimate()) == default
+        assert len(chunks[0][1]) > 1  # the block was cut
+        for total, bounds in chunks:
+            assert [b - a for a, b in bounds] == _block_lengths(total, rows)
+
+    def test_products_are_never_cut_below_two_rows(self, monkeypatch):
+        estimates = self._estimates()
+        default = {name: repr(estimate()) for name, (_, estimate) in estimates.items()}
+        monkeypatch.setattr(core, "PRODUCT_BYTES", 1)
+        assert {name: repr(estimate()) for name, (_, estimate) in estimates.items()} == default
+
+    @pytest.mark.parametrize("name", ["finite", "lipschitz", "rkhs", "anchor"])
+    def test_zero_rows(self, monkeypatch, name):
+        fclass = _four_classes(2, 5)[name]
+        pts = self.T.elements.transpose(0, 2, 1)
+        default = fclass.sup_batch(pts, np.empty((0, 5)))
+        monkeypatch.setattr(core, "PRODUCT_BYTES", 1)
+        assert fclass.sup_batch(pts, np.empty((0, 5))).shape == default.shape == (3, 0)
+
+    @pytest.mark.parametrize("rows, width, budget, lengths", [
+        (4000, 256, None, [512] * 7 + [416]),  # rkhs-bound's widest block, in 1 MiB chunks
+        (4097, 12, None, [4097]),              # lemma-checks' blocks stay one product
+        (11, 2, 1, [2, 2, 2, 2, 3])])          # never below two rows; a lone last row merged
+    def test_chunk_bounds(self, monkeypatch, rows, width, budget, lengths):
+        if budget is not None:
+            monkeypatch.setattr(core, "PRODUCT_BYTES", budget)
+        C = np.arange(rows * width, dtype=float).reshape(rows, width)
+        seen = []
+        got = core._in_row_chunks(lambda part: seen.append(len(part)) or part[:, 0], C)
+        assert seen == lengths
+        assert got.tobytes() == C[:, 0].tobytes()
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_blas_working_set_in_a_fresh_process(self):
+        # tracemalloc cannot see the buffers BLAS packs its operands into;
+        # the peak resident size can.  b(T) on 3 elements of 2 x 128 points
+        # at 4000 Monte Carlo rows, then the RKHS composite on the same set.
+        # The weight block is 4000 x 256 doubles.  Handed the whole block,
+        # BLAS grew the peak by about 20 MiB on a 2-core host; in chunks,
+        # by about 11 MiB.  The peak is the process's own VmHWM: ru_maxrss
+        # keeps the peak of the process that launched it across exec, so
+        # under pytest it would not grow at all.
+        script = (
+            "import numpy as np\n"
+            "from berncomp import (EstimatorConfig, GaussianRkhsBall, PointSet,\n"
+            "                      bernoulli_complexity, composite_bernoulli_complexity)\n"
+            "def peak_kib():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+            "T = PointSet(np.random.default_rng(1).uniform(-1.0, 1.0, (3, 2, 128)))\n"
+            "cfg = EstimatorConfig(mode='monte-carlo', mc_samples=4000, seed=1)\n"
+            "ball = GaussianRkhsBall(1.0, 1.0)\n"
+            "before = peak_kib()\n"
+            "bernoulli_complexity(T, cfg)\n"
+            "composite_bernoulli_complexity(ball, T, cfg)\n"
+            "print(peak_kib() - before)\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        grown_kib = int(subprocess.run([sys.executable, "-c", script],
+                                       env=dict(os.environ, PYTHONPATH=src), check=True,
+                                       capture_output=True, text=True).stdout)
+        block_bytes = 4000 * 256 * 8
+        assert 0 < grown_kib * 1024 <= block_bytes + 5 * 2 ** 20
 
 
 class TestEmpiricalRademacher:

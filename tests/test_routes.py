@@ -14,7 +14,10 @@ _as_coeff_rows, once per stack: no stack is mapped back through a
 sup_batch.  Each sup_batch takes one shape, an (E, n, k) stack and 2-d
 rows: none reads .ndim or tests for None, and _as_coeff_rows promotes no
 1-d row.  lipschitz_ball_sup and the anchor class's shifts pass their one
-row through the same helper.  The one thread pool is built in
+row through the same helper.  Every matrix product on weight or
+coefficient rows in complexity.py and classes.py is taken in a callback of
+core._in_row_chunks, whose row chunks and the weight blocks share one
+lone-row rule, core._row_blocks.  The one thread pool is built in
 experiments._map_cells.  Exact covering and entropy numbers come from one
 search, chaining._min_cover_radius, and the tail sampler reads q through
 one searchsorted, in tails.sample_from_capped_tail.  tails-demo draws no
@@ -88,6 +91,24 @@ def shape_branches(source: str) -> list:
                           for node in ast.walk(fn)))
 
 
+def loose_products(source: str) -> list:
+    """The functions of source ("<module>" outside any) with a matrix
+    product `@` that is not inside a lambda passed to core._in_row_chunks."""
+    tree = ast.parse(source)
+    inside = {id(node) for call in ast.walk(tree)
+              if isinstance(call, ast.Call) and "_in_row_chunks" in (
+                  getattr(call.func, "id", None), getattr(call.func, "attr", None))
+              for arg in call.args if isinstance(arg, ast.Lambda) for node in ast.walk(arg.body)}
+
+    def loose(node):
+        return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.MatMult)
+                and id(node) not in inside)
+
+    found = [qual for qual, fn in _functions(tree) for node in ast.walk(fn) if loose(node)]
+    total = sum(loose(node) for node in ast.walk(tree))
+    return sorted(found + ["<module>"] * (total - len(found)))
+
+
 def _read(module: str) -> str:
     return (SRC / module).read_text()
 
@@ -113,6 +134,10 @@ def test_checkers_find_planted_cases():
     assert overflow_raisers(source) == ["C.m"]
     assert passed_to("def f(self, p, C):\n    return g(self.h, p, C=C)\n", "g") == [
         "C", "h", "p", "self"]
+    assert loose_products("def f(C, G):\n    return _in_row_chunks(lambda r: r @ G, C)\n"
+                          "def g(C, G):\n    return C @ G\n"
+                          "def h(C, G):\n    return core._in_row_chunks(lambda r: r @ G @ G, C @ G)\n"
+                          "x = a @ b\n") == ["<module>", "g", "h"]
     assert shape_branches("class A:\n    def sup_batch(self, p, C):\n        return p.ndim\n"
                           "class B:\n    def sup_batch(self, p, C):\n        return p is None\n"
                           "class D:\n    def sup_batch(self, p, C):\n        return p\n"
@@ -217,6 +242,18 @@ def test_a_stack_is_not_mapped_back_through_sup_batch():
     # _each_set takes a checked stack; a public sup_batch would check C again per set
     passed = passed_to(_read("classes.py"), "_each_set")
     assert "_sup_rows" in passed and "sup_batch" not in passed
+
+
+def test_every_product_on_rows_is_taken_in_row_chunks():
+    # b(T)'s W @ vecs.T and the three classes that multiply by their rows
+    assert [loose_products(_read(module)) for module in ("complexity.py", "classes.py")] == [[], []]
+    assert called_by("_in_row_chunks") == {
+        ("complexity.py", "_linear_sup_estimate"), ("classes.py", "FiniteFunctionClass.sup_batch"),
+        ("classes.py", "GaussianRkhsBall._sup_rows"), ("classes.py", "AnchorDistanceClass._sup_rows")}
+
+
+def test_weight_blocks_and_product_chunks_share_one_lone_row_rule():
+    assert called_by("_row_blocks") == {("complexity.py", "_blocks"), ("core.py", "_in_row_chunks")}
 
 
 def test_exact_covering_and_entropy_numbers_share_one_search():

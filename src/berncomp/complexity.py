@@ -22,11 +22,16 @@ its next estimate if it holds at most SPARE_DOUBLES doubles, so a block is
 valid only until the next one is drawn, an estimate holds one block of
 weights whatever mc_samples is, and a run of estimates reuses memory the
 system has already mapped instead of faulting in fresh pages for each.
-b and g take each block's product with the elements in row chunks of at
-most core.PRODUCT_BYTES (core._in_row_chunks), so BLAS packs one chunk at
-a time; chunks and blocks merge a lone last row by one rule,
-core._row_blocks.  increment_ratio reduces each block for all its element
-pairs, which so share one draw.  Element distances come from core._element_distances.
+b and g draw each block one product chunk at a time, core._chunk_rows
+rows of at most core.PRODUCT_BYTES, and take each chunk's product with
+the elements whole (core._in_row_chunks), so they hold one chunk of
+weights, not one block, and BLAS packs one chunk at a time; the
+composites and increment_ratio draw whole blocks.  Chunks and blocks
+merge a lone last row by one rule, core._row_blocks, and a sign chunk
+that ends mid-word leaves the word's other sign to the next, so the rows
+are the same at any chunk size.  increment_ratio reduces each block for
+all its element pairs, which so share one draw.  Element distances come
+from core._element_distances.
 Composite estimators take any function class with a sup_batch(points, C)
 method (see berncomp.classes) and make one call per weight block, on the
 (E, n, k) stack of every element, or of every pair's 2n columns, and
@@ -43,8 +48,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (ComplexityEstimate, PointSet, _check_count, _element_distances, _in_row_chunks,
-                   _row_blocks, _row_max)
+from .core import (ComplexityEstimate, PointSet, _check_count, _chunk_rows, _element_distances,
+                   _in_row_chunks, _row_blocks, _row_max)
 from .errors import BudgetExceededError, DegenerateSetError, InvalidInputError
 
 # Largest exact_cutoff_n.  The 2^n pattern table is drawn in blocks and never
@@ -59,10 +64,11 @@ MAX_MC_SAMPLES = 2 ** MAX_EXACT_CUTOFF
 # generator word and the next block starts where the one-shot draw would.
 WEIGHT_BLOCK = 4096
 
-# Widest weight row: a block and its lone merged row, WEIGHT_BLOCK + 1 rows
-# of this many doubles, take 500 MiB, within the 512 MiB of
-# core.MAX_DISTANCE_POINTS.  increment_ratio also holds the block's
-# (eps, -eps) rows, twice its size.
+# Widest weight row: a composite's block and its lone merged row,
+# WEIGHT_BLOCK + 1 rows of this many doubles, take 500 MiB, within the
+# 512 MiB of core.MAX_DISTANCE_POINTS.  increment_ratio also holds the
+# block's (eps, -eps) rows, twice its size.  b and g hold one product chunk,
+# at most core.PRODUCT_BYTES plus a lone row, at any width.
 MAX_WEIGHT_WIDTH = 16000
 
 # Raw generator words a sign block reads at a time (512 KiB): the words are
@@ -70,8 +76,9 @@ MAX_WEIGHT_WIDTH = 16000
 SIGN_CHUNK_WORDS = 2 ** 16
 
 # Doubles a thread's spare weight buffer may keep between estimates (8 MiB):
-# rkhs-bound's widest block, 4000 rows of 256 signs, fits.  A wider block's
-# buffer is freed when its estimate ends.
+# rkhs-bound's widest block, the composite's 4000 rows of 128 signs, fits;
+# b and g need at most one product chunk of it.  A wider block's buffer is
+# freed when its estimate ends.
 SPARE_DOUBLES = 2 ** 20
 
 # Each thread's spare weight buffer, in .buf, while no estimate draws into it.
@@ -154,33 +161,59 @@ def _random_signs(bitgen, shape: tuple[int, int], out: np.ndarray | None = None)
     return flat.reshape(shape)
 
 
-def _blocks(total: int, width: int, fill) -> Iterator[np.ndarray]:
-    """The core._row_blocks(total, WEIGHT_BLOCK) blocks of width-wide rows,
-    fill(start, stop, out) writing each into out, a view of this thread's
-    spare buffer.  The spare leaves _SPARE while the blocks are drawn, so
-    an estimate nested in a class's sup_batch draws into a buffer of its
-    own; it is allocated, or grown, to the widest block, and kept for the
+def _sign_fill(bitgen, width: int):
+    """fill(start, stop, out) for _blocks: rows start..stop-1 of the
+    _random_signs(bitgen, (total, width)) rows, when called on consecutive
+    ranges.  A range that ends mid-word keeps the word's other sign for the
+    next range, which starts with it."""
+    held = np.empty(1)
+
+    def fill(a: int, b: int, out: np.ndarray) -> None:
+        flat = out.reshape(-1)
+        lead, tail = a * width % 2, b * width % 2  # starts, ends mid-word
+        flat[:lead] = held
+        _random_signs(bitgen, (1, len(flat) - lead - tail), flat[lead:len(flat) - tail])
+        if tail:
+            flat[-1], held[0] = _random_signs(bitgen, (1, 2))[0]
+    return fill
+
+
+def _blocks(total: int, width: int, fill, chunk_rows: int | None = None) -> Iterator[np.ndarray]:
+    """Consecutive ranges of width-wide rows, fill(start, stop, out) writing
+    each into out, a view of this thread's spare buffer: the
+    core._row_blocks(total, WEIGHT_BLOCK) blocks, each cut into its
+    core._row_blocks(block rows, chunk_rows) chunks when chunk_rows is
+    given.  The spare leaves _SPARE while the ranges are drawn, so an
+    estimate nested in a class's sup_batch draws into a buffer of its own;
+    it is allocated, or grown, to the widest range, and kept for the
     thread's next estimate only if it holds at most SPARE_DOUBLES doubles."""
-    bounds = _row_blocks(total, WEIGHT_BLOCK)
+    blocks = _row_blocks(total, WEIGHT_BLOCK)
+
+    def ranges(a, b):
+        return [(a + c, a + d) for c, d in _row_blocks(b - a, chunk_rows or b - a)]
+
+    # blocks before the last are alike, so the first and the last hold the widest range
+    size = max(d - c for block in (blocks[0], blocks[-1]) for c, d in ranges(*block)) * width
     spare, _SPARE.buf = getattr(_SPARE, "buf", None), None
-    size = max(b - a for a, b in bounds) * width
     if spare is None or spare.size < size:
         spare = np.empty(size)
     try:
-        for a, b in bounds:
-            out = spare[:(b - a) * width].reshape(b - a, width)
-            fill(a, b, out)
-            yield out
+        for block in blocks:
+            for a, b in ranges(*block):
+                out = spare[:(b - a) * width].reshape(b - a, width)
+                fill(a, b, out)
+                yield out
     finally:
         if spare.size <= SPARE_DOUBLES:
             _SPARE.buf = spare
 
 
-def _weights(cfg: EstimatorConfig, width: int,
-             gaussian: bool = False) -> tuple[Iterator[np.ndarray], bool]:
-    """(blocks, exact): an iterator over consecutive row blocks (see
-    _blocks) of all 2^width sign patterns if cfg picks exact enumeration
-    for width signs, else of cfg.mc_samples rows of random signs, or of
+def _weights(cfg: EstimatorConfig, width: int, gaussian: bool = False,
+             chunk_rows: int | None = None) -> tuple[Iterator[np.ndarray], bool]:
+    """(blocks, exact): an iterator over consecutive row blocks, cut into
+    chunks of chunk_rows rows when it is given (see _blocks), of all
+    2^width sign patterns if cfg picks exact enumeration for width signs,
+    else of cfg.mc_samples rows of random signs, or of
     standard Gaussians, drawn from a generator seeded with cfg.seed.
     Gaussian rows never ask for exact enumeration.  Whatever the block
     size, the blocks concatenate to _pattern_rows(0, 2**width, width),
@@ -193,18 +226,20 @@ def _weights(cfg: EstimatorConfig, width: int,
     if width > MAX_WEIGHT_WIDTH:
         raise BudgetExceededError(f"weight rows {width} wide exceed the ceiling of {MAX_WEIGHT_WIDTH}")
     if not gaussian and cfg.pick_exact(width):
-        return _blocks(2 ** width, width, lambda a, b, out: _pattern_rows(a, b, width, out)), True
+        return _blocks(2 ** width, width, lambda a, b, out: _pattern_rows(a, b, width, out),
+                       chunk_rows), True
     rng = np.random.default_rng(cfg.seed)
     fill = ((lambda a, b, out: rng.standard_normal(out=out)) if gaussian else
-            (lambda a, b, out: _random_signs(rng.bit_generator, out.shape, out)))
-    return _blocks(cfg.mc_samples, width, fill), False
+            _sign_fill(rng.bit_generator, width))
+    return _blocks(cfg.mc_samples, width, fill, chunk_rows), False
 
 
-def _estimate(cfg: EstimatorConfig, width: int, reduce, gaussian: bool = False) -> ComplexityEstimate:
-    """The mean over the weight rows of _weights(cfg, width, gaussian) of
-    reduce's per-row values, reduce(W) taking each block W in turn, with
-    its standard error (0 when exact) and method."""
-    blocks, exact = _weights(cfg, width, gaussian)
+def _estimate(cfg: EstimatorConfig, width: int, reduce, gaussian: bool = False,
+              chunk_rows: int | None = None) -> ComplexityEstimate:
+    """The mean over the weight rows of _weights(cfg, width, gaussian,
+    chunk_rows) of reduce's per-row values, reduce(W) taking each block W
+    in turn, with its standard error (0 when exact) and method."""
+    blocks, exact = _weights(cfg, width, gaussian, chunk_rows)
     sups = np.concatenate([reduce(W) for W in blocks])
     se = 0.0 if exact else float(np.std(sups, ddof=1) / np.sqrt(len(sups)))
     return ComplexityEstimate(float(np.mean(sups)), se,
@@ -219,9 +254,10 @@ def _linear_sup_estimate(vecs: np.ndarray, cfg: EstimatorConfig, gaussian: bool)
         return ComplexityEstimate(0.0, 0.0, "closed-form", 0, cfg.seed)
     # W @ vecs.T rounds as the one-shot product did, which vecs @ W.T does
     # not for every set; each row's maximum is a running np.maximum over
-    # the m columns of the (rows, m) product of each row chunk
+    # the m columns of the (rows, m) product of each row chunk.  The
+    # weights are drawn a product chunk at a time, so each W is one chunk.
     return _estimate(cfg, width, lambda W: _in_row_chunks(lambda rows: _row_max(rows @ vecs.T), W),
-                     gaussian)
+                     gaussian, _chunk_rows(width))
 
 
 def bernoulli_complexity(T: PointSet, cfg: EstimatorConfig = DEFAULT_CONFIG) -> ComplexityEstimate:

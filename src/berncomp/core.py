@@ -73,16 +73,23 @@ def _row_blocks(total: int, size: int) -> list:
     return list(zip(starts, starts[1:] + [total]))
 
 
+def _chunk_rows(width: int) -> int:
+    """Rows of one product chunk of width-wide rows: at most PRODUCT_BYTES,
+    read at call time, but at least two rows."""
+    return max(2, PRODUCT_BYTES // (8 * width))
+
+
 def _in_row_chunks(reduce, C: np.ndarray) -> np.ndarray:
     """reduce(rows), one value per row, on consecutive _row_blocks chunks of
-    the 2-d array C, each of at most PRODUCT_BYTES of rows but at least two
-    rows, joined into one (len(C),) array.  Every product on weight or
-    coefficient rows is taken here, in reduce, so BLAS never packs more
-    than one chunk and a product's (chunk, columns) temporaries are freed
-    before the next chunk.  A row's bits may depend on the chunk's row
-    count at widths of 32 and more (README, Numerical notes)."""
+    the 2-d array C, each of _chunk_rows rows, joined into one (len(C),)
+    array.  Every product on weight or coefficient rows is taken here, in
+    reduce, so BLAS never packs more than one chunk and a product's (chunk,
+    columns) temporaries are freed before the next chunk.  b and g draw
+    their weights in these chunks already, so each reaches reduce whole.
+    A row's bits may depend on the chunk's row count at widths of 32 and
+    more (README, Numerical notes)."""
     out = np.empty(len(C))
-    for a, b in _row_blocks(len(C), max(2, PRODUCT_BYTES // (8 * C.shape[1]))):
+    for a, b in _row_blocks(len(C), _chunk_rows(C.shape[1])):
         out[a:b] = reduce(C[a:b])
     return out
 

@@ -464,6 +464,26 @@ def reference_signs(seed, shape):
     return np.random.default_rng(seed).integers(0, 2, shape) * 2.0 - 1.0
 
 
+def _lone_row_merged(total, size):
+    """(start, stop) of consecutive size-row ranges; a lone last row joins
+    the range before it."""
+    starts = list(range(0, total, size))
+    if len(starts) > 1 and total - starts[-1] == 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [total]))
+
+
+def reference_linear_sup(vecs, weights, block, chunk):
+    """b or g's (mean, standard error) from the whole weight matrix, drawn
+    once: each row's maximum of rows @ vecs.T, with rows taken over blocks of
+    block rows, each cut into chunks of chunk rows, a lone last row joining
+    the range before it at both levels."""
+    sups = np.concatenate([(weights[a + c:a + d] @ vecs.T).max(axis=1)
+                           for a, b in _lone_row_merged(len(weights), block)
+                           for c, d in _lone_row_merged(b - a, chunk)])
+    return float(np.mean(sups)), float(np.std(sups, ddof=1) / np.sqrt(len(sups)))
+
+
 def reference_sampler_grid(w):
     """The capped-tail sampler's u-grid and q on it, built point by point
     as the sampler did on every call before the grid was cached."""

@@ -286,8 +286,8 @@ def test_no_monte_carlo_estimate_reads_a_point_set_seed(monkeypatch, tmp_path):
         monkeypatch.setattr(experiments, name, drawn)
     weights = complexity._weights
 
-    def recorded(cfg, width, gaussian=False):
-        blocks, exact = weights(cfg, width, gaussian)
+    def recorded(cfg, width, gaussian=False, chunk_rows=None):
+        blocks, exact = weights(cfg, width, gaussian, chunk_rows)
         if not exact:
             mc_seeds.add(cfg.seed)
         return blocks, exact

@@ -32,7 +32,8 @@ from berncomp import (
 )
 from berncomp import classes, complexity, core
 from berncomp.complexity import MAX_MC_SAMPLES, _pattern_rows, _random_signs, _weights
-from oracles import enumerate_bernoulli_sup_mean, reference_sign_table, reference_signs
+from oracles import (enumerate_bernoulli_sup_mean, reference_linear_sup, reference_sign_table,
+                     reference_signs)
 
 EXACT = EstimatorConfig(mode="exact", seed=3)
 
@@ -813,21 +814,32 @@ class TestProductChunks:
     @pytest.mark.parametrize("name", ["b-mc", "b-exact", "g", "increment", "rkhs", "anchor",
                                       "finite"])
     def test_chunk_sizes_keep_the_bits(self, monkeypatch, name, rows):
+        # b and g draw their weights in the chunks, so the draw cuts each
+        # block and every product gets one chunk whole; the composites
+        # draw whole blocks and the product cuts them
         width, estimate = self._estimates()[name]
         default = repr(estimate())
-        chunks = []
+        draws, products = [], []  # (total, size, bounds) of each _row_blocks call
         blocks = core._row_blocks
 
-        def recorded(total, size):
-            chunks.append((total, blocks(total, size)))
-            return chunks[-1][1]
+        def recording(calls):
+            def recorded(total, size):
+                calls.append((total, size, blocks(total, size)))
+                return calls[-1][2]
+            return recorded
 
-        monkeypatch.setattr(core, "_row_blocks", recorded)
+        monkeypatch.setattr(complexity, "_row_blocks", recording(draws))
+        monkeypatch.setattr(core, "_row_blocks", recording(products))
         monkeypatch.setattr(core, "PRODUCT_BYTES", 8 * rows * width)
         assert repr(estimate()) == default
-        assert len(chunks[0][1]) > 1  # the block was cut
-        for total, bounds in chunks:
-            assert [b - a for a, b in bounds] == _block_lengths(total, rows)
+        linear = name in ("b-mc", "b-exact", "g")
+        cuts = [call for call in (draws if linear else products) if call[1] == rows]
+        assert len(cuts[0][2]) > 1  # the block was cut
+        for total, size, bounds in draws + products:
+            if size == rows:
+                assert [b - a for a, b in bounds] == _block_lengths(total, rows)
+        if linear:
+            assert products and all(len(bounds) == 1 for _, _, bounds in products)
 
     def test_products_are_never_cut_below_two_rows(self, monkeypatch):
         estimates = self._estimates()
@@ -856,6 +868,14 @@ class TestProductChunks:
         assert seen == lengths
         assert got.tobytes() == C[:, 0].tobytes()
 
+    @staticmethod
+    def _grown_kib(script):
+        """What the script prints, run in a fresh process on this checkout."""
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        return int(subprocess.run([sys.executable, "-c", script],
+                                  env=dict(os.environ, PYTHONPATH=src), check=True,
+                                  capture_output=True, text=True).stdout)
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
     def test_blas_working_set_in_a_fresh_process(self):
         # tracemalloc cannot see the buffers BLAS packs its operands into;
@@ -880,12 +900,84 @@ class TestProductChunks:
             "bernoulli_complexity(T, cfg)\n"
             "composite_bernoulli_complexity(ball, T, cfg)\n"
             "print(peak_kib() - before)\n")
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        grown_kib = int(subprocess.run([sys.executable, "-c", script],
-                                       env=dict(os.environ, PYTHONPATH=src), check=True,
-                                       capture_output=True, text=True).stdout)
+        grown_kib = self._grown_kib(script)
         block_bytes = 4000 * 256 * 8
         assert 0 < grown_kib * 1024 <= block_bytes + 5 * 2 ** 20
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_b_holds_one_chunk_in_a_fresh_process(self):
+        # b(T) alone on the set above, after a product of a chunk's shape
+        # has mapped BLAS's buffers.  Drawn whole, its 4000 x 256 block grew
+        # the peak by about 8 MiB on a 2-core host; drawn a 1 MiB chunk at
+        # a time, by about 0.9 MiB.
+        script = (
+            "import numpy as np\n"
+            "from berncomp import EstimatorConfig, PointSet, bernoulli_complexity\n"
+            "def peak_kib():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+            "T = PointSet(np.random.default_rng(1).uniform(-1.0, 1.0, (3, 2, 128)))\n"
+            "cfg = EstimatorConfig(mode='monte-carlo', mc_samples=4000, seed=1)\n"
+            "np.ones((512, 256)) @ T.vectorized().T\n"
+            "before = peak_kib()\n"
+            "bernoulli_complexity(T, cfg)\n"
+            "print(peak_kib() - before)\n")
+        grown_kib = self._grown_kib(script)
+        assert grown_kib * 1024 <= 2 * core.PRODUCT_BYTES + 8 * complexity.SIGN_CHUNK_WORDS
+
+    @pytest.mark.parametrize("gaussian", [False, True])
+    def test_b_and_g_hold_one_chunk_of_weights(self, gaussian):
+        # 4097 rows of 2048 weights are 67 MB drawn whole; in chunks of 64
+        # rows (65 with the lone last row) the weights held are one chunk,
+        # beside one chunk of raw words
+        T = PointSet(np.random.default_rng(2).uniform(-1.0, 1.0, size=(3, 16, 128)))
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=4097, seed=2)
+        estimate = gaussian_complexity if gaussian else bernoulli_complexity
+        tracemalloc.start()
+        try:
+            estimate(T, cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * core.PRODUCT_BYTES + 8 * complexity.SIGN_CHUNK_WORDS
+
+
+class TestChunkedDraws:
+    """b and g draw their weights one product chunk at a time, and reduce
+    the rows the whole draw gives in the same nested ranges: the
+    core._row_blocks(rows, WEIGHT_BLOCK) blocks, each cut into its
+    core._row_blocks(block rows, core._chunk_rows(width)) chunks."""
+
+    @pytest.mark.parametrize("gaussian", [False, True])
+    @pytest.mark.parametrize("m, width, rows", [
+        (3, 300, 9001), (5, 1000, 5001), (2, 40, 8193), (4, 40, 12289), (3, 2048, 4097),
+        (3, 999, 4001)])  # 131-row chunks of 999 signs: a chunk starts mid-word
+    def test_b_and_g_keep_the_bits_of_the_whole_draw(self, gaussian, m, width, rows):
+        vecs = np.random.default_rng(width).uniform(-1.0, 1.0, size=(m, width))
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=rows, seed=41)
+        W = (np.random.default_rng(41).standard_normal((rows, width)) if gaussian
+             else reference_signs(41, (rows, width)))
+        estimate = gaussian_complexity if gaussian else bernoulli_complexity
+        est = estimate(PointSet.from_rows(vecs), cfg)
+        value, se = reference_linear_sup(vecs, W, complexity.WEIGHT_BLOCK, core._chunk_rows(width))
+        assert (est.value.hex(), est.std_error.hex()) == (value.hex(), se.hex())
+
+    def test_exact_b_keeps_the_bits_of_the_whole_table(self, monkeypatch):
+        # 2^12 patterns in chunks of 5 rows, the last with a lone row merged
+        vecs = np.random.default_rng(12).uniform(-1.0, 1.0, size=(3, 12))
+        monkeypatch.setattr(core, "PRODUCT_BYTES", 8 * 5 * 12)
+        est = bernoulli_complexity(PointSet.from_rows(vecs), EstimatorConfig(mode="exact"))
+        value, _ = reference_linear_sup(vecs, reference_sign_table(12), complexity.WEIGHT_BLOCK, 5)
+        assert (est.value.hex(), est.std_error, est.method) == \
+            (value.hex(), 0.0, "exact-enumeration")
+
+    @pytest.mark.parametrize("width, chunk", [(3, 3), (5, 2), (7, 5), (4, 3), (1, 3)])
+    def test_chunks_that_end_mid_word_read_the_one_shot_signs(self, width, chunk):
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=301, seed=5)
+        blocks, _ = _weights(cfg, width, chunk_rows=chunk)
+        rows = [W.copy() for W in blocks]  # a chunk lasts until the next is drawn
+        assert [len(W) for W in rows] == _block_lengths(301, chunk)
+        assert np.concatenate(rows).tobytes() == reference_signs(5, (301, width)).tobytes()
 
 
 class TestEmpiricalRademacher:

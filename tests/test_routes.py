@@ -17,7 +17,8 @@ rows: none reads .ndim or tests for None, and _as_coeff_rows promotes no
 row through the same helper.  Every matrix product on weight or
 coefficient rows in complexity.py and classes.py is taken in a callback of
 core._in_row_chunks, whose row chunks and the weight blocks share one
-lone-row rule, core._row_blocks.  The one thread pool is built in
+lone-row rule, core._row_blocks; b and g draw their weights in the same
+chunks, whose size comes from one rule, core._chunk_rows.  The one thread pool is built in
 experiments._map_cells.  Exact covering and entropy numbers come from one
 search, chaining._min_cover_radius, and the tail sampler reads q through
 one searchsorted, in tails.sample_from_capped_tail.  tails-demo draws no
@@ -254,6 +255,11 @@ def test_every_product_on_rows_is_taken_in_row_chunks():
 
 def test_weight_blocks_and_product_chunks_share_one_lone_row_rule():
     assert called_by("_row_blocks") == {("complexity.py", "_blocks"), ("core.py", "_in_row_chunks")}
+
+
+def test_weight_draws_and_product_chunks_share_one_chunk_row_rule():
+    assert called_by("_chunk_rows") == {("complexity.py", "_linear_sup_estimate"),
+                                        ("core.py", "_in_row_chunks")}
 
 
 def test_exact_covering_and_entropy_numbers_share_one_search():

@@ -25,7 +25,8 @@ rng = np.random.default_rng(0)
 print("Finite class: 4 tabulated functions on 3 points")
 cls = FiniteFunctionClass(table=rng.uniform(-1, 1, size=(4, 3)), uniform_bound_B=1.0)
 c = rng.normal(size=3)
-# every sup_batch takes a stack of point sets; the finite class reads only its point count
+# every class binds a stack of point sets, and sup_batch(points, C) is bind(points)(C) for
+# one batch; the finite class reads only the stack's point count
 sup = cls.sup_batch(np.zeros((1, 3, 1)), [c])[0, 0]
 print(f"  sup = {sup:.4f} over rows {np.round(cls.table @ c, 4)}")
 

@@ -2,21 +2,25 @@
 
 Every complexity computation reduces to evaluating, for coefficient vectors
 c, the supremum of sum_i c_i f(x_i) over a class of functions.  A class is
-anything with a method sup_batch(points, C) of one shape: it takes an
-(E, n, k) stack of E >= 1 point sets with one n and a 2-d (rows, n) array
-C, and returns the supremum for every row of C at every set as an
-(E, rows) array, row e for set e.  The estimators call it once per weight
-block with all their sets in one stack; one set is a stack of one.  The
+anything with a method bind(points) of one shape: it takes an (E, n, k)
+stack of E >= 1 point sets with one n, checks it and does its per-set work
+once, and returns sups(C), which takes a 2-d (rows, n) array C and returns
+the supremum for every row of C at every set as an (E, rows) array, row e
+for set e.  The estimators bind all their sets in one stack once per
+estimate and call sups once per chunk of weight rows; one set is a stack
+of one.  sup_batch(points, C) is bind(points)(C), for one batch.  The
 oracle is convex in c but not assumed positively homogeneous (a class need
 not be a cone); the test suite checks convexity along segments of rows.
-Four concrete classes are provided.  Each checks a stack's points and
-coefficient rows once, in its sup_batch, and maps a private per-set
-routine over the sets into one (E, rows) array, except the Lipschitz ball
-at k >= 2, which solves the LPs of every set at once, and the finite
-class, which reads only the stack's point count.  The finite, RKHS and
-anchor classes multiply by the rows of C in row chunks of at most
-core.PRODUCT_BYTES (core._in_row_chunks), so BLAS packs one chunk at a
-time:
+Four concrete classes are provided.  Each checks a stack's points once, in
+its bind, and each sups call checks its coefficient rows once and maps a
+private per-set routine over the sets into one (E, rows) array, except
+the Lipschitz ball at k >= 2, which solves the LPs of every set at once,
+and the finite class, which reads only the stack's point count.  The RKHS
+ball forms its E Gram matrices, and the anchor class its E value tables,
+once in bind; the Lipschitz ball sorts its points (k = 1) or forms their
+distances (k >= 2) in each sups call.  The finite, RKHS and anchor classes
+multiply by the rows of C in row chunks of at most core.PRODUCT_BYTES
+(core._in_row_chunks), so BLAS packs one chunk at a time:
 
 * FiniteFunctionClass: tabulated values, supremum by row-wise maximization.
 * Lipschitz balls {f : L-Lipschitz, |f| <= L*R}: the supremum equals the
@@ -37,9 +41,11 @@ time:
 * Gaussian-kernel RKHS balls of radius rho: Riesz representation gives the
   closed form rho * sqrt(c' G c) with G the kernel Gram matrix, formed
   from the same core.distances as the Lipschitz costs, so every finite
-  positive sigma gives the exact kernel at any scale of the points.  The
-  form of a row chunk holds one (chunk, n) temporary, and a form below
-  GRAM_NEGATIVE_TOL * ||c||_1^2 raises.
+  positive sigma gives the exact kernel at any scale of the points.  A
+  stack's E Grams take E * n^2 doubles, at most core.MAX_DISTANCE_POINTS
+  ** 2 (512 MiB, the ceiling of one distance matrix), which bind checks
+  before it forms any.  The form of a row chunk holds one (chunk, n)
+  temporary, and a form below GRAM_NEGATIVE_TOL * ||c||_1^2 raises.
 * AnchorDistanceClass: the r functions clip(L * ||x - a_j|| + s_j, -B, B),
   a finite L-Lipschitz family bounded by B in every dimension k; its
   supremum is the row maximum of C times its value table, with no size cap.
@@ -52,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import _as_readonly, _check_scales, _in_row_chunks, _row_max, distances
 from .errors import BudgetExceededError, InvalidInputError
 # Called through this name: perfbench's tracer wraps classes.simplex_maximize.
@@ -92,13 +99,14 @@ def _as_points(points, stack: bool = False) -> np.ndarray:
     return pts
 
 
-def _each_set(sup, pts: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """sup(points, C) for every (n, k) set of an (E, n, k) stack, written
-    into one (E, rows) array; the stack and C are already checked, so sup
-    is a class's private per-set routine, not its sup_batch."""
-    out = np.empty((len(pts), len(C)))
-    for e, p in enumerate(pts):
-        out[e] = sup(p, C)
+def _each_set(sup, sets, C: np.ndarray) -> np.ndarray:
+    """sup(s, C) for every set s of a stack, written into one (E, rows)
+    array.  Each s is a checked (n, k) point set or what a class's bind
+    prepared from one, and C is already checked, so sup is a class's
+    private per-set routine, not its sup_batch."""
+    out = np.empty((len(sets), len(C)))
+    for e, s in enumerate(sets):
+        out[e] = sup(s, C)
     return out
 
 
@@ -128,8 +136,9 @@ class FiniteFunctionClass:
     """r functions tabulated on a fixed list of n points.
 
     table[j, i] = f_j(x_i).  The uniform bound is verified at construction.
-    The class is tied to its sample: sup_batch reads only the point count
-    of its stack, which must be n_points, and gives every set the same row.
+    The class is tied to its sample: bind reads only the point count of
+    its stack, which must be n_points, and sups gives every set the same
+    row.
     """
 
     table: np.ndarray
@@ -151,12 +160,20 @@ class FiniteFunctionClass:
         return self.table.shape[1]
 
     def sup_batch(self, points, C) -> np.ndarray:
-        pts = _as_points(points, stack=True)
-        if pts.shape[1] != self.n_points:
+        return self.bind(points)(C)
+
+    def bind(self, points):
+        """sups(C), the row maximum of C times the table, the same row for
+        every set of the stack."""
+        E, n, _ = _as_points(points, stack=True).shape
+        if n != self.n_points:
             raise InvalidInputError("finite class is tabulated on a fixed sample")
-        C = _as_coeff_rows(C, self.n_points)
-        sups = _in_row_chunks(lambda rows: _row_max(rows @ self.table.T), C)
-        return np.tile(sups, (len(pts), 1))  # every set is the sample
+
+        def sups(C) -> np.ndarray:
+            C = _as_coeff_rows(C, self.n_points)
+            row = _in_row_chunks(lambda rows: _row_max(rows @ self.table.T), C)
+            return np.tile(row, (E, 1))  # every set is the sample
+        return sups
 
 
 # ---------------------------------------------------------------------------
@@ -433,14 +450,16 @@ class LipschitzBall:
         return lipschitz_ball_sup(points, c, self.lipschitz_L, self.radius_R)
 
     def sup_batch(self, points, C) -> np.ndarray:
-        """The supremum for every row of C at every set of the stack, with
-        the points validated, and sorted (k = 1) or their distances formed
-        (k >= 2), once per set.  At k >= 2 the LPs of every set are solved
-        together."""
+        return self.bind(points)(C)
+
+    def bind(self, points):
+        """sups(C), the supremum for every row of C at every set of the
+        stack, with the points validated once.  Each call sorts each set
+        (k = 1) or forms its distances (k >= 2) once, and at k >= 2 solves
+        the LPs of every set together."""
         pts = _as_points(points, stack=True)
-        C = _as_coeff_rows(C, pts.shape[1])
-        B = _lipschitz_bound(self.lipschitz_L, self.radius_R)
-        return _lipschitz_sup_rows(pts, C, self.lipschitz_L, B)
+        L, B = self.lipschitz_L, _lipschitz_bound(self.lipschitz_L, self.radius_R)
+        return lambda C: _lipschitz_sup_rows(pts, _as_coeff_rows(C, pts.shape[1]), L, B)
 
     def as_oracle(self) -> "LipschitzBall":
         # Kept only because perfbench's lipschitz-k2 workload calls it.
@@ -480,12 +499,23 @@ class GaussianRkhsBall:
         return float(self.sup_batch(_as_points(points)[None], [c])[0, 0])
 
     def sup_batch(self, points, C) -> np.ndarray:
-        pts = _as_points(points, stack=True)
-        return _each_set(self._sup_rows, pts, _as_coeff_rows(C, pts.shape[1]))
+        return self.bind(points)(C)
 
-    def _sup_rows(self, pts: np.ndarray, C: np.ndarray) -> np.ndarray:
-        """rho * sqrt(c' G c) for every row of C at one checked (n, k) set."""
-        G = gaussian_gram(pts, self.sigma)
+    def bind(self, points):
+        """sups(C), rho * sqrt(c' G c) for every row of C at every set of the
+        stack, on the sets' Gram matrices, formed once.  Raises
+        BudgetExceededError before forming any if the E Grams of n points
+        would hold more than core.MAX_DISTANCE_POINTS ** 2 doubles."""
+        pts = _as_points(points, stack=True)
+        E, n, _ = pts.shape
+        if E * n * n > core.MAX_DISTANCE_POINTS ** 2:
+            raise BudgetExceededError(f"{E} Gram matrices of {n} points exceed the ceiling of "
+                                      f"{core.MAX_DISTANCE_POINTS ** 2} entries")
+        grams = [gaussian_gram(p, self.sigma) for p in pts]
+        return lambda C: _each_set(self._sup_rows, grams, _as_coeff_rows(C, n))
+
+    def _sup_rows(self, G: np.ndarray, C: np.ndarray) -> np.ndarray:
+        """rho * sqrt(c' G c) for every row of C at one set's Gram matrix G."""
         quad = _in_row_chunks(lambda rows: _gram_form(rows @ G, rows), C)
         return self.rho * np.sqrt(np.maximum(quad, 0.0))
 
@@ -544,10 +574,17 @@ class AnchorDistanceClass:
         return np.clip(f, -self.uniform_bound_B, self.uniform_bound_B, out=f)
 
     def sup_batch(self, points, C) -> np.ndarray:
-        pts = _as_points(points, stack=True)
-        return _each_set(self._sup_rows, pts, _as_coeff_rows(C, pts.shape[1]))
+        return self.bind(points)(C)
 
-    def _sup_rows(self, pts: np.ndarray, C: np.ndarray) -> np.ndarray:
-        """The row maximum of C times the value table of one checked (n, k) set."""
-        table = self.values(pts).T
+    def bind(self, points):
+        """sups(C), the row maximum of C times each set's value table, on
+        the tables of the stack's sets, formed once."""
+        pts = _as_points(points, stack=True)
+        tables = [self.values(p).T for p in pts]
+        n = pts.shape[1]
+        return lambda C: _each_set(self._sup_rows, tables, _as_coeff_rows(C, n))
+
+    @staticmethod
+    def _sup_rows(table: np.ndarray, C: np.ndarray) -> np.ndarray:
+        """The row maximum of C times one set's (n, r) value table."""
         return _in_row_chunks(lambda rows: _row_max(rows @ table), C)

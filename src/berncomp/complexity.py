@@ -11,33 +11,32 @@ Two sign conventions coexist and are never mixed:
 Each operation documents which convention it uses.  Weights come from one
 place, _weights: all 2^n sign patterns when the config picks exact
 enumeration, otherwise mc_samples sign or Gaussian rows drawn from the one
-generator seeded by the config.  It yields them in consecutive blocks of
-WEIGHT_BLOCK rows, each from a bit-exact source, so the rows do not depend
-on the block size, and it raises BudgetExceededError before drawing rows
-wider than MAX_WEIGHT_WIDTH.  b, g and the composite are each one _estimate
-call: one _weights call, each block reduced to its per-row suprema before
-the next is drawn, and the mean and standard error of those suprema.  Every
-block of an estimate is drawn into one buffer, which the thread keeps for
-its next estimate if it holds at most SPARE_DOUBLES doubles, so a block is
-valid only until the next one is drawn, an estimate holds one block of
-weights whatever mc_samples is, and a run of estimates reuses memory the
-system has already mapped instead of faulting in fresh pages for each.
-b and g draw each block one product chunk at a time, core._chunk_rows
-rows of at most core.PRODUCT_BYTES, and take each chunk's product with
-the elements whole (core._in_row_chunks), so they hold one chunk of
-weights, not one block, and BLAS packs one chunk at a time; the
-composites and increment_ratio draw whole blocks.  Chunks and blocks
-merge a lone last row by one rule, core._row_blocks, and a sign chunk
-that ends mid-word leaves the word's other sign to the next, so the rows
-are the same at any chunk size.  increment_ratio reduces each block for
-all its element pairs, which so share one draw.  Element distances come
-from core._element_distances.
-Composite estimators take any function class with a sup_batch(points, C)
-method (see berncomp.classes) and make one call per weight block, on the
-(E, n, k) stack of every element, or of every pair's 2n columns, and
-raise InvalidInputError when it does not return (E, rows).  All
-randomized operations are pure functions of (inputs, seed): the same seed
-gives a bit-identical result.
+generator seeded by the config.  It cuts them into consecutive blocks of
+WEIGHT_BLOCK rows and each block into product chunks, core._chunk_rows
+rows of at most core.PRODUCT_BYTES, each from a bit-exact source, so the
+rows do not depend on the block or chunk size, and it raises
+BudgetExceededError before drawing rows wider than MAX_WEIGHT_WIDTH.  b, g
+and the composite are each one _estimate call: one _weights call, each
+chunk reduced to its per-row suprema before the next is drawn, and the mean
+and standard error of those suprema.  Every chunk of an estimate is drawn
+into one buffer, which the thread keeps for its next estimate if it holds
+at most SPARE_DOUBLES doubles, so a chunk is valid only until the next one
+is drawn, an estimate holds one chunk of weights whatever mc_samples and
+the row width are, and a run of estimates reuses memory the system has
+already mapped instead of faulting in fresh pages for each.  Each chunk is
+cut at the row count core._in_row_chunks cuts the product it goes into,
+so every product takes one chunk whole and BLAS packs one chunk at a time.
+Chunks and blocks merge a lone last row by one rule, core._row_blocks, and
+a sign chunk that ends mid-word leaves the word's other sign to the next,
+so the rows are the same at any chunk size.  increment_ratio reduces each
+chunk for all its element pairs, which so share one draw.  Element
+distances come from core._element_distances.
+Composite estimators take any function class with a bind(points) method
+(see berncomp.classes).  They bind the (E, n, k) stack of every element,
+or of every pair's 2n columns, once per estimate, call what it returns once
+per chunk, and raise InvalidInputError when that does not return (E,
+rows).  All randomized operations are pure functions of (inputs, seed):
+the same seed gives a bit-identical result.
 """
 
 from __future__ import annotations
@@ -64,20 +63,20 @@ MAX_MC_SAMPLES = 2 ** MAX_EXACT_CUTOFF
 # generator word and the next block starts where the one-shot draw would.
 WEIGHT_BLOCK = 4096
 
-# Widest weight row: a composite's block and its lone merged row,
-# WEIGHT_BLOCK + 1 rows of this many doubles, take 500 MiB, within the
-# 512 MiB of core.MAX_DISTANCE_POINTS.  increment_ratio also holds the
-# block's (eps, -eps) rows, twice its size.  b and g hold one product chunk,
-# at most core.PRODUCT_BYTES plus a lone row, at any width.
+# Widest weight row.  Every estimate holds one product chunk of weights,
+# at most core.PRODUCT_BYTES plus a lone row, but a chunk has at least two
+# rows: at this width a chunk's floor of two rows and a lone one takes
+# 375 KiB, and increment_ratio's (eps, -eps) rows twice that.
 MAX_WEIGHT_WIDTH = 16000
 
 # Raw generator words a sign block reads at a time (512 KiB): the words are
 # held beside the block's signs one chunk at a time, not all at once.
 SIGN_CHUNK_WORDS = 2 ** 16
 
-# Doubles a thread's spare weight buffer may keep between estimates (8 MiB):
-# rkhs-bound's widest block, the composite's 4000 rows of 128 signs, fits;
-# b and g need at most one product chunk of it.  A wider block's buffer is
+# Doubles a thread's spare weight buffer may keep between estimates (8 MiB).
+# Every estimate draws one product chunk at a time, at most
+# core.PRODUCT_BYTES plus a lone row, so at the shipped PRODUCT_BYTES every
+# spare is kept; a buffer past this, drawn with a larger PRODUCT_BYTES, is
 # freed when its estimate ends.
 SPARE_DOUBLES = 2 ** 20
 
@@ -178,19 +177,19 @@ def _sign_fill(bitgen, width: int):
     return fill
 
 
-def _blocks(total: int, width: int, fill, chunk_rows: int | None = None) -> Iterator[np.ndarray]:
+def _blocks(total: int, width: int, fill, chunk_rows: int) -> Iterator[np.ndarray]:
     """Consecutive ranges of width-wide rows, fill(start, stop, out) writing
     each into out, a view of this thread's spare buffer: the
     core._row_blocks(total, WEIGHT_BLOCK) blocks, each cut into its
-    core._row_blocks(block rows, chunk_rows) chunks when chunk_rows is
-    given.  The spare leaves _SPARE while the ranges are drawn, so an
-    estimate nested in a class's sup_batch draws into a buffer of its own;
-    it is allocated, or grown, to the widest range, and kept for the
-    thread's next estimate only if it holds at most SPARE_DOUBLES doubles."""
+    core._row_blocks(block rows, chunk_rows) chunks.  The spare leaves
+    _SPARE while the chunks are drawn, so an estimate nested in a class's
+    sups draws into a buffer of its own; it is allocated, or grown, to the
+    widest chunk, and kept for the thread's next estimate only if it holds
+    at most SPARE_DOUBLES doubles."""
     blocks = _row_blocks(total, WEIGHT_BLOCK)
 
     def ranges(a, b):
-        return [(a + c, a + d) for c, d in _row_blocks(b - a, chunk_rows or b - a)]
+        return [(a + c, a + d) for c, d in _row_blocks(b - a, chunk_rows)]
 
     # blocks before the last are alike, so the first and the last hold the widest range
     size = max(d - c for block in (blocks[0], blocks[-1]) for c, d in ranges(*block)) * width
@@ -210,21 +209,22 @@ def _blocks(total: int, width: int, fill, chunk_rows: int | None = None) -> Iter
 
 def _weights(cfg: EstimatorConfig, width: int, gaussian: bool = False,
              chunk_rows: int | None = None) -> tuple[Iterator[np.ndarray], bool]:
-    """(blocks, exact): an iterator over consecutive row blocks, cut into
-    chunks of chunk_rows rows when it is given (see _blocks), of all
-    2^width sign patterns if cfg picks exact enumeration for width signs,
-    else of cfg.mc_samples rows of random signs, or of
-    standard Gaussians, drawn from a generator seeded with cfg.seed.
-    Gaussian rows never ask for exact enumeration.  Whatever the block
-    size, the blocks concatenate to _pattern_rows(0, 2**width, width),
-    rng.integers(0, 2, (mc_samples, width)) * 2.0 - 1.0 or
-    rng.standard_normal((mc_samples, width)), bit for bit.  Raises
+    """(chunks, exact): an iterator over consecutive row blocks, each cut
+    into chunks of chunk_rows rows, by default core._chunk_rows(width)
+    (see _blocks), of all 2^width sign patterns if cfg picks exact
+    enumeration for width signs, else of cfg.mc_samples rows of random
+    signs, or of standard Gaussians, drawn from a generator seeded with
+    cfg.seed.  Gaussian rows never ask for exact enumeration.  Whatever the
+    block and chunk sizes, the chunks concatenate to _pattern_rows(0,
+    2**width, width), rng.integers(0, 2, (mc_samples, width)) * 2.0 - 1.0
+    or rng.standard_normal((mc_samples, width)), bit for bit.  Raises
     BudgetExceededError past MAX_WEIGHT_WIDTH before drawing anything.
 
-    Every block is drawn into the same buffer (see _blocks), so a block is
+    Every chunk is drawn into the same buffer (see _blocks), so a chunk is
     valid only until the next one is drawn: reduce it, or copy it, first."""
     if width > MAX_WEIGHT_WIDTH:
         raise BudgetExceededError(f"weight rows {width} wide exceed the ceiling of {MAX_WEIGHT_WIDTH}")
+    chunk_rows = chunk_rows or _chunk_rows(width)
     if not gaussian and cfg.pick_exact(width):
         return _blocks(2 ** width, width, lambda a, b, out: _pattern_rows(a, b, width, out),
                        chunk_rows), True
@@ -234,12 +234,11 @@ def _weights(cfg: EstimatorConfig, width: int, gaussian: bool = False,
     return _blocks(cfg.mc_samples, width, fill, chunk_rows), False
 
 
-def _estimate(cfg: EstimatorConfig, width: int, reduce, gaussian: bool = False,
-              chunk_rows: int | None = None) -> ComplexityEstimate:
-    """The mean over the weight rows of _weights(cfg, width, gaussian,
-    chunk_rows) of reduce's per-row values, reduce(W) taking each block W
-    in turn, with its standard error (0 when exact) and method."""
-    blocks, exact = _weights(cfg, width, gaussian, chunk_rows)
+def _estimate(cfg: EstimatorConfig, width: int, reduce, gaussian: bool = False) -> ComplexityEstimate:
+    """The mean over the weight rows of _weights(cfg, width, gaussian) of
+    reduce's per-row values, reduce(W) taking each chunk W in turn, with
+    its standard error (0 when exact) and method."""
+    blocks, exact = _weights(cfg, width, gaussian)
     sups = np.concatenate([reduce(W) for W in blocks])
     se = 0.0 if exact else float(np.std(sups, ddof=1) / np.sqrt(len(sups)))
     return ComplexityEstimate(float(np.mean(sups)), se,
@@ -257,7 +256,7 @@ def _linear_sup_estimate(vecs: np.ndarray, cfg: EstimatorConfig, gaussian: bool)
     # the m columns of the (rows, m) product of each row chunk.  The
     # weights are drawn a product chunk at a time, so each W is one chunk.
     return _estimate(cfg, width, lambda W: _in_row_chunks(lambda rows: _row_max(rows @ vecs.T), W),
-                     gaussian, _chunk_rows(width))
+                     gaussian)
 
 
 def bernoulli_complexity(T: PointSet, cfg: EstimatorConfig = DEFAULT_CONFIG) -> ComplexityEstimate:
@@ -279,18 +278,22 @@ def gaussian_complexity(T: PointSet, cfg: EstimatorConfig = DEFAULT_CONFIG) -> C
     return _linear_sup_estimate(T.vectorized(), cfg, gaussian=True)
 
 
-def _set_sups(fclass, points: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """fclass.sup_batch on the (E, n, k) stack points: the (E, rows) suprema
-    of every row of C at every set, checked for that shape.  The classes of
-    berncomp.classes take only stacks and return it by construction; the
-    check guards any other class, which, written for one (n, k) set, may
-    return some other shape without failing."""
-    sups = fclass.sup_batch(points, C)
-    if np.shape(sups) != (len(points), len(C)):
-        raise InvalidInputError(
-            f"{type(fclass).__name__}.sup_batch returned shape {np.shape(sups)} for a stack "
-            f"of {len(points)} point sets and {len(C)} coefficient rows; a class must take "
-            f"(E, n, k) point sets and return (E, rows) suprema")
+def _bind_sets(fclass, points: np.ndarray):
+    """fclass.bind on the (E, n, k) stack points: sups(C), the (E, rows)
+    suprema of every row of C at every set, each call checked for that
+    shape.  The classes of berncomp.classes take only stacks and return it
+    by construction; the check guards any other class, which, written for
+    one (n, k) set, may return some other shape without failing."""
+    bound = fclass.bind(points)
+
+    def sups(C: np.ndarray) -> np.ndarray:
+        out = bound(C)
+        if np.shape(out) != (len(points), len(C)):
+            raise InvalidInputError(
+                f"{type(fclass).__name__}.bind(points)(C) returned shape {np.shape(out)} for a "
+                f"stack of {len(points)} point sets and {len(C)} coefficient rows; a class must "
+                f"take (E, n, k) point sets and return (E, rows) suprema")
+        return out
     return sups
 
 
@@ -299,44 +302,48 @@ def composite_bernoulli_complexity(fclass, T: PointSet,
     """E sup over elements t and class members f of sum_i eps_i f(t_i),
     composite form (n independent signs, one per column).
 
-    fclass is any class with sup_batch(points, C).  The supremum couples f
-    and t jointly, per sign pattern (exact) or per sample (Monte Carlo).
-    Each weight block is one sup_batch call on the stack of all elements.
+    fclass is any class with bind(points).  The supremum couples f and t
+    jointly, per sign pattern (exact) or per sample (Monte Carlo).  The
+    stack of all elements is bound once, and each weight chunk is one call
+    of what bind returns.
     """
-    points = T.elements.transpose(0, 2, 1)  # each element's (n, k) columns
-    return _estimate(cfg, T.n, lambda W: np.max(_set_sups(fclass, points, W), axis=0))
+    sups = _bind_sets(fclass, T.elements.transpose(0, 2, 1))  # each element's (n, k) columns
+    return _estimate(cfg, T.n, lambda W: np.max(sups(W), axis=0))
 
 
 def increment_ratio(fclass, S: PointSet,
                     cfg: EstimatorConfig = DEFAULT_CONFIG) -> float:
     """Worst pairwise ratio of the expected supremum of the sign-weighted
     increment sum_i eps_i (f(s_i) - f(t_i)) to the Frobenius distance
-    ||s - t|| (n signs, one per column), for any class with
-    sup_batch(points, C).
+    ||s - t|| (n signs, one per column), for any class with bind(points).
 
     Pairs closer than DEGENERATE_PAIR_TOL are skipped; if every pair is
     degenerate a DegenerateSetError is raised.  The distances are the
     core._element_distances.  The same sign draws are used for every pair
     (common random numbers) to reduce ratio variance.
 
-    Each weight block W is one sup_batch call on the stack of every pair's
-    (2n, k) columns, with the coefficient rows (eps, -eps) formed once in
-    one (rows, 2n) array.
+    The stack of every pair's (2n, k) columns is bound once, and each
+    weight chunk W is one call of what bind returns, on the coefficient
+    rows (eps, -eps) formed once in one (rows, 2n) array.  W is drawn
+    core._chunk_rows(2n) rows at a time, so the class's product takes each
+    (eps, -eps) chunk whole.
 
     Memory: each pair's mean is taken over its whole vector of per-row
     suprema, which keeps the bits of a one-shot mean, so the class's
-    (pairs, block rows) suprema of every block are held until the last
-    block, pairs x rows x 8 bytes, and each pair's vector is joined from
-    them only for its mean.  Copying each block into one preallocated
-    (pairs, rows) array would hold the block's suprema twice.  Beside them
-    one block is held at a time: W, in the thread's spare buffer and
-    overwritten by the next block, and its (eps, -eps) rows, twice W.  At
-    20 elements of 8 points (190 pairs) and 20000 samples the suprema take
-    30.4 MB.
+    (pairs, chunk rows) suprema of every chunk are held until the last
+    chunk, pairs x rows x 8 bytes, and each pair's vector is joined from
+    them only for its mean.  Copying each chunk into one preallocated
+    (pairs, rows) array would hold the chunk's suprema twice.  Beside them
+    one chunk is held at a time: W, in the thread's spare buffer and
+    overwritten by the next chunk, and its (eps, -eps) rows, twice W, at
+    most core.PRODUCT_BYTES plus a lone row.  At 20 elements of 8 points
+    (190 pairs) and 20000 samples the suprema take 30.4 MB.
     """
     if S.n_elements < 2:
         raise InvalidInputError("need at least two elements")
-    blocks, _ = _weights(cfg, S.n)  # a budget it exceeds raises before the pair checks
+    n = S.n
+    # a budget it exceeds raises before the pair checks
+    blocks, _ = _weights(cfg, n, chunk_rows=_chunk_rows(2 * n))
     dist = _element_distances(S)
     # Sign symmetry eps -> -eps makes the (s, t) and (t, s) expectations
     # equal, so unordered pairs suffice.
@@ -345,13 +352,14 @@ def increment_ratio(fclass, S: PointSet,
     if not pairs:
         raise DegenerateSetError("all element pairs coincide within tolerance")
     points = np.stack([np.concatenate([S.element(i).T, S.element(j).T]) for i, j in pairs])
-    n = S.n
-    sups = []  # each block's (pairs, block rows), as the class returns it
+    pair_sups = _bind_sets(fclass, points)
+    sups = []  # each chunk's (pairs, chunk rows), as the class returns it
     for W in blocks:
         half = np.empty((len(W), 2 * n))
         half[:, :n] = W
         np.negative(W, out=half[:, n:])
-        sups.append(_set_sups(fclass, points, half))
+        sups.append(pair_sups(half))
+        del half  # before the next chunk's rows are formed beside it
     return max(float(np.mean(np.concatenate([block[p] for block in sups]))) / float(dist[i, j])
                for p, (i, j) in enumerate(pairs))
 

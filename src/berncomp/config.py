@@ -10,7 +10,10 @@ module owns is checked by that module: mc_samples and seed by building a
 complexity.EstimatorConfig, w by the sampler grid's own check and the
 u-grid constants by tails.u_grid.  The n_list entries are at least the
 experiment's n_min, and a run that draws weights has k times the largest n
-at most complexity.MAX_WEIGHT_WIDTH, the widest weight row.  Unknown,
+at most complexity.MAX_WEIGHT_WIDTH, the widest weight row.  A run that
+holds Gram matrices (rkhs-bound) has their count, a constant, times the
+largest n squared at most core.MAX_DISTANCE_POINTS ** 2, the RKHS ball's
+Gram budget.  Unknown,
 undeclared, repeated and out-of-range keys are rejected with their line and
 column.
 """
@@ -21,6 +24,7 @@ import math
 from dataclasses import dataclass, field
 
 from .complexity import DEFAULT_CONFIG, MAX_MC_SAMPLES, MAX_WEIGHT_WIDTH, EstimatorConfig
+from .core import MAX_DISTANCE_POINTS
 from .errors import ConfigError, InvalidInputError
 from .experiments import EXPERIMENTS
 from .tails import _check_sampler_w, u_grid
@@ -104,6 +108,14 @@ class ExperimentConfig:
                 # the default grid is valid, so the file sets a grid key: blame the last
                 key = "constants." + [name for name in self.constants if name in grid][-1]
                 fail(f"{key}: {exc}", key)
+        if spec.gram_sets:
+            name, n = spec.gram_sets, self.n_list[-1]
+            sets = self.constants.get(name, spec.constants[name])
+            if sets * n * n > MAX_DISTANCE_POINTS ** 2:
+                # the count past its default, else n
+                key = f"constants.{name}" if sets > spec.constants[name] else "n_list"
+                fail(f"{self.experiment} requires constants.{name} * n^2 <= "
+                     f"{MAX_DISTANCE_POINTS ** 2}, got {sets} * {n}^2", key)
 
 
 def default_config(experiment: str) -> ExperimentConfig:

@@ -84,8 +84,9 @@ def _in_row_chunks(reduce, C: np.ndarray) -> np.ndarray:
     the 2-d array C, each of _chunk_rows rows, joined into one (len(C),)
     array.  Every product on weight or coefficient rows is taken here, in
     reduce, so BLAS never packs more than one chunk and a product's (chunk,
-    columns) temporaries are freed before the next chunk.  b and g draw
-    their weights in these chunks already, so each reaches reduce whole.
+    columns) temporaries are freed before the next chunk.  Every estimator
+    draws its weights in these chunks already, so each reaches reduce
+    whole; a direct call with a larger C, such as a sup_batch, is cut here.
     A row's bits may depend on the chunk's row count at widths of 32 and
     more (README, Numerical notes)."""
     out = np.empty(len(C))

@@ -499,11 +499,15 @@ def _run_chaining_demo(cfg: ExperimentConfig, consts: dict) -> ExperimentOutcome
 class Experiment:
     """One `pc run` experiment: its runner, default n_list and k, the k range,
     least n and least number of n it accepts, whether it draws weight rows,
-    and the constants.* keys it reads with their defaults.  A constant with
-    an int default takes only integers.  The runner gets those defaults
-    overlaid with the config's constants.  A run that draws weights draws
-    rows at most k * n wide (b(T) of a k-by-n set), so the config bounds
-    k * n by complexity.MAX_WEIGHT_WIDTH for it."""
+    the constant that counts the sets whose n-by-n Gram matrices it holds
+    at once, if any, and the constants.* keys it reads with their defaults.
+    A constant with an int default takes only integers.  The runner gets
+    those defaults overlaid with the config's constants.  A run that draws
+    weights draws rows at most k * n wide (b(T) of a k-by-n set), so the
+    config bounds k * n by complexity.MAX_WEIGHT_WIDTH for it; a run that
+    holds Gram matrices binds that many sets of the largest n to an RKHS
+    ball at once, so the config bounds their count times n^2 by
+    core.MAX_DISTANCE_POINTS ** 2, the ball's own budget."""
 
     run: Callable
     n_list: tuple
@@ -514,6 +518,7 @@ class Experiment:
     n_min: int = 1
     n_count_min: int = 1
     draws_weights: bool = False
+    gram_sets: str = ""
 
 
 _SCALING_N = (64, 128, 256, 512, 1024, 2048, 4096)
@@ -532,11 +537,12 @@ EXPERIMENTS = {
         _run_composition, (16, 32, 64, 128, 256),
         {"L": 1.0, "R": 1.0, "n_functions": 8, "lp_samples": 160, "replications": 3,
          "band": 1.5}, k_max=1, draws_weights=True),
-    # the runner always covers k = 1 and k = 2; at k * n = 16000 each n-by-n
-    # Gram matrix takes 488 MiB
+    # the runner always covers k = 1 and k = 2; each composite estimate
+    # holds one n-by-n Gram matrix per element, 6 * 128 KiB at n = 128 and
+    # 6 elements, and at most 512 MiB in all
     "rkhs-bound": Experiment(_run_rkhs, (8, 32, 128),
                              {"R": 1.0, "n_elements": 6, "fit_headroom": 1.5},
-                             k=2, k_min=2, k_max=2, draws_weights=True),
+                             k=2, k_min=2, k_max=2, draws_weights=True, gram_sets="n_elements"),
     "tails-demo": Experiment(_run_tails_demo, (1,),
                              {"w": 0, "u_start": 0.5, "u_stop": 4.0, "u_step": 0.25},
                              k_max=1),

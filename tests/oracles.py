@@ -18,6 +18,7 @@ import numpy as np
 
 from berncomp import InvalidInputError, SolverError, tail_series_capped
 from berncomp.classes import GAIN_SCALE_FLOOR
+from berncomp.complexity import DEGENERATE_PAIR_TOL
 from berncomp.tails import SAMPLER_GRID_STEP, SAMPLER_TAIL_CUT
 
 
@@ -473,15 +474,49 @@ def _lone_row_merged(total, size):
     return list(zip(starts, starts[1:] + [total]))
 
 
+def _nested_ranges(total, block, chunk):
+    """Blocks of block rows, each cut into chunks of chunk rows, a lone last
+    row joining the range before it at both levels."""
+    return [(a + c, a + d) for a, b in _lone_row_merged(total, block)
+            for c, d in _lone_row_merged(b - a, chunk)]
+
+
+def _mean_and_se(sups):
+    return float(np.mean(sups)), float(np.std(sups, ddof=1) / np.sqrt(len(sups)))
+
+
 def reference_linear_sup(vecs, weights, block, chunk):
     """b or g's (mean, standard error) from the whole weight matrix, drawn
-    once: each row's maximum of rows @ vecs.T, with rows taken over blocks of
-    block rows, each cut into chunks of chunk rows, a lone last row joining
-    the range before it at both levels."""
-    sups = np.concatenate([(weights[a + c:a + d] @ vecs.T).max(axis=1)
-                           for a, b in _lone_row_merged(len(weights), block)
-                           for c, d in _lone_row_merged(b - a, chunk)])
-    return float(np.mean(sups)), float(np.std(sups, ddof=1) / np.sqrt(len(sups)))
+    once: each row's maximum of rows @ vecs.T, with rows taken over the
+    nested ranges of block and chunk rows."""
+    return _mean_and_se(np.concatenate([(weights[a:b] @ vecs.T).max(axis=1)
+                                        for a, b in _nested_ranges(len(weights), block, chunk)]))
+
+
+def reference_composite_sup(fclass, points, signs, block, chunk):
+    """The composite's (mean, standard error) from the whole sign (or
+    pattern) matrix, drawn once: each row's maximum over the sets of the
+    (E, n, k) stack points of fclass.sup_batch, with rows taken over the
+    nested ranges of block and chunk rows."""
+    return _mean_and_se(np.concatenate([fclass.sup_batch(points, signs[a:b]).max(axis=0)
+                                        for a, b in _nested_ranges(len(signs), block, chunk)]))
+
+
+def reference_increment_ratio(fclass, S, dist, signs, block, chunk):
+    """increment_ratio from the whole sign (or pattern) matrix, drawn once:
+    for every pair (i, j), i < j, at least DEGENERATE_PAIR_TOL apart in
+    dist, the mean of fclass.sup_batch on its (2n, k) columns and the rows
+    (eps, -eps), with rows taken over the nested ranges of block and chunk
+    rows, over dist[i, j]; the largest of these."""
+    rows = np.concatenate([signs, -signs], axis=1)
+    ratios = []
+    for i, j in itertools.combinations(range(S.n_elements), 2):
+        if dist[i, j] >= DEGENERATE_PAIR_TOL:
+            pts = np.concatenate([S.element(i).T, S.element(j).T])[None]
+            sups = np.concatenate([fclass.sup_batch(pts, rows[a:b])[0]
+                                   for a, b in _nested_ranges(len(rows), block, chunk)])
+            ratios.append(float(np.mean(sups)) / float(dist[i, j]))
+    return max(ratios)
 
 
 def reference_sampler_grid(w):

@@ -17,6 +17,7 @@ from berncomp import (
     SolverError,
     classes,
     composite_bernoulli_complexity,
+    core,
     gaussian_gram,
     lipschitz_ball_sup,
     simplex,
@@ -1053,6 +1054,48 @@ class TestRkhsBallSup:
             assert large >= small - 1e-12  # nested draws: gap shrinks monotonically
             if closed > 1e-6:
                 assert (closed - large) / closed <= 0.12
+
+    def test_bind_raises_past_the_gram_budget_before_forming_a_gram(self, monkeypatch):
+        formed = []
+        gram = classes.gaussian_gram
+        monkeypatch.setattr(classes, "gaussian_gram",
+                            lambda pts, sigma: formed.append(len(pts)) or gram(pts, sigma))
+        ball = GaussianRkhsBall(sigma=1.0, rho=1.0)
+        # rkhs-bound's 6 elements stop at 3344 points: 6 * 3345^2 > 2^26
+        assert core.MAX_DISTANCE_POINTS ** 2 == 2 ** 26
+        with pytest.raises(BudgetExceededError, match="^6 Gram matrices of 3345 points exceed "
+                                                      "the ceiling of 67108864 entries$"):
+            ball.bind(np.zeros((6, 3345, 1)))
+        # at a ceiling of 16 entries one set of 4 points fits, two of 3 do not
+        monkeypatch.setattr(core, "MAX_DISTANCE_POINTS", 4)
+        assert ball.bind(np.zeros((1, 4, 1)))(np.ones((1, 4))).shape == (1, 1)
+        assert formed == [4]
+        with pytest.raises(BudgetExceededError, match="^2 Gram matrices of 3 points"):
+            ball.bind(np.zeros((2, 3, 1)))
+        with pytest.raises(BudgetExceededError, match="^2 Gram matrices of 3 points"):
+            composite_bernoulli_complexity(ball, PointSet(np.zeros((2, 1, 3))),
+                                           EstimatorConfig(mode="exact"))
+        assert formed == [4]
+
+    @pytest.mark.parametrize("name", ["rkhs", "anchor"])
+    def test_an_estimate_prepares_each_set_once(self, monkeypatch, name):
+        # 9001 rows of 300 signs are 3 blocks of 436-row chunks, 22 chunks;
+        # each element's Gram or value table is formed once, not per chunk
+        formed = []
+        if name == "rkhs":
+            gram = classes.gaussian_gram
+            monkeypatch.setattr(classes, "gaussian_gram",
+                                lambda pts, sigma: formed.append(len(pts)) or gram(pts, sigma))
+            fclass = GaussianRkhsBall(sigma=1.0, rho=1.0)
+        else:
+            values = AnchorDistanceClass.values
+            monkeypatch.setattr(AnchorDistanceClass, "values",
+                                lambda self, pts: formed.append(len(pts)) or values(self, pts))
+            fclass = _anchor_class(5, 3, 2)
+        T = PointSet(np.random.default_rng(5).uniform(-1.0, 1.0, size=(2, 2, 300)))
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=9001, seed=5)
+        composite_bernoulli_complexity(fclass, T, cfg)
+        assert formed == [300, 300]
 
 
 _rkhs_problems = st.tuples(st.integers(1, 8), st.integers(1, 3)).flatmap(

@@ -118,10 +118,33 @@ class TestConfigParsing:
         k = EXPERIMENTS[experiment].k
         n = MAX_WEIGHT_WIDTH // k
         assert (k, n) == ((2, 8000) if experiment == "rkhs-bound" else (1, 16000))
-        assert parse_config_text(f"experiment = {experiment}\nn_list = [{n}]\n").n_list == [n]
+        # one set's 8000-point Gram matrix fits rkhs-bound's Gram budget
+        one = "constants.n_elements = 1\n" if experiment == "rkhs-bound" else ""
+        assert parse_config_text(f"experiment = {experiment}\nn_list = [{n}]\n{one}").n_list == [n]
         with pytest.raises(ConfigError, match=f"line 2, column 1: .* <= {MAX_WEIGHT_WIDTH}, "
                                               f"got k \\* n = {k} \\* {n + 1}$"):
-            parse_config_text(f"experiment = {experiment}\nn_list = [{n + 1}]\n")
+            parse_config_text(f"experiment = {experiment}\nn_list = [{n + 1}]\n{one}")
+
+    @pytest.mark.parametrize("body, location, message", [
+        ("n_list = [3345]\n", "line 2", "6 * 3345^2"),
+        ("n_list = [8000]\nconstants.n_elements = 1048576\n", "line 3", "1048576 * 8000^2"),
+        ("constants.n_elements = 4097\n", "line 2", "4097 * 128^2"),
+        ("constants.n_elements = 2\nn_list = [5793]\n", "line 3", "2 * 5793^2"),
+    ], ids=["n-at-6-elements", "item-22-case", "elements-alone", "n-at-2-elements"])
+    def test_rkhs_grams_past_the_budget_name_the_count_past_its_default(self, body, location,
+                                                                        message):
+        # a composite estimate binds n_elements sets and holds a Gram matrix
+        # of n points for each; at the default 6 elements n stops at 3344
+        assert core.MAX_DISTANCE_POINTS ** 2 == 2 ** 26
+        with pytest.raises(ConfigError) as err:
+            parse_config_text(f"experiment = rkhs-bound\n{body}")
+        assert str(err.value) == (f"{location}, column 1: rkhs-bound requires "
+                                  f"constants.n_elements * n^2 <= 67108864, got {message}")
+
+    @pytest.mark.parametrize("body", ["n_list = [3344]\n", "constants.n_elements = 4096\n",
+                                      "constants.n_elements = 2\nn_list = [5792]\n"])
+    def test_rkhs_grams_at_the_budget_accepted(self, body):
+        parse_config_text(f"experiment = rkhs-bound\n{body}")
 
     @pytest.mark.parametrize("body, location, k, n", [
         ("k = 1000000000\nn_list = [4]\n", "line 2", 1000000000, 4),
@@ -208,8 +231,10 @@ class TestConfigParsing:
         assert str(err.value) == (f"line 2, column 1: constants.{name} must be at most "
                                   f"{MAX_MC_SAMPLES}, got {MAX_MC_SAMPLES + 1}")
         if name != "w":  # whose own, lower ceiling tails checks
+            # rkhs-bound's Gram budget takes 2^20 sets at n = 8, not at 128
+            n = "n_list = [8]\n" if experiment == "rkhs-bound" else ""
             cfg = parse_config_text(f"experiment = {experiment}\n"
-                                    f"constants.{name} = {MAX_MC_SAMPLES}\n")
+                                    f"constants.{name} = {MAX_MC_SAMPLES}\n{n}")
             assert cfg.constants == {name: MAX_MC_SAMPLES}
 
     def test_largest_w_the_tail_sampler_runs_is_accepted(self):
@@ -566,6 +591,9 @@ class TestRunCommand:
          ": constant 'n_sets' must be numeric", "line 2, column 1"),
         ("experiment = lemma-checks\nseed = -1\n", ": seed must be nonnegative",
          "line 2, column 1"),
+        # its 1048576 Gram matrices of 8000 points would take 488 TiB
+        ("experiment = rkhs-bound\nn_list = [8000]\nconstants.n_elements = 1048576\n",
+         "constants.n_elements", "line 3, column 1"),
     ], ids=["undeclared-constant", "repeated-seed", "scaling-k1-with-k3", "zero-u-step",
             "negative-u-step", "negative-n", "scaling-k2-with-n1", "chaining-demo-with-n1",
             "fractional-count", "zero-count", "negative-w", "w-past-the-sampler-grid",
@@ -576,7 +604,7 @@ class TestRunCommand:
             "zero-band", "zero-L", "zero-rkhs-R", "zero-u-start", "nan-slope-tol",
             "u-step-that-never-advances", "empty-value", "empty-list-entry",
             "unterminated-list", "empty-n-list", "no-equals-sign", "nameless-constant",
-            "non-numeric-constant", "negative-seed"])
+            "non-numeric-constant", "negative-seed", "rkhs-grams-past-the-budget"])
     def test_rejected_config_exits_2_naming_the_key(self, tmp_path, capsys, body, key,
                                                     location):
         config = tmp_path / "cfg.txt"
@@ -669,14 +697,15 @@ class TestRunCommand:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("experiment, body, shape", [
-        ("rkhs-bound", "n_list = [8000]\nconstants.n_elements = 1048576\n", (1048576, 8000, 1)),
         ("composition-logfree", "n_list = [16000]\nconstants.n_functions = 1048576\n",
          (1048576, 1, 16000)),
     ])
     def test_point_set_past_the_distance_budget_exits_2_writing_nothing(
             self, tmp_path, capsys, monkeypatch, experiment, body, shape):
-        # both configs pass validation; the stub generator keeps a regressed
-        # check from allocating the 62.5 or 125 GiB set
+        # the config passes validation; the stub generator keeps a regressed
+        # check from allocating the 125 GiB set.  rkhs-bound's case,
+        # n_elements = 1048576 at n = 8000, fails validation instead, on its
+        # Gram budget
         monkeypatch.setattr(np.random, "default_rng", lambda seed: _NoDraws())
         config = tmp_path / "cfg.txt"
         config.write_text(f"experiment = {experiment}\n{body}out_dir = {tmp_path / 'o'}\n")

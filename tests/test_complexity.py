@@ -32,7 +32,8 @@ from berncomp import (
 )
 from berncomp import classes, complexity, core
 from berncomp.complexity import MAX_MC_SAMPLES, _pattern_rows, _random_signs, _weights
-from oracles import (enumerate_bernoulli_sup_mean, reference_linear_sup, reference_sign_table,
+from oracles import (enumerate_bernoulli_sup_mean, reference_composite_sup,
+                     reference_increment_ratio, reference_linear_sup, reference_sign_table,
                      reference_signs)
 
 EXACT = EstimatorConfig(mode="exact", seed=3)
@@ -448,14 +449,14 @@ class TestWeightBlocks:
 
     @staticmethod
     def _first_block(fclass, T, cfg):
-        """The first weight block a composite estimate hands fclass, as
+        """The first weight chunk a composite estimate hands fclass, as
         drawn, not a copy."""
         seen = []
 
         class Recording:
-            def sup_batch(self, points, C):
-                seen.append(C)
-                return fclass.sup_batch(points, C)
+            def bind(self, points):
+                sups = fclass.bind(points)
+                return lambda C: seen.append(C) or sups(C)
 
         composite_bernoulli_complexity(Recording(), T, cfg)
         return seen[0]
@@ -500,15 +501,19 @@ class TestWeightBlocks:
         inner = []
 
         class Nested:
-            def sup_batch(self, points, C):
-                inner.append(repr(bernoulli_complexity(inner_set, cfg)))
-                return ball.sup_batch(points, C)
+            def bind(self, points):
+                sups = ball.bind(points)
 
-        # run apart first, so that the thread holds a spare both blocks fit
+                def nested(C):
+                    inner.append(repr(bernoulli_complexity(inner_set, cfg)))
+                    return sups(C)
+                return nested
+
+        # run apart first, so that the thread holds a spare both chunks fit
         apart = repr(composite_bernoulli_complexity(ball, self.line, cfg))
         inner_apart = repr(bernoulli_complexity(inner_set, cfg))
         assert repr(composite_bernoulli_complexity(Nested(), self.line, cfg)) == apart
-        assert inner == [inner_apart] * 3  # one inner estimate per outer block
+        assert inner == [inner_apart] * 3  # one inner estimate per outer chunk
 
     def test_a_block_past_the_keep_limit_leaves_no_spare(self, monkeypatch):
         # on a fresh thread, which starts with no spare: 20 rows of 5 signs
@@ -633,6 +638,22 @@ class TestCompositeMonteCarlo:
         assert peak < 16 * samples + 4 * block_bytes < samples * 8 * 8
 
 
+def _peak_on_a_fresh_thread(estimate):
+    """The tracemalloc peak of estimate() on a fresh thread, which has no
+    spare buffer yet, so the weights it draws are counted."""
+    done = []
+    thread = threading.Thread(target=lambda: done.append(estimate()))
+    tracemalloc.start()
+    try:
+        thread.start()
+        thread.join()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(done) == 1  # the estimate ran to its end
+    return peak
+
+
 def _block_lengths(samples: int, block: int) -> list:
     """Blocks of block rows; a lone last row joins the block before it."""
     q, last = divmod(samples, block)
@@ -671,15 +692,16 @@ class TestStackedEstimates:
             """A class written for one (n, k) set, which a stack fools when
             its sizes line up."""
 
-            def sup_batch(self, points, C):
-                return np.asarray(C) @ np.sin(np.asarray(points, dtype=float)[:, 0])
+            def bind(self, points):
+                return lambda C: np.asarray(C) @ np.sin(np.asarray(points, dtype=float)[:, 0])
 
         # 3 elements of 3 points: the stack's (3, 1) first points pass for
         # the 3 coefficients; 4 elements are 6 pairs of 6 points
         T = PointSet(np.random.default_rng(2).uniform(-1.0, 1.0, size=(4, 1, 3)))
-        with pytest.raises(InvalidInputError, match=r"OneSet\.sup_batch returned shape \(8, 1\)"):
+        returned = r"OneSet\.bind\(points\)\(C\) returned shape \(8, 1\)"
+        with pytest.raises(InvalidInputError, match=returned):
             composite_bernoulli_complexity(OneSet(), PointSet(T.elements[:3]), EXACT)
-        with pytest.raises(InvalidInputError, match=r"OneSet\.sup_batch returned shape \(8, 1\)"):
+        with pytest.raises(InvalidInputError, match=returned):
             increment_ratio(OneSet(), T, EXACT)
 
 
@@ -814,9 +836,8 @@ class TestProductChunks:
     @pytest.mark.parametrize("name", ["b-mc", "b-exact", "g", "increment", "rkhs", "anchor",
                                       "finite"])
     def test_chunk_sizes_keep_the_bits(self, monkeypatch, name, rows):
-        # b and g draw their weights in the chunks, so the draw cuts each
-        # block and every product gets one chunk whole; the composites
-        # draw whole blocks and the product cuts them
+        # every estimate draws its weights in the chunks its product cuts,
+        # so the draw cuts each block and every product gets one chunk whole
         width, estimate = self._estimates()[name]
         default = repr(estimate())
         draws, products = [], []  # (total, size, bounds) of each _row_blocks call
@@ -832,14 +853,12 @@ class TestProductChunks:
         monkeypatch.setattr(core, "_row_blocks", recording(products))
         monkeypatch.setattr(core, "PRODUCT_BYTES", 8 * rows * width)
         assert repr(estimate()) == default
-        linear = name in ("b-mc", "b-exact", "g")
-        cuts = [call for call in (draws if linear else products) if call[1] == rows]
+        cuts = [call for call in draws if call[1] == rows]
         assert len(cuts[0][2]) > 1  # the block was cut
         for total, size, bounds in draws + products:
             if size == rows:
                 assert [b - a for a, b in bounds] == _block_lengths(total, rows)
-        if linear:
-            assert products and all(len(bounds) == 1 for _, _, bounds in products)
+        assert products and all(len(bounds) == 1 for _, _, bounds in products)
 
     def test_products_are_never_cut_below_two_rows(self, monkeypatch):
         estimates = self._estimates()
@@ -941,12 +960,57 @@ class TestProductChunks:
             tracemalloc.stop()
         assert peak < 2 * core.PRODUCT_BYTES + 8 * complexity.SIGN_CHUNK_WORDS
 
+    def test_the_composite_and_increment_ratio_hold_one_chunk_of_weights(self):
+        # rkhs-bound's shape: 4000 rows of 128 signs, 3.9 MiB drawn whole.
+        # In 1024-row chunks the composite holds its 3 Grams, one chunk of
+        # signs and the product's (chunk, n) temporary, and peaks at about
+        # 2.4 MiB (5.2 MiB with whole blocks).  increment_ratio's 3 pairs
+        # of 256 columns hold 3 Grams of 256 points, a 512-row chunk of
+        # signs, its (eps, -eps) rows and the product's temporary, 2.5 x
+        # PRODUCT_BYTES beside the Grams, and peak at about 4.1 MiB
+        # (13.4 MiB with whole blocks).
+        T = PointSet(np.random.default_rng(3).uniform(-1.0, 1.0, size=(3, 1, 128)))
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=4000, seed=3)
+        ball = GaussianRkhsBall(sigma=1.0, rho=1.0)
+        words = 8 * complexity.SIGN_CHUNK_WORDS
+        peak = _peak_on_a_fresh_thread(lambda: composite_bernoulli_complexity(ball, T, cfg))
+        assert peak < 2 * core.PRODUCT_BYTES + 3 * 128 ** 2 * 8 + words
+        peak = _peak_on_a_fresh_thread(lambda: increment_ratio(ball, T, cfg))
+        assert peak < 3 * core.PRODUCT_BYTES + 3 * 256 ** 2 * 8 + words
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM")
+    def test_the_composite_holds_one_chunk_in_a_fresh_process(self):
+        # the RKHS composite alone on the 3 x (2 x 128) set above, after a
+        # product of its chunk's and Gram's shapes has mapped BLAS's
+        # buffers.  Drawn whole, its 4000 x 128 block grew the peak by
+        # about 3.5 MiB on a 2-core host; drawn a 1 MiB chunk at a time,
+        # by about 0.9 MiB.
+        script = (
+            "import numpy as np\n"
+            "from berncomp import (EstimatorConfig, GaussianRkhsBall, PointSet,\n"
+            "                      composite_bernoulli_complexity)\n"
+            "def peak_kib():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(line.split()[1]) for line in fh if line.startswith('VmHWM:'))\n"
+            "T = PointSet(np.random.default_rng(1).uniform(-1.0, 1.0, (3, 2, 128)))\n"
+            "cfg = EstimatorConfig(mode='monte-carlo', mc_samples=4000, seed=1)\n"
+            "ball = GaussianRkhsBall(1.0, 1.0)\n"
+            "np.ones((1024, 128)) @ np.ones((128, 128))\n"
+            "before = peak_kib()\n"
+            "composite_bernoulli_complexity(ball, T, cfg)\n"
+            "print(peak_kib() - before)\n")
+        grown_kib = self._grown_kib(script)
+        grams = 3 * 128 ** 2 * 8
+        assert grown_kib * 1024 <= 2 * core.PRODUCT_BYTES + grams + 8 * complexity.SIGN_CHUNK_WORDS
+
 
 class TestChunkedDraws:
-    """b and g draw their weights one product chunk at a time, and reduce
-    the rows the whole draw gives in the same nested ranges: the
+    """Every estimator draws its weights one product chunk at a time, and
+    reduces the rows the whole draw gives in the same nested ranges: the
     core._row_blocks(rows, WEIGHT_BLOCK) blocks, each cut into its
-    core._row_blocks(block rows, core._chunk_rows(width)) chunks."""
+    core._row_blocks(block rows, core._chunk_rows(width)) chunks, where
+    width is that of the rows the product takes: k * n for b and g, n for
+    the composite and 2n for increment_ratio's (eps, -eps) rows."""
 
     @pytest.mark.parametrize("gaussian", [False, True])
     @pytest.mark.parametrize("m, width, rows", [
@@ -970,6 +1034,43 @@ class TestChunkedDraws:
         value, _ = reference_linear_sup(vecs, reference_sign_table(12), complexity.WEIGHT_BLOCK, 5)
         assert (est.value.hex(), est.std_error, est.method) == \
             (value.hex(), 0.0, "exact-enumeration")
+
+    @pytest.mark.parametrize("name", ["rkhs", "anchor"])
+    @pytest.mark.parametrize("m, n, rows", [
+        (3, 128, 4000), (2, 300, 9001),
+        (3, 999, 4001)])  # 131-row chunks of 999 signs: a chunk starts mid-word
+    def test_composites_keep_the_bits_of_the_whole_draw(self, name, m, n, rows):
+        T = PointSet(np.random.default_rng(n).uniform(-1.0, 1.0, size=(m, 2, n)))
+        fclass = _four_classes(2, n)[name]
+        cfg = EstimatorConfig(mode="monte-carlo", mc_samples=rows, seed=42)
+        est = composite_bernoulli_complexity(fclass, T, cfg)
+        value, se = reference_composite_sup(fclass, T.elements.transpose(0, 2, 1),
+                                            reference_signs(42, (rows, n)),
+                                            complexity.WEIGHT_BLOCK, core._chunk_rows(n))
+        assert (est.value.hex(), est.std_error.hex()) == (value.hex(), se.hex())
+
+    @pytest.mark.parametrize("name", ["rkhs", "anchor"])
+    def test_exact_composites_keep_the_bits_of_the_whole_table(self, monkeypatch, name):
+        # 2^12 patterns in chunks of 5 rows, the last with a lone row merged
+        T = PointSet(np.random.default_rng(12).uniform(-1.0, 1.0, size=(3, 2, 12)))
+        fclass = _four_classes(2, 12)[name]
+        monkeypatch.setattr(core, "PRODUCT_BYTES", 8 * 5 * 12)
+        est = composite_bernoulli_complexity(fclass, T, EstimatorConfig(mode="exact"))
+        value, _ = reference_composite_sup(fclass, T.elements.transpose(0, 2, 1),
+                                           reference_sign_table(12), complexity.WEIGHT_BLOCK, 5)
+        assert (est.value.hex(), est.std_error, est.method) == \
+            (value.hex(), 0.0, "exact-enumeration")
+
+    @pytest.mark.parametrize("mode, m, n, rows", [("monte-carlo", 4, 40, 9001), ("exact", 4, 6, 64)])
+    def test_increment_ratio_keeps_the_bits_of_the_whole_draw(self, mode, m, n, rows):
+        S = PointSet(np.random.default_rng(n).uniform(-1.0, 1.0, size=(m, 2, n)))
+        ball = GaussianRkhsBall(sigma=0.8, rho=1.5)
+        cfg = EstimatorConfig(mode=mode, mc_samples=rows, seed=43)
+        signs = reference_sign_table(n) if mode == "exact" else reference_signs(43, (rows, n))
+        assert len(signs) == rows
+        ratio = reference_increment_ratio(ball, S, core._element_distances(S), signs,
+                                          complexity.WEIGHT_BLOCK, core._chunk_rows(2 * n))
+        assert increment_ratio(ball, S, cfg).hex() == ratio.hex()
 
     @pytest.mark.parametrize("width, chunk", [(3, 3), (5, 2), (7, 5), (4, 3), (1, 3)])
     def test_chunks_that_end_mid_word_read_the_one_shot_signs(self, width, chunk):
@@ -1008,9 +1109,9 @@ class TestEmpiricalRademacher:
 class TestIncrementRatio:
     def test_singleton_class_gives_zero(self):
         class SingleFunction:
-            def sup_batch(self, points, C):
+            def bind(self, points):
                 # one fixed member, at every set of the stack
-                return np.array([np.asarray(C) @ np.sin(p[:, 0]) for p in points])
+                return lambda C: np.array([np.asarray(C) @ np.sin(p[:, 0]) for p in points])
 
         oracle = SingleFunction()
         S = PointSet(np.random.default_rng(13).uniform(-1, 1, size=(3, 1, 5)))
@@ -1099,9 +1200,9 @@ class TestIncrementRatio:
         ball, seen = GaussianRkhsBall(sigma=1.0, rho=1.0), []
 
         class Recording:
-            def sup_batch(self, points, C):
-                seen.append((np.shape(points), C))
-                return ball.sup_batch(points, C)
+            def bind(self, points):
+                sups = ball.bind(points)
+                return lambda C: seen.append((np.shape(points), C)) or sups(C)
 
         S = PointSet(np.random.default_rng(1).uniform(-1.0, 1.0, size=(4, 1, 5)))
         cfg = EstimatorConfig(mode="monte-carlo", mc_samples=10, seed=2)
@@ -1113,21 +1214,18 @@ class TestIncrementRatio:
             np.concatenate([signs, -signs], axis=1).tobytes()
 
     def test_the_eps_minus_eps_rows_are_formed_in_place(self):
-        # with a class that returns zeros the peak is the weight block W and
-        # its (eps, -eps) rows, 3 x W; a -W temporary would make it 4 x W
+        # with a class that returns zeros the peak is a weight chunk W of
+        # 131 rows and its (eps, -eps) rows, 3 x W; a -W temporary would
+        # make it 4 x W.  On a fresh thread, so that W's buffer is counted.
         class Zeros:
-            def sup_batch(self, points, C):
-                return np.zeros((len(points), len(C)))
+            def bind(self, points):
+                return lambda C: np.zeros((len(points), len(C)))
 
         S = PointSet(np.random.default_rng(0).uniform(-1.0, 1.0, size=(2, 1, 500)))
         cfg = EstimatorConfig(mode="monte-carlo", mc_samples=4096, seed=1)
-        tracemalloc.start()
-        try:
-            assert increment_ratio(Zeros(), S, cfg) == 0.0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 3.25 * 4096 * 500 * 8
+        assert increment_ratio(Zeros(), S, cfg) == 0.0
+        chunk_bytes = core._chunk_rows(2 * 500) * 500 * 8
+        assert _peak_on_a_fresh_thread(lambda: increment_ratio(Zeros(), S, cfg)) < 3.25 * chunk_bytes
 
     def test_memory_stays_at_the_per_pair_suprema_and_the_weight_blocks(self):
         # 45 pairs hold 45 x 20000 per-row suprema (7.2 MB) until the last

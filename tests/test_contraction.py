@@ -31,8 +31,9 @@ class OneFunction:
     def __init__(self, h):
         self.h = h
 
-    def sup_batch(self, points, C):
-        return np.array([C @ self.h(p) for p in np.asarray(points, dtype=float)])
+    def bind(self, points):
+        values = [self.h(p) for p in np.asarray(points, dtype=float)]
+        return lambda C: np.array([C @ v for v in values])
 
 
 def norm(x):

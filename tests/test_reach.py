@@ -26,6 +26,7 @@ ENTROPY = "entropy route: ROADMAP items 4 and 20 give it a pc run caller"
 FINITE = "ROADMAP item 24: an exact lemma-checks gate of Massart's finite-class lemma"
 PUBLIC = "public constructor or property of a class the runs reach"
 ERROR = "error path: raised only on invalid input"
+ONE_BATCH = "sup_batch(points, C) is bind(points)(C) for one batch, which tests and demos call"
 
 UNREACHED = {
     "chaining.EntropyProfile.__post_init__": ENTROPY,
@@ -37,14 +38,19 @@ UNREACHED = {
     "chaining.lipschitz_entropy_profile": ENTROPY,
     "classes.AnchorDistanceClass.__post_init__": ANCHOR,
     "classes.AnchorDistanceClass._sup_rows": ANCHOR,
+    "classes.AnchorDistanceClass.bind": ANCHOR,
     "classes.AnchorDistanceClass.sup_batch": ANCHOR,
     "classes.AnchorDistanceClass.values": ANCHOR,
     "classes.FiniteFunctionClass.__post_init__": FINITE,
+    "classes.FiniteFunctionClass.bind": FINITE,
+    "classes.FiniteFunctionClass.bind.<locals>.sups": FINITE,
     "classes.FiniteFunctionClass.n_points": FINITE,
     "classes.FiniteFunctionClass.sup_batch": FINITE,
     "classes.GaussianRkhsBall.sup": PIN,
+    "classes.GaussianRkhsBall.sup_batch": f"{PIN}; {ONE_BATCH}",
     "classes.LipschitzBall.as_oracle": PIN,
     "classes.LipschitzBall.sup": PIN,
+    "classes.LipschitzBall.sup_batch": ONE_BATCH,
     "classes._lipschitz_sup_simplex": ALL_PAIRS,
     "classes._transport_stack": ALL_PAIRS,
     "classes.lipschitz_ball_sup": PIN,

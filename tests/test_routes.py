@@ -8,17 +8,20 @@ pair of an increment ratio reads one sign draw.  complexity.py measures no
 distance itself, not even through core.distances.  Every distance comes from
 core.distances: the element distances (core._element_distances, which alone
 raises on an overflowing distance), the k >= 2 Lipschitz oracle, the
-Gaussian Gram matrix and the anchor-distance table.  Every oracle in
-classes.py validates its coefficient rows in its sup_batch, through
-_as_coeff_rows, once per stack: no stack is mapped back through a
-sup_batch.  Each sup_batch takes one shape, an (E, n, k) stack and 2-d
-rows: none reads .ndim or tests for None, and _as_coeff_rows promotes no
-1-d row.  lipschitz_ball_sup and the anchor class's shifts pass their one
-row through the same helper.  Every matrix product on weight or
+Gaussian Gram matrix and the anchor-distance table.  The estimators reach
+a class only through its bind, once per estimate, never through its
+sup_batch, which is bind(points)(C) in every class.  Every oracle in
+classes.py validates its coefficient rows in the sups its bind returns,
+through _as_coeff_rows, once per stack: no stack is mapped back through a
+sup_batch.  Each bind takes one shape, an (E, n, k) stack, and its sups
+2-d rows: none reads .ndim or tests for None, and _as_coeff_rows promotes
+no 1-d row.  lipschitz_ball_sup and the anchor class's shifts pass their
+one row through the same helper.  Every matrix product on weight or
 coefficient rows in complexity.py and classes.py is taken in a callback of
 core._in_row_chunks, whose row chunks and the weight blocks share one
-lone-row rule, core._row_blocks; b and g draw their weights in the same
-chunks, whose size comes from one rule, core._chunk_rows.  The one thread pool is built in
+lone-row rule, core._row_blocks; every estimator draws its weights in the
+same chunks, whose size comes from one rule, core._chunk_rows.  The one
+thread pool is built in
 experiments._map_cells.  Exact covering and entropy numbers come from one
 search, chaining._min_cover_radius, and the tail sampler reads q through
 one searchsorted, in tails.sample_from_capped_tail.  tails-demo draws no
@@ -85,8 +88,10 @@ def passed_to(source: str, name: str) -> list:
 
 
 def shape_branches(source: str) -> list:
-    """The sup_batch methods of source that read an .ndim or name None."""
-    return sorted(qual for qual, fn in _functions(ast.parse(source)) if qual.endswith(".sup_batch")
+    """The sup_batch and bind methods of source that read an .ndim or name
+    None."""
+    return sorted(qual for qual, fn in _functions(ast.parse(source))
+                  if qual.endswith((".sup_batch", ".bind"))
                   and any(getattr(node, "attr", None) == "ndim"
                           or (isinstance(node, ast.Constant) and node.value is None)
                           for node in ast.walk(fn)))
@@ -142,8 +147,9 @@ def test_checkers_find_planted_cases():
     assert shape_branches("class A:\n    def sup_batch(self, p, C):\n        return p.ndim\n"
                           "class B:\n    def sup_batch(self, p, C):\n        return p is None\n"
                           "class D:\n    def sup_batch(self, p, C):\n        return p\n"
+                          "class E:\n    def bind(self, p):\n        return lambda C: C.ndim\n"
                           "def sup_batch(p):\n    return p.ndim\n") == [
-        "A.sup_batch", "B.sup_batch"]
+        "A.sup_batch", "B.sup_batch", "E.bind"]
 
 
 def test_complexity_seeds_one_generator_in_the_weight_source():
@@ -223,20 +229,33 @@ def test_element_distances_have_one_routine():
     assert raisers == {("core.py", "norm_pq"), ("core.py", "_element_distances")}
 
 
+def _methods(source: str, name: str) -> list:
+    return [qual for qual, _ in _functions(ast.parse(source)) if qual.endswith(f".{name}")]
+
+
 def test_every_oracle_validates_its_rows_through_one_helper():
-    # the one-row lipschitz_ball_sup and the anchor class's shifts too
+    # in the sups each bind returns; the one-row lipschitz_ball_sup and the
+    # anchor class's shifts too
     source = _read("classes.py")
-    sup_batches = [qual for qual, _ in _functions(ast.parse(source)) if qual.endswith(".sup_batch")]
-    assert sup_batches and callers(source, "_as_coeff_rows") == sorted(
-        sup_batches + ["lipschitz_ball_sup", "AnchorDistanceClass.__post_init__"])
+    binds = _methods(source, "bind")
+    assert binds and callers(source, "_as_coeff_rows") == sorted(
+        binds + ["lipschitz_ball_sup", "AnchorDistanceClass.__post_init__"])
 
 
 def test_every_sup_batch_takes_one_shape():
     source = _read("classes.py")
-    assert len([qual for qual, _ in _functions(ast.parse(source))
-                if qual.endswith(".sup_batch")]) == 4
+    sup_batches = _methods(source, "sup_batch")
+    assert len(sup_batches) == len(_methods(source, "bind")) == 4
+    assert callers(source, "bind") == sorted(sup_batches)  # each is bind(points)(C)
     assert shape_branches(source) == []
     assert "_as_coeff_rows" not in callers(source, "atleast_2d")
+
+
+def test_the_estimators_reach_a_class_only_through_bind():
+    source = _read("complexity.py")
+    assert callers(source, "bind") == ["_bind_sets"]
+    assert callers(source, "sup_batch") == []
+    assert callers(source, "_bind_sets") == ["composite_bernoulli_complexity", "increment_ratio"]
 
 
 def test_a_stack_is_not_mapped_back_through_sup_batch():
@@ -249,7 +268,7 @@ def test_every_product_on_rows_is_taken_in_row_chunks():
     # b(T)'s W @ vecs.T and the three classes that multiply by their rows
     assert [loose_products(_read(module)) for module in ("complexity.py", "classes.py")] == [[], []]
     assert called_by("_in_row_chunks") == {
-        ("complexity.py", "_linear_sup_estimate"), ("classes.py", "FiniteFunctionClass.sup_batch"),
+        ("complexity.py", "_linear_sup_estimate"), ("classes.py", "FiniteFunctionClass.bind"),
         ("classes.py", "GaussianRkhsBall._sup_rows"), ("classes.py", "AnchorDistanceClass._sup_rows")}
 
 
@@ -258,7 +277,10 @@ def test_weight_blocks_and_product_chunks_share_one_lone_row_rule():
 
 
 def test_weight_draws_and_product_chunks_share_one_chunk_row_rule():
-    assert called_by("_chunk_rows") == {("complexity.py", "_linear_sup_estimate"),
+    # _weights draws width-wide rows in the chunks _in_row_chunks cuts them
+    # into; increment_ratio's products take 2n-wide (eps, -eps) rows
+    assert called_by("_chunk_rows") == {("complexity.py", "_weights"),
+                                        ("complexity.py", "increment_ratio"),
                                         ("core.py", "_in_row_chunks")}
 
 
